@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark the flat-index top-k kernels: numba selection vs numpy argsort.
+"""Benchmark flat-index top-k: partition selection vs stable argsort.
 
-Both paths share the float32 matrix-vector scoring; the difference is the
-selection step. Run:
+For each size it times the scoring mat-vec, `select_topk` and the stable
+argsort reference it must match, and checks that the two selections agree
+on the raw scores and on coarsely rounded (tie-heavy) copies. Run:
 
-    python3 benchmarks/bench_search.py --sizes 10000 100000 --dim 256 --k 7
+    python3 benchmarks/bench_search.py --sizes 10000 100000 1000000 --dim 256 --k 7
+
+The matrix takes sizes x dim x 4 bytes (1 GB at one million rows and 256
+dims); pass a smaller --dim to bound memory.
 """
 
 import argparse
@@ -12,14 +16,18 @@ import time
 
 import numpy as np
 
-from hopsynth._kernels import HAS_NUMBA, topk_numba, topk_numpy
+from hopsynth._kernels import select_topk
 
 
-def bench(fn, scores, k, repeats):
+def argsort_topk(scores, k):
+    return np.argsort(-scores, kind="stable")[:k]
+
+
+def bench(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        fn(scores, k)
+        fn()
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -33,28 +41,23 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
-    print(f"numba available: {HAS_NUMBA}")
-    print(f"{'n':>10} {'matvec ms':>10} {'numpy ms':>10} {'numba ms':>10} {'speedup':>8}")
+    print(f"{'n':>10} {'matvec ms':>10} {'select ms':>10} {'argsort ms':>11} {'speedup':>8}")
     for n in args.sizes:
         matrix = rng.standard_normal((n, args.dim)).astype(np.float32)
         query = rng.standard_normal(args.dim).astype(np.float32)
         scores = matrix @ query
-        if HAS_NUMBA:
-            topk_numba(scores, args.k)  # compile outside the timing loop
-        t_matvec = bench(lambda s, k: matrix @ query, scores, args.k, args.repeats)
-        t_numpy = bench(topk_numpy, scores, args.k, args.repeats)
-        t_numba = bench(topk_numba, scores, args.k, args.repeats) if HAS_NUMBA else float("nan")
-        agree = (
-            np.array_equal(topk_numba(scores, args.k), topk_numpy(scores, args.k))
-            if HAS_NUMBA
-            else True
-        )
-        speedup = t_numpy / t_numba if HAS_NUMBA else float("nan")
+        for decimals in (None, 1, 0):
+            tied = scores if decimals is None else np.round(scores, decimals)
+            if not np.array_equal(select_topk(tied, args.k), argsort_topk(tied, args.k)):
+                raise SystemExit(f"select_topk disagrees with argsort at n={n}, round={decimals}")
+        t_matvec = bench(lambda: matrix @ query, args.repeats)
+        t_select = bench(lambda: select_topk(scores, args.k), args.repeats)
+        t_argsort = bench(lambda: argsort_topk(scores, args.k), args.repeats)
         print(
-            f"{n:>10} {1e3 * t_matvec:>10.3f} {1e3 * t_numpy:>10.3f} "
-            f"{1e3 * t_numba:>10.3f} {speedup:>7.1f}x"
-            + ("" if agree else "  MISMATCH")
+            f"{n:>10} {1e3 * t_matvec:>10.3f} {1e3 * t_select:>10.3f} "
+            f"{1e3 * t_argsort:>11.3f} {t_argsort / t_select:>7.1f}x"
         )
+        del matrix
 
 
 if __name__ == "__main__":

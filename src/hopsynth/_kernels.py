@@ -1,76 +1,27 @@
-"""Top-k selection kernels for the flat index.
+"""Exact top-k selection for the flat index.
 
-Two interchangeable implementations: a numba @njit insertion-selection loop
-(O(n) for random inputs, no full sort) and a pure-numpy stable argsort.
-Both order by descending score with ties broken by ascending row index, and
-both must return bit-identical results; set HOPSYNTH_DISABLE_NUMBA=1 to
-force the numpy path. `benchmarks/bench_search.py` compares the two.
+`select_topk` orders by descending score with ties broken by ascending row
+index, exactly as a stable `argsort(-scores)[:k]` does, without sorting
+every row: `np.partition` finds the k-th best score, and only the rows at
+or above it are sorted. Scores must be finite (`retrieval.search` rejects
+non-finite queries). `benchmarks/bench_search.py` times it against the
+stable argsort.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 def numba_enabled() -> bool:
-    return HAS_NUMBA and os.environ.get("HOPSYNTH_DISABLE_NUMBA", "") not in ("1", "true", "yes")
-
-
-def topk_numpy(scores: np.ndarray, k: int) -> np.ndarray:
-    """Row indices of the k best scores (desc score, asc index on ties)."""
-    m = min(k, scores.shape[0])
-    order = np.argsort(-scores, kind="stable")
-    return order[:m].astype(np.int64)
-
-
-@njit(cache=True)
-def _topk_select(scores, k):  # pragma: no cover - exercised through topk_numba
-    n = scores.shape[0]
-    m = k if k < n else n
-    best = np.empty(m, dtype=np.int64)
-    count = 0
-    for i in range(n):
-        s = scores[i]
-        if count < m:
-            pos = count
-            while pos > 0 and scores[best[pos - 1]] < s:
-                pos -= 1
-            for j in range(count, pos, -1):
-                best[j] = best[j - 1]
-            best[pos] = i
-            count += 1
-        elif s > scores[best[m - 1]]:
-            pos = m - 1
-            while pos > 0 and scores[best[pos - 1]] < s:
-                pos -= 1
-            for j in range(m - 1, pos, -1):
-                best[j] = best[j - 1]
-            best[pos] = i
-    return best
-
-
-def topk_numba(scores: np.ndarray, k: int) -> np.ndarray:
-    return _topk_select(np.ascontiguousarray(scores), min(k, scores.shape[0]))
+    # Always False: there is no numba kernel; perfbench/run.py still records this.
+    return False
 
 
 def select_topk(scores: np.ndarray, k: int) -> np.ndarray:
-    if numba_enabled():
-        return topk_numba(scores, k)
-    return topk_numpy(scores, k)
+    """Row indices of the k best scores (desc score, asc index on ties)."""
+    n = scores.shape[0]
+    m = min(k, n)
+    kth = np.partition(scores, n - m)[n - m]
+    rows = np.flatnonzero(scores >= kth)
+    return rows[np.lexsort((rows, -scores[rows]))][:m]

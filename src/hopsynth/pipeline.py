@@ -51,6 +51,7 @@ from .verification import (
     DataInstance,
     VerifyConfig,
     assemble_instance,
+    retrieve_queries,
     verify_query,
 )
 
@@ -287,10 +288,18 @@ def stage_verify(
     provider=None,
     index=None,
 ) -> tuple[list[DataInstance], dict]:
-    """Verify candidates against the corpus index and assemble instances."""
+    """Verify candidates against the corpus index and assemble instances.
+
+    Each distinct candidate text across all rows is embedded and searched
+    once; every candidate then gets its verdict from those retrieved ids.
+    """
     provider = provider or build_embedder(config)
     index = index if index is not None else build_index(store, provider)
     counters = new_counters()
+    retrieved = retrieve_queries(
+        [c["text"] for row in candidate_rows for c in row["candidates"]],
+        index, provider, config.verify.k,
+    )
 
     def work(row: dict):
         pair = _pair_from_row(store, row)
@@ -300,8 +309,7 @@ def stage_verify(
         )
         verdicts = [
             verify_query(
-                QueryCandidate(c["text"], c["origin"], c["rank"]),
-                pair, index, provider, config.verify,
+                QueryCandidate(c["text"], c["origin"], c["rank"]), pair, retrieved[c["text"]]
             )
             for c in row["candidates"]
         ]

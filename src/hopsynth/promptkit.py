@@ -17,6 +17,7 @@ files and are the complete human-annotated seed set: four per multi-hop
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -85,41 +86,37 @@ def _check_task(task: str, setting: str) -> None:
         raise PromptError("fact-verification tasks only use the hyper setting")
 
 
+def _example_from_row(row: dict) -> FewShotExample:
+    return FewShotExample(
+        documents=(row["documents"][0], row["documents"][1]),
+        question_or_claim=row["question"],
+        answer=row["answer"],
+        queries=tuple(row.get("queries", ())),
+    )
+
+
 def load_examples(path: str | Path) -> list[FewShotExample]:
     """Read a few-shot store: JSONL of documents/question/answer/queries."""
-    examples = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        examples.append(
-            FewShotExample(
-                documents=(row["documents"][0], row["documents"][1]),
-                question_or_claim=row["question"],
-                answer=row["answer"],
-                queries=tuple(row.get("queries", ())),
-            )
-        )
-    return examples
+    return [
+        _example_from_row(json.loads(line))
+        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _load_builtin(name: str) -> tuple[FewShotExample, ...]:
+    # one parse per data file and process; every prompt asks for its examples
+    with resources.files("hopsynth.data").joinpath(f"{name}.jsonl").open(
+        "r", encoding="utf-8"
+    ) as handle:
+        return tuple(_example_from_row(json.loads(line)) for line in handle if line.strip())
 
 
 def builtin_examples(task: str, setting: str) -> list[FewShotExample]:
     """The built-in annotated examples for a task and setting."""
     _check_task(task, setting)
-    name = "fever" if task in FEVER_TASKS else f"mqa_{setting}"
-    with resources.files("hopsynth.data").joinpath(f"{name}.jsonl").open(
-        "r", encoding="utf-8"
-    ) as handle:
-        rows = [json.loads(line) for line in handle if line.strip()]
-    return [
-        FewShotExample(
-            documents=(row["documents"][0], row["documents"][1]),
-            question_or_claim=row["question"],
-            answer=row["answer"],
-            queries=tuple(row.get("queries", ())),
-        )
-        for row in rows
-    ]
+    return list(_load_builtin("fever" if task in FEVER_TASKS else f"mqa_{setting}"))
 
 
 def _field_lines(task: str, example: FewShotExample) -> list[str]:

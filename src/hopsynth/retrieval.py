@@ -150,7 +150,7 @@ def build_flat_index(doc_ids: Sequence[str], vectors: Sequence[np.ndarray]) -> F
     """Assemble an immutable flat index; rows are sorted by document id.
 
     Sorting makes the search tie-break (ascending doc id) fall out of
-    positional order, so the kernels never compare id strings.
+    positional order, so top-k selection never compares id strings.
     """
     if len(doc_ids) != len(vectors):
         raise ValueError(f"{len(doc_ids)} ids but {len(vectors)} vectors")
@@ -171,12 +171,19 @@ def build_flat_index(doc_ids: Sequence[str], vectors: Sequence[np.ndarray]) -> F
 
 
 def search(index: FlatIndex, query_vec: np.ndarray, k: int) -> list[ScoredDoc]:
-    """Exact top-k by dot product; ties broken by ascending doc id."""
+    """Exact top-k by dot product; ties broken by ascending doc id.
+
+    Scores come from one mat-vec per query: a blocked GEMM (`Q @ M.T`) can
+    differ from `M @ q` in the last bits, which changes near-tie order.
+    Raises ValueError for a non-finite query vector.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     query = np.asarray(query_vec, dtype=np.float32)
     if query.shape != (index.dim,):
         raise ValueError(f"query dim {query.shape} does not match index dim {index.dim}")
+    if not np.isfinite(query).all():
+        raise ValueError("query vector must be finite")
     scores = index.matrix @ query
     rows = select_topk(scores, k)
     return [ScoredDoc(index.doc_ids[i], float(scores[i])) for i in rows]

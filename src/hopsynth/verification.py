@@ -33,6 +33,12 @@ DROP_TWO_HOP_COVERAGE = "two_hop_coverage"
 DROP_ONE_HOP_COVERAGE = "one_hop_coverage"
 DROP_ANSWER_CONTAINMENT = "answer_containment"
 
+# Query texts per embedding call. Over HTTP, 256-text blocks raised the
+# client's peak RSS where 64 did not, and 64 already removes almost every call.
+EMBED_BLOCK = 64
+# Failures that make a query invalid rather than abort the run.
+_RETRIEVAL_ERRORS = (EmbeddingError, ValueError)
+
 
 @dataclass(frozen=True)
 class QueryVerdict:
@@ -64,20 +70,57 @@ class DataInstance:
     single_or_two: str  # single | two (number of queries)
 
 
+def _embed_one(provider, text: str):
+    try:
+        return embed(provider, [text])[0]
+    except _RETRIEVAL_ERRORS as exc:
+        return exc
+
+
+def retrieve_queries(
+    texts: Sequence[str],
+    index: FlatIndex,
+    provider,
+    k: int,
+) -> dict[str, tuple[str, ...] | Exception]:
+    """Top-k doc ids for each distinct text, keyed by text in first-seen order.
+
+    Distinct texts are embedded EMBED_BLOCK per provider call and each is
+    searched once. When a block's call fails, its texts are embedded one at
+    a time, so only the texts that fail on their own map to their error.
+    """
+    distinct = list(dict.fromkeys(texts))
+    retrieved: dict[str, tuple[str, ...] | Exception] = {}
+    for start in range(0, len(distinct), EMBED_BLOCK):
+        block = distinct[start:start + EMBED_BLOCK]
+        try:
+            vectors = embed(provider, block)
+        except _RETRIEVAL_ERRORS:
+            vectors = [_embed_one(provider, text) for text in block]
+        for text, vector in zip(block, vectors):
+            if isinstance(vector, Exception):
+                retrieved[text] = vector
+                continue
+            try:
+                retrieved[text] = tuple(s.doc_id for s in search(index, vector, k))
+            except ValueError as exc:
+                retrieved[text] = exc
+    return retrieved
+
+
 def verify_query(
     candidate: QueryCandidate,
     pair: DocumentPair,
-    index: FlatIndex,
-    provider,
-    config: VerifyConfig,
+    retrieved: tuple[str, ...] | Exception,
 ) -> QueryVerdict:
-    """Embed the candidate, search top-k, and flag pair-document hits."""
-    try:
-        query_vec = embed(provider, [candidate.text])[0]
-        retrieved = tuple(s.doc_id for s in search(index, query_vec, config.k))
-    except (EmbeddingError, ValueError) as exc:
+    """Flag pair-document hits among the candidate's retrieved ids.
+
+    `retrieved` is what `retrieve_queries` recorded for the candidate's
+    text; an error there makes the verdict invalid.
+    """
+    if isinstance(retrieved, Exception):
         logger.warning("query %r could not be verified (%s); treating as invalid",
-                       candidate.text[:60], exc)
+                       candidate.text[:60], retrieved)
         return QueryVerdict(candidate, valid=False, hit_d1=False, hit_d2=False, retrieved_ids=())
     hit_d1 = pair.d1.id in retrieved
     hit_d2 = pair.d2.id in retrieved

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hopsynth import pipeline
 from hopsynth.config import PipelineConfig
 from hopsynth.pipeline import (
     build_index,
@@ -15,8 +16,8 @@ from hopsynth.pipeline import (
     stage_questions,
     stage_verify,
 )
-from hopsynth.retrieval import HashEmbedder
-from hopsynth.verification import VerifyConfig, validate_instance
+from hopsynth.retrieval import EmbeddingError, HashEmbedder
+from hopsynth.verification import EMBED_BLOCK, VerifyConfig, validate_instance, verify_query
 
 from synthcorpus import make_corpus, write_corpus
 
@@ -106,6 +107,60 @@ def test_run_all_deterministic(tmp_path, corpus_path):
     ).read_bytes()
     assert report1["counters"] == report2["counters"]
     assert report1["counters"]["emitted"] > 0
+
+
+class CountingEmbedder:
+    """HashEmbedder that records each call's texts and can fail on one text."""
+
+    def __init__(self, fail_on=None):
+        self.inner = HashEmbedder(dim=256)
+        self.dim = self.inner.dim
+        self.calls: list[list[str]] = []
+        self.fail_on = fail_on
+
+    def __call__(self, texts):
+        self.calls.append(list(texts))
+        if self.fail_on in texts:
+            raise EmbeddingError("endpoint down")
+        return self.inner(texts)
+
+
+def test_stage_verify_embeds_each_distinct_text_once(corpus_path, monkeypatch):
+    config = make_config(workers=1)  # verdicts are recorded in call order
+    store = build_store(corpus_path, config)
+    pair_rows, _ = stage_pair(store, config)
+    draft_rows, _ = stage_questions(store, pair_rows, config)
+    decision_rows, _ = stage_filter_answers(store, draft_rows, config)
+    candidate_rows, _ = stage_queries(store, decision_rows, config)
+    texts = [c["text"] for row in candidate_rows for c in row["candidates"]]
+    distinct = set(texts)
+    assert EMBED_BLOCK < len(distinct) < len(texts)
+    index = build_index(store, HashEmbedder(dim=256))
+
+    verdicts = []
+
+    def recording_verify(candidate, pair, retrieved):
+        verdict = verify_query(candidate, pair, retrieved)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(pipeline, "verify_query", recording_verify)
+    healthy = CountingEmbedder()
+    stage_verify(store, candidate_rows, config, provider=healthy, index=index)
+    embedded = [t for call in healthy.calls for t in call]
+    assert sorted(embedded) == sorted(distinct)
+    assert len(healthy.calls) <= -(-len(distinct) // EMBED_BLOCK)
+    assert [v.candidate.text for v in verdicts] == texts
+    baseline, verdicts[:] = list(verdicts), []
+
+    bad = next(t for t in texts if texts.count(t) > 1)
+    stage_verify(store, candidate_rows, config, provider=CountingEmbedder(fail_on=bad), index=index)
+    assert len(verdicts) == len(baseline)
+    for got, want in zip(verdicts, baseline):
+        if got.candidate.text == bad:
+            assert not got.valid and got.retrieved_ids == ()
+        else:
+            assert got == want
 
 
 def test_run_all_seed_changes_output(tmp_path, corpus_path):

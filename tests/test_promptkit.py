@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hopsynth import promptkit
 from hopsynth.promptkit import (
     FEVER_CLAIM_GEN,
     FEVER_QUERY_GEN,
@@ -41,6 +42,25 @@ def test_builtin_fever_shared():
     assert labels == {"SUPPORTS", "REFUTES", "NOT ENOUGH INFO"}
     assert builtin_examples(FEVER_CLAIM_GEN, "hyper") == examples
     assert builtin_examples(FEVER_QUERY_GEN, "hyper") == examples
+
+
+def test_builtin_examples_parsed_once(monkeypatch):
+    promptkit._load_builtin.cache_clear()
+    opened = []
+    files = promptkit.resources.files
+
+    def counting_files(package):
+        opened.append(package)
+        return files(package)
+
+    monkeypatch.setattr(promptkit.resources, "files", counting_files)
+    first = builtin_examples(MQA_ANSWER, "hyper")
+    assert len(opened) == 1
+    second = builtin_examples(MQA_QUERY_GEN, "hyper")
+    assert len(opened) == 1
+    assert second == first and second is not first
+    second.clear()  # callers get a fresh list they may change
+    assert builtin_examples(MQA_ANSWER, "hyper") == first
 
 
 def test_builtin_seed_set_is_small():

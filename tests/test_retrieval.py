@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from hopsynth._kernels import topk_numba, topk_numpy
+from hopsynth._kernels import select_topk
 from hopsynth.retrieval import (
     EmbeddingError,
     FileEmbedder,
@@ -67,6 +67,12 @@ def test_search_dim_mismatch():
         search(small_index(), np.zeros(3, dtype=np.float32), k=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_search_rejects_non_finite_query(bad):
+    with pytest.raises(ValueError, match="finite"):
+        search(small_index(), np.array([0.5, bad], dtype=np.float32), k=1)
+
+
 def test_search_matches_brute_force_oracle():
     rng = np.random.default_rng(1234)
     for trial in range(40):
@@ -85,13 +91,23 @@ def test_search_matches_brute_force_oracle():
 
 
 def test_kernels_agree_including_ties():
+    def reference(scores, k):
+        return np.argsort(-scores, kind="stable")[:k]
+
     rng = np.random.default_rng(7)
-    for _ in range(60):
+    cases = []
+    for _ in range(200):
         n = int(rng.integers(1, 400))
-        # quantized scores force plenty of exact ties
-        scores = rng.integers(0, 5, size=n).astype(np.float32)
-        k = int(rng.integers(1, n + 3))
-        assert np.array_equal(topk_numba(scores, k), topk_numpy(scores, k))
+        # quantized scores force plenty of exact ties; k may exceed n
+        cases.append((rng.integers(0, 5, size=n).astype(np.float32), int(rng.integers(1, n + 3))))
+    for k in (1, 3):
+        cases.append((np.array([0.25], dtype=np.float32), k))  # n == 1
+        cases.append((np.full(9, 0.5, dtype=np.float32), k))  # all scores equal
+        cases.append((np.array([0.0, -0.0, 0.0, -1.0, -0.0], dtype=np.float32), k))
+    for n in (5, 8):
+        cases.append((rng.standard_normal(n).astype(np.float32), n))  # k == n
+    for scores, k in cases:
+        assert np.array_equal(select_topk(scores, k), reference(scores, k)), (scores, k)
 
 
 def test_scale_equivariant_ranking():
@@ -103,13 +119,6 @@ def test_scale_equivariant_ranking():
     for c in (0.5, 3.0, 17.0):
         scaled = [s.doc_id for s in search(index, (c * query).astype(np.float32), 10)]
         assert scaled == base
-
-
-def test_numpy_fallback_flag(monkeypatch):
-    monkeypatch.setenv("HOPSYNTH_DISABLE_NUMBA", "1")
-    index = small_index()
-    got = search(index, np.array([0.5, 0.5], dtype=np.float32), k=2)
-    assert [s.doc_id for s in got] == ["doc0", "doc1"]
 
 
 def test_hash_embedder_deterministic_and_token_driven():

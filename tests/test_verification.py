@@ -17,6 +17,7 @@ from hopsynth.verification import (
     dedup_queries,
     finalize_instance,
     finalize_with_reason,
+    retrieve_queries,
     validate_instance,
     verify_query,
 )
@@ -74,14 +75,13 @@ def test_verify_query_hit_flags():
 
     store = make_store({"D1": "one", "D2": "two", "D3": "three"})
     pair = make_pair(store)
-    config = VerifyConfig(k=1)
-    got = verify_query(QueryCandidate("toward d1", "model", 0), pair, index, provider, config)
+    top1 = retrieve_queries(list(queries), index, provider, k=1)
+    got = verify_query(QueryCandidate("toward d1", "model", 0), pair, top1["toward d1"])
     assert (got.valid, got.hit_d1, got.hit_d2) == (True, True, False)
-    got = verify_query(QueryCandidate("toward nothing", "model", 0), pair, index, provider, config)
+    got = verify_query(QueryCandidate("toward nothing", "model", 0), pair, top1["toward nothing"])
     assert not got.valid and got.retrieved_ids == ("D3",)
-    got = verify_query(
-        QueryCandidate("toward both", "model", 0), pair, index, provider, VerifyConfig(k=2)
-    )
+    top2 = retrieve_queries(["toward both"], index, provider, k=2)
+    got = verify_query(QueryCandidate("toward both", "model", 0), pair, top2["toward both"])
     assert (got.valid, got.hit_d1, got.hit_d2) == (True, True, True)
 
 
@@ -91,12 +91,25 @@ def test_verify_query_embedding_failure_is_invalid(caplog):
 
     store = make_store({"D1": "one", "D2": "two"})
     index = build_flat_index(["D1"], [np.zeros(2, dtype=np.float32)])
+    retrieved = retrieve_queries(["q"], index, provider, k=7)
+    assert isinstance(retrieved["q"], EmbeddingError)
     with caplog.at_level("WARNING"):
-        got = verify_query(
-            QueryCandidate("q", "model", 0), make_pair(store), index, provider, VerifyConfig()
-        )
+        got = verify_query(QueryCandidate("q", "model", 0), make_pair(store), retrieved["q"])
     assert not got.valid and got.retrieved_ids == ()
     assert any("invalid" in r.message for r in caplog.records)
+
+
+def test_non_finite_query_vector_is_invalid():
+    def provider(texts):
+        return [np.array([np.nan if t == "bad" else 1.0, 0.0], dtype=np.float32) for t in texts]
+
+    store = make_store({"D1": "one", "D2": "two"})
+    index = build_flat_index(["D1", "D2"], [np.eye(2, dtype=np.float32)[i] for i in range(2)])
+    retrieved = retrieve_queries(["good", "bad"], index, provider, k=1)
+    assert retrieved["good"] == ("D1",)
+    assert isinstance(retrieved["bad"], ValueError)
+    got = verify_query(QueryCandidate("bad", "model", 0), make_pair(store), retrieved["bad"])
+    assert not got.valid
 
 
 def test_dedup_keeps_shortest():
