@@ -21,10 +21,10 @@ from .emitter import (
     dataset_stats,
     format_stats_report,
     read_jsonl,
-    split_dev,
+    read_rows,
     write_jsonl,
+    write_rows,
 )
-from .pairing import derive_seed
 
 
 class _UsageError(Exception):
@@ -40,7 +40,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hopsynth", description=__doc__.split("\n")[0])
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--workers", type=int, help="parallel workers (0 = cores)")
+    parser.add_argument("--workers", type=int, help="ignored; kept so old command lines parse")
     parser.add_argument("--task", choices=["mqa", "fever"], help="synthesis task")
     parser.add_argument("--backend", choices=["http", "mock"], help="completion backend")
     parser.add_argument(
@@ -90,8 +90,6 @@ def _configure(args) -> PipelineConfig:
         config = parse_config_file(args.config, config)
     if args.seed is not None:
         config.seed = args.seed
-    if args.workers is not None:
-        config.workers = args.workers
     if args.task:
         config.task = args.task
     if args.backend:
@@ -106,20 +104,6 @@ def _configure(args) -> PipelineConfig:
     if getattr(args, "dev_size", None) is not None:
         config.dev_size = args.dev_size
     return config
-
-
-def _read_rows(path: str) -> list[dict]:
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rows.append(json.loads(line))
-    return rows
-
-
-def _write_rows(rows, path: str) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def _print_counters(counters: dict) -> None:
@@ -142,18 +126,18 @@ def run_command(args) -> int:
         store = pipeline.build_store(args.store, config)
         if command == "pair":
             rows, counters = pipeline.stage_pair(store, config)
-            _write_rows(rows, args.out_path)
+            write_rows(rows, args.out_path)
         elif command == "gen-questions":
-            rows, counters = pipeline.stage_questions(store, _read_rows(args.in_path), config)
-            _write_rows(rows, args.out_path)
+            rows, counters = pipeline.stage_questions(store, read_rows(args.in_path), config)
+            write_rows(rows, args.out_path)
         elif command == "filter-answers":
-            rows, counters = pipeline.stage_filter_answers(store, _read_rows(args.in_path), config)
-            _write_rows(rows, args.out_path)
+            rows, counters = pipeline.stage_filter_answers(store, read_rows(args.in_path), config)
+            write_rows(rows, args.out_path)
         elif command == "gen-queries":
-            rows, counters = pipeline.stage_queries(store, _read_rows(args.in_path), config)
-            _write_rows(rows, args.out_path)
+            rows, counters = pipeline.stage_queries(store, read_rows(args.in_path), config)
+            write_rows(rows, args.out_path)
         else:
-            instances, counters = pipeline.stage_verify(store, _read_rows(args.in_path), config)
+            instances, counters = pipeline.stage_verify(store, read_rows(args.in_path), config)
             write_jsonl(instances, args.out_path)
             if args.report:
                 Path(args.report).write_text(json.dumps(counters, indent=2) + "\n")
@@ -161,15 +145,8 @@ def run_command(args) -> int:
         return 0
 
     if command == "emit":
-        instances = read_jsonl(args.in_path)
-        dev_size = config.dev_size if args.dev_size is None else args.dev_size
-        dev_size = min(dev_size, len(instances))
-        train, dev = split_dev(instances, dev_size=dev_size, seed=derive_seed(config.seed, "dev"))
-        out = Path(args.out_path)
-        out.mkdir(parents=True, exist_ok=True)
-        write_jsonl(train, out / "train.jsonl")
-        write_jsonl(dev, out / "dev.jsonl")
-        print(f"train={len(train)} dev={len(dev)} -> {out}")
+        train, dev = pipeline.write_splits(read_jsonl(args.in_path), args.out_path, config)
+        print(f"train={len(train)} dev={len(dev)} -> {Path(args.out_path)}")
         return 0
 
     if command == "stats":

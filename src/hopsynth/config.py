@@ -17,7 +17,6 @@ typos fail loudly. Command-line flags override file values.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -44,7 +43,6 @@ class BackendSpec:
     mock_table: Optional[str] = None  # JSON file: prompt hash -> completion
     mock_script: Optional[str] = None  # JSON file for GoldScriptRule
     mock_rule: str = "synthetic"  # synthetic | none
-    max_inflight: int = 8
 
 
 @dataclass
@@ -73,15 +71,12 @@ class PipelineConfig:
     recognizer: RecognizerSpec = field(default_factory=RecognizerSpec)
     task: str = "mqa"
     seed: int = 0
-    workers: int = 0  # 0 = available cores
+    workers: int = 0  # ignored: stages run serially; kept so old configs load
     dev_size: int = 5000
     topics_labeler: str = "file"  # file | keyword | none
     examples_path: Optional[str] = None
     eval_corpus: Optional[str] = None
     eval_mode: str = "greedy"  # greedy | self_consistency
-
-    def resolved_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
 
 _SECTIONS = {
@@ -90,7 +85,7 @@ _SECTIONS = {
     "filter": ("f1_threshold", "min_entities_hyper", "min_entities_topic"),
     "verify": ("k",),
     "eval": ("max_hops", "k", "self_consistency_samples"),
-    "backend": ("kind", "endpoint", "mock_table", "mock_script", "mock_rule", "max_inflight"),
+    "backend": ("kind", "endpoint", "mock_table", "mock_script", "mock_rule"),
     "embeddings": ("kind", "endpoint", "file", "dim"),
     "recognizer": ("kind", "endpoint"),
 }
@@ -149,7 +144,7 @@ def build_backend(config: PipelineConfig):
     if spec.kind == "http":
         if not spec.endpoint:
             raise ConfigError("backend.kind=http requires backend.endpoint")
-        return HttpBackend(spec.endpoint, max_inflight=spec.max_inflight)
+        return HttpBackend(spec.endpoint)
     if spec.kind == "mock":
         table = None
         if spec.mock_table:

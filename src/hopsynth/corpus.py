@@ -6,7 +6,7 @@ Input format is UTF-8 JSONL, one document per line:
 
 Document texts are truncated to the configured token budget; anchors are
 resolved against titles to build an undirected link graph. The store is
-never mutated after ingestion, so it is safe to share across workers.
+never mutated after ingestion.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .metrics import word_count
 from .synthesis import TASK_FEVER
@@ -76,20 +76,26 @@ def record_to_instance(record: dict) -> DataInstance:
     )
 
 
+def write_rows(rows: Iterable[dict], path: str | Path) -> None:
+    """Write one JSON object per line, non-ASCII kept as is."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def read_rows(path: str | Path) -> list[dict]:
+    """Read one JSON object per line, skipping blank lines."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines if line.strip()]
+
+
 def write_jsonl(instances: Sequence[DataInstance], path: str | Path) -> int:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for instance in instances:
-            handle.write(json.dumps(instance_to_record(instance), ensure_ascii=False) + "\n")
+    write_rows(map(instance_to_record, instances), path)
     return len(instances)
 
 
 def read_jsonl(path: str | Path) -> list[DataInstance]:
-    instances = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            instances.append(record_to_instance(json.loads(line)))
-    return instances
+    return [record_to_instance(record) for record in read_rows(path)]
 
 
 def split_dev(

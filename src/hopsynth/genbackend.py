@@ -10,7 +10,6 @@ and/or a rule program and is a pure function of (prompt text, seed).
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -133,7 +132,6 @@ class HttpBackend:
         endpoint: str,
         max_retries: int = 3,
         backoff_base: float = 0.2,
-        max_inflight: int = 8,
         timeout: float = 120.0,
         session=None,
     ):
@@ -142,7 +140,6 @@ class HttpBackend:
         self.backoff_base = backoff_base
         self.timeout = timeout
         self.session = session or requests.Session()
-        self._inflight = threading.Semaphore(max_inflight)
 
     def raw_complete(self, prompt_text: str, params: DecodeParams) -> str:
         body = {
@@ -157,10 +154,9 @@ class HttpBackend:
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
             try:
-                with self._inflight:
-                    response = self.session.post(
-                        f"{self.endpoint}/v1/completions", json=body, timeout=self.timeout
-                    )
+                response = self.session.post(
+                    f"{self.endpoint}/v1/completions", json=body, timeout=self.timeout
+                )
                 response.raise_for_status()
                 payload = response.json()
                 if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):

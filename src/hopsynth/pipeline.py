@@ -3,17 +3,15 @@ verified instances, with per-reason drop accounting.
 
 Every stage consumes and produces JSONL-friendly dicts so the CLI can stop
 and resume between stages. All randomness derives from (seed, stable item
-keys), so reruns with the same inputs reproduce outputs byte for byte, and
-item-level work parallelizes without ordering effects.
+keys), so reruns with the same inputs reproduce outputs byte for byte.
+Each stage is one ordered loop over its rows.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 from . import synthesis
 from .config import (
@@ -24,7 +22,7 @@ from .config import (
     build_topic_labeler,
 )
 from .corpus import CorpusStore, ingest_corpus, serialize_store
-from .emitter import dataset_stats, split_dev, write_jsonl
+from .emitter import dataset_stats, read_rows, split_dev, write_jsonl
 from .evalharness import run_episode, score_fever, score_qa, self_consistency
 from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_params
 from .pairing import (
@@ -110,11 +108,13 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
 
     For fact verification only hyper pairs are used and the answer is a
     uniformly sampled label; for QA the answer comes from the candidate set.
+    Each distinct document text goes to the recognizer once per stage.
     """
     recognizer = recognizer or build_recognizer(config)
     pairing_config = replace(config.pairing, rng_seed=config.seed)
     counters = new_counters()
     rows: list[dict] = []
+    entities: dict[str, list[str]] = {}
     for anchor_id in sorted(store.documents):
         for pair in sample_pairs(store, anchor_id, pairing_config):
             if config.task == TASK_FEVER and pair.relation != HYPER:
@@ -125,9 +125,12 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
                 answer, source = rng.choice(FEVER_LABELS), "label"
             else:
                 if pair.relation == HYPER:
+                    texts = (pair.d1.text, pair.d2.text)
+                    unseen = [t for t in dict.fromkeys(texts) if t not in entities]
+                    if unseen:
+                        entities.update(zip(unseen, recognizer(unseen), strict=True))
+                    flat = entities[texts[0]] + entities[texts[1]]
                     try:
-                        entities = recognizer([pair.d1.text, pair.d2.text])
-                        flat = [e for group in entities for e in group]
                         candidates = answer_candidates(pair, flat)
                     except NoCandidates:
                         counters["no_answer_candidates"] += 1
@@ -148,13 +151,6 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
     return rows, counters
 
 
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def stage_questions(
     store: CorpusStore,
     pair_rows: list[dict],
@@ -167,26 +163,19 @@ def stage_questions(
     recognizer = recognizer or build_recognizer(config)
     examples = _examples_override(config)
     counters = new_counters()
-
-    def work(row: dict):
+    rows = []
+    for row in pair_rows:
         pair = _pair_from_row(store, row)
         draft = synthesis.generate_question(
             pair, row["answer"], backend, task=config.task, examples=examples,
             seed=derive_seed(config.seed, "qgen", row["d1"], row["d2"]),
         )
         if draft is None:
-            return row, "empty_question"
-        if not synthesis.entity_count_filter(draft, recognizer, config.filter):
-            return row, "entity_filter"
-        return {**row, "question": draft.text}, None
-
-    results = _map_ordered(work, pair_rows, config.resolved_workers())
-    rows = []
-    for result, drop in results:
-        if drop:
-            counters[drop] += 1
+            counters["empty_question"] += 1
+        elif not synthesis.entity_count_filter(draft, recognizer, config.filter):
+            counters["entity_filter"] += 1
         else:
-            rows.append(result)
+            rows.append({**row, "question": draft.text})
     return rows, counters
 
 
@@ -207,8 +196,8 @@ def stage_filter_answers(
     backend = backend or build_backend(config)
     examples = _examples_override(config)
     counters = new_counters()
-
-    def work(row: dict):
+    rows = []
+    for row in draft_rows:
         draft = _draft_from_row(store, row, config.task)
         pair = draft.pair
         preds = {}
@@ -226,14 +215,7 @@ def stage_filter_answers(
             draft, preds["both"], preds["first"], preds["second"], config.filter
         )
         if decision.verdict != "keep":
-            return row, None, "not_answerable"
-        return row, decision, None
-
-    results = _map_ordered(work, draft_rows, config.resolved_workers())
-    rows = []
-    for row, decision, drop in results:
-        if drop:
-            counters[drop] += 1
+            counters["not_answerable"] += 1
             continue
         rows.append(
             {
@@ -255,23 +237,21 @@ def stage_queries(
     """Generate query candidates (model + backup) for every kept draft."""
     backend = backend or build_backend(config)
     examples = _examples_override(config)
-
-    def work(row: dict):
+    rows = []
+    for row in decision_rows:
         pair = _pair_from_row(store, row)
         candidates = synthesis.generate_queries(
             pair, row["question"], row["final_answer"], backend, task=config.task,
             examples=examples,
             seed=derive_seed(config.seed, "querygen", row["d1"], row["d2"]),
         )
-        return {
+        rows.append({
             **row,
             "candidates": [
                 {"text": c.text, "origin": c.origin, "rank": c.generation_rank}
                 for c in candidates
             ],
-        }
-
-    rows = _map_ordered(work, decision_rows, config.resolved_workers())
+        })
     return rows, new_counters()
 
 
@@ -300,8 +280,8 @@ def stage_verify(
         [c["text"] for row in candidate_rows for c in row["candidates"]],
         index, provider, config.verify.k,
     )
-
-    def work(row: dict):
+    instances = []
+    for row in candidate_rows:
         pair = _pair_from_row(store, row)
         draft = _draft_from_row(store, row, config.task)
         decision = HopDecision(
@@ -313,17 +293,26 @@ def stage_verify(
             )
             for c in row["candidates"]
         ]
-        return assemble_instance(draft, decision, verdicts, store, config.verify)
-
-    results = _map_ordered(work, candidate_rows, config.resolved_workers())
-    instances = []
-    for instance, reason in results:
+        instance, reason = assemble_instance(draft, decision, verdicts, store, config.verify)
         if instance is None:
             counters[reason] += 1
         else:
             instances.append(instance)
     counters["emitted"] = len(instances)
     return instances, counters
+
+
+def write_splits(
+    instances: list[DataInstance], out_dir: str | Path, config: PipelineConfig
+) -> tuple[list[DataInstance], list[DataInstance]]:
+    """Split off a seeded dev set and write train.jsonl and dev.jsonl to out_dir."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dev_size = min(config.dev_size, len(instances))
+    train, dev = split_dev(instances, dev_size=dev_size, seed=derive_seed(config.seed, "dev"))
+    write_jsonl(train, out_dir / "train.jsonl")
+    write_jsonl(dev, out_dir / "dev.jsonl")
+    return train, dev
 
 
 def run_all(
@@ -359,10 +348,7 @@ def run_all(
     instances, counters = stage_verify(store, candidate_rows, config, provider)
     merge_counters(totals, counters)
 
-    dev_size = min(config.dev_size, len(instances))
-    train, dev = split_dev(instances, dev_size=dev_size, seed=derive_seed(config.seed, "dev"))
-    write_jsonl(train, out_dir / "train.jsonl")
-    write_jsonl(dev, out_dir / "dev.jsonl")
+    train, dev = write_splits(instances, out_dir, config)
     report = {
         "task": config.task,
         "seed": config.seed,
@@ -376,16 +362,6 @@ def run_all(
         },
     }
     return report
-
-
-def load_eval_items(path: str | Path) -> list[dict]:
-    import json
-
-    items = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            items.append(json.loads(line))
-    return items
 
 
 def run_eval(
@@ -405,36 +381,27 @@ def run_eval(
     provider = provider or build_embedder(config)
     store = build_store(corpus_path, config)
     index = build_index(store, provider)
-    items = load_eval_items(eval_path)
     lookup = lambda doc_id: store.documents[doc_id].text  # noqa: E731
-
-    def one_episode(item: dict, sample: Optional[int]) -> str:
-        if sample is None:
-            params = default_decode_params(EVAL_GREEDY)
-            seed = derive_seed(config.seed, "eval", item["id"])
-        else:
-            params = default_decode_params(EVAL_SELF_CONSISTENCY)
-            seed = derive_seed(config.seed, "eval", item["id"], sample)
-        transcript = run_episode(
-            item["question"], backend, index, provider, config.eval,
-            params.replace_seed(seed), doc_text_lookup=lookup,
-        )
-        return transcript.final_answer or ""
-
-    def work(item: dict) -> str:
-        if config.eval_mode == "self_consistency":
-            answers = [
-                one_episode(item, sample)
-                for sample in range(config.eval.self_consistency_samples)
-            ]
-            return self_consistency(answers)
-        return one_episode(item, None)
-
-    predictions = _map_ordered(work, items, config.resolved_workers())
+    sampled = config.eval_mode == "self_consistency"
+    params = default_decode_params(EVAL_SELF_CONSISTENCY if sampled else EVAL_GREEDY)
     records = []
-    for item, prediction in zip(items, predictions):
+    for item in read_rows(eval_path):
+        if sampled:
+            samples = range(config.eval.self_consistency_samples)
+            seeds = [derive_seed(config.seed, "eval", item["id"], s) for s in samples]
+        else:
+            seeds = [derive_seed(config.seed, "eval", item["id"])]
+        answers = [
+            run_episode(
+                item["question"], backend, index, provider, config.eval,
+                params.replace_seed(seed), doc_text_lookup=lookup,
+            ).final_answer or ""
+            for seed in seeds
+        ]
+        prediction = self_consistency(answers) if sampled else answers[0]
         gold = item.get("answer", item.get("label", ""))
         records.append({"id": item["id"], "prediction": prediction, "gold": gold})
+    predictions = [r["prediction"] for r in records]
     golds = [r["gold"] for r in records]
     if config.task == TASK_FEVER:
         report: dict = {"accuracy": score_fever(predictions, golds)}

@@ -203,9 +203,11 @@ def finalize_with_reason(
     store: CorpusStore,
     config: VerifyConfig,
 ) -> tuple[Optional[DataInstance], Optional[str]]:
-    """finalize_instance plus the drop reason for pipeline accounting.
+    """Pick the hops that cover the question and build the instance.
 
-    `verdicts` must already be deduplicated survivors in generation order.
+    Returns (instance, None), or (None, drop reason) for pipeline
+    accounting. `verdicts` must already be deduplicated survivors in
+    generation order.
     """
     pair = draft.pair
     if decision.hops == "two":
@@ -256,17 +258,6 @@ def finalize_with_reason(
         single_or_two="single" if len(chosen) == 1 else "two",
     )
     return instance, None
-
-
-def finalize_instance(
-    draft: QuestionDraft,
-    decision: HopDecision,
-    verdicts: Sequence[QueryVerdict],
-    store: CorpusStore,
-    config: VerifyConfig,
-) -> Optional[DataInstance]:
-    instance, _ = finalize_with_reason(draft, decision, verdicts, store, config)
-    return instance
 
 
 def assemble_instance(

@@ -142,6 +142,22 @@ def test_config_file_and_flag_override(tmp_path, corpus_path):
     assert all(len(h["retrieved"]) <= 3 for r in rows for h in r["hops"])
 
 
+def test_workers_alias_changes_nothing(tmp_path, corpus_path):
+    base = ["--seed", "7", "--backend", "mock", "--embeddings", "mock"]
+    run_all = ["run-all", "--in", str(corpus_path), "--dev-size", "3"]
+    config_file = tmp_path / "workers.txt"
+    config_file.write_text("workers = 4\n")
+    variants = {
+        f"flag{n}": base + ["--workers", str(n)] + run_all for n in (0, 1, 4)
+    }
+    variants["file4"] = ["--config", str(config_file)] + base + run_all
+    for name, argv in variants.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    for name in ("train.jsonl", "dev.jsonl", "store.jsonl"):
+        outputs = {(tmp_path / run / name).read_bytes() for run in variants}
+        assert len(outputs) == 1, name
+
+
 def test_config_unknown_key(tmp_path, corpus_path):
     config_file = tmp_path / "bad.txt"
     config_file.write_text("no.such.key = 1\n")

@@ -4,6 +4,7 @@ import pytest
 
 from hopsynth import pipeline
 from hopsynth.config import PipelineConfig
+from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pipeline import (
     build_index,
     build_store,
@@ -32,7 +33,6 @@ def corpus_path(tmp_path_factory):
 def make_config(**overrides):
     config = PipelineConfig()
     config.seed = 11
-    config.workers = 2
     config.dev_size = 0
     config.pairing.pairs_per_document = 2
     for key, value in overrides.items():
@@ -97,6 +97,29 @@ def test_stages_flow_and_conserve(corpus_path):
         assert validate_instance(instance, store, index, provider, config.verify) == []
 
 
+class CountingRecognizer:
+    """HeuristicRecognizer that records the texts of each call."""
+
+    def __init__(self):
+        self.inner = HeuristicRecognizer()
+        self.calls: list[list[str]] = []
+
+    def __call__(self, texts):
+        self.calls.append(list(texts))
+        return self.inner(texts)
+
+
+def test_stage_pair_recognizes_each_text_once(corpus_path):
+    config = make_config()
+    store = build_store(corpus_path, config)
+    counting = CountingRecognizer()
+    rows, counters = stage_pair(store, config, recognizer=counting)
+    texts = [t for call in counting.calls for t in call]
+    assert texts and len(texts) == len(set(texts))
+    assert all(len(call) <= 2 for call in counting.calls)
+    assert (rows, counters) == stage_pair(store, config, recognizer=HeuristicRecognizer())
+
+
 def test_run_all_deterministic(tmp_path, corpus_path):
     config = make_config()
     report1 = run_all(corpus_path, tmp_path / "out1", config)
@@ -126,7 +149,7 @@ class CountingEmbedder:
 
 
 def test_stage_verify_embeds_each_distinct_text_once(corpus_path, monkeypatch):
-    config = make_config(workers=1)  # verdicts are recorded in call order
+    config = make_config()
     store = build_store(corpus_path, config)
     pair_rows, _ = stage_pair(store, config)
     draft_rows, _ = stage_questions(store, pair_rows, config)

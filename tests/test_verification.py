@@ -15,7 +15,6 @@ from hopsynth.verification import (
     assemble_instance,
     consult_backup_rule,
     dedup_queries,
-    finalize_instance,
     finalize_with_reason,
     retrieve_queries,
     validate_instance,
@@ -214,7 +213,7 @@ def test_finalize_two_hop_instance():
         vd("query one", hits=("D1",), rank=0, retrieved=("D1", "F")),
         vd("query two", hits=("D2",), rank=1, retrieved=("D2", "F")),
     ]
-    instance = finalize_instance(draft, decision, verdicts, store, VerifyConfig(k=7))
+    instance = finalize_with_reason(draft, decision, verdicts, store, VerifyConfig(k=7))[0]
     assert instance is not None
     assert instance.single_or_two == "two"
     assert instance.hops == (("query one", ("D1", "F")), ("query two", ("D2", "F")))
@@ -258,7 +257,7 @@ def test_finalize_fever_skips_containment():
     draft = QuestionDraft(pair=pair, task="fever", text="Claim.", prepared_answer="SUPPORTS")
     decision = HopDecision("keep", "two", frozenset({"both"}), "SUPPORTS")
     verdicts = [vd("a", hits=("D1",), rank=0), vd("b", hits=("D2",), rank=1)]
-    instance = finalize_instance(draft, decision, verdicts, store, VerifyConfig())
+    instance = finalize_with_reason(draft, decision, verdicts, store, VerifyConfig())[0]
     assert instance is not None and instance.task == "fever"
 
 
@@ -272,7 +271,7 @@ def test_finalize_one_hop_targets_answerable_document():
         vd("wrong target", hits=("D2",), rank=0, retrieved=("D2",)),
         vd("right target", hits=("D1",), rank=1, retrieved=("D1",)),
     ]
-    instance = finalize_instance(draft, decision, verdicts, store, VerifyConfig())
+    instance = finalize_with_reason(draft, decision, verdicts, store, VerifyConfig())[0]
     assert instance is not None
     assert instance.hops == (("right target", ("D1",)),)
     assert instance.single_or_two == "single"
@@ -286,7 +285,7 @@ def test_finalize_one_hop_targets_answerable_document():
 def test_finalize_two_hop_single_query_covering_both():
     store, pair, draft, decision = two_hop_fixture()
     verdicts = [vd("covers both docs", hits=("D1", "D2"), rank=0, retrieved=("D1", "D2"))]
-    instance = finalize_instance(draft, decision, verdicts, store, VerifyConfig())
+    instance = finalize_with_reason(draft, decision, verdicts, store, VerifyConfig())[0]
     assert instance is not None
     assert len(instance.hops) == 1
     assert instance.single_or_two == "single"
