@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Protocol
 
-import requests
+from .httpjson import JsonSession, post_with_retries
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 _WORD = re.compile(r"\S+")
@@ -89,23 +89,24 @@ class HeuristicRecognizer:
         return spans
 
 
+class RecognizerError(RuntimeError):
+    """The entity endpoint kept failing, or its reply was not one list of strings per text."""
+
+
 class HttpRecognizer:
     """Client for the /v1/entities wire protocol."""
 
     def __init__(self, endpoint: str, timeout: float = 30.0, session=None):
-        self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = session or JsonSession(endpoint, timeout)
 
     def __call__(self, texts: list[str]) -> list[list[str]]:
-        response = self.session.post(
-            f"{self.endpoint}/v1/entities", json={"texts": texts}, timeout=self.timeout
+        payload = post_with_retries(
+            self.session, "/v1/entities", {"texts": texts}, RecognizerError
         )
-        response.raise_for_status()
-        payload = response.json()
-        entities = payload["entities"]
-        if len(entities) != len(texts):
-            raise ValueError(
-                f"recognizer returned {len(entities)} lists for {len(texts)} texts"
-            )
-        return [[str(e) for e in group] for group in entities]
+        groups = payload.get("entities") if isinstance(payload, dict) else None
+        if not isinstance(groups, list) or len(groups) != len(texts) or not all(
+            isinstance(group, list) and all(isinstance(e, str) for e in group)
+            for group in groups
+        ):
+            raise RecognizerError(f"bad entity payload for {len(texts)} texts: {payload!r:.200}")
+        return groups

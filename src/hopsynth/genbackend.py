@@ -10,12 +10,10 @@ and/or a rule program and is a pure function of (prompt text, seed).
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-import requests
-
+from .httpjson import ATTEMPTS, BACKOFF_BASE, JsonSession, post_with_retries
 from .promptkit import PromptText
 
 QUESTION_GEN = "question_gen"
@@ -130,16 +128,14 @@ class HttpBackend:
     def __init__(
         self,
         endpoint: str,
-        max_retries: int = 3,
-        backoff_base: float = 0.2,
+        max_retries: int = ATTEMPTS,
+        backoff_base: float = BACKOFF_BASE,
         timeout: float = 120.0,
         session=None,
     ):
-        self.endpoint = endpoint.rstrip("/")
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = session or JsonSession(endpoint, timeout)
 
     def raw_complete(self, prompt_text: str, params: DecodeParams) -> str:
         body = {
@@ -151,24 +147,13 @@ class HttpBackend:
             "stop": list(params.stop),
             "seed": params.seed,
         }
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries):
-            try:
-                response = self.session.post(
-                    f"{self.endpoint}/v1/completions", json=body, timeout=self.timeout
-                )
-                response.raise_for_status()
-                payload = response.json()
-                if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
-                    raise MalformedResponse(f"bad completion payload: {payload!r}")
-                return payload["text"]
-            except MalformedResponse:
-                raise
-            except (requests.RequestException, ValueError) as exc:
-                last_error = exc
-                if attempt + 1 < self.max_retries:
-                    time.sleep(self.backoff_base * (2 ** attempt))
-        raise BackendUnavailable(f"completion endpoint failed: {last_error}") from last_error
+        payload = post_with_retries(
+            self.session, "/v1/completions", body, BackendUnavailable,
+            attempts=self.max_retries, backoff_base=self.backoff_base,
+        )
+        if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
+            raise MalformedResponse(f"bad completion payload: {payload!r}")
+        return payload["text"]
 
 
 Backend = MockBackend | HttpBackend

@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from ._kernels import select_topk
+from .httpjson import JsonSession, post_with_retries
 from .metrics import tokenize
 
 
@@ -114,22 +114,16 @@ class HttpEmbedder:
     """Client for the /v1/embeddings wire protocol."""
 
     def __init__(self, endpoint: str, timeout: float = 60.0, session=None):
-        self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = session or JsonSession(endpoint, timeout)
         self.dim = 0
 
     def __call__(self, texts: list[str]) -> list[np.ndarray]:
-        try:
-            response = self.session.post(
-                f"{self.endpoint}/v1/embeddings", json={"texts": texts}, timeout=self.timeout
-            )
-            response.raise_for_status()
-            vectors = response.json()["vectors"]
-        except (requests.RequestException, KeyError, ValueError) as exc:
-            raise EmbeddingError(f"embedding endpoint failed: {exc}") from exc
-        if len(vectors) != len(texts):
-            raise EmbeddingError(f"got {len(vectors)} vectors for {len(texts)} texts")
+        payload = post_with_retries(
+            self.session, "/v1/embeddings", {"texts": texts}, EmbeddingError
+        )
+        vectors = payload.get("vectors") if isinstance(payload, dict) else None
+        if not isinstance(vectors, list) or len(vectors) != len(texts):
+            raise EmbeddingError(f"bad embedding payload for {len(texts)} texts")
         out = [np.asarray(v, dtype=np.float32) for v in vectors]
         if out:
             self.dim = int(out[0].shape[0])

@@ -10,7 +10,6 @@ the predicted answer promoted to ground truth.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,8 +28,6 @@ from .genbackend import (
 from .metrics import token_f1
 from .pairing import HYPER, TOPIC, DocumentPair
 from .promptkit import FewShotExample
-
-logger = logging.getLogger(__name__)
 
 TASK_MQA = "mqa"
 TASK_FEVER = "fever"
@@ -132,12 +129,11 @@ def generate_question(
 
 
 def entity_count_filter(draft: QuestionDraft, recognizer, config: FilterConfig) -> bool:
-    """True when the question names enough entities for its setting."""
-    try:
-        entities = recognizer([draft.text])[0]
-    except Exception as exc:
-        logger.warning("entity recognizer failed (%s); treating as zero entities", exc)
-        entities = []
+    """True when the question names enough entities for its setting.
+
+    Recognizer errors propagate: an outage is not a question without entities.
+    """
+    entities = recognizer([draft.text])[0]
     minimum = (
         config.min_entities_hyper if draft.pair.relation == HYPER else config.min_entities_topic
     )

@@ -154,3 +154,4 @@ def test_http_malformed_response(http_server):
     backend = HttpBackend(http_server, backoff_base=0.01)
     with pytest.raises(MalformedResponse):
         complete(backend, PromptText("Q", ()), DecodeParams(max_tokens=8))
+    assert len(_Handler.requests_seen) == 1  # not retried

@@ -1,7 +1,7 @@
 import pytest
 
 from hopsynth.corpus import Document
-from hopsynth.entities import HeuristicRecognizer
+from hopsynth.entities import HeuristicRecognizer, RecognizerError
 from hopsynth.genbackend import MockBackend, prompt_key
 from hopsynth.pairing import DocumentPair
 from hopsynth.promptkit import (
@@ -96,14 +96,13 @@ def test_entity_filter_thresholds():
     assert not entity_count_filter(zero, rec, config)
 
 
-def test_entity_filter_recognizer_failure_drops(caplog):
+def test_entity_filter_recognizer_failure_propagates():
     def broken(texts):
-        raise RuntimeError("recognizer down")
+        raise RecognizerError("recognizer down")
 
     draft = draft_for("hyper", "Does The Border Surrender or Unsane have more members?")
-    with caplog.at_level("WARNING"):
-        assert not entity_count_filter(draft, broken, FilterConfig())
-    assert any("recognizer" in r.message for r in caplog.records)
+    with pytest.raises(RecognizerError, match="recognizer down"):
+        entity_count_filter(draft, broken, FilterConfig())
 
 
 def test_answer_question_pagemaster_fixture():
