@@ -88,21 +88,20 @@ def _configure(args) -> PipelineConfig:
     config = PipelineConfig()
     if args.config:
         config = parse_config_file(args.config, config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.task:
-        config.task = args.task
-    if args.backend:
-        config.backend.kind = args.backend
-    if args.embeddings:
-        config.embeddings.kind = args.embeddings
-    if args.examples:
-        config.examples_path = args.examples
-    if getattr(args, "k", None) is not None:
-        config.verify.k = args.k
-        config.eval.k = args.k
-    if getattr(args, "dev_size", None) is not None:
-        config.dev_size = args.dev_size
+    k, dev_size = getattr(args, "k", None), getattr(args, "dev_size", None)
+    overrides = (
+        ("--seed", "seed", args.seed),
+        ("--task", "task", args.task),
+        ("--backend", "backend.kind", args.backend),
+        ("--embeddings", "embeddings.kind", args.embeddings),
+        ("--examples", "examples", args.examples),
+        ("--k", "verify.k", k),
+        ("--k", "eval.k", k),
+        ("--dev-size", "dev_size", dev_size),
+    )
+    for flag, key, value in overrides:
+        if value is not None:
+            set_config_key(config, key, str(value), where=flag)
     return config
 
 

@@ -17,11 +17,11 @@ typos fail loudly. Command-line flags override file values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .corpus import CorpusConfig, KeywordTopicLabeler
+from .corpus import CorpusConfig
 from .entities import HeuristicRecognizer, HttpRecognizer
 from .evalharness import EvalConfig
 from .genbackend import HttpBackend, MockBackend
@@ -75,13 +75,12 @@ class PipelineConfig:
     dev_size: int = 5000
     topics_labeler: str = "file"  # file | keyword | none
     examples_path: Optional[str] = None
-    eval_corpus: Optional[str] = None
     eval_mode: str = "greedy"  # greedy | self_consistency
 
 
 _SECTIONS = {
     "corpus": ("max_doc_tokens", "dangling_link_policy"),
-    "pairing": ("pairs_per_document", "rng_seed"),
+    "pairing": ("pairs_per_document",),
     "filter": ("f1_threshold", "min_entities_hyper", "min_entities_topic"),
     "verify": ("k",),
     "eval": ("max_hops", "k", "self_consistency_samples"),
@@ -96,7 +95,6 @@ _TOP_LEVEL = {
     "dev_size": "dev_size",
     "topics.labeler": "topics_labeler",
     "examples": "examples_path",
-    "eval.corpus": "eval_corpus",
     "eval.mode": "eval_mode",
 }
 
@@ -125,18 +123,27 @@ def parse_config_file(path: str | Path, config: Optional[PipelineConfig] = None)
 
 
 def set_config_key(config: PipelineConfig, key: str, value: str, where: str = "override") -> None:
+    """Set one key from its text value; `where` names the file line or flag.
+
+    A section is rebuilt with `dataclasses.replace`, so its own checks run; a
+    value that fails them (or does not parse) raises ConfigError.
+    """
+    section, _, name = key.partition(".")
     if key in _TOP_LEVEL:
-        attr = _TOP_LEVEL[key]
-        setattr(config, attr, _coerce(getattr(config, attr), value))
-        return
-    if "." in key:
-        section, name = key.split(".", 1)
-        if section in _SECTIONS and name in _SECTIONS[section]:
-            target = getattr(config, section)
-            current = getattr(target, name)
-            setattr(target, name, _coerce(current if current is not None else "", value))
-            return
-    raise ConfigError(f"{where}: unknown config key {key!r}")
+        owner, attr = config, _TOP_LEVEL[key]
+    elif name in _SECTIONS.get(section, ()):
+        owner, attr = getattr(config, section), name
+    else:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    current = getattr(owner, attr)
+    try:
+        coerced = _coerce(current if current is not None else "", value)
+        if owner is config:
+            setattr(config, attr, coerced)
+        else:
+            setattr(config, section, replace(owner, **{attr: coerced}))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
 def build_backend(config: PipelineConfig):
@@ -184,13 +191,3 @@ def build_recognizer(config: PipelineConfig):
             raise ConfigError("recognizer.kind=http requires recognizer.endpoint")
         return HttpRecognizer(spec.endpoint)
     raise ConfigError(f"unknown recognizer.kind {spec.kind!r}")
-
-
-def build_topic_labeler(config: PipelineConfig):
-    if config.topics_labeler == "keyword":
-        return KeywordTopicLabeler()
-    if config.topics_labeler == "none":
-        return None
-    if config.topics_labeler == "file":
-        return None  # ingest auto-configures from record topics
-    raise ConfigError(f"unknown topics.labeler {config.topics_labeler!r}")

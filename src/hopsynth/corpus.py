@@ -1,20 +1,24 @@
-"""Corpus ingestion: parse a hyperlinked JSONL corpus into an immutable store.
+"""Corpus ingestion: parse a hyperlinked JSONL corpus into a frozen store.
 
 Input format is UTF-8 JSONL, one document per line:
     {"id": str, "title": str, "text": str,
      "anchors": [{"span": str, "target": str}], "topic": str (optional)}
 
-Document texts are truncated to the configured token budget; anchors are
-resolved against titles to build an undirected link graph. The store is
-never mutated after ingestion.
+Document texts are truncated to the configured token budget. Anchors are
+resolved against titles in one pass, and every link is stored in both
+directions, so the store answers "which documents are related to d"
+directly: `hyperlinks` maps each document to its sorted hyperlink neighbors
+and `topic_clusters` maps each topic to its sorted members. Topics are
+resolved in the same pass (`file`, `keyword` or `none`; see
+`ingest_corpus`). The store is frozen and never written after ingestion.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from .metrics import token_spans
 
@@ -44,41 +48,36 @@ class CorpusConfig:
             raise ValueError(f"unknown dangling_link_policy: {self.dangling_link_policy}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusStore:
     documents: dict[str, Document]
-    title_index: dict[str, str]
-    link_graph: dict[str, set[str]]  # outbound edges only
-    topic_clusters: dict[str, set[str]]
+    hyperlinks: dict[str, tuple[str, ...]]  # undirected, sorted, no self links
+    topic_clusters: dict[str, tuple[str, ...]]  # sorted members
 
     def __len__(self) -> int:
         return len(self.documents)
 
 
-# A topic labeler maps (title, text) to a label. Built-ins below; anything
-# callable with the same signature plugs in.
-TopicLabeler = Callable[[str, str], str]
+TOPIC_SOURCES = ("file", "keyword", "none")
+
+# First matching keyword in title + text names a document's topic.
+_KEYWORD_TOPICS = {
+    "film": "film", "movie": "film", "director": "film", "documentary": "film",
+    "band": "music", "album": "music", "song": "music", "rock": "music",
+    "season": "sport", "league": "sport", "team": "sport", "coach": "sport",
+    "mathematician": "science", "scientist": "science", "physics": "science",
+    "novel": "literature", "writer": "literature", "author": "literature",
+}
+_FALLBACK_TOPIC = "misc"
 
 
-class KeywordTopicLabeler:
-    """Bucket documents by the first matching keyword in title+text."""
-
-    def __init__(self, buckets: Optional[dict[str, str]] = None, fallback: str = "misc"):
-        self.buckets = buckets or {
-            "film": "film", "movie": "film", "director": "film", "documentary": "film",
-            "band": "music", "album": "music", "song": "music", "rock": "music",
-            "season": "sport", "league": "sport", "team": "sport", "coach": "sport",
-            "mathematician": "science", "scientist": "science", "physics": "science",
-            "novel": "literature", "writer": "literature", "author": "literature",
-        }
-        self.fallback = fallback
-
-    def __call__(self, title: str, text: str) -> str:
-        haystack = f"{title} {text}".lower()
-        for keyword, label in self.buckets.items():
-            if keyword in haystack:
-                return label
-        return self.fallback
+def _keyword_topic(title: str, text: str) -> str:
+    """Topic of the first keyword found in title + text, else the fallback."""
+    haystack = f"{title} {text}".lower()
+    for keyword, label in _KEYWORD_TOPICS.items():
+        if keyword in haystack:
+            return label
+    return _FALLBACK_TOPIC
 
 
 def truncate_text(text: str, max_tokens: int) -> str:
@@ -124,16 +123,19 @@ def _parse_record(raw: str, line_no: int) -> dict:
 def ingest_corpus(
     path: str | Path,
     config: Optional[CorpusConfig] = None,
-    topic_labeler: Optional[TopicLabeler] = None,
+    topics: str = "file",
 ) -> CorpusStore:
     """Parse a corpus file into a CorpusStore.
 
-    Topic clusters are built when any record carries a topic or a labeler is
-    given (records without a topic then fall back to the labeler, defaulting
-    to KeywordTopicLabeler); with neither, clusters stay empty. Anchors whose
-    span no longer occurs in the truncated text are discarded so every stored
-    anchor is quotable from the stored document.
+    `topics` is one of TOPIC_SOURCES. With `file`, documents get topics when
+    any record carries one, and records without a topic then fall back to
+    `_keyword_topic`; `keyword` always labels, keeping record topics; `none`
+    leaves every topic and cluster empty. Anchors whose span no longer
+    occurs in the truncated text are discarded so every stored anchor is
+    quotable from the stored document.
     """
+    if topics not in TOPIC_SOURCES:
+        raise ValueError(f"unknown topics.labeler {topics!r}")
     config = config or CorpusConfig()
     path = Path(path)
     try:
@@ -162,19 +164,17 @@ def ingest_corpus(
         records.append((line_no, record))
 
     title_to_id = {rec["title"]: rec["id"] for _, rec in records}
-    has_file_topics = any(rec.get("topic") for _, rec in records)
-    label_docs = has_file_topics or topic_labeler is not None
-    if label_docs and topic_labeler is None:
-        topic_labeler = KeywordTopicLabeler()
+    label_docs = topics == "keyword" or (
+        topics == "file" and any(rec.get("topic") for _, rec in records)
+    )
 
     documents: dict[str, Document] = {}
-    link_graph: dict[str, set[str]] = {}
-    topic_clusters: dict[str, set[str]] = {}
+    links: dict[str, list[str]] = {rec["id"]: [] for _, rec in records}
+    clusters: dict[str, list[str]] = {}
     for _, record in records:
         doc_id = record["id"]
         text = truncate_text(record["text"], config.max_doc_tokens)
         anchors: list[tuple[str, str]] = []
-        edges: set[str] = set()
         for anchor in record.get("anchors", []):
             span, target = anchor["span"], anchor["target"]
             if span not in text:
@@ -186,35 +186,28 @@ def ingest_corpus(
                 continue
             anchors.append((span, target))
             if target_id != doc_id:
-                edges.add(target_id)
-        topic = record.get("topic")
-        if label_docs and not topic:
-            topic = topic_labeler(record["title"], text)
-        documents[doc_id] = Document(
-            id=doc_id, title=record["title"], text=text,
-            anchors=tuple(anchors), topic=topic if label_docs else None,
-        )
-        link_graph[doc_id] = edges
+                links[doc_id].append(target_id)
+                links[target_id].append(doc_id)
+        topic = None
         if label_docs:
-            topic_clusters.setdefault(topic, set()).add(doc_id)
+            topic = record.get("topic") or _keyword_topic(record["title"], text)
+            clusters.setdefault(topic, []).append(doc_id)
+        documents[doc_id] = Document(
+            id=doc_id, title=record["title"], text=text, anchors=tuple(anchors), topic=topic,
+        )
 
     return CorpusStore(
         documents=documents,
-        title_index=title_to_id,
-        link_graph=link_graph,
-        topic_clusters=topic_clusters,
+        hyperlinks={doc_id: tuple(sorted(set(ids))) for doc_id, ids in links.items()},
+        topic_clusters={topic: tuple(sorted(ids)) for topic, ids in clusters.items()},
     )
 
 
 def hyperlink_neighbors(store: CorpusStore, doc_id: str) -> list[str]:
-    """Documents connected to doc_id by a hyperlink in either direction."""
+    """Documents connected to doc_id by a hyperlink in either direction, sorted."""
     if doc_id not in store.documents:
         raise KeyError(f"unknown document id: {doc_id}")
-    neighbors = set(store.link_graph.get(doc_id, ()))
-    for other, targets in store.link_graph.items():
-        if doc_id in targets and other != doc_id:
-            neighbors.add(other)
-    return sorted(neighbors)
+    return list(store.hyperlinks[doc_id])
 
 
 def topic_neighbors(store: CorpusStore, doc_id: str) -> list[str]:
@@ -224,7 +217,7 @@ def topic_neighbors(store: CorpusStore, doc_id: str) -> list[str]:
     topic = store.documents[doc_id].topic
     if topic is None:
         return []
-    return sorted(store.topic_clusters.get(topic, set()) - {doc_id})
+    return [member for member in store.topic_clusters[topic] if member != doc_id]
 
 
 def serialize_store(store: CorpusStore, path: str | Path) -> int:

@@ -14,13 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import synthesis
-from .config import (
-    PipelineConfig,
-    build_backend,
-    build_embedder,
-    build_recognizer,
-    build_topic_labeler,
-)
+from .config import PipelineConfig, build_backend, build_embedder, build_recognizer
 from .corpus import CorpusStore, ingest_corpus, serialize_store
 from .emitter import dataset_stats, read_rows, split_dev, write_jsonl
 from .evalharness import run_episode, score_fever, score_qa, self_consistency
@@ -83,12 +77,7 @@ def counters_conserved(counters: dict[str, int]) -> bool:
 
 
 def build_store(path: str | Path, config: PipelineConfig) -> CorpusStore:
-    labeler = build_topic_labeler(config)
-    store = ingest_corpus(path, config.corpus, topic_labeler=labeler)
-    if config.topics_labeler == "none" and store.topic_clusters:
-        documents = {i: replace(d, topic=None) for i, d in store.documents.items()}
-        store = CorpusStore(documents, store.title_index, store.link_graph, {})
-    return store
+    return ingest_corpus(path, config.corpus, topics=config.topics_labeler)
 
 
 def _pair_from_row(store: CorpusStore, row: dict) -> DocumentPair:
@@ -293,7 +282,7 @@ def stage_verify(
             )
             for c in row["candidates"]
         ]
-        instance, reason = assemble_instance(draft, decision, verdicts, store, config.verify)
+        instance, reason = assemble_instance(draft, decision, verdicts, store)
         if instance is None:
             counters[reason] += 1
         else:

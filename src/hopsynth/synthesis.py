@@ -20,7 +20,6 @@ from .genbackend import (
     QUERY_GEN,
     QUESTION_GEN,
     Backend,
-    DecodeParams,
     EmptyCompletion,
     complete,
     default_decode_params,
@@ -103,7 +102,6 @@ def generate_question(
     backend: Backend,
     task: str = TASK_MQA,
     examples: Optional[Sequence[FewShotExample]] = None,
-    params: Optional[DecodeParams] = None,
     seed: Optional[int] = None,
 ) -> Optional[QuestionDraft]:
     """Generate one question (or claim) for a pair, or None when the backend
@@ -114,7 +112,7 @@ def generate_question(
         _examples(task, "question", setting, examples),
         [pair.d1.text, pair.d2.text], answer=answer,
     )
-    params = params or default_decode_params(QUESTION_GEN)
+    params = default_decode_params(QUESTION_GEN)
     if seed is not None:
         params = params.replace_seed(seed)
     try:
@@ -147,7 +145,6 @@ def answer_question(
     task: str = TASK_MQA,
     setting: str = HYPER,
     examples: Optional[Sequence[FewShotExample]] = None,
-    params: Optional[DecodeParams] = None,
     seed: Optional[int] = None,
 ) -> str:
     """Predict an answer for the question over exactly the given documents."""
@@ -159,7 +156,7 @@ def answer_question(
         _examples(task, "answer", setting, examples),
         [doc.text for doc in docs], question=question,
     )
-    params = params or default_decode_params(ANSWERING)
+    params = default_decode_params(ANSWERING)
     if seed is not None:
         params = params.replace_seed(seed)
     try:
@@ -173,12 +170,6 @@ def decide_answerable(pred: str, prepared: str, config: FilterConfig, task: str 
     if task == TASK_FEVER:
         return bool(pred.strip()) and normalize_label(pred) == normalize_label(prepared)
     return token_f1(pred, prepared) > config.f1_threshold
-
-
-def _agrees(a: str, b: str, config: FilterConfig, task: str) -> bool:
-    if task == TASK_FEVER:
-        return bool(a.strip()) and normalize_label(a) == normalize_label(b)
-    return token_f1(a, b) > config.f1_threshold
 
 
 def classify_hops(
@@ -198,8 +189,8 @@ def classify_hops(
     """
     if not pred_both.strip():
         return HopDecision("drop", "two", frozenset(), "")
-    agrees_first = _agrees(pred_both, pred_first, config, draft.task)
-    agrees_second = _agrees(pred_both, pred_second, config, draft.task)
+    agrees_first = decide_answerable(pred_both, pred_first, config, draft.task)
+    agrees_second = decide_answerable(pred_both, pred_second, config, draft.task)
     if agrees_first or agrees_second:
         answerable_in = {"both"}
         if agrees_first:
@@ -220,7 +211,6 @@ def generate_queries(
     backend: Backend,
     task: str = TASK_MQA,
     examples: Optional[Sequence[FewShotExample]] = None,
-    params: Optional[DecodeParams] = None,
     seed: Optional[int] = None,
 ) -> list[QueryCandidate]:
     """Model query candidates (capped) plus the original question as backup."""
@@ -232,7 +222,7 @@ def generate_queries(
         _examples(task, "query", setting, examples),
         [pair.d1.text, pair.d2.text], question=question, answer=answer,
     )
-    params = params or default_decode_params(QUERY_GEN)
+    params = default_decode_params(QUERY_GEN)
     if seed is not None:
         params = params.replace_seed(seed)
     try:

@@ -128,48 +128,30 @@ def verify_query(
                         retrieved_ids=retrieved)
 
 
+def _dedup_key(verdict: QueryVerdict) -> tuple[int, int, int]:
+    candidate = verdict.candidate
+    return (len(candidate.text), 1 if candidate.origin == ORIGIN_BACKUP else 0,
+            candidate.generation_rank)
+
+
 def dedup_queries(verdicts: Sequence[QueryVerdict]) -> list[QueryVerdict]:
     """Drop invalid verdicts and collapse duplicate classes.
 
-    Two valid verdicts are duplicates when they hit the same pair document;
-    a verdict hitting both documents merges the two classes. Each class
+    Two valid verdicts are duplicates when they hit the same pair document,
+    so there are at most two classes: every valid verdict when one of them
+    hits both documents, else the d1 hitters and the d2 hitters. Each class
     keeps its shortest candidate (ties: model before backup, then lower
-    generation rank). Output preserves input order.
+    generation rank, then input order). Output preserves input order.
     """
     valid = [v for v in verdicts if v.valid]
-    parent = list(range(len(valid)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
-
-    d1_hitters = [i for i, v in enumerate(valid) if v.hit_d1]
-    d2_hitters = [i for i, v in enumerate(valid) if v.hit_d2]
-    for group in (d1_hitters, d2_hitters):
-        for i in group[1:]:
-            union(group[0], i)
-
-    best_of: dict[int, int] = {}
-    for i, verdict in enumerate(valid):
-        root = find(i)
-        key = (
-            len(verdict.candidate.text),
-            1 if verdict.candidate.origin == ORIGIN_BACKUP else 0,
-            verdict.candidate.generation_rank,
-        )
-        current = best_of.get(root)
-        if current is None or key < (
-            len(valid[current].candidate.text),
-            1 if valid[current].candidate.origin == ORIGIN_BACKUP else 0,
-            valid[current].candidate.generation_rank,
-        ):
-            best_of[root] = i
-    keep = set(best_of.values())
+    if any(v.hit_d1 and v.hit_d2 for v in valid):
+        classes = [range(len(valid))]
+    else:
+        classes = [
+            [i for i, v in enumerate(valid) if v.hit_d1],
+            [i for i, v in enumerate(valid) if v.hit_d2],
+        ]
+    keep = {min(cls, key=lambda i: _dedup_key(valid[i])) for cls in classes if cls}
     return [v for i, v in enumerate(valid) if i in keep]
 
 
@@ -201,7 +183,6 @@ def finalize_with_reason(
     decision: HopDecision,
     verdicts: Sequence[QueryVerdict],
     store: CorpusStore,
-    config: VerifyConfig,
 ) -> tuple[Optional[DataInstance], Optional[str]]:
     """Pick the hops that cover the question and build the instance.
 
@@ -265,12 +246,11 @@ def assemble_instance(
     decision: HopDecision,
     all_verdicts: Sequence[QueryVerdict],
     store: CorpusStore,
-    config: VerifyConfig,
 ) -> tuple[Optional[DataInstance], Optional[str]]:
     """Backup rule, dedup, and finalize in one step."""
     considered = consult_backup_rule(all_verdicts)
     survivors = dedup_queries(considered)
-    return finalize_with_reason(draft, decision, survivors, store, config)
+    return finalize_with_reason(draft, decision, survivors, store)
 
 
 def validate_instance(

@@ -6,6 +6,7 @@ possible, and stays independent of the implementation path it validates:
 * SQuAD v1 scoring: a line-for-line port of the public evaluate-v1.1 logic.
 * Flat-index search: full sort of every dot product.
 * Query dedup / instance assembly: explicit enumeration over candidates.
+* Hyperlink neighbors: a scan of every document's outbound links.
 """
 
 from __future__ import annotations
@@ -170,3 +171,26 @@ def oracle_assemble(candidates, hops, answerable_in, answer, relation, task, nor
         if normalize(answer) not in haystack:
             return None, "answer_containment"
     return chosen, None
+
+
+# ---------------------------------------------------------------------------
+# Hyperlink neighbors: scan the whole outbound link graph per document
+# ---------------------------------------------------------------------------
+
+
+def oracle_hyperlink_neighbors(store, doc_id):
+    """Documents linking to doc_id or linked from it, sorted, self excluded.
+
+    The outbound graph is rebuilt from the stored anchors: an anchor is an
+    edge when its target title names a document.
+    """
+    title_to_id = {doc.title: doc.id for doc in store.documents.values()}
+    outbound = {
+        doc.id: {title_to_id[t] for _, t in doc.anchors if t in title_to_id} - {doc.id}
+        for doc in store.documents.values()
+    }
+    neighbors = set(outbound[doc_id])
+    for other, targets in outbound.items():
+        if doc_id in targets and other != doc_id:
+            neighbors.add(other)
+    return sorted(neighbors)

@@ -117,8 +117,7 @@ def _random_verification_instance(rng):
     docs = {
         doc_id: Document(doc_id, f"T{doc_id}", text, (), None) for doc_id, text in texts.items()
     }
-    store = CorpusStore(docs, {d.title: d.id for d in docs.values()},
-                        {i: set() for i in docs}, {})
+    store = CorpusStore(docs, {i: () for i in docs}, {})
     relation = "hyper" if rng.random() < 0.75 else "topic"
     pair = DocumentPair(docs["D1"], docs["D2"], relation)
     n_model = rng.randint(0, 4)
@@ -179,7 +178,7 @@ def test_criterion_3_verification_rule_oracle():
             triggered["shortest_dedup"] += 1
 
         # end-to-end assembly agreement
-        instance, reason = assemble_instance(draft, decision, verdicts, store, VerifyConfig(k=7))
+        instance, reason = assemble_instance(draft, decision, verdicts, store)
         oracle_candidates = [
             {**c, "origin": "backup" if c["origin"] != "model" else "model",
              "retrieved_texts": [store.documents[i].text for i in c["retrieved"]]}

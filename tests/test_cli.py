@@ -158,12 +158,41 @@ def test_workers_alias_changes_nothing(tmp_path, corpus_path):
         assert len(outputs) == 1, name
 
 
-def test_config_unknown_key(tmp_path, corpus_path):
+def test_config_unknown_key(tmp_path, corpus_path, capsys):
+    # eval.corpus and pairing.rng_seed were keys once; nothing read them
+    for line in ("no.such.key = 1", "eval.corpus = x.jsonl", "pairing.rng_seed = 3"):
+        config_file = tmp_path / "bad.txt"
+        config_file.write_text(line + "\n")
+        assert main([
+            "--config", str(config_file), "stats", "--in", str(corpus_path),
+        ]) == 2, line
+        assert f"{config_file}:1: unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "verify.k = 0",
+    "corpus.dangling_link_policy = keep_unresolvd",
+    "corpus.max_doc_tokens = many",
+])
+def test_config_bad_value_exits_2(tmp_path, corpus_path, capsys, line):
     config_file = tmp_path / "bad.txt"
-    config_file.write_text("no.such.key = 1\n")
+    config_file.write_text("pairing.pairs_per_document = 2\n" + line + "\n")
+    out = tmp_path / "out"
     assert main([
-        "--config", str(config_file), "stats", "--in", str(corpus_path),
+        "--config", str(config_file), "run-all", "--in", str(corpus_path), "--out", str(out),
     ]) == 2
+    assert f"{config_file}:2: bad value for {line.split()[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run-all", "eval"])
+def test_k_flag_is_validated(tmp_path, corpus_path, capsys, command):
+    argv = [command, "--in", str(corpus_path), "--out", str(tmp_path / "out"), "--k", "0"]
+    if command == "eval":
+        argv += ["--corpus", str(corpus_path)]
+    assert main(argv) == 2
+    assert "--k: bad value for 'verify.k'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_cli_with_scripted_backend(tmp_path, corpus_path):

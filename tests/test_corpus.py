@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from hopsynth.corpus import (
     CorpusConfig,
     CorpusFormatError,
-    KeywordTopicLabeler,
     hyperlink_neighbors,
     ingest_corpus,
     serialize_store,
@@ -13,6 +13,9 @@ from hopsynth.corpus import (
     truncate_text,
 )
 from hopsynth.metrics import tokenize
+
+from oracles import oracle_hyperlink_neighbors
+from synthcorpus import make_corpus
 
 
 def write_corpus(tmp_path, records, name="corpus.jsonl"):
@@ -66,8 +69,7 @@ def test_link_resolution(tmp_path):
         ],
     )
     store = ingest_corpus(path)
-    assert store.link_graph["d1"] == {"d2"}
-    assert store.link_graph["d2"] == set()
+    assert store.hyperlinks == {"d1": ("d2",), "d2": ("d1",)}
 
 
 def test_dangling_anchor_dropped(tmp_path):
@@ -77,7 +79,7 @@ def test_dangling_anchor_dropped(tmp_path):
     )
     store = ingest_corpus(path, CorpusConfig(dangling_link_policy="drop"))
     assert store.documents["d1"].anchors == ()
-    assert store.link_graph["d1"] == set()
+    assert store.hyperlinks["d1"] == ()
 
 
 def test_dangling_anchor_kept_without_edge(tmp_path):
@@ -87,7 +89,7 @@ def test_dangling_anchor_kept_without_edge(tmp_path):
     )
     store = ingest_corpus(path, CorpusConfig(dangling_link_policy="keep_unresolved"))
     assert store.documents["d1"].anchors == (("Ghost", "Ghost"),)
-    assert store.link_graph["d1"] == set()
+    assert store.hyperlinks["d1"] == ()
 
 
 def test_duplicate_title_error_names_both_lines(tmp_path):
@@ -137,6 +139,26 @@ def test_neighbors_symmetric(tmp_path):
             assert x in hyperlink_neighbors(store, y)
 
 
+@pytest.mark.parametrize("policy", ["drop", "keep_unresolved"])
+def test_hyperlinks_match_graph_scan_oracle(tmp_path, policy):
+    records = make_corpus(n_docs=200, seed=13)
+    for i, record in enumerate(records):
+        if i % 7 == 0:  # self link: the text starts with the document's own title
+            record["anchors"].append({"span": record["title"], "target": record["title"]})
+        if i % 5 == 0:  # dangling link: the target names no document
+            record["text"] += " See Ghost Page."
+            record["anchors"].append({"span": "Ghost Page", "target": f"Ghost Page {i}"})
+    store = ingest_corpus(write_corpus(tmp_path, records), CorpusConfig(dangling_link_policy=policy))
+    anchors = [(d.title, target) for d in store.documents.values() for _, target in d.anchors]
+    assert any(title == target for title, target in anchors)
+    assert any(t.startswith("Ghost Page") for _, t in anchors) == (policy == "keep_unresolved")
+    assert list(store.hyperlinks) == list(store.documents)
+    for doc_id in store.documents:
+        expected = oracle_hyperlink_neighbors(store, doc_id)
+        assert list(store.hyperlinks[doc_id]) == expected, doc_id
+        assert hyperlink_neighbors(store, doc_id) == expected
+
+
 def test_neighbors_unknown_id(tmp_path):
     path = write_corpus(tmp_path, [doc(1, "A", "text")])
     store = ingest_corpus(path)
@@ -154,12 +176,8 @@ def test_topic_clusters_from_file(tmp_path):
         ],
     )
     store = ingest_corpus(path)
-    assert store.topic_clusters["music"] == {"d1", "d2"}
+    assert store.topic_clusters == {"music": ("d1", "d2"), "film": ("d3",)}
     assert store.documents["d3"].topic == "film"
-    clusters = [ids for ids in store.topic_clusters.values()]
-    all_ids = set().union(*clusters)
-    assert all_ids == set(store.documents)
-    assert sum(len(ids) for ids in clusters) == len(store.documents)
     assert topic_neighbors(store, "d1") == ["d2"]
 
 
@@ -171,9 +189,23 @@ def test_no_topics_no_labeler_means_empty_clusters(tmp_path):
 
 
 def test_explicit_labeler(tmp_path):
-    path = write_corpus(tmp_path, [doc(1, "A", "rock band x"), doc(2, "B", "rock band y")])
-    store = ingest_corpus(path, topic_labeler=KeywordTopicLabeler())
-    assert store.topic_clusters == {"music": {"d1", "d2"}}
+    path = write_corpus(tmp_path, [
+        doc(1, "A", "rock band x"), doc(2, "B", "rock band y"), doc(3, "C", "plain", topic="t"),
+    ])
+    store = ingest_corpus(path, topics="keyword")
+    assert store.topic_clusters == {"music": ("d1", "d2"), "t": ("d3",)}
+    assert topic_neighbors(store, "d2") == ["d1"]
+
+
+def test_unknown_topic_source_fails_before_reading():
+    with pytest.raises(ValueError, match="topics.labeler"):
+        ingest_corpus("/nonexistent/corpus.jsonl", topics="keywords")
+
+
+def test_store_is_frozen(tmp_path):
+    store = ingest_corpus(write_corpus(tmp_path, [doc(1, "A", "x")]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        store.hyperlinks = {}
 
 
 def test_roundtrip_identical(tmp_path):
@@ -193,7 +225,7 @@ def test_roundtrip_identical(tmp_path):
     serialize_store(store2, out2)
     assert out1.read_bytes() == out2.read_bytes()
     assert store.documents == store2.documents
-    assert store.link_graph == store2.link_graph
+    assert store.hyperlinks == store2.hyperlinks
     assert store.topic_clusters == store2.topic_clusters
 
 
@@ -205,4 +237,4 @@ def test_anchor_outside_truncation_window_dropped(tmp_path):
     )
     store = ingest_corpus(path, CorpusConfig(max_doc_tokens=10))
     assert store.documents["d1"].anchors == ()
-    assert store.link_graph["d1"] == set()
+    assert store.hyperlinks["d1"] == ()

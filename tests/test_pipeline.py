@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hopsynth import pipeline
+from hopsynth import pipeline, verification
 from hopsynth.config import PipelineConfig
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pipeline import (
@@ -130,6 +130,56 @@ def test_run_all_deterministic(tmp_path, corpus_path):
     ).read_bytes()
     assert report1["counters"] == report2["counters"]
     assert report1["counters"]["emitted"] > 0
+
+
+def test_run_all_identical_across_embed_blocks(tmp_path, corpus_path, monkeypatch):
+    config = make_config(dev_size=3)
+    outputs = {}
+    for block in (1, 7, 64):
+        monkeypatch.setattr(verification, "EMBED_BLOCK", block)
+        out = tmp_path / f"block{block}"
+        report = run_all(corpus_path, out, config)
+        del report["outputs"]
+        outputs[block] = [report] + [
+            (out / name).read_bytes() for name in ("train.jsonl", "dev.jsonl", "store.jsonl")
+        ]
+    assert outputs[1][0]["counters"]["emitted"] > 0
+    assert outputs[1] == outputs[7] == outputs[64]
+
+
+def _topic_corpus(tmp_path, with_topics: bool):
+    records = make_corpus(n_docs=40, seed=4, n_topics=4)
+    for i, record in enumerate(records):
+        if not with_topics:
+            del record["topic"]
+        if i % 3 == 0:
+            record["text"] += " A documentary film."
+    return write_corpus(tmp_path / f"topics{with_topics}.jsonl", records)
+
+
+@pytest.mark.parametrize("with_topics", [True, False])
+def test_build_store_topic_labelers(tmp_path, with_topics):
+    path = _topic_corpus(tmp_path, with_topics)
+    stores = {
+        labeler: build_store(path, make_config(topics_labeler=labeler))
+        for labeler in ("file", "keyword", "none")
+    }
+    file_topics = {i: d.topic for i, d in stores["file"].documents.items()}
+    keyword_topics = {i: d.topic for i, d in stores["keyword"].documents.items()}
+    if with_topics:
+        assert keyword_topics == file_topics
+        assert set(file_topics.values()) == {f"cluster{i}" for i in range(4)}
+    else:
+        assert set(file_topics.values()) == {None}
+        assert set(keyword_topics.values()) == {"film", "misc"}
+    assert {d.topic for d in stores["none"].documents.values()} == {None}
+    assert stores["none"].topic_clusters == {}
+    for store in stores.values():
+        assert store.hyperlinks == stores["file"].hyperlinks
+        clustered = sorted(i for members in store.topic_clusters.values() for i in members)
+        assert clustered == sorted(i for i, d in store.documents.items() if d.topic)
+    pair_rows, _ = stage_pair(stores["none"], make_config())
+    assert pair_rows and {r["relation"] for r in pair_rows} == {"hyper"}
 
 
 class CountingEmbedder:

@@ -24,20 +24,13 @@ from hopsynth.verification import (
 from oracles import oracle_dedup
 
 
-def make_store(texts: dict, topics=None):
+def make_store(texts: dict):
     docs = {
-        doc_id: Document(doc_id, f"Title {doc_id}", text, (), (topics or {}).get(doc_id))
+        doc_id: Document(doc_id, f"Title {doc_id}", text, (), None)
         for doc_id, text in texts.items()
     }
-    clusters = {}
-    for doc_id, topic in (topics or {}).items():
-        clusters.setdefault(topic, set()).add(doc_id)
-    return CorpusStore(
-        documents=docs,
-        title_index={d.title: d.id for d in docs.values()},
-        link_graph={doc_id: set() for doc_id in docs},
-        topic_clusters=clusters,
-    )
+    return CorpusStore(documents=docs, hyperlinks={doc_id: () for doc_id in docs},
+                       topic_clusters={})
 
 
 def make_pair(store, a="D1", b="D2", relation="hyper"):
@@ -213,7 +206,7 @@ def test_finalize_two_hop_instance():
         vd("query one", hits=("D1",), rank=0, retrieved=("D1", "F")),
         vd("query two", hits=("D2",), rank=1, retrieved=("D2", "F")),
     ]
-    instance = finalize_with_reason(draft, decision, verdicts, store, VerifyConfig(k=7))[0]
+    instance = finalize_with_reason(draft, decision, verdicts, store)[0]
     assert instance is not None
     assert instance.single_or_two == "two"
     assert instance.hops == (("query one", ("D1", "F")), ("query two", ("D2", "F")))
@@ -224,7 +217,7 @@ def test_finalize_two_hop_instance():
 def test_finalize_two_hop_coverage_failure():
     store, pair, draft, decision = two_hop_fixture()
     verdicts = [vd("query one", hits=("D1",), rank=0)]
-    instance, reason = finalize_with_reason(draft, decision, verdicts, store, VerifyConfig())
+    instance, reason = finalize_with_reason(draft, decision, verdicts, store)
     assert instance is None and reason == "two_hop_coverage"
 
 
@@ -234,7 +227,7 @@ def test_finalize_containment_failure():
         vd("query one", hits=("D1",), rank=0, retrieved=("D1",)),
         vd("query two", hits=("D2",), rank=1, retrieved=("D2",)),
     ]
-    instance, reason = finalize_with_reason(draft, decision, verdicts, store, VerifyConfig())
+    instance, reason = finalize_with_reason(draft, decision, verdicts, store)
     assert instance is None and reason == "answer_containment"
 
 
@@ -246,7 +239,7 @@ def test_finalize_containment_uses_normalization():
         vd("q1", hits=("D1",), rank=0, retrieved=("D1",)),
         vd("q2", hits=("D2",), rank=1, retrieved=("D2",)),
     ]
-    instance, reason = finalize_with_reason(draft, decision, verdicts, store, VerifyConfig())
+    instance, reason = finalize_with_reason(draft, decision, verdicts, store)
     assert reason is None
     assert normalize_answer(instance.answer) in normalize_answer(store.documents["D2"].text)
 
@@ -257,7 +250,7 @@ def test_finalize_fever_skips_containment():
     draft = QuestionDraft(pair=pair, task="fever", text="Claim.", prepared_answer="SUPPORTS")
     decision = HopDecision("keep", "two", frozenset({"both"}), "SUPPORTS")
     verdicts = [vd("a", hits=("D1",), rank=0), vd("b", hits=("D2",), rank=1)]
-    instance = finalize_with_reason(draft, decision, verdicts, store, VerifyConfig())[0]
+    instance = finalize_with_reason(draft, decision, verdicts, store)[0]
     assert instance is not None and instance.task == "fever"
 
 
@@ -271,13 +264,13 @@ def test_finalize_one_hop_targets_answerable_document():
         vd("wrong target", hits=("D2",), rank=0, retrieved=("D2",)),
         vd("right target", hits=("D1",), rank=1, retrieved=("D1",)),
     ]
-    instance = finalize_with_reason(draft, decision, verdicts, store, VerifyConfig())[0]
+    instance = finalize_with_reason(draft, decision, verdicts, store)[0]
     assert instance is not None
     assert instance.hops == (("right target", ("D1",)),)
     assert instance.single_or_two == "single"
     # and with no d1 hitter at all, the draft drops
     instance, reason = finalize_with_reason(
-        draft, decision, [vd("wrong", hits=("D2",), rank=0)], store, VerifyConfig()
+        draft, decision, [vd("wrong", hits=("D2",), rank=0)], store
     )
     assert instance is None and reason == "one_hop_coverage"
 
@@ -285,7 +278,7 @@ def test_finalize_one_hop_targets_answerable_document():
 def test_finalize_two_hop_single_query_covering_both():
     store, pair, draft, decision = two_hop_fixture()
     verdicts = [vd("covers both docs", hits=("D1", "D2"), rank=0, retrieved=("D1", "D2"))]
-    instance = finalize_with_reason(draft, decision, verdicts, store, VerifyConfig())[0]
+    instance = finalize_with_reason(draft, decision, verdicts, store)[0]
     assert instance is not None
     assert len(instance.hops) == 1
     assert instance.single_or_two == "single"
@@ -299,12 +292,12 @@ def test_assemble_backup_only_when_all_models_invalid():
     )
     # a valid model candidate exists: backup must not appear in hops
     model = vd("model q", hits=("D1", "D2"), rank=0, retrieved=("D1", "D2"))
-    instance, _ = assemble_instance(draft, decision, [model, backup], store, VerifyConfig())
+    instance, _ = assemble_instance(draft, decision, [model, backup], store)
     assert instance is not None
     assert all(q != "Which team?" for q, _ in instance.hops)
     # all models invalid: backup carries hop one
     dead_model = vd("model q", rank=0)
-    instance, _ = assemble_instance(draft, decision, [dead_model, backup], store, VerifyConfig())
+    instance, _ = assemble_instance(draft, decision, [dead_model, backup], store)
     assert instance is not None
     assert instance.hops[0][0] == "Which team?"
 
