@@ -28,7 +28,7 @@ from .genbackend import HttpBackend, MockBackend
 from .mockllm import GoldScriptRule, SyntheticPipelineRule
 from .pairing import PairingConfig
 from .retrieval import FileEmbedder, HashEmbedder, HttpEmbedder
-from .synthesis import FilterConfig
+from .synthesis import TASK_FEVER, TASK_MQA, FilterConfig
 from .verification import VerifyConfig
 
 
@@ -98,6 +98,12 @@ _TOP_LEVEL = {
     "eval.mode": "eval_mode",
 }
 
+# Top-level keys that take one of a fixed set of values.
+_CHOICES = {
+    "task": (TASK_MQA, TASK_FEVER),
+    "eval_mode": ("greedy", "self_consistency"),
+}
+
 
 def _coerce(current, raw: str):
     if isinstance(current, bool):
@@ -138,6 +144,8 @@ def set_config_key(config: PipelineConfig, key: str, value: str, where: str = "o
     current = getattr(owner, attr)
     try:
         coerced = _coerce(current if current is not None else "", value)
+        if owner is config and attr in _CHOICES and coerced not in _CHOICES[attr]:
+            raise ValueError(f"{coerced!r} is not one of {', '.join(_CHOICES[attr])}")
         if owner is config:
             setattr(config, attr, coerced)
         else:

@@ -10,17 +10,18 @@ directions, so the store answers "which documents are related to d"
 directly: `hyperlinks` maps each document to its sorted hyperlink neighbors
 and `topic_clusters` maps each topic to its sorted members. Topics are
 resolved in the same pass (`file`, `keyword` or `none`; see
-`ingest_corpus`). The store is frozen and never written after ingestion.
+`ingest_corpus`). The store is frozen and never written after ingestion,
+except for a cache of normalized document texts filled on first use.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .metrics import token_spans
+from .metrics import normalize_answer, token_spans
 
 
 class CorpusFormatError(ValueError):
@@ -53,9 +54,18 @@ class CorpusStore:
     documents: dict[str, Document]
     hyperlinks: dict[str, tuple[str, ...]]  # undirected, sorted, no self links
     topic_clusters: dict[str, tuple[str, ...]]  # sorted members
+    _normalized: dict[str, str] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
 
     def __len__(self) -> int:
         return len(self.documents)
+
+    def normalized_text(self, doc_id: str) -> str:
+        """`normalize_answer` of a document's text, computed once per store."""
+        text = self._normalized.get(doc_id)
+        if text is None:
+            text = self._normalized[doc_id] = normalize_answer(self.documents[doc_id].text)
+        return text
 
 
 TOPIC_SOURCES = ("file", "keyword", "none")

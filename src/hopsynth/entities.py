@@ -9,16 +9,11 @@ for the HTTP protocol (POST /v1/entities {"texts": [...]} ->
 from __future__ import annotations
 
 import re
-from typing import Protocol
 
 from .httpjson import JsonSession, post_with_retries
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 _WORD = re.compile(r"\S+")
-
-
-class EntityRecognizer(Protocol):
-    def __call__(self, texts: list[str]) -> list[list[str]]: ...
 
 
 def _is_capitalized(word: str) -> bool:

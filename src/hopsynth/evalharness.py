@@ -15,7 +15,6 @@ from typing import Optional, Sequence, Union
 
 from .genbackend import (
     Backend,
-    BackendUnavailable,
     DecodeParams,
     EmptyCompletion,
     complete,
@@ -43,6 +42,11 @@ class EvalConfig:
     k: int = 7
     self_consistency_samples: int = 20
 
+    def __post_init__(self):
+        for name in ("max_hops", "k", "self_consistency_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
 
 def _render_context(question: str, turns, store_texts, cue: Optional[str] = None) -> str:
     lines = [f"Question: {question}"]
@@ -69,6 +73,8 @@ def run_episode(
 
     `doc_text_lookup` maps a doc id to the text inserted into the context;
     it defaults to the id itself (tests) and is normally store lookup.
+    Backend errors such as BackendUnavailable propagate: an outage is not a
+    wrong answer.
     """
     texts = doc_text_lookup or (lambda doc_id: doc_id)
     step_params = DecodeParams(
@@ -81,8 +87,6 @@ def run_episode(
         try:
             completion = complete(backend, prompt, step_params).strip()
         except EmptyCompletion:
-            return Transcript(question, tuple(turns), None, HALT_EMPTY)
-        except BackendUnavailable:
             return Transcript(question, tuple(turns), None, HALT_EMPTY)
         if completion.startswith("Answer:"):
             answer = completion[len("Answer:"):].strip()
@@ -104,7 +108,7 @@ def run_episode(
     prompt = _render_context(question, turns, texts, cue="Answer:")
     try:
         completion = complete(backend, prompt, step_params).strip()
-    except (EmptyCompletion, BackendUnavailable):
+    except EmptyCompletion:
         return Transcript(question, tuple(turns), None, HALT_HOP_LIMIT)
     if completion.startswith("Answer:"):
         completion = completion[len("Answer:"):].strip()

@@ -114,9 +114,10 @@ class MockBackend:
         self.rule = rule
 
     def raw_complete(self, prompt_text: str, params: DecodeParams) -> str:
-        hit = self.table.get(prompt_key(prompt_text))
-        if hit is not None:
-            return hit
+        if self.table:
+            hit = self.table.get(prompt_key(prompt_text))
+            if hit is not None:
+                return hit
         if self.rule is not None:
             return self.rule(prompt_text, params.seed)
         return ""

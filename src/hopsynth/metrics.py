@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 _ARTICLES = {"a", "an", "the"}
-_PUNCT = set(string.punctuation)
+_DROP_PUNCT = str.maketrans("", "", string.punctuation)
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ def token_spans(text: str) -> list[tuple[int, int]]:
 
 def normalize_answer(text: str) -> str:
     """Lowercase, drop punctuation chars, drop articles, single-space join."""
-    lowered = text.lower()
-    no_punct = "".join(ch for ch in lowered if ch not in _PUNCT)
+    no_punct = text.lower().translate(_DROP_PUNCT)
     kept = [tok for tok in no_punct.split() if tok not in _ARTICLES]
     return " ".join(kept)
 

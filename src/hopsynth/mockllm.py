@@ -27,8 +27,13 @@ def _rng(prompt: str, seed: Optional[int]) -> random.Random:
     return random.Random(int.from_bytes(hashlib.sha256(material).digest()[:8], "big"))
 
 
+def _last_block(prompt: str) -> str:
+    """The prompt's target block: the text after its last blank line."""
+    return prompt.rpartition("\n\n")[2]
+
+
 def _target_block(prompt: str) -> dict:
-    block = prompt.split("\n\n")[-1]
+    block = _last_block(prompt)
     fields: dict = {"documents": [], "cue": ""}
     for line in block.split("\n"):
         if line.startswith("Document: "):

@@ -38,7 +38,6 @@ class AnswerCandidate:
 @dataclass
 class PairingConfig:
     pairs_per_document: int = 4
-    rng_seed: int = 0
 
 
 def derive_seed(seed: int, *keys) -> int:
@@ -52,15 +51,17 @@ def derive_rng(seed: int, *keys) -> random.Random:
     return random.Random(derive_seed(seed, *keys))
 
 
-def sample_pairs(store: CorpusStore, doc_id: str, config: PairingConfig) -> list[DocumentPair]:
-    """Up to pairs_per_document pairs anchored at doc_id.
+def sample_pairs(
+    store: CorpusStore, doc_id: str, config: PairingConfig, seed: int
+) -> list[DocumentPair]:
+    """Up to pairs_per_document pairs anchored at doc_id, shuffled by `seed`.
 
     Hyper partners are taken first, then topic partners, alternating while
     both pools last; partners never repeat within one anchor document.
     """
     if doc_id not in store.documents:
         raise KeyError(f"unknown document id: {doc_id}")
-    rng = derive_rng(config.rng_seed, "pairs", doc_id)
+    rng = derive_rng(seed, "pairs", doc_id)
     hyper_pool = hyperlink_neighbors(store, doc_id)
     topic_pool = topic_neighbors(store, doc_id)
     rng.shuffle(hyper_pool)

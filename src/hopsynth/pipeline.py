@@ -10,7 +10,6 @@ Each stage is one ordered loop over its rows.
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 from pathlib import Path
 
 from . import synthesis
@@ -48,6 +47,10 @@ from .verification import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Draft texts per recognizer call; the same block size as verification's
+# EMBED_BLOCK, which kept the HTTP client's peak RSS flat.
+RECOGNIZE_BLOCK = 64
 
 DROP_REASONS = (
     "no_answer_candidates",
@@ -100,12 +103,11 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
     Each distinct document text goes to the recognizer once per stage.
     """
     recognizer = recognizer or build_recognizer(config)
-    pairing_config = replace(config.pairing, rng_seed=config.seed)
     counters = new_counters()
     rows: list[dict] = []
     entities: dict[str, list[str]] = {}
     for anchor_id in sorted(store.documents):
-        for pair in sample_pairs(store, anchor_id, pairing_config):
+        for pair in sample_pairs(store, anchor_id, config.pairing, config.seed):
             if config.task == TASK_FEVER and pair.relation != HYPER:
                 continue
             counters["attempts"] += 1
@@ -147,21 +149,33 @@ def stage_questions(
     backend=None,
     recognizer=None,
 ) -> tuple[list[dict], dict]:
-    """Generate questions/claims and apply the entity filter."""
+    """Generate questions/claims and apply the entity filter.
+
+    All drafts are generated first; their distinct texts then go to the
+    recognizer RECOGNIZE_BLOCK per call, and the filter runs in row order.
+    Recognizer errors propagate: an outage is not a question without entities.
+    """
     backend = backend or build_backend(config)
     recognizer = recognizer or build_recognizer(config)
     examples = _examples_override(config)
     counters = new_counters()
-    rows = []
-    for row in pair_rows:
-        pair = _pair_from_row(store, row)
-        draft = synthesis.generate_question(
-            pair, row["answer"], backend, task=config.task, examples=examples,
-            seed=derive_seed(config.seed, "qgen", row["d1"], row["d2"]),
+    drafts = [
+        synthesis.generate_question(
+            _pair_from_row(store, row), row["answer"], backend, task=config.task,
+            examples=examples, seed=derive_seed(config.seed, "qgen", row["d1"], row["d2"]),
         )
+        for row in pair_rows
+    ]
+    distinct = list(dict.fromkeys(draft.text for draft in drafts if draft is not None))
+    entities: dict[str, list[str]] = {}
+    for start in range(0, len(distinct), RECOGNIZE_BLOCK):
+        block = distinct[start:start + RECOGNIZE_BLOCK]
+        entities.update(zip(block, recognizer(block), strict=True))
+    rows = []
+    for row, draft in zip(pair_rows, drafts):
         if draft is None:
             counters["empty_question"] += 1
-        elif not synthesis.entity_count_filter(draft, recognizer, config.filter):
+        elif not synthesis.entity_count_filter(draft, entities[draft.text], config.filter):
             counters["entity_filter"] += 1
         else:
             rows.append({**row, "question": draft.text})

@@ -170,12 +170,6 @@ def render_prompt(
     if not documents:
         raise PromptError("target needs at least one document")
 
-    blocks = []
-    for example in examples:
-        lines = [f"Document: {doc}" for doc in example.documents]
-        lines.extend(_field_lines(task, example))
-        blocks.append("\n".join(lines))
-
     target = [f"Document: {_clean_document(doc)}" for doc in documents]
     for name in required:
         if name == "question":
@@ -183,10 +177,21 @@ def render_prompt(
         elif name == "answer":
             target.append(f"Answer: {_check_field(answer, 'answer')}")
     target.append(f"{cue}:")
-    blocks.append("\n".join(target))
 
-    text = "\n\n".join(blocks)
+    text = _example_prefix(task, tuple(examples)) + "\n".join(target)
     return PromptText(text=text, stop_sequences=tuple(STOP_SEQUENCES))
+
+
+@functools.lru_cache(maxsize=64)
+def _example_prefix(task: str, examples: tuple[FewShotExample, ...]) -> str:
+    # the example blocks, each followed by the blank line before the next block;
+    # every prompt of a stage shares them
+    blocks = []
+    for example in examples:
+        lines = [f"Document: {doc}" for doc in example.documents]
+        lines.extend(_field_lines(task, example))
+        blocks.append("\n".join(lines) + "\n\n")
+    return "".join(blocks)
 
 
 def parse_prompt(task: str, text: str) -> list[dict]:

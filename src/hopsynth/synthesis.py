@@ -126,12 +126,13 @@ def generate_question(
     return QuestionDraft(pair=pair, task=task, text=text, prepared_answer=answer)
 
 
-def entity_count_filter(draft: QuestionDraft, recognizer, config: FilterConfig) -> bool:
+def entity_count_filter(
+    draft: QuestionDraft, entities: Sequence[str], config: FilterConfig
+) -> bool:
     """True when the question names enough entities for its setting.
 
-    Recognizer errors propagate: an outage is not a question without entities.
+    `entities` are the recognizer's entities for `draft.text`.
     """
-    entities = recognizer([draft.text])[0]
     minimum = (
         config.min_entities_hyper if draft.pair.relation == HYPER else config.min_entities_topic
     )

@@ -171,9 +171,7 @@ def _instance_id(task: str, relation: str, pair: DocumentPair, question: str) ->
 
 def _containment_ok(answer: str, retrieved_ids: Sequence[str], store: CorpusStore) -> bool:
     haystack = " ".join(
-        normalize_answer(store.documents[doc_id].text)
-        for doc_id in retrieved_ids
-        if doc_id in store.documents
+        store.normalized_text(doc_id) for doc_id in retrieved_ids if doc_id in store.documents
     )
     return normalize_answer(answer) in haystack
 

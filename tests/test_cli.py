@@ -173,6 +173,11 @@ def test_config_unknown_key(tmp_path, corpus_path, capsys):
     "verify.k = 0",
     "corpus.dangling_link_policy = keep_unresolvd",
     "corpus.max_doc_tokens = many",
+    "task = mqaa",
+    "eval.mode = greedyy",
+    "eval.max_hops = 0",
+    "eval.k = 0",
+    "eval.self_consistency_samples = 0",
 ])
 def test_config_bad_value_exits_2(tmp_path, corpus_path, capsys, line):
     config_file = tmp_path / "bad.txt"

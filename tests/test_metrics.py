@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 
@@ -130,3 +131,23 @@ def test_agrees_with_reference_evaluator():
 def test_word_count():
     assert word_count("Does A or B have more members?") == 7
     assert word_count("") == 0
+
+
+def _normalize_per_character(text):
+    # the definition normalize_answer had before it used str.translate
+    punct = set(string.punctuation)
+    no_punct = "".join(ch for ch in text.lower() if ch not in punct)
+    return " ".join(tok for tok in no_punct.split() if tok not in {"a", "an", "the"})
+
+
+def test_normalize_answer_equals_per_character_definition():
+    rng = random.Random(6)
+    alphabet = string.printable + "—’éÉİıßΣ  "
+    words = ["a", "An", "THE", "the,", "(the)", "1,800", "don't", "İstanbul", "café"]
+    for _ in range(20_000):
+        pieces = [
+            rng.choice(words) if rng.random() < 0.3 else rng.choice(alphabet)
+            for _ in range(rng.randint(0, 30))
+        ]
+        text = "".join(pieces) if rng.random() < 0.5 else " ".join(pieces)
+        assert normalize_answer(text) == _normalize_per_character(text), repr(text)

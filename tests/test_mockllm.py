@@ -1,6 +1,12 @@
 import json
+import random
 
-from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule
+from hopsynth.config import PipelineConfig
+from hopsynth.genbackend import MockBackend
+from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule, _last_block, _target_block
+from hopsynth.pipeline import run_all
+
+from synthcorpus import make_corpus, write_corpus
 
 
 QGEN_PROMPT = (
@@ -78,3 +84,45 @@ def test_gold_script_rule(tmp_path):
     followup = "Question: Who?\nQuery: Some Title\nDocument: text\n"
     assert rule(followup, None).strip() == "Answer: The Gold"
     assert rule("Question: unknown?\n", None) == ""
+
+
+def test_last_block_equals_split_on_rendered_prompts(tmp_path):
+    prompts = []
+    rule = SyntheticPipelineRule()
+
+    def recording(prompt, seed):
+        prompts.append(prompt)
+        return rule(prompt, seed)
+
+    corpus = write_corpus(tmp_path / "corpus.jsonl", make_corpus(n_docs=60, seed=3, n_topics=6))
+    for task in ("mqa", "fever"):
+        config = PipelineConfig(task=task, seed=11, dev_size=3)
+        run_all(corpus, tmp_path / task, config, backend=MockBackend(rule=recording))
+    assert {_target_block(p)["cue"] for p in prompts} == {"Question:", "Claim:", "Answer:", "Query:"}
+    for prompt in prompts:
+        assert _last_block(prompt) == prompt.split("\n\n")[-1]
+
+
+def _split_target_block(prompt):
+    # _target_block as it was when it split the whole prompt
+    block = prompt.split("\n\n")[-1]
+    fields = {"documents": [], "cue": ""}
+    for line in block.split("\n"):
+        for label, key in (("Question", "question"), ("Claim", "claim"), ("Answer", "answer")):
+            if line.startswith(f"{label}: "):
+                fields[key] = line[len(label) + 2:]
+        if line.startswith("Document: "):
+            fields["documents"].append(line[len("Document: "):])
+    fields["cue"] = block.rsplit("\n", 1)[-1]
+    return fields
+
+
+def test_target_block_parse_unchanged_on_any_newline_runs():
+    # runs of three or more newlines split differently from the right, but
+    # the extra leading newline that split keeps parses to nothing
+    rng = random.Random(4)
+    pieces = ["\n", "\n\n", "\n\n\n", "Document: d", "Question: q?", "Claim: c",
+              "Answer: a", "Answer:", "Query:", "x"]
+    for _ in range(5000):
+        prompt = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        assert _target_block(prompt) == _split_target_block(prompt), repr(prompt)

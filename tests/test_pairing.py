@@ -34,7 +34,7 @@ def hub_store(tmp_path):
 
 
 def test_sample_pairs_count_and_distinct(hub_store):
-    pairs = sample_pairs(hub_store, "d0", PairingConfig(pairs_per_document=4, rng_seed=1))
+    pairs = sample_pairs(hub_store, "d0", PairingConfig(pairs_per_document=4), 1)
     assert len(pairs) == 4
     partners = [p.d2.id for p in pairs]
     assert len(set(partners)) == 4
@@ -47,7 +47,7 @@ def test_sample_pairs_relation_invariants(hub_store):
     from hopsynth.corpus import hyperlink_neighbors, topic_neighbors
 
     for seed in range(5):
-        for p in sample_pairs(hub_store, "d0", PairingConfig(4, seed)):
+        for p in sample_pairs(hub_store, "d0", PairingConfig(4), seed):
             if p.relation == "hyper":
                 assert p.d2.id in hyperlink_neighbors(hub_store, "d0")
             else:
@@ -62,28 +62,28 @@ def test_sample_pairs_exhaustion(tmp_path):
     path = tmp_path / "two.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     store = ingest_corpus(path)
-    pairs = sample_pairs(store, "a", PairingConfig(pairs_per_document=4, rng_seed=9))
+    pairs = sample_pairs(store, "a", PairingConfig(pairs_per_document=4), 9)
     assert len(pairs) == 1
     assert pairs[0].relation == "hyper"
 
 
 def test_sample_pairs_deterministic(hub_store):
-    config = PairingConfig(pairs_per_document=4, rng_seed=42)
-    first = sample_pairs(hub_store, "d0", config)
-    second = sample_pairs(hub_store, "d0", config)
+    config = PairingConfig(pairs_per_document=4)
+    first = sample_pairs(hub_store, "d0", config, 42)
+    second = sample_pairs(hub_store, "d0", config, 42)
     assert [(p.d2.id, p.relation) for p in first] == [(p.d2.id, p.relation) for p in second]
 
 
 def test_sample_pairs_mixes_relations(hub_store):
     # ten hyper neighbors and ten topic partners available: expect alternation
-    pairs = sample_pairs(hub_store, "d0", PairingConfig(pairs_per_document=4, rng_seed=3))
+    pairs = sample_pairs(hub_store, "d0", PairingConfig(pairs_per_document=4), 3)
     relations = [p.relation for p in pairs]
     assert relations == ["hyper", "topic", "hyper", "topic"]
 
 
 def test_sample_pairs_unknown_id(hub_store):
     with pytest.raises(KeyError):
-        sample_pairs(hub_store, "nope", PairingConfig())
+        sample_pairs(hub_store, "nope", PairingConfig(), 0)
 
 
 def topic_pair():

@@ -6,6 +6,7 @@ from hopsynth import pipeline, verification
 from hopsynth.config import PipelineConfig
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pipeline import (
+    RECOGNIZE_BLOCK,
     build_index,
     build_store,
     counters_conserved,
@@ -118,6 +119,20 @@ def test_stage_pair_recognizes_each_text_once(corpus_path):
     assert texts and len(texts) == len(set(texts))
     assert all(len(call) <= 2 for call in counting.calls)
     assert (rows, counters) == stage_pair(store, config, recognizer=HeuristicRecognizer())
+
+
+def test_stage_questions_recognizes_distinct_drafts_in_blocks(corpus_path, monkeypatch):
+    config = make_config()
+    store = build_store(corpus_path, config)
+    pair_rows, _ = stage_pair(store, config)
+    counting = CountingRecognizer()
+    rows, counters = stage_questions(store, pair_rows, config, recognizer=counting)
+    texts = [t for call in counting.calls for t in call]
+    assert len(texts) == len(set(texts)) > RECOGNIZE_BLOCK
+    assert all(len(call) <= RECOGNIZE_BLOCK for call in counting.calls)
+    assert counters["entity_filter"] > 0
+    monkeypatch.setattr(pipeline, "RECOGNIZE_BLOCK", 1)
+    assert (rows, counters) == stage_questions(store, pair_rows, config)
 
 
 def test_run_all_deterministic(tmp_path, corpus_path):
@@ -311,6 +326,37 @@ def test_run_eval_self_consistency_mode(tmp_path, corpus_path):
     backend = MockBackend(rule=GoldScriptRule(script))
     report = run_eval(eval_path, eval_corpus, config, backend=backend)
     assert report["em"] == 100.0
+
+
+def test_run_eval_backend_outage_raises(tmp_path):
+    # an outage fails the run; it is never scored as a wrong answer
+    from hopsynth.genbackend import BackendUnavailable, MockBackend
+    from hopsynth.mockllm import GoldScriptRule
+    from hopsynth.pipeline import run_eval
+
+    records = make_corpus(n_docs=6, seed=8, n_topics=2)
+    eval_corpus = write_corpus(tmp_path / "corpus.jsonl", records)
+    question = f"What covers {records[0]['title']}?"
+    eval_path = tmp_path / "eval.jsonl"
+    eval_path.write_text(json.dumps({"id": "q0", "question": question, "answer": "gold"}) + "\n")
+    scripted = MockBackend(rule=GoldScriptRule(
+        {question: {"queries": [records[0]["title"]], "answer": "gold"}}
+    ))
+
+    class DownOnSecondCall:
+        calls = 0
+
+        def raw_complete(self, text, params):
+            self.calls += 1
+            if self.calls == 2:
+                raise BackendUnavailable("endpoint down")
+            return scripted.raw_complete(text, params)
+
+    assert run_eval(eval_path, eval_corpus, make_config(), backend=scripted)["em"] == 100.0
+    backend = DownOnSecondCall()
+    with pytest.raises(BackendUnavailable):
+        run_eval(eval_path, eval_corpus, make_config(), backend=backend)
+    assert backend.calls == 2
 
 
 def test_run_all_fever(tmp_path, corpus_path):

@@ -213,3 +213,40 @@ def test_load_examples_override(tmp_path):
     )
     loaded = load_examples(path)
     assert loaded == [FewShotExample(("a", "b"), "Q?", "A", ("q1",))]
+
+
+def _block_join(task, examples, documents, answer, question):
+    # the prompt text as one "\n\n" join of every block, rendered afresh
+    fields, cue = promptkit._LAYOUTS[task]
+    blocks = []
+    for example in examples:
+        lines = [f"Document: {doc}" for doc in example.documents]
+        lines.extend(promptkit._field_lines(task, example))
+        blocks.append("\n".join(lines))
+    target = ["Document: " + " ".join(doc.split("\n")) for doc in documents]
+    for name in fields[:-1]:
+        value = question if name == "question" else answer
+        label = promptkit._QUESTION_LABEL[task] if name == "question" else "Answer"
+        target.append(f"{label}: {value}")
+    target.append(f"{cue}:")
+    blocks.append("\n".join(target))
+    return "\n\n".join(blocks)
+
+
+def test_render_prompt_equals_block_join(tmp_path):
+    override = tmp_path / "own.jsonl"
+    override.write_text(
+        '{"documents": ["a\\nb", "c"], "question": "Q?", "answer": "A", "queries": ["q1"]}\n'
+        '{"documents": ["d", ""], "question": "R?", "answer": "", "queries": []}\n'
+    )
+    stores = [load_examples(override), []]
+    docs = ["First doc\nwith a newline.", "Second doc."]
+    for task in promptkit.TASK_KINDS:
+        for setting in ("hyper",) if task in promptkit.FEVER_TASKS else ("hyper", "topic"):
+            for examples in [builtin_examples(task, setting), *stores]:
+                for documents in (docs, docs[:1]):
+                    prompt = render_prompt(task, setting, examples, documents,
+                                           answer="An answer", question="A question?")
+                    assert prompt.text == _block_join(
+                        task, examples, documents, "An answer", "A question?"
+                    ), (task, setting, len(examples))

@@ -1,9 +1,11 @@
 import pytest
 
-from hopsynth.corpus import Document
+from hopsynth.config import PipelineConfig
+from hopsynth.corpus import CorpusStore, Document
 from hopsynth.entities import HeuristicRecognizer, RecognizerError
 from hopsynth.genbackend import MockBackend, prompt_key
 from hopsynth.pairing import DocumentPair
+from hopsynth.pipeline import stage_questions
 from hopsynth.promptkit import (
     FEVER_VERIFY,
     MQA_ANSWER,
@@ -86,23 +88,34 @@ def draft_for(setting, text, index=0):
 def test_entity_filter_thresholds():
     rec = HeuristicRecognizer()
     config = FilterConfig()
-    hyper_one = draft_for("hyper", "Where was the composer of film Avidathe Pole Ivideyum born?")
-    assert entity_count_filter(hyper_one, rec, config)
-    topic_one = draft_for("topic", "Where was the composer of film Avidathe Pole Ivideyum born?")
-    assert not entity_count_filter(topic_one, rec, config)
-    topic_two = draft_for("topic", "Does The Border Surrender or Unsane have more members?")
-    assert entity_count_filter(topic_two, rec, config)
-    zero = draft_for("hyper", "What is the birthplace of the man?")
-    assert not entity_count_filter(zero, rec, config)
+
+    def passes(draft):
+        return entity_count_filter(draft, rec([draft.text])[0], config)
+
+    assert passes(draft_for("hyper", "Where was the composer of film Avidathe Pole Ivideyum born?"))
+    assert not passes(
+        draft_for("topic", "Where was the composer of film Avidathe Pole Ivideyum born?")
+    )
+    assert passes(draft_for("topic", "Does The Border Surrender or Unsane have more members?"))
+    assert not passes(draft_for("hyper", "What is the birthplace of the man?"))
 
 
 def test_entity_filter_recognizer_failure_propagates():
+    # an outage reaches the caller of the stage; it is not a question without entities
+    calls = []
+
     def broken(texts):
+        calls.append(texts)
         raise RecognizerError("recognizer down")
 
-    draft = draft_for("hyper", "Does The Border Surrender or Unsane have more members?")
+    pair, ex = example_pair("hyper", 0)
+    store = CorpusStore({d.id: d for d in (pair.d1, pair.d2)},
+                        {pair.d1.id: (pair.d2.id,), pair.d2.id: (pair.d1.id,)}, {})
+    rows = [{"d1": pair.d1.id, "d2": pair.d2.id, "relation": "hyper", "answer": ex.answer}]
+    backend = MockBackend(rule=lambda text, seed: " Does The Border Surrender or Unsane exist?")
     with pytest.raises(RecognizerError, match="recognizer down"):
-        entity_count_filter(draft, broken, FilterConfig())
+        stage_questions(store, rows, PipelineConfig(), backend, broken)
+    assert calls == [["Does The Border Surrender or Unsane exist?"]]
 
 
 def test_answer_question_pagemaster_fixture():

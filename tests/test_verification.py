@@ -244,6 +244,32 @@ def test_finalize_containment_uses_normalization():
     assert normalize_answer(instance.answer) in normalize_answer(store.documents["D2"].text)
 
 
+def test_containment_normalizes_each_document_once_per_store(monkeypatch):
+    from hopsynth import corpus
+
+    normalized = []
+
+    def counting(text):
+        normalized.append(text)
+        return normalize_answer(text)
+
+    monkeypatch.setattr(corpus, "normalize_answer", counting)
+    store, pair, draft, decision = two_hop_fixture(
+        answer="The Boston Celtics", last_hop_text="retired from boston celtics."
+    )
+    verdicts = [
+        vd("q1", hits=("D1",), rank=0, retrieved=("D1", "D2")),
+        vd("q2", hits=("D2",), rank=1, retrieved=("D2", "D1", "missing")),
+    ]
+    for _ in range(3):
+        instance, reason = finalize_with_reason(draft, decision, verdicts, store)
+        assert reason is None
+    assert sorted(normalized) == sorted(store.documents[i].text for i in ("D1", "D2"))
+    # another store with the same ids keeps its own texts
+    other, _, _, _ = two_hop_fixture(answer="The Boston Celtics", last_hop_text="elsewhere")
+    assert finalize_with_reason(draft, decision, verdicts, other) == (None, "answer_containment")
+
+
 def test_finalize_fever_skips_containment():
     store = make_store({"D1": "claim source", "D2": "nothing relevant"})
     pair = make_pair(store)
