@@ -36,6 +36,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} {value!r} is not one of {', '.join(choices)}")
+
+
 @dataclass
 class BackendSpec:
     kind: str = "mock"  # mock | http
@@ -43,6 +48,10 @@ class BackendSpec:
     mock_table: Optional[str] = None  # JSON file: prompt hash -> completion
     mock_script: Optional[str] = None  # JSON file for GoldScriptRule
     mock_rule: str = "synthetic"  # synthetic | none
+
+    def __post_init__(self):
+        _check_choice("kind", self.kind, ("mock", "http"))
+        _check_choice("mock_rule", self.mock_rule, ("synthetic", "none"))
 
 
 @dataclass
@@ -52,11 +61,19 @@ class EmbeddingsSpec:
     file: Optional[str] = None
     dim: int = 256
 
+    def __post_init__(self):
+        _check_choice("kind", self.kind, ("mock", "file", "http"))
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+
 
 @dataclass
 class RecognizerSpec:
     kind: str = "heuristic"  # heuristic | http
     endpoint: Optional[str] = None
+
+    def __post_init__(self):
+        _check_choice("kind", self.kind, ("heuristic", "http"))
 
 
 @dataclass
@@ -144,9 +161,9 @@ def set_config_key(config: PipelineConfig, key: str, value: str, where: str = "o
     current = getattr(owner, attr)
     try:
         coerced = _coerce(current if current is not None else "", value)
-        if owner is config and attr in _CHOICES and coerced not in _CHOICES[attr]:
-            raise ValueError(f"{coerced!r} is not one of {', '.join(_CHOICES[attr])}")
         if owner is config:
+            if attr in _CHOICES:
+                _check_choice(attr, coerced, _CHOICES[attr])
             setattr(config, attr, coerced)
         else:
             setattr(config, section, replace(owner, **{attr: coerced}))

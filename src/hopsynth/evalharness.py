@@ -11,7 +11,7 @@ majority-vote self-consistency over sampled answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .genbackend import (
     Backend,
@@ -165,17 +165,3 @@ def self_consistency(answers: Sequence[str]) -> str:
         counts[key] += 1
     best = max(order, key=lambda key: (counts[key], -order.index(key)))
     return surface[best]
-
-
-def aggregate_average(per_dataset: Sequence[Union[tuple[float, float], float]]) -> float:
-    """Dataset average: QA datasets contribute (EM+F1)/2, others their accuracy."""
-    if not per_dataset:
-        raise ValueError("no dataset scores to aggregate")
-    scores = []
-    for entry in per_dataset:
-        if isinstance(entry, tuple):
-            em, f1 = entry
-            scores.append((em + f1) / 2)
-        else:
-            scores.append(float(entry))
-    return sum(scores) / len(scores)

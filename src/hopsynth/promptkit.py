@@ -113,10 +113,10 @@ def _load_builtin(name: str) -> tuple[FewShotExample, ...]:
         return tuple(_example_from_row(json.loads(line)) for line in handle if line.strip())
 
 
-def builtin_examples(task: str, setting: str) -> list[FewShotExample]:
-    """The built-in annotated examples for a task and setting."""
+def builtin_examples(task: str, setting: str) -> tuple[FewShotExample, ...]:
+    """The built-in annotated examples for a task and setting (one shared tuple)."""
     _check_task(task, setting)
-    return list(_load_builtin("fever" if task in FEVER_TASKS else f"mqa_{setting}"))
+    return _load_builtin("fever" if task in FEVER_TASKS else f"mqa_{setting}")
 
 
 def _field_lines(task: str, example: FewShotExample) -> list[str]:

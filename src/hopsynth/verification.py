@@ -5,19 +5,23 @@ Valid queries that retrieve the same pair document are duplicates; only the
 shortest survives. Hop 1 is the first survivor in generation order, hop 2
 the first later survivor covering the other document. The original-question
 backup is consulted only when every model candidate is invalid.
+
+Retrieval failures are not verdicts: an `EmbeddingError` from the provider
+or a `ValueError` from `search` (wrong dimension, non-finite vector) leaves
+`retrieve_queries` and stops the stage, so a missed query always means the
+retriever ran and missed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .corpus import CorpusStore
 from .metrics import normalize_answer
 from .pairing import HYPER, DocumentPair
-from .retrieval import EmbeddingError, FlatIndex, embed, search
+from .retrieval import FlatIndex, embed, search
 from .synthesis import (
     ORIGIN_BACKUP,
     ORIGIN_MODEL,
@@ -27,8 +31,6 @@ from .synthesis import (
     QuestionDraft,
 )
 
-logger = logging.getLogger(__name__)
-
 DROP_TWO_HOP_COVERAGE = "two_hop_coverage"
 DROP_ONE_HOP_COVERAGE = "one_hop_coverage"
 DROP_ANSWER_CONTAINMENT = "answer_containment"
@@ -36,8 +38,6 @@ DROP_ANSWER_CONTAINMENT = "answer_containment"
 # Query texts per embedding call. Over HTTP, 256-text blocks raised the
 # client's peak RSS where 64 did not, and 64 already removes almost every call.
 EMBED_BLOCK = 64
-# Failures that make a query invalid rather than abort the run.
-_RETRIEVAL_ERRORS = (EmbeddingError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -70,58 +70,32 @@ class DataInstance:
     single_or_two: str  # single | two (number of queries)
 
 
-def _embed_one(provider, text: str):
-    try:
-        return embed(provider, [text])[0]
-    except _RETRIEVAL_ERRORS as exc:
-        return exc
-
-
 def retrieve_queries(
     texts: Sequence[str],
     index: FlatIndex,
     provider,
     k: int,
-) -> dict[str, tuple[str, ...] | Exception]:
+) -> dict[str, tuple[str, ...]]:
     """Top-k doc ids for each distinct text, keyed by text in first-seen order.
 
     Distinct texts are embedded EMBED_BLOCK per provider call and each is
-    searched once. When a block's call fails, its texts are embedded one at
-    a time, so only the texts that fail on their own map to their error.
+    searched once. Embedding and search errors propagate.
     """
     distinct = list(dict.fromkeys(texts))
-    retrieved: dict[str, tuple[str, ...] | Exception] = {}
+    retrieved: dict[str, tuple[str, ...]] = {}
     for start in range(0, len(distinct), EMBED_BLOCK):
         block = distinct[start:start + EMBED_BLOCK]
-        try:
-            vectors = embed(provider, block)
-        except _RETRIEVAL_ERRORS:
-            vectors = [_embed_one(provider, text) for text in block]
-        for text, vector in zip(block, vectors):
-            if isinstance(vector, Exception):
-                retrieved[text] = vector
-                continue
-            try:
-                retrieved[text] = tuple(s.doc_id for s in search(index, vector, k))
-            except ValueError as exc:
-                retrieved[text] = exc
+        for text, vector in zip(block, embed(provider, block)):
+            retrieved[text] = tuple(s.doc_id for s in search(index, vector, k))
     return retrieved
 
 
 def verify_query(
     candidate: QueryCandidate,
     pair: DocumentPair,
-    retrieved: tuple[str, ...] | Exception,
+    retrieved: tuple[str, ...],
 ) -> QueryVerdict:
-    """Flag pair-document hits among the candidate's retrieved ids.
-
-    `retrieved` is what `retrieve_queries` recorded for the candidate's
-    text; an error there makes the verdict invalid.
-    """
-    if isinstance(retrieved, Exception):
-        logger.warning("query %r could not be verified (%s); treating as invalid",
-                       candidate.text[:60], retrieved)
-        return QueryVerdict(candidate, valid=False, hit_d1=False, hit_d2=False, retrieved_ids=())
+    """Flag pair-document hits among the ids `retrieve_queries` recorded for the candidate."""
     hit_d1 = pair.d1.id in retrieved
     hit_d2 = pair.d2.id in retrieved
     return QueryVerdict(candidate, valid=hit_d1 or hit_d2, hit_d1=hit_d1, hit_d2=hit_d2,
@@ -274,13 +248,12 @@ def validate_instance(
     if instance.single_or_two != ("single" if len(instance.hops) == 1 else "two"):
         problems.append(f"{instance.id}: single_or_two mislabeled")
 
+    expected = retrieve_queries([text for text, _ in instance.hops], index, provider, config.k)
     covered: set[str] = set()
     for hop_index, (query_text, retrieved_ids) in enumerate(instance.hops):
         if len(retrieved_ids) > config.k:
             problems.append(f"{instance.id}: hop {hop_index} retrieved {len(retrieved_ids)} > k")
-        query_vec = embed(provider, [query_text])[0]
-        expected = tuple(s.doc_id for s in search(index, query_vec, config.k))
-        if tuple(retrieved_ids) != expected:
+        if tuple(retrieved_ids) != expected[query_text]:
             problems.append(f"{instance.id}: hop {hop_index} retrieval not reproducible")
         hits = set(retrieved_ids) & {d1, d2}
         if not hits:

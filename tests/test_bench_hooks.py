@@ -55,6 +55,10 @@ def test_tracer_records_every_stage_of_run_all(tmp_path, corpus_path):
     assert tracer.calls["emitter.write_jsonl"] == 2
     assert tracer.calls["verification.verify_query"] > 0
     assert tracer.calls["verification.assemble_instance"] > 0
+    # build_index embeds the documents once; verification embeds its query
+    # blocks and searches each distinct query text once
+    assert tracer.calls["retrieval.embed"] > 1
+    assert tracer.calls["retrieval.search"] == tracer.counts["retrieval.query_texts"] > 0
     run_all(corpus_path, tmp_path / "plain", config)
     for name in ("train.jsonl", "dev.jsonl"):
         assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()

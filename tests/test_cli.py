@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from hopsynth import pipeline
 from hopsynth.cli import main
+from hopsynth.config import PipelineConfig
+from hopsynth.retrieval import HashEmbedder
 
 from synthcorpus import make_corpus, write_corpus
 
@@ -46,6 +49,33 @@ def test_unknown_flag(capsys):
 
 def test_runtime_failure_exit_2(tmp_path, capsys):
     assert main(["stats", "--in", str(tmp_path / "missing.jsonl")]) == 2
+
+
+def test_run_all_exits_2_on_a_query_missing_from_the_embedding_file(
+    tmp_path, corpus_path, capsys
+):
+    config = PipelineConfig()
+    store = pipeline.build_store(corpus_path, config)
+    texts = [doc.text for doc in store.documents.values()]
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text("".join(
+        json.dumps({"text": text, "vector": vector.tolist()}) + "\n"
+        for text, vector in zip(texts, HashEmbedder(dim=32)(texts))
+    ))
+    config_file = tmp_path / "config.txt"
+    config_file.write_text(f"embeddings.kind = file\nembeddings.file = {vectors}\n")
+    out = tmp_path / "out"
+    assert main([
+        "--config", str(config_file), "run-all", "--in", str(corpus_path), "--out", str(out),
+    ]) == 2
+    rows, _ = pipeline.stage_pair(store, config)
+    for stage in (pipeline.stage_questions, pipeline.stage_filter_answers,
+                  pipeline.stage_queries):
+        rows, _ = stage(store, rows, config)
+    first_query = rows[0]["candidates"][0]["text"]
+    err = capsys.readouterr().err
+    assert f"no precomputed embedding for text: {first_query[:60]!r}" in err
+    assert not (out / "train.jsonl").exists()
 
 
 def test_stage_chain(tmp_path, corpus_path, capsys):
@@ -178,6 +208,11 @@ def test_config_unknown_key(tmp_path, corpus_path, capsys):
     "eval.max_hops = 0",
     "eval.k = 0",
     "eval.self_consistency_samples = 0",
+    "backend.kind = htp",
+    "backend.mock_rule = synthetc",
+    "embeddings.kind = fil",
+    "embeddings.dim = 0",
+    "recognizer.kind = heurstic",
 ])
 def test_config_bad_value_exits_2(tmp_path, corpus_path, capsys, line):
     config_file = tmp_path / "bad.txt"

@@ -4,7 +4,6 @@ import pytest
 from hopsynth.evalharness import (
     EvalConfig,
     Transcript,
-    aggregate_average,
     run_episode,
     score_fever,
     score_qa,
@@ -140,16 +139,3 @@ def test_self_consistency_minority_invariant():
     base = ["win", "win", "win", "other"]
     assert self_consistency(base) == "win"
     assert self_consistency(base + ["loser", "Loser"]) == "win"
-
-
-def test_aggregate_average():
-    assert aggregate_average([(43.0, 55.2)]) == pytest.approx(49.1)
-    assert aggregate_average([(40.0, 60.0), 50.0]) == pytest.approx(50.0)
-    assert aggregate_average([62.9]) == pytest.approx(62.9)
-    mixed = [(43.0, 55.2), (27.2, 34.7), (46.3, 53.2), 62.9]
-    assert aggregate_average(mixed) == pytest.approx(48.175)
-    assert aggregate_average(list(reversed(mixed))) == pytest.approx(
-        aggregate_average(mixed)
-    )
-    with pytest.raises(ValueError):
-        aggregate_average([])

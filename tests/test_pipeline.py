@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hopsynth import pipeline, verification
+from hopsynth import httpjson, pipeline, verification
 from hopsynth.config import PipelineConfig
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pipeline import (
@@ -18,7 +18,7 @@ from hopsynth.pipeline import (
     stage_questions,
     stage_verify,
 )
-from hopsynth.retrieval import EmbeddingError, HashEmbedder
+from hopsynth.retrieval import EmbeddingError, HashEmbedder, HttpEmbedder
 from hopsynth.verification import EMBED_BLOCK, VerifyConfig, validate_instance, verify_query
 
 from synthcorpus import make_corpus, write_corpus
@@ -213,17 +213,23 @@ class CountingEmbedder:
         return self.inner(texts)
 
 
-def test_stage_verify_embeds_each_distinct_text_once(corpus_path, monkeypatch):
+@pytest.fixture(scope="module")
+def verify_inputs(corpus_path):
+    """(config, store, candidate rows, index) for stage_verify on the shared corpus."""
     config = make_config()
     store = build_store(corpus_path, config)
     pair_rows, _ = stage_pair(store, config)
     draft_rows, _ = stage_questions(store, pair_rows, config)
     decision_rows, _ = stage_filter_answers(store, draft_rows, config)
     candidate_rows, _ = stage_queries(store, decision_rows, config)
+    return config, store, candidate_rows, build_index(store, HashEmbedder(dim=256))
+
+
+def test_stage_verify_embeds_each_distinct_text_once(verify_inputs, monkeypatch):
+    config, store, candidate_rows, index = verify_inputs
     texts = [c["text"] for row in candidate_rows for c in row["candidates"]]
-    distinct = set(texts)
-    assert EMBED_BLOCK < len(distinct) < len(texts)
-    index = build_index(store, HashEmbedder(dim=256))
+    distinct = list(dict.fromkeys(texts))
+    assert EMBED_BLOCK + 1 < len(distinct) < len(texts)
 
     verdicts = []
 
@@ -239,16 +245,39 @@ def test_stage_verify_embeds_each_distinct_text_once(corpus_path, monkeypatch):
     assert sorted(embedded) == sorted(distinct)
     assert len(healthy.calls) <= -(-len(distinct) // EMBED_BLOCK)
     assert [v.candidate.text for v in verdicts] == texts
-    baseline, verdicts[:] = list(verdicts), []
+    verdicts.clear()
 
-    bad = next(t for t in texts if texts.count(t) > 1)
-    stage_verify(store, candidate_rows, config, provider=CountingEmbedder(fail_on=bad), index=index)
-    assert len(verdicts) == len(baseline)
-    for got, want in zip(verdicts, baseline):
-        if got.candidate.text == bad:
-            assert not got.valid and got.retrieved_ids == ()
-        else:
-            assert got == want
+    # an embedding failure stops the stage: no verdicts, and the failing
+    # block is not retried text by text
+    bad = distinct[EMBED_BLOCK + 1]
+    failing = CountingEmbedder(fail_on=bad)
+    with pytest.raises(EmbeddingError):
+        stage_verify(store, candidate_rows, config, provider=failing, index=index)
+    assert failing.calls == healthy.calls[:2]
+    assert verdicts == []
+
+
+class OutageSession:
+    """An embedding endpoint that refuses every connection; counts the requests."""
+
+    def __init__(self):
+        self.requests = 0
+
+    def post(self, path, body):
+        self.requests += 1
+        raise ConnectionRefusedError("endpoint down")
+
+
+def test_stage_verify_raises_when_the_embedding_endpoint_is_down(verify_inputs, monkeypatch):
+    config, store, candidate_rows, index = verify_inputs
+    sleeps = []
+    monkeypatch.setattr(httpjson.time, "sleep", sleeps.append)
+    session = OutageSession()
+    provider = HttpEmbedder("http://127.0.0.1:9", session=session)
+    with pytest.raises(EmbeddingError, match="3 attempts"):
+        stage_verify(store, candidate_rows, config, provider=provider, index=index)
+    assert session.requests == 3
+    assert sleeps == [0.2, 0.4]
 
 
 def test_run_all_seed_changes_output(tmp_path, corpus_path):

@@ -58,9 +58,8 @@ def test_builtin_examples_parsed_once(monkeypatch):
     assert len(opened) == 1
     second = builtin_examples(MQA_QUERY_GEN, "hyper")
     assert len(opened) == 1
-    assert second == first and second is not first
-    second.clear()  # callers get a fresh list they may change
-    assert builtin_examples(MQA_ANSWER, "hyper") == first
+    assert isinstance(first, tuple)
+    assert second is first  # one shared immutable tuple, no per-prompt copy
 
 
 def test_builtin_seed_set_is_small():

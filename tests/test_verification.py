@@ -77,31 +77,32 @@ def test_verify_query_hit_flags():
     assert (got.valid, got.hit_d1, got.hit_d2) == (True, True, True)
 
 
-def test_verify_query_embedding_failure_is_invalid(caplog):
+def test_retrieve_queries_embedding_failure_propagates():
+    calls = []
+
     def provider(texts):
+        calls.append(list(texts))
         raise EmbeddingError("backend down")
 
-    store = make_store({"D1": "one", "D2": "two"})
     index = build_flat_index(["D1"], [np.zeros(2, dtype=np.float32)])
-    retrieved = retrieve_queries(["q"], index, provider, k=7)
-    assert isinstance(retrieved["q"], EmbeddingError)
-    with caplog.at_level("WARNING"):
-        got = verify_query(QueryCandidate("q", "model", 0), make_pair(store), retrieved["q"])
-    assert not got.valid and got.retrieved_ids == ()
-    assert any("invalid" in r.message for r in caplog.records)
+    with pytest.raises(EmbeddingError, match="backend down"):
+        retrieve_queries(["q", "r"], index, provider, k=7)
+    assert calls == [["q", "r"]]  # the failed block is not re-embedded text by text
 
 
-def test_non_finite_query_vector_is_invalid():
+@pytest.mark.parametrize("bad_vector,message", [
+    (np.array([np.nan, 0.0], dtype=np.float32), "finite"),
+    (np.array([1.0, 0.0, 0.0], dtype=np.float32), "dim"),
+], ids=["non_finite", "wrong_dim"])
+def test_retrieve_queries_rejects_bad_query_vectors(bad_vector, message):
     def provider(texts):
-        return [np.array([np.nan if t == "bad" else 1.0, 0.0], dtype=np.float32) for t in texts]
+        return [bad_vector if t == "bad" else np.array([1.0, 0.0], dtype=np.float32)
+                for t in texts]
 
-    store = make_store({"D1": "one", "D2": "two"})
     index = build_flat_index(["D1", "D2"], [np.eye(2, dtype=np.float32)[i] for i in range(2)])
-    retrieved = retrieve_queries(["good", "bad"], index, provider, k=1)
-    assert retrieved["good"] == ("D1",)
-    assert isinstance(retrieved["bad"], ValueError)
-    got = verify_query(QueryCandidate("bad", "model", 0), make_pair(store), retrieved["bad"])
-    assert not got.valid
+    assert retrieve_queries(["good"], index, provider, k=1) == {"good": ("D1",)}
+    with pytest.raises(ValueError, match=message):
+        retrieve_queries(["good", "bad"], index, provider, k=1)
 
 
 def test_dedup_keeps_shortest():
@@ -339,7 +340,10 @@ def test_validate_instance_catches_corruption():
         "q two": np.array([0.0, 1.0], dtype=np.float32),
     }
 
+    calls = []
+
     def provider(texts):
+        calls.append(list(texts))
         return [queries[t] for t in texts]
 
     store = make_store({"D1": "first doc boston celtics", "D2": "second doc"})
@@ -350,6 +354,7 @@ def test_validate_instance_catches_corruption():
         answer="second doc", source_pair=("D1", "D2"), single_or_two="two",
     )
     assert validate_instance(good, store, index, provider, config) == []
+    assert calls == [["q one", "q two"]]  # both hops re-retrieved through retrieve_queries
     bad_retrieval = DataInstance(
         id="i2", task="mqa", relation="hyper", question_or_claim="Q?",
         hops=(("q one", ("D2",)), ("q two", ("D2",))),
