@@ -11,7 +11,9 @@ Example config file:
     recognizer.kind = heuristic
 
 Dotted keys map onto the stage config objects; unknown keys are rejected so
-typos fail loudly. Command-line flags override file values.
+typos fail loudly, and every value is checked when it is set by the
+`__post_init__` of the object that owns it. Command-line flags override file
+values.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .corpus import CorpusConfig
+from .corpus import TOPIC_SOURCES, CorpusConfig
 from .entities import HeuristicRecognizer, HttpRecognizer
 from .evalharness import EvalConfig
 from .genbackend import HttpBackend, MockBackend
@@ -94,6 +96,13 @@ class PipelineConfig:
     examples_path: Optional[str] = None
     eval_mode: str = "greedy"  # greedy | self_consistency
 
+    def __post_init__(self):
+        _check_choice("task", self.task, (TASK_MQA, TASK_FEVER))
+        _check_choice("topics_labeler", self.topics_labeler, TOPIC_SOURCES)
+        _check_choice("eval_mode", self.eval_mode, ("greedy", "self_consistency"))
+        if self.dev_size < 0:
+            raise ValueError("dev_size must be >= 0")
+
 
 _SECTIONS = {
     "corpus": ("max_doc_tokens", "dangling_link_policy"),
@@ -113,12 +122,6 @@ _TOP_LEVEL = {
     "topics.labeler": "topics_labeler",
     "examples": "examples_path",
     "eval.mode": "eval_mode",
-}
-
-# Top-level keys that take one of a fixed set of values.
-_CHOICES = {
-    "task": (TASK_MQA, TASK_FEVER),
-    "eval_mode": ("greedy", "self_consistency"),
 }
 
 
@@ -148,7 +151,8 @@ def parse_config_file(path: str | Path, config: Optional[PipelineConfig] = None)
 def set_config_key(config: PipelineConfig, key: str, value: str, where: str = "override") -> None:
     """Set one key from its text value; `where` names the file line or flag.
 
-    A section is rebuilt with `dataclasses.replace`, so its own checks run; a
+    The key's owner (the config or one of its sections) is first rebuilt
+    with `dataclasses.replace`, so its own checks run on the new value; a
     value that fails them (or does not parse) raises ConfigError.
     """
     section, _, name = key.partition(".")
@@ -161,14 +165,10 @@ def set_config_key(config: PipelineConfig, key: str, value: str, where: str = "o
     current = getattr(owner, attr)
     try:
         coerced = _coerce(current if current is not None else "", value)
-        if owner is config:
-            if attr in _CHOICES:
-                _check_choice(attr, coerced, _CHOICES[attr])
-            setattr(config, attr, coerced)
-        else:
-            setattr(config, section, replace(owner, **{attr: coerced}))
+        replace(owner, **{attr: coerced})
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+    setattr(owner, attr, coerced)
 
 
 def build_backend(config: PipelineConfig):

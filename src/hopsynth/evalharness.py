@@ -1,16 +1,18 @@
 """Iterative-retrieval evaluation: the model alternates queries and an answer.
 
-An episode renders the running context in the training layout
-("Question:", then "Query:"/retrieved "Document:" blocks), completes one
-line at a time, retrieves on "Query:" turns, and stops on "Answer:". At the
-hop limit the harness forces an answering turn by ending the context with
-"Answer:". Scoring is EM/F1 for QA, accuracy for fact verification, with
-majority-vote self-consistency over sampled answers.
+An episode renders the running context with `promptkit.render_episode`
+("Question:", then each "Query:" with its retrieved "Document:" lines),
+completes one line at a time, retrieves on "Query:" turns, and stops on
+"Answer:". At the hop limit the harness forces an answering turn by ending
+the context with "Answer:". Completions are read here, leniently: a
+"Query:"/"Answer:" prefix with or without a space, whitespace stripped.
+Scoring is EM/F1 for QA, accuracy for fact verification, with majority-vote
+self-consistency over sampled answers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .genbackend import (
@@ -20,6 +22,7 @@ from .genbackend import (
     complete,
 )
 from .metrics import normalize_answer, score_pair
+from .promptkit import render_episode
 from .retrieval import FlatIndex, embed, search
 from .synthesis import FEVER_LABELS, normalize_label
 
@@ -48,18 +51,6 @@ class EvalConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-def _render_context(question: str, turns, store_texts, cue: Optional[str] = None) -> str:
-    lines = [f"Question: {question}"]
-    for query, retrieved in turns:
-        lines.append(f"Query: {query}")
-        for doc_id in retrieved:
-            lines.append(f"Document: {store_texts(doc_id)}")
-    if cue is not None:
-        lines.append(cue)
-        return "\n".join(lines)
-    return "\n".join(lines) + "\n"
-
-
 def run_episode(
     question: str,
     backend: Backend,
@@ -77,13 +68,10 @@ def run_episode(
     wrong answer.
     """
     texts = doc_text_lookup or (lambda doc_id: doc_id)
-    step_params = DecodeParams(
-        max_tokens=params.max_tokens, temperature=params.temperature,
-        top_p=params.top_p, top_k=params.top_k, stop=("\n",), seed=params.seed,
-    )
+    step_params = replace(params, stop=("\n",))
     turns: list[tuple[str, tuple[str, ...]]] = []
     while len(turns) < config.max_hops:
-        prompt = _render_context(question, turns, texts)
+        prompt = render_episode(question, turns, texts)
         try:
             completion = complete(backend, prompt, step_params).strip()
         except EmptyCompletion:
@@ -105,7 +93,7 @@ def run_episode(
         return Transcript(question, tuple(turns), None, HALT_EMPTY)
 
     # hop limit: force one answering turn
-    prompt = _render_context(question, turns, texts, cue="Answer:")
+    prompt = render_episode(question, turns, texts, cue="Answer:")
     try:
         completion = complete(backend, prompt, step_params).strip()
     except EmptyCompletion:

@@ -10,7 +10,7 @@ and/or a rule program and is a pure function of (prompt text, seed).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .httpjson import ATTEMPTS, BACKOFF_BASE, JsonSession, post_with_retries
@@ -56,12 +56,6 @@ class DecodeParams:
             raise ValueError("top_k and nucleus top_p are mutually exclusive")
         if self.temperature == 0.0 and (self.top_k is not None or self.top_p < 1.0):
             raise ValueError("greedy decoding takes no top_k/top_p narrowing")
-
-    def replace_seed(self, seed: Optional[int]) -> "DecodeParams":
-        return DecodeParams(
-            max_tokens=self.max_tokens, temperature=self.temperature,
-            top_p=self.top_p, top_k=self.top_k, stop=self.stop, seed=seed,
-        )
 
 
 def default_decode_params(stage: str) -> DecodeParams:

@@ -1,12 +1,14 @@
 """Deterministic rule-program backends for offline runs and tests.
 
-SyntheticPipelineRule understands the synthesis prompt layouts and plays a
-cooperative-but-imperfect model: questions embed their target answer so the
-answering rule can recover it, queries quote each document's leading tokens
-so hash embeddings retrieve them, and seeded coin flips inject the failure
-modes (empty output, entity-free questions, wrong answers) that exercise
-the filter paths. GoldScriptRule replays scripted queries/answers for
-evaluation episodes. Both are pure functions of (prompt text, seed).
+Both rules read prompts only through `promptkit.parse_block`.
+SyntheticPipelineRule parses a synthesis prompt's target block (the text
+after its last blank line) and plays a cooperative-but-imperfect model:
+questions embed their target answer so the answering rule can recover it,
+queries quote each document's leading tokens so hash embeddings retrieve
+them, and seeded coin flips inject the failure modes (empty output,
+entity-free questions, wrong answers) that exercise the filter paths.
+GoldScriptRule replays scripted queries/answers for evaluation episodes.
+Both are pure functions of (prompt text, seed).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import re
 from pathlib import Path
 from typing import Optional
 
+from .promptkit import parse_block
+
 _ANSWER_TAG = re.compile(r" regarding (.+)\?$")
 _LABEL_TAG = re.compile(r"\[(SUPPORTS|REFUTES|NOT ENOUGH INFO)\]")
 
@@ -25,27 +29,6 @@ _LABEL_TAG = re.compile(r"\[(SUPPORTS|REFUTES|NOT ENOUGH INFO)\]")
 def _rng(prompt: str, seed: Optional[int]) -> random.Random:
     material = f"{seed}:{prompt}".encode("utf-8")
     return random.Random(int.from_bytes(hashlib.sha256(material).digest()[:8], "big"))
-
-
-def _last_block(prompt: str) -> str:
-    """The prompt's target block: the text after its last blank line."""
-    return prompt.rpartition("\n\n")[2]
-
-
-def _target_block(prompt: str) -> dict:
-    block = _last_block(prompt)
-    fields: dict = {"documents": [], "cue": ""}
-    for line in block.split("\n"):
-        if line.startswith("Document: "):
-            fields["documents"].append(line[len("Document: "):])
-        elif line.startswith("Question: "):
-            fields["question"] = line[len("Question: "):]
-        elif line.startswith("Claim: "):
-            fields["claim"] = line[len("Claim: "):]
-        elif line.startswith("Answer: "):
-            fields["answer"] = line[len("Answer: "):]
-    fields["cue"] = block.rsplit("\n", 1)[-1]
-    return fields
 
 
 def _lead_words(text: str, count: int = 4) -> str:
@@ -88,7 +71,7 @@ class SyntheticPipelineRule:
 
     def __call__(self, prompt: str, seed: Optional[int]) -> str:
         rng = _rng(prompt, seed)
-        target = _target_block(prompt)
+        target = parse_block(prompt.rpartition("\n\n")[2])
         cue = target["cue"]
         if cue == "Question:":
             return self._question(target, rng)
@@ -158,9 +141,10 @@ class SyntheticPipelineRule:
 class GoldScriptRule:
     """Replay scripted evaluation episodes.
 
-    The script maps a question to {"queries": [s, ...], "answer": s}; the
-    rule emits the next unseen query, then the answer. Loadable from a JSON
-    file for CLI runs.
+    The script maps a question to {"queries": [s, ...], "answer": s}. The
+    episode's question is its (last) Question line; the rule emits the
+    scripted query after the Query lines already in the episode, then the
+    answer. Loadable from a JSON file for CLI runs.
     """
 
     def __init__(self, script: dict[str, dict]):
@@ -171,15 +155,11 @@ class GoldScriptRule:
         return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def __call__(self, prompt: str, seed: Optional[int]) -> str:
-        question = None
-        for line in prompt.split("\n"):
-            if line.startswith("Question: "):
-                question = line[len("Question: "):]
-                break
-        entry = self.script.get(question or "")
+        episode = parse_block(prompt)
+        entry = self.script.get(episode.get("question", ""))
         if entry is None:
             return ""
-        emitted = prompt.count("\nQuery: ")
+        emitted = len(episode["queries"])
         queries = entry.get("queries", [])
         if emitted < len(queries):
             return f"Query: {queries[emitted]}\n"

@@ -39,6 +39,10 @@ class AnswerCandidate:
 class PairingConfig:
     pairs_per_document: int = 4
 
+    def __post_init__(self):
+        if self.pairs_per_document < 1:
+            raise ValueError("pairs_per_document must be >= 1")
+
 
 def derive_seed(seed: int, *keys) -> int:
     """Deterministic per-item seed, stable across processes."""

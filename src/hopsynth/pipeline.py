@@ -10,6 +10,7 @@ Each stage is one ordered loop over its rows.
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 from . import synthesis
@@ -326,19 +327,18 @@ def run_all(
     provider=None,
     recognizer=None,
 ) -> dict:
-    """End-to-end synthesis. Writes train/dev/stats/report files to out_dir.
+    """End-to-end synthesis. Writes train, dev and store files to out_dir.
 
-    Returns the report dict (counters plus output paths and stats).
+    Nothing is written until every stage has run, so a run that fails in a
+    stage creates no out_dir. Returns the report dict (counters plus output paths and
+    stats).
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     backend = backend or build_backend(config)
     provider = provider or build_embedder(config)
     recognizer = recognizer or build_recognizer(config)
 
     store = build_store(corpus_path, config)
-    serialize_store(store, out_dir / "store.jsonl")
-
     totals = new_counters()
     pair_rows, counters = stage_pair(store, config, recognizer=recognizer)
     merge_counters(totals, counters)
@@ -352,6 +352,7 @@ def run_all(
     merge_counters(totals, counters)
 
     train, dev = write_splits(instances, out_dir, config)
+    serialize_store(store, out_dir / "store.jsonl")
     report = {
         "task": config.task,
         "seed": config.seed,
@@ -397,7 +398,7 @@ def run_eval(
         answers = [
             run_episode(
                 item["question"], backend, index, provider, config.eval,
-                params.replace_seed(seed), doc_text_lookup=lookup,
+                replace(params, seed=seed), doc_text_lookup=lookup,
             ).final_answer or ""
             for seed in seeds
         ]

@@ -1,7 +1,8 @@
-"""Few-shot prompt stores and task prompt rendering.
+"""The prompt layout: few-shot stores, and the only code that renders or
+parses prompt text ("Label: value" lines).
 
-Prompts are blank-line separated blocks of labeled lines. The field order
-depends on the task:
+Synthesis prompts are blank-line separated blocks. The field order depends
+on the task:
 
     question_gen   Document, Document, Answer, Question
     answer         Document(s), Question, Answer
@@ -13,13 +14,16 @@ The final block is the target instance and stops at the cue label, so the
 completion supplies the missing field. The built-in examples ship as data
 files and are the complete human-annotated seed set: four per multi-hop
 (task, setting) and eight shared across the fact-verification tasks.
+
+An evaluation episode is one block: the Question line, then each turn's
+Query line and its retrieved Document lines. `parse_block` reads any block.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -194,20 +198,44 @@ def _example_prefix(task: str, examples: tuple[FewShotExample, ...]) -> str:
     return "".join(blocks)
 
 
-def parse_prompt(task: str, text: str) -> list[dict]:
-    """Invert render_prompt: recover the block fields of a rendered prompt."""
-    q_label = _QUESTION_LABEL[task]
-    blocks = []
-    for chunk in text.split("\n\n"):
-        fields: dict = {"documents": [], "queries": []}
-        for line in chunk.split("\n"):
-            if line.startswith("Document: "):
-                fields["documents"].append(line[len("Document: "):])
-            elif line.startswith(f"{q_label}: "):
-                fields["question"] = line[len(q_label) + 2:]
-            elif line.startswith("Answer: "):
-                fields["answer"] = line[len("Answer: "):]
-            elif line.startswith("Query: "):
-                fields["queries"].append(line[len("Query: "):])
-        blocks.append(fields)
-    return blocks
+# line label -> parse_block key; documents and queries repeat, the rest are scalars
+_BLOCK_FIELDS = {
+    "Document": "documents", "Query": "queries",
+    "Question": "question", "Claim": "claim", "Answer": "answer",
+}
+
+
+def parse_block(block: str) -> dict:
+    """The fields of one rendered block (a few-shot block or an episode).
+
+    Returns `documents` and `queries` as lists in line order; `question`,
+    `claim` and `answer` when present, a repeated label keeping its last
+    value; and `cue`, the block's last line. A label matches only as an
+    exact "Label: " line prefix.
+    """
+    fields: dict = {"documents": [], "queries": []}
+    lines = block.split("\n")
+    for line in lines:
+        label, sep, value = line.partition(": ")
+        key = _BLOCK_FIELDS.get(label) if sep else None
+        if key == "documents" or key == "queries":
+            fields[key].append(value)
+        elif key is not None:
+            fields[key] = value
+    fields["cue"] = lines[-1]
+    return fields
+
+
+def render_episode(question: str, turns, doc_text, cue: Optional[str] = None) -> str:
+    """An episode's context after `turns`, (query, retrieved ids) pairs;
+    `doc_text` maps an id to its Document line's text. Without a cue the
+    context ends in a newline, ready for the model's next line."""
+    lines = [f"Question: {question}"]
+    for query, retrieved in turns:
+        lines.append(f"Query: {query}")
+        for doc_id in retrieved:
+            lines.append(f"Document: {doc_text(doc_id)}")
+    if cue is not None:
+        lines.append(cue)
+        return "\n".join(lines)
+    return "\n".join(lines) + "\n"

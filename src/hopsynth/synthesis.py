@@ -10,7 +10,7 @@ the predicted answer promoted to ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import promptkit
@@ -77,6 +77,11 @@ class FilterConfig:
     min_entities_hyper: int = 1
     min_entities_topic: int = 2
 
+    def __post_init__(self):
+        # a token F1 never exceeds 1, so a threshold of 1 keeps nothing
+        if not 0.0 <= self.f1_threshold < 1.0:
+            raise ValueError("f1_threshold must be in [0, 1)")
+
 
 def normalize_label(text: str) -> str:
     return " ".join(text.strip().upper().split())
@@ -112,9 +117,7 @@ def generate_question(
         _examples(task, "question", setting, examples),
         [pair.d1.text, pair.d2.text], answer=answer,
     )
-    params = default_decode_params(QUESTION_GEN)
-    if seed is not None:
-        params = params.replace_seed(seed)
+    params = replace(default_decode_params(QUESTION_GEN), seed=seed)
     try:
         text = complete(backend, prompt, params).strip()
     except EmptyCompletion:
@@ -157,9 +160,7 @@ def answer_question(
         _examples(task, "answer", setting, examples),
         [doc.text for doc in docs], question=question,
     )
-    params = default_decode_params(ANSWERING)
-    if seed is not None:
-        params = params.replace_seed(seed)
+    params = replace(default_decode_params(ANSWERING), seed=seed)
     try:
         return complete(backend, prompt, params).strip()
     except EmptyCompletion:
@@ -223,9 +224,7 @@ def generate_queries(
         _examples(task, "query", setting, examples),
         [pair.d1.text, pair.d2.text], question=question, answer=answer,
     )
-    params = default_decode_params(QUERY_GEN)
-    if seed is not None:
-        params = params.replace_seed(seed)
+    params = replace(default_decode_params(QUERY_GEN), seed=seed)
     try:
         completion = complete(backend, prompt, params)
     except EmptyCompletion:

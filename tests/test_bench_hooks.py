@@ -59,6 +59,8 @@ def test_tracer_records_every_stage_of_run_all(tmp_path, corpus_path):
     # blocks and searches each distinct query text once
     assert tracer.calls["retrieval.embed"] > 1
     assert tracer.calls["retrieval.search"] == tracer.counts["retrieval.query_texts"] > 0
+    # every completion reaches the mock's rule: its span is the backend's cost
+    assert tracer.calls["mockllm.rule"] == tracer.calls["genbackend.complete"] > 0
     run_all(corpus_path, tmp_path / "plain", config)
     for name in ("train.jsonl", "dev.jsonl"):
         assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
@@ -81,5 +83,10 @@ def test_tracer_records_episodes_of_run_eval(tmp_path):
     with traced(config) as (tracer, (backend, provider, _)):
         report = run_eval(eval_path, corpus, config, backend, provider)
     assert tracer.calls["evalharness.run_episode"] == len(items)
+    # episodes render through promptkit.render_episode, so prompt_chars stays
+    # a synthesis-only metric
+    assert tracer.calls["promptkit.render_prompt"] == 0
+    assert tracer.counts["promptkit.prompt_chars"] == 0
+    assert tracer.calls["genbackend.complete"] == tracer.calls["mockllm.rule"] > 0
     assert tracer.calls["pipeline.build_index"] == 1
     assert report["em"] == 100.0

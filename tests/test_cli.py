@@ -75,7 +75,7 @@ def test_run_all_exits_2_on_a_query_missing_from_the_embedding_file(
     first_query = rows[0]["candidates"][0]["text"]
     err = capsys.readouterr().err
     assert f"no precomputed embedding for text: {first_query[:60]!r}" in err
-    assert not (out / "train.jsonl").exists()
+    assert not out.exists()  # nothing is written before every stage has run
 
 
 def test_stage_chain(tmp_path, corpus_path, capsys):
@@ -213,6 +213,11 @@ def test_config_unknown_key(tmp_path, corpus_path, capsys):
     "embeddings.kind = fil",
     "embeddings.dim = 0",
     "recognizer.kind = heurstic",
+    "filter.f1_threshold = 1.0",
+    "filter.f1_threshold = -0.1",
+    "pairing.pairs_per_document = -3",
+    "topics.labeler = keywrd",
+    "dev_size = -1",
 ])
 def test_config_bad_value_exits_2(tmp_path, corpus_path, capsys, line):
     config_file = tmp_path / "bad.txt"
@@ -232,6 +237,14 @@ def test_k_flag_is_validated(tmp_path, corpus_path, capsys, command):
         argv += ["--corpus", str(corpus_path)]
     assert main(argv) == 2
     assert "--k: bad value for 'verify.k'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run-all", "emit"])
+def test_dev_size_flag_is_validated(tmp_path, corpus_path, capsys, command):
+    argv = [command, "--in", str(corpus_path), "--out", str(tmp_path / "out"), "--dev-size", "-1"]
+    assert main(argv) == 2
+    assert "--dev-size: bad value for 'dev_size'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

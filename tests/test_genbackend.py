@@ -1,5 +1,6 @@
 import json
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -62,14 +63,14 @@ def test_trim_idempotent_and_earliest():
 def test_mock_deterministic():
     prompt = PromptText("What?", ("\n\n",))
     backend = MockBackend(table={prompt_key("What?"): " yes"})
-    params = default_decode_params("answering").replace_seed(3)
+    params = replace(default_decode_params("answering"), seed=3)
     outputs = {complete(backend, prompt, params) for _ in range(100)}
     assert outputs == {" yes"}
 
 
 def test_mock_rule_program_sees_seed():
     backend = MockBackend(rule=lambda text, seed: f"{text}|{seed}")
-    params = default_decode_params("answering").replace_seed(11)
+    params = replace(default_decode_params("answering"), seed=11)
     assert complete(backend, PromptText("x", ()), params) == "x|11"
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from hopsynth.cli import main
 from hopsynth.config import PipelineConfig
 from hopsynth.pipeline import run_all, run_eval
 
@@ -97,3 +98,54 @@ def test_run_eval_report_digest(tmp_path):
     report = run_eval(questions, corpus, config)
     assert 0 < report["f1"] < 100
     assert _json_sha(report) == GOLDEN["eval"]
+
+
+DEMO = ROOT / "demo"
+# sha256 of each stage command's output on demo/ with demo/config.txt; the
+# store is ingest's output, train and dev are emit's
+DEMO_CHAIN = {
+    "store": "9dec42993c65bb83e7ae5fac66e1273b2193792094e844a5a735e33cea56b9ce",
+    "pairs": "6de667c98e3fd704b490a1436cb94afa5a174ceab1556946482e6e5c6fce9a5d",
+    "drafts": "8a32771bbe641506ac4024dcba6ce91a74b6e90d400db84885d4801a169e3d7a",
+    "decisions": "79d0b8ca8f10e5560b3036b31ebf354cbce5231ca80437383ee16b1d7bda5e21",
+    "candidates": "e37527b07e000adaa08a3b4fc465eeb53e9f5697cea706bbcd43a3c752f38e3e",
+    "instances": "ea812390ab00b101e4a95ad6c423c3e315569af32779ea0e595bf29da1568c89",
+    "train": "064e328aa33061563d4d3b0de359cc05e641b3058708c025fd48a5b8d222660a",
+    "dev": "5b7dc25f47d79dd6dc216fe2f02363658ff9ff4e2e66c9bc1f8b630a418dffe1",
+}
+
+
+def demo_chain_digests(workdir) -> dict:
+    """Run the stage commands in order on demo/; digest each output file."""
+    workdir = Path(workdir)
+    base = ["--config", str(DEMO / "config.txt")]
+    paths = {name: workdir / f"{name}.jsonl" for name in DEMO_CHAIN}
+    store = ["--store", str(paths["store"])]
+    steps = (
+        ["ingest", "--in", str(DEMO / "corpus.jsonl"), "--out", str(paths["store"])],
+        ["pair", *store, "--out", str(paths["pairs"])],
+        ["gen-questions", *store, "--in", str(paths["pairs"]), "--out", str(paths["drafts"])],
+        ["filter-answers", *store, "--in", str(paths["drafts"]),
+         "--out", str(paths["decisions"])],
+        ["gen-queries", *store, "--in", str(paths["decisions"]),
+         "--out", str(paths["candidates"])],
+        ["verify", *store, "--in", str(paths["candidates"]), "--out", str(paths["instances"])],
+        ["emit", "--in", str(paths["instances"]), "--out", str(workdir / "splits")],
+    )
+    for argv in steps:
+        assert main(base + argv) == 0, argv[0]
+    paths["train"] = workdir / "splits" / "train.jsonl"
+    paths["dev"] = workdir / "splits" / "dev.jsonl"
+    return {name: _sha(path.read_bytes()) for name, path in paths.items()}
+
+
+def test_demo_cli_stage_chain_digests_and_run_all(tmp_path):
+    assert demo_chain_digests(tmp_path) == DEMO_CHAIN
+    # run-all chains the same stages in one process and writes the same files
+    out = tmp_path / "run_all"
+    assert main([
+        "--config", str(DEMO / "config.txt"), "run-all",
+        "--in", str(DEMO / "corpus.jsonl"), "--out", str(out),
+    ]) == 0
+    for name in ("train", "dev", "store"):
+        assert _sha((out / f"{name}.jsonl").read_bytes()) == DEMO_CHAIN[name], name

@@ -3,8 +3,9 @@ import random
 
 from hopsynth.config import PipelineConfig
 from hopsynth.genbackend import MockBackend
-from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule, _last_block, _target_block
+from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule
 from hopsynth.pipeline import run_all
+from hopsynth.promptkit import parse_block
 
 from synthcorpus import make_corpus, write_corpus
 
@@ -86,6 +87,11 @@ def test_gold_script_rule(tmp_path):
     assert rule("Question: unknown?\n", None) == ""
 
 
+def _target(prompt):
+    # the block SyntheticPipelineRule parses: the text after the last blank line
+    return prompt.rpartition("\n\n")[2]
+
+
 def test_last_block_equals_split_on_rendered_prompts(tmp_path):
     prompts = []
     rule = SyntheticPipelineRule()
@@ -98,13 +104,15 @@ def test_last_block_equals_split_on_rendered_prompts(tmp_path):
     for task in ("mqa", "fever"):
         config = PipelineConfig(task=task, seed=11, dev_size=3)
         run_all(corpus, tmp_path / task, config, backend=MockBackend(rule=recording))
-    assert {_target_block(p)["cue"] for p in prompts} == {"Question:", "Claim:", "Answer:", "Query:"}
-    for prompt in prompts:
-        assert _last_block(prompt) == prompt.split("\n\n")[-1]
+    targets = [parse_block(_target(p)) for p in prompts]
+    assert {t["cue"] for t in targets} == {"Question:", "Claim:", "Answer:", "Query:"}
+    for prompt, target in zip(prompts, targets):
+        assert _target(prompt) == prompt.split("\n\n")[-1]
+        assert target["documents"] and not target["queries"]
 
 
 def _split_target_block(prompt):
-    # _target_block as it was when it split the whole prompt
+    # the mock's target-block parse as it was when it split the whole prompt
     block = prompt.split("\n\n")[-1]
     fields = {"documents": [], "cue": ""}
     for line in block.split("\n"):
@@ -125,4 +133,6 @@ def test_target_block_parse_unchanged_on_any_newline_runs():
               "Answer: a", "Answer:", "Query:", "x"]
     for _ in range(5000):
         prompt = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
-        assert _target_block(prompt) == _split_target_block(prompt), repr(prompt)
+        target = parse_block(_target(prompt))
+        assert target.pop("queries") == []
+        assert target == _split_target_block(prompt), repr(prompt)

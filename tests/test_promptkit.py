@@ -14,7 +14,8 @@ from hopsynth.promptkit import (
     PromptError,
     builtin_examples,
     load_examples,
-    parse_prompt,
+    parse_block,
+    render_episode,
     render_prompt,
 )
 
@@ -193,7 +194,7 @@ def test_render_parse_roundtrip():
         prompt = render_prompt(
             MQA_QUERY_GEN, "hyper", examples, target_docs, answer=answer, question=question
         )
-        blocks = parse_prompt(MQA_QUERY_GEN, prompt.text)
+        blocks = [parse_block(block) for block in prompt.text.split("\n\n")]
         assert len(blocks) == len(examples) + 1
         for ex, parsed in zip(examples, blocks):
             assert tuple(parsed["documents"]) == ex.documents
@@ -203,6 +204,33 @@ def test_render_parse_roundtrip():
         assert blocks[-1]["documents"] == target_docs
         assert blocks[-1]["question"] == question
         assert blocks[-1]["answer"] == answer
+
+
+def test_parse_block_exact_labels_last_scalar_wins():
+    block = (
+        "Question: first\nQuery:tight\nDocument\nDocument: d: e\nAnswer: a\n"
+        "Question: second\nClaim: c\nQuery: q\nAnswer:"
+    )
+    assert parse_block(block) == {
+        "documents": ["d: e"], "queries": ["q"], "question": "second", "claim": "c",
+        "answer": "a", "cue": "Answer:",
+    }
+
+
+def test_render_episode_layout_parses_back():
+    text = {"d1": "alpha doc", "d2": "beta doc"}.__getitem__
+    turns = [("first q", ("d1", "d2")), ("second q", ("d2",))]
+    context = render_episode("Which?", turns, text)
+    assert context == (
+        "Question: Which?\nQuery: first q\nDocument: alpha doc\nDocument: beta doc\n"
+        "Query: second q\nDocument: beta doc\n"
+    )
+    assert render_episode("Which?", turns, text, cue="Answer:") == context + "Answer:"
+    assert render_episode("Which?", [], text) == "Question: Which?\n"
+    assert parse_block(context) == {
+        "documents": ["alpha doc", "beta doc", "beta doc"], "queries": ["first q", "second q"],
+        "question": "Which?", "cue": "",
+    }
 
 
 def test_load_examples_override(tmp_path):
