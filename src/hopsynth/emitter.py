@@ -32,19 +32,6 @@ class StatsReport:
     avg_query_words: Optional[float]
     avg_answer_words: Optional[float]  # absent (None) for fact verification
 
-    def to_dict(self) -> dict:
-        return {
-            "train_size": self.train_size,
-            "dev_size": self.dev_size,
-            "count_single_query": self.count_single_query,
-            "percent_single_query": self.percent_single_query,
-            "count_two_query": self.count_two_query,
-            "percent_two_query": self.percent_two_query,
-            "avg_question_words": self.avg_question_words,
-            "avg_query_words": self.avg_query_words,
-            "avg_answer_words": self.avg_answer_words,
-        }
-
 
 def instance_to_record(instance: DataInstance) -> dict:
     return {

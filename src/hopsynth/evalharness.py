@@ -12,7 +12,7 @@ self-consistency over sampled answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .genbackend import (
@@ -62,18 +62,19 @@ def run_episode(
 ) -> Transcript:
     """One retrieval episode for a question.
 
+    Each turn is one completion under `params`, an eval stage's decode
+    params, whose stop sequence (a newline) ends the turn at its line.
     `doc_text_lookup` maps a doc id to the text inserted into the context;
     it defaults to the id itself (tests) and is normally store lookup.
     Backend errors such as BackendUnavailable propagate: an outage is not a
     wrong answer.
     """
     texts = doc_text_lookup or (lambda doc_id: doc_id)
-    step_params = replace(params, stop=("\n",))
     turns: list[tuple[str, tuple[str, ...]]] = []
     while len(turns) < config.max_hops:
         prompt = render_episode(question, turns, texts)
         try:
-            completion = complete(backend, prompt, step_params).strip()
+            completion = complete(backend, prompt, params).strip()
         except EmptyCompletion:
             return Transcript(question, tuple(turns), None, HALT_EMPTY)
         if completion.startswith("Answer:"):
@@ -95,7 +96,7 @@ def run_episode(
     # hop limit: force one answering turn
     prompt = render_episode(question, turns, texts, cue="Answer:")
     try:
-        completion = complete(backend, prompt, step_params).strip()
+        completion = complete(backend, prompt, params).strip()
     except EmptyCompletion:
         return Transcript(question, tuple(turns), None, HALT_HOP_LIMIT)
     if completion.startswith("Answer:"):

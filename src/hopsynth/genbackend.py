@@ -3,8 +3,10 @@
 Wire protocol: POST {endpoint}/v1/completions with
     {"prompt": s, "max_tokens": n, "temperature": x, "top_p": x,
      "top_k": n|null, "stop": [s], "seed": n|null}
-returning {"text": s}. The mock backend answers from a prompt-hash table
-and/or a rule program and is a pure function of (prompt text, seed).
+returning {"text": s}. A request is the prompt text plus `DecodeParams`;
+`stop` carries the stage's stop sequences, and `complete` trims the
+returned text at them too. The mock backend answers from a prompt-hash
+table and/or a rule program and is a pure function of (prompt text, seed).
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .httpjson import ATTEMPTS, BACKOFF_BASE, JsonSession, post_with_retries
-from .promptkit import PromptText
+from .httpjson import JsonSession, post_with_retries
+from .promptkit import STOP_SEQUENCES
 
 QUESTION_GEN = "question_gen"
 ANSWERING = "answering"
@@ -59,17 +61,18 @@ class DecodeParams:
 
 
 def default_decode_params(stage: str) -> DecodeParams:
-    """Decoding defaults per pipeline stage."""
+    """Decoding defaults per pipeline stage: synthesis completions stop at the
+    end of the prompt's target block, evaluation turns at the end of a line."""
     if stage == QUESTION_GEN:
-        return DecodeParams(max_tokens=64, top_p=0.9)
+        return DecodeParams(max_tokens=64, top_p=0.9, stop=STOP_SEQUENCES)
     if stage == ANSWERING:
-        return DecodeParams(max_tokens=16, top_p=0.9)
+        return DecodeParams(max_tokens=16, top_p=0.9, stop=STOP_SEQUENCES)
     if stage == QUERY_GEN:
-        return DecodeParams(max_tokens=64, top_p=0.9)
+        return DecodeParams(max_tokens=64, top_p=0.9, stop=STOP_SEQUENCES)
     if stage == EVAL_GREEDY:
-        return DecodeParams(max_tokens=64, temperature=0.0)
+        return DecodeParams(max_tokens=64, temperature=0.0, stop=("\n",))
     if stage == EVAL_SELF_CONSISTENCY:
-        return DecodeParams(max_tokens=64, temperature=0.7, top_k=40)
+        return DecodeParams(max_tokens=64, temperature=0.7, top_k=40, stop=("\n",))
     raise ValueError(f"unknown stage: {stage}")
 
 
@@ -120,16 +123,7 @@ class MockBackend:
 class HttpBackend:
     """Client for the completion wire protocol with bounded retries."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        max_retries: int = ATTEMPTS,
-        backoff_base: float = BACKOFF_BASE,
-        timeout: float = 120.0,
-        session=None,
-    ):
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
+    def __init__(self, endpoint: str, timeout: float = 120.0, session=None):
         self.session = session or JsonSession(endpoint, timeout)
 
     def raw_complete(self, prompt_text: str, params: DecodeParams) -> str:
@@ -142,10 +136,7 @@ class HttpBackend:
             "stop": list(params.stop),
             "seed": params.seed,
         }
-        payload = post_with_retries(
-            self.session, "/v1/completions", body, BackendUnavailable,
-            attempts=self.max_retries, backoff_base=self.backoff_base,
-        )
+        payload = post_with_retries(self.session, "/v1/completions", body, BackendUnavailable)
         if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
             raise MalformedResponse(f"bad completion payload: {payload!r}")
         return payload["text"]
@@ -154,20 +145,15 @@ class HttpBackend:
 Backend = MockBackend | HttpBackend
 
 
-def complete(backend: Backend, prompt: PromptText | str, params: DecodeParams) -> str:
-    """Run one completion and trim it at the first stop sequence.
+def complete(backend: Backend, prompt: str, params: DecodeParams) -> str:
+    """Run one completion and trim it at the first of `params.stop`.
 
-    Stop sequences come from the prompt when it carries them, otherwise from
-    params.stop. Raises EmptyCompletion when nothing is left after trimming.
+    Raises EmptyCompletion when nothing is left after trimming.
     """
-    if isinstance(prompt, PromptText):
-        text, stops = prompt.text, prompt.stop_sequences or params.stop
-    else:
-        text, stops = prompt, params.stop
-    if not text:
+    if not prompt:
         raise ValueError("prompt must be non-empty")
-    raw = backend.raw_complete(text, params)
-    trimmed = trim_at_stop(raw, stops)
+    raw = backend.raw_complete(prompt, params)
+    trimmed = trim_at_stop(raw, params.stop)
     if not trimmed.strip():
         raise EmptyCompletion("completion empty after stop trimming")
     return trimmed

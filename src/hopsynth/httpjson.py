@@ -90,27 +90,20 @@ class JsonSession:
         return self._conn
 
 
-def post_with_retries(
-    session,
-    path: str,
-    body,
-    error: type[Exception],
-    attempts: int = ATTEMPTS,
-    backoff_base: float = BACKOFF_BASE,
-) -> object:
-    """`session.post(path, body)`, tried up to `attempts` times.
+def post_with_retries(session, path: str, body, error: type[Exception]) -> object:
+    """`session.post(path, body)`, tried up to ATTEMPTS times.
 
-    A transport failure is followed by a sleep of `backoff_base * 2**attempt`
+    A transport failure is followed by a sleep of `BACKOFF_BASE * 2**attempt`
     and another attempt; after the last one, `error` is raised from it.
     `session.post` is looked up on every attempt, so a wrapper set on the
     session instance sees each request.
     """
     last: Exception | None = None
-    for attempt in range(attempts):
+    for attempt in range(ATTEMPTS):
         try:
             return session.post(path, body)
         except TRANSPORT_ERRORS as exc:
             last = exc
-            if attempt + 1 < attempts:
-                time.sleep(backoff_base * 2 ** attempt)
-    raise error(f"POST {path} failed after {attempts} attempts: {last}") from last
+            if attempt + 1 < ATTEMPTS:
+                time.sleep(BACKOFF_BASE * 2 ** attempt)
+    raise error(f"POST {path} failed after {ATTEMPTS} attempts: {last}") from last

@@ -9,8 +9,7 @@ Each stage is one ordered loop over its rows.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import synthesis
@@ -46,8 +45,6 @@ from .verification import (
     retrieve_queries,
     verify_query,
 )
-
-logger = logging.getLogger(__name__)
 
 # Draft texts per recognizer call; the same block size as verification's
 # EMBED_BLOCK, which kept the HTTP client's peak RSS flat.
@@ -358,7 +355,7 @@ def run_all(
         "seed": config.seed,
         "counters": totals,
         "conserved": counters_conserved(totals),
-        "stats": dataset_stats(train, dev).to_dict(),
+        "stats": asdict(dataset_stats(train, dev)),
         "outputs": {
             "train": str(out_dir / "train.jsonl"),
             "dev": str(out_dir / "dev.jsonl"),

@@ -11,12 +11,14 @@ on the task:
     verify         Document, Document, Claim, Answer
 
 The final block is the target instance and stops at the cue label, so the
-completion supplies the missing field. The built-in examples ship as data
+completion supplies the missing field; STOP_SEQUENCES end that field (the
+synthesis stages' `DecodeParams.stop`). The built-in examples ship as data
 files and are the complete human-annotated seed set: four per multi-hop
 (task, setting) and eight shared across the fact-verification tasks.
 
 An evaluation episode is one block: the Question line, then each turn's
-Query line and its retrieved Document lines. `parse_block` reads any block.
+Query line and its retrieved Document lines. In both layouts a document is
+one line: its newlines become spaces. `parse_block` reads any block.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ TASK_KINDS = (
 )
 FEVER_TASKS = (FEVER_CLAIM_GEN, FEVER_VERIFY, FEVER_QUERY_GEN)
 
-STOP_SEQUENCES = ["\n\n", "\nDocument:"]
+STOP_SEQUENCES = ("\n\n", "\nDocument:")
 
 # (ordered fields after the documents, cue label) per task; the question
 # label doubles as the claim label for fact verification.
@@ -78,7 +80,6 @@ class FewShotExample:
 @dataclass(frozen=True)
 class PromptText:
     text: str
-    stop_sequences: tuple[str, ...]
 
 
 def _check_task(task: str, setting: str) -> None:
@@ -183,7 +184,7 @@ def render_prompt(
     target.append(f"{cue}:")
 
     text = _example_prefix(task, tuple(examples)) + "\n".join(target)
-    return PromptText(text=text, stop_sequences=tuple(STOP_SEQUENCES))
+    return PromptText(text)
 
 
 @functools.lru_cache(maxsize=64)
@@ -234,7 +235,7 @@ def render_episode(question: str, turns, doc_text, cue: Optional[str] = None) ->
     for query, retrieved in turns:
         lines.append(f"Query: {query}")
         for doc_id in retrieved:
-            lines.append(f"Document: {doc_text(doc_id)}")
+            lines.append(f"Document: {_clean_document(doc_text(doc_id))}")
     if cue is not None:
         lines.append(cue)
         return "\n".join(lines)

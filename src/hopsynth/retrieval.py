@@ -29,8 +29,6 @@ class EmbeddingError(RuntimeError):
 
 
 class EmbeddingProvider(Protocol):
-    dim: int
-
     def __call__(self, texts: list[str]) -> list[np.ndarray]: ...
 
 
@@ -91,14 +89,11 @@ class FileEmbedder:
 
     def __init__(self, path: str | Path):
         self.table: dict[str, np.ndarray] = {}
-        self.dim = 0
         for line in Path(path).read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue
             row = json.loads(line)
-            vec = np.asarray(row["vector"], dtype=np.float32)
-            self.table[row["text"]] = vec
-            self.dim = int(vec.shape[0])
+            self.table[row["text"]] = np.asarray(row["vector"], dtype=np.float32)
 
     def __call__(self, texts: list[str]) -> list[np.ndarray]:
         out = []
@@ -115,7 +110,6 @@ class HttpEmbedder:
 
     def __init__(self, endpoint: str, timeout: float = 60.0, session=None):
         self.session = session or JsonSession(endpoint, timeout)
-        self.dim = 0
 
     def __call__(self, texts: list[str]) -> list[np.ndarray]:
         payload = post_with_retries(
@@ -124,10 +118,7 @@ class HttpEmbedder:
         vectors = payload.get("vectors") if isinstance(payload, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise EmbeddingError(f"bad embedding payload for {len(texts)} texts")
-        out = [np.asarray(v, dtype=np.float32) for v in vectors]
-        if out:
-            self.dim = int(out[0].shape[0])
-        return out
+        return [np.asarray(v, dtype=np.float32) for v in vectors]
 
 
 def embed(provider: EmbeddingProvider, texts: Sequence[str]) -> list[np.ndarray]:

@@ -38,13 +38,14 @@ FEVER_LABELS = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
 
 MAX_MODEL_QUERIES = 4
 
+# (task, decode stage) -> prompt task
 _PROMPT_TASK = {
-    (TASK_MQA, "question"): promptkit.MQA_QUESTION_GEN,
-    (TASK_MQA, "answer"): promptkit.MQA_ANSWER,
-    (TASK_MQA, "query"): promptkit.MQA_QUERY_GEN,
-    (TASK_FEVER, "question"): promptkit.FEVER_CLAIM_GEN,
-    (TASK_FEVER, "answer"): promptkit.FEVER_VERIFY,
-    (TASK_FEVER, "query"): promptkit.FEVER_QUERY_GEN,
+    (TASK_MQA, QUESTION_GEN): promptkit.MQA_QUESTION_GEN,
+    (TASK_MQA, ANSWERING): promptkit.MQA_ANSWER,
+    (TASK_MQA, QUERY_GEN): promptkit.MQA_QUERY_GEN,
+    (TASK_FEVER, QUESTION_GEN): promptkit.FEVER_CLAIM_GEN,
+    (TASK_FEVER, ANSWERING): promptkit.FEVER_VERIFY,
+    (TASK_FEVER, QUERY_GEN): promptkit.FEVER_QUERY_GEN,
 }
 
 
@@ -87,18 +88,27 @@ def normalize_label(text: str) -> str:
     return " ".join(text.strip().upper().split())
 
 
-def _setting(pair: DocumentPair, task: str) -> str:
-    if task == TASK_FEVER:
-        if pair.relation != HYPER:
-            raise ValueError("fact-verification drafts only use hyper pairs")
-        return HYPER
-    return pair.relation
-
-
-def _examples(task: str, role: str, setting: str, examples):
-    if examples is not None:
-        return examples
-    return promptkit.builtin_examples(_PROMPT_TASK[(task, role)], setting)
+def _ask(
+    backend: Backend,
+    task: str,
+    stage: str,
+    setting: str,
+    examples: Optional[Sequence[FewShotExample]],
+    documents: Sequence[str],
+    seed: Optional[int],
+    **fields: str,
+) -> str:
+    """One synthesis completion: the stage's prompt over `documents` (with the
+    built-in examples when `examples` is None) under the stage's decode
+    params. Returns the trimmed completion, "" when it is empty."""
+    prompt_task = _PROMPT_TASK[(task, stage)]
+    if examples is None:
+        examples = promptkit.builtin_examples(prompt_task, setting)
+    prompt = promptkit.render_prompt(prompt_task, setting, examples, documents, **fields)
+    try:
+        return complete(backend, prompt.text, replace(default_decode_params(stage), seed=seed))
+    except EmptyCompletion:
+        return ""
 
 
 def generate_question(
@@ -111,16 +121,11 @@ def generate_question(
 ) -> Optional[QuestionDraft]:
     """Generate one question (or claim) for a pair, or None when the backend
     produced nothing usable."""
-    setting = _setting(pair, task)
-    prompt = promptkit.render_prompt(
-        _PROMPT_TASK[(task, "question")], setting,
-        _examples(task, "question", setting, examples),
-        [pair.d1.text, pair.d2.text], answer=answer,
-    )
-    params = replace(default_decode_params(QUESTION_GEN), seed=seed)
-    try:
-        text = complete(backend, prompt, params).strip()
-    except EmptyCompletion:
+    text = _ask(
+        backend, task, QUESTION_GEN, pair.relation, examples,
+        [pair.d1.text, pair.d2.text], seed, answer=answer,
+    ).strip()
+    if not text:
         return None
     if task == TASK_MQA:
         # questions must end at their question mark; repair or give up
@@ -154,17 +159,10 @@ def answer_question(
     """Predict an answer for the question over exactly the given documents."""
     if not 1 <= len(docs) <= 2:
         raise ValueError("answering takes one or two documents")
-    setting = HYPER if task == TASK_FEVER else setting
-    prompt = promptkit.render_prompt(
-        _PROMPT_TASK[(task, "answer")], setting,
-        _examples(task, "answer", setting, examples),
-        [doc.text for doc in docs], question=question,
-    )
-    params = replace(default_decode_params(ANSWERING), seed=seed)
-    try:
-        return complete(backend, prompt, params).strip()
-    except EmptyCompletion:
-        return ""
+    return _ask(
+        backend, task, ANSWERING, setting, examples,
+        [doc.text for doc in docs], seed, question=question,
+    ).strip()
 
 
 def decide_answerable(pred: str, prepared: str, config: FilterConfig, task: str = TASK_MQA) -> bool:
@@ -218,17 +216,10 @@ def generate_queries(
     """Model query candidates (capped) plus the original question as backup."""
     if not question:
         raise ValueError("query generation needs a question")
-    setting = _setting(pair, task)
-    prompt = promptkit.render_prompt(
-        _PROMPT_TASK[(task, "query")], setting,
-        _examples(task, "query", setting, examples),
-        [pair.d1.text, pair.d2.text], question=question, answer=answer,
+    completion = _ask(
+        backend, task, QUERY_GEN, pair.relation, examples,
+        [pair.d1.text, pair.d2.text], seed, question=question, answer=answer,
     )
-    params = replace(default_decode_params(QUERY_GEN), seed=seed)
-    try:
-        completion = complete(backend, prompt, params)
-    except EmptyCompletion:
-        completion = ""
     candidates: list[QueryCandidate] = []
     for line in completion.split("\n"):
         stripped = line.strip()

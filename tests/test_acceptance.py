@@ -8,6 +8,7 @@ import json
 import random
 import threading
 import time
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -363,7 +364,7 @@ def test_criterion_6_stats_format():
     train = [inst(i, 1 + i % 2) for i in range(7)]
     dev = [inst(100 + i, 2) for i in range(3)]
     stats = dataset_stats(train, dev)
-    payload = stats.to_dict()
+    payload = asdict(stats)
     assert set(payload) == {
         "train_size", "dev_size",
         "count_single_query", "percent_single_query",

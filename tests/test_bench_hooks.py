@@ -61,6 +61,12 @@ def test_tracer_records_every_stage_of_run_all(tmp_path, corpus_path):
     assert tracer.calls["retrieval.search"] == tracer.counts["retrieval.query_texts"] > 0
     # every completion reaches the mock's rule: its span is the backend's cost
     assert tracer.calls["mockllm.rule"] == tracer.calls["genbackend.complete"] > 0
+    # every synthesis completion renders one prompt over its built-in examples,
+    # and the answer filter asks three times per draft (both, first, second)
+    assert (tracer.calls["promptkit.render_prompt"] == tracer.calls["genbackend.complete"]
+            == tracer.calls["promptkit.builtin_examples"])
+    assert (tracer.calls["synthesis.answer_question"]
+            == 3 * tracer.counts["pipeline.stage_filter_answers.in"] > 0)
     run_all(corpus_path, tmp_path / "plain", config)
     for name in ("train.jsonl", "dev.jsonl"):
         assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -118,7 +119,7 @@ def test_stats_empty_input():
 
 def test_stats_report_has_table_fields():
     report = dataset_stats([make_instance(0)], dev=[make_instance(1)])
-    payload = report.to_dict()
+    payload = asdict(report)
     assert set(payload) == {
         "train_size", "dev_size",
         "count_single_query", "percent_single_query",

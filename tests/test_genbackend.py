@@ -5,6 +5,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from hopsynth.corpus import Document
+from hopsynth.evalharness import EvalConfig, run_episode
 from hopsynth.genbackend import (
     BackendUnavailable,
     DecodeParams,
@@ -17,7 +19,10 @@ from hopsynth.genbackend import (
     prompt_key,
     trim_at_stop,
 )
-from hopsynth.promptkit import PromptText
+from hopsynth.pairing import DocumentPair
+from hopsynth.promptkit import STOP_SEQUENCES
+from hopsynth.retrieval import HashEmbedder, build_flat_index, embed
+from hopsynth.synthesis import answer_question, generate_queries, generate_question
 
 
 def test_default_params_per_stage():
@@ -33,6 +38,10 @@ def test_default_params_per_stage():
     assert (sc.top_k, sc.temperature) == (40, 0.7)
     with pytest.raises(ValueError):
         default_decode_params("nope")
+    for stage in ("question_gen", "answering", "query_gen"):
+        assert default_decode_params(stage).stop == STOP_SEQUENCES == ("\n\n", "\nDocument:")
+    for stage in ("eval_greedy", "eval_self_consistency"):
+        assert default_decode_params(stage).stop == ("\n",)
 
 
 def test_params_single_sampling_family():
@@ -46,10 +55,10 @@ def test_params_single_sampling_family():
 
 
 def test_mock_stop_trimming():
-    prompt = PromptText("P", ("\n\n",))
     backend = MockBackend(table={prompt_key("P"): " Paris\n\nmore"})
     params = default_decode_params("answering")
-    assert complete(backend, prompt, params) == " Paris"
+    assert complete(backend, "P", params) == " Paris"
+    assert complete(backend, "P", replace(params, stop=())) == " Paris\n\nmore"
 
 
 def test_trim_idempotent_and_earliest():
@@ -61,23 +70,22 @@ def test_trim_idempotent_and_earliest():
 
 
 def test_mock_deterministic():
-    prompt = PromptText("What?", ("\n\n",))
     backend = MockBackend(table={prompt_key("What?"): " yes"})
     params = replace(default_decode_params("answering"), seed=3)
-    outputs = {complete(backend, prompt, params) for _ in range(100)}
+    outputs = {complete(backend, "What?", params) for _ in range(100)}
     assert outputs == {" yes"}
 
 
 def test_mock_rule_program_sees_seed():
     backend = MockBackend(rule=lambda text, seed: f"{text}|{seed}")
     params = replace(default_decode_params("answering"), seed=11)
-    assert complete(backend, PromptText("x", ()), params) == "x|11"
+    assert complete(backend, "x", params) == "x|11"
 
 
 def test_mock_miss_is_empty_completion():
     backend = MockBackend(table={})
     with pytest.raises(EmptyCompletion):
-        complete(backend, PromptText("unseen", ("\n\n",)), default_decode_params("answering"))
+        complete(backend, "unseen", default_decode_params("answering"))
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -118,9 +126,9 @@ def http_server():
 
 
 def test_http_passthrough_and_wire_format(http_server):
-    backend = HttpBackend(http_server, backoff_base=0.01)
+    backend = HttpBackend(http_server)
     params = DecodeParams(max_tokens=16, top_p=0.9, stop=("\n\n",), seed=5)
-    out = complete(backend, PromptText("Q", ("\n\n",)), params)
+    out = complete(backend, "Q", params)
     assert out == " yes"
     path, body = _Handler.requests_seen[-1]
     assert path == "/v1/completions"
@@ -135,24 +143,66 @@ def test_http_passthrough_and_wire_format(http_server):
     }
 
 
-def test_http_retries_then_succeeds(http_server):
+def test_http_retries_then_succeeds(http_server, sleeps):
     _Handler.fail_times = 2
-    backend = HttpBackend(http_server, max_retries=3, backoff_base=0.01)
-    out = complete(backend, PromptText("Q", ()), DecodeParams(max_tokens=8))
+    backend = HttpBackend(http_server)
+    out = complete(backend, "Q", DecodeParams(max_tokens=8))
     assert out == " yes"
+    assert len(_Handler.requests_seen) == 3
+    assert sleeps == [0.2, 0.4]
 
 
-def test_http_gives_up_after_retries(http_server):
+def test_http_gives_up_after_retries(http_server, sleeps):
     _Handler.fail_times = 10
-    backend = HttpBackend(http_server, max_retries=3, backoff_base=0.01)
+    backend = HttpBackend(http_server)
     with pytest.raises(BackendUnavailable):
-        complete(backend, PromptText("Q", ()), DecodeParams(max_tokens=8))
+        complete(backend, "Q", DecodeParams(max_tokens=8))
     assert _Handler.fail_times == 7  # exactly 3 attempts consumed
+    assert sleeps == [0.2, 0.4]
 
 
-def test_http_malformed_response(http_server):
+def test_http_malformed_response(http_server, sleeps):
     _Handler.payload = {"wrong": 1}
-    backend = HttpBackend(http_server, backoff_base=0.01)
+    backend = HttpBackend(http_server)
     with pytest.raises(MalformedResponse):
-        complete(backend, PromptText("Q", ()), DecodeParams(max_tokens=8))
+        complete(backend, "Q", DecodeParams(max_tokens=8))
     assert len(_Handler.requests_seen) == 1  # not retried
+    assert sleeps == []
+
+
+class RecordingSession:
+    """A JSON session stand-in that records each request body."""
+
+    def __init__(self, text):
+        self.text, self.bodies = text, []
+
+    def post(self, path, body):
+        self.bodies.append(body)
+        return {"text": self.text}
+
+
+@pytest.mark.parametrize("task,answer", [("mqa", "Paris"), ("fever", "SUPPORTS")])
+def test_synthesis_requests_send_the_block_stops(task, answer):
+    session = RecordingSession(" Paris?\nQuery: Paris\n\nDocument: spill")
+    backend = HttpBackend("http://127.0.0.1:9", session=session)
+    d1 = Document("a", "A", "Paris is a city.", (), None)
+    d2 = Document("b", "B", "France has Paris.", (), None)
+    pair = DocumentPair(d1, d2, "hyper")
+    assert generate_question(pair, answer, backend, task=task).text.startswith("Paris")
+    assert answer_question("Where?", [d1, d2], backend, task=task) == "Paris?\nQuery: Paris"
+    queries = generate_queries(pair, "Where?", answer, backend, task=task)
+    assert [q.text for q in queries] == ["Paris", "Where?"]
+    assert [body["stop"] for body in session.bodies] == [["\n\n", "\nDocument:"]] * 3
+
+
+def test_episode_requests_send_the_line_stop():
+    session = RecordingSession("Answer: Paris\nQuery: more")
+    backend = HttpBackend("http://127.0.0.1:9", session=session)
+    provider = HashEmbedder(dim=16)
+    index = build_flat_index(["d1"], embed(provider, ["Paris"]))
+    transcript = run_episode(
+        "Where?", backend, index, provider, EvalConfig(),
+        default_decode_params("eval_greedy"),
+    )
+    assert transcript.final_answer == "Paris"
+    assert [body["stop"] for body in session.bodies] == [["\n"]]

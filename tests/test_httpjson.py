@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from hopsynth import httpjson
 from hopsynth.entities import HttpRecognizer, RecognizerError
 from hopsynth.genbackend import BackendUnavailable, DecodeParams, HttpBackend
 from hopsynth.httpjson import HttpStatusError, JsonSession
@@ -84,14 +83,6 @@ def serving(protocol="HTTP/1.1", tls=None, **options):
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
-
-
-@pytest.fixture
-def sleeps(monkeypatch):
-    """Backoff sleeps taken by the retry loop, recorded instead of slept."""
-    taken = []
-    monkeypatch.setattr(httpjson.time, "sleep", taken.append)
-    return taken
 
 
 @pytest.mark.parametrize("protocol,connections", [("HTTP/1.1", 1), ("HTTP/1.0", 5)])

@@ -202,7 +202,6 @@ class CountingEmbedder:
 
     def __init__(self, fail_on=None):
         self.inner = HashEmbedder(dim=256)
-        self.dim = self.inner.dim
         self.calls: list[list[str]] = []
         self.fail_on = fail_on
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hopsynth import promptkit
+from hopsynth.genbackend import default_decode_params
 from hopsynth.promptkit import (
     FEVER_CLAIM_GEN,
     FEVER_QUERY_GEN,
@@ -92,7 +93,7 @@ def test_question_gen_block_layout():
     )
     assert "Answer: 1,800 to 7,000 ft\nQuestion:" in prompt.text
     assert prompt.text.endswith("Answer: Turner Pictures\nQuestion:")
-    assert list(prompt.stop_sequences) == ["\n\n", "\nDocument:"]
+    assert default_decode_params("question_gen").stop == ("\n\n", "\nDocument:")
 
 
 def test_answer_task_field_order():
@@ -165,7 +166,7 @@ def test_no_stop_sequence_in_completable_content():
         for block in prompt.text.split("\n\n"):
             last_doc_line = block[block.rfind("Document: "):]
             generated = last_doc_line.split("\n", 1)[1] if "\n" in last_doc_line else ""
-            for stop in prompt.stop_sequences:
+            for stop in default_decode_params("question_gen").stop:
                 assert stop not in generated
 
 
