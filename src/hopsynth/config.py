@@ -49,11 +49,9 @@ class BackendSpec:
     endpoint: Optional[str] = None
     mock_table: Optional[str] = None  # JSON file: prompt hash -> completion
     mock_script: Optional[str] = None  # JSON file for GoldScriptRule
-    mock_rule: str = "synthetic"  # synthetic | none
 
     def __post_init__(self):
         _check_choice("kind", self.kind, ("mock", "http"))
-        _check_choice("mock_rule", self.mock_rule, ("synthetic", "none"))
 
 
 @dataclass
@@ -110,7 +108,7 @@ _SECTIONS = {
     "filter": ("f1_threshold", "min_entities_hyper", "min_entities_topic"),
     "verify": ("k",),
     "eval": ("max_hops", "k", "self_consistency_samples"),
-    "backend": ("kind", "endpoint", "mock_table", "mock_script", "mock_rule"),
+    "backend": ("kind", "endpoint", "mock_table", "mock_script"),
     "embeddings": ("kind", "endpoint", "file", "dim"),
     "recognizer": ("kind", "endpoint"),
 }
@@ -126,8 +124,6 @@ _TOP_LEVEL = {
 
 
 def _coerce(current, raw: str):
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -177,19 +173,16 @@ def build_backend(config: PipelineConfig):
         if not spec.endpoint:
             raise ConfigError("backend.kind=http requires backend.endpoint")
         return HttpBackend(spec.endpoint)
-    if spec.kind == "mock":
-        table = None
-        if spec.mock_table:
-            table = json.loads(Path(spec.mock_table).read_text(encoding="utf-8"))
-        rule = None
-        if spec.mock_script:
-            rule = GoldScriptRule.from_file(spec.mock_script)
-        elif spec.mock_rule == "synthetic" and table is None:
-            rule = SyntheticPipelineRule()
-        if table is None and rule is None:
-            table = {}
-        return MockBackend(table=table, rule=rule)
-    raise ConfigError(f"unknown backend.kind {spec.kind!r}")
+    # mock: the script rule, else the synthetic rule unless a table is given
+    table = None
+    if spec.mock_table:
+        table = json.loads(Path(spec.mock_table).read_text(encoding="utf-8"))
+    rule = None
+    if spec.mock_script:
+        rule = GoldScriptRule.from_file(spec.mock_script)
+    elif table is None:
+        rule = SyntheticPipelineRule()
+    return MockBackend(table=table, rule=rule)
 
 
 def build_embedder(config: PipelineConfig):
@@ -200,19 +193,15 @@ def build_embedder(config: PipelineConfig):
         if not spec.file:
             raise ConfigError("embeddings.kind=file requires embeddings.file")
         return FileEmbedder(spec.file)
-    if spec.kind == "http":
-        if not spec.endpoint:
-            raise ConfigError("embeddings.kind=http requires embeddings.endpoint")
-        return HttpEmbedder(spec.endpoint)
-    raise ConfigError(f"unknown embeddings.kind {spec.kind!r}")
+    if not spec.endpoint:
+        raise ConfigError("embeddings.kind=http requires embeddings.endpoint")
+    return HttpEmbedder(spec.endpoint)
 
 
 def build_recognizer(config: PipelineConfig):
     spec = config.recognizer
     if spec.kind == "heuristic":
         return HeuristicRecognizer()
-    if spec.kind == "http":
-        if not spec.endpoint:
-            raise ConfigError("recognizer.kind=http requires recognizer.endpoint")
-        return HttpRecognizer(spec.endpoint)
-    raise ConfigError(f"unknown recognizer.kind {spec.kind!r}")
+    if not spec.endpoint:
+        raise ConfigError("recognizer.kind=http requires recognizer.endpoint")
+    return HttpRecognizer(spec.endpoint)

@@ -16,11 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .httpjson import JsonSession, post_with_retries
-from .promptkit import STOP_SEQUENCES
+from .promptkit import ANSWERING, QUERY_GEN, QUESTION_GEN, STOP_SEQUENCES
 
-QUESTION_GEN = "question_gen"
-ANSWERING = "answering"
-QUERY_GEN = "query_gen"
 EVAL_GREEDY = "eval_greedy"
 EVAL_SELF_CONSISTENCY = "eval_self_consistency"
 

@@ -18,10 +18,6 @@ HYPER = "hyper"
 TOPIC = "topic"
 
 
-class NoCandidates(ValueError):
-    """A hyper pair produced no answer candidates; the pair is skipped."""
-
-
 @dataclass(frozen=True)
 class DocumentPair:
     d1: Document
@@ -93,7 +89,8 @@ def answer_candidates(pair: DocumentPair, entities: list[str]) -> list[AnswerCan
     """Candidate answers for a pair.
 
     Hyper: recognized entities plus anchor surface spans of both documents,
-    deduplicated in that order. Topic: both titles, "yes", "no".
+    deduplicated in that order, empty when there are none. Topic: both
+    titles, "yes", "no".
     """
     if pair.relation == TOPIC:
         return [
@@ -113,8 +110,6 @@ def answer_candidates(pair: DocumentPair, entities: list[str]) -> list[AnswerCan
             if span and span not in seen:
                 seen.add(span)
                 candidates.append(AnswerCandidate(span, "anchor_text"))
-    if not candidates:
-        raise NoCandidates(f"hyper pair ({pair.d1.id}, {pair.d2.id}) has no answer candidates")
     return candidates
 
 

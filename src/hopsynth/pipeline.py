@@ -21,7 +21,6 @@ from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_param
 from .pairing import (
     HYPER,
     DocumentPair,
-    NoCandidates,
     answer_candidates,
     derive_rng,
     derive_seed,
@@ -119,9 +118,8 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
                     if unseen:
                         entities.update(zip(unseen, recognizer(unseen), strict=True))
                     flat = entities[texts[0]] + entities[texts[1]]
-                    try:
-                        candidates = answer_candidates(pair, flat)
-                    except NoCandidates:
+                    candidates = answer_candidates(pair, flat)
+                    if not candidates:
                         counters["no_answer_candidates"] += 1
                         continue
                 else:

@@ -1,20 +1,20 @@
 """The prompt layout: few-shot stores, and the only code that renders or
 parses prompt text ("Label: value" lines).
 
-Synthesis prompts are blank-line separated blocks. The field order depends
-on the task:
+A synthesis prompt is keyed by (task, stage): the task (`mqa` or `fever`)
+names the question label, `Question` or `Claim`, and the stage fixes the
+field order after the block's Document lines:
 
-    question_gen   Document, Document, Answer, Question
-    answer         Document(s), Question, Answer
-    query_gen      Document, Document, Question, Answer, Query...
-    claim_gen      Document, Document, Answer, Claim
-    verify         Document, Document, Claim, Answer
+    question_gen   Answer, Question
+    answering      Question, Answer
+    query_gen      Question, Answer, Query...
 
-The final block is the target instance and stops at the cue label, so the
-completion supplies the missing field; STOP_SEQUENCES end that field (the
-synthesis stages' `DecodeParams.stop`). The built-in examples ship as data
-files and are the complete human-annotated seed set: four per multi-hop
-(task, setting) and eight shared across the fact-verification tasks.
+Its blocks are blank-line separated, and one block writer writes them all:
+the examples, then the target instance, which stops at the stage's cue (its
+last field) so the completion supplies that field; STOP_SEQUENCES end it
+(the synthesis stages' `DecodeParams.stop`). The built-in examples ship as
+data files and are the complete human-annotated seed set: four per
+multi-hop setting and eight for fact verification, shared by every stage.
 
 An evaluation episode is one block: the Question line, then each turn's
 Query line and its retrieved Document lines. In both layouts a document is
@@ -30,39 +30,36 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-MQA_QUESTION_GEN = "mqa_question_gen"
-MQA_ANSWER = "mqa_answer"
-MQA_QUERY_GEN = "mqa_query_gen"
-FEVER_CLAIM_GEN = "fever_claim_gen"
-FEVER_VERIFY = "fever_verify"
-FEVER_QUERY_GEN = "fever_query_gen"
+TASK_MQA = "mqa"
+TASK_FEVER = "fever"
 
-TASK_KINDS = (
-    MQA_QUESTION_GEN, MQA_ANSWER, MQA_QUERY_GEN,
-    FEVER_CLAIM_GEN, FEVER_VERIFY, FEVER_QUERY_GEN,
-)
-FEVER_TASKS = (FEVER_CLAIM_GEN, FEVER_VERIFY, FEVER_QUERY_GEN)
+QUESTION_GEN = "question_gen"
+ANSWERING = "answering"
+QUERY_GEN = "query_gen"
 
 STOP_SEQUENCES = ("\n\n", "\nDocument:")
 
-# (ordered fields after the documents, cue label) per task; the question
-# label doubles as the claim label for fact verification.
-_LAYOUTS: dict[str, tuple[tuple[str, ...], str]] = {
-    MQA_QUESTION_GEN: (("answer", "question"), "Question"),
-    MQA_ANSWER: (("question", "answer"), "Answer"),
-    MQA_QUERY_GEN: (("question", "answer", "queries"), "Query"),
-    FEVER_CLAIM_GEN: (("answer", "question"), "Claim"),
-    FEVER_VERIFY: (("question", "answer"), "Answer"),
-    FEVER_QUERY_GEN: (("question", "answer", "queries"), "Query"),
+# ordered fields after the documents per stage; the last one is the cue
+_LAYOUTS = {
+    QUESTION_GEN: ("answer", "question"),
+    ANSWERING: ("question", "answer"),
+    QUERY_GEN: ("question", "answer", "queries"),
 }
-_QUESTION_LABEL = {
-    MQA_QUESTION_GEN: "Question", MQA_ANSWER: "Question", MQA_QUERY_GEN: "Question",
-    FEVER_CLAIM_GEN: "Claim", FEVER_VERIFY: "Claim", FEVER_QUERY_GEN: "Claim",
+# field -> line label per task; fact verification writes its claims as Claim lines
+_LABELS = {
+    TASK_MQA: {"question": "Question", "answer": "Answer", "queries": "Query"},
+    TASK_FEVER: {"question": "Claim", "answer": "Answer", "queries": "Query"},
+}
+# (task, stage) -> the layout as (field, label) pairs, cue last
+_LABELED_LAYOUTS = {
+    (task, stage): tuple((name, labels[name]) for name in fields)
+    for task, labels in _LABELS.items()
+    for stage, fields in _LAYOUTS.items()
 }
 
 
 class PromptError(ValueError):
-    """Invalid task/setting combination or missing required field."""
+    """Invalid task/stage/setting combination or missing required field."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +72,10 @@ class FewShotExample:
     def __post_init__(self):
         if len(self.queries) > 2:
             raise ValueError("an example carries at most two queries")
+        # each field is one prompt line; a newline would start a new field
+        for value in (self.question_or_claim, self.answer, *self.queries):
+            if "\n" in value:
+                raise ValueError(f"example field {value!r} must be a single line")
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,15 @@ class PromptText:
     text: str
 
 
-def _check_task(task: str, setting: str) -> None:
-    if task not in TASK_KINDS:
+def _check_task(task: str, setting: str, stage: Optional[str] = None) -> None:
+    if task not in _LABELS:
         raise PromptError(f"unknown task: {task}")
+    if stage is not None and stage not in _LAYOUTS:
+        raise PromptError(f"unknown stage: {stage}")
     if setting not in ("hyper", "topic"):
         raise PromptError(f"unknown setting: {setting}")
-    if task in FEVER_TASKS and setting == "topic":
-        raise PromptError("fact-verification tasks only use the hyper setting")
+    if task == TASK_FEVER and setting == "topic":
+        raise PromptError("fact verification only uses the hyper setting")
 
 
 def _example_from_row(row: dict) -> FewShotExample:
@@ -121,21 +124,7 @@ def _load_builtin(name: str) -> tuple[FewShotExample, ...]:
 def builtin_examples(task: str, setting: str) -> tuple[FewShotExample, ...]:
     """The built-in annotated examples for a task and setting (one shared tuple)."""
     _check_task(task, setting)
-    return _load_builtin("fever" if task in FEVER_TASKS else f"mqa_{setting}")
-
-
-def _field_lines(task: str, example: FewShotExample) -> list[str]:
-    fields, _ = _LAYOUTS[task]
-    q_label = _QUESTION_LABEL[task]
-    lines = []
-    for name in fields:
-        if name == "question":
-            lines.append(f"{q_label}: {example.question_or_claim}")
-        elif name == "answer":
-            lines.append(f"Answer: {example.answer}")
-        else:
-            lines.extend(f"Query: {q}" for q in example.queries)
-    return lines
+    return _load_builtin("fever" if task == TASK_FEVER else f"mqa_{setting}")
 
 
 def _clean_document(text: str) -> str:
@@ -143,14 +132,18 @@ def _clean_document(text: str) -> str:
     return " ".join(text.split("\n"))
 
 
-def _check_field(value: str, what: str) -> str:
-    if "\n" in value:
-        raise PromptError(f"{what} must be a single line")
-    return value
+def _write_block(documents: Sequence[str], layout, values: dict) -> str:
+    """One block: a Document line per document, then per (field, label) of
+    `layout` one `label: value` line per value in `values[field]`."""
+    lines = [f"Document: {_clean_document(doc)}" for doc in documents]
+    for name, label in layout:
+        lines.extend(f"{label}: {value}" for value in values[name])
+    return "\n".join(lines)
 
 
 def render_prompt(
     task: str,
+    stage: str,
     setting: str,
     examples: Sequence[FewShotExample],
     documents: Sequence[str],
@@ -160,43 +153,38 @@ def render_prompt(
     """Render the few-shot prompt for one target instance.
 
     `documents` are the target document texts (two normally; the answering
-    task also accepts a single document for per-document probes). The prompt
-    ends at the task's cue label.
+    stage also accepts a single document for per-document probes). Every
+    field before the stage's cue must be given; the prompt ends at the cue.
     """
-    _check_task(task, setting)
-    fields, cue = _LAYOUTS[task]
-    q_label = _QUESTION_LABEL[task]
-    # every field before the cue field must be supplied by the caller
-    required = fields[:-1]
-    if "answer" in required and answer is None:
-        raise PromptError(f"{task} requires an answer")
-    if "question" in required and question is None:
-        raise PromptError(f"{task} requires a question/claim")
+    _check_task(task, setting, stage)
+    *given, (_, cue) = _LABELED_LAYOUTS[(task, stage)]
+    values = {}
+    for name, label in given:
+        value = question if name == "question" else answer
+        if value is None or "\n" in value:
+            raise PromptError(f"{task} {stage} needs a single-line {label} field")
+        values[name] = (value,)
     if not documents:
         raise PromptError("target needs at least one document")
 
-    target = [f"Document: {_clean_document(doc)}" for doc in documents]
-    for name in required:
-        if name == "question":
-            target.append(f"{q_label}: {_check_field(question, 'question/claim')}")
-        elif name == "answer":
-            target.append(f"Answer: {_check_field(answer, 'answer')}")
-    target.append(f"{cue}:")
-
-    text = _example_prefix(task, tuple(examples)) + "\n".join(target)
+    target = _write_block(documents, given, values)
+    text = _example_prefix(task, stage, tuple(examples)) + target + f"\n{cue}:"
     return PromptText(text)
 
 
 @functools.lru_cache(maxsize=64)
-def _example_prefix(task: str, examples: tuple[FewShotExample, ...]) -> str:
+def _example_prefix(task: str, stage: str, examples: tuple[FewShotExample, ...]) -> str:
     # the example blocks, each followed by the blank line before the next block;
-    # every prompt of a stage shares them
-    blocks = []
-    for example in examples:
-        lines = [f"Document: {doc}" for doc in example.documents]
-        lines.extend(_field_lines(task, example))
-        blocks.append("\n".join(lines) + "\n\n")
-    return "".join(blocks)
+    # every prompt of a (task, stage) and example set shares them
+    layout = _LABELED_LAYOUTS[(task, stage)]
+    return "".join(
+        _write_block(example.documents, layout, {
+            "question": (example.question_or_claim,),
+            "answer": (example.answer,),
+            "queries": example.queries,
+        }) + "\n\n"
+        for example in examples
+    )
 
 
 # line label -> parse_block key; documents and queries repeat, the rest are scalars

@@ -6,6 +6,10 @@ backend can re-answer it from both documents above the F1 threshold, and
 (3) valid retrieval queries exist downstream. Questions whose two-document
 prediction agrees with a one-document prediction are kept as single-hop with
 the predicted answer promoted to ground truth.
+
+Every model call goes through `_ask`: the promptkit prompt for the call's
+(task, stage), `mqa` or `fever` and question_gen, answering or query_gen,
+under that stage's decode params.
 """
 
 from __future__ import annotations
@@ -15,21 +19,17 @@ from typing import Optional, Sequence
 
 from . import promptkit
 from .corpus import Document
-from .genbackend import (
+from .genbackend import Backend, EmptyCompletion, complete, default_decode_params
+from .metrics import token_f1
+from .pairing import HYPER, TOPIC, DocumentPair
+from .promptkit import (
     ANSWERING,
     QUERY_GEN,
     QUESTION_GEN,
-    Backend,
-    EmptyCompletion,
-    complete,
-    default_decode_params,
+    TASK_FEVER,
+    TASK_MQA,
+    FewShotExample,
 )
-from .metrics import token_f1
-from .pairing import HYPER, TOPIC, DocumentPair
-from .promptkit import FewShotExample
-
-TASK_MQA = "mqa"
-TASK_FEVER = "fever"
 
 ORIGIN_MODEL = "model"
 ORIGIN_BACKUP = "original_question_backup"
@@ -37,17 +37,6 @@ ORIGIN_BACKUP = "original_question_backup"
 FEVER_LABELS = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
 
 MAX_MODEL_QUERIES = 4
-
-# (task, decode stage) -> prompt task
-_PROMPT_TASK = {
-    (TASK_MQA, QUESTION_GEN): promptkit.MQA_QUESTION_GEN,
-    (TASK_MQA, ANSWERING): promptkit.MQA_ANSWER,
-    (TASK_MQA, QUERY_GEN): promptkit.MQA_QUERY_GEN,
-    (TASK_FEVER, QUESTION_GEN): promptkit.FEVER_CLAIM_GEN,
-    (TASK_FEVER, ANSWERING): promptkit.FEVER_VERIFY,
-    (TASK_FEVER, QUERY_GEN): promptkit.FEVER_QUERY_GEN,
-}
-
 
 @dataclass(frozen=True)
 class QuestionDraft:
@@ -98,13 +87,12 @@ def _ask(
     seed: Optional[int],
     **fields: str,
 ) -> str:
-    """One synthesis completion: the stage's prompt over `documents` (with the
-    built-in examples when `examples` is None) under the stage's decode
-    params. Returns the trimmed completion, "" when it is empty."""
-    prompt_task = _PROMPT_TASK[(task, stage)]
+    """One synthesis completion: the (task, stage) prompt over `documents`
+    (with the built-in examples when `examples` is None) under the stage's
+    decode params. Returns the trimmed completion, "" when it is empty."""
     if examples is None:
-        examples = promptkit.builtin_examples(prompt_task, setting)
-    prompt = promptkit.render_prompt(prompt_task, setting, examples, documents, **fields)
+        examples = promptkit.builtin_examples(task, setting)
+    prompt = promptkit.render_prompt(task, stage, setting, examples, documents, **fields)
     try:
         return complete(backend, prompt.text, replace(default_decode_params(stage), seed=seed))
     except EmptyCompletion:

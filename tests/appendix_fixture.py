@@ -16,9 +16,10 @@ single-hop example, and the example queries for query generation.
 from hopsynth.genbackend import prompt_key
 from hopsynth.pairing import derive_rng
 from hopsynth.promptkit import (
-    MQA_ANSWER,
-    MQA_QUERY_GEN,
-    MQA_QUESTION_GEN,
+    ANSWERING,
+    QUERY_GEN,
+    QUESTION_GEN,
+    TASK_MQA,
     builtin_examples,
     render_prompt,
 )
@@ -143,11 +144,11 @@ def corpus_records():
 
 
 def _hyper_example(stem):
-    return builtin_examples(MQA_QUESTION_GEN, "hyper")[int(stem[1])]
+    return builtin_examples(TASK_MQA, "hyper")[int(stem[1])]
 
 
 def _topic_example(stem):
-    return builtin_examples(MQA_QUESTION_GEN, "topic")[int(stem[1])]
+    return builtin_examples(TASK_MQA, "topic")[int(stem[1])]
 
 
 def expected_instances():
@@ -190,27 +191,25 @@ def mock_table(store):
             d1 = store.documents[f"{stem}a"]
             d2 = store.documents[f"{stem}b"]
             docs = [d1.text, d2.text]
-            qgen_examples = builtin_examples(MQA_QUESTION_GEN, kind)
+            examples = builtin_examples(TASK_MQA, kind)
             put(
-                render_prompt(MQA_QUESTION_GEN, kind, qgen_examples, docs,
+                render_prompt(TASK_MQA, QUESTION_GEN, kind, examples, docs,
                               answer=example.answer),
                 " " + example.question_or_claim,
             )
-            ans_examples = builtin_examples(MQA_ANSWER, kind)
             put(
-                render_prompt(MQA_ANSWER, kind, ans_examples, docs,
+                render_prompt(TASK_MQA, ANSWERING, kind, examples, docs,
                               question=example.question_or_claim),
                 " " + example.answer,
             )
             if stem == "h2":  # the single-query example answers from d1 alone
                 put(
-                    render_prompt(MQA_ANSWER, kind, ans_examples, [d1.text],
+                    render_prompt(TASK_MQA, ANSWERING, kind, examples, [d1.text],
                                   question=example.question_or_claim),
                     " " + example.answer,
                 )
-            query_examples = builtin_examples(MQA_QUERY_GEN, kind)
             put(
-                render_prompt(MQA_QUERY_GEN, kind, query_examples, docs,
+                render_prompt(TASK_MQA, QUERY_GEN, kind, examples, docs,
                               question=example.question_or_claim, answer=example.answer),
                 " " + "\n".join(f"Query: {q}" for q in example.queries),
             )

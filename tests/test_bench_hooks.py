@@ -72,6 +72,17 @@ def test_tracer_records_every_stage_of_run_all(tmp_path, corpus_path):
         assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
+def test_tracer_prompt_spans_of_fever_run_all(tmp_path, corpus_path):
+    # fact verification renders its claim, verify and query prompts the same way
+    config = PipelineConfig(task="fever", seed=11, dev_size=3)
+    config.pairing.pairs_per_document = 2
+    with traced(config) as (tracer, clients):
+        run_all(corpus_path, tmp_path / "traced", config, *clients)
+    assert (tracer.calls["promptkit.render_prompt"] == tracer.calls["genbackend.complete"]
+            == tracer.calls["promptkit.builtin_examples"] > 0)
+    assert tracer.calls["synthesis.generate_queries"] > 0
+
+
 def test_tracer_records_episodes_of_run_eval(tmp_path):
     records = make_corpus(n_docs=10, seed=1, n_topics=2)
     corpus = tmp_path / "corpus.jsonl"

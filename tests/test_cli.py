@@ -189,8 +189,10 @@ def test_workers_alias_changes_nothing(tmp_path, corpus_path):
 
 
 def test_config_unknown_key(tmp_path, corpus_path, capsys):
-    # eval.corpus and pairing.rng_seed were keys once; nothing read them
-    for line in ("no.such.key = 1", "eval.corpus = x.jsonl", "pairing.rng_seed = 3"):
+    # eval.corpus, pairing.rng_seed and backend.mock_rule were keys once;
+    # nothing read the first two, nothing set the last
+    for line in ("no.such.key = 1", "eval.corpus = x.jsonl", "pairing.rng_seed = 3",
+                 "backend.mock_rule = none"):
         config_file = tmp_path / "bad.txt"
         config_file.write_text(line + "\n")
         assert main([
@@ -209,7 +211,6 @@ def test_config_unknown_key(tmp_path, corpus_path, capsys):
     "eval.k = 0",
     "eval.self_consistency_samples = 0",
     "backend.kind = htp",
-    "backend.mock_rule = synthetc",
     "embeddings.kind = fil",
     "embeddings.dim = 0",
     "recognizer.kind = heurstic",

@@ -5,12 +5,11 @@ import pytest
 from hopsynth import promptkit
 from hopsynth.genbackend import default_decode_params
 from hopsynth.promptkit import (
-    FEVER_CLAIM_GEN,
-    FEVER_QUERY_GEN,
-    FEVER_VERIFY,
-    MQA_ANSWER,
-    MQA_QUERY_GEN,
-    MQA_QUESTION_GEN,
+    ANSWERING,
+    QUERY_GEN,
+    QUESTION_GEN,
+    TASK_FEVER,
+    TASK_MQA,
     FewShotExample,
     PromptError,
     builtin_examples,
@@ -22,14 +21,14 @@ from hopsynth.promptkit import (
 
 
 def test_builtin_topic_question_gen():
-    examples = builtin_examples(MQA_QUESTION_GEN, "topic")
+    examples = builtin_examples(TASK_MQA, "topic")
     assert len(examples) == 4
     assert examples[0].answer == "The Border Surrender"
     assert examples[0].question_or_claim == "Does The Border Surrender or Unsane have more members?"
 
 
 def test_builtin_hyper_question_gen():
-    examples = builtin_examples(MQA_QUESTION_GEN, "hyper")
+    examples = builtin_examples(TASK_MQA, "hyper")
     assert len(examples) == 4
     assert examples[0].answer == "1,800 to 7,000 ft"
     assert examples[3].answer == "Turner Pictures"
@@ -38,12 +37,16 @@ def test_builtin_hyper_question_gen():
 
 
 def test_builtin_fever_shared():
-    examples = builtin_examples(FEVER_VERIFY, "hyper")
+    examples = builtin_examples(TASK_FEVER, "hyper")
     assert len(examples) == 8
     labels = {e.answer for e in examples}
     assert labels == {"SUPPORTS", "REFUTES", "NOT ENOUGH INFO"}
-    assert builtin_examples(FEVER_CLAIM_GEN, "hyper") == examples
-    assert builtin_examples(FEVER_QUERY_GEN, "hyper") == examples
+    # claim generation, verification and query generation share all eight
+    for stage in (QUESTION_GEN, ANSWERING, QUERY_GEN):
+        prompt = render_prompt(TASK_FEVER, stage, "hyper", examples, ["x", "y"],
+                               answer="SUPPORTS", question="C.")
+        blocks = [parse_block(block) for block in prompt.text.split("\n\n")]
+        assert [b["claim"] for b in blocks[:-1]] == [e.question_or_claim for e in examples]
 
 
 def test_builtin_examples_parsed_once(monkeypatch):
@@ -56,9 +59,9 @@ def test_builtin_examples_parsed_once(monkeypatch):
         return files(package)
 
     monkeypatch.setattr(promptkit.resources, "files", counting_files)
-    first = builtin_examples(MQA_ANSWER, "hyper")
+    first = builtin_examples(TASK_MQA, "hyper")
     assert len(opened) == 1
-    second = builtin_examples(MQA_QUERY_GEN, "hyper")
+    second = builtin_examples(TASK_MQA, "hyper")
     assert len(opened) == 1
     assert isinstance(first, tuple)
     assert second is first  # one shared immutable tuple, no per-prompt copy
@@ -68,27 +71,49 @@ def test_builtin_seed_set_is_small():
     mqa = {
         (e.documents, e.question_or_claim, e.answer)
         for setting in ("hyper", "topic")
-        for e in builtin_examples(MQA_QUESTION_GEN, setting)
+        for e in builtin_examples(TASK_MQA, setting)
     }
     assert len(mqa) <= 10
     fever = {
         (e.documents, e.question_or_claim, e.answer)
-        for e in builtin_examples(FEVER_VERIFY, "hyper")
+        for e in builtin_examples(TASK_FEVER, "hyper")
     }
     assert len(fever) <= 10
 
 
 def test_fever_topic_rejected():
     with pytest.raises(PromptError):
-        builtin_examples(FEVER_CLAIM_GEN, "topic")
+        builtin_examples(TASK_FEVER, "topic")
     with pytest.raises(PromptError):
-        render_prompt(FEVER_CLAIM_GEN, "topic", [], ["d"], answer="SUPPORTS")
+        render_prompt(TASK_FEVER, QUESTION_GEN, "topic", [], ["d"], answer="SUPPORTS")
+
+
+def test_unknown_task_stage_or_setting_rejected():
+    with pytest.raises(PromptError, match="unknown task"):
+        builtin_examples("mqa_question_gen", "hyper")
+    with pytest.raises(PromptError, match="unknown setting"):
+        builtin_examples(TASK_MQA, "bridge")
+    with pytest.raises(PromptError, match="unknown stage"):
+        render_prompt(TASK_MQA, "verify", "hyper", [], ["d"], answer="A", question="Q?")
+    with pytest.raises(PromptError, match="unknown task"):
+        render_prompt("fever_verify", ANSWERING, "hyper", [], ["d"], question="C.")
+
+
+def test_example_fields_are_single_lines():
+    with pytest.raises(ValueError):
+        FewShotExample(("a", "b"), "Q?\nAnswer: bogus", "A")
+    with pytest.raises(ValueError):
+        FewShotExample(("a", "b"), "Q?", "A\nQuery: bogus")
+    with pytest.raises(ValueError):
+        FewShotExample(("a", "b"), "Q?", "A", ("q1", "q2\nDocument: bogus"))
+    with pytest.raises(PromptError):
+        render_prompt(TASK_MQA, ANSWERING, "hyper", [], ["d"], question="Q?\nAnswer: bogus")
 
 
 def test_question_gen_block_layout():
-    examples = builtin_examples(MQA_QUESTION_GEN, "hyper")
+    examples = builtin_examples(TASK_MQA, "hyper")
     prompt = render_prompt(
-        MQA_QUESTION_GEN, "hyper", examples, ["doc one text", "doc two text"],
+        TASK_MQA, QUESTION_GEN, "hyper", examples, ["doc one text", "doc two text"],
         answer="Turner Pictures",
     )
     assert "Answer: 1,800 to 7,000 ft\nQuestion:" in prompt.text
@@ -97,9 +122,9 @@ def test_question_gen_block_layout():
 
 
 def test_answer_task_field_order():
-    examples = builtin_examples(MQA_ANSWER, "topic")
+    examples = builtin_examples(TASK_MQA, "topic")
     prompt = render_prompt(
-        MQA_ANSWER, "topic", examples, ["a", "b"], question="Who?"
+        TASK_MQA, ANSWERING, "topic", examples, ["a", "b"], question="Who?"
     )
     first_block = prompt.text.split("\n\n")[0]
     lines = first_block.split("\n")
@@ -109,14 +134,14 @@ def test_answer_task_field_order():
 
 
 def test_answer_task_single_document_target():
-    prompt = render_prompt(MQA_ANSWER, "hyper", [], ["only doc"], question="Who?")
+    prompt = render_prompt(TASK_MQA, ANSWERING, "hyper", [], ["only doc"], question="Who?")
     assert prompt.text == "Document: only doc\nQuestion: Who?\nAnswer:"
 
 
 def test_query_gen_single_query_example_renders_one_line():
-    examples = builtin_examples(MQA_QUERY_GEN, "hyper")
+    examples = builtin_examples(TASK_MQA, "hyper")
     prompt = render_prompt(
-        MQA_QUERY_GEN, "hyper", examples, ["x", "y"], answer="A", question="Q?"
+        TASK_MQA, QUERY_GEN, "hyper", examples, ["x", "y"], answer="A", question="Q?"
     )
     pacers_block = prompt.text.split("\n\n")[2]
     assert pacers_block.count("Query:") == 1
@@ -127,41 +152,41 @@ def test_query_gen_single_query_example_renders_one_line():
 
 
 def test_zero_examples_degenerate():
-    prompt = render_prompt(MQA_QUESTION_GEN, "hyper", [], ["d1", "d2"], answer="A")
+    prompt = render_prompt(TASK_MQA, QUESTION_GEN, "hyper", [], ["d1", "d2"], answer="A")
     assert prompt.text == "Document: d1\nDocument: d2\nAnswer: A\nQuestion:"
 
 
 def test_fever_layouts():
-    examples = builtin_examples(FEVER_CLAIM_GEN, "hyper")[:1]
-    gen = render_prompt(FEVER_CLAIM_GEN, "hyper", examples, ["x", "y"], answer="REFUTES")
+    examples = builtin_examples(TASK_FEVER, "hyper")[:1]
+    gen = render_prompt(TASK_FEVER, QUESTION_GEN, "hyper", examples, ["x", "y"], answer="REFUTES")
     assert gen.text.endswith("Answer: REFUTES\nClaim:")
     assert "Answer: NOT ENOUGH INFO\nClaim: Peggy Sue Got Married" in gen.text
-    verify = render_prompt(FEVER_VERIFY, "hyper", examples, ["x", "y"], question="C.")
+    verify = render_prompt(TASK_FEVER, ANSWERING, "hyper", examples, ["x", "y"], question="C.")
     assert verify.text.endswith("Claim: C.\nAnswer:")
     qgen = render_prompt(
-        FEVER_QUERY_GEN, "hyper", examples, ["x", "y"], question="C.", answer="SUPPORTS"
+        TASK_FEVER, QUERY_GEN, "hyper", examples, ["x", "y"], question="C.", answer="SUPPORTS"
     )
     assert qgen.text.endswith("Answer: SUPPORTS\nQuery:")
 
 
 def test_missing_required_field():
     with pytest.raises(PromptError):
-        render_prompt(MQA_QUESTION_GEN, "hyper", [], ["d1", "d2"])
+        render_prompt(TASK_MQA, QUESTION_GEN, "hyper", [], ["d1", "d2"])
     with pytest.raises(PromptError):
-        render_prompt(MQA_QUERY_GEN, "hyper", [], ["d1", "d2"], answer="A")
+        render_prompt(TASK_MQA, QUERY_GEN, "hyper", [], ["d1", "d2"], answer="A")
 
 
 def test_no_stop_sequence_in_completable_content():
     # a model completing any example's generated fields must not run into a
     # stop sequence: after a block's document lines, neither stop may occur
-    for task, setting in [
-        (MQA_QUESTION_GEN, "hyper"), (MQA_QUESTION_GEN, "topic"),
-        (MQA_ANSWER, "hyper"), (MQA_QUERY_GEN, "topic"),
-        (FEVER_CLAIM_GEN, "hyper"), (FEVER_QUERY_GEN, "hyper"),
+    for task, stage, setting in [
+        (TASK_MQA, QUESTION_GEN, "hyper"), (TASK_MQA, QUESTION_GEN, "topic"),
+        (TASK_MQA, ANSWERING, "hyper"), (TASK_MQA, QUERY_GEN, "topic"),
+        (TASK_FEVER, QUESTION_GEN, "hyper"), (TASK_FEVER, QUERY_GEN, "hyper"),
     ]:
         examples = builtin_examples(task, setting)
         prompt = render_prompt(
-            task, setting, examples, ["t1", "t2"], answer="A", question="Q?"
+            task, stage, setting, examples, ["t1", "t2"], answer="A", question="Q?"
         )
         for block in prompt.text.split("\n\n"):
             last_doc_line = block[block.rfind("Document: "):]
@@ -193,7 +218,7 @@ def test_render_parse_roundtrip():
         answer = " ".join(rng.choices(words, k=2))
         question = " ".join(rng.choices(words, k=3)) + "?"
         prompt = render_prompt(
-            MQA_QUERY_GEN, "hyper", examples, target_docs, answer=answer, question=question
+            TASK_MQA, QUERY_GEN, "hyper", examples, target_docs, answer=answer, question=question
         )
         blocks = [parse_block(block) for block in prompt.text.split("\n\n")]
         assert len(blocks) == len(examples) + 1
@@ -243,20 +268,29 @@ def test_load_examples_override(tmp_path):
     assert loaded == [FewShotExample(("a", "b"), "Q?", "A", ("q1",))]
 
 
-def _block_join(task, examples, documents, answer, question):
+# the three stage layouts (fields after the documents, cue last), spelled out
+_REFERENCE_LAYOUTS = {
+    "question_gen": ("answer", "question"),
+    "answering": ("question", "answer"),
+    "query_gen": ("question", "answer", "queries"),
+}
+_REFERENCE_QUESTION_LABEL = {"mqa": "Question", "fever": "Claim"}
+
+
+def _block_join(task, stage, examples, documents, answer, question):
     # the prompt text as one "\n\n" join of every block, rendered afresh
-    fields, cue = promptkit._LAYOUTS[task]
+    labels = {"question": _REFERENCE_QUESTION_LABEL[task], "answer": "Answer", "queries": "Query"}
+    *given, cue = _REFERENCE_LAYOUTS[stage]
     blocks = []
     for example in examples:
-        lines = [f"Document: {doc}" for doc in example.documents]
-        lines.extend(promptkit._field_lines(task, example))
+        values = {"question": [example.question_or_claim], "answer": [example.answer],
+                  "queries": example.queries}
+        lines = ["Document: " + doc.replace("\n", " ") for doc in example.documents]
+        lines += [f"{labels[field]}: {value}" for field in (*given, cue) for value in values[field]]
         blocks.append("\n".join(lines))
-    target = ["Document: " + " ".join(doc.split("\n")) for doc in documents]
-    for name in fields[:-1]:
-        value = question if name == "question" else answer
-        label = promptkit._QUESTION_LABEL[task] if name == "question" else "Answer"
-        target.append(f"{label}: {value}")
-    target.append(f"{cue}:")
+    target = ["Document: " + doc.replace("\n", " ") for doc in documents]
+    target += [f"{labels[field]}: {answer if field == 'answer' else question}" for field in given]
+    target.append(f"{labels[cue]}:")
     blocks.append("\n".join(target))
     return "\n\n".join(blocks)
 
@@ -269,12 +303,12 @@ def test_render_prompt_equals_block_join(tmp_path):
     )
     stores = [load_examples(override), []]
     docs = ["First doc\nwith a newline.", "Second doc."]
-    for task in promptkit.TASK_KINDS:
-        for setting in ("hyper",) if task in promptkit.FEVER_TASKS else ("hyper", "topic"):
+    for task, setting in ((TASK_MQA, "hyper"), (TASK_MQA, "topic"), (TASK_FEVER, "hyper")):
+        for stage in (QUESTION_GEN, ANSWERING, QUERY_GEN):
             for examples in [builtin_examples(task, setting), *stores]:
                 for documents in (docs, docs[:1]):
-                    prompt = render_prompt(task, setting, examples, documents,
+                    prompt = render_prompt(task, stage, setting, examples, documents,
                                            answer="An answer", question="A question?")
                     assert prompt.text == _block_join(
-                        task, examples, documents, "An answer", "A question?"
-                    ), (task, setting, len(examples))
+                        task, stage, examples, documents, "An answer", "A question?"
+                    ), (task, stage, setting, len(examples))
