@@ -92,12 +92,10 @@ class PipelineConfig:
     dev_size: int = 5000
     topics_labeler: str = "file"  # file | keyword | none
     examples_path: Optional[str] = None
-    eval_mode: str = "greedy"  # greedy | self_consistency
 
     def __post_init__(self):
         _check_choice("task", self.task, (TASK_MQA, TASK_FEVER))
         _check_choice("topics_labeler", self.topics_labeler, TOPIC_SOURCES)
-        _check_choice("eval_mode", self.eval_mode, ("greedy", "self_consistency"))
         if self.dev_size < 0:
             raise ValueError("dev_size must be >= 0")
 
@@ -107,7 +105,7 @@ _SECTIONS = {
     "pairing": ("pairs_per_document",),
     "filter": ("f1_threshold", "min_entities_hyper", "min_entities_topic"),
     "verify": ("k",),
-    "eval": ("max_hops", "k", "self_consistency_samples"),
+    "eval": ("max_hops", "k", "self_consistency_samples", "mode"),
     "backend": ("kind", "endpoint", "mock_table", "mock_script"),
     "embeddings": ("kind", "endpoint", "file", "dim"),
     "recognizer": ("kind", "endpoint"),
@@ -119,7 +117,6 @@ _TOP_LEVEL = {
     "dev_size": "dev_size",
     "topics.labeler": "topics_labeler",
     "examples": "examples_path",
-    "eval.mode": "eval_mode",
 }
 
 

@@ -50,7 +50,11 @@ def instance_to_record(instance: DataInstance) -> dict:
 
 
 def record_to_instance(record: dict) -> DataInstance:
+    """Rebuild an instance; a record whose n_hops is not its number of hops
+    is rejected (ValueError)."""
     hops = tuple((h["query"], tuple(h["retrieved"])) for h in record["hops"])
+    if record["n_hops"] != len(hops):
+        raise ValueError(f"{record['id']}: n_hops {record['n_hops']} but {len(hops)} hops")
     return DataInstance(
         id=record["id"],
         task=record["task"],
@@ -59,7 +63,6 @@ def record_to_instance(record: dict) -> DataInstance:
         hops=hops,
         answer=record["answer"],
         source_pair=(record["source_pair"][0], record["source_pair"][1]),
-        single_or_two="single" if record["n_hops"] == 1 else "two",
     )
 
 

@@ -1,17 +1,21 @@
 """Iterative-retrieval evaluation: the model alternates queries and an answer.
 
 An episode renders the running context with `promptkit.render_episode`
-("Question:", then each "Query:" with its retrieved "Document:" lines),
-completes one line at a time, retrieves on "Query:" turns, and stops on
-"Answer:". At the hop limit the harness forces an answering turn by ending
-the context with "Answer:". Completions are read here, leniently: a
-"Query:"/"Answer:" prefix with or without a space, whitespace stripped.
+("Question:", then each "Query:" with its retrieved "Document:" lines) and
+completes one line per turn, read in one place: a "Query:" line retrieves
+and the episode goes on, an "Answer:" line ends it. Prefixes are matched
+with or without a space after the colon, whitespace stripped. Once
+`max_hops` queries have been made, the hop limit changes only the cue: the
+context ends with "Answer:", so a bare line is the answer, while a "Query:"
+line, an empty completion or "Answer: Query: ..." halt with `hop_limit`.
+Before the limit, any unusable line halts with `empty_completion`.
 Scoring is EM/F1 for QA, accuracy for fact verification, with majority-vote
 self-consistency over sampled answers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,7 +37,6 @@ HALT_EMPTY = "empty_completion"
 
 @dataclass(frozen=True)
 class Transcript:
-    question: str
     turns: tuple[tuple[str, tuple[str, ...]], ...]  # (emitted query, retrieved ids)
     final_answer: Optional[str]
     halted_reason: str
@@ -44,11 +47,14 @@ class EvalConfig:
     max_hops: int = 2
     k: int = 7
     self_consistency_samples: int = 20
+    mode: str = "greedy"  # greedy | self_consistency
 
     def __post_init__(self):
         for name in ("max_hops", "k", "self_consistency_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.mode not in ("greedy", "self_consistency"):
+            raise ValueError(f"mode {self.mode!r} is not one of greedy, self_consistency")
 
 
 def run_episode(
@@ -71,47 +77,39 @@ def run_episode(
     """
     texts = doc_text_lookup or (lambda doc_id: doc_id)
     turns: list[tuple[str, tuple[str, ...]]] = []
-    while len(turns) < config.max_hops:
-        prompt = render_episode(question, turns, texts)
+    while True:
+        at_limit = len(turns) == config.max_hops
+        prompt = render_episode(question, turns, texts, cue="Answer:" if at_limit else None)
         try:
-            completion = complete(backend, prompt, params).strip()
+            line = complete(backend, prompt, params).strip()
         except EmptyCompletion:
-            return Transcript(question, tuple(turns), None, HALT_EMPTY)
-        if completion.startswith("Answer:"):
-            answer = completion[len("Answer:"):].strip()
-            if not answer:
-                return Transcript(question, tuple(turns), None, HALT_EMPTY)
-            return Transcript(question, tuple(turns), answer, HALT_ANSWERED)
-        if completion.startswith("Query:"):
-            query = completion[len("Query:"):].strip()
-            if not query:
-                return Transcript(question, tuple(turns), None, HALT_EMPTY)
+            line = ""
+        query = line[len("Query:"):].strip() if line.startswith("Query:") else ""
+        if query and not at_limit:
             vec = embed(provider, [query])[0]
-            retrieved = tuple(s.doc_id for s in search(index, vec, config.k))
-            turns.append((query, retrieved))
+            turns.append((query, tuple(s.doc_id for s in search(index, vec, config.k))))
             continue
-        # anything else is unusable output
-        return Transcript(question, tuple(turns), None, HALT_EMPTY)
-
-    # hop limit: force one answering turn
-    prompt = render_episode(question, turns, texts, cue="Answer:")
-    try:
-        completion = complete(backend, prompt, params).strip()
-    except EmptyCompletion:
-        return Transcript(question, tuple(turns), None, HALT_HOP_LIMIT)
-    if completion.startswith("Answer:"):
-        completion = completion[len("Answer:"):].strip()
-    if not completion or completion.startswith("Query:"):
-        return Transcript(question, tuple(turns), None, HALT_HOP_LIMIT)
-    return Transcript(question, tuple(turns), completion, HALT_ANSWERED)
+        if line.startswith("Answer:"):
+            answer = line[len("Answer:"):].strip()
+        else:
+            answer = line if at_limit else ""
+        if at_limit and answer.startswith("Query:"):
+            answer = ""
+        break
+    halted = HALT_ANSWERED if answer else HALT_HOP_LIMIT if at_limit else HALT_EMPTY
+    return Transcript(tuple(turns), answer or None, halted)
 
 
-def score_qa(predictions: Sequence[str], golds: Sequence[str]) -> tuple[float, float]:
-    """Mean EM and F1, both in percent."""
+def _check_scorable(predictions: Sequence[str], golds: Sequence[str]) -> None:
     if len(predictions) != len(golds):
         raise ValueError(f"{len(predictions)} predictions vs {len(golds)} golds")
     if not golds:
         raise ValueError("nothing to score")
+
+
+def score_qa(predictions: Sequence[str], golds: Sequence[str]) -> tuple[float, float]:
+    """Mean EM and F1, both in percent."""
+    _check_scorable(predictions, golds)
     pairs = [score_pair(p, g) for p, g in zip(predictions, golds)]
     em = 100.0 * sum(1 for s in pairs if s.em) / len(pairs)
     f1 = 100.0 * sum(s.f1 for s in pairs) / len(pairs)
@@ -120,10 +118,7 @@ def score_qa(predictions: Sequence[str], golds: Sequence[str]) -> tuple[float, f
 
 def score_fever(predictions: Sequence[str], golds: Sequence[str]) -> float:
     """Label accuracy in percent; labels must be in the three-class set."""
-    if len(predictions) != len(golds):
-        raise ValueError(f"{len(predictions)} predictions vs {len(golds)} golds")
-    if not golds:
-        raise ValueError("nothing to score")
+    _check_scorable(predictions, golds)
     allowed = set(FEVER_LABELS)
     correct = 0
     for pred, gold in zip(predictions, golds):
@@ -138,19 +133,10 @@ def self_consistency(answers: Sequence[str]) -> str:
     """Majority answer over normalization classes.
 
     The winning class's first-seen surface form is returned; ties go to the
-    class seen earliest.
+    class seen earliest. A single answer wins by itself.
     """
     if not answers:
         raise ValueError("self-consistency needs at least one answer")
-    order: list[str] = []
-    counts: dict[str, int] = {}
-    surface: dict[str, str] = {}
-    for answer in answers:
-        key = normalize_answer(answer)
-        if key not in counts:
-            counts[key] = 0
-            surface[key] = answer
-            order.append(key)
-        counts[key] += 1
-    best = max(order, key=lambda key: (counts[key], -order.index(key)))
-    return surface[best]
+    keys = [normalize_answer(answer) for answer in answers]
+    counts = Counter(keys)
+    return answers[keys.index(max(counts, key=counts.__getitem__))]

@@ -13,22 +13,16 @@ Both are pure functions of (prompt text, seed).
 
 from __future__ import annotations
 
-import hashlib
 import json
-import random
 import re
 from pathlib import Path
 from typing import Optional
 
+from .pairing import derive_rng
 from .promptkit import parse_block
 
 _ANSWER_TAG = re.compile(r" regarding (.+)\?$")
 _LABEL_TAG = re.compile(r"\[(SUPPORTS|REFUTES|NOT ENOUGH INFO)\]")
-
-
-def _rng(prompt: str, seed: Optional[int]) -> random.Random:
-    material = f"{seed}:{prompt}".encode("utf-8")
-    return random.Random(int.from_bytes(hashlib.sha256(material).digest()[:8], "big"))
 
 
 def _lead_words(text: str, count: int = 4) -> str:
@@ -70,7 +64,7 @@ class SyntheticPipelineRule:
         self.p_bad_queries = p_bad_queries
 
     def __call__(self, prompt: str, seed: Optional[int]) -> str:
-        rng = _rng(prompt, seed)
+        rng = derive_rng(seed, prompt)
         target = parse_block(prompt.rpartition("\n\n")[2])
         cue = target["cue"]
         if cue == "Question:":

@@ -4,7 +4,11 @@ verified instances, with per-reason drop accounting.
 Every stage consumes and produces JSONL-friendly dicts so the CLI can stop
 and resume between stages. All randomness derives from (seed, stable item
 keys), so reruns with the same inputs reproduce outputs byte for byte.
-Each stage is one ordered loop over its rows.
+Each stage is one ordered loop over its rows, and its counters count the
+items it took as `attempts` (for `stage_pair`, the pairs sampled for the
+task) and the rows it wrote as `emitted`, so attempts = emitted + drops per
+stage. `run_eval` scores one greedy episode, or majority-votes sampled ones,
+per evaluation item.
 """
 
 from __future__ import annotations
@@ -60,15 +64,10 @@ DROP_REASONS = (
 )
 
 
-def new_counters() -> dict[str, int]:
-    counters = {"attempts": 0, "emitted": 0}
+def new_counters(attempts: int = 0, emitted: int = 0) -> dict[str, int]:
+    counters = {"attempts": attempts, "emitted": emitted}
     counters.update({reason: 0 for reason in DROP_REASONS})
     return counters
-
-
-def merge_counters(total: dict[str, int], part: dict[str, int]) -> None:
-    for key, value in part.items():
-        total[key] = total.get(key, 0) + value
 
 
 def counters_conserved(counters: dict[str, int]) -> bool:
@@ -135,6 +134,7 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
                     "answer_source": source,
                 }
             )
+    counters["emitted"] = len(rows)
     return rows, counters
 
 
@@ -175,6 +175,7 @@ def stage_questions(
             counters["entity_filter"] += 1
         else:
             rows.append({**row, "question": draft.text})
+    counters.update(attempts=len(pair_rows), emitted=len(rows))
     return rows, counters
 
 
@@ -224,6 +225,7 @@ def stage_filter_answers(
                 "final_answer": decision.final_answer,
             }
         )
+    counters.update(attempts=len(draft_rows), emitted=len(rows))
     return rows, counters
 
 
@@ -251,7 +253,7 @@ def stage_queries(
                 for c in candidates
             ],
         })
-    return rows, new_counters()
+    return rows, new_counters(attempts=len(decision_rows), emitted=len(rows))
 
 
 def build_index(store: CorpusStore, provider):
@@ -297,7 +299,7 @@ def stage_verify(
             counters[reason] += 1
         else:
             instances.append(instance)
-    counters["emitted"] = len(instances)
+    counters.update(attempts=len(candidate_rows), emitted=len(instances))
     return instances, counters
 
 
@@ -334,17 +336,15 @@ def run_all(
     recognizer = recognizer or build_recognizer(config)
 
     store = build_store(corpus_path, config)
-    totals = new_counters()
-    pair_rows, counters = stage_pair(store, config, recognizer=recognizer)
-    merge_counters(totals, counters)
-    draft_rows, counters = stage_questions(store, pair_rows, config, backend, recognizer)
-    merge_counters(totals, counters)
-    decision_rows, counters = stage_filter_answers(store, draft_rows, config, backend)
-    merge_counters(totals, counters)
-    candidate_rows, counters = stage_queries(store, decision_rows, config, backend)
-    merge_counters(totals, counters)
-    instances, counters = stage_verify(store, candidate_rows, config, provider)
-    merge_counters(totals, counters)
+    pair_rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
+    draft_rows, question_counts = stage_questions(store, pair_rows, config, backend, recognizer)
+    decision_rows, answer_counts = stage_filter_answers(store, draft_rows, config, backend)
+    candidate_rows, query_counts = stage_queries(store, decision_rows, config, backend)
+    instances, verify_counts = stage_verify(store, candidate_rows, config, provider)
+    stages = (pair_counts, question_counts, answer_counts, query_counts, verify_counts)
+    # each stage takes the rows the one before it wrote
+    totals = new_counters(pair_counts["attempts"], verify_counts["emitted"])
+    totals.update({reason: sum(counts[reason] for counts in stages) for reason in DROP_REASONS})
 
     train, dev = write_splits(instances, out_dir, config)
     serialize_store(store, out_dir / "store.jsonl")
@@ -373,15 +373,16 @@ def run_eval(
     """Score an evaluation set with retrieval episodes.
 
     Items carry {"id", "question", "answer"} (QA) or {"id", "question",
-    "label"} (fact verification). Greedy mode runs one episode per item;
-    self-consistency samples several episodes and majority-votes.
+    "label"} (fact verification). `config.eval.mode` picks greedy decoding,
+    one episode per item, or self-consistency, several sampled episodes;
+    either way the prediction is the majority vote over the item's answers.
     """
     backend = backend or build_backend(config)
     provider = provider or build_embedder(config)
     store = build_store(corpus_path, config)
     index = build_index(store, provider)
     lookup = lambda doc_id: store.documents[doc_id].text  # noqa: E731
-    sampled = config.eval_mode == "self_consistency"
+    sampled = config.eval.mode == "self_consistency"
     params = default_decode_params(EVAL_SELF_CONSISTENCY if sampled else EVAL_GREEDY)
     records = []
     for item in read_rows(eval_path):
@@ -397,9 +398,8 @@ def run_eval(
             ).final_answer or ""
             for seed in seeds
         ]
-        prediction = self_consistency(answers) if sampled else answers[0]
         gold = item.get("answer", item.get("label", ""))
-        records.append({"id": item["id"], "prediction": prediction, "gold": gold})
+        records.append({"id": item["id"], "prediction": self_consistency(answers), "gold": gold})
     predictions = [r["prediction"] for r in records]
     golds = [r["gold"] for r in records]
     if config.task == TASK_FEVER:

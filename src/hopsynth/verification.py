@@ -67,7 +67,6 @@ class DataInstance:
     hops: tuple[tuple[str, tuple[str, ...]], ...]  # (query text, retrieved ids)
     answer: str
     source_pair: tuple[str, str]
-    single_or_two: str  # single | two (number of queries)
 
 
 def retrieve_queries(
@@ -208,7 +207,6 @@ def finalize_with_reason(
         hops=tuple((v.candidate.text, v.retrieved_ids) for v in chosen),
         answer=decision.final_answer,
         source_pair=(pair.d1.id, pair.d2.id),
-        single_or_two="single" if len(chosen) == 1 else "two",
     )
     return instance, None
 
@@ -245,8 +243,6 @@ def validate_instance(
     if d1 not in store.documents or d2 not in store.documents:
         problems.append(f"{instance.id}: source pair not in corpus")
         return problems
-    if instance.single_or_two != ("single" if len(instance.hops) == 1 else "two"):
-        problems.append(f"{instance.id}: single_or_two mislabeled")
 
     expected = retrieve_queries([text for text, _ in instance.hops], index, provider, config.k)
     covered: set[str] = set()

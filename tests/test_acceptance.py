@@ -358,7 +358,6 @@ def test_criterion_6_stats_format():
             hops=tuple((f"q{h}", ("d1",)) for h in range(n_hops)),
             answer="A" if task == "mqa" else "SUPPORTS",
             source_pair=("d1", "d2"),
-            single_or_two="single" if n_hops == 1 else "two",
         )
 
     train = [inst(i, 1 + i % 2) for i in range(7)]

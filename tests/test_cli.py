@@ -128,6 +128,41 @@ def test_stage_chain(tmp_path, corpus_path, capsys):
     assert "#SQ Data" in stats_out
 
 
+def test_stage_chain_counters_conserve(tmp_path, corpus_path, capsys):
+    # each stage command counts the rows it took and the rows it wrote
+    from hopsynth.pairing import sample_pairs
+
+    base = ["--seed", "3", "--task", "mqa"]
+    store = tmp_path / "store.jsonl"
+    assert main(base + ["ingest", "--in", str(corpus_path), "--out", str(store)]) == 0
+    ingested = pipeline.build_store(store, PipelineConfig())
+    config = PipelineConfig()
+    sampled = sum(
+        len(sample_pairs(ingested, doc_id, config.pairing, 3)) for doc_id in ingested.documents
+    )
+    chain = [
+        ("pair", None, "pairs"), ("gen-questions", "pairs", "drafts"),
+        ("filter-answers", "drafts", "decisions"), ("gen-queries", "decisions", "candidates"),
+        ("verify", "candidates", "instances"),
+    ]
+    taken = sampled
+    for command, in_name, out_name in chain:
+        args = base + [command, "--store", str(store), "--out", str(tmp_path / out_name)]
+        if in_name is not None:
+            args += ["--in", str(tmp_path / in_name)]
+            taken = len((tmp_path / in_name).read_text().splitlines())
+        if command == "verify":
+            args += ["--report", str(tmp_path / "report.json")]
+        capsys.readouterr()
+        assert main(args) == 0
+        counters = json.loads(capsys.readouterr().err)["counters"]
+        written = len((tmp_path / out_name).read_text().splitlines())
+        assert counters["attempts"] == taken, command
+        assert counters["emitted"] == written, command
+        assert pipeline.counters_conserved(counters), (command, counters)
+    assert json.loads((tmp_path / "report.json").read_text()) == counters
+
+
 def test_stage_rerun_reproduces_output(tmp_path, corpus_path):
     base = ["--seed", "9", "--backend", "mock", "--embeddings", "mock", "--workers", "2"]
     store = tmp_path / "store.jsonl"

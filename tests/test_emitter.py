@@ -21,7 +21,6 @@ def make_instance(i, n_hops=2, task="mqa", q="What links A and B?", answer="A B"
     return DataInstance(
         id=f"inst{i}", task=task, relation="hyper", question_or_claim=q,
         hops=hops, answer=answer, source_pair=("doc0", "doc1"),
-        single_or_two="single" if n_hops == 1 else "two",
     )
 
 
@@ -32,6 +31,15 @@ def test_write_read_roundtrip(tmp_path):
     assert path.read_text().count("\n") == 3
     back = read_jsonl(path)
     assert back == instances
+
+
+def test_read_rejects_a_mislabeled_record(tmp_path):
+    record = instance_to_record(make_instance(0, n_hops=2))
+    record["n_hops"] = 1
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match="n_hops 1 but 2 hops"):
+        read_jsonl(path)
 
 
 def test_write_empty(tmp_path):

@@ -160,3 +160,59 @@ def test_self_consistency_minority_invariant():
     base = ["win", "win", "win", "other"]
     assert self_consistency(base) == "win"
     assert self_consistency(base + ["loser", "Loser"]) == "win"
+
+
+# (completions in call order, max_hops) -> (queries, final answer, halt reason).
+# Every turn retrieves from a one-document index, so each turn's ids are ("d1",).
+EPISODE_OUTCOMES = [
+    (["Answer: A"], 1, [], "A", "answered"),
+    (["Query: q1", "Answer: A"], 2, ["q1"], "A", "answered"),
+    (["Query:q1", "Answer:A"], 2, ["q1"], "A", "answered"),
+    (["Query: q1", "Answer: A\nQuery: q2"], 2, ["q1"], "A", "answered"),
+    (["Query: q1", "Query: q2", "Query: q3", "Answer: A"], 3, ["q1", "q2", "q3"], "A", "answered"),
+    # before the hop limit, anything unusable ends the episode
+    ([""], 2, [], None, "empty_completion"),
+    (["   "], 2, [], None, "empty_completion"),
+    (["Answer:"], 2, [], None, "empty_completion"),
+    (["Query:"], 2, [], None, "empty_completion"),
+    (["a bare line"], 2, [], None, "empty_completion"),
+    (["Query: q1", "Query:  "], 3, ["q1"], None, "empty_completion"),
+    (["Answer: Query: q1"], 2, [], "Query: q1", "answered"),
+    # at the hop limit the context ends in the Answer: cue
+    (["Query: q1", " A"], 1, ["q1"], "A", "answered"),
+    (["Query: q1", "Answer: A"], 1, ["q1"], "A", "answered"),
+    (["Query: q1", "Answer:Answer: A"], 1, ["q1"], "Answer: A", "answered"),
+    (["Query: q1", "Query: q2", "the answer"], 2, ["q1", "q2"], "the answer", "answered"),
+    (["Query: q1", "Query: q2"], 1, ["q1"], None, "hop_limit"),
+    (["Query: q1", "Query:"], 1, ["q1"], None, "hop_limit"),
+    (["Query: q1", ""], 1, ["q1"], None, "hop_limit"),
+    (["Query: q1", "Answer:"], 1, ["q1"], None, "hop_limit"),
+    (["Query: q1", "Answer: Query: q2"], 1, ["q1"], None, "hop_limit"),
+]
+
+
+@pytest.mark.parametrize("completions, max_hops, queries, answer, halted", EPISODE_OUTCOMES)
+def test_run_episode_outcome_table(completions, max_hops, queries, answer, halted):
+    index, provider = toy_index({"d1": "alpha doc"})
+    script = iter(completions)
+    prompts = []
+
+    def rule(prompt, seed):
+        prompts.append(prompt)
+        return next(script)
+
+    transcript = run_episode(
+        "Q?", MockBackend(rule=rule), index, provider, EvalConfig(max_hops=max_hops, k=1),
+        default_decode_params("eval_greedy"),
+    )
+    assert transcript.turns == tuple((query, ("d1",)) for query in queries)
+    assert (transcript.final_answer, transcript.halted_reason) == (answer, halted)
+    assert len(prompts) == len(completions)
+    forced = len(queries) == max_hops
+    assert [p.endswith("\nAnswer:") for p in prompts] == [False] * (len(prompts) - 1) + [forced]
+
+
+def test_self_consistency_tie_goes_to_the_earliest_class():
+    assert self_consistency(["The Cat", "dog", "cat", "Dog"]) == "The Cat"
+    assert self_consistency(["dog", "The Cat", "cat", "Dog"]) == "dog"
+    assert self_consistency(["x", "y", "z"]) == "x"

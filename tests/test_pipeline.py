@@ -10,7 +10,6 @@ from hopsynth.pipeline import (
     build_index,
     build_store,
     counters_conserved,
-    new_counters,
     run_all,
     stage_filter_answers,
     stage_pair,
@@ -46,10 +45,8 @@ def test_stages_flow_and_conserve(corpus_path):
     store = build_store(corpus_path, config)
     assert store.topic_clusters  # file topics picked up
 
-    totals = new_counters()
     pair_rows, counters = stage_pair(store, config)
-    for key, value in counters.items():
-        totals[key] += value
+    assert counters_conserved(counters)
     assert counters["attempts"] == len(pair_rows) + counters["no_answer_candidates"]
     assert any(r["relation"] == "hyper" for r in pair_rows)
     assert any(r["relation"] == "topic" for r in pair_rows)
@@ -60,13 +57,11 @@ def test_stages_flow_and_conserve(corpus_path):
     assert all(r["answer"] in titles | {"yes", "no"} for r in topic_rows)
 
     draft_rows, counters = stage_questions(store, pair_rows, config)
-    for key, value in counters.items():
-        totals[key] += value
+    assert counters["attempts"] == len(pair_rows) and counters_conserved(counters)
     assert draft_rows and all(r["question"].endswith("?") for r in draft_rows)
 
     decision_rows, counters = stage_filter_answers(store, draft_rows, config)
-    for key, value in counters.items():
-        totals[key] += value
+    assert counters["attempts"] == len(draft_rows) and counters_conserved(counters)
     assert decision_rows
     assert {r["hops"] for r in decision_rows} <= {"one", "two"}
     for row in decision_rows:
@@ -77,8 +72,8 @@ def test_stages_flow_and_conserve(corpus_path):
             assert row["hops"] == "two"
 
     candidate_rows, counters = stage_queries(store, decision_rows, config)
-    for key, value in counters.items():
-        totals[key] += value
+    assert counters["attempts"] == len(candidate_rows) == len(decision_rows)
+    assert counters_conserved(counters)
     for row in candidate_rows:
         origins = [c["origin"] for c in row["candidates"]]
         assert origins.count("original_question_backup") == 1
@@ -88,10 +83,9 @@ def test_stages_flow_and_conserve(corpus_path):
 
     provider = HashEmbedder(dim=256)
     instances, counters = stage_verify(store, candidate_rows, config, provider=provider)
-    for key, value in totals.items():
-        totals[key] = totals[key] + counters.get(key, 0)
     assert instances, "pipeline should emit something on the synthetic corpus"
-    assert counters_conserved(totals)
+    assert counters["attempts"] == len(candidate_rows)
+    assert counters["emitted"] == len(instances) and counters_conserved(counters)
 
     index = build_index(store, provider)
     for instance in instances:
@@ -349,7 +343,8 @@ def test_run_eval_self_consistency_mode(tmp_path, corpus_path):
     eval_path.write_text(json.dumps({"id": "q0", "question": question, "answer": "gold"}) + "\n")
     script = {question: {"queries": [records[0]["title"]], "answer": "gold"}}
 
-    config = make_config(eval_mode="self_consistency")
+    config = make_config()
+    config.eval.mode = "self_consistency"
     config.eval.self_consistency_samples = 5
     backend = MockBackend(rule=GoldScriptRule(script))
     report = run_eval(eval_path, eval_corpus, config, backend=backend)

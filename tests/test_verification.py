@@ -209,7 +209,6 @@ def test_finalize_two_hop_instance():
     ]
     instance = finalize_with_reason(draft, decision, verdicts, store)[0]
     assert instance is not None
-    assert instance.single_or_two == "two"
     assert instance.hops == (("query one", ("D1", "F")), ("query two", ("D2", "F")))
     assert instance.answer == "Boston Celtics"
     assert instance.source_pair == ("D1", "D2")
@@ -294,7 +293,6 @@ def test_finalize_one_hop_targets_answerable_document():
     instance = finalize_with_reason(draft, decision, verdicts, store)[0]
     assert instance is not None
     assert instance.hops == (("right target", ("D1",)),)
-    assert instance.single_or_two == "single"
     # and with no d1 hitter at all, the draft drops
     instance, reason = finalize_with_reason(
         draft, decision, [vd("wrong", hits=("D2",), rank=0)], store
@@ -308,7 +306,6 @@ def test_finalize_two_hop_single_query_covering_both():
     instance = finalize_with_reason(draft, decision, verdicts, store)[0]
     assert instance is not None
     assert len(instance.hops) == 1
-    assert instance.single_or_two == "single"
 
 
 def test_assemble_backup_only_when_all_models_invalid():
@@ -351,19 +348,19 @@ def test_validate_instance_catches_corruption():
     good = DataInstance(
         id="i1", task="mqa", relation="hyper", question_or_claim="Q?",
         hops=(("q one", ("D1",)), ("q two", ("D2",))),
-        answer="second doc", source_pair=("D1", "D2"), single_or_two="two",
+        answer="second doc", source_pair=("D1", "D2"),
     )
     assert validate_instance(good, store, index, provider, config) == []
     assert calls == [["q one", "q two"]]  # both hops re-retrieved through retrieve_queries
     bad_retrieval = DataInstance(
         id="i2", task="mqa", relation="hyper", question_or_claim="Q?",
         hops=(("q one", ("D2",)), ("q two", ("D2",))),
-        answer="second doc", source_pair=("D1", "D2"), single_or_two="two",
+        answer="second doc", source_pair=("D1", "D2"),
     )
     assert validate_instance(bad_retrieval, store, index, provider, config)
     bad_answer = DataInstance(
         id="i3", task="mqa", relation="hyper", question_or_claim="Q?",
         hops=(("q one", ("D1",)), ("q two", ("D2",))),
-        answer="absent answer", source_pair=("D1", "D2"), single_or_two="two",
+        answer="absent answer", source_pair=("D1", "D2"),
     )
     assert any("answer" in p for p in validate_instance(bad_answer, store, index, provider, config))
