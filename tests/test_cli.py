@@ -135,8 +135,8 @@ def test_stage_chain_counters_conserve(tmp_path, corpus_path, capsys):
     base = ["--seed", "3", "--task", "mqa"]
     store = tmp_path / "store.jsonl"
     assert main(base + ["ingest", "--in", str(corpus_path), "--out", str(store)]) == 0
-    ingested = pipeline.build_store(store, PipelineConfig())
     config = PipelineConfig()
+    ingested = pipeline.build_store(store, config)
     sampled = sum(
         len(sample_pairs(ingested, doc_id, config.pairing, 3)) for doc_id in ingested.documents
     )
