@@ -3,8 +3,9 @@
 Stage commands (ingest, pair, gen-questions, filter-answers, gen-queries,
 verify, emit) read and write JSONL so a run can stop and resume anywhere;
 run-all chains them. stats prints the dataset summary, eval runs the
-retrieval-episode harness. Exit codes: 0 success, 1 usage error, 2 runtime
-failure. All randomness hangs off --seed.
+retrieval-episode harness. Exit codes: 0 success; 1 usage error (an unknown
+command or flag, or a missing argument); 2 a bad config key or value, from a
+file line or a flag, or a runtime failure. All randomness hangs off --seed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from . import pipeline
 from .config import ConfigError, PipelineConfig, parse_config_file, set_config_key
+from .corpus import serialize_store
 from .emitter import (
     dataset_stats,
     format_stats_report,
@@ -25,6 +27,32 @@ from .emitter import (
     write_jsonl,
     write_rows,
 )
+
+# Config flags: flag -> (the config keys it sets, help, the commands that take
+# it; none means every command, with the flag before it). set_config_key
+# parses and checks a flag's value as it does a config file line.
+_CONFIG_FLAGS = {
+    "--seed": (("seed",), "master random seed (an integer)", ()),
+    "--workers": (("workers",), "ignored; kept so old command lines parse", ()),
+    "--task": (("task",), "synthesis task: mqa or fever", ()),
+    "--backend": (("backend.kind",), "completion backend: mock or http", ()),
+    "--embeddings": (("embeddings.kind",), "embedding provider: mock, file or http", ()),
+    "--examples": (("examples",), "few-shot example store (JSONL)", ()),
+    "--k": (("verify.k", "eval.k"), "retrieval depth (>= 1)", ("verify", "eval", "run-all")),
+    "--dev-size": (("dev_size",), "dev split size (>= 0)", ("emit", "run-all")),
+}
+
+# Stage commands: command -> (pipeline stage, help). Each reads --store and
+# writes --out; all but pair read the rows of the stage before from --in.
+_STAGES = {
+    "pair": (pipeline.stage_pair, "sample document pairs with prepared answers"),
+    "gen-questions": (pipeline.stage_questions, "generate questions/claims and entity-filter them"),
+    "filter-answers": (pipeline.stage_filter_answers, "answerability and hop classification"),
+    "gen-queries": (pipeline.stage_queries, "generate query candidates"),
+    "verify": (pipeline.stage_verify, "verify queries and assemble instances"),
+}
+
+_PATH_HELP = {"--store": "ingested store JSONL", "--corpus": "evaluation corpus JSONL"}
 
 
 class _UsageError(Exception):
@@ -39,48 +67,27 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="hopsynth", description=__doc__.split("\n")[0])
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--workers", type=int, help="ignored; kept so old command lines parse")
-    parser.add_argument("--task", choices=["mqa", "fever"], help="synthesis task")
-    parser.add_argument("--backend", choices=["http", "mock"], help="completion backend")
-    parser.add_argument(
-        "--embeddings", choices=["http", "file", "mock"], help="embedding provider"
-    )
-    parser.add_argument("--examples", help="few-shot example store (JSONL)")
     sub = parser.add_subparsers(dest="command")
+    commands = {}
 
-    def stage(name, help_text, needs_in=True, needs_out=True):
-        cmd = sub.add_parser(name, help=help_text)
-        if needs_in:
-            cmd.add_argument("--in", dest="in_path", required=True)
-        if needs_out:
-            cmd.add_argument("--out", dest="out_path", required=True)
-        return cmd
+    def add_command(name, help_text, *paths):
+        commands[name] = sub.add_parser(name, help=help_text)
+        for flag in paths:  # --in sets args.in_path, --store args.store_path, ...
+            commands[name].add_argument(
+                flag, dest=f"{flag[2:]}_path", required=True, help=_PATH_HELP.get(flag)
+            )
 
-    stage("ingest", "parse a corpus file into a store")
-    stage("pair", "sample document pairs with prepared answers", needs_in=False).add_argument(
-        "--store", required=True, help="ingested store JSONL"
-    )
-    stage("gen-questions", "generate questions/claims and entity-filter them").add_argument(
-        "--store", required=True
-    )
-    stage("filter-answers", "answerability and hop classification").add_argument(
-        "--store", required=True
-    )
-    stage("gen-queries", "generate query candidates").add_argument("--store", required=True)
-    verify = stage("verify", "verify queries and assemble instances")
-    verify.add_argument("--store", required=True)
-    verify.add_argument("--k", type=int, help="retrieval depth")
-    verify.add_argument("--report", help="write drop counters to this JSON file")
-    emit = stage("emit", "split train/dev")
-    emit.add_argument("--dev-size", type=int, help="dev split size")
-    stage("stats", "print dataset statistics", needs_out=False)
-    ev = stage("eval", "run the retrieval-episode evaluation")
-    ev.add_argument("--corpus", required=True, help="evaluation corpus JSONL")
-    ev.add_argument("--k", type=int, help="retrieval depth")
-    run = stage("run-all", "full synthesis pipeline")
-    run.add_argument("--k", type=int, help="retrieval depth")
-    run.add_argument("--dev-size", type=int, help="dev split size")
+    add_command("ingest", "parse a corpus file into a store", "--in", "--out")
+    for name, (_, help_text) in _STAGES.items():
+        add_command(name, help_text, "--store", *(() if name == "pair" else ("--in",)), "--out")
+    commands["verify"].add_argument("--report", help="write drop counters to this JSON file")
+    add_command("emit", "split train/dev", "--in", "--out")
+    add_command("stats", "print dataset statistics", "--in")
+    add_command("eval", "run the retrieval-episode evaluation", "--in", "--out", "--corpus")
+    add_command("run-all", "full synthesis pipeline", "--in", "--out")
+    for flag, (_, help_text, names) in _CONFIG_FLAGS.items():
+        for target in [commands[name] for name in names] or [parser]:
+            target.add_argument(flag, help=help_text)
     return parser
 
 
@@ -88,25 +95,12 @@ def _configure(args) -> PipelineConfig:
     config = PipelineConfig()
     if args.config:
         config = parse_config_file(args.config, config)
-    k, dev_size = getattr(args, "k", None), getattr(args, "dev_size", None)
-    overrides = (
-        ("--seed", "seed", args.seed),
-        ("--task", "task", args.task),
-        ("--backend", "backend.kind", args.backend),
-        ("--embeddings", "embeddings.kind", args.embeddings),
-        ("--examples", "examples", args.examples),
-        ("--k", "verify.k", k),
-        ("--k", "eval.k", k),
-        ("--dev-size", "dev_size", dev_size),
-    )
-    for flag, key, value in overrides:
+    for flag, (keys, _, _) in _CONFIG_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
         if value is not None:
-            set_config_key(config, key, str(value), where=flag)
+            for key in keys:
+                set_config_key(config, key, value, where=flag)
     return config
-
-
-def _print_counters(counters: dict) -> None:
-    print(json.dumps({"counters": counters}), file=sys.stderr)
 
 
 def run_command(args) -> int:
@@ -114,33 +108,18 @@ def run_command(args) -> int:
     command = args.command
 
     if command == "ingest":
-        store = pipeline.build_store(args.in_path, config)
-        from .corpus import serialize_store
-
-        count = serialize_store(store, args.out_path)
+        count = serialize_store(pipeline.build_store(args.in_path, config), args.out_path)
         print(f"ingested {count} documents -> {args.out_path}")
         return 0
 
-    if command in ("pair", "gen-questions", "filter-answers", "gen-queries", "verify"):
-        store = pipeline.build_store(args.store, config)
-        if command == "pair":
-            rows, counters = pipeline.stage_pair(store, config)
-            write_rows(rows, args.out_path)
-        elif command == "gen-questions":
-            rows, counters = pipeline.stage_questions(store, read_rows(args.in_path), config)
-            write_rows(rows, args.out_path)
-        elif command == "filter-answers":
-            rows, counters = pipeline.stage_filter_answers(store, read_rows(args.in_path), config)
-            write_rows(rows, args.out_path)
-        elif command == "gen-queries":
-            rows, counters = pipeline.stage_queries(store, read_rows(args.in_path), config)
-            write_rows(rows, args.out_path)
-        else:
-            instances, counters = pipeline.stage_verify(store, read_rows(args.in_path), config)
-            write_jsonl(instances, args.out_path)
-            if args.report:
-                Path(args.report).write_text(json.dumps(counters, indent=2) + "\n")
-        _print_counters(counters)
+    if command in _STAGES:
+        store = pipeline.build_store(args.store_path, config)
+        inputs = () if command == "pair" else (read_rows(args.in_path),)
+        rows, counters = _STAGES[command][0](store, *inputs, config)
+        (write_jsonl if command == "verify" else write_rows)(rows, args.out_path)
+        if command == "verify" and args.report:
+            Path(args.report).write_text(json.dumps(counters, indent=2) + "\n")
+        print(json.dumps({"counters": counters}), file=sys.stderr)
         return 0
 
     if command == "emit":
@@ -154,7 +133,7 @@ def run_command(args) -> int:
         return 0
 
     if command == "eval":
-        report = pipeline.run_eval(args.in_path, args.corpus, config)
+        report = pipeline.run_eval(args.in_path, args.corpus_path, config)
         Path(args.out_path).write_text(json.dumps(report, indent=2) + "\n")
         headline = {key: value for key, value in report.items() if key != "items"}
         print(json.dumps(headline))

@@ -10,16 +10,17 @@ Example config file:
     embeddings.kind = mock
     recognizer.kind = heuristic
 
-Dotted keys map onto the stage config objects; unknown keys are rejected so
-typos fail loudly, and every value is checked when it is set by the
-`__post_init__` of the object that owns it. Command-line flags override file
-values.
+A key is a scalar field of `PipelineConfig` (`seed`) or `section.name` for a
+scalar field of one of its dataclass sections (`verify.k`); any other key is
+rejected so typos fail loudly, and every value is checked when it is set by
+the `__post_init__` of the object that owns it. Command-line flags set the
+same keys and override file values.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -77,6 +78,14 @@ class RecognizerSpec:
 
 
 @dataclass
+class TopicsConfig:
+    labeler: str = "file"  # file | keyword | none
+
+    def __post_init__(self):
+        _check_choice("labeler", self.labeler, TOPIC_SOURCES)
+
+
+@dataclass
 class PipelineConfig:
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     pairing: PairingConfig = field(default_factory=PairingConfig)
@@ -86,38 +95,29 @@ class PipelineConfig:
     backend: BackendSpec = field(default_factory=BackendSpec)
     embeddings: EmbeddingsSpec = field(default_factory=EmbeddingsSpec)
     recognizer: RecognizerSpec = field(default_factory=RecognizerSpec)
+    topics: TopicsConfig = field(default_factory=TopicsConfig)
     task: str = "mqa"
     seed: int = 0
     workers: int = 0  # ignored: stages run serially; kept so old configs load
     dev_size: int = 5000
-    topics_labeler: str = "file"  # file | keyword | none
-    examples_path: Optional[str] = None
+    examples: Optional[str] = None  # few-shot example store (JSONL)
 
     def __post_init__(self):
         _check_choice("task", self.task, (TASK_MQA, TASK_FEVER))
-        _check_choice("topics_labeler", self.topics_labeler, TOPIC_SOURCES)
         if self.dev_size < 0:
             raise ValueError("dev_size must be >= 0")
 
 
-_SECTIONS = {
-    "corpus": ("max_doc_tokens", "dangling_link_policy"),
-    "pairing": ("pairs_per_document",),
-    "filter": ("f1_threshold", "min_entities_hyper", "min_entities_topic"),
-    "verify": ("k",),
-    "eval": ("max_hops", "k", "self_consistency_samples", "mode"),
-    "backend": ("kind", "endpoint", "mock_table", "mock_script"),
-    "embeddings": ("kind", "endpoint", "file", "dim"),
-    "recognizer": ("kind", "endpoint"),
-}
-_TOP_LEVEL = {
-    "task": "task",
-    "seed": "seed",
-    "workers": "workers",
-    "dev_size": "dev_size",
-    "topics.labeler": "topics_labeler",
-    "examples": "examples_path",
-}
+def _config_keys(config: PipelineConfig) -> dict[str, tuple[object, str]]:
+    """Every key, mapped to the object that owns it and its field name."""
+    keys: dict[str, tuple[object, str]] = {}
+    for outer in fields(config):
+        section = getattr(config, outer.name)
+        if is_dataclass(section):  # sections hold only scalar fields
+            keys.update({f"{outer.name}.{f.name}": (section, f.name) for f in fields(section)})
+        else:
+            keys[outer.name] = (config, outer.name)
+    return keys
 
 
 def _coerce(current, raw: str):
@@ -148,13 +148,10 @@ def set_config_key(config: PipelineConfig, key: str, value: str, where: str = "o
     with `dataclasses.replace`, so its own checks run on the new value; a
     value that fails them (or does not parse) raises ConfigError.
     """
-    section, _, name = key.partition(".")
-    if key in _TOP_LEVEL:
-        owner, attr = config, _TOP_LEVEL[key]
-    elif name in _SECTIONS.get(section, ()):
-        owner, attr = getattr(config, section), name
-    else:
+    keys = _config_keys(config)
+    if key not in keys:
         raise ConfigError(f"{where}: unknown config key {key!r}")
+    owner, attr = keys[key]
     current = getattr(owner, attr)
     try:
         coerced = _coerce(current if current is not None else "", value)

@@ -9,11 +9,11 @@ for the HTTP protocol (POST /v1/entities {"texts": [...]} ->
 from __future__ import annotations
 
 import re
+from itertools import groupby
 
 from .httpjson import JsonSession, post_with_retries
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
-_WORD = re.compile(r"\S+")
 
 
 def _is_capitalized(word: str) -> bool:
@@ -27,16 +27,17 @@ def _has_digit(word: str) -> bool:
     return any(ch.isdigit() for ch in word)
 
 
-def _strip_edges(word: str) -> str:
-    return word.strip("\"'.,;:!?()[]{}")
+def _runs(words: list[str], predicate) -> list[str]:
+    """Maximal runs of consecutive words that satisfy `predicate`, space-joined."""
+    return [" ".join(run) for matched, run in groupby(words, predicate) if matched]
 
 
 class HeuristicRecognizer:
     """Capitalized-token spans not at sentence start, plus digit spans.
 
-    Spans are maximal runs of qualifying words. A run anchored at the first
-    word of a sentence sheds that word (sentence case is not evidence of a
-    name) and keeps the remainder, so "Does The Border Surrender or ..."
+    Spans are maximal runs of qualifying words, each stripped of edge
+    punctuation. Capitalized runs skip a sentence's first word (sentence
+    case is not evidence of a name), so "Does The Border Surrender or ..."
     still yields "The Border Surrender".
     """
 
@@ -44,44 +45,12 @@ class HeuristicRecognizer:
         return [self.entities(text) for text in texts]
 
     def entities(self, text: str) -> list[str]:
-        found: list[str] = []
-        seen: set[str] = set()
+        found: dict[str, None] = {}  # first occurrence order
         for sentence in _SENTENCE_SPLIT.split(text):
-            words = [(m.group(), m.start()) for m in _WORD.finditer(sentence)]
-            for span in self._runs(words, _is_capitalized, skip_sentence_start=True):
-                if span not in seen:
-                    seen.add(span)
-                    found.append(span)
-            for span in self._runs(words, _has_digit, skip_sentence_start=False):
-                if span not in seen:
-                    seen.add(span)
-                    found.append(span)
-        return found
-
-    @staticmethod
-    def _runs(words, predicate, skip_sentence_start):
-        runs = []
-        current: list[str] = []
-        start_index = None
-        for index, (word, _) in enumerate(words):
-            if predicate(_strip_edges(word)):
-                if not current:
-                    start_index = index
-                current.append(_strip_edges(word))
-            else:
-                if current:
-                    runs.append((start_index, current))
-                    current = []
-        if current:
-            runs.append((start_index, current))
-        spans = []
-        for start, run in runs:
-            if skip_sentence_start and start == 0:
-                run = run[1:]
-            span = " ".join(w for w in run if w)
-            if span:
-                spans.append(span)
-        return spans
+            words = [word.strip("\"'.,;:!?()[]{}") for word in sentence.split()]
+            found.update(dict.fromkeys(_runs(words[1:], _is_capitalized)))
+            found.update(dict.fromkeys(_runs(words, _has_digit)))
+        return list(found)
 
 
 class RecognizerError(RuntimeError):

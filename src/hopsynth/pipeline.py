@@ -49,7 +49,7 @@ from .verification import (
     verify_query,
 )
 
-# Draft texts per recognizer call; the same block size as verification's
+# Texts per recognizer call; the same block size as verification's
 # EMBED_BLOCK, which kept the HTTP client's peak RSS flat.
 RECOGNIZE_BLOCK = 64
 
@@ -76,7 +76,7 @@ def counters_conserved(counters: dict[str, int]) -> bool:
 
 
 def build_store(path: str | Path, config: PipelineConfig) -> CorpusStore:
-    return ingest_corpus(path, config.corpus, topics=config.topics_labeler)
+    return ingest_corpus(path, config.corpus, topics=config.topics.labeler)
 
 
 def _pair_from_row(store: CorpusStore, row: dict) -> DocumentPair:
@@ -86,54 +86,67 @@ def _pair_from_row(store: CorpusStore, row: dict) -> DocumentPair:
 
 
 def _examples_override(config: PipelineConfig):
-    if config.examples_path:
-        return load_examples(config.examples_path)
+    if config.examples:
+        return load_examples(config.examples)
     return None
+
+
+def _recognize(recognizer, texts) -> dict[str, list[str]]:
+    """Entities of each distinct text, RECOGNIZE_BLOCK texts per recognizer call.
+
+    Recognizer errors propagate: an outage is not a text without entities.
+    """
+    distinct = list(dict.fromkeys(texts))
+    entities: dict[str, list[str]] = {}
+    for start in range(0, len(distinct), RECOGNIZE_BLOCK):
+        block = distinct[start:start + RECOGNIZE_BLOCK]
+        entities.update(zip(block, recognizer(block), strict=True))
+    return entities
 
 
 def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> tuple[list[dict], dict]:
     """Sample pairs per anchor document and attach a prepared answer.
 
     For fact verification only hyper pairs are used and the answer is a
-    uniformly sampled label; for QA the answer comes from the candidate set.
-    Each distinct document text goes to the recognizer once per stage.
+    uniformly sampled label; for QA the answer comes from the candidate set,
+    and the distinct texts of the hyper pairs' documents go to the
+    recognizer in blocks before any answer is picked.
     """
     recognizer = recognizer or build_recognizer(config)
-    counters = new_counters()
+    pairs = [
+        pair
+        for anchor_id in sorted(store.documents)
+        for pair in sample_pairs(store, anchor_id, config.pairing, config.seed)
+        if config.task != TASK_FEVER or pair.relation == HYPER
+    ]
+    entities = {}
+    if config.task == TASK_MQA:
+        entities = _recognize(recognizer, [
+            doc.text for pair in pairs if pair.relation == HYPER for doc in (pair.d1, pair.d2)
+        ])
+    counters = new_counters(attempts=len(pairs))
     rows: list[dict] = []
-    entities: dict[str, list[str]] = {}
-    for anchor_id in sorted(store.documents):
-        for pair in sample_pairs(store, anchor_id, config.pairing, config.seed):
-            if config.task == TASK_FEVER and pair.relation != HYPER:
+    for pair in pairs:
+        rng = derive_rng(config.seed, "answer", pair.d1.id, pair.d2.id)
+        if config.task == TASK_FEVER:
+            answer, source = rng.choice(FEVER_LABELS), "label"
+        else:
+            docs = (pair.d1, pair.d2) if pair.relation == HYPER else ()
+            candidates = answer_candidates(pair, [e for doc in docs for e in entities[doc.text]])
+            if not candidates:  # only a hyper pair can have none
+                counters["no_answer_candidates"] += 1
                 continue
-            counters["attempts"] += 1
-            rng = derive_rng(config.seed, "answer", pair.d1.id, pair.d2.id)
-            if config.task == TASK_FEVER:
-                answer, source = rng.choice(FEVER_LABELS), "label"
-            else:
-                if pair.relation == HYPER:
-                    texts = (pair.d1.text, pair.d2.text)
-                    unseen = [t for t in dict.fromkeys(texts) if t not in entities]
-                    if unseen:
-                        entities.update(zip(unseen, recognizer(unseen), strict=True))
-                    flat = entities[texts[0]] + entities[texts[1]]
-                    candidates = answer_candidates(pair, flat)
-                    if not candidates:
-                        counters["no_answer_candidates"] += 1
-                        continue
-                else:
-                    candidates = answer_candidates(pair, [])
-                chosen = pick_answer(candidates, rng)
-                answer, source = chosen.text, chosen.source
-            rows.append(
-                {
-                    "d1": pair.d1.id,
-                    "d2": pair.d2.id,
-                    "relation": pair.relation,
-                    "answer": answer,
-                    "answer_source": source,
-                }
-            )
+            chosen = pick_answer(candidates, rng)
+            answer, source = chosen.text, chosen.source
+        rows.append(
+            {
+                "d1": pair.d1.id,
+                "d2": pair.d2.id,
+                "relation": pair.relation,
+                "answer": answer,
+                "answer_source": source,
+            }
+        )
     counters["emitted"] = len(rows)
     return rows, counters
 
@@ -148,8 +161,7 @@ def stage_questions(
     """Generate questions/claims and apply the entity filter.
 
     All drafts are generated first; their distinct texts then go to the
-    recognizer RECOGNIZE_BLOCK per call, and the filter runs in row order.
-    Recognizer errors propagate: an outage is not a question without entities.
+    recognizer in blocks, and the filter runs in row order.
     """
     backend = backend or build_backend(config)
     recognizer = recognizer or build_recognizer(config)
@@ -162,11 +174,7 @@ def stage_questions(
         )
         for row in pair_rows
     ]
-    distinct = list(dict.fromkeys(draft.text for draft in drafts if draft is not None))
-    entities: dict[str, list[str]] = {}
-    for start in range(0, len(distinct), RECOGNIZE_BLOCK):
-        block = distinct[start:start + RECOGNIZE_BLOCK]
-        entities.update(zip(block, recognizer(block), strict=True))
+    entities = _recognize(recognizer, [draft.text for draft in drafts if draft is not None])
     rows = []
     for row, draft in zip(pair_rows, drafts):
         if draft is None:

@@ -7,6 +7,8 @@ possible, and stays independent of the implementation path it validates:
 * Flat-index search: full sort of every dot product.
 * Query dedup / instance assembly: explicit enumeration over candidates.
 * Hyperlink neighbors: a scan of every document's outbound links.
+* Heuristic entities: the recognizer's earlier implementation, kept as is,
+  which marks runs with word offsets and sheds a sentence-initial word.
 """
 
 from __future__ import annotations
@@ -194,3 +196,68 @@ def oracle_hyperlink_neighbors(store, doc_id):
         if doc_id in targets and other != doc_id:
             neighbors.add(other)
     return sorted(neighbors)
+
+
+# ---------------------------------------------------------------------------
+# Heuristic entity recognizer: the earlier implementation, run by run
+# ---------------------------------------------------------------------------
+
+_SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
+_WORD = re.compile(r"\S+")
+
+
+def _is_capitalized(word):
+    for ch in word:
+        if ch.isalpha():
+            return ch.isupper()
+    return False
+
+
+def _has_digit(word):
+    return any(ch.isdigit() for ch in word)
+
+
+def _strip_edges(word):
+    return word.strip("\"'.,;:!?()[]{}")
+
+
+def _oracle_runs(words, predicate, skip_sentence_start):
+    runs = []
+    current = []
+    start_index = None
+    for index, (word, _) in enumerate(words):
+        if predicate(_strip_edges(word)):
+            if not current:
+                start_index = index
+            current.append(_strip_edges(word))
+        else:
+            if current:
+                runs.append((start_index, current))
+                current = []
+    if current:
+        runs.append((start_index, current))
+    spans = []
+    for start, run in runs:
+        if skip_sentence_start and start == 0:
+            run = run[1:]
+        span = " ".join(w for w in run if w)
+        if span:
+            spans.append(span)
+    return spans
+
+
+def oracle_heuristic_entities(text):
+    """Capitalized runs not anchored at sentence start, then digit runs, per sentence."""
+    found = []
+    seen = set()
+    for sentence in _SENTENCE_SPLIT.split(text):
+        words = [(m.group(), m.start()) for m in _WORD.finditer(sentence)]
+        for span in _oracle_runs(words, _is_capitalized, skip_sentence_start=True):
+            if span not in seen:
+                seen.add(span)
+                found.append(span)
+        for span in _oracle_runs(words, _has_digit, skip_sentence_start=False):
+            if span not in seen:
+                seen.add(span)
+                found.append(span)
+    return found

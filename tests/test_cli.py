@@ -1,15 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
 from hopsynth import pipeline
 from hopsynth.cli import main
-from hopsynth.config import PipelineConfig
+from hopsynth.config import ConfigError, PipelineConfig, set_config_key
 from hopsynth.retrieval import HashEmbedder
 
 from synthcorpus import make_corpus, write_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMO = ROOT / "demo"
 
 
 @pytest.fixture(scope="module")
@@ -20,16 +26,17 @@ def corpus_path(tmp_path_factory):
 
 
 def test_module_invocation_smoke(tmp_path, corpus_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
         [sys.executable, "-m", "hopsynth.cli", "ingest",
          "--in", str(corpus_path), "--out", str(tmp_path / "store.jsonl")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0, out.stderr
     assert "ingested" in out.stdout
     bad = subprocess.run(
         [sys.executable, "-m", "hopsynth.cli", "nonsense"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert bad.returncode == 1
 
@@ -223,6 +230,69 @@ def test_workers_alias_changes_nothing(tmp_path, corpus_path):
         assert len(outputs) == 1, name
 
 
+def test_stage_commands_counters_add_up_to_run_all(tmp_path, capsys):
+    # run-all's totals: pair's attempts, verify's emitted, drops summed per reason
+    base = ["--config", str(DEMO / "config.txt")]
+    store = tmp_path / "store.jsonl"
+    assert main(base + ["ingest", "--in", str(DEMO / "corpus.jsonl"), "--out", str(store)]) == 0
+    chain = ("pair", "gen-questions", "filter-answers", "gen-queries", "verify")
+    counters = {}
+    for before, command in zip((None,) + chain, chain):
+        argv = base + [command, "--store", str(store), "--out", str(tmp_path / command)]
+        if before is not None:
+            argv += ["--in", str(tmp_path / before)]
+        capsys.readouterr()
+        assert main(argv) == 0, command
+        counters[command] = json.loads(capsys.readouterr().err)["counters"]
+    assert main(base + [
+        "run-all", "--in", str(DEMO / "corpus.jsonl"), "--out", str(tmp_path / "all"),
+    ]) == 0
+    totals = json.loads((tmp_path / "all" / "report.json").read_text())["counters"]
+    assert totals["attempts"] == counters["pair"]["attempts"]
+    assert totals["emitted"] == counters["verify"]["emitted"]
+    for reason in pipeline.DROP_REASONS:
+        assert totals[reason] == sum(c[reason] for c in counters.values()), reason
+    assert sum(totals[reason] for reason in pipeline.DROP_REASONS) > 0
+
+
+# every key: a scalar field of the config, or section.name for a scalar field of a section
+CONFIG_KEYS = {
+    "task", "seed", "workers", "dev_size", "examples",
+    "corpus.max_doc_tokens", "corpus.dangling_link_policy", "topics.labeler",
+    "pairing.pairs_per_document",
+    "filter.f1_threshold", "filter.min_entities_hyper", "filter.min_entities_topic",
+    "verify.k", "eval.max_hops", "eval.k", "eval.self_consistency_samples", "eval.mode",
+    "backend.kind", "backend.endpoint", "backend.mock_table", "backend.mock_script",
+    "embeddings.kind", "embeddings.endpoint", "embeddings.file", "embeddings.dim",
+    "recognizer.kind", "recognizer.endpoint",
+}
+
+
+def _is_known_key(key: str) -> bool:
+    try:
+        set_config_key(PipelineConfig(), key, "1")
+    except ConfigError as exc:  # a bad value still names a known key
+        return "unknown config key" not in str(exc)
+    return True
+
+
+def test_config_keys_are_exactly_the_pinned_set():
+    assert len(CONFIG_KEYS) == 27
+    config = PipelineConfig()
+    candidates = set(CONFIG_KEYS) | {
+        "topics_labeler", "examples_path", "topics", "corpus", "corpus.max_doc_tokens.x",
+    }
+    for outer in fields(config):
+        candidates.add(outer.name)
+        section = getattr(config, outer.name)
+        if is_dataclass(section):
+            candidates |= {f"{outer.name}.{inner.name}" for inner in fields(section)}
+    assert {key for key in candidates if _is_known_key(key)} == CONFIG_KEYS
+    for key in ("topics_labeler", "examples_path", "topics", "corpus", "corpus.max_doc_tokens.x"):
+        with pytest.raises(ConfigError, match=f"unknown config key {key!r}"):
+            set_config_key(PipelineConfig(), key, "1")
+
+
 def test_config_unknown_key(tmp_path, corpus_path, capsys):
     # eval.corpus, pairing.rng_seed and backend.mock_rule were keys once;
     # nothing read the first two, nothing set the last
@@ -274,6 +344,27 @@ def test_k_flag_is_validated(tmp_path, corpus_path, capsys, command):
     assert main(argv) == 2
     assert "--k: bad value for 'verify.k'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, command, key", [
+    ("--task", "mqaa", "run-all", "task"),
+    ("--backend", "htp", "run-all", "backend.kind"),
+    ("--embeddings", "fil", "run-all", "embeddings.kind"),
+    ("--seed", "x", "run-all", "seed"),
+    ("--k", "x", "run-all", "verify.k"),
+    ("--k", "x", "eval", "verify.k"),
+    ("--dev-size", "x", "run-all", "dev_size"),
+])
+def test_bad_flag_value_exits_2(tmp_path, corpus_path, capsys, flag, value, command, key):
+    # a flag's value is parsed and checked like a config file line's
+    out = tmp_path / "out"
+    paths = [command, "--in", str(corpus_path), "--out", str(out)]
+    if command == "eval":
+        paths += ["--corpus", str(corpus_path)]
+    argv = paths + [flag, value] if flag in ("--k", "--dev-size") else [flag, value] + paths
+    assert main(argv) == 2
+    assert f"{flag}: bad value for {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run-all", "emit"])

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hopsynth import httpjson, pipeline, verification
-from hopsynth.config import PipelineConfig
+from hopsynth.config import PipelineConfig, TopicsConfig
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pipeline import (
     RECOGNIZE_BLOCK,
@@ -104,14 +104,16 @@ class CountingRecognizer:
         return self.inner(texts)
 
 
-def test_stage_pair_recognizes_each_text_once(corpus_path):
+def test_stage_pair_recognizes_each_text_once(corpus_path, monkeypatch):
     config = make_config()
     store = build_store(corpus_path, config)
     counting = CountingRecognizer()
     rows, counters = stage_pair(store, config, recognizer=counting)
     texts = [t for call in counting.calls for t in call]
     assert texts and len(texts) == len(set(texts))
-    assert all(len(call) <= 2 for call in counting.calls)
+    assert all(len(call) <= RECOGNIZE_BLOCK for call in counting.calls)
+    assert (rows, counters) == stage_pair(store, config, recognizer=HeuristicRecognizer())
+    monkeypatch.setattr(pipeline, "RECOGNIZE_BLOCK", 1)
     assert (rows, counters) == stage_pair(store, config, recognizer=HeuristicRecognizer())
 
 
@@ -170,7 +172,7 @@ def _topic_corpus(tmp_path, with_topics: bool):
 def test_build_store_topic_labelers(tmp_path, with_topics):
     path = _topic_corpus(tmp_path, with_topics)
     stores = {
-        labeler: build_store(path, make_config(topics_labeler=labeler))
+        labeler: build_store(path, make_config(topics=TopicsConfig(labeler)))
         for labeler in ("file", "keyword", "none")
     }
     file_topics = {i: d.topic for i, d in stores["file"].documents.items()}
@@ -290,7 +292,7 @@ def test_examples_override_changes_prompts(tmp_path, corpus_path):
             "queries": ["custom query"],
         }) + "\n"
     )
-    config = make_config(examples_path=str(override))
+    config = make_config(examples=str(override))
     store = build_store(corpus_path, config)
     pair_rows, _ = stage_pair(store, config)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hopsynth.config import PipelineConfig
@@ -26,6 +28,8 @@ from hopsynth.synthesis import (
     generate_queries,
     generate_question,
 )
+
+from oracles import oracle_heuristic_entities
 
 
 def example_pair(setting, index):
@@ -85,6 +89,25 @@ def test_fever_requires_hyper_pair():
 def draft_for(setting, text, index=0):
     pair, ex = example_pair(setting, index)
     return QuestionDraft(pair=pair, task="mqa", text=text, prepared_answer=ex.answer)
+
+
+# words that hit each rule of the recognizer: case, digits, edge punctuation,
+# sentence ends, words that strip to nothing, and non-ASCII letters and digits
+_ENTITY_WORDS = (
+    "The", "Border", "Surrender", "film", "of", "1984", "3rd", "x2", "Paris.", "(Rome)",
+    "\"Hi!\"", "...", "?", "'", "()", "Ünïcode", "ǅemal", "ß", "²", "Dr.", "U.S.", "e.g.",
+    "Born?", "war!", "co-Op", "A", "a1B", "[4]", "{Z}", ";", "Ω", "é",
+)
+
+
+def test_heuristic_recognizer_matches_its_earlier_implementation():
+    rng = random.Random(20230523)
+    recognizer = HeuristicRecognizer()
+    for _ in range(3000):
+        words = rng.choices(_ENTITY_WORDS, k=rng.randrange(0, 14))
+        gaps = rng.choices((" ", " ", " ", "  ", "\n", "\t", "\u00a0"), k=len(words))
+        text = "".join(gap + word for gap, word in zip(gaps, words))
+        assert recognizer([text])[0] == oracle_heuristic_entities(text), text
 
 
 def test_entity_filter_thresholds():
