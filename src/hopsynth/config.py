@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .corpus import TOPIC_SOURCES, CorpusConfig
+from .corpus import CorpusConfig, TopicsConfig
 from .entities import HeuristicRecognizer, HttpRecognizer
 from .evalharness import EvalConfig
 from .genbackend import HttpBackend, MockBackend
@@ -75,14 +75,6 @@ class RecognizerSpec:
 
     def __post_init__(self):
         _check_choice("kind", self.kind, ("heuristic", "http"))
-
-
-@dataclass
-class TopicsConfig:
-    labeler: str = "file"  # file | keyword | none
-
-    def __post_init__(self):
-        _check_choice("labeler", self.labeler, TOPIC_SOURCES)
 
 
 @dataclass

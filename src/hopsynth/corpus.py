@@ -49,6 +49,18 @@ class CorpusConfig:
             raise ValueError(f"unknown dangling_link_policy: {self.dangling_link_policy}")
 
 
+TOPIC_SOURCES = ("file", "keyword", "none")
+
+
+@dataclass
+class TopicsConfig:
+    labeler: str = "file"  # one of TOPIC_SOURCES; see ingest_corpus
+
+    def __post_init__(self):
+        if self.labeler not in TOPIC_SOURCES:
+            raise ValueError(f"labeler {self.labeler!r} is not one of {', '.join(TOPIC_SOURCES)}")
+
+
 @dataclass(frozen=True)
 class CorpusStore:
     documents: dict[str, Document]
@@ -67,8 +79,6 @@ class CorpusStore:
             text = self._normalized[doc_id] = normalize_answer(self.documents[doc_id].text)
         return text
 
-
-TOPIC_SOURCES = ("file", "keyword", "none")
 
 # First matching keyword in title + text names a document's topic.
 _KEYWORD_TOPICS = {
@@ -133,20 +143,19 @@ def _parse_record(raw: str, line_no: int) -> dict:
 def ingest_corpus(
     path: str | Path,
     config: Optional[CorpusConfig] = None,
-    topics: str = "file",
+    topics: Optional[TopicsConfig] = None,
 ) -> CorpusStore:
     """Parse a corpus file into a CorpusStore.
 
-    `topics` is one of TOPIC_SOURCES. With `file`, documents get topics when
-    any record carries one, and records without a topic then fall back to
-    `_keyword_topic`; `keyword` always labels, keeping record topics; `none`
-    leaves every topic and cluster empty. Anchors whose span no longer
-    occurs in the truncated text are discarded so every stored anchor is
-    quotable from the stored document.
+    `topics.labeler` (default `file`) picks the topics. With `file`,
+    documents get topics when any record carries one, and records without a
+    topic then fall back to `_keyword_topic`; `keyword` always labels,
+    keeping record topics; `none` leaves every topic and cluster empty.
+    Anchors whose span no longer occurs in the truncated text are discarded
+    so every stored anchor is quotable from the stored document.
     """
-    if topics not in TOPIC_SOURCES:
-        raise ValueError(f"unknown topics.labeler {topics!r}")
     config = config or CorpusConfig()
+    labeler = (topics or TopicsConfig()).labeler
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -174,8 +183,8 @@ def ingest_corpus(
         records.append((line_no, record))
 
     title_to_id = {rec["title"]: rec["id"] for _, rec in records}
-    label_docs = topics == "keyword" or (
-        topics == "file" and any(rec.get("topic") for _, rec in records)
+    label_docs = labeler == "keyword" or (
+        labeler == "file" and any(rec.get("topic") for _, rec in records)
     )
 
     documents: dict[str, Document] = {}

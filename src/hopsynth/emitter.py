@@ -74,9 +74,22 @@ def write_rows(rows: Iterable[dict], path: str | Path) -> None:
 
 
 def read_rows(path: str | Path) -> list[dict]:
-    """Read one JSON object per line, skipping blank lines."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [json.loads(line) for line in lines if line.strip()]
+    """Read one JSON object per line, skipping blank lines.
+
+    A line that is not valid JSON, or not an object, raises ValueError
+    naming `<path>:<line>`.
+    """
+    rows = []
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rows.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+        if not isinstance(rows[-1], dict):
+            raise ValueError(f"{path}:{line_no}: not a JSON object")
+    return rows
 
 
 def write_jsonl(instances: Sequence[DataInstance], path: str | Path) -> int:

@@ -4,11 +4,11 @@ verified instances, with per-reason drop accounting.
 Every stage consumes and produces JSONL-friendly dicts so the CLI can stop
 and resume between stages. All randomness derives from (seed, stable item
 keys), so reruns with the same inputs reproduce outputs byte for byte.
-Each stage is one ordered loop over its rows, and its counters count the
-items it took as `attempts` (for `stage_pair`, the pairs sampled for the
-task) and the rows it wrote as `emitted`, so attempts = emitted + drops per
-stage. `run_eval` scores one greedy episode, or majority-votes sampled ones,
-per evaluation item.
+Each stage builds its clients, runs any block pre-pass, then hands a
+per-item step to `_run_steps`: one loop counts every stage's attempts (the
+items it took; for `stage_pair`, the pairs sampled for the task), outputs
+and drops, so attempts = emitted + drops per stage. `run_eval` scores one
+greedy episode, or majority-votes sampled ones, per evaluation item.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .synthesis import (
 )
 from .verification import (
     DataInstance,
-    VerifyConfig,
     assemble_instance,
     retrieve_queries,
     verify_query,
@@ -64,19 +63,30 @@ DROP_REASONS = (
 )
 
 
-def new_counters(attempts: int = 0, emitted: int = 0) -> dict[str, int]:
-    counters = {"attempts": attempts, "emitted": emitted}
-    counters.update({reason: 0 for reason in DROP_REASONS})
-    return counters
-
-
 def counters_conserved(counters: dict[str, int]) -> bool:
     drops = sum(counters.get(reason, 0) for reason in DROP_REASONS)
     return counters["attempts"] == counters["emitted"] + drops
 
 
+def _run_steps(items: list, step) -> tuple[list, dict[str, int]]:
+    """Run a stage's step on each item in order; the one place stages count.
+
+    A step returns the item's output, or a drop reason: a str in
+    DROP_REASONS (any other str raises KeyError).
+    """
+    outputs = []
+    drops = dict.fromkeys(DROP_REASONS, 0)
+    for item in items:
+        result = step(item)
+        if isinstance(result, str):
+            drops[result] += 1
+        else:
+            outputs.append(result)
+    return outputs, {"attempts": len(items), "emitted": len(outputs), **drops}
+
+
 def build_store(path: str | Path, config: PipelineConfig) -> CorpusStore:
-    return ingest_corpus(path, config.corpus, topics=config.topics.labeler)
+    return ingest_corpus(path, config.corpus, config.topics)
 
 
 def _pair_from_row(store: CorpusStore, row: dict) -> DocumentPair:
@@ -86,9 +96,7 @@ def _pair_from_row(store: CorpusStore, row: dict) -> DocumentPair:
 
 
 def _examples_override(config: PipelineConfig):
-    if config.examples:
-        return load_examples(config.examples)
-    return None
+    return load_examples(config.examples) if config.examples else None
 
 
 def _recognize(recognizer, texts) -> dict[str, list[str]]:
@@ -112,43 +120,33 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
     and the distinct texts of the hyper pairs' documents go to the
     recognizer in blocks before any answer is picked.
     """
-    recognizer = recognizer or build_recognizer(config)
+    mqa = config.task == TASK_MQA
+    recognizer = recognizer or (build_recognizer(config) if mqa else None)  # fever needs none
     pairs = [
         pair
         for anchor_id in sorted(store.documents)
         for pair in sample_pairs(store, anchor_id, config.pairing, config.seed)
-        if config.task != TASK_FEVER or pair.relation == HYPER
+        if mqa or pair.relation == HYPER
     ]
-    entities = {}
-    if config.task == TASK_MQA:
-        entities = _recognize(recognizer, [
-            doc.text for pair in pairs if pair.relation == HYPER for doc in (pair.d1, pair.d2)
-        ])
-    counters = new_counters(attempts=len(pairs))
-    rows: list[dict] = []
-    for pair in pairs:
+    entities = _recognize(recognizer, [
+        doc.text for pair in pairs if pair.relation == HYPER for doc in (pair.d1, pair.d2)
+    ]) if mqa else {}
+
+    def step(pair: DocumentPair):
         rng = derive_rng(config.seed, "answer", pair.d1.id, pair.d2.id)
-        if config.task == TASK_FEVER:
-            answer, source = rng.choice(FEVER_LABELS), "label"
-        else:
+        if mqa:
             docs = (pair.d1, pair.d2) if pair.relation == HYPER else ()
             candidates = answer_candidates(pair, [e for doc in docs for e in entities[doc.text]])
             if not candidates:  # only a hyper pair can have none
-                counters["no_answer_candidates"] += 1
-                continue
+                return "no_answer_candidates"
             chosen = pick_answer(candidates, rng)
             answer, source = chosen.text, chosen.source
-        rows.append(
-            {
-                "d1": pair.d1.id,
-                "d2": pair.d2.id,
-                "relation": pair.relation,
-                "answer": answer,
-                "answer_source": source,
-            }
-        )
-    counters["emitted"] = len(rows)
-    return rows, counters
+        else:
+            answer, source = rng.choice(FEVER_LABELS), "label"
+        return {"d1": pair.d1.id, "d2": pair.d2.id, "relation": pair.relation,
+                "answer": answer, "answer_source": source}
+
+    return _run_steps(pairs, step)
 
 
 def stage_questions(
@@ -166,7 +164,6 @@ def stage_questions(
     backend = backend or build_backend(config)
     recognizer = recognizer or build_recognizer(config)
     examples = _examples_override(config)
-    counters = new_counters()
     drafts = [
         synthesis.generate_question(
             _pair_from_row(store, row), row["answer"], backend, task=config.task,
@@ -175,16 +172,16 @@ def stage_questions(
         for row in pair_rows
     ]
     entities = _recognize(recognizer, [draft.text for draft in drafts if draft is not None])
-    rows = []
-    for row, draft in zip(pair_rows, drafts):
+
+    def step(item: tuple[dict, QuestionDraft | None]):
+        row, draft = item
         if draft is None:
-            counters["empty_question"] += 1
-        elif not synthesis.entity_count_filter(draft, entities[draft.text], config.filter):
-            counters["entity_filter"] += 1
-        else:
-            rows.append({**row, "question": draft.text})
-    counters.update(attempts=len(pair_rows), emitted=len(rows))
-    return rows, counters
+            return "empty_question"
+        if not synthesis.entity_count_filter(draft, entities[draft.text], config.filter):
+            return "entity_filter"
+        return {**row, "question": draft.text}
+
+    return _run_steps(list(zip(pair_rows, drafts, strict=True)), step)
 
 
 def _draft_from_row(store: CorpusStore, row: dict, task: str) -> QuestionDraft:
@@ -203,38 +200,32 @@ def stage_filter_answers(
     """Answerability and hop classification via both/first/second probes."""
     backend = backend or build_backend(config)
     examples = _examples_override(config)
-    counters = new_counters()
-    rows = []
-    for row in draft_rows:
+
+    def step(row: dict):
         draft = _draft_from_row(store, row, config.task)
         pair = draft.pair
-        preds = {}
-        for context, docs in (
-            ("both", [pair.d1, pair.d2]),
-            ("first", [pair.d1]),
-            ("second", [pair.d2]),
-        ):
-            preds[context] = synthesis.answer_question(
+        preds = {
+            context: synthesis.answer_question(
                 draft.text, docs, backend, task=config.task, setting=pair.relation,
                 examples=examples,
                 seed=derive_seed(config.seed, "answer", context, row["d1"], row["d2"]),
             )
+            for context, docs in (("both", [pair.d1, pair.d2]), ("first", [pair.d1]),
+                                  ("second", [pair.d2]))
+        }
         decision = synthesis.classify_hops(
             draft, preds["both"], preds["first"], preds["second"], config.filter
         )
         if decision.verdict != "keep":
-            counters["not_answerable"] += 1
-            continue
-        rows.append(
-            {
-                **row,
-                "hops": decision.hops,
-                "answerable_in": sorted(decision.answerable_in),
-                "final_answer": decision.final_answer,
-            }
-        )
-    counters.update(attempts=len(draft_rows), emitted=len(rows))
-    return rows, counters
+            return "not_answerable"
+        return {
+            **row,
+            "hops": decision.hops,
+            "answerable_in": sorted(decision.answerable_in),
+            "final_answer": decision.final_answer,
+        }
+
+    return _run_steps(draft_rows, step)
 
 
 def stage_queries(
@@ -246,22 +237,22 @@ def stage_queries(
     """Generate query candidates (model + backup) for every kept draft."""
     backend = backend or build_backend(config)
     examples = _examples_override(config)
-    rows = []
-    for row in decision_rows:
-        pair = _pair_from_row(store, row)
+
+    def step(row: dict):
         candidates = synthesis.generate_queries(
-            pair, row["question"], row["final_answer"], backend, task=config.task,
-            examples=examples,
+            _pair_from_row(store, row), row["question"], row["final_answer"], backend,
+            task=config.task, examples=examples,
             seed=derive_seed(config.seed, "querygen", row["d1"], row["d2"]),
         )
-        rows.append({
+        return {
             **row,
             "candidates": [
                 {"text": c.text, "origin": c.origin, "rank": c.generation_rank}
                 for c in candidates
             ],
-        })
-    return rows, new_counters(attempts=len(decision_rows), emitted=len(rows))
+        }
+
+    return _run_steps(decision_rows, step)
 
 
 def build_index(store: CorpusStore, provider):
@@ -284,31 +275,25 @@ def stage_verify(
     """
     provider = provider or build_embedder(config)
     index = index if index is not None else build_index(store, provider)
-    counters = new_counters()
     retrieved = retrieve_queries(
         [c["text"] for row in candidate_rows for c in row["candidates"]],
         index, provider, config.verify.k,
     )
-    instances = []
-    for row in candidate_rows:
-        pair = _pair_from_row(store, row)
+
+    def step(row: dict):
         draft = _draft_from_row(store, row, config.task)
         decision = HopDecision(
             "keep", row["hops"], frozenset(row["answerable_in"]), row["final_answer"]
         )
         verdicts = [
-            verify_query(
-                QueryCandidate(c["text"], c["origin"], c["rank"]), pair, retrieved[c["text"]]
-            )
+            verify_query(QueryCandidate(c["text"], c["origin"], c["rank"]), draft.pair,
+                         retrieved[c["text"]])
             for c in row["candidates"]
         ]
         instance, reason = assemble_instance(draft, decision, verdicts, store)
-        if instance is None:
-            counters[reason] += 1
-        else:
-            instances.append(instance)
-    counters.update(attempts=len(candidate_rows), emitted=len(instances))
-    return instances, counters
+        return reason or instance
+
+    return _run_steps(candidate_rows, step)
 
 
 def write_splits(
@@ -351,7 +336,7 @@ def run_all(
     instances, verify_counts = stage_verify(store, candidate_rows, config, provider)
     stages = (pair_counts, question_counts, answer_counts, query_counts, verify_counts)
     # each stage takes the rows the one before it wrote
-    totals = new_counters(pair_counts["attempts"], verify_counts["emitted"])
+    totals = {"attempts": pair_counts["attempts"], "emitted": verify_counts["emitted"]}
     totals.update({reason: sum(counts[reason] for counts in stages) for reason in DROP_REASONS})
 
     train, dev = write_splits(instances, out_dir, config)

@@ -135,17 +135,21 @@ def test_stage_chain(tmp_path, corpus_path, capsys):
     assert "#SQ Data" in stats_out
 
 
-def test_stage_chain_counters_conserve(tmp_path, corpus_path, capsys):
-    # each stage command counts the rows it took and the rows it wrote
-    from hopsynth.pairing import sample_pairs
+@pytest.mark.parametrize("task", ["mqa", "fever"])
+def test_stage_chain_counters_conserve(tmp_path, corpus_path, capsys, task):
+    # each stage command counts the rows it took and the rows it wrote;
+    # fever's pair stage takes only the sampled hyper pairs
+    from hopsynth.pairing import HYPER, sample_pairs
 
-    base = ["--seed", "3", "--task", "mqa"]
+    base = ["--seed", "3", "--task", task]
     store = tmp_path / "store.jsonl"
     assert main(base + ["ingest", "--in", str(corpus_path), "--out", str(store)]) == 0
     config = PipelineConfig()
     ingested = pipeline.build_store(store, config)
     sampled = sum(
-        len(sample_pairs(ingested, doc_id, config.pairing, 3)) for doc_id in ingested.documents
+        task == "mqa" or pair.relation == HYPER
+        for doc_id in ingested.documents
+        for pair in sample_pairs(ingested, doc_id, config.pairing, 3)
     )
     chain = [
         ("pair", None, "pairs"), ("gen-questions", "pairs", "drafts"),
@@ -168,6 +172,39 @@ def test_stage_chain_counters_conserve(tmp_path, corpus_path, capsys):
         assert counters["emitted"] == written, command
         assert pipeline.counters_conserved(counters), (command, counters)
     assert json.loads((tmp_path / "report.json").read_text()) == counters
+
+
+def test_fever_pair_builds_no_recognizer(tmp_path, corpus_path):
+    # fever labels need no entities, so an unusable recognizer spec is never built
+    store = tmp_path / "store.jsonl"
+    assert main(["ingest", "--in", str(corpus_path), "--out", str(store)]) == 0
+    http_config = tmp_path / "http.txt"
+    http_config.write_text("recognizer.kind = http\n")
+    outputs = {}
+    for name, config_args in (("http", ["--config", str(http_config)]), ("heuristic", [])):
+        outputs[name] = tmp_path / f"{name}.jsonl"
+        assert main(config_args + [
+            "--task", "fever", "pair", "--store", str(store), "--out", str(outputs[name]),
+        ]) == 0
+    assert outputs["http"].read_bytes() == outputs["heuristic"].read_bytes()
+    assert outputs["http"].read_text()
+
+
+@pytest.mark.parametrize("bad_line", ["{bad", "[1, 2]"])
+def test_bad_input_line_names_file_and_line(tmp_path, corpus_path, capsys, bad_line):
+    store = tmp_path / "store.jsonl"
+    pairs = tmp_path / "pairs.jsonl"
+    assert main(["ingest", "--in", str(corpus_path), "--out", str(store)]) == 0
+    assert main(["pair", "--store", str(store), "--out", str(pairs)]) == 0
+    first = pairs.read_text().splitlines()[0]
+    pairs.write_text(f"{first}\n{bad_line}\n")
+    capsys.readouterr()
+    assert main([
+        "gen-questions", "--store", str(store), "--in", str(pairs),
+        "--out", str(tmp_path / "drafts.jsonl"),
+    ]) == 2
+    assert f"{pairs}:2: " in capsys.readouterr().err
+    assert not (tmp_path / "drafts.jsonl").exists()
 
 
 def test_stage_rerun_reproduces_output(tmp_path, corpus_path):

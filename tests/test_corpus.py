@@ -6,6 +6,7 @@ import pytest
 from hopsynth.corpus import (
     CorpusConfig,
     CorpusFormatError,
+    TopicsConfig,
     hyperlink_neighbors,
     ingest_corpus,
     serialize_store,
@@ -192,14 +193,14 @@ def test_explicit_labeler(tmp_path):
     path = write_corpus(tmp_path, [
         doc(1, "A", "rock band x"), doc(2, "B", "rock band y"), doc(3, "C", "plain", topic="t"),
     ])
-    store = ingest_corpus(path, topics="keyword")
+    store = ingest_corpus(path, topics=TopicsConfig("keyword"))
     assert store.topic_clusters == {"music": ("d1", "d2"), "t": ("d3",)}
     assert topic_neighbors(store, "d2") == ["d1"]
 
 
 def test_unknown_topic_source_fails_before_reading():
-    with pytest.raises(ValueError, match="topics.labeler"):
-        ingest_corpus("/nonexistent/corpus.jsonl", topics="keywords")
+    with pytest.raises(ValueError, match="labeler 'keywords' is not one of"):
+        TopicsConfig("keywords")
 
 
 def test_store_is_frozen(tmp_path):
