@@ -4,7 +4,7 @@
 index, exactly as a stable `argsort(-scores)[:k]` does, without sorting
 every row: `np.partition` finds the k-th best score, and only the rows at
 or above it are sorted. Scores must be finite (`retrieval.search` rejects
-non-finite queries). `benchmarks/bench_search.py` times it against the
+non-finite queries). `benchmarks/bench_search.py` checks it against the
 stable argsort.
 """
 

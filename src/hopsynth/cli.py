@@ -19,14 +19,8 @@ from pathlib import Path
 from . import pipeline
 from .config import ConfigError, PipelineConfig, parse_config_file, set_config_key
 from .corpus import serialize_store
-from .emitter import (
-    dataset_stats,
-    format_stats_report,
-    read_jsonl,
-    read_rows,
-    write_jsonl,
-    write_rows,
-)
+from .emitter import dataset_stats, format_stats_report, read_jsonl, write_jsonl
+from .jsonl import read_rows, write_rows
 
 # Config flags: flag -> (the config keys it sets, help, the commands that take
 # it; none means every command, with the flag before it). set_config_key

@@ -16,11 +16,11 @@ except for a cache of normalized document texts filled on first use.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .jsonl import read_numbered_rows, write_rows
 from .metrics import normalize_answer, token_spans
 
 
@@ -114,30 +114,23 @@ def truncate_text(text: str, max_tokens: int) -> str:
     return text[: spans[max_tokens - 1][1]]
 
 
-def _parse_record(raw: str, line_no: int) -> dict:
-    try:
-        record = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(record, dict):
-        raise CorpusFormatError(f"line {line_no}: record is not an object")
+def _check_record(record: dict, where: str) -> None:
     for key in ("id", "title", "text"):
         if not isinstance(record.get(key), str) or not record[key]:
-            raise CorpusFormatError(f"line {line_no}: missing or empty field {key!r}")
+            raise CorpusFormatError(f"{where}: missing or empty field {key!r}")
     anchors = record.get("anchors", [])
     if not isinstance(anchors, list):
-        raise CorpusFormatError(f"line {line_no}: anchors must be an array")
+        raise CorpusFormatError(f"{where}: anchors must be an array")
     for anchor in anchors:
         if (
             not isinstance(anchor, dict)
             or not isinstance(anchor.get("span"), str)
             or not isinstance(anchor.get("target"), str)
         ):
-            raise CorpusFormatError(f"line {line_no}: anchor needs string span and target")
+            raise CorpusFormatError(f"{where}: anchor needs string span and target")
     topic = record.get("topic")
     if topic is not None and not isinstance(topic, str):
-        raise CorpusFormatError(f"line {line_no}: topic must be a string")
-    return record
+        raise CorpusFormatError(f"{where}: topic must be a string")
 
 
 def ingest_corpus(
@@ -158,25 +151,23 @@ def ingest_corpus(
     labeler = (topics or TopicsConfig()).labeler
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        rows = read_numbered_rows(path, CorpusFormatError)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
 
     records: list[tuple[int, dict]] = []
     id_lines: dict[str, int] = {}
     title_lines: dict[str, int] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        record = _parse_record(raw, line_no)
+    for line_no, record in rows:
+        _check_record(record, f"{path}:{line_no}")
         doc_id, title = record["id"], record["title"]
         if doc_id in id_lines:
             raise CorpusFormatError(
-                f"duplicate id {doc_id!r} on lines {id_lines[doc_id]} and {line_no}"
+                f"{path}: duplicate id {doc_id!r} on lines {id_lines[doc_id]} and {line_no}"
             )
         if title in title_lines:
             raise CorpusFormatError(
-                f"duplicate title {title!r} on lines {title_lines[title]} and {line_no}"
+                f"{path}: duplicate title {title!r} on lines {title_lines[title]} and {line_no}"
             )
         id_lines[doc_id] = line_no
         title_lines[title] = line_no
@@ -241,17 +232,16 @@ def topic_neighbors(store: CorpusStore, doc_id: str) -> list[str]:
 
 def serialize_store(store: CorpusStore, path: str | Path) -> int:
     """Write the store back out in the corpus input format; returns doc count."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for doc_id in sorted(store.documents):
-            doc = store.documents[doc_id]
-            record = {
-                "id": doc.id,
-                "title": doc.title,
-                "text": doc.text,
-                "anchors": [{"span": s, "target": t} for s, t in doc.anchors],
-            }
-            if doc.topic is not None:
-                record["topic"] = doc.topic
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    def record(doc: Document) -> dict:
+        row = {
+            "id": doc.id,
+            "title": doc.title,
+            "text": doc.text,
+            "anchors": [{"span": s, "target": t} for s, t in doc.anchors],
+        }
+        if doc.topic is not None:
+            row["topic"] = doc.topic
+        return row
+
+    write_rows((record(store.documents[doc_id]) for doc_id in sorted(store.documents)), path)
     return len(store.documents)

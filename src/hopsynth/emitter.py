@@ -9,12 +9,12 @@ Output format (JSONL, one instance per line, stable field order):
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
+from .jsonl import read_rows, write_rows
 from .metrics import word_count
 from .synthesis import TASK_FEVER
 from .verification import DataInstance
@@ -64,32 +64,6 @@ def record_to_instance(record: dict) -> DataInstance:
         answer=record["answer"],
         source_pair=(record["source_pair"][0], record["source_pair"][1]),
     )
-
-
-def write_rows(rows: Iterable[dict], path: str | Path) -> None:
-    """Write one JSON object per line, non-ASCII kept as is."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
-
-
-def read_rows(path: str | Path) -> list[dict]:
-    """Read one JSON object per line, skipping blank lines.
-
-    A line that is not valid JSON, or not an object, raises ValueError
-    naming `<path>:<line>`.
-    """
-    rows = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rows.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-        if not isinstance(rows[-1], dict):
-            raise ValueError(f"{path}:{line_no}: not a JSON object")
-    return rows
 
 
 def write_jsonl(instances: Sequence[DataInstance], path: str | Path) -> int:

@@ -86,8 +86,7 @@ def run_episode(
             line = ""
         query = line[len("Query:"):].strip() if line.startswith("Query:") else ""
         if query and not at_limit:
-            vec = embed(provider, [query])[0]
-            turns.append((query, tuple(s.doc_id for s in search(index, vec, config.k))))
+            turns.append((query, search(index, embed(provider, [query]), config.k)[0]))
             continue
         if line.startswith("Answer:"):
             answer = line[len("Answer:"):].strip()

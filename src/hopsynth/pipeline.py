@@ -19,9 +19,10 @@ from pathlib import Path
 from . import synthesis
 from .config import PipelineConfig, build_backend, build_embedder, build_recognizer
 from .corpus import CorpusStore, ingest_corpus, serialize_store
-from .emitter import dataset_stats, read_rows, split_dev, write_jsonl
+from .emitter import dataset_stats, split_dev, write_jsonl
 from .evalharness import run_episode, score_fever, score_qa, self_consistency
 from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_params
+from .jsonl import read_rows
 from .pairing import (
     HYPER,
     DocumentPair,

@@ -24,11 +24,12 @@ one line: its newlines become spaces. `parse_block` reads any block.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
+
+from .jsonl import read_rows
 
 TASK_MQA = "mqa"
 TASK_FEVER = "fever"
@@ -105,20 +106,14 @@ def _example_from_row(row: dict) -> FewShotExample:
 
 def load_examples(path: str | Path) -> list[FewShotExample]:
     """Read a few-shot store: JSONL of documents/question/answer/queries."""
-    return [
-        _example_from_row(json.loads(line))
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    return [_example_from_row(row) for row in read_rows(path)]
 
 
 @functools.lru_cache(maxsize=None)
 def _load_builtin(name: str) -> tuple[FewShotExample, ...]:
     # one parse per data file and process; every prompt asks for its examples
-    with resources.files("hopsynth.data").joinpath(f"{name}.jsonl").open(
-        "r", encoding="utf-8"
-    ) as handle:
-        return tuple(_example_from_row(json.loads(line)) for line in handle if line.strip())
+    data = resources.files("hopsynth.data").joinpath(f"{name}.jsonl")
+    return tuple(_example_from_row(row) for row in read_rows(data))
 
 
 def builtin_examples(task: str, setting: str) -> tuple[FewShotExample, ...]:

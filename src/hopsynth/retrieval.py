@@ -1,8 +1,20 @@
 """Embedding providers and an exact flat dense index.
 
 Similarity is the dot product of float32 embedding vectors. Search is
-exact: every row is scored, the top k are returned in descending score
-order with ties broken by ascending document id. Providers:
+exact: every row is scored, and the top k come in descending score order
+with ties broken by ascending document id. The ids are always those of one
+float32 mat-vec per query, `select_topk(matrix @ q, k)`.
+
+A block of queries is scored with one GEMM, whose rows can differ from that
+mat-vec in the last bits. Higham's bound (*Accuracy and Stability of
+Numerical Algorithms*, 3.1) puts either computed dot product within
+`gamma_d * |m| * |q|` of the exact one, for any summation order, with or
+without FMA, where `gamma_d = d*u / (1 - d*u)` and `u = 2**-24`. So the GEMM
+and mat-vec scores of one row differ by at most twice that. When every gap
+between a query's k+1 best GEMM scores exceeds twice that difference, the
+mat-vec ranks the same k rows first, in the same order, with no ties, and
+the GEMM order is kept. Any other query (ties, near ties, non-finite
+scores) is scored again with its own mat-vec. Providers:
 
 * HttpEmbedder  - POST {endpoint}/v1/embeddings {"texts": [s]} -> {"vectors": [[f]]}
 * FileEmbedder  - precomputed JSONL of {"text": s, "vector": [f]}, exact-text keyed
@@ -12,15 +24,17 @@ order with ties broken by ascending document id. Providers:
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from ._kernels import select_topk
 from .httpjson import JsonSession, post_with_retries
+from .jsonl import read_rows
 from .metrics import tokenize
 
 
@@ -32,9 +46,16 @@ class EmbeddingProvider(Protocol):
     def __call__(self, texts: list[str]) -> list[np.ndarray]: ...
 
 
-class ScoredDoc(NamedTuple):
-    doc_id: str
-    score: float
+# float32's unit roundoff, and its smallest normal number: an absolute
+# d * _TINY per dot product covers products that underflow
+_UNIT_ROUNDOFF = 2.0 ** -24
+_TINY = float(np.finfo(np.float32).tiny)
+
+
+def _gamma(d: int) -> float:
+    """Higham's gamma_d in float32: the relative error bound of a d-term dot product."""
+    du = d * _UNIT_ROUNDOFF
+    return du / (1.0 - du) if du < 1.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -45,6 +66,18 @@ class FlatIndex:
 
     def __len__(self) -> int:
         return len(self.doc_ids)
+
+    @cached_property
+    def row_norm_bound(self) -> float:
+        """An upper bound on the largest row norm, computed once per index.
+
+        The sums of squares are float32 (`einsum`, no float64 copy of the
+        matrix). Each is at least `1 - gamma_d` of the exact sum, less
+        `d * tiny` for squares that underflow, so undoing both bounds the
+        exact norm from above.
+        """
+        squares = float(np.einsum("ij,ij->i", self.matrix, self.matrix).max())
+        return math.sqrt((squares + self.dim * _TINY) / (1.0 - _gamma(self.dim)))
 
 
 class HashEmbedder:
@@ -88,12 +121,9 @@ class FileEmbedder:
     """Precomputed embeddings keyed by exact text."""
 
     def __init__(self, path: str | Path):
-        self.table: dict[str, np.ndarray] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            self.table[row["text"]] = np.asarray(row["vector"], dtype=np.float32)
+        self.table = {
+            row["text"]: np.asarray(row["vector"], dtype=np.float32) for row in read_rows(path)
+        }
 
     def __call__(self, texts: list[str]) -> list[np.ndarray]:
         out = []
@@ -155,20 +185,51 @@ def build_flat_index(doc_ids: Sequence[str], vectors: Sequence[np.ndarray]) -> F
     return FlatIndex(doc_ids=tuple(doc_ids[i] for i in order), matrix=matrix, dim=dim)
 
 
-def search(index: FlatIndex, query_vec: np.ndarray, k: int) -> list[ScoredDoc]:
-    """Exact top-k by dot product; ties broken by ascending doc id.
+def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:
+    """Top-k doc ids for each query vector of a block, in block order.
 
-    Scores come from one mat-vec per query: a blocked GEMM (`Q @ M.T`) can
-    differ from `M @ q` in the last bits, which changes near-tie order.
-    Raises ValueError for a non-finite query vector.
+    `queries` holds one vector per row, as `embed` returns them. Each
+    query's ids and their order are exactly `select_topk(index.matrix @ q,
+    k)`: descending score, ties by ascending doc id. A one-row block runs
+    that mat-vec. A larger block is scored with one GEMM, and a query keeps
+    the GEMM order only when every gap between its k+1 best GEMM scores
+    exceeds `4 * gamma_d * |q| * max|m|`, inflated for the float64 rounding
+    of that margin and for underflow, which certifies the mat-vec's top k
+    and order (see the module docstring). A query with a smaller gap, a
+    tie, a non-finite score or a norm product near float32 overflow is
+    scored by its own mat-vec. Raises ValueError for a block of the wrong
+    dimension or with a non-finite entry.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    query = np.asarray(query_vec, dtype=np.float32)
-    if query.shape != (index.dim,):
-        raise ValueError(f"query dim {query.shape} does not match index dim {index.dim}")
-    if not np.isfinite(query).all():
-        raise ValueError("query vector must be finite")
-    scores = index.matrix @ query
-    rows = select_topk(scores, k)
-    return [ScoredDoc(index.doc_ids[i], float(scores[i])) for i in rows]
+    block = np.asarray(queries, dtype=np.float32)
+    if block.ndim != 2 or block.shape[1] != index.dim:
+        raise ValueError(f"query block shape {block.shape} does not match index dim {index.dim}")
+    if not np.isfinite(block).all():
+        raise ValueError("query vectors must be finite")
+    ids = index.doc_ids
+    if len(block) == 1:
+        return [tuple(ids[i] for i in select_topk(index.matrix @ block[0], k))]
+
+    n = len(index)
+    kept, ranked = min(k, n), min(k + 1, n)
+    scores = block @ index.matrix.T
+    # each query's k+1 best GEMM scores, ascending
+    top = np.sort(np.partition(scores, n - ranked, axis=1)[:, n - ranked:], axis=1)
+    gaps = np.diff(top.astype(np.float64), axis=1)
+    scale = np.sqrt(np.einsum("ij,ij->i", block, block, dtype=np.float64)) * index.row_norm_bound
+    # 1 + 2**-20 covers the float64 rounding of the norms, the margin and the gaps
+    margin = 4.0 * (_gamma(index.dim) * scale + index.dim * _TINY) * (1.0 + 2.0 ** -20)
+    # below 2**126 no partial sum of either product can overflow, so the bound holds
+    certified = ((gaps > margin[:, None]).all(axis=1) & np.isfinite(top).all(axis=1)
+                 & (scale < 2.0 ** 126))
+    in_top = scores >= top[:, ranked - kept, None]
+    out = []
+    for q, row_scores, mask, ok in zip(block, scores, in_top, certified):
+        if ok:
+            rows = np.flatnonzero(mask)
+            rows = rows[np.argsort(row_scores[rows])[::-1]]
+        else:
+            rows = select_topk(index.matrix @ q, k)
+        out.append(tuple(ids[i] for i in rows))
+    return out

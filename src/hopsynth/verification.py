@@ -6,6 +6,10 @@ shortest survives. Hop 1 is the first survivor in generation order, hop 2
 the first later survivor covering the other document. The original-question
 backup is consulted only when every model candidate is invalid.
 
+Distinct query texts are embedded and searched once each, one `search` call
+per embedding block of EMBED_BLOCK texts, which scores the block with one
+GEMM and returns exactly the per-query mat-vec top-k (see `retrieval`).
+
 Retrieval failures are not verdicts: an `EmbeddingError` from the provider
 or a `ValueError` from `search` (wrong dimension, non-finite vector) leaves
 `retrieve_queries` and stops the stage, so a missed query always means the
@@ -77,15 +81,15 @@ def retrieve_queries(
 ) -> dict[str, tuple[str, ...]]:
     """Top-k doc ids for each distinct text, keyed by text in first-seen order.
 
-    Distinct texts are embedded EMBED_BLOCK per provider call and each is
-    searched once. Embedding and search errors propagate.
+    Distinct texts are embedded EMBED_BLOCK per provider call, and each
+    embedded block is one `search` call, which scores it with one GEMM.
+    Embedding and search errors propagate.
     """
     distinct = list(dict.fromkeys(texts))
     retrieved: dict[str, tuple[str, ...]] = {}
     for start in range(0, len(distinct), EMBED_BLOCK):
         block = distinct[start:start + EMBED_BLOCK]
-        for text, vector in zip(block, embed(provider, block)):
-            retrieved[text] = tuple(s.doc_id for s in search(index, vector, k))
+        retrieved.update(zip(block, search(index, embed(provider, block), k)))
     return retrieved
 
 

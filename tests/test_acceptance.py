@@ -94,13 +94,13 @@ def test_criterion_2_flat_index_exactness():
         k = int(rng.integers(1, min(n, 50) + 2))
         ids = [f"doc{i:04d}" for i in range(n)]
         matrix = rng.standard_normal((n, dim)).astype(np.float32)
-        query = rng.standard_normal(dim).astype(np.float32)
+        queries = rng.standard_normal((4, dim)).astype(np.float32)
         index = build_flat_index(ids, list(matrix))
-        got = search(index, query, k)
-        expected = brute_force_search(list(index.doc_ids), index.matrix, query, k)
-        assert [g.doc_id for g in got] == [e[0] for e in expected], f"trial {trial}"
-        for g, e in zip(got, expected):
-            assert g.score == pytest.approx(e[1], rel=1e-5)
+        # each query alone (the mat-vec), then the trial's queries as one block (the GEMM)
+        got = [search(index, [query], k)[0] for query in queries] + search(index, queries, k)
+        for i, ranked in enumerate(got):
+            expected = brute_force_search(list(index.doc_ids), index.matrix, queries[i % 4], k)
+            assert list(ranked) == [e[0] for e in expected], f"trial {trial}, search {i}"
     report(2, "search matches the brute-force oracle on 200 random instances", started, 10.0)
 
 

@@ -207,6 +207,18 @@ def test_bad_input_line_names_file_and_line(tmp_path, corpus_path, capsys, bad_l
     assert not (tmp_path / "drafts.jsonl").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    lambda bad, out: ["--examples", str(bad), "run-all",
+                      "--in", str(DEMO / "corpus.jsonl"), "--out", str(out)],
+    lambda bad, out: ["ingest", "--in", str(bad), "--out", str(out)],
+], ids=["examples", "corpus"])
+def test_bad_jsonl_line_of_examples_or_corpus_names_file_and_line(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{bad\n", encoding="utf-8")
+    assert main(argv(bad, tmp_path / "out")) == 2
+    assert f"{bad}:1: invalid JSON" in capsys.readouterr().err
+
+
 def test_stage_rerun_reproduces_output(tmp_path, corpus_path):
     base = ["--seed", "9", "--backend", "mock", "--embeddings", "mock", "--workers", "2"]
     store = tmp_path / "store.jsonl"

@@ -112,7 +112,7 @@ def test_duplicate_id_error(tmp_path):
 def test_malformed_record_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "d1", "title": "A", "text": "x"}\nnot json\n')
-    with pytest.raises(CorpusFormatError, match="line 2"):
+    with pytest.raises(CorpusFormatError, match=r"bad\.jsonl:2: invalid JSON"):
         ingest_corpus(path)
 
 

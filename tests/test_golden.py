@@ -40,6 +40,19 @@ GOLDEN = {
         "store": "2a06bf63a6aec2729f49992be6fd6e34eb878e05137b45de2ddbc1b0ff26b872",
         "report": "c973e2332da00edfbe9adb45ad1fb2974f19f490adffd60be43ade10578d9e5a",
     },
+    # mqa with topics.labeler = keyword (one cluster of every document) and none
+    "mqa-keyword": {
+        "train": "f903b4065c93d4bdc0f7e8d99b99800683bd9543ff3db61d43411d171e65e5db",
+        "dev": "a7c77a2f16e18b0276ced8e0cee86f652f0b34a23f8dbe9451d83cc9d0e21e56",
+        "store": "c753bb0dcbb10a6b25777278c748890536469be65e289b1e4e24236dcd7f6072",
+        "report": "e6ad6171b7507129f8dcbdc6f65797541ef0b8b71430089fed5e0e879d1273bc",
+    },
+    "mqa-none": {
+        "train": "2f840cbf49a909b32b779be4c2d995d249c69417897510220f58a66c6fe5d483",
+        "dev": "5c0ad05d8faae96546301a4aff45f1043f5ab0f36c81c34de1bc7bc5612f34c2",
+        "store": "c3c3a9827ae11834428d1516dbe5c647c7beb068f72dafb2d27626a56ddf6e2b",
+        "report": "90e05b01cd6359b0536353565bc3658a68b206432e263d6d234e8e5722926b39",
+    },
     "eval": "25d6398fe8e1314f0d5c9ac3d95ae719c2833f14875060e3d127b7dd4066d1ca",
 }
 
@@ -52,11 +65,21 @@ def _json_sha(obj) -> str:
     return _sha(json.dumps(obj, sort_keys=True).encode("utf-8"))
 
 
-def run_all_digests(task: str, workdir) -> dict:
-    """Digests of `run_all` on a 300-doc synthetic corpus."""
+def run_all_digests(task: str, workdir, labeler: str = "file") -> dict:
+    """Digests of `run_all` on a 300-doc synthetic corpus.
+
+    Under `topics.labeler = keyword` or `none` the records carry no topic,
+    so `keyword` labels every document itself; the synthetic texts hold no
+    keyword, so all 300 share one cluster.
+    """
     workdir = Path(workdir)
-    corpus = write_corpus(workdir / "corpus.jsonl", make_corpus(n_docs=300, seed=5, n_topics=12))
+    records = make_corpus(n_docs=300, seed=5, n_topics=12)
+    if labeler != "file":
+        for record in records:
+            del record["topic"]
+    corpus = write_corpus(workdir / "corpus.jsonl", records)
     config = PipelineConfig(task=task, seed=23, dev_size=40)
+    config.topics.labeler = labeler
     report = run_all(corpus, workdir / "out", config)
     outputs = report.pop("outputs")
     digests = {name: _sha(Path(outputs[name]).read_bytes()) for name in ("train", "dev", "store")}
@@ -66,6 +89,11 @@ def run_all_digests(task: str, workdir) -> dict:
 
 def test_run_all_mqa_digests(tmp_path):
     assert run_all_digests("mqa", tmp_path) == GOLDEN["mqa"]
+
+
+@pytest.mark.parametrize("labeler", ["keyword", "none"])
+def test_run_all_mqa_digests_per_topic_labeler(tmp_path, labeler):
+    assert run_all_digests("mqa", tmp_path, labeler) == GOLDEN[f"mqa-{labeler}"]
 
 
 def test_run_all_fever_digests_under_another_hash_seed(tmp_path):

@@ -5,13 +5,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from hopsynth import retrieval
 from hopsynth._kernels import select_topk
 from hopsynth.retrieval import (
     EmbeddingError,
     FileEmbedder,
     HashEmbedder,
     HttpEmbedder,
-    ScoredDoc,
     build_flat_index,
     embed,
     search,
@@ -29,15 +29,15 @@ def small_index():
 
 def test_search_identity():
     index = small_index()
-    got = search(index, np.array([1.0, 0.0], dtype=np.float32), k=1)
-    assert got == [ScoredDoc("doc0", 1.0)]
+    assert search(index, [np.array([1.0, 0.0], dtype=np.float32)], k=1) == [("doc0",)]
 
 
 def test_search_ordering_and_k_truncation():
     index = small_index()
-    got = search(index, np.array([1.0, 0.0], dtype=np.float32), k=2)
-    assert got == [ScoredDoc("doc0", 1.0), ScoredDoc("doc1", 0.0)]
-    assert search(index, np.array([1.0, 0.0], dtype=np.float32), k=10) == got
+    query = np.array([1.0, 0.0], dtype=np.float32)
+    assert search(index, [query], k=2) == [("doc0", "doc1")]
+    assert search(index, [query], k=10) == [("doc0", "doc1")]
+    assert search(index, [query, query[::-1]], k=10) == [("doc0", "doc1"), ("doc1", "doc0")]
 
 
 def test_search_tie_break_by_doc_id():
@@ -45,8 +45,9 @@ def test_search_tie_break_by_doc_id():
         ["zeta", "alpha", "mid"],
         [np.array([1.0], dtype=np.float32)] * 3,
     )
-    got = search(index, np.array([1.0], dtype=np.float32), k=3)
-    assert [s.doc_id for s in got] == ["alpha", "mid", "zeta"]
+    query = np.array([1.0], dtype=np.float32)
+    assert search(index, [query], k=3) == [("alpha", "mid", "zeta")]
+    assert search(index, [query, query], k=2) == [("alpha", "mid")] * 2
 
 
 def test_build_validations():
@@ -63,14 +64,22 @@ def test_build_validations():
 
 
 def test_search_dim_mismatch():
-    with pytest.raises(ValueError, match="dim"):
-        search(small_index(), np.zeros(3, dtype=np.float32), k=1)
+    for block in (
+        [np.zeros(3, dtype=np.float32)],
+        np.zeros((64, 3), dtype=np.float32),
+        np.zeros(2, dtype=np.float32),  # one vector, not a block of them
+    ):
+        with pytest.raises(ValueError, match="dim"):
+            search(small_index(), block, k=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_search_rejects_non_finite_query(bad):
-    with pytest.raises(ValueError, match="finite"):
-        search(small_index(), np.array([0.5, bad], dtype=np.float32), k=1)
+    for rows in (1, 2, 64):  # a bad entry in any row of a block
+        block = np.full((rows, 2), 0.5, dtype=np.float32)
+        block[rows // 2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            search(small_index(), block, k=1)
 
 
 def test_search_matches_brute_force_oracle():
@@ -83,11 +92,78 @@ def test_search_matches_brute_force_oracle():
         matrix = rng.standard_normal((n, dim)).astype(np.float32)
         query = rng.standard_normal(dim).astype(np.float32)
         index = build_flat_index(ids, list(matrix))
-        got = search(index, query, k)
+        got = search(index, [query], k)[0]
         expected = brute_force_search(list(index.doc_ids), index.matrix, query, k)
-        assert [g.doc_id for g in got] == [e[0] for e in expected]
-        for g, e in zip(got, expected):
-            assert g.score == pytest.approx(e[1], rel=1e-5)
+        assert list(got) == [e[0] for e in expected]
+
+
+def _random_matrix(rng, kind, n, d):
+    if kind == "quantized":  # exact score ties
+        return rng.integers(-2, 3, size=(n, d)).astype(np.float32)
+    matrix = rng.standard_normal((n, d)).astype(np.float32)
+    if kind == "duplicated":
+        matrix[rng.integers(0, n, size=n // 2)] = matrix[rng.integers(0, n, size=n // 2)]
+    elif kind == "nudged":  # copies of a few rows, each entry moved by at most one ulp:
+        # near ties whose GEMM and mat-vec orders often differ
+        matrix = matrix[rng.integers(0, max(1, n // 4), size=n)]
+        step = np.where(rng.random((n, d)) < 0.5, np.inf, -np.inf).astype(np.float32)
+        matrix = np.where(rng.random((n, d)) < 0.2, np.nextafter(matrix, step), matrix)
+    elif kind == "tiny":  # products underflow to subnormals
+        matrix *= np.float32(1e-22)
+    elif kind == "huge":  # |q| * max|m| above the overflow guard's 2**126
+        matrix *= np.float32(1e19) / np.linalg.norm(matrix, axis=1, keepdims=True)
+    return matrix
+
+
+def _random_query(rng, kind, matrix):
+    n, d = matrix.shape
+    if kind == "zero":
+        return np.zeros(d, dtype=np.float32)
+    if kind == "quantized":
+        return rng.integers(-1, 2, size=d).astype(np.float32)
+    if kind == "row":  # a near copy of one row: a clear winner, then near ties
+        return matrix[rng.integers(0, n)] + rng.standard_normal(d).astype(np.float32)
+    query = rng.standard_normal(d).astype(np.float32)
+    return query * np.float32(1.5e19) / np.linalg.norm(query) if kind == "huge" else query
+
+
+def test_block_search_equals_per_query_matvec(monkeypatch):
+    """Block search returns exactly `select_topk(matrix @ q, k)` per query.
+
+    Matrices include duplicated rows and quantized entries (exact ties) and
+    rows one ulp apart (near ties), queries include zero and quantized
+    vectors, and k may exceed n. Counting
+    the fallbacks shows that both the certified GEMM order and the per-query
+    mat-vec run on blocks of two or more.
+    """
+    fallbacks = []
+    monkeypatch.setattr(
+        retrieval, "select_topk", lambda scores, k: fallbacks.append(k) or select_topk(scores, k)
+    )
+    rng = np.random.default_rng(20)
+    certified = fell_back = 0
+    for trial in range(120):
+        n, d = int(rng.integers(1, 300)), int(rng.integers(1, 48))
+        k = int(rng.integers(1, min(n, 12) + 4))
+        matrix_kind = ("gaussian", "quantized", "duplicated", "nudged", "tiny", "huge")[trial % 6]
+        matrix = _random_matrix(rng, matrix_kind, n, d)
+        index = build_flat_index([f"d{i:03d}" for i in range(n)], list(matrix))
+        exact_norms = np.linalg.norm(index.matrix.astype(np.float64), axis=1)
+        assert index.row_norm_bound >= exact_norms.max()
+        rows = (1, 2, 64)[trial // 6 % 3]
+        query_kinds = ("huge",) if matrix_kind == "huge" else (
+            "gaussian", "quantized", "row", "zero")
+        block = [_random_query(rng, query_kinds[int(rng.integers(0, len(query_kinds)))], matrix)
+                 for _ in range(rows)]
+        fallbacks.clear()
+        got = search(index, block, k)
+        expected = [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ q, k))
+                    for q in block]
+        assert got == expected, (trial, matrix_kind, n, d, k)
+        if rows > 1:
+            fell_back += len(fallbacks)
+            certified += rows - len(fallbacks)
+    assert certified > 0 and fell_back > 0, (certified, fell_back)
 
 
 def test_kernels_agree_including_ties():
@@ -115,9 +191,9 @@ def test_scale_equivariant_ranking():
     matrix = rng.standard_normal((50, 8)).astype(np.float32)
     index = build_flat_index([f"d{i}" for i in range(50)], list(matrix))
     query = rng.standard_normal(8).astype(np.float32)
-    base = [s.doc_id for s in search(index, query, 10)]
+    base = search(index, [query], 10)[0]
     for c in (0.5, 3.0, 17.0):
-        scaled = [s.doc_id for s in search(index, (c * query).astype(np.float32), 10)]
+        scaled = search(index, [(c * query).astype(np.float32)], 10)[0]
         assert scaled == base
 
 
