@@ -103,8 +103,9 @@ def _random_matrix(rng, kind, n, d):
     matrix = rng.standard_normal((n, d)).astype(np.float32)
     if kind == "duplicated":
         matrix[rng.integers(0, n, size=n // 2)] = matrix[rng.integers(0, n, size=n // 2)]
-    elif kind == "nudged":  # copies of a few rows, each entry moved by at most one ulp:
-        # near ties whose GEMM and mat-vec orders often differ
+    elif kind == "nudged":
+        # copies of a few rows, each entry moved by at most one ulp: near
+        # ties whose GEMM and mat-vec orders often differ
         matrix = matrix[rng.integers(0, max(1, n // 4), size=n)]
         step = np.where(rng.random((n, d)) < 0.5, np.inf, -np.inf).astype(np.float32)
         matrix = np.where(rng.random((n, d)) < 0.2, np.nextafter(matrix, step), matrix)
@@ -132,9 +133,9 @@ def test_block_search_equals_per_query_matvec(monkeypatch):
 
     Matrices include duplicated rows and quantized entries (exact ties) and
     rows one ulp apart (near ties), queries include zero and quantized
-    vectors, and k may exceed n. Counting
-    the fallbacks shows that both the certified GEMM order and the per-query
-    mat-vec run on blocks of two or more.
+    vectors, and k may exceed n. Counting the fallbacks shows that both the
+    certified GEMM order and the per-query mat-vec run on blocks of two or
+    more.
     """
     fallbacks = []
     monkeypatch.setattr(
