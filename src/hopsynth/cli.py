@@ -108,8 +108,11 @@ def run_command(args) -> int:
 
     if command in _STAGES:
         store = pipeline.build_store(args.store_path, config)
-        inputs = () if command == "pair" else (read_rows(args.in_path),)
-        rows, counters = _STAGES[command][0](store, *inputs, config)
+        stage = _STAGES[command][0]
+        inputs = () if command == "pair" else (
+            read_rows(args.in_path, pipeline.INPUT_FIELDS[stage]),
+        )
+        rows, counters = stage(store, *inputs, config)
         (write_jsonl if command == "verify" else write_rows)(rows, args.out_path)
         if command == "verify" and args.report:
             Path(args.report).write_text(json.dumps(counters, indent=2) + "\n")

@@ -1,15 +1,26 @@
 """JSON over HTTP for the completion, embedding and entity clients.
 
 Each client owns one `JsonSession`: a persistent HTTP/1.1 connection to its
-endpoint, reused for every call (`https` endpoints use the default
-certificate-verifying TLS context; proxy environment variables are not
-read). `post_with_retries` is the one retry policy the clients share.
+endpoint, reused for every call. `https` endpoints use the default
+certificate-verifying TLS context; proxy environment variables are not read.
+
+The session speaks the little of HTTP/1.1 (RFC 9112) it needs itself. A
+request is one write: the request line, `Host`, `Content-Type:
+application/json`, `Content-Length` and `Accept-Encoding: identity`, then the
+JSON body. A reply body is framed by `Content-Length`, by `Transfer-Encoding:
+chunked`, or by the server closing the connection; the connection is closed
+after `Connection: close` and after an HTTP/1.0 reply. A reply with a
+malformed status line, a line over 65,536 bytes, more than 100 headers or
+trailers, a `Content-Encoding` other than identity or another
+`Transfer-Encoding` raises `HttpProtocolError`. An endpoint holding
+whitespace, control or non-ASCII characters is refused when the session is
+made. `post_with_retries` is the one retry policy the clients share.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import ssl
 import time
 from urllib.parse import urlsplit
@@ -17,15 +28,23 @@ from urllib.parse import urlsplit
 ATTEMPTS = 3
 BACKOFF_BASE = 0.2  # seconds; a failed attempt n (from 0) sleeps BACKOFF_BASE * 2**n
 
-# What a failed request raises: socket and TLS errors, `HttpStatusError`, a
-# broken HTTP exchange, or a reply body that is not JSON.
-TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
+MAX_LINE = 65536  # bytes per status, header, chunk-size or trailer line
+MAX_HEADERS = 100  # header lines per reply (and trailer lines per chunked body)
 
-_HEADERS = {"Content-Type": "application/json"}
+# What a failed request raises: socket and TLS errors, `HttpStatusError`,
+# `HttpProtocolError`, or a reply body that is not JSON (a ValueError).
+TRANSPORT_ERRORS = (OSError, ValueError)
+
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+_NO_BODY = (204, 304)
 
 
 class HttpStatusError(OSError):
     """The endpoint answered with a status outside 2xx."""
+
+
+class HttpProtocolError(OSError):
+    """The endpoint's reply is not HTTP/1.1 this client reads."""
 
 
 class JsonSession:
@@ -33,13 +52,25 @@ class JsonSession:
 
     def __init__(self, endpoint: str, timeout: float):
         parts = urlsplit(endpoint)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
+        if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
             raise ValueError(f"endpoint must be an http:// or https:// URL: {endpoint!r}")
+        if not (endpoint.isascii() and endpoint.isprintable()) or " " in endpoint:
+            raise ValueError(
+                f"endpoint holds whitespace, control or non-ASCII characters: {endpoint!r}"
+            )
         self._timeout = timeout
-        self._https = parts.scheme == "https"
-        self._host, self._port = parts.hostname, parts.port
+        self._address = (parts.hostname, parts.port or _DEFAULT_PORTS[parts.scheme])
+        self._tls = ssl.create_default_context() if parts.scheme == "https" else None
+        host = f"[{parts.hostname}]" if ":" in parts.hostname else parts.hostname
+        if parts.port not in (None, _DEFAULT_PORTS[parts.scheme]):
+            host = f"{host}:{parts.port}"
         self._base = parts.path.rstrip("/")
-        self._conn: http.client.HTTPConnection | None = None
+        self._fixed_headers = (
+            f"Host: {host}\r\nContent-Type: application/json\r\n"
+            "Accept-Encoding: identity\r\n"
+        )
+        self._sock: socket.socket | None = None
+        self._reader = None
 
     def post(self, path: str, body) -> object:
         """POST `body` as JSON to `path` under the endpoint; return the decoded reply.
@@ -49,45 +80,141 @@ class JsonSession:
         is sent again at once over a new connection. Any error closes the
         connection and propagates (one of `TRANSPORT_ERRORS`).
         """
-        data = json.dumps(body, allow_nan=False).encode("utf-8")
         target = self._base + path
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+        request = (
+            f"POST {target} HTTP/1.1\r\n{self._fixed_headers}"
+            f"Content-Length: {len(data)}\r\n\r\n"
+        ).encode("ascii") + data
         try:
-            conn = self._connection()
-            reused = conn.sock is not None
+            reused = self._sock is not None
             try:
-                conn.request("POST", target, data, _HEADERS)
-                response = conn.getresponse()
+                status, reason, (length, chunked, close) = self._exchange(request)
             except ConnectionError:
                 if not reused:
                     raise
-                conn.close()
-                conn.request("POST", target, data, _HEADERS)
-                response = conn.getresponse()
-            raw = response.read()
-            if not 200 <= response.status < 300:
-                raise HttpStatusError(f"{response.status} {response.reason} for POST {target}")
+                self.close()
+                status, reason, (length, chunked, close) = self._exchange(request)
+            raw = self._read_body(status, length, chunked)
+            if close:
+                self.close()
+            if not 200 <= status < 300:
+                raise HttpStatusError(f"{status} {reason} for POST {target}")
             return json.loads(raw)
         except BaseException:
             self.close()
             raise
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            if self._https:
-                self._conn = http.client.HTTPSConnection(
-                    self._host, self._port, timeout=self._timeout,
-                    context=ssl.create_default_context(),
-                )
-            else:
-                self._conn = http.client.HTTPConnection(
-                    self._host, self._port, timeout=self._timeout
-                )
-        return self._conn
+    def _exchange(self, request: bytes) -> tuple[int, str, tuple[int | None, bool, bool]]:
+        """Send `request` in one write; read the reply's status line and headers.
+
+        Returns the status, the reason and the reply's `_framing`.
+        """
+        if self._sock is None:
+            sock = socket.create_connection(self._address, self._timeout)
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                if self._tls is not None:
+                    sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+            except BaseException:
+                sock.close()
+                raise
+            self._sock, self._reader = sock, sock.makefile("rb")
+        self._sock.sendall(request)
+        while True:
+            line = self._read_line("status")
+            if not line:
+                raise ConnectionResetError("server closed the connection before replying")
+            version, status, reason = _status(line)
+            framing = _framing(version, self._read_block("header"))
+            if not 100 <= status < 200:  # an interim 1xx reply precedes the real one
+                return status, reason, framing
+
+    def _read_line(self, what: str) -> bytes:
+        line = self._reader.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise HttpProtocolError(f"{what} line over {MAX_LINE} bytes")
+        return line
+
+    def _read_block(self, what: str) -> list[bytes]:
+        """The lines of a header (or trailer) block, up to its blank line or EOF."""
+        lines = []
+        while True:
+            line = self._read_line(what)
+            if line in (b"\r\n", b"\n", b""):
+                return lines
+            if len(lines) == MAX_HEADERS:
+                raise HttpProtocolError(f"more than {MAX_HEADERS} {what} lines")
+            lines.append(line)
+
+    def _read_body(self, status: int, length: int | None, chunked: bool) -> bytes:
+        if status in _NO_BODY:
+            return b""
+        if chunked:
+            chunks = []
+            while (size := _chunk_size(self._read_line("chunk size"))) > 0:
+                chunks.append(self._read_exactly(size))
+                if self._read_line("chunk end") not in (b"\r\n", b"\n"):
+                    raise HttpProtocolError("chunk data not followed by a line end")
+            self._read_block("trailer")
+            return b"".join(chunks)
+        if length is not None:
+            return self._read_exactly(length)
+        data = self._reader.read()
+        self.close()  # no framing: the body ran to the end of the connection
+        return data
+
+    def _read_exactly(self, size: int) -> bytes:
+        data = self._reader.read(size)
+        if len(data) < size:
+            raise HttpProtocolError(f"reply ended after {len(data)} of {size} body bytes")
+        return data
+
+
+def _framing(version: str, lines: list[bytes]) -> tuple[int | None, bool, bool]:
+    """(Content-Length, chunked, close after) from a reply's header lines."""
+    length, chunked, close = None, False, version == "HTTP/1.0"
+    for line in lines:
+        name, colon, value = line.partition(b":")
+        if not colon:
+            continue  # an obsolete folded line or a malformed one: none of ours
+        name, value = name.strip().lower(), value.strip()
+        if name == b"content-length":
+            if not value.isdigit():
+                raise HttpProtocolError(f"malformed Content-Length {value[:80]!r}")
+            length = int(value)
+        elif name == b"transfer-encoding":
+            if value.lower() != b"chunked":
+                raise HttpProtocolError(f"unsupported Transfer-Encoding {value[:80]!r}")
+            chunked = True
+        elif name == b"content-encoding":
+            if value.lower() not in (b"", b"identity"):
+                raise HttpProtocolError(f"unsupported Content-Encoding {value[:80]!r}")
+        elif name == b"connection":
+            close |= b"close" in (token.strip() for token in value.lower().split(b","))
+    return length, chunked, close
+
+
+def _status(line: bytes) -> tuple[str, int, str]:
+    """(version, status, reason) of a status line such as `HTTP/1.1 200 OK`."""
+    version, _, rest = line.rstrip(b"\r\n").partition(b" ")
+    status, _, reason = rest.partition(b" ")
+    if version not in (b"HTTP/1.0", b"HTTP/1.1") or len(status) != 3 or not status.isdigit():
+        raise HttpProtocolError(f"malformed status line {line[:80]!r}")
+    return version.decode(), int(status), reason.decode("latin-1").strip()
+
+
+def _chunk_size(line: bytes) -> int:
+    digits = line.split(b";", 1)[0].strip()  # chunk extensions after `;` are ignored
+    if not 0 < len(digits) <= 16 or digits.lstrip(b"0123456789abcdefABCDEF"):
+        raise HttpProtocolError(f"malformed chunk size line {line[:80]!r}")
+    return int(digits, 16)
 
 
 def post_with_retries(session, path: str, body, error: type[Exception]) -> object:

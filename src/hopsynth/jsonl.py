@@ -12,12 +12,14 @@ from pathlib import Path
 from typing import Iterable
 
 
-def read_numbered_rows(path, error: type[Exception] = ValueError) -> list[tuple[int, dict]]:
+def read_numbered_rows(
+    path, error: type[Exception] = ValueError, fields: tuple[str, ...] = ()
+) -> list[tuple[int, dict]]:
     """(line number, object) for each non-blank line, in file order.
 
     `path` is a file path or an `importlib.resources` file. A line that is
-    not valid JSON, or not a JSON object, raises `error` naming
-    `<path>:<line>`.
+    not valid JSON, not a JSON object, or an object without one of `fields`
+    raises `error` naming `<path>:<line>`.
     """
     source = Path(path) if isinstance(path, str) else path
     rows = []
@@ -31,13 +33,16 @@ def read_numbered_rows(path, error: type[Exception] = ValueError) -> list[tuple[
             raise error(f"{path}:{line_no}: {message}") from exc
         if not isinstance(row, dict):
             raise error(f"{path}:{line_no}: not a JSON object")
+        for name in fields:
+            if name not in row:
+                raise error(f"{path}:{line_no}: missing field {name!r}")
         rows.append((line_no, row))
     return rows
 
 
-def read_rows(path) -> list[dict]:
+def read_rows(path, fields: tuple[str, ...] = ()) -> list[dict]:
     """The objects of a JSONL file, blank lines skipped; see `read_numbered_rows`."""
-    return [row for _, row in read_numbered_rows(path)]
+    return [row for _, row in read_numbered_rows(path, fields=fields)]
 
 
 def write_rows(rows: Iterable[dict], path) -> None:

@@ -90,6 +90,9 @@ def build_store(path: str | Path, config: PipelineConfig) -> CorpusStore:
     return ingest_corpus(path, config.corpus, config.topics)
 
 
+_PAIR_FIELDS = ("d1", "d2", "relation")  # what _pair_from_row reads
+
+
 def _pair_from_row(store: CorpusStore, row: dict) -> DocumentPair:
     return DocumentPair(
         d1=store.documents[row["d1"]], d2=store.documents[row["d2"]], relation=row["relation"]
@@ -183,6 +186,9 @@ def stage_questions(
         return {**row, "question": draft.text}
 
     return _run_steps(list(zip(pair_rows, drafts, strict=True)), step)
+
+
+_DRAFT_FIELDS = (*_PAIR_FIELDS, "question", "answer")  # what _draft_from_row reads
 
 
 def _draft_from_row(store: CorpusStore, row: dict, task: str) -> QuestionDraft:
@@ -297,6 +303,16 @@ def stage_verify(
     return _run_steps(candidate_rows, step)
 
 
+# The fields each stage reads of its input rows; a stage command checks its
+# --in file against them, so a row missing one is named by file and line.
+INPUT_FIELDS = {
+    stage_questions: (*_PAIR_FIELDS, "answer"),
+    stage_filter_answers: _DRAFT_FIELDS,
+    stage_queries: (*_PAIR_FIELDS, "question", "final_answer"),
+    stage_verify: (*_DRAFT_FIELDS, "hops", "answerable_in", "final_answer", "candidates"),
+}
+
+
 def write_splits(
     instances: list[DataInstance], out_dir: str | Path, config: PipelineConfig
 ) -> tuple[list[DataInstance], list[DataInstance]]:
@@ -379,7 +395,7 @@ def run_eval(
     sampled = config.eval.mode == "self_consistency"
     params = default_decode_params(EVAL_SELF_CONSISTENCY if sampled else EVAL_GREEDY)
     records = []
-    for item in read_rows(eval_path):
+    for item in read_rows(eval_path, fields=("id", "question")):
         if sampled:
             samples = range(config.eval.self_consistency_samples)
             seeds = [derive_seed(config.seed, "eval", item["id"], s) for s in samples]

@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .jsonl import read_rows
+from .jsonl import read_numbered_rows
 
 TASK_MQA = "mqa"
 TASK_FEVER = "fever"
@@ -95,9 +95,16 @@ def _check_task(task: str, setting: str, stage: Optional[str] = None) -> None:
         raise PromptError("fact verification only uses the hyper setting")
 
 
-def _example_from_row(row: dict) -> FewShotExample:
+_EXAMPLE_FIELDS = ("documents", "question", "answer")
+
+
+def _example_from_row(row: dict, where: str) -> FewShotExample:
+    documents = row["documents"]
+    if not (isinstance(documents, list) and len(documents) == 2
+            and all(isinstance(doc, str) for doc in documents)):
+        raise ValueError(f"{where}: field 'documents' is not two strings")
     return FewShotExample(
-        documents=(row["documents"][0], row["documents"][1]),
+        documents=(documents[0], documents[1]),
         question_or_claim=row["question"],
         answer=row["answer"],
         queries=tuple(row.get("queries", ())),
@@ -105,15 +112,19 @@ def _example_from_row(row: dict) -> FewShotExample:
 
 
 def load_examples(path: str | Path) -> list[FewShotExample]:
-    """Read a few-shot store: JSONL of documents/question/answer/queries."""
-    return [_example_from_row(row) for row in read_rows(path)]
+    """Read a few-shot store: JSONL of documents/question/answer/queries.
+
+    A row missing a field, or whose documents are not two strings, raises
+    ValueError naming `<path>:<line>`.
+    """
+    rows = read_numbered_rows(path, fields=_EXAMPLE_FIELDS)
+    return [_example_from_row(row, f"{path}:{line}") for line, row in rows]
 
 
 @functools.lru_cache(maxsize=None)
 def _load_builtin(name: str) -> tuple[FewShotExample, ...]:
     # one parse per data file and process; every prompt asks for its examples
-    data = resources.files("hopsynth.data").joinpath(f"{name}.jsonl")
-    return tuple(_example_from_row(row) for row in read_rows(data))
+    return tuple(load_examples(resources.files("hopsynth.data").joinpath(f"{name}.jsonl")))
 
 
 def builtin_examples(task: str, setting: str) -> tuple[FewShotExample, ...]:

@@ -122,7 +122,8 @@ class FileEmbedder:
 
     def __init__(self, path: str | Path):
         self.table = {
-            row["text"]: np.asarray(row["vector"], dtype=np.float32) for row in read_rows(path)
+            row["text"]: np.asarray(row["vector"], dtype=np.float32)
+            for row in read_rows(path, fields=("text", "vector"))
         }
 
     def __call__(self, texts: list[str]) -> list[np.ndarray]:

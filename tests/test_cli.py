@@ -219,6 +219,49 @@ def test_bad_jsonl_line_of_examples_or_corpus_names_file_and_line(tmp_path, caps
     assert f"{bad}:1: invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row,message", [
+    ({"documents": ["a", "b"], "answer": "c"}, "missing field 'question'"),
+    ({"documents": ["a"], "question": "q", "answer": "b"}, "field 'documents' is not two strings"),
+])
+def test_examples_row_missing_a_field_names_file_and_line(tmp_path, capsys, row, message):
+    examples = tmp_path / "examples.jsonl"
+    good = {"documents": ["a", "b"], "question": "q", "answer": "c"}
+    examples.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n")
+    assert main(["--examples", str(examples), "run-all", "--in", str(DEMO / "corpus.jsonl"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{examples}:2: {message}" in capsys.readouterr().err
+
+
+def test_embedding_file_row_missing_a_field_names_file_and_line(tmp_path, capsys):
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text(json.dumps({"text": "x"}) + "\n")
+    config_file = tmp_path / "config.txt"
+    config_file.write_text(f"embeddings.kind = file\nembeddings.file = {vectors}\n")
+    assert main(["--config", str(config_file), "run-all", "--in", str(DEMO / "corpus.jsonl"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{vectors}:1: missing field 'vector'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,dropped", [
+    ("gen-questions", "relation"),  # a pair row, as _pair_from_row reads it
+    ("filter-answers", "question"),  # a draft row, as _draft_from_row reads it
+])
+def test_stage_row_missing_a_field_names_file_and_line(
+    tmp_path, corpus_path, capsys, command, dropped
+):
+    store, pairs = tmp_path / "store.jsonl", tmp_path / "pairs.jsonl"
+    assert main(["ingest", "--in", str(corpus_path), "--out", str(store)]) == 0
+    assert main(["pair", "--store", str(store), "--out", str(pairs)]) == 0
+    first = json.loads(pairs.read_text().splitlines()[0])
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(json.dumps({**first, "question": "Q?"}) + "\n"
+                    + json.dumps({k: v for k, v in first.items() if k != dropped}) + "\n")
+    capsys.readouterr()
+    assert main([command, "--store", str(store), "--in", str(rows),
+                 "--out", str(tmp_path / "out.jsonl")]) == 2
+    assert f"{rows}:2: missing field {dropped!r}" in capsys.readouterr().err
+
+
 def test_stage_rerun_reproduces_output(tmp_path, corpus_path):
     base = ["--seed", "9", "--backend", "mock", "--embeddings", "mock", "--workers", "2"]
     store = tmp_path / "store.jsonl"

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import socket
 import ssl
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 
 from hopsynth.entities import HttpRecognizer, RecognizerError
 from hopsynth.genbackend import BackendUnavailable, DecodeParams, HttpBackend
-from hopsynth.httpjson import HttpStatusError, JsonSession
+from hopsynth.httpjson import HttpProtocolError, HttpStatusError, JsonSession
 from hopsynth.retrieval import EmbeddingError, HttpEmbedder
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -226,10 +227,222 @@ def test_https_verifies_the_server_certificate(tmp_path, sleeps):
 def test_pipeline_import_leaves_requests_out():
     code = (
         "import sys, hopsynth.pipeline; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'"
+        " or m == 'http.client'))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
     )
     assert out.stdout.strip() == "[]"
+
+
+class _Wires:
+    """Stands in for `socket.create_connection`: each connection is one end of
+    a socket pair whose other end already holds the next scripted reply bytes.
+
+    A reply given as `(data, "eof")` is followed by the server closing its end.
+    """
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.addresses, self.server_ends = [], []
+
+    def __call__(self, address, timeout=None):
+        client, server = socket.socketpair()
+        client.settimeout(timeout)
+        data = self.replies.pop(0)
+        if isinstance(data, tuple):
+            server.sendall(data[0])
+            server.shutdown(socket.SHUT_WR)
+        else:
+            server.sendall(data)
+        self.addresses.append(address)
+        self.server_ends.append(server)
+        return _NoDelayIgnored(client)
+
+    def requests(self):
+        """The bytes each connection's client sent, in connection order."""
+        sent = []
+        for server in self.server_ends:
+            server.settimeout(0)
+            chunks = []
+            try:
+                while chunk := server.recv(65536):
+                    chunks.append(chunk)
+            except BlockingIOError:
+                pass
+            sent.append(b"".join(chunks))
+            server.close()
+        return sent
+
+
+class _NoDelayIgnored:
+    """A socket-pair end that accepts the TCP_NODELAY option a TCP socket takes."""
+
+    def __init__(self, sock):
+        self.sock = sock
+
+    def setsockopt(self, *args):
+        pass
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+@pytest.fixture
+def wires(monkeypatch):
+    made = []
+
+    def install(*replies):
+        made.append(_Wires(replies))
+        monkeypatch.setattr(socket, "create_connection", made[-1])
+        return made[-1]
+
+    yield install
+    for fake in made:
+        for server in fake.server_ends:
+            server.close()
+
+
+def _ok(payload, *headers):
+    data = json.dumps(payload).encode()
+    head = [b"HTTP/1.1 200 OK", b"Content-Type: application/json",
+            b"Content-Length: %d" % len(data), *headers]
+    return b"\r\n".join(head) + b"\r\n\r\n" + data
+
+
+def test_chunked_reply_with_extensions_and_trailers_keeps_the_connection(wires):
+    body = json.dumps({"chunked": True}).encode()
+    chunked = (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"%x;name=value\r\n%s\r\n" % (5, body[:5])
+        + b"%X\r\n%s\r\n" % (len(body) - 5, body[5:])
+        + b"0;last\r\nX-Checksum: abc\r\nX-Other: 1\r\n\r\n"
+    )
+    fake = wires(chunked + _ok({"n": 2}))
+    session = JsonSession("http://example.test:8080/api", timeout=5)
+    assert session.post("/echo", {"n": 1}) == {"chunked": True}
+    assert session.post("/echo", {"n": 2}) == {"n": 2}
+    session.close()
+    assert fake.addresses == [("example.test", 8080)]
+
+
+def test_interim_1xx_replies_are_skipped(wires):
+    fake = wires(b"HTTP/1.1 103 Early Hints\r\nLink: </style.css>\r\n\r\n" + _ok({"x": 1})
+                 + _ok({"x": 2}))
+    session = JsonSession("http://example.test", timeout=5)
+    assert [session.post("/echo", {}) for _ in range(2)] == [{"x": 1}, {"x": 2}]
+    session.close()
+    assert len(fake.addresses) == 1
+
+
+def test_no_content_reply_has_no_body(wires, sleeps):
+    wires(*[b"HTTP/1.1 204 No Content\r\n\r\n"] * 3)  # no length, yet nothing to wait for
+    with pytest.raises(BackendUnavailable) as raised:
+        HttpBackend("http://example.test", timeout=5).raw_complete("Q", DecodeParams(max_tokens=8))
+    assert isinstance(raised.value.__cause__, json.JSONDecodeError)
+
+
+@pytest.mark.parametrize("reply", [
+    _ok({"x": 1}, b"Connection: keep-alive, close"),
+    (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{\"x\": 1}", "eof"),
+])
+def test_closing_replies_open_a_new_connection_for_the_next_call(wires, reply):
+    fake = wires(reply, reply)
+    session = JsonSession("http://example.test/", timeout=5)
+    assert [session.post("/echo", {}) for _ in range(2)] == [{"x": 1}, {"x": 1}]
+    session.close()
+    assert fake.addresses == [("example.test", 80)] * 2
+
+
+_OVER_LONG = b"x" * 65_537
+_BAD_REPLIES = {
+    "long status line": b"HTTP/1.1 200 " + _OVER_LONG + b"\r\n\r\n{}",
+    "long header line": b"HTTP/1.1 200 OK\r\nX-Long: " + _OVER_LONG + b"\r\n\r\n{}",
+    "101 headers": b"HTTP/1.1 200 OK\r\n" + b"X-A: 1\r\n" * 101 + b"Content-Length: 2\r\n\r\n{}",
+    "garbage status": b"SPDY/3 OK\r\nContent-Length: 2\r\n\r\n{}",
+    "gzip": _ok({"x": 1}, b"Content-Encoding: gzip"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_REPLIES))
+def test_malformed_reply_is_retried_then_raises_the_client_error(wires, sleeps, name):
+    fake = wires(*[_BAD_REPLIES[name]] * 3)
+    backend = HttpBackend("http://example.test", timeout=5)
+    with pytest.raises(BackendUnavailable, match="3 attempts") as raised:
+        backend.raw_complete("Q", DecodeParams(max_tokens=8))
+    assert isinstance(raised.value.__cause__, HttpProtocolError)
+    assert sleeps == [0.2, 0.4]
+    assert [r.split(b"\r\n")[0] for r in fake.requests()] == [
+        b"POST /v1/completions HTTP/1.1"
+    ] * 3
+
+
+def test_a_reply_with_100_headers_is_read(wires):
+    wires(_ok({"x": 1}, *[b"X-A: %d" % i for i in range(98)]))  # with the two of _ok
+    session = JsonSession("http://example.test", timeout=5)
+    assert session.post("/echo", {}) == {"x": 1}
+    session.close()
+
+
+@pytest.mark.parametrize("endpoint", [
+    "http://127.0.0.1:8000/v1\r\nX-Injected: 1",
+    "http://127.0.0.1:8000/my api",
+    "http://127.0.0.1:8000/a\tb",
+])
+def test_endpoint_with_whitespace_or_control_characters_is_refused(endpoint):
+    with pytest.raises(ValueError, match="whitespace"):
+        JsonSession(endpoint, timeout=1)
+
+
+@pytest.mark.parametrize("endpoint,address,target,host", [
+    ("http://user:secret@[::1]:8081/api/", ("::1", 8081), b"/api/echo", b"[::1]:8081"),
+    ("http://user@Example.TEST:80", ("example.test", 80), b"/echo", b"example.test"),
+])
+def test_request_head_and_host_header(wires, endpoint, address, target, host):
+    fake = wires(_ok({"x": 1}))
+    session = JsonSession(endpoint, timeout=5)
+    session.post("/echo", {"a": 1})
+    session.close()
+    head, _, body = fake.requests()[0].partition(b"\r\n\r\n")
+    assert fake.addresses == [address]
+    assert head.split(b"\r\n") == [
+        b"POST " + target + b" HTTP/1.1",
+        b"Host: " + host,
+        b"Content-Type: application/json",
+        b"Accept-Encoding: identity",
+        b"Content-Length: 8",
+    ]
+    assert body == b'{"a": 1}'
+
+
+def test_each_request_is_one_write(monkeypatch):
+    connect, counted = socket.create_connection, []
+
+    class Counting:
+        def __init__(self, sock):
+            self.sock, self.writes = sock, 0
+
+        def sendall(self, data):
+            self.writes += 1
+            return self.sock.sendall(data)
+
+        def __getattr__(self, name):
+            return getattr(self.sock, name)
+
+    def counting_connection(*args, **kwargs):
+        counted.append(Counting(connect(*args, **kwargs)))
+        return counted[-1]
+
+    monkeypatch.setattr(socket, "create_connection", counting_connection)
+    with serving() as (server, url):
+        session = JsonSession(url, timeout=5)
+        try:
+            for n in range(4):
+                assert session.post("/echo", {"n": n, "pad": "x" * 5000}) == {
+                    "echo": {"n": n, "pad": "x" * 5000}
+                }
+        finally:
+            session.close()
+    assert [c.writes for c in counted] == [4]
