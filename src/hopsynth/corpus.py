@@ -155,9 +155,11 @@ def ingest_corpus(
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
 
-    records: list[tuple[int, dict]] = []
+    # one tuple per record: (id, title, truncated text, in-window anchors,
+    # topic); each parsed record is dropped as soon as its tuple is made
+    records: list[tuple[str, str, str, tuple[tuple[str, str], ...], Optional[str]]] = []
     id_lines: dict[str, int] = {}
-    title_lines: dict[str, int] = {}
+    title_to_id: dict[str, str] = {}
     for line_no, record in rows:
         _check_record(record, f"{path}:{line_no}")
         doc_id, title = record["id"], record["title"]
@@ -165,30 +167,31 @@ def ingest_corpus(
             raise CorpusFormatError(
                 f"{path}: duplicate id {doc_id!r} on lines {id_lines[doc_id]} and {line_no}"
             )
-        if title in title_lines:
+        if title in title_to_id:
+            first = id_lines[title_to_id[title]]
             raise CorpusFormatError(
-                f"{path}: duplicate title {title!r} on lines {title_lines[title]} and {line_no}"
+                f"{path}: duplicate title {title!r} on lines {first} and {line_no}"
             )
         id_lines[doc_id] = line_no
-        title_lines[title] = line_no
-        records.append((line_no, record))
+        title_to_id[title] = doc_id
+        text = truncate_text(record["text"], config.max_doc_tokens)
+        anchors = tuple(
+            (anchor["span"], anchor["target"])
+            for anchor in record.get("anchors", [])
+            if anchor["span"] in text  # else outside the truncation window
+        )
+        records.append((doc_id, title, text, anchors, record.get("topic")))
 
-    title_to_id = {rec["title"]: rec["id"] for _, rec in records}
     label_docs = labeler == "keyword" or (
-        labeler == "file" and any(rec.get("topic") for _, rec in records)
+        labeler == "file" and any(topic for *_, topic in records)
     )
 
     documents: dict[str, Document] = {}
-    links: dict[str, list[str]] = {rec["id"]: [] for _, rec in records}
+    links: dict[str, list[str]] = {doc_id: [] for doc_id in id_lines}
     clusters: dict[str, list[str]] = {}
-    for _, record in records:
-        doc_id = record["id"]
-        text = truncate_text(record["text"], config.max_doc_tokens)
+    for doc_id, title, text, window_anchors, record_topic in records:
         anchors: list[tuple[str, str]] = []
-        for anchor in record.get("anchors", []):
-            span, target = anchor["span"], anchor["target"]
-            if span not in text:
-                continue  # outside the truncation window
+        for span, target in window_anchors:
             target_id = title_to_id.get(target)
             if target_id is None:
                 if config.dangling_link_policy == "keep_unresolved":
@@ -200,10 +203,10 @@ def ingest_corpus(
                 links[target_id].append(doc_id)
         topic = None
         if label_docs:
-            topic = record.get("topic") or _keyword_topic(record["title"], text)
+            topic = record_topic or _keyword_topic(title, text)
             clusters.setdefault(topic, []).append(doc_id)
         documents[doc_id] = Document(
-            id=doc_id, title=record["title"], text=text, anchors=tuple(anchors), topic=topic,
+            id=doc_id, title=title, text=text, anchors=tuple(anchors), topic=topic,
         )
 
     return CorpusStore(

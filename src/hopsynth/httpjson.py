@@ -27,6 +27,7 @@ from urllib.parse import urlsplit
 
 ATTEMPTS = 3
 BACKOFF_BASE = 0.2  # seconds; a failed attempt n (from 0) sleeps BACKOFF_BASE * 2**n
+RETRIED_4XX = (408, 429)  # request timeout, too many requests: the only 4xx worth a retry
 
 MAX_LINE = 65536  # bytes per status, header, chunk-size or trailer line
 MAX_HEADERS = 100  # header lines per reply (and trailer lines per chunked body)
@@ -40,7 +41,11 @@ _NO_BODY = (204, 304)
 
 
 class HttpStatusError(OSError):
-    """The endpoint answered with a status outside 2xx."""
+    """The endpoint answered with a status outside 2xx, kept in `status`."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class HttpProtocolError(OSError):
@@ -99,7 +104,7 @@ class JsonSession:
             if close:
                 self.close()
             if not 200 <= status < 300:
-                raise HttpStatusError(f"{status} {reason} for POST {target}")
+                raise HttpStatusError(status, f"{status} {reason} for POST {target}")
             return json.loads(raw)
         except BaseException:
             self.close()
@@ -221,7 +226,9 @@ def post_with_retries(session, path: str, body, error: type[Exception]) -> objec
     """`session.post(path, body)`, tried up to ATTEMPTS times.
 
     A transport failure is followed by a sleep of `BACKOFF_BASE * 2**attempt`
-    and another attempt; after the last one, `error` is raised from it.
+    and another attempt; after the last one, `error` is raised from it. A
+    4xx status other than 408 and 429 (a bad request, a refused credential,
+    a body too large) raises `error` at once, without a sleep.
     `session.post` is looked up on every attempt, so a wrapper set on the
     session instance sees each request.
     """
@@ -230,6 +237,9 @@ def post_with_retries(session, path: str, body, error: type[Exception]) -> objec
         try:
             return session.post(path, body)
         except TRANSPORT_ERRORS as exc:
+            if (isinstance(exc, HttpStatusError) and 400 <= exc.status < 500
+                    and exc.status not in RETRIED_4XX):
+                raise error(f"POST {path} failed: {exc}") from exc
             last = exc
             if attempt + 1 < ATTEMPTS:
                 time.sleep(BACKOFF_BASE * 2 ** attempt)

@@ -3,41 +3,58 @@
 The one reader and writer of every JSONL file hopsynth reads or writes:
 corpora and stores, stage rows, datasets, few-shot examples and embedding
 tables. It imports nothing from the package, so every module can use it.
+
+Lines split on `\n` only, and a `\r` before it is dropped with it. The writer
+keeps non-ASCII characters as they are, U+2028, U+2029 and U+0085 included,
+which `str.splitlines` would also split on. The reader reads the open file
+line by line, decodes each line as UTF-8 and yields each object as it is
+parsed, so reading holds one line at a time and the caller decides which
+objects it keeps.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 def read_numbered_rows(
     path, error: type[Exception] = ValueError, fields: tuple[str, ...] = ()
-) -> list[tuple[int, dict]]:
+) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line, in file order.
 
-    `path` is a file path or an `importlib.resources` file. A line that is
-    not valid JSON, not a JSON object, or an object without one of `fields`
-    raises `error` naming `<path>:<line>`.
+    `path` is a file path or an `importlib.resources` file. The file is
+    opened at the call, so an unreadable path raises OSError here, and read
+    lazily as the result is iterated. A line that is not UTF-8, not valid
+    JSON, not a JSON object, or an object without one of `fields` raises
+    `error` naming `<path>:<line>`.
     """
     source = Path(path) if isinstance(path, str) else path
-    rows = []
-    for line_no, line in enumerate(source.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            message = f"invalid JSON ({exc.msg} at column {exc.colno})"
-            raise error(f"{path}:{line_no}: {message}") from exc
-        if not isinstance(row, dict):
-            raise error(f"{path}:{line_no}: not a JSON object")
-        for name in fields:
-            if name not in row:
-                raise error(f"{path}:{line_no}: missing field {name!r}")
-        rows.append((line_no, row))
-    return rows
+    return _numbered_rows(source.open("rb"), path, error, fields)
+
+
+def _numbered_rows(handle, path, error, fields) -> Iterator[tuple[int, dict]]:
+    with handle:
+        for line_no, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                message = f"not UTF-8 ({exc.reason} at byte {exc.start + 1})"
+                raise error(f"{path}:{line_no}: {message}") from exc
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                message = f"invalid JSON ({exc.msg} at column {exc.colno})"
+                raise error(f"{path}:{line_no}: {message}") from exc
+            if not isinstance(row, dict):
+                raise error(f"{path}:{line_no}: not a JSON object")
+            for name in fields:
+                if name not in row:
+                    raise error(f"{path}:{line_no}: missing field {name!r}")
+            yield line_no, row
 
 
 def read_rows(path, fields: tuple[str, ...] = ()) -> list[dict]:

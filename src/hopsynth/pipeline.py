@@ -49,7 +49,7 @@ from .verification import (
     verify_query,
 )
 
-# Texts per recognizer call; the same block size as verification's
+# Texts per recognizer call; the same block size as retrieval's
 # EMBED_BLOCK, which kept the HTTP client's peak RSS flat.
 RECOGNIZE_BLOCK = 64
 
@@ -263,6 +263,10 @@ def stage_queries(
 
 
 def build_index(store: CorpusStore, provider):
+    """The flat index of every stored document, embedded EMBED_BLOCK texts per call.
+
+    The ids go in sorted, so `build_flat_index` keeps `embed`'s matrix as it is.
+    """
     doc_ids = sorted(store.documents)
     vectors = embed(provider, [store.documents[i].text for i in doc_ids])
     return build_flat_index(doc_ids, vectors)

@@ -14,7 +14,11 @@ and mat-vec scores of one row differ by at most twice that. When every gap
 between a query's k+1 best GEMM scores exceeds twice that difference, the
 mat-vec ranks the same k rows first, in the same order, with no ties, and
 the GEMM order is kept. Any other query (ties, near ties, non-finite
-scores) is scored again with its own mat-vec. Providers:
+scores) is scored again with its own mat-vec.
+
+`embed` calls a provider on EMBED_BLOCK texts at a time and copies each
+block into one float32 matrix, so embedding a corpus holds the matrix and
+one block's vectors, never a vector object per document. Providers:
 
 * HttpEmbedder  - POST {endpoint}/v1/embeddings {"texts": [s]} -> {"vectors": [[f]]}
 * FileEmbedder  - precomputed JSONL of {"text": s, "vector": [f]}, exact-text keyed
@@ -42,8 +46,18 @@ class EmbeddingError(RuntimeError):
     """Embedding lookup or endpoint failure."""
 
 
+class EmbeddingShapeError(EmbeddingError, ValueError):
+    """A provider's vectors are not all one length, so they form no matrix."""
+
+
 class EmbeddingProvider(Protocol):
     def __call__(self, texts: list[str]) -> list[np.ndarray]: ...
+
+
+# Texts per provider call, for documents and query texts alike. Over HTTP,
+# 256-text blocks raised the client's peak RSS where 64 did not, and 64
+# already removes almost every call.
+EMBED_BLOCK = 64
 
 
 # float32's unit roundoff, and its smallest normal number: an absolute
@@ -152,21 +166,46 @@ class HttpEmbedder:
         return [np.asarray(v, dtype=np.float32) for v in vectors]
 
 
-def embed(provider: EmbeddingProvider, texts: Sequence[str]) -> list[np.ndarray]:
-    """One float32 vector per text, order preserved."""
+def embed(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
+    """One float32 row per text, order preserved.
+
+    The provider is called on EMBED_BLOCK texts at a time, and each block is
+    copied into the matrix, so a row never depends on the block size as long
+    as the provider's vectors do not. A wrong vector count raises
+    EmbeddingError, and vectors of mixed dimensions within or across blocks
+    raise EmbeddingShapeError (an EmbeddingError and a ValueError, like
+    `search`'s shape errors). Provider errors propagate; no partial matrix is
+    returned.
+    """
     if not texts:
         raise ValueError("texts must be non-empty")
-    vectors = provider(list(texts))
-    if len(vectors) != len(texts):
-        raise EmbeddingError("provider returned the wrong number of vectors")
-    return vectors
+    matrix = None
+    for start in range(0, len(texts), EMBED_BLOCK):
+        block = list(texts[start:start + EMBED_BLOCK])
+        vectors = provider(block)
+        if len(vectors) != len(block):
+            raise EmbeddingError("provider returned the wrong number of vectors")
+        dims = {np.shape(v) for v in vectors}
+        if matrix is not None:
+            dims.add(matrix.shape[1:])
+        if len(dims) != 1 or len(next(iter(dims))) != 1:
+            raise EmbeddingShapeError(
+                f"texts {start}-{start + len(block) - 1}: embedding dims {sorted(dims)}"
+            )
+        if matrix is None:
+            matrix = np.empty((len(texts), *dims.pop()), dtype=np.float32)
+        matrix[start:start + len(block)] = vectors
+    return matrix
 
 
-def build_flat_index(doc_ids: Sequence[str], vectors: Sequence[np.ndarray]) -> FlatIndex:
+def build_flat_index(doc_ids: Sequence[str], vectors) -> FlatIndex:
     """Assemble an immutable flat index; rows are sorted by document id.
 
-    Sorting makes the search tie-break (ascending doc id) fall out of
-    positional order, so top-k selection never compares id strings.
+    `vectors` is the float32 matrix `embed` returns, taken as it is and made
+    read-only, or a list of equal-length vectors. Rows are reordered (one
+    copy) only when `doc_ids` are not already sorted. Sorting makes the
+    search tie-break (ascending doc id) fall out of positional order, so
+    top-k selection never compares id strings.
     """
     if len(doc_ids) != len(vectors):
         raise ValueError(f"{len(doc_ids)} ids but {len(vectors)} vectors")
@@ -174,16 +213,22 @@ def build_flat_index(doc_ids: Sequence[str], vectors: Sequence[np.ndarray]) -> F
         raise ValueError("cannot build an empty index")
     if len(set(doc_ids)) != len(doc_ids):
         raise ValueError("duplicate doc ids in index")
-    dims = {int(np.asarray(v).shape[0]) for v in vectors}
-    if len(dims) != 1:
-        raise ValueError(f"mixed embedding dims: {sorted(dims)}")
-    dim = dims.pop()
-    order = sorted(range(len(doc_ids)), key=lambda i: doc_ids[i])
-    matrix = np.vstack([np.asarray(vectors[i], dtype=np.float32) for i in order])
+    if not isinstance(vectors, np.ndarray):
+        dims = {int(np.asarray(v).shape[0]) for v in vectors}
+        if len(dims) != 1:
+            raise ValueError(f"mixed embedding dims: {sorted(dims)}")
+    matrix = np.asarray(vectors, dtype=np.float32)
+    if matrix.ndim != 2:
+        raise ValueError(f"embeddings must form a matrix, got shape {matrix.shape}")
+    ids = tuple(doc_ids)
+    if any(a > b for a, b in zip(ids, ids[1:])):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        matrix = matrix[order]
+        ids = tuple(ids[i] for i in order)
     if not np.isfinite(matrix).all():
         raise ValueError("embeddings must be finite")
     matrix.setflags(write=False)
-    return FlatIndex(doc_ids=tuple(doc_ids[i] for i in order), matrix=matrix, dim=dim)
+    return FlatIndex(doc_ids=ids, matrix=matrix, dim=matrix.shape[1])
 
 
 def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:

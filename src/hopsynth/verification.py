@@ -6,9 +6,10 @@ shortest survives. Hop 1 is the first survivor in generation order, hop 2
 the first later survivor covering the other document. The original-question
 backup is consulted only when every model candidate is invalid.
 
-Distinct query texts are embedded and searched once each, one `search` call
-per embedding block of EMBED_BLOCK texts, which scores the block with one
-GEMM and returns exactly the per-query mat-vec top-k (see `retrieval`).
+Distinct query texts are embedded and searched once each, one `embed` and
+one `search` call per block of EMBED_BLOCK texts (the block size `embed`
+uses, defined in `retrieval`). `search` scores the block with one GEMM and
+returns exactly the per-query mat-vec top-k (see `retrieval`).
 
 Retrieval failures are not verdicts: an `EmbeddingError` from the provider
 or a `ValueError` from `search` (wrong dimension, non-finite vector) leaves
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 from .corpus import CorpusStore
 from .metrics import normalize_answer
 from .pairing import HYPER, DocumentPair
-from .retrieval import FlatIndex, embed, search
+from .retrieval import EMBED_BLOCK, FlatIndex, embed, search
 from .synthesis import (
     ORIGIN_BACKUP,
     ORIGIN_MODEL,
@@ -38,10 +39,6 @@ from .synthesis import (
 DROP_TWO_HOP_COVERAGE = "two_hop_coverage"
 DROP_ONE_HOP_COVERAGE = "one_hop_coverage"
 DROP_ANSWER_CONTAINMENT = "answer_containment"
-
-# Query texts per embedding call. Over HTTP, 256-text blocks raised the
-# client's peak RSS where 64 did not, and 64 already removes almost every call.
-EMBED_BLOCK = 64
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,41 @@ def test_client_gives_up_after_three_attempts(name, sleeps):
     assert sleeps == [0.2, 0.4]
 
 
+class StatusSession:
+    """A session whose endpoint answers every request with one HTTP status."""
+
+    def __init__(self, status):
+        self.status = status
+        self.requests = 0
+
+    def post(self, path, body):
+        self.requests += 1
+        raise HttpStatusError(self.status, f"{self.status} Status for POST {path}")
+
+
+@pytest.mark.parametrize("status,requests", [
+    (400, 1), (401, 1), (404, 1), (413, 1),  # cannot succeed on retry
+    (408, 3), (429, 3), (500, 3), (503, 3),  # may succeed later
+])
+@pytest.mark.parametrize("make,error", [
+    (HttpBackend, BackendUnavailable),
+    (HttpEmbedder, EmbeddingError),
+    (HttpRecognizer, RecognizerError),
+])
+def test_client_retries_only_statuses_that_can_succeed_later(make, error, status, requests,
+                                                              sleeps):
+    session = StatusSession(status)
+    client = make("http://127.0.0.1:9", session=session)
+    with pytest.raises(error, match=str(status)) as raised:
+        if make is HttpBackend:
+            client.raw_complete("Q", DecodeParams(max_tokens=8))
+        else:
+            client(["alice"])
+    assert raised.value.__cause__.status == status
+    assert session.requests == requests
+    assert sleeps == ([0.2, 0.4] if requests == 3 else [])
+
+
 _ENTITY_PAYLOADS = [
     {"entities": ["Alice", "Bob"]},
     {"entities": [["Alice"], [1990]]},

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hopsynth import httpjson, pipeline, verification
+from hopsynth import httpjson, pipeline, retrieval, verification
 from hopsynth.config import PipelineConfig, TopicsConfig
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pipeline import (
@@ -148,6 +148,7 @@ def test_run_all_identical_across_embed_blocks(tmp_path, corpus_path, monkeypatc
     outputs = {}
     for block in (1, 7, 64):
         monkeypatch.setattr(verification, "EMBED_BLOCK", block)
+        monkeypatch.setattr(retrieval, "EMBED_BLOCK", block)
         out = tmp_path / f"block{block}"
         report = run_all(corpus_path, out, config)
         del report["outputs"]
@@ -273,6 +274,42 @@ def test_stage_verify_raises_when_the_embedding_endpoint_is_down(verify_inputs, 
         stage_verify(store, candidate_rows, config, provider=provider, index=index)
     assert session.requests == 3
     assert sleeps == [0.2, 0.4]
+
+
+class EmbeddingSession:
+    """An embedding endpoint answering with HashEmbedder vectors; records each request."""
+
+    def __init__(self):
+        self.inner = HashEmbedder(dim=256)
+        self.requests: list[list[str]] = []
+
+    def post(self, path, body):
+        self.requests.append(body["texts"])
+        return {"vectors": [v.tolist() for v in self.inner(body["texts"])]}
+
+
+def test_build_index_sends_the_corpus_in_blocks(tmp_path):
+    path = write_corpus(tmp_path / "corpus.jsonl", make_corpus(n_docs=130, seed=5, n_topics=4))
+    store = build_store(path, make_config())
+    session = EmbeddingSession()
+    index = build_index(store, HttpEmbedder("http://127.0.0.1:9", session=session))
+    assert [len(texts) for texts in session.requests] == [64, 64, 2]  # ceil(130 / 64) requests
+    texts = [store.documents[doc_id].text for doc_id in sorted(store.documents)]
+    assert [text for request in session.requests for text in request] == texts
+    assert index.matrix.tobytes() == build_index(store, HashEmbedder(dim=256)).matrix.tobytes()
+
+
+def test_store_round_trips_line_separator_characters(tmp_path):
+    # U+2028, U+2029 and U+0085 are written raw, and are not line breaks
+    records = make_corpus(n_docs=20, seed=6, n_topics=2)
+    for record, mark in zip(records, "\u2028\u2029\x85"):
+        record["text"] = record["text"].replace(" is ", f" is{mark}", 1)
+    path = write_corpus(tmp_path / "corpus.jsonl", records)
+    run_all(path, tmp_path / "out", make_config())
+    store = build_store(tmp_path / "out" / "store.jsonl", make_config())
+    for record, mark in zip(records, "\u2028\u2029\x85"):
+        assert mark in store.documents[record["id"]].text
+    assert store.documents == build_store(path, make_config()).documents
 
 
 def test_run_all_seed_changes_output(tmp_path, corpus_path):

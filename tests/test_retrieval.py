@@ -5,9 +5,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from hopsynth import retrieval
+from hopsynth import retrieval, verification
 from hopsynth._kernels import select_topk
 from hopsynth.retrieval import (
+    EMBED_BLOCK,
     EmbeddingError,
     FileEmbedder,
     HashEmbedder,
@@ -223,6 +224,77 @@ def test_embed_order_preserved_file_backend(tmp_path):
     got = embed(provider, ["b", "a"])
     assert got[0].tolist() == [0.0, 1.0]
     assert got[1].tolist() == [0.5, 0.5]
+
+
+class BlockRecorder:
+    """HashEmbedder that records each call's texts; it can fail on one call or
+    answer one call with vectors of another dimension."""
+
+    def __init__(self, fail_call=None, odd_call=None, odd_dim=9):
+        self.inner = HashEmbedder(dim=8)
+        self.calls: list[list[str]] = []
+        self.fail_call, self.odd_call, self.odd_dim = fail_call, odd_call, odd_dim
+
+    def __call__(self, texts):
+        self.calls.append(list(texts))
+        if len(self.calls) == self.fail_call:
+            raise EmbeddingError("endpoint down")
+        if len(self.calls) == self.odd_call:
+            return HashEmbedder(dim=self.odd_dim)(texts)
+        return self.inner(texts)
+
+
+def test_embed_fills_one_matrix_block_by_block():
+    assert EMBED_BLOCK == verification.EMBED_BLOCK == 64
+    texts = [f"text{i} shared{i % 5}" for i in range(2 * EMBED_BLOCK + 1)]
+    provider = BlockRecorder()
+    matrix = embed(provider, texts)
+    assert [len(call) for call in provider.calls] == [64, 64, 1]
+    assert [text for call in provider.calls for text in call] == texts
+    reference = np.vstack([HashEmbedder(dim=8)([text])[0] for text in texts])
+    assert matrix.dtype == np.float32 and matrix.shape == (len(texts), 8)
+    assert matrix.tobytes() == reference.tobytes()
+
+
+def test_embed_failure_in_a_later_block_raises():
+    provider = BlockRecorder(fail_call=2)
+    with pytest.raises(EmbeddingError, match="endpoint down"):
+        embed(provider, [f"t{i}" for i in range(2 * EMBED_BLOCK + 1)])
+    assert len(provider.calls) == 2  # no block after the failed one is asked for
+
+
+def _one_odd_vector(texts):
+    return HashEmbedder(dim=8)(texts[:-1]) + [np.zeros(9, np.float32)]
+
+
+def _matrices(texts):
+    return [np.zeros((2, 4), np.float32) for _ in texts]
+
+
+@pytest.mark.parametrize("make_provider,texts", [
+    (lambda: BlockRecorder(odd_call=2), 2 * EMBED_BLOCK),
+    (lambda: _one_odd_vector, 3),
+    (lambda: _matrices, 2),
+], ids=["across_blocks", "within_block", "not_vectors"])
+def test_embed_rejects_mixed_dims(make_provider, texts):
+    with pytest.raises(EmbeddingError, match="embedding dims") as raised:
+        embed(make_provider(), [f"t{i}" for i in range(texts)])
+    assert isinstance(raised.value, ValueError)
+
+
+def test_embed_rejects_a_wrong_vector_count():
+    with pytest.raises(EmbeddingError, match="wrong number"):
+        embed(lambda texts: HashEmbedder(dim=8)(texts)[1:], ["a", "b"])
+
+
+def test_build_flat_index_takes_the_matrix_as_it_is():
+    matrix = embed(HashEmbedder(dim=8), ["alpha", "beta", "gamma"])
+    index = build_flat_index(["a", "b", "c"], matrix)
+    assert index.matrix is matrix and not matrix.flags.writeable
+    assert index.doc_ids == ("a", "b", "c") and index.dim == 8
+    shuffled = build_flat_index(["c", "a", "b"], matrix)
+    assert shuffled.doc_ids == ("a", "b", "c")
+    assert shuffled.matrix.tobytes() == matrix[[1, 2, 0]].tobytes()
 
 
 def test_file_backend_missing_key(tmp_path):
