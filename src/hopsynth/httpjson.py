@@ -227,8 +227,9 @@ def post_with_retries(session, path: str, body, error: type[Exception]) -> objec
 
     A transport failure is followed by a sleep of `BACKOFF_BASE * 2**attempt`
     and another attempt; after the last one, `error` is raised from it. A
-    4xx status other than 408 and 429 (a bad request, a refused credential,
-    a body too large) raises `error` at once, without a sleep.
+    3xx status (redirects are not followed) and a 4xx other than 408 and 429
+    (a bad request, a refused credential, a body too large) cannot succeed
+    on a retry, so they raise `error` at once, without a sleep.
     `session.post` is looked up on every attempt, so a wrapper set on the
     session instance sees each request.
     """
@@ -237,7 +238,7 @@ def post_with_retries(session, path: str, body, error: type[Exception]) -> objec
         try:
             return session.post(path, body)
         except TRANSPORT_ERRORS as exc:
-            if (isinstance(exc, HttpStatusError) and 400 <= exc.status < 500
+            if (isinstance(exc, HttpStatusError) and 300 <= exc.status < 500
                     and exc.status not in RETRIED_4XX):
                 raise error(f"POST {path} failed: {exc}") from exc
             last = exc

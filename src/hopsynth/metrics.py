@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+_WORD_RE = re.compile(r"\w+")
 _ARTICLES = {"a", "an", "the"}
 _DROP_PUNCT = str.maketrans("", "", string.punctuation)
 
@@ -32,6 +33,15 @@ def tokenize(text: str) -> list[str]:
     character is its own token, so "1,800" becomes ["1", ",", "800"].
     """
     return _TOKEN_RE.findall(text)
+
+
+def word_tokens(text: str) -> list[str]:
+    r"""The word tokens of tokenize(text) that hold an alphanumeric character.
+
+    These are exactly the maximal `\w` runs that are not all underscores,
+    because `\w` matches a character exactly when it `isalnum()` or is `_`.
+    """
+    return [word for word in _WORD_RE.findall(text) if word.strip("_")]
 
 
 def token_spans(text: str) -> list[tuple[int, int]]:

@@ -350,13 +350,15 @@ def run_all(
     recognizer = recognizer or build_recognizer(config)
 
     store = build_store(corpus_path, config)
-    pair_rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
-    draft_rows, question_counts = stage_questions(store, pair_rows, config, backend, recognizer)
-    decision_rows, answer_counts = stage_filter_answers(store, draft_rows, config, backend)
-    candidate_rows, query_counts = stage_queries(store, decision_rows, config, backend)
-    instances, verify_counts = stage_verify(store, candidate_rows, config, provider)
+    # each stage takes the rows the one before it wrote; rebinding `rows`
+    # frees a stage's input once the next stage has returned
+    rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
+    rows, question_counts = stage_questions(store, rows, config, backend, recognizer)
+    rows, answer_counts = stage_filter_answers(store, rows, config, backend)
+    rows, query_counts = stage_queries(store, rows, config, backend)
+    instances, verify_counts = stage_verify(store, rows, config, provider)
+    del rows
     stages = (pair_counts, question_counts, answer_counts, query_counts, verify_counts)
-    # each stage takes the rows the one before it wrote
     totals = {"attempts": pair_counts["attempts"], "emitted": verify_counts["emitted"]}
     totals.update({reason: sum(counts[reason] for counts in stages) for reason in DROP_REASONS})
 

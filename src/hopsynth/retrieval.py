@@ -39,7 +39,7 @@ import numpy as np
 from ._kernels import select_topk
 from .httpjson import JsonSession, post_with_retries
 from .jsonl import read_rows
-from .metrics import tokenize
+from .metrics import word_tokens
 
 
 class EmbeddingError(RuntimeError):
@@ -97,37 +97,48 @@ class FlatIndex:
 class HashEmbedder:
     """Deterministic embeddings from token-level random projections.
 
-    Each distinct lowercase token maps to a fixed unit gaussian vector seeded
-    by its hash; a text embeds as the L2-normalized sum over its distinct
-    tokens. Token overlap with a document then drives the dot product, which
-    is what makes this mock useful for retrieval fixtures.
+    Each distinct lowercase word token (`metrics.word_tokens`) maps to a
+    fixed unit gaussian vector seeded by its sha256; a text embeds as the
+    L2-normalized sum over its distinct tokens, added in sorted token order.
+    Token overlap with a document then drives the dot product, which is what
+    makes this mock useful for retrieval fixtures.
+
+    The token vectors live in one float32 table, a row per distinct token
+    seen so far (4 * dim bytes each). A call appends a row for each token it
+    has not seen, resizing the table in place, and a text's vector is
+    `table[rows].sum(axis=0)`, which adds the rows one after another as a
+    loop of `vec += row` would. A text's vector therefore never depends on
+    which texts came before it. Calls are single-threaded: one instance must
+    not be called from two threads at once.
     """
 
     def __init__(self, dim: int = 256):
         self.dim = dim
-        self._token_cache: dict[str, np.ndarray] = {}
+        self._rows: dict[str, int] = {}
+        self._table = np.empty((0, dim), dtype=np.float32)
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        cached = self._token_cache.get(token)
-        if cached is None:
+    def _add_tokens(self, tokens: list[str]) -> None:
+        start, stop = len(self._rows), len(self._rows) + len(tokens)
+        # in place: a large table is remapped rather than copied, and no
+        # view of it outlives a call
+        self._table.resize((stop, self.dim), refcheck=False)
+        for row, token in enumerate(tokens, start):
             seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
-            rng = np.random.default_rng(seed)
-            vec = rng.standard_normal(self.dim).astype(np.float32)
-            vec /= np.linalg.norm(vec)
-            cached = self._token_cache[token] = vec
-        return cached
+            vec = np.random.default_rng(seed).standard_normal(self.dim).astype(np.float32)
+            self._table[row] = vec / np.linalg.norm(vec)
+            self._rows[token] = row
 
     def __call__(self, texts: list[str]) -> list[np.ndarray]:
+        token_lists = [sorted({t.lower() for t in word_tokens(text)}) for text in texts]
+        rows = self._rows
+        unseen = set().union(*token_lists).difference(rows)
+        if unseen:
+            self._add_tokens(sorted(unseen))
         out = []
-        for text in texts:
-            tokens = {t.lower() for t in tokenize(text) if any(c.isalnum() for c in t)}
-            vec = np.zeros(self.dim, dtype=np.float32)
-            for token in sorted(tokens):
-                vec += self._token_vector(token)
+        for tokens in token_lists:
+            vec = self._table[[rows[t] for t in tokens]].sum(axis=0)  # zeros for no tokens
             norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec = vec / norm
-            out.append(vec.astype(np.float32))
+            out.append(vec / norm if norm > 0 else vec)
         return out
 
 
@@ -163,7 +174,29 @@ class HttpEmbedder:
         vectors = payload.get("vectors") if isinstance(payload, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise EmbeddingError(f"bad embedding payload for {len(texts)} texts")
-        return [np.asarray(v, dtype=np.float32) for v in vectors]
+        out = [_float32_vector(v) for v in vectors]
+        if any(v is None for v in out):
+            raise EmbeddingError(
+                f"bad embedding payload for {len(texts)} texts: an entry is not a finite number"
+            )
+        return out
+
+
+def _float32_vector(entries) -> np.ndarray | None:
+    """A JSON list of numbers as a float32 vector, or None when it is not one:
+    a string, null or list entry, a number outside float32's finite range (or
+    an integer of more than 64 bits), or a list of booleans."""
+    if not isinstance(entries, list):
+        return None
+    try:
+        vec = np.array(entries)
+    except ValueError:  # lists of unequal lengths
+        return None
+    if vec.ndim != 1 or vec.dtype.kind not in "iuf":
+        return None
+    with np.errstate(over="ignore"):
+        vec = vec.astype(np.float32)
+    return vec if np.isfinite(vec).all() else None
 
 
 def embed(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:

@@ -9,10 +9,13 @@ possible, and stays independent of the implementation path it validates:
 * Hyperlink neighbors: a scan of every document's outbound links.
 * Heuristic entities: the recognizer's earlier implementation, kept as is,
   which marks runs with word offsets and sheds a sentence-initial word.
+* Hash embeddings: the embedder's earlier implementation, one token vector
+  added at a time.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 import string
 from collections import Counter
@@ -261,3 +264,42 @@ def oracle_heuristic_entities(text):
                 seen.add(span)
                 found.append(span)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Hash embeddings: a dict of token vectors, added to a zero vector one by one
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(r"\w+|[^\w\s]")  # the rule of metrics.tokenize
+
+
+class OracleHashEmbedder:
+    """The distinct lowercased tokens that hold an alphanumeric character,
+    each a sha256-seeded unit gaussian, summed in sorted order and normalized."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self._token_cache = {}
+
+    def _token_vector(self, token):
+        cached = self._token_cache.get(token)
+        if cached is None:
+            seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
+            rng = np.random.default_rng(seed)
+            vec = rng.standard_normal(self.dim).astype(np.float32)
+            vec /= np.linalg.norm(vec)
+            cached = self._token_cache[token] = vec
+        return cached
+
+    def __call__(self, texts):
+        out = []
+        for text in texts:
+            tokens = {t.lower() for t in _TOKEN.findall(text) if any(c.isalnum() for c in t)}
+            vec = np.zeros(self.dim, dtype=np.float32)
+            for token in sorted(tokens):
+                vec += self._token_vector(token)
+            norm = np.linalg.norm(vec)
+            if norm > 0:
+                vec = vec / norm
+            out.append(vec.astype(np.float32))
+        return out

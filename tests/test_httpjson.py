@@ -190,6 +190,7 @@ class StatusSession:
 
 
 @pytest.mark.parametrize("status,requests", [
+    (301, 1), (302, 1), (307, 1), (308, 1),  # redirects are not followed
     (400, 1), (401, 1), (404, 1), (413, 1),  # cannot succeed on retry
     (408, 3), (429, 3), (500, 3), (503, 3),  # may succeed later
 ])

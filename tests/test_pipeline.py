@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hopsynth import httpjson, pipeline, retrieval, verification
@@ -20,6 +21,7 @@ from hopsynth.pipeline import (
 from hopsynth.retrieval import EmbeddingError, HashEmbedder, HttpEmbedder
 from hopsynth.verification import EMBED_BLOCK, VerifyConfig, validate_instance, verify_query
 
+from oracles import OracleHashEmbedder
 from synthcorpus import make_corpus, write_corpus
 
 
@@ -286,6 +288,13 @@ class EmbeddingSession:
     def post(self, path, body):
         self.requests.append(body["texts"])
         return {"vectors": [v.tolist() for v in self.inner(body["texts"])]}
+
+
+def test_build_index_matrix_matches_the_reference_embedder(corpus_path):
+    store = build_store(corpus_path, make_config())
+    index = build_index(store, HashEmbedder(dim=256))
+    texts = [store.documents[doc_id].text for doc_id in index.doc_ids]
+    assert index.matrix.tobytes() == np.vstack(OracleHashEmbedder(256)(texts)).tobytes()
 
 
 def test_build_index_sends_the_corpus_in_blocks(tmp_path):

@@ -1,4 +1,7 @@
 import json
+import random
+import re
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -18,7 +21,9 @@ from hopsynth.retrieval import (
     search,
 )
 
-from oracles import brute_force_search
+from hopsynth.metrics import tokenize, word_tokens
+
+from oracles import OracleHashEmbedder, brute_force_search
 
 
 def small_index():
@@ -211,6 +216,59 @@ def test_hash_embedder_deterministic_and_token_driven():
     assert sim_diff < 0.5
 
 
+# Characters where `str.lower`, `\w` and `isalnum` part ways: underscores,
+# capital dotted I (lowercases to two code points), a combining dot above (a
+# mark, not `\w`), superscript two and a roman numeral (numeric, not
+# decimal), a titlecase digraph, final sigma, a ligature, CJK, and
+# punctuation and whitespace between words.
+_ALPHABET = "aBz7_İ\u0307²Ⅻǅςσﬁé中文"
+_SEPARATORS = [" ", " ", " ", "\t\n", "-", ",", ". ", "'", "_", "__", "\u0307", "…"]
+
+
+def _unicode_texts(seed, count):
+    rng = random.Random(seed)
+    texts = ["", "_ __ , .", "\u0307"]  # no token that holds an alphanumeric
+    while len(texts) < count:
+        words = ["".join(rng.choices(_ALPHABET, k=rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 60))]
+        texts.append("".join(word + rng.choice(_SEPARATORS) for word in words))
+    return texts
+
+
+@pytest.mark.parametrize("dim", [8, 64, 256])
+def test_hash_embedder_matches_the_reference_byte_for_byte(dim):
+    texts = _unicode_texts(dim, 2_000)
+    got = HashEmbedder(dim)(texts)
+    expected = OracleHashEmbedder(dim)(texts)
+    assert all(v.dtype == np.float32 and v.shape == (dim,) for v in got)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+    assert not got[0].any()  # the empty text embeds as zeros
+    assert embed(HashEmbedder(dim), texts).tobytes() == np.vstack(expected).tobytes()
+
+
+def test_hash_embedder_vectors_do_not_depend_on_call_history():
+    texts = _unicode_texts(5, 300)
+    fresh = [HashEmbedder(64)([text])[0].tobytes() for text in texts]
+    assert [v.tobytes() for v in HashEmbedder(64)(texts)] == fresh
+    assert [v.tobytes() for v in HashEmbedder(64)(texts[::-1])][::-1] == fresh
+    primed = HashEmbedder(64)
+    primed(_unicode_texts(6, 300))
+    assert [v.tobytes() for v in primed(texts)] == fresh
+    assert [primed([text])[0].tobytes() for text in texts[::-1]][::-1] == fresh
+
+
+def test_word_tokens_are_the_tokens_holding_an_alphanumeric():
+    for text in _unicode_texts(4, 500):
+        assert word_tokens(text) == [t for t in tokenize(text) if any(c.isalnum() for c in t)]
+
+
+def test_word_class_is_exactly_alphanumeric_or_underscore():
+    # word_tokens relies on this to filter with `strip("_")`
+    word = re.compile(r"\w")
+    assert [cp for cp in range(sys.maxunicode + 1)
+            if bool(word.match(chr(cp))) != (chr(cp).isalnum() or cp == 0x5F)] == []
+
+
 def test_embed_order_preserved_file_backend(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text(
@@ -330,6 +388,38 @@ def test_http_embedder_wire_format():
         assert got[1].tolist() == [2.0, 1.0]
     finally:
         server.shutdown()
+
+
+class ReplySession:
+    """A session whose endpoint answers every request with one payload."""
+
+    def __init__(self, payload):
+        self.payload = payload
+        self.requests = 0
+
+    def post(self, path, body):
+        self.requests += 1
+        return self.payload
+
+
+@pytest.mark.parametrize("vectors", [
+    [["x"]], [[None, 1.0]], [[[1.0], [2.0]]], [[1.0], [[1.0], [2.0, 3.0]]], [["1.5"]],
+    [[True]], [[1.0, float("nan")]], [[float("inf")]], [[1e39]], [2.0], [{"v": 1.0}],
+], ids=["string", "null", "nested", "ragged", "numeric_string", "bool", "nan", "inf",
+        "float32_overflow", "not_a_list", "object"])
+def test_http_embedder_rejects_entries_that_are_not_finite_numbers(vectors):
+    session = ReplySession({"vectors": vectors})
+    provider = HttpEmbedder("http://127.0.0.1:9", session=session)
+    with pytest.raises(EmbeddingError, match="bad embedding payload"):
+        provider([f"t{i}" for i in range(len(vectors))])
+    assert session.requests == 1  # a bad payload is not retried
+
+
+def test_http_embedder_reads_integers_and_floats():
+    session = ReplySession({"vectors": [[1, -2.5, 0], [2 ** 40, 1e-3, 3]]})
+    got = HttpEmbedder("http://127.0.0.1:9", session=session)(["a", "b"])
+    assert [v.dtype for v in got] == [np.float32] * 2
+    assert [v.tolist() for v in got] == [[1.0, -2.5, 0.0], [2.0 ** 40, float(np.float32(1e-3)), 3.0]]
 
 
 def test_http_embedder_failure():
