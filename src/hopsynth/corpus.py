@@ -68,6 +68,7 @@ class CorpusStore:
     topic_clusters: dict[str, tuple[str, ...]]  # sorted members
     _normalized: dict[str, str] = field(default_factory=dict, init=False, repr=False,
                                         compare=False)
+    source: str = field(default="", compare=False)  # the file it was read from
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -213,6 +214,7 @@ def ingest_corpus(
         documents=documents,
         hyperlinks={doc_id: tuple(sorted(set(ids))) for doc_id, ids in links.items()},
         topic_clusters={topic: tuple(sorted(ids)) for topic, ids in clusters.items()},
+        source=str(path),
     )
 
 
@@ -221,16 +223,6 @@ def hyperlink_neighbors(store: CorpusStore, doc_id: str) -> list[str]:
     if doc_id not in store.documents:
         raise KeyError(f"unknown document id: {doc_id}")
     return list(store.hyperlinks[doc_id])
-
-
-def topic_neighbors(store: CorpusStore, doc_id: str) -> list[str]:
-    """Other members of doc_id's topic cluster, sorted."""
-    if doc_id not in store.documents:
-        raise KeyError(f"unknown document id: {doc_id}")
-    topic = store.documents[doc_id].topic
-    if topic is None:
-        return []
-    return [member for member in store.topic_clusters[topic] if member != doc_id]
 
 
 def serialize_store(store: CorpusStore, path: str | Path) -> int:

@@ -56,21 +56,31 @@ class DecodeParams:
         if self.temperature == 0.0 and (self.top_k is not None or self.top_p < 1.0):
             raise ValueError("greedy decoding takes no top_k/top_p narrowing")
 
+    def with_seed(self, seed: Optional[int]) -> DecodeParams:
+        """These params under `seed`: `dataclasses.replace(self, seed=seed)`
+        without its walk over the fields, as one request's params are made
+        per completion."""
+        return DecodeParams(self.max_tokens, self.temperature, self.top_p, self.top_k,
+                            self.stop, seed)
+
+
+# Built once: the params are frozen, so every request shares its stage's.
+_STAGE_PARAMS = {
+    QUESTION_GEN: DecodeParams(max_tokens=64, top_p=0.9, stop=STOP_SEQUENCES),
+    ANSWERING: DecodeParams(max_tokens=16, top_p=0.9, stop=STOP_SEQUENCES),
+    QUERY_GEN: DecodeParams(max_tokens=64, top_p=0.9, stop=STOP_SEQUENCES),
+    EVAL_GREEDY: DecodeParams(max_tokens=64, temperature=0.0, stop=("\n",)),
+    EVAL_SELF_CONSISTENCY: DecodeParams(max_tokens=64, temperature=0.7, top_k=40, stop=("\n",)),
+}
+
 
 def default_decode_params(stage: str) -> DecodeParams:
     """Decoding defaults per pipeline stage: synthesis completions stop at the
     end of the prompt's target block, evaluation turns at the end of a line."""
-    if stage == QUESTION_GEN:
-        return DecodeParams(max_tokens=64, top_p=0.9, stop=STOP_SEQUENCES)
-    if stage == ANSWERING:
-        return DecodeParams(max_tokens=16, top_p=0.9, stop=STOP_SEQUENCES)
-    if stage == QUERY_GEN:
-        return DecodeParams(max_tokens=64, top_p=0.9, stop=STOP_SEQUENCES)
-    if stage == EVAL_GREEDY:
-        return DecodeParams(max_tokens=64, temperature=0.0, stop=("\n",))
-    if stage == EVAL_SELF_CONSISTENCY:
-        return DecodeParams(max_tokens=64, temperature=0.7, top_k=40, stop=("\n",))
-    raise ValueError(f"unknown stage: {stage}")
+    params = _STAGE_PARAMS.get(stage)
+    if params is None:
+        raise ValueError(f"unknown stage: {stage}")
+    return params
 
 
 def trim_at_stop(text: str, stops: Sequence[str]) -> str:

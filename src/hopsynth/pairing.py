@@ -4,15 +4,20 @@ Every anchor document yields up to `pairs_per_document` partners, drawn from
 its hyperlink neighbors ("hyper" pairs) and its topic cluster ("topic"
 pairs). Hyper answers come from recognized entities and anchor texts; topic
 pairs always offer the two titles plus yes/no.
+
+An anchor costs its hyperlink degree plus the pairs drawn, not the size of
+its topic cluster: topic partners are drawn lazily (`_TopicDraws`), from the
+sorted cluster tuple as it is stored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .corpus import CorpusStore, Document, hyperlink_neighbors, topic_neighbors
+from .corpus import CorpusStore, Document, hyperlink_neighbors
 
 HYPER = "hyper"
 TOPIC = "topic"
@@ -51,21 +56,72 @@ def derive_rng(seed: int, *keys) -> random.Random:
     return random.Random(derive_seed(seed, *keys))
 
 
+class _TopicDraws:
+    """The other members of an anchor's topic cluster, popped in the order
+    `rng.shuffle(members)` followed by `members.pop()` would give them.
+
+    `random.shuffle` (Fisher-Yates; Knuth, *TAOCP* Vol. 2, 3.4.2, Algorithm
+    P) fixes list positions from the end: step i swaps position i with
+    j = `rng._randbelow(i + 1)` and never touches position i again. So the
+    `pop` that takes position i makes step i's draw, on the same rng in the
+    same order, and a dict keeps the members that earlier steps moved. The
+    members are the sorted cluster tuple read around the anchor's `bisect`
+    position, never copied. Equal to the shuffle only while the rng draws
+    nothing else between pops; `tests/test_pairing.py` checks it on the
+    running interpreter.
+    """
+
+    def __init__(self, store: CorpusStore, doc_id: str, rng: random.Random):
+        topic = store.documents[doc_id].topic
+        # a document with a topic is a member of that topic's cluster
+        self._cluster = store.topic_clusters[topic] if topic is not None else (doc_id,)
+        self._anchor = bisect_left(self._cluster, doc_id)
+        self._size = len(self._cluster) - 1
+        self._randbelow = rng._randbelow
+        self._moved: dict[int, str] = {}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _member(self, position: int) -> str:
+        # taken out of the dict: a position read here is final or written again
+        moved = self._moved.pop(position, None)
+        if moved is not None:
+            return moved
+        return self._cluster[position + (position >= self._anchor)]
+
+    def pop(self) -> str:
+        i = self._size - 1
+        if i < 0:
+            raise IndexError("pop from an empty topic pool")
+        self._size = i
+        last = self._member(i)
+        if i == 0:  # shuffle makes no draw for position 0
+            return last
+        j = self._randbelow(i + 1)
+        if j == i:
+            return last
+        picked = self._member(j)
+        self._moved[j] = last
+        return picked
+
+
 def sample_pairs(
     store: CorpusStore, doc_id: str, config: PairingConfig, seed: int
 ) -> list[DocumentPair]:
     """Up to pairs_per_document pairs anchored at doc_id, shuffled by `seed`.
 
     Hyper partners are taken first, then topic partners, alternating while
-    both pools last; partners never repeat within one anchor document.
+    both pools last; partners never repeat within one anchor document. The
+    hyper pool is shuffled whole, as its draws come first; the topic pool
+    then draws only the partners it gives up.
     """
     if doc_id not in store.documents:
         raise KeyError(f"unknown document id: {doc_id}")
     rng = derive_rng(seed, "pairs", doc_id)
     hyper_pool = hyperlink_neighbors(store, doc_id)
-    topic_pool = topic_neighbors(store, doc_id)
     rng.shuffle(hyper_pool)
-    rng.shuffle(topic_pool)
+    topic_pool = _TopicDraws(store, doc_id, rng)
 
     anchor = store.documents[doc_id]
     pairs: list[DocumentPair] = []

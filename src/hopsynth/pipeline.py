@@ -13,12 +13,12 @@ greedy episode, or majority-votes sampled ones, per evaluation item.
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import synthesis
 from .config import PipelineConfig, build_backend, build_embedder, build_recognizer
-from .corpus import CorpusStore, ingest_corpus, serialize_store
+from .corpus import CorpusStore, Document, ingest_corpus, serialize_store
 from .emitter import dataset_stats, split_dev, write_jsonl
 from .evalharness import run_episode, score_fever, score_qa, self_consistency
 from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_params
@@ -93,9 +93,19 @@ def build_store(path: str | Path, config: PipelineConfig) -> CorpusStore:
 _PAIR_FIELDS = ("d1", "d2", "relation")  # what _pair_from_row reads
 
 
+def _document_of_row(store: CorpusStore, row: dict, name: str) -> Document:
+    doc = store.documents.get(row[name])
+    if doc is None:
+        raise ValueError(
+            f"{name} {row[name]!r} is not a document of the store {store.source or '(unnamed)'}"
+        )
+    return doc
+
+
 def _pair_from_row(store: CorpusStore, row: dict) -> DocumentPair:
     return DocumentPair(
-        d1=store.documents[row["d1"]], d2=store.documents[row["d2"]], relation=row["relation"]
+        d1=_document_of_row(store, row, "d1"), d2=_document_of_row(store, row, "d2"),
+        relation=row["relation"],
     )
 
 
@@ -410,7 +420,7 @@ def run_eval(
         answers = [
             run_episode(
                 item["question"], backend, index, provider, config.eval,
-                replace(params, seed=seed), doc_text_lookup=lookup,
+                params.with_seed(seed), doc_text_lookup=lookup,
             ).final_answer or ""
             for seed in seeds
         ]

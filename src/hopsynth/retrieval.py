@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -77,9 +77,20 @@ class FlatIndex:
     doc_ids: tuple[str, ...]
     matrix: np.ndarray  # float32, one row per doc, sorted by doc id
     dim: int
+    _scratch: list[np.ndarray] = field(default_factory=list, init=False, repr=False,
+                                       compare=False)
 
     def __len__(self) -> int:
         return len(self.doc_ids)
+
+    def _block_scratch(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two float32 (rows, n) buffers, for a block's GEMM scores and their
+        partition. They are kept with the index and grown to the largest
+        block, so a block search allocates no temporaries of that size,
+        which the allocator would unmap and fault in again on every block."""
+        if not self._scratch or len(self._scratch[0]) < rows:
+            self._scratch[:] = [np.empty((rows, len(self)), dtype=np.float32) for _ in range(2)]
+        return self._scratch[0][:rows], self._scratch[1][:rows]
 
     @cached_property
     def row_norm_bound(self) -> float:
@@ -278,6 +289,10 @@ def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:
     tie, a non-finite score or a norm product near float32 overflow is
     scored by its own mat-vec. Raises ValueError for a block of the wrong
     dimension or with a non-finite entry.
+
+    A larger block is scored into the index's scratch buffers
+    (`FlatIndex._block_scratch`), so one index must not be searched from two
+    threads at once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -292,9 +307,12 @@ def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:
 
     n = len(index)
     kept, ranked = min(k, n), min(k + 1, n)
-    scores = block @ index.matrix.T
+    scores, work = index._block_scratch(len(block))
+    np.matmul(block, index.matrix.T, out=scores)
+    np.copyto(work, scores)
+    work.partition(n - ranked, axis=1)
     # each query's k+1 best GEMM scores, ascending
-    top = np.sort(np.partition(scores, n - ranked, axis=1)[:, n - ranked:], axis=1)
+    top = np.sort(work[:, n - ranked:], axis=1)
     gaps = np.diff(top.astype(np.float64), axis=1)
     scale = np.sqrt(np.einsum("ij,ij->i", block, block, dtype=np.float64)) * index.row_norm_bound
     # 1 + 2**-20 covers the float64 rounding of the norms, the margin and the gaps
@@ -302,11 +320,10 @@ def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:
     # below 2**126 no partial sum of either product can overflow, so the bound holds
     certified = ((gaps > margin[:, None]).all(axis=1) & np.isfinite(top).all(axis=1)
                  & (scale < 2.0 ** 126))
-    in_top = scores >= top[:, ranked - kept, None]
     out = []
-    for q, row_scores, mask, ok in zip(block, scores, in_top, certified):
+    for q, row_scores, kth, ok in zip(block, scores, top[:, ranked - kept], certified):
         if ok:
-            rows = np.flatnonzero(mask)
+            rows = np.flatnonzero(row_scores >= kth)
             rows = rows[np.argsort(row_scores[rows])[::-1]]
         else:
             rows = select_topk(index.matrix @ q, k)

@@ -14,7 +14,7 @@ under that stage's decode params.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import promptkit
@@ -94,7 +94,7 @@ def _ask(
         examples = promptkit.builtin_examples(task, setting)
     prompt = promptkit.render_prompt(task, stage, setting, examples, documents, **fields)
     try:
-        return complete(backend, prompt.text, replace(default_decode_params(stage), seed=seed))
+        return complete(backend, prompt.text, default_decode_params(stage).with_seed(seed))
     except EmptyCompletion:
         return ""
 

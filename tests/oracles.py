@@ -7,6 +7,8 @@ possible, and stays independent of the implementation path it validates:
 * Flat-index search: full sort of every dot product.
 * Query dedup / instance assembly: explicit enumeration over candidates.
 * Hyperlink neighbors: a scan of every document's outbound links.
+* Pair sampling: the sampler's earlier implementation, which copies and
+  shuffles an anchor's whole topic cluster.
 * Heuristic entities: the recognizer's earlier implementation, kept as is,
   which marks runs with word offsets and sheds a sentence-initial word.
 * Hash embeddings: the embedder's earlier implementation, one token vector
@@ -16,6 +18,7 @@ possible, and stays independent of the implementation path it validates:
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 import string
 from collections import Counter
@@ -199,6 +202,40 @@ def oracle_hyperlink_neighbors(store, doc_id):
         if doc_id in targets and other != doc_id:
             neighbors.add(other)
     return sorted(neighbors)
+
+
+# ---------------------------------------------------------------------------
+# Pair sampling: shuffle both partner pools whole, then pop
+# ---------------------------------------------------------------------------
+
+
+def oracle_sample_pairs(store, doc_id, pairs_per_document, seed):
+    """(partner id, relation) per pair anchored at doc_id, as `sample_pairs` draws them.
+
+    The rng is seeded from the first 8 bytes of sha256("seed:pairs:doc_id").
+    It shuffles a copy of the sorted hyperlink neighbors, then a copy of the
+    other members of the anchor's topic cluster; pairs pop from the ends,
+    hyper first and alternating while both pools last, skipping repeats.
+    """
+    material = f"{seed}:pairs:{doc_id}".encode("utf-8")
+    rng = random.Random(int.from_bytes(hashlib.sha256(material).digest()[:8], "big"))
+    hyper_pool = list(store.hyperlinks[doc_id])
+    topic = store.documents[doc_id].topic
+    cluster = store.topic_clusters[topic] if topic is not None else ()
+    topic_pool = [member for member in cluster if member != doc_id]
+    rng.shuffle(hyper_pool)
+    rng.shuffle(topic_pool)
+    pairs, used, take_hyper = [], set(), True
+    while len(pairs) < pairs_per_document and (hyper_pool or topic_pool):
+        if (take_hyper and hyper_pool) or not topic_pool:
+            partner, relation = hyper_pool.pop(), "hyper"
+        else:
+            partner, relation = topic_pool.pop(), "topic"
+        take_hyper = not take_hyper
+        if partner not in used:
+            used.add(partner)
+            pairs.append((partner, relation))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,21 @@ def test_stage_row_missing_a_field_names_file_and_line(
     assert f"{rows}:2: missing field {dropped!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["d1", "d2"])
+def test_stage_row_with_an_unknown_id_names_field_id_and_store(tmp_path, capsys, name):
+    store, pairs = tmp_path / "store.jsonl", tmp_path / "pairs.jsonl"
+    assert main(["ingest", "--in", str(DEMO / "corpus.jsonl"), "--out", str(store)]) == 0
+    assert main(["pair", "--store", str(store), "--out", str(pairs)]) == 0
+    first = json.loads(pairs.read_text().splitlines()[0])
+    pairs.write_text(json.dumps({**first, name: "no-such-doc"}) + "\n")
+    capsys.readouterr()
+    assert main(["gen-questions", "--in", str(pairs), "--store", str(store),
+                 "--out", str(tmp_path / "q.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {name} 'no-such-doc' is not a document of the store {store}" in err
+    assert not (tmp_path / "q.jsonl").exists()
+
+
 def test_stage_rerun_reproduces_output(tmp_path, corpus_path):
     base = ["--seed", "9", "--backend", "mock", "--embeddings", "mock", "--workers", "2"]
     store = tmp_path / "store.jsonl"

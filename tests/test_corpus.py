@@ -10,7 +10,6 @@ from hopsynth.corpus import (
     hyperlink_neighbors,
     ingest_corpus,
     serialize_store,
-    topic_neighbors,
     truncate_text,
 )
 from hopsynth.metrics import tokenize
@@ -179,14 +178,14 @@ def test_topic_clusters_from_file(tmp_path):
     store = ingest_corpus(path)
     assert store.topic_clusters == {"music": ("d1", "d2"), "film": ("d3",)}
     assert store.documents["d3"].topic == "film"
-    assert topic_neighbors(store, "d1") == ["d2"]
+    assert store.topic_clusters[store.documents["d1"].topic] == ("d1", "d2")
 
 
 def test_no_topics_no_labeler_means_empty_clusters(tmp_path):
     path = write_corpus(tmp_path, [doc(1, "A", "x"), doc(2, "B", "y")])
     store = ingest_corpus(path)
     assert store.topic_clusters == {}
-    assert topic_neighbors(store, "d1") == []
+    assert store.documents["d1"].topic is None
 
 
 def test_explicit_labeler(tmp_path):
@@ -195,7 +194,7 @@ def test_explicit_labeler(tmp_path):
     ])
     store = ingest_corpus(path, topics=TopicsConfig("keyword"))
     assert store.topic_clusters == {"music": ("d1", "d2"), "t": ("d3",)}
-    assert topic_neighbors(store, "d2") == ["d1"]
+    assert store.topic_clusters[store.documents["d2"].topic] == ("d1", "d2")
 
 
 def test_unknown_topic_source_fails_before_reading():

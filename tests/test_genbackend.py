@@ -1,6 +1,6 @@
 import json
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -42,6 +42,20 @@ def test_default_params_per_stage():
         assert default_decode_params(stage).stop == STOP_SEQUENCES == ("\n\n", "\nDocument:")
     for stage in ("eval_greedy", "eval_self_consistency"):
         assert default_decode_params(stage).stop == ("\n",)
+
+
+def test_with_seed_equals_replace():
+    # with_seed names every field itself; a field it forgot would differ here
+    stages = ("question_gen", "answering", "query_gen", "eval_greedy", "eval_self_consistency")
+    for stage in stages:
+        params = default_decode_params(stage)
+        assert default_decode_params(stage) is params  # built once per stage
+        for seed in (None, 0, 2**63 - 1):
+            assert params.with_seed(seed) == replace(params, seed=seed)
+    odd = DecodeParams(max_tokens=3, temperature=0.5, top_p=1.0, top_k=7, stop=("x",), seed=1)
+    assert odd.with_seed(2) == replace(odd, seed=2)
+    assert [f.name for f in fields(DecodeParams)] == [
+        "max_tokens", "temperature", "top_p", "top_k", "stop", "seed"]
 
 
 def test_params_single_sampling_family():

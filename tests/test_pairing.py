@@ -1,14 +1,18 @@
 import json
+import random
 from collections import Counter
 
 import pytest
+from oracles import oracle_sample_pairs
+from synthcorpus import make_corpus, write_corpus
 
-from hopsynth.corpus import CorpusConfig, ingest_corpus
+from hopsynth.corpus import CorpusConfig, CorpusStore, Document, TopicsConfig, ingest_corpus
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pairing import (
     AnswerCandidate,
     DocumentPair,
     PairingConfig,
+    _TopicDraws,
     answer_candidates,
     derive_rng,
     pick_answer,
@@ -43,14 +47,15 @@ def test_sample_pairs_count_and_distinct(hub_store):
 
 
 def test_sample_pairs_relation_invariants(hub_store):
-    from hopsynth.corpus import hyperlink_neighbors, topic_neighbors
+    from hopsynth.corpus import hyperlink_neighbors
 
     for seed in range(5):
         for p in sample_pairs(hub_store, "d0", PairingConfig(4), seed):
             if p.relation == "hyper":
                 assert p.d2.id in hyperlink_neighbors(hub_store, "d0")
             else:
-                assert p.d2.id in topic_neighbors(hub_store, "d0")
+                assert p.d2.id in hub_store.topic_clusters["t"]
+                assert p.d2.id != "d0"
 
 
 def test_sample_pairs_exhaustion(tmp_path):
@@ -83,6 +88,59 @@ def test_sample_pairs_mixes_relations(hub_store):
 def test_sample_pairs_unknown_id(hub_store):
     with pytest.raises(KeyError):
         sample_pairs(hub_store, "nope", PairingConfig(), 0)
+
+
+def _cluster_store(members, anchor_topic="t"):
+    """A store whose cluster "t" holds `members`; "anchor" joins it when
+    `anchor_topic` is "t" and stands alone when it is None."""
+    docs = {m: Document(m, m.upper(), m, (), "t") for m in members}
+    docs["anchor"] = Document("anchor", "ANCHOR", "anchor", (), anchor_topic)
+    cluster = sorted(members) + (["anchor"] if anchor_topic else [])
+    return CorpusStore(documents=docs, hyperlinks={m: () for m in docs},
+                       topic_clusters={"t": tuple(sorted(cluster))})
+
+
+@pytest.mark.parametrize("seed", [0, 91])
+def test_topic_draws_equal_shuffle_then_pop(seed):
+    # The lazy draw against the running interpreter's random.shuffle: every
+    # pool size up to 300, the anchor sorting first, in the middle and last,
+    # or holding no topic; every pop up to exhaustion, then the same rng state.
+    for size in range(301):
+        half = size // 2
+        # "a000" < "anchor" < "b000", so the prefixes place the anchor
+        placements = {"first": "b" * size, "middle": "a" * half + "b" * (size - half),
+                      "last": "a" * size, "no topic": "a" * size}
+        for where, prefixes in placements.items():
+            members = [f"{prefix}{i:03d}" for i, prefix in enumerate(prefixes)]
+            store = _cluster_store(members, None if where == "no topic" else "t")
+            lazy_rng, shuffle_rng = random.Random(seed), random.Random(seed)
+            draws = _TopicDraws(store, "anchor", lazy_rng)
+            expected = [] if where == "no topic" else sorted(members)
+            shuffle_rng.shuffle(expected)
+            assert len(draws) == len(expected)
+            popped = [draws.pop() for _ in range(len(expected))]
+            assert popped == expected[::-1], (size, where)
+            assert len(draws) == 0
+            with pytest.raises(IndexError):
+                draws.pop()
+            assert lazy_rng.getstate() == shuffle_rng.getstate(), (size, where)
+
+
+@pytest.mark.parametrize("labeler", ["file", "keyword", "none"])
+def test_sample_pairs_equal_full_shuffle_oracle(tmp_path, labeler):
+    records = make_corpus(n_docs=300, seed=5, n_topics=12)
+    for i, record in enumerate(records):
+        if labeler != "file" or i % 3 == 0:  # `file` falls back to keywords for these
+            del record["topic"]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", records)
+    store = ingest_corpus(corpus, topics=TopicsConfig(labeler))
+    for pairs_per_document in (1, 4, 9):
+        for seed in (0, 23):
+            for doc_id in sorted(store.documents):
+                pairs = sample_pairs(store, doc_id, PairingConfig(pairs_per_document), seed)
+                assert all(p.d1.id == doc_id for p in pairs)
+                assert [(p.d2.id, p.relation) for p in pairs] == oracle_sample_pairs(
+                    store, doc_id, pairs_per_document, seed)
 
 
 def topic_pair():

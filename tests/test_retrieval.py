@@ -173,6 +173,24 @@ def test_block_search_equals_per_query_matvec(monkeypatch):
     assert certified > 0 and fell_back > 0, (certified, fell_back)
 
 
+def test_block_search_reuses_the_index_scratch_across_block_sizes():
+    # one index, blocks that grow and shrink: each block's ids stay the
+    # mat-vec's, and a smaller block reuses the buffers of the largest so far
+    rng = np.random.default_rng(21)
+    matrix = _random_matrix(rng, "quantized", 150, 16)
+    index = build_flat_index([f"d{i:03d}" for i in range(150)], list(matrix))
+    largest, buffers = 0, []
+    for rows in (3, 64, 2, 40, 65, 5):
+        block = [_random_query(rng, ("gaussian", "row")[i % 2], matrix) for i in range(rows)]
+        expected = [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ q, 5))
+                    for q in block]
+        assert search(index, block, 5) == expected, rows
+        if rows <= largest:
+            assert all(new is old for new, old in zip(index._scratch, buffers, strict=True))
+        largest, buffers = max(largest, rows), list(index._scratch)
+        assert [b.shape for b in buffers] == [(largest, 150)] * 2
+
+
 def test_kernels_agree_including_ties():
     def reference(scores, k):
         return np.argsort(-scores, kind="stable")[:k]
