@@ -3,7 +3,7 @@
 
 For each index size it times two ways of finding every query's top k:
 one mat-vec plus `select_topk` per query, and `retrieval.search` over
-blocks of `verification.EMBED_BLOCK` queries (one GEMM per block, with a
+blocks of `retrieval.EMBED_BLOCK` queries (one GEMM per block, with a
 mat-vec only for the queries whose order the GEMM cannot certify). It
 asserts that both give the same ids in the same order, reports the share
 of queries that fell back to the mat-vec, and checks that `select_topk`
@@ -26,8 +26,7 @@ import numpy as np
 
 from hopsynth import retrieval
 from hopsynth._kernels import select_topk
-from hopsynth.retrieval import build_flat_index, search
-from hopsynth.verification import EMBED_BLOCK
+from hopsynth.retrieval import EMBED_BLOCK, build_flat_index, search
 
 
 def argsort_topk(scores, k):

@@ -20,7 +20,7 @@ from . import pipeline
 from .config import ConfigError, PipelineConfig, parse_config_file, set_config_key
 from .corpus import serialize_store
 from .emitter import dataset_stats, format_stats_report, read_jsonl, write_jsonl
-from .jsonl import read_rows, write_rows
+from .jsonl import read_numbered_rows, write_rows
 
 # Config flags: flag -> (the config keys it sets, help, the commands that take
 # it; none means every command, with the flag before it). set_config_key
@@ -97,6 +97,19 @@ def _configure(args) -> PipelineConfig:
     return config
 
 
+def _stage_rows(args, stage, store) -> list[dict]:
+    """The rows of --in, each checked for the fields `stage` reads and for
+    a d1 and d2 that name documents of the store."""
+    rows = []
+    for line_no, row in read_numbered_rows(args.in_path, fields=pipeline.INPUT_FIELDS[stage]):
+        for name in ("d1", "d2"):
+            if not isinstance(row[name], str) or row[name] not in store.documents:
+                raise ValueError(f"{args.in_path}:{line_no}: {name} {row[name]!r} is not a "
+                                 f"document of the store {args.store_path}")
+        rows.append(row)
+    return rows
+
+
 def run_command(args) -> int:
     config = _configure(args)
     command = args.command
@@ -109,9 +122,7 @@ def run_command(args) -> int:
     if command in _STAGES:
         store = pipeline.build_store(args.store_path, config)
         stage = _STAGES[command][0]
-        inputs = () if command == "pair" else (
-            read_rows(args.in_path, pipeline.INPUT_FIELDS[stage]),
-        )
+        inputs = () if command == "pair" else (_stage_rows(args, stage, store),)
         rows, counters = stage(store, *inputs, config)
         (write_jsonl if command == "verify" else write_rows)(rows, args.out_path)
         if command == "verify" and args.report:

@@ -68,7 +68,6 @@ class CorpusStore:
     topic_clusters: dict[str, tuple[str, ...]]  # sorted members
     _normalized: dict[str, str] = field(default_factory=dict, init=False, repr=False,
                                         compare=False)
-    source: str = field(default="", compare=False)  # the file it was read from
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -214,7 +213,6 @@ def ingest_corpus(
         documents=documents,
         hyperlinks={doc_id: tuple(sorted(set(ids))) for doc_id, ids in links.items()},
         topic_clusters={topic: tuple(sorted(ids)) for topic, ids in clusters.items()},
-        source=str(path),
     )
 
 

@@ -116,15 +116,15 @@ def score_qa(predictions: Sequence[str], golds: Sequence[str]) -> tuple[float, f
 
 
 def score_fever(predictions: Sequence[str], golds: Sequence[str]) -> float:
-    """Label accuracy in percent; labels must be in the three-class set."""
+    """Label accuracy in percent. A prediction outside the three-class set (an
+    unanswered episode's "") is wrong; a gold label outside it raises ValueError."""
     _check_scorable(predictions, golds)
-    allowed = set(FEVER_LABELS)
     correct = 0
     for pred, gold in zip(predictions, golds):
-        pred_label, gold_label = normalize_label(pred), normalize_label(gold)
-        if pred_label not in allowed or gold_label not in allowed:
-            raise ValueError(f"label outside the class set: {pred!r} / {gold!r}")
-        correct += pred_label == gold_label
+        gold_label = normalize_label(gold)
+        if gold_label not in FEVER_LABELS:
+            raise ValueError(f"gold label outside the class set: {gold!r}")
+        correct += normalize_label(pred) == gold_label
     return 100.0 * correct / len(golds)
 
 

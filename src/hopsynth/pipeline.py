@@ -18,11 +18,11 @@ from pathlib import Path
 
 from . import synthesis
 from .config import PipelineConfig, build_backend, build_embedder, build_recognizer
-from .corpus import CorpusStore, Document, ingest_corpus, serialize_store
+from .corpus import CorpusStore, ingest_corpus, serialize_store
 from .emitter import dataset_stats, split_dev, write_jsonl
 from .evalharness import run_episode, score_fever, score_qa, self_consistency
 from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_params
-from .jsonl import read_rows
+from .jsonl import read_numbered_rows
 from .pairing import (
     HYPER,
     DocumentPair,
@@ -33,7 +33,7 @@ from .pairing import (
     sample_pairs,
 )
 from .promptkit import load_examples
-from .retrieval import build_flat_index, embed
+from .retrieval import build_flat_index, embed, per_distinct_text
 from .synthesis import (
     FEVER_LABELS,
     TASK_FEVER,
@@ -43,24 +43,23 @@ from .synthesis import (
     QuestionDraft,
 )
 from .verification import (
+    DROP_ANSWER_CONTAINMENT,
+    DROP_ONE_HOP_COVERAGE,
+    DROP_TWO_HOP_COVERAGE,
     DataInstance,
     assemble_instance,
     retrieve_queries,
     verify_query,
 )
 
-# Texts per recognizer call; the same block size as retrieval's
-# EMBED_BLOCK, which kept the HTTP client's peak RSS flat.
-RECOGNIZE_BLOCK = 64
-
 DROP_REASONS = (
     "no_answer_candidates",
     "empty_question",
     "entity_filter",
     "not_answerable",
-    "two_hop_coverage",
-    "one_hop_coverage",
-    "answer_containment",
+    DROP_TWO_HOP_COVERAGE,
+    DROP_ONE_HOP_COVERAGE,
+    DROP_ANSWER_CONTAINMENT,
 )
 
 
@@ -93,37 +92,12 @@ def build_store(path: str | Path, config: PipelineConfig) -> CorpusStore:
 _PAIR_FIELDS = ("d1", "d2", "relation")  # what _pair_from_row reads
 
 
-def _document_of_row(store: CorpusStore, row: dict, name: str) -> Document:
-    doc = store.documents.get(row[name])
-    if doc is None:
-        raise ValueError(
-            f"{name} {row[name]!r} is not a document of the store {store.source or '(unnamed)'}"
-        )
-    return doc
-
-
 def _pair_from_row(store: CorpusStore, row: dict) -> DocumentPair:
-    return DocumentPair(
-        d1=_document_of_row(store, row, "d1"), d2=_document_of_row(store, row, "d2"),
-        relation=row["relation"],
-    )
+    return DocumentPair(store.documents[row["d1"]], store.documents[row["d2"]], row["relation"])
 
 
 def _examples_override(config: PipelineConfig):
     return load_examples(config.examples) if config.examples else None
-
-
-def _recognize(recognizer, texts) -> dict[str, list[str]]:
-    """Entities of each distinct text, RECOGNIZE_BLOCK texts per recognizer call.
-
-    Recognizer errors propagate: an outage is not a text without entities.
-    """
-    distinct = list(dict.fromkeys(texts))
-    entities: dict[str, list[str]] = {}
-    for start in range(0, len(distinct), RECOGNIZE_BLOCK):
-        block = distinct[start:start + RECOGNIZE_BLOCK]
-        entities.update(zip(block, recognizer(block), strict=True))
-    return entities
 
 
 def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> tuple[list[dict], dict]:
@@ -142,7 +116,7 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
         for pair in sample_pairs(store, anchor_id, config.pairing, config.seed)
         if mqa or pair.relation == HYPER
     ]
-    entities = _recognize(recognizer, [
+    entities = per_distinct_text(recognizer, [
         doc.text for pair in pairs if pair.relation == HYPER for doc in (pair.d1, pair.d2)
     ]) if mqa else {}
 
@@ -185,7 +159,7 @@ def stage_questions(
         )
         for row in pair_rows
     ]
-    entities = _recognize(recognizer, [draft.text for draft in drafts if draft is not None])
+    entities = per_distinct_text(recognizer, [draft.text for draft in drafts if draft])
 
     def step(item: tuple[dict, QuestionDraft | None]):
         row, draft = item
@@ -233,7 +207,7 @@ def stage_filter_answers(
         decision = synthesis.classify_hops(
             draft, preds["both"], preds["first"], preds["second"], config.filter
         )
-        if decision.verdict != "keep":
+        if decision is None:
             return "not_answerable"
         return {
             **row,
@@ -303,16 +277,13 @@ def stage_verify(
 
     def step(row: dict):
         draft = _draft_from_row(store, row, config.task)
-        decision = HopDecision(
-            "keep", row["hops"], frozenset(row["answerable_in"]), row["final_answer"]
-        )
+        decision = HopDecision(row["hops"], frozenset(row["answerable_in"]), row["final_answer"])
         verdicts = [
             verify_query(QueryCandidate(c["text"], c["origin"], c["rank"]), draft.pair,
                          retrieved[c["text"]])
             for c in row["candidates"]
         ]
-        instance, reason = assemble_instance(draft, decision, verdicts, store)
-        return reason or instance
+        return assemble_instance(draft, decision, verdicts, store)
 
     return _run_steps(candidate_rows, step)
 
@@ -399,19 +370,28 @@ def run_eval(
     """Score an evaluation set with retrieval episodes.
 
     Items carry {"id", "question", "answer"} (QA) or {"id", "question",
-    "label"} (fact verification). `config.eval.mode` picks greedy decoding,
-    one episode per item, or self-consistency, several sampled episodes;
-    either way the prediction is the majority vote over the item's answers.
+    "label"} (fact verification); an item without them, or a label outside
+    FEVER_LABELS, raises ValueError naming `<path>:<line>` before any
+    episode runs. `config.eval.mode` picks greedy decoding, one episode per
+    item, or self-consistency, several sampled episodes; either way the
+    prediction is the majority vote over the item's answers.
     """
     backend = backend or build_backend(config)
     provider = provider or build_embedder(config)
     store = build_store(corpus_path, config)
     index = build_index(store, provider)
+    gold_field = "label" if config.task == TASK_FEVER else "answer"
+    items = []
+    for line, item in read_numbered_rows(eval_path, fields=("id", "question", gold_field)):
+        label = item.get("label")
+        if config.task == TASK_FEVER and synthesis.normalize_label(str(label)) not in FEVER_LABELS:
+            raise ValueError(f"{eval_path}:{line}: label {label!r} is outside {FEVER_LABELS}")
+        items.append(item)
     lookup = lambda doc_id: store.documents[doc_id].text  # noqa: E731
     sampled = config.eval.mode == "self_consistency"
     params = default_decode_params(EVAL_SELF_CONSISTENCY if sampled else EVAL_GREEDY)
     records = []
-    for item in read_rows(eval_path, fields=("id", "question")):
+    for item in items:
         if sampled:
             samples = range(config.eval.self_consistency_samples)
             seeds = [derive_seed(config.seed, "eval", item["id"], s) for s in samples]
@@ -424,8 +404,8 @@ def run_eval(
             ).final_answer or ""
             for seed in seeds
         ]
-        gold = item.get("answer", item.get("label", ""))
-        records.append({"id": item["id"], "prediction": self_consistency(answers), "gold": gold})
+        records.append({"id": item["id"], "prediction": self_consistency(answers),
+                        "gold": item[gold_field]})
     predictions = [r["prediction"] for r in records]
     golds = [r["gold"] for r in records]
     if config.task == TASK_FEVER:

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class EmbeddingProvider(Protocol):
     def __call__(self, texts: list[str]) -> list[np.ndarray]: ...
 
 
-# Texts per provider call, for documents and query texts alike. Over HTTP,
+# Texts per client call, in `embed` and `per_distinct_text` alike. Over HTTP,
 # 256-text blocks raised the client's peak RSS where 64 did not, and 64
 # already removes almost every call.
 EMBED_BLOCK = 64
@@ -208,6 +208,22 @@ def _float32_vector(entries) -> np.ndarray | None:
     with np.errstate(over="ignore"):
         vec = vec.astype(np.float32)
     return vec if np.isfinite(vec).all() else None
+
+
+def per_distinct_text(client, texts: Iterable[str]) -> dict:
+    """`client`'s result for each distinct text, keyed by text in first-seen order.
+
+    `client` takes a list of texts and returns one result per text; it is
+    called on EMBED_BLOCK distinct texts at a time. A result count other than
+    the block's raises ValueError. Client errors propagate: an outage is not
+    an empty result.
+    """
+    distinct = list(dict.fromkeys(texts))
+    results: dict = {}
+    for start in range(0, len(distinct), EMBED_BLOCK):
+        block = distinct[start:start + EMBED_BLOCK]
+        results.update(zip(block, client(block), strict=True))
+    return results
 
 
 def embed(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:

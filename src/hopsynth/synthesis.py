@@ -48,7 +48,6 @@ class QuestionDraft:
 
 @dataclass(frozen=True)
 class HopDecision:
-    verdict: str  # keep | drop
     hops: str  # one | two
     answerable_in: frozenset[str]
     final_answer: str
@@ -166,8 +165,8 @@ def classify_hops(
     pred_first: str,
     pred_second: str,
     config: FilterConfig,
-) -> HopDecision:
-    """Keep/drop the draft and fix its hop count and final answer.
+) -> Optional[HopDecision]:
+    """The kept draft's hop count and final answer, or None when it drops.
 
     When the two-document prediction agrees with a single-document one, the
     draft is kept as single-hop (topic pairs stay two-hop) and the prediction
@@ -176,7 +175,7 @@ def classify_hops(
     the prepared answer, as two-hop. Everything else drops.
     """
     if not pred_both.strip():
-        return HopDecision("drop", "two", frozenset(), "")
+        return None
     agrees_first = decide_answerable(pred_both, pred_first, config, draft.task)
     agrees_second = decide_answerable(pred_both, pred_second, config, draft.task)
     if agrees_first or agrees_second:
@@ -186,10 +185,10 @@ def classify_hops(
         if agrees_second:
             answerable_in.add("second")
         hops = "two" if draft.pair.relation == TOPIC else "one"
-        return HopDecision("keep", hops, frozenset(answerable_in), pred_both)
+        return HopDecision(hops, frozenset(answerable_in), pred_both)
     if decide_answerable(pred_both, draft.prepared_answer, config, draft.task):
-        return HopDecision("keep", "two", frozenset({"both"}), draft.prepared_answer)
-    return HopDecision("drop", "two", frozenset(), "")
+        return HopDecision("two", frozenset({"both"}), draft.prepared_answer)
+    return None
 
 
 def generate_queries(

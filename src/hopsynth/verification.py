@@ -7,9 +7,9 @@ the first later survivor covering the other document. The original-question
 backup is consulted only when every model candidate is invalid.
 
 Distinct query texts are embedded and searched once each, one `embed` and
-one `search` call per block of EMBED_BLOCK texts (the block size `embed`
-uses, defined in `retrieval`). `search` scores the block with one GEMM and
-returns exactly the per-query mat-vec top-k (see `retrieval`).
+one `search` call per block of `retrieval.EMBED_BLOCK` texts. `search`
+scores the block with one GEMM and returns exactly the per-query mat-vec
+top-k (see `retrieval`).
 
 Retrieval failures are not verdicts: an `EmbeddingError` from the provider
 or a `ValueError` from `search` (wrong dimension, non-finite vector) leaves
@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .corpus import CorpusStore
 from .metrics import normalize_answer
 from .pairing import HYPER, DocumentPair
-from .retrieval import EMBED_BLOCK, FlatIndex, embed, search
+from .retrieval import FlatIndex, embed, per_distinct_text, search
 from .synthesis import (
     ORIGIN_BACKUP,
     ORIGIN_MODEL,
@@ -78,16 +78,10 @@ def retrieve_queries(
 ) -> dict[str, tuple[str, ...]]:
     """Top-k doc ids for each distinct text, keyed by text in first-seen order.
 
-    Distinct texts are embedded EMBED_BLOCK per provider call, and each
-    embedded block is one `search` call, which scores it with one GEMM.
-    Embedding and search errors propagate.
+    Each block of `per_distinct_text` is one `embed` and one `search` call,
+    which scores it with one GEMM. Embedding and search errors propagate.
     """
-    distinct = list(dict.fromkeys(texts))
-    retrieved: dict[str, tuple[str, ...]] = {}
-    for start in range(0, len(distinct), EMBED_BLOCK):
-        block = distinct[start:start + EMBED_BLOCK]
-        retrieved.update(zip(block, search(index, embed(provider, block), k)))
-    return retrieved
+    return per_distinct_text(lambda block: search(index, embed(provider, block), k), texts)
 
 
 def verify_query(
@@ -155,17 +149,17 @@ def finalize_with_reason(
     decision: HopDecision,
     verdicts: Sequence[QueryVerdict],
     store: CorpusStore,
-) -> tuple[Optional[DataInstance], Optional[str]]:
+) -> DataInstance | str:
     """Pick the hops that cover the question and build the instance.
 
-    Returns (instance, None), or (None, drop reason) for pipeline
-    accounting. `verdicts` must already be deduplicated survivors in
-    generation order.
+    Returns the instance, or its drop reason (a `DROP_*` constant) for
+    pipeline accounting. `verdicts` must already be deduplicated survivors
+    in generation order.
     """
     pair = draft.pair
     if decision.hops == "two":
         if not verdicts:
-            return None, DROP_TWO_HOP_COVERAGE
+            return DROP_TWO_HOP_COVERAGE
         first = verdicts[0]
         chosen = [first]
         if not (first.hit_d1 and first.hit_d2):
@@ -175,7 +169,7 @@ def finalize_with_reason(
                 None,
             )
             if second is None:
-                return None, DROP_TWO_HOP_COVERAGE
+                return DROP_TWO_HOP_COVERAGE
             chosen.append(second)
     else:
         wanted: set[str] = set()
@@ -193,14 +187,14 @@ def finalize_with_reason(
             None,
         )
         if hop is None:
-            return None, DROP_ONE_HOP_COVERAGE
+            return DROP_ONE_HOP_COVERAGE
         chosen = [hop]
 
     if pair.relation == HYPER and draft.task == TASK_MQA:
         if not _containment_ok(decision.final_answer, chosen[-1].retrieved_ids, store):
-            return None, DROP_ANSWER_CONTAINMENT
+            return DROP_ANSWER_CONTAINMENT
 
-    instance = DataInstance(
+    return DataInstance(
         id=_instance_id(draft.task, pair.relation, pair, draft.text),
         task=draft.task,
         relation=pair.relation,
@@ -209,7 +203,6 @@ def finalize_with_reason(
         answer=decision.final_answer,
         source_pair=(pair.d1.id, pair.d2.id),
     )
-    return instance, None
 
 
 def assemble_instance(
@@ -217,8 +210,8 @@ def assemble_instance(
     decision: HopDecision,
     all_verdicts: Sequence[QueryVerdict],
     store: CorpusStore,
-) -> tuple[Optional[DataInstance], Optional[str]]:
-    """Backup rule, dedup, and finalize in one step."""
+) -> DataInstance | str:
+    """Backup rule, dedup, and finalize in one step: the instance or its drop reason."""
     considered = consult_backup_rule(all_verdicts)
     survivors = dedup_queries(considered)
     return finalize_with_reason(draft, decision, survivors, store)

@@ -273,8 +273,13 @@ def test_stage_row_with_an_unknown_id_names_field_id_and_store(tmp_path, capsys,
     assert main(["gen-questions", "--in", str(pairs), "--store", str(store),
                  "--out", str(tmp_path / "q.jsonl")]) == 2
     err = capsys.readouterr().err
-    assert f"error: {name} 'no-such-doc' is not a document of the store {store}" in err
+    assert f"error: {pairs}:1: {name} 'no-such-doc' is not a document of the store {store}" in err
     assert not (tmp_path / "q.jsonl").exists()
+    # an id that is not a string (here unhashable) is named the same way
+    pairs.write_text(json.dumps(first) + "\n" + json.dumps({**first, name: ["x"]}) + "\n")
+    assert main(["gen-questions", "--in", str(pairs), "--store", str(store),
+                 "--out", str(tmp_path / "q.jsonl")]) == 2
+    assert f"error: {pairs}:2: {name} ['x'] is not a document" in capsys.readouterr().err
 
 
 def test_stage_rerun_reproduces_output(tmp_path, corpus_path):
@@ -480,6 +485,24 @@ def test_dev_size_flag_is_validated(tmp_path, corpus_path, capsys, command):
     assert main(argv) == 2
     assert "--dev-size: bad value for 'dev_size'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task, row, message", [
+    ("mqa", {"id": "q1", "question": "Who?"}, "missing field 'answer'"),
+    ("mqa", {"id": "q1", "question": "Who?", "label": "SUPPORTS"}, "missing field 'answer'"),
+    ("fever", {"id": "q1", "question": "Claim.", "answer": "SUPPORTS"}, "missing field 'label'"),
+    ("fever", {"id": "q1", "question": "Claim.", "label": "MAYBE"}, "label 'MAYBE' is outside"),
+], ids=["mqa_no_gold", "mqa_label_only", "fever_answer_only", "fever_unknown_label"])
+def test_eval_gold_is_checked_as_the_file_is_read(tmp_path, corpus_path, capsys, task, row,
+                                                  message):
+    good = {"id": "q0", "question": "Who?", "answer" if task == "mqa" else "label": "REFUTES"}
+    eval_set = tmp_path / "evalset.jsonl"
+    eval_set.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["--task", task, "eval", "--in", str(eval_set), "--corpus", str(corpus_path),
+                 "--out", str(out)]) == 2
+    assert f"error: {eval_set}:2: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_cli_with_scripted_backend(tmp_path, corpus_path):

@@ -142,8 +142,9 @@ def test_score_fever():
         ["SUPPORTS", "SUPPORTS", "REFUTES", "REFUTES"],
     ) == 25.0
     assert score_fever(["supports"], ["SUPPORTS"]) == 100.0
-    with pytest.raises(ValueError):
-        score_fever(["MAYBE"], ["SUPPORTS"])
+    assert score_fever(["MAYBE", "", "REFUTES"], ["SUPPORTS", "REFUTES", "REFUTES"]) == 100 / 3
+    with pytest.raises(ValueError, match="gold label outside the class set: 'MAYBE'"):
+        score_fever(["SUPPORTS"], ["MAYBE"])
 
 
 def test_self_consistency():

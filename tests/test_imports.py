@@ -1,11 +1,15 @@
-"""Every name a hopsynth module imports is referenced in that module."""
+"""Every name a hopsynth module imports is referenced in that module, and
+every hopsynth name a benchmark script imports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hopsynth"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hopsynth"
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,3 +34,46 @@ def test_module_has_no_unused_imports(path):
 def test_guard_flags_an_unused_import():
     source = "import json\nfrom os import path, sep\nprint(path)\n"
     assert unused_imports(source) == ["line 1: json", "line 2: sep"]
+
+
+def hopsynth_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) of each `from hopsynth... import name` in the source,
+    and in its string constants that parse as Python, such as a child
+    process's program."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hopsynth":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                found += hopsynth_imports(node.value)
+            except SyntaxError:  # prose, not a program
+                pass
+    return found
+
+
+def _resolves(module: str, name: str) -> bool:
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:  # a submodule, as in `from hopsynth import retrieval`
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("path", sorted(BENCHMARKS.glob("*.py")), ids=lambda path: path.name)
+def test_benchmark_script_imports_resolve(path):
+    imports = hopsynth_imports(path.read_text(encoding="utf-8"))
+    assert imports, "a benchmark script that imports nothing from hopsynth"
+    assert [f"{m}.{n}" for m, n in imports if not _resolves(m, n)] == []
+
+
+def test_benchmark_guard_reads_child_programs_and_flags_missing_names():
+    # bench_memory.py imports hopsynth only in its CHILD program
+    source = (BENCHMARKS / "bench_memory.py").read_text(encoding="utf-8")
+    assert ("hopsynth.pipeline", "build_index") in hopsynth_imports(source)
+    program = 'CHILD = """\nfrom hopsynth.pipeline import build_index, no_such_name\n"""\n'
+    missing = [(m, n) for m, n in hopsynth_imports(program) if not _resolves(m, n)]
+    assert missing == [("hopsynth.pipeline", "no_such_name")]
+    assert not _resolves("hopsynth", "no_such_module")

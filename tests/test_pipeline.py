@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from hopsynth import httpjson, pipeline, retrieval, verification
+from hopsynth import httpjson, pipeline, retrieval
 from hopsynth.config import PipelineConfig, TopicsConfig
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pipeline import (
-    RECOGNIZE_BLOCK,
     build_index,
     build_store,
     counters_conserved,
@@ -18,8 +17,8 @@ from hopsynth.pipeline import (
     stage_questions,
     stage_verify,
 )
-from hopsynth.retrieval import EmbeddingError, HashEmbedder, HttpEmbedder
-from hopsynth.verification import EMBED_BLOCK, VerifyConfig, validate_instance, verify_query
+from hopsynth.retrieval import EMBED_BLOCK, EmbeddingError, HashEmbedder, HttpEmbedder
+from hopsynth.verification import VerifyConfig, validate_instance, verify_query
 
 from oracles import OracleHashEmbedder
 from synthcorpus import make_corpus, write_corpus
@@ -113,9 +112,9 @@ def test_stage_pair_recognizes_each_text_once(corpus_path, monkeypatch):
     rows, counters = stage_pair(store, config, recognizer=counting)
     texts = [t for call in counting.calls for t in call]
     assert texts and len(texts) == len(set(texts))
-    assert all(len(call) <= RECOGNIZE_BLOCK for call in counting.calls)
+    assert all(len(call) <= EMBED_BLOCK for call in counting.calls)
     assert (rows, counters) == stage_pair(store, config, recognizer=HeuristicRecognizer())
-    monkeypatch.setattr(pipeline, "RECOGNIZE_BLOCK", 1)
+    monkeypatch.setattr(retrieval, "EMBED_BLOCK", 1)
     assert (rows, counters) == stage_pair(store, config, recognizer=HeuristicRecognizer())
 
 
@@ -126,10 +125,10 @@ def test_stage_questions_recognizes_distinct_drafts_in_blocks(corpus_path, monke
     counting = CountingRecognizer()
     rows, counters = stage_questions(store, pair_rows, config, recognizer=counting)
     texts = [t for call in counting.calls for t in call]
-    assert len(texts) == len(set(texts)) > RECOGNIZE_BLOCK
-    assert all(len(call) <= RECOGNIZE_BLOCK for call in counting.calls)
+    assert len(texts) == len(set(texts)) > EMBED_BLOCK
+    assert all(len(call) <= EMBED_BLOCK for call in counting.calls)
     assert counters["entity_filter"] > 0
-    monkeypatch.setattr(pipeline, "RECOGNIZE_BLOCK", 1)
+    monkeypatch.setattr(retrieval, "EMBED_BLOCK", 1)
     assert (rows, counters) == stage_questions(store, pair_rows, config)
 
 
@@ -149,7 +148,6 @@ def test_run_all_identical_across_embed_blocks(tmp_path, corpus_path, monkeypatc
     config = make_config(dev_size=3)
     outputs = {}
     for block in (1, 7, 64):
-        monkeypatch.setattr(verification, "EMBED_BLOCK", block)
         monkeypatch.setattr(retrieval, "EMBED_BLOCK", block)
         out = tmp_path / f"block{block}"
         report = run_all(corpus_path, out, config)
@@ -363,19 +361,21 @@ def test_run_eval_fever_accuracy(tmp_path, corpus_path):
     eval_corpus = tmp_path / "fever_corpus.jsonl"
     write_corpus(eval_corpus, records)
     items, script = [], {}
-    labels = ["SUPPORTS", "REFUTES", "NOT ENOUGH INFO", "SUPPORTS"]
+    labels = ["SUPPORTS", "REFUTES", "NOT ENOUGH INFO", "SUPPORTS", "REFUTES"]
     for i, label in enumerate(labels):
         question = f"Claim number {i} about {records[i]['title']}."
         items.append({"id": f"c{i}", "question": question, "label": label})
         predicted = label if i != 3 else "REFUTES"  # one deliberate miss
-        script[question] = {"queries": [records[i]["title"]], "answer": predicted}
+        if i != 4:  # and one episode without an answer, which scores as wrong
+            script[question] = {"queries": [records[i]["title"]], "answer": predicted}
     eval_path = tmp_path / "fever_eval.jsonl"
     eval_path.write_text("".join(json.dumps(i) + "\n" for i in items))
 
     config = make_config(task="fever")
     backend = MockBackend(rule=GoldScriptRule(script))
     report = run_eval(eval_path, eval_corpus, config, backend=backend)
-    assert report["accuracy"] == 75.0
+    assert report["accuracy"] == 60.0
+    assert report["items"][4] == {"id": "c4", "prediction": "", "gold": "REFUTES"}
 
 
 def test_run_eval_self_consistency_mode(tmp_path, corpus_path):

@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from hopsynth import retrieval, verification
+from hopsynth import retrieval
 from hopsynth._kernels import select_topk
 from hopsynth.retrieval import (
     EMBED_BLOCK,
@@ -18,6 +18,7 @@ from hopsynth.retrieval import (
     HttpEmbedder,
     build_flat_index,
     embed,
+    per_distinct_text,
     search,
 )
 
@@ -321,7 +322,7 @@ class BlockRecorder:
 
 
 def test_embed_fills_one_matrix_block_by_block():
-    assert EMBED_BLOCK == verification.EMBED_BLOCK == 64
+    assert EMBED_BLOCK == 64
     texts = [f"text{i} shared{i % 5}" for i in range(2 * EMBED_BLOCK + 1)]
     provider = BlockRecorder()
     matrix = embed(provider, texts)
@@ -337,6 +338,32 @@ def test_embed_failure_in_a_later_block_raises():
     with pytest.raises(EmbeddingError, match="endpoint down"):
         embed(provider, [f"t{i}" for i in range(2 * EMBED_BLOCK + 1)])
     assert len(provider.calls) == 2  # no block after the failed one is asked for
+
+
+def test_per_distinct_text_calls_the_client_once_per_distinct_text():
+    calls = []
+
+    def client(block):
+        calls.append(block)
+        return [text.upper() for text in block]
+
+    # 320 texts, 129 distinct, first seen in neither sorted nor input-index order
+    texts = [f"t{i % (2 * EMBED_BLOCK + 1)}" for i in reversed(range(5 * EMBED_BLOCK))]
+    distinct = list(dict.fromkeys(texts))
+    results = per_distinct_text(client, texts)
+    assert list(results) == distinct != sorted(distinct)
+    assert results == {text: text.upper() for text in distinct}
+    assert [len(block) for block in calls] == [EMBED_BLOCK, EMBED_BLOCK, 1]
+    assert [text for block in calls for text in block] == distinct
+    calls.clear()
+    assert per_distinct_text(client, []) == {} and calls == []
+
+
+@pytest.mark.parametrize("wrong", [lambda block: block[1:], lambda block: block + ["extra"]],
+                         ids=["too_few", "too_many"])
+def test_per_distinct_text_rejects_a_wrong_result_count(wrong):
+    with pytest.raises(ValueError):
+        per_distinct_text(wrong, ["a", "b", "a"])
 
 
 def _one_odd_vector(texts):

@@ -197,7 +197,7 @@ def two_hop_fixture(answer="Boston Celtics", last_hop_text="the Boston Celtics l
     store = make_store({"D1": "Pacers season text", "D2": last_hop_text, "F": "noise"})
     pair = make_pair(store)
     draft = QuestionDraft(pair=pair, task="mqa", text="Which team?", prepared_answer=answer)
-    decision = HopDecision("keep", "two", frozenset({"both"}), answer)
+    decision = HopDecision("two", frozenset({"both"}), answer)
     return store, pair, draft, decision
 
 
@@ -207,8 +207,8 @@ def test_finalize_two_hop_instance():
         vd("query one", hits=("D1",), rank=0, retrieved=("D1", "F")),
         vd("query two", hits=("D2",), rank=1, retrieved=("D2", "F")),
     ]
-    instance = finalize_with_reason(draft, decision, verdicts, store)[0]
-    assert instance is not None
+    instance = finalize_with_reason(draft, decision, verdicts, store)
+    assert isinstance(instance, DataInstance)
     assert instance.hops == (("query one", ("D1", "F")), ("query two", ("D2", "F")))
     assert instance.answer == "Boston Celtics"
     assert instance.source_pair == ("D1", "D2")
@@ -217,8 +217,7 @@ def test_finalize_two_hop_instance():
 def test_finalize_two_hop_coverage_failure():
     store, pair, draft, decision = two_hop_fixture()
     verdicts = [vd("query one", hits=("D1",), rank=0)]
-    instance, reason = finalize_with_reason(draft, decision, verdicts, store)
-    assert instance is None and reason == "two_hop_coverage"
+    assert finalize_with_reason(draft, decision, verdicts, store) == "two_hop_coverage"
 
 
 def test_finalize_containment_failure():
@@ -227,8 +226,7 @@ def test_finalize_containment_failure():
         vd("query one", hits=("D1",), rank=0, retrieved=("D1",)),
         vd("query two", hits=("D2",), rank=1, retrieved=("D2",)),
     ]
-    instance, reason = finalize_with_reason(draft, decision, verdicts, store)
-    assert instance is None and reason == "answer_containment"
+    assert finalize_with_reason(draft, decision, verdicts, store) == "answer_containment"
 
 
 def test_finalize_containment_uses_normalization():
@@ -239,8 +237,8 @@ def test_finalize_containment_uses_normalization():
         vd("q1", hits=("D1",), rank=0, retrieved=("D1",)),
         vd("q2", hits=("D2",), rank=1, retrieved=("D2",)),
     ]
-    instance, reason = finalize_with_reason(draft, decision, verdicts, store)
-    assert reason is None
+    instance = finalize_with_reason(draft, decision, verdicts, store)
+    assert isinstance(instance, DataInstance)
     assert normalize_answer(instance.answer) in normalize_answer(store.documents["D2"].text)
 
 
@@ -262,49 +260,46 @@ def test_containment_normalizes_each_document_once_per_store(monkeypatch):
         vd("q2", hits=("D2",), rank=1, retrieved=("D2", "D1", "missing")),
     ]
     for _ in range(3):
-        instance, reason = finalize_with_reason(draft, decision, verdicts, store)
-        assert reason is None
+        assert isinstance(finalize_with_reason(draft, decision, verdicts, store), DataInstance)
     assert sorted(normalized) == sorted(store.documents[i].text for i in ("D1", "D2"))
     # another store with the same ids keeps its own texts
     other, _, _, _ = two_hop_fixture(answer="The Boston Celtics", last_hop_text="elsewhere")
-    assert finalize_with_reason(draft, decision, verdicts, other) == (None, "answer_containment")
+    assert finalize_with_reason(draft, decision, verdicts, other) == "answer_containment"
 
 
 def test_finalize_fever_skips_containment():
     store = make_store({"D1": "claim source", "D2": "nothing relevant"})
     pair = make_pair(store)
     draft = QuestionDraft(pair=pair, task="fever", text="Claim.", prepared_answer="SUPPORTS")
-    decision = HopDecision("keep", "two", frozenset({"both"}), "SUPPORTS")
+    decision = HopDecision("two", frozenset({"both"}), "SUPPORTS")
     verdicts = [vd("a", hits=("D1",), rank=0), vd("b", hits=("D2",), rank=1)]
-    instance = finalize_with_reason(draft, decision, verdicts, store)[0]
-    assert instance is not None and instance.task == "fever"
+    instance = finalize_with_reason(draft, decision, verdicts, store)
+    assert isinstance(instance, DataInstance) and instance.task == "fever"
 
 
 def test_finalize_one_hop_targets_answerable_document():
     store = make_store({"D1": "has the Boston Celtics", "D2": "other text"})
     pair = make_pair(store)
     draft = QuestionDraft(pair=pair, task="mqa", text="Q?", prepared_answer="Boston Celtics")
-    decision = HopDecision("keep", "one", frozenset({"both", "first"}), "Boston Celtics")
+    decision = HopDecision("one", frozenset({"both", "first"}), "Boston Celtics")
     # first survivor hits the wrong document; the d1 hitter must be chosen
     verdicts = [
         vd("wrong target", hits=("D2",), rank=0, retrieved=("D2",)),
         vd("right target", hits=("D1",), rank=1, retrieved=("D1",)),
     ]
-    instance = finalize_with_reason(draft, decision, verdicts, store)[0]
-    assert instance is not None
+    instance = finalize_with_reason(draft, decision, verdicts, store)
+    assert isinstance(instance, DataInstance)
     assert instance.hops == (("right target", ("D1",)),)
     # and with no d1 hitter at all, the draft drops
-    instance, reason = finalize_with_reason(
-        draft, decision, [vd("wrong", hits=("D2",), rank=0)], store
-    )
-    assert instance is None and reason == "one_hop_coverage"
+    reason = finalize_with_reason(draft, decision, [vd("wrong", hits=("D2",), rank=0)], store)
+    assert reason == "one_hop_coverage"
 
 
 def test_finalize_two_hop_single_query_covering_both():
     store, pair, draft, decision = two_hop_fixture()
     verdicts = [vd("covers both docs", hits=("D1", "D2"), rank=0, retrieved=("D1", "D2"))]
-    instance = finalize_with_reason(draft, decision, verdicts, store)[0]
-    assert instance is not None
+    instance = finalize_with_reason(draft, decision, verdicts, store)
+    assert isinstance(instance, DataInstance)
     assert len(instance.hops) == 1
 
 
@@ -316,13 +311,13 @@ def test_assemble_backup_only_when_all_models_invalid():
     )
     # a valid model candidate exists: backup must not appear in hops
     model = vd("model q", hits=("D1", "D2"), rank=0, retrieved=("D1", "D2"))
-    instance, _ = assemble_instance(draft, decision, [model, backup], store)
-    assert instance is not None
+    instance = assemble_instance(draft, decision, [model, backup], store)
+    assert isinstance(instance, DataInstance)
     assert all(q != "Which team?" for q, _ in instance.hops)
     # all models invalid: backup carries hop one
     dead_model = vd("model q", rank=0)
-    instance, _ = assemble_instance(draft, decision, [dead_model, backup], store)
-    assert instance is not None
+    instance = assemble_instance(draft, decision, [dead_model, backup], store)
+    assert isinstance(instance, DataInstance)
     assert instance.hops[0][0] == "Which team?"
 
 
