@@ -30,12 +30,6 @@ class DocumentPair:
     relation: str  # HYPER or TOPIC
 
 
-@dataclass(frozen=True)
-class AnswerCandidate:
-    text: str
-    source: str  # entity | anchor_text | title | yes | no
-
-
 @dataclass
 class PairingConfig:
     pairs_per_document: int = 4
@@ -141,35 +135,31 @@ def sample_pairs(
     return pairs
 
 
-def answer_candidates(pair: DocumentPair, entities: list[str]) -> list[AnswerCandidate]:
-    """Candidate answers for a pair.
+def answer_candidates(pair: DocumentPair, entities: list[str]) -> list[tuple[str, str]]:
+    """Candidate answers for a pair, as (text, source) with source one of
+    entity, anchor_text, title, yes, no.
 
     Hyper: recognized entities plus anchor surface spans of both documents,
     deduplicated in that order, empty when there are none. Topic: both
     titles, "yes", "no".
     """
     if pair.relation == TOPIC:
-        return [
-            AnswerCandidate(pair.d1.title, "title"),
-            AnswerCandidate(pair.d2.title, "title"),
-            AnswerCandidate("yes", "yes"),
-            AnswerCandidate("no", "no"),
-        ]
-    candidates: list[AnswerCandidate] = []
+        return [(pair.d1.title, "title"), (pair.d2.title, "title"), ("yes", "yes"), ("no", "no")]
+    candidates: list[tuple[str, str]] = []
     seen: set[str] = set()
     for entity in entities:
         if entity and entity not in seen:
             seen.add(entity)
-            candidates.append(AnswerCandidate(entity, "entity"))
+            candidates.append((entity, "entity"))
     for doc in (pair.d1, pair.d2):
         for span, _ in doc.anchors:
             if span and span not in seen:
                 seen.add(span)
-                candidates.append(AnswerCandidate(span, "anchor_text"))
+                candidates.append((span, "anchor_text"))
     return candidates
 
 
-def pick_answer(candidates: list[AnswerCandidate], rng: random.Random) -> AnswerCandidate:
+def pick_answer(candidates: list[tuple[str, str]], rng: random.Random) -> tuple[str, str]:
     if not candidates:
         raise ValueError("cannot pick from an empty candidate list")
     return rng.choice(candidates)

@@ -34,14 +34,7 @@ from .pairing import (
 )
 from .promptkit import load_examples
 from .retrieval import build_flat_index, embed, per_distinct_text
-from .synthesis import (
-    FEVER_LABELS,
-    TASK_FEVER,
-    TASK_MQA,
-    HopDecision,
-    QueryCandidate,
-    QuestionDraft,
-)
+from .synthesis import FEVER_LABELS, TASK_FEVER, TASK_MQA, QuestionDraft
 from .verification import (
     DROP_ANSWER_CONTAINMENT,
     DROP_ONE_HOP_COVERAGE,
@@ -127,8 +120,7 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
             candidates = answer_candidates(pair, [e for doc in docs for e in entities[doc.text]])
             if not candidates:  # only a hyper pair can have none
                 return "no_answer_candidates"
-            chosen = pick_answer(candidates, rng)
-            answer, source = chosen.text, chosen.source
+            answer, source = pick_answer(candidates, rng)
         else:
             answer, source = rng.choice(FEVER_LABELS), "label"
         return {"d1": pair.d1.id, "d2": pair.d2.id, "relation": pair.relation,
@@ -207,14 +199,7 @@ def stage_filter_answers(
         decision = synthesis.classify_hops(
             draft, preds["both"], preds["first"], preds["second"], config.filter
         )
-        if decision is None:
-            return "not_answerable"
-        return {
-            **row,
-            "hops": decision.hops,
-            "answerable_in": sorted(decision.answerable_in),
-            "final_answer": decision.final_answer,
-        }
+        return "not_answerable" if decision is None else {**row, **decision}
 
     return _run_steps(draft_rows, step)
 
@@ -230,18 +215,11 @@ def stage_queries(
     examples = _examples_override(config)
 
     def step(row: dict):
-        candidates = synthesis.generate_queries(
+        return {**row, "candidates": synthesis.generate_queries(
             _pair_from_row(store, row), row["question"], row["final_answer"], backend,
             task=config.task, examples=examples,
             seed=derive_seed(config.seed, "querygen", row["d1"], row["d2"]),
-        )
-        return {
-            **row,
-            "candidates": [
-                {"text": c.text, "origin": c.origin, "rank": c.generation_rank}
-                for c in candidates
-            ],
-        }
+        )}
 
     return _run_steps(decision_rows, step)
 
@@ -267,6 +245,8 @@ def stage_verify(
 
     Each distinct candidate text across all rows is embedded and searched
     once; every candidate then gets its verdict from those retrieved ids.
+    Candidate rows go to `verify_query`, and the row itself to
+    `assemble_instance` as its decision, as they are.
     """
     provider = provider or build_embedder(config)
     index = index if index is not None else build_index(store, provider)
@@ -277,13 +257,8 @@ def stage_verify(
 
     def step(row: dict):
         draft = _draft_from_row(store, row, config.task)
-        decision = HopDecision(row["hops"], frozenset(row["answerable_in"]), row["final_answer"])
-        verdicts = [
-            verify_query(QueryCandidate(c["text"], c["origin"], c["rank"]), draft.pair,
-                         retrieved[c["text"]])
-            for c in row["candidates"]
-        ]
-        return assemble_instance(draft, decision, verdicts, store)
+        verdicts = [verify_query(c, draft.pair, retrieved[c["text"]]) for c in row["candidates"]]
+        return assemble_instance(draft, row, verdicts, store)
 
     return _run_steps(candidate_rows, step)
 
@@ -370,11 +345,12 @@ def run_eval(
     """Score an evaluation set with retrieval episodes.
 
     Items carry {"id", "question", "answer"} (QA) or {"id", "question",
-    "label"} (fact verification); an item without them, or a label outside
-    FEVER_LABELS, raises ValueError naming `<path>:<line>` before any
-    episode runs. `config.eval.mode` picks greedy decoding, one episode per
-    item, or self-consistency, several sampled episodes; either way the
-    prediction is the majority vote over the item's answers.
+    "label"} (fact verification); an item without them, a question or gold
+    field that is not a string, or a label outside FEVER_LABELS, raises
+    ValueError naming `<path>:<line>` before any episode runs.
+    `config.eval.mode` picks greedy decoding, one episode per item, or
+    self-consistency, several sampled episodes; either way the prediction
+    is the majority vote over the item's answers.
     """
     backend = backend or build_backend(config)
     provider = provider or build_embedder(config)
@@ -383,8 +359,11 @@ def run_eval(
     gold_field = "label" if config.task == TASK_FEVER else "answer"
     items = []
     for line, item in read_numbered_rows(eval_path, fields=("id", "question", gold_field)):
-        label = item.get("label")
-        if config.task == TASK_FEVER and synthesis.normalize_label(str(label)) not in FEVER_LABELS:
+        for name in ("question", gold_field):
+            if not isinstance(item[name], str):
+                raise ValueError(f"{eval_path}:{line}: {name} {item[name]!r} is not a string")
+        label = item[gold_field]
+        if config.task == TASK_FEVER and synthesis.normalize_label(label) not in FEVER_LABELS:
             raise ValueError(f"{eval_path}:{line}: label {label!r} is outside {FEVER_LABELS}")
         items.append(item)
     lookup = lambda doc_id: store.documents[doc_id].text  # noqa: E731

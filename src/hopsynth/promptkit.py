@@ -98,24 +98,37 @@ def _check_task(task: str, setting: str, stage: Optional[str] = None) -> None:
 _EXAMPLE_FIELDS = ("documents", "question", "answer")
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 def _example_from_row(row: dict, where: str) -> FewShotExample:
-    documents = row["documents"]
-    if not (isinstance(documents, list) and len(documents) == 2
-            and all(isinstance(doc, str) for doc in documents)):
+    documents, queries = row["documents"], row.get("queries", [])
+    if not (_is_strings(documents) and len(documents) == 2):
         raise ValueError(f"{where}: field 'documents' is not two strings")
-    return FewShotExample(
-        documents=(documents[0], documents[1]),
-        question_or_claim=row["question"],
-        answer=row["answer"],
-        queries=tuple(row.get("queries", ())),
-    )
+    for name in ("question", "answer"):
+        if not isinstance(row[name], str):
+            raise ValueError(f"{where}: field {name!r} is not a string")
+    if not _is_strings(queries):
+        raise ValueError(f"{where}: field 'queries' is not a list of strings")
+    try:
+        return FewShotExample(
+            documents=(documents[0], documents[1]),
+            question_or_claim=row["question"],
+            answer=row["answer"],
+            queries=tuple(queries),
+        )
+    except ValueError as exc:  # more than two queries, or a field of more than one line
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def load_examples(path: str | Path) -> list[FewShotExample]:
     """Read a few-shot store: JSONL of documents/question/answer/queries.
 
-    A row missing a field, or whose documents are not two strings, raises
-    ValueError naming `<path>:<line>`.
+    A row missing a field, whose documents are not two strings, whose
+    question or answer is not a string, whose queries (optional) are not a
+    list of strings, or that `FewShotExample` refuses, raises ValueError
+    naming `<path>:<line>`.
     """
     rows = read_numbered_rows(path, fields=_EXAMPLE_FIELDS)
     return [_example_from_row(row, f"{path}:{line}") for line, row in rows]

@@ -46,20 +46,6 @@ class QuestionDraft:
     prepared_answer: str
 
 
-@dataclass(frozen=True)
-class HopDecision:
-    hops: str  # one | two
-    answerable_in: frozenset[str]
-    final_answer: str
-
-
-@dataclass(frozen=True)
-class QueryCandidate:
-    text: str
-    origin: str  # model | original_question_backup
-    generation_rank: int
-
-
 @dataclass
 class FilterConfig:
     f1_threshold: float = 0.70  # strict greater-than
@@ -165,8 +151,13 @@ def classify_hops(
     pred_first: str,
     pred_second: str,
     config: FilterConfig,
-) -> Optional[HopDecision]:
-    """The kept draft's hop count and final answer, or None when it drops.
+) -> Optional[dict]:
+    """The kept draft's decision row, or None when it drops.
+
+    The row is {"hops": "one" | "two", "answerable_in": the sorted list of
+    "both" and each single-document context ("first", "second") whose
+    prediction agrees, "final_answer": str}: the fields
+    `stage_filter_answers` adds to its input row.
 
     When the two-document prediction agrees with a single-document one, the
     draft is kept as single-hop (topic pairs stay two-hop) and the prediction
@@ -179,15 +170,15 @@ def classify_hops(
     agrees_first = decide_answerable(pred_both, pred_first, config, draft.task)
     agrees_second = decide_answerable(pred_both, pred_second, config, draft.task)
     if agrees_first or agrees_second:
-        answerable_in = {"both"}
+        answerable_in = ["both"]  # kept sorted
         if agrees_first:
-            answerable_in.add("first")
+            answerable_in.append("first")
         if agrees_second:
-            answerable_in.add("second")
+            answerable_in.append("second")
         hops = "two" if draft.pair.relation == TOPIC else "one"
-        return HopDecision(hops, frozenset(answerable_in), pred_both)
+        return {"hops": hops, "answerable_in": answerable_in, "final_answer": pred_both}
     if decide_answerable(pred_both, draft.prepared_answer, config, draft.task):
-        return HopDecision("two", frozenset({"both"}), draft.prepared_answer)
+        return {"hops": "two", "answerable_in": ["both"], "final_answer": draft.prepared_answer}
     return None
 
 
@@ -199,23 +190,27 @@ def generate_queries(
     task: str = TASK_MQA,
     examples: Optional[Sequence[FewShotExample]] = None,
     seed: Optional[int] = None,
-) -> list[QueryCandidate]:
-    """Model query candidates (capped) plus the original question as backup."""
+) -> list[dict]:
+    """Model query candidates (capped) plus the original question as backup.
+
+    Each candidate is the row {"text", "origin": ORIGIN_MODEL or
+    ORIGIN_BACKUP, "rank": its generation rank}.
+    """
     if not question:
         raise ValueError("query generation needs a question")
     completion = _ask(
         backend, task, QUERY_GEN, pair.relation, examples,
         [pair.d1.text, pair.d2.text], seed, question=question, answer=answer,
     )
-    candidates: list[QueryCandidate] = []
+    candidates: list[dict] = []
     for line in completion.split("\n"):
         stripped = line.strip()
         if not stripped.startswith("Query:"):
             continue
         text = stripped[len("Query:"):].strip()
         if text:
-            candidates.append(QueryCandidate(text, ORIGIN_MODEL, len(candidates)))
+            candidates.append({"text": text, "origin": ORIGIN_MODEL, "rank": len(candidates)})
         if len(candidates) >= MAX_MODEL_QUERIES:
             break
-    candidates.append(QueryCandidate(question, ORIGIN_BACKUP, len(candidates)))
+    candidates.append({"text": question, "origin": ORIGIN_BACKUP, "rank": len(candidates)})
     return candidates

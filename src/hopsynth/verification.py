@@ -21,20 +21,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .corpus import CorpusStore
 from .metrics import normalize_answer
 from .pairing import HYPER, DocumentPair
 from .retrieval import FlatIndex, embed, per_distinct_text, search
-from .synthesis import (
-    ORIGIN_BACKUP,
-    ORIGIN_MODEL,
-    TASK_MQA,
-    HopDecision,
-    QueryCandidate,
-    QuestionDraft,
-)
+from .synthesis import ORIGIN_BACKUP, ORIGIN_MODEL, TASK_MQA, QuestionDraft
 
 DROP_TWO_HOP_COVERAGE = "two_hop_coverage"
 DROP_ONE_HOP_COVERAGE = "one_hop_coverage"
@@ -43,7 +36,7 @@ DROP_ANSWER_CONTAINMENT = "answer_containment"
 
 @dataclass(frozen=True)
 class QueryVerdict:
-    candidate: QueryCandidate
+    candidate: dict  # a `generate_queries` row: {"text", "origin", "rank"}
     valid: bool
     hit_d1: bool
     hit_d2: bool
@@ -85,7 +78,7 @@ def retrieve_queries(
 
 
 def verify_query(
-    candidate: QueryCandidate,
+    candidate: dict,
     pair: DocumentPair,
     retrieved: tuple[str, ...],
 ) -> QueryVerdict:
@@ -98,8 +91,8 @@ def verify_query(
 
 def _dedup_key(verdict: QueryVerdict) -> tuple[int, int, int]:
     candidate = verdict.candidate
-    return (len(candidate.text), 1 if candidate.origin == ORIGIN_BACKUP else 0,
-            candidate.generation_rank)
+    return (len(candidate["text"]), 1 if candidate["origin"] == ORIGIN_BACKUP else 0,
+            candidate["rank"])
 
 
 def dedup_queries(verdicts: Sequence[QueryVerdict]) -> list[QueryVerdict]:
@@ -125,8 +118,8 @@ def dedup_queries(verdicts: Sequence[QueryVerdict]) -> list[QueryVerdict]:
 
 def consult_backup_rule(verdicts: Sequence[QueryVerdict]) -> list[QueryVerdict]:
     """Model verdicts when any is valid; otherwise the backup verdict alone."""
-    model = [v for v in verdicts if v.candidate.origin == ORIGIN_MODEL]
-    backup = [v for v in verdicts if v.candidate.origin == ORIGIN_BACKUP]
+    model = [v for v in verdicts if v.candidate["origin"] == ORIGIN_MODEL]
+    backup = [v for v in verdicts if v.candidate["origin"] == ORIGIN_BACKUP]
     if any(v.valid for v in model):
         return model
     return backup
@@ -146,18 +139,19 @@ def _containment_ok(answer: str, retrieved_ids: Sequence[str], store: CorpusStor
 
 def finalize_with_reason(
     draft: QuestionDraft,
-    decision: HopDecision,
+    decision: Mapping,
     verdicts: Sequence[QueryVerdict],
     store: CorpusStore,
 ) -> DataInstance | str:
     """Pick the hops that cover the question and build the instance.
 
-    Returns the instance, or its drop reason (a `DROP_*` constant) for
-    pipeline accounting. `verdicts` must already be deduplicated survivors
-    in generation order.
+    `decision` is any mapping with the `classify_hops` fields: a decision
+    or a stage row. Returns the instance, or its drop reason (a `DROP_*`
+    constant) for pipeline accounting. `verdicts` must already be
+    deduplicated survivors in generation order.
     """
     pair = draft.pair
-    if decision.hops == "two":
+    if decision["hops"] == "two":
         if not verdicts:
             return DROP_TWO_HOP_COVERAGE
         first = verdicts[0]
@@ -173,9 +167,9 @@ def finalize_with_reason(
             chosen.append(second)
     else:
         wanted: set[str] = set()
-        if "first" in decision.answerable_in:
+        if "first" in decision["answerable_in"]:
             wanted.add(pair.d1.id)
-        if "second" in decision.answerable_in:
+        if "second" in decision["answerable_in"]:
             wanted.add(pair.d2.id)
         if not wanted:
             raise ValueError("single-hop decision without an answerable document")
@@ -191,7 +185,7 @@ def finalize_with_reason(
         chosen = [hop]
 
     if pair.relation == HYPER and draft.task == TASK_MQA:
-        if not _containment_ok(decision.final_answer, chosen[-1].retrieved_ids, store):
+        if not _containment_ok(decision["final_answer"], chosen[-1].retrieved_ids, store):
             return DROP_ANSWER_CONTAINMENT
 
     return DataInstance(
@@ -199,15 +193,15 @@ def finalize_with_reason(
         task=draft.task,
         relation=pair.relation,
         question_or_claim=draft.text,
-        hops=tuple((v.candidate.text, v.retrieved_ids) for v in chosen),
-        answer=decision.final_answer,
+        hops=tuple((v.candidate["text"], v.retrieved_ids) for v in chosen),
+        answer=decision["final_answer"],
         source_pair=(pair.d1.id, pair.d2.id),
     )
 
 
 def assemble_instance(
     draft: QuestionDraft,
-    decision: HopDecision,
+    decision: Mapping,
     all_verdicts: Sequence[QueryVerdict],
     store: CorpusStore,
 ) -> DataInstance | str:

@@ -222,6 +222,14 @@ def test_bad_jsonl_line_of_examples_or_corpus_names_file_and_line(tmp_path, caps
 @pytest.mark.parametrize("row,message", [
     ({"documents": ["a", "b"], "answer": "c"}, "missing field 'question'"),
     ({"documents": ["a"], "question": "q", "answer": "b"}, "field 'documents' is not two strings"),
+    ({"documents": ["a", "b"], "question": 5, "answer": "c"}, "field 'question' is not a string"),
+    ({"documents": ["a", "b"], "question": "q", "answer": ["c"]}, "field 'answer' is not a string"),
+    ({"documents": ["a", "b"], "question": "q", "answer": "c", "queries": "one"},
+     "field 'queries' is not a list of strings"),
+    ({"documents": ["a", "b"], "question": "q", "answer": "c", "queries": ["a", 1]},
+     "field 'queries' is not a list of strings"),
+    ({"documents": ["a", "b"], "question": "q", "answer": "c", "queries": ["a", "b", "c"]},
+     "an example carries at most two queries"),
 ])
 def test_examples_row_missing_a_field_names_file_and_line(tmp_path, capsys, row, message):
     examples = tmp_path / "examples.jsonl"
@@ -240,6 +248,23 @@ def test_embedding_file_row_missing_a_field_names_file_and_line(tmp_path, capsys
     assert main(["--config", str(config_file), "run-all", "--in", str(DEMO / "corpus.jsonl"),
                  "--out", str(tmp_path / "out")]) == 2
     assert f"{vectors}:1: missing field 'vector'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row,message", [
+    ({"text": "y", "vector": ["x", 0.0]}, "vector is not a list of finite numbers"),
+    ({"text": "y", "vector": [float("nan"), 0.0]}, "vector is not a list of finite numbers"),
+    ({"text": "y", "vector": [True, False]}, "vector is not a list of finite numbers"),
+    ({"text": 5, "vector": [1.0, 0.0]}, "text 5 is not a string"),
+], ids=["string_entry", "nan_entry", "booleans", "text_not_a_string"])
+def test_embedding_file_bad_row_names_file_and_line(tmp_path, capsys, row, message):
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text(json.dumps({"text": "x", "vector": [1.0, 0.0]}) + "\n"
+                       + json.dumps(row) + "\n")
+    config_file = tmp_path / "config.txt"
+    config_file.write_text(f"embeddings.kind = file\nembeddings.file = {vectors}\n")
+    assert main(["--config", str(config_file), "run-all", "--in", str(DEMO / "corpus.jsonl"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {vectors}:2: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,dropped", [
@@ -492,7 +517,14 @@ def test_dev_size_flag_is_validated(tmp_path, corpus_path, capsys, command):
     ("mqa", {"id": "q1", "question": "Who?", "label": "SUPPORTS"}, "missing field 'answer'"),
     ("fever", {"id": "q1", "question": "Claim.", "answer": "SUPPORTS"}, "missing field 'label'"),
     ("fever", {"id": "q1", "question": "Claim.", "label": "MAYBE"}, "label 'MAYBE' is outside"),
-], ids=["mqa_no_gold", "mqa_label_only", "fever_answer_only", "fever_unknown_label"])
+    ("mqa", {"id": "q1", "question": "Who?", "answer": 5}, "answer 5 is not a string"),
+    ("mqa", {"id": "q1", "question": 7, "answer": "x"}, "question 7 is not a string"),
+    ("fever", {"id": "q1", "question": "Claim.", "label": 1}, "label 1 is not a string"),
+    ("fever", {"id": "q1", "question": ["Claim."], "label": "SUPPORTS"},
+     "question ['Claim.'] is not a string"),
+], ids=["mqa_no_gold", "mqa_label_only", "fever_answer_only", "fever_unknown_label",
+        "mqa_answer_not_a_string", "mqa_question_not_a_string", "fever_label_not_a_string",
+        "fever_question_not_a_string"])
 def test_eval_gold_is_checked_as_the_file_is_read(tmp_path, corpus_path, capsys, task, row,
                                                   message):
     good = {"id": "q0", "question": "Who?", "answer" if task == "mqa" else "label": "REFUTES"}

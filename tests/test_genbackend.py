@@ -205,7 +205,7 @@ def test_synthesis_requests_send_the_block_stops(task, answer):
     assert generate_question(pair, answer, backend, task=task).text.startswith("Paris")
     assert answer_question("Where?", [d1, d2], backend, task=task) == "Paris?\nQuery: Paris"
     queries = generate_queries(pair, "Where?", answer, backend, task=task)
-    assert [q.text for q in queries] == ["Paris", "Where?"]
+    assert [q["text"] for q in queries] == ["Paris", "Where?"]
     assert [body["stop"] for body in session.bodies] == [["\n\n", "\nDocument:"]] * 3
 
 

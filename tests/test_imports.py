@@ -1,5 +1,6 @@
 """Every name a hopsynth module imports is referenced in that module, and
-every hopsynth name a benchmark script imports exists."""
+every hopsynth name a benchmark script or the perfbench harness imports
+exists."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hopsynth"
 BENCHMARKS = ROOT / "benchmarks"
+PERFBENCH = ROOT / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,6 +69,20 @@ def test_benchmark_script_imports_resolve(path):
     imports = hopsynth_imports(path.read_text(encoding="utf-8"))
     assert imports, "a benchmark script that imports nothing from hopsynth"
     assert [f"{m}.{n}" for m, n in imports if not _resolves(m, n)] == []
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda path: path.name)
+def test_perfbench_imports_resolve(path):
+    # some harness files import nothing from hopsynth, so an empty list passes
+    imports = hopsynth_imports(path.read_text(encoding="utf-8"))
+    assert [f"{m}.{n}" for m, n in imports if not _resolves(m, n)] == []
+
+
+def test_perfbench_guard_sees_the_harness_imports():
+    found = [imp for path in sorted(PERFBENCH.glob("*.py"))
+             for imp in hopsynth_imports(path.read_text(encoding="utf-8"))]
+    assert ("hopsynth", "pipeline") in found
+    assert ("hopsynth.retrieval", "HashEmbedder") in found
 
 
 def test_benchmark_guard_reads_child_programs_and_flags_missing_names():

@@ -9,7 +9,6 @@ from synthcorpus import make_corpus, write_corpus
 from hopsynth.corpus import CorpusConfig, CorpusStore, Document, TopicsConfig, ingest_corpus
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pairing import (
-    AnswerCandidate,
     DocumentPair,
     PairingConfig,
     _TopicDraws,
@@ -161,25 +160,22 @@ def hyper_pair(anchors1=(), anchors2=()):
 
 def test_topic_candidates_fixed_shape():
     got = answer_candidates(topic_pair(), entities=["ignored"])
-    assert [c.text for c in got] == ["Unsane", "The Border Surrender", "yes", "no"]
-    assert [c.source for c in got] == ["title", "title", "yes", "no"]
-    assert len(got) == 4
+    assert got == [
+        ("Unsane", "title"), ("The Border Surrender", "title"), ("yes", "yes"), ("no", "no"),
+    ]
 
 
 def test_hyper_candidates_union():
     pair = hyper_pair(anchors1=[("High Plains", "High Plains")])
     got = answer_candidates(pair, entities=["Colorado orogeny"])
-    assert {c.text for c in got} == {"Colorado orogeny", "High Plains"}
-    sources = {c.text: c.source for c in got}
-    assert sources["Colorado orogeny"] == "entity"
-    assert sources["High Plains"] == "anchor_text"
+    # entities first, then anchor spans
+    assert got == [("Colorado orogeny", "entity"), ("High Plains", "anchor_text")]
 
 
 def test_hyper_candidates_dedup():
     pair = hyper_pair(anchors1=[("High Plains", "High Plains")])
     got = answer_candidates(pair, entities=["High Plains"])
-    assert len(got) == 1
-    assert got[0].source == "entity"
+    assert got == [("High Plains", "entity")]
 
 
 def test_hyper_no_candidates():
@@ -187,15 +183,15 @@ def test_hyper_no_candidates():
 
 
 def test_pick_answer_singleton_and_determinism():
-    one = [AnswerCandidate("only", "entity")]
+    one = [("only", "entity")]
     assert pick_answer(one, derive_rng(5, "pick")) is one[0]
-    four = [AnswerCandidate(t, "entity") for t in "abcd"]
+    four = [(t, "entity") for t in "abcd"]
     assert pick_answer(four, derive_rng(5, "pick")) == pick_answer(four, derive_rng(5, "pick"))
 
 
 def test_pick_answer_uniform_over_seeds():
-    four = [AnswerCandidate(t, "entity") for t in "abcd"]
-    counts = Counter(pick_answer(four, derive_rng(seed, "uniform")).text for seed in range(10_000))
+    four = [(t, "entity") for t in "abcd"]
+    counts = Counter(pick_answer(four, derive_rng(seed, "uniform"))[0] for seed in range(10_000))
     for t in "abcd":
         assert 2300 <= counts[t] <= 2700  # 25% +/- 2 points
 

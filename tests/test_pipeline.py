@@ -240,7 +240,10 @@ def test_stage_verify_embeds_each_distinct_text_once(verify_inputs, monkeypatch)
     embedded = [t for call in healthy.calls for t in call]
     assert sorted(embedded) == sorted(distinct)
     assert len(healthy.calls) <= -(-len(distinct) // EMBED_BLOCK)
-    assert [v.candidate.text for v in verdicts] == texts
+    assert [v.candidate["text"] for v in verdicts] == texts
+    # each candidate row reaches verify_query as it is, not a copy
+    rows_in = [c for row in candidate_rows for c in row["candidates"]]
+    assert all(v.candidate is c for v, c in zip(verdicts, rows_in, strict=True))
     verdicts.clear()
 
     # an embedding failure stops the stage: no verdicts, and the failing

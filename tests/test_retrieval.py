@@ -400,6 +400,14 @@ def test_build_flat_index_takes_the_matrix_as_it_is():
     assert shuffled.matrix.tobytes() == matrix[[1, 2, 0]].tobytes()
 
 
+def test_file_backend_refuses_a_bad_vector_at_load(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(json.dumps({"text": "x", "vector": [1.0]}) + "\n\n"
+                    + json.dumps({"text": "y", "vector": [1e39]}) + "\n")
+    with pytest.raises(EmbeddingError, match=re.escape(f"{path}:3: vector is not a list")):
+        FileEmbedder(path)
+
+
 def test_file_backend_missing_key(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text(json.dumps({"text": "x", "vector": [1.0]}) + "\n")

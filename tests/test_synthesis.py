@@ -212,29 +212,29 @@ def test_classify_hops_truth_table_hyper():
         for second in (False, True):
             decision = hop_case("hyper", False, first, second)
             if first or second:
-                assert decision.hops == "one"
+                assert decision["hops"] == "one"
             else:
                 assert decision is None
     keep_one = hop_case("hyper", True, True, False)
-    assert keep_one.hops == "one"
-    assert keep_one.answerable_in == frozenset({"both", "first"})
+    assert keep_one["hops"] == "one"
+    assert keep_one["answerable_in"] == ["both", "first"]
     keep_two = hop_case("hyper", True, False, False)
-    assert keep_two.hops == "two"
-    assert keep_two.answerable_in == frozenset({"both"})
+    assert keep_two["hops"] == "two"
+    assert keep_two["answerable_in"] == ["both"]
 
 
 def test_classify_hops_topic_always_two():
     decision = hop_case("topic", True, True, True)
-    assert decision.hops == "two"
-    assert decision.answerable_in == frozenset({"both", "first", "second"})
+    assert decision["hops"] == "two"
+    assert decision["answerable_in"] == ["both", "first", "second"]
 
 
 def test_classify_hops_agreement_overrides_answer():
     draft = draft_for("hyper", "Q?", index=2)
     decision = classify_hops(draft, "Larry Bird team", "Larry Bird team", "junk", FilterConfig(f1_threshold=0.2))
-    assert decision.final_answer == "Larry Bird team"
+    assert decision["final_answer"] == "Larry Bird team"
     decision = classify_hops(draft, draft.prepared_answer, "junk", "junk", FilterConfig())
-    assert decision.final_answer == draft.prepared_answer
+    assert decision["final_answer"] == draft.prepared_answer
 
 
 def test_generate_queries_parsing():
@@ -247,23 +247,23 @@ def test_generate_queries_parsing():
         )
     )
     got = generate_queries(pair, ex.question_or_claim, ex.answer, backend)
-    assert [c.text for c in got] == [
+    assert [c["text"] for c in got] == [
         "Adam Clayton Powell", "The Saimaa Gesture", ex.question_or_claim,
     ]
-    assert [c.origin for c in got] == ["model", "model", "original_question_backup"]
-    assert [c.generation_rank for c in got] == [0, 1, 2]
+    assert [c["origin"] for c in got] == ["model", "model", "original_question_backup"]
+    assert [c["rank"] for c in got] == [0, 1, 2]
 
 
 def test_generate_queries_single_line_and_junk():
     pair, ex = example_pair("hyper", 2)
     backend = MockBackend(rule=lambda text, seed: "Query: the 1997-98 Indiana Pacers")
     got = generate_queries(pair, ex.question_or_claim, ex.answer, backend)
-    assert len(got) == 2 and got[0].text == "the 1997-98 Indiana Pacers"
+    assert len(got) == 2 and got[0]["text"] == "the 1997-98 Indiana Pacers"
     backend = MockBackend(rule=lambda text, seed: "no queries here")
     got = generate_queries(pair, ex.question_or_claim, ex.answer, backend)
     assert len(got) == 1
-    assert got[0].origin == "original_question_backup"
-    assert got[0].text == ex.question_or_claim
+    assert got[0]["origin"] == "original_question_backup"
+    assert got[0]["text"] == ex.question_or_claim
 
 
 def test_generate_queries_cap_and_ranks():
@@ -271,12 +271,25 @@ def test_generate_queries_cap_and_ranks():
     many = "\n".join(f"Query: candidate {i}" for i in range(9))
     backend = MockBackend(rule=lambda text, seed: many)
     got = generate_queries(pair, ex.question_or_claim, ex.answer, backend)
-    models = [c for c in got if c.origin == "model"]
-    backups = [c for c in got if c.origin == "original_question_backup"]
+    models = [c for c in got if c["origin"] == "model"]
+    backups = [c for c in got if c["origin"] == "original_question_backup"]
     assert len(models) <= 4
     assert len(backups) == 1
-    ranks = [c.generation_rank for c in got]
+    ranks = [c["rank"] for c in got]
     assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
+
+
+def test_rule_values_pin_the_stage_row_key_order():
+    # the stages write these dicts into their rows as they are, so their
+    # key order is the order of the fields in every written row
+    keep_one = hop_case("hyper", True, True, False)
+    assert list(keep_one) == ["hops", "answerable_in", "final_answer"]
+    assert list(hop_case("hyper", True, False, False)) == ["hops", "answerable_in", "final_answer"]
+    pair, ex = example_pair("hyper", 0)
+    backend = MockBackend(rule=lambda text, seed: "Query: one\nQuery: two")
+    got = generate_queries(pair, ex.question_or_claim, ex.answer, backend)
+    assert len(got) == 3
+    assert all(list(c) == ["text", "origin", "rank"] for c in got)
 
 
 def test_fever_verify_label_flow():

@@ -7,7 +7,7 @@ from hopsynth.corpus import CorpusStore, Document
 from hopsynth.metrics import normalize_answer
 from hopsynth.pairing import DocumentPair
 from hopsynth.retrieval import EmbeddingError, build_flat_index
-from hopsynth.synthesis import HopDecision, QueryCandidate, QuestionDraft
+from hopsynth.synthesis import QuestionDraft
 from hopsynth.verification import (
     DataInstance,
     QueryVerdict,
@@ -37,11 +37,15 @@ def make_pair(store, a="D1", b="D2", relation="hyper"):
     return DocumentPair(store.documents[a], store.documents[b], relation)
 
 
+def cand(text, origin="model", rank=0):
+    return {"text": text, "origin": origin, "rank": rank}
+
+
 def vd(text, hits=(), origin="model", rank=0, retrieved=None, k_fill=0):
     retrieved = list(retrieved if retrieved is not None else hits)
     retrieved += [f"filler{i}" for i in range(k_fill)]
     return QueryVerdict(
-        candidate=QueryCandidate(text, origin, rank),
+        candidate=cand(text, origin, rank),
         valid=bool(hits),
         hit_d1="D1" in hits,
         hit_d2="D2" in hits,
@@ -68,12 +72,12 @@ def test_verify_query_hit_flags():
     store = make_store({"D1": "one", "D2": "two", "D3": "three"})
     pair = make_pair(store)
     top1 = retrieve_queries(list(queries), index, provider, k=1)
-    got = verify_query(QueryCandidate("toward d1", "model", 0), pair, top1["toward d1"])
+    got = verify_query(cand("toward d1"), pair, top1["toward d1"])
     assert (got.valid, got.hit_d1, got.hit_d2) == (True, True, False)
-    got = verify_query(QueryCandidate("toward nothing", "model", 0), pair, top1["toward nothing"])
+    got = verify_query(cand("toward nothing"), pair, top1["toward nothing"])
     assert not got.valid and got.retrieved_ids == ("D3",)
     top2 = retrieve_queries(["toward both"], index, provider, k=2)
-    got = verify_query(QueryCandidate("toward both", "model", 0), pair, top2["toward both"])
+    got = verify_query(cand("toward both"), pair, top2["toward both"])
     assert (got.valid, got.hit_d1, got.hit_d2) == (True, True, True)
 
 
@@ -142,7 +146,7 @@ def test_dedup_transitive_merge():
 def test_dedup_preserves_generation_order():
     q1 = vd("bb", hits=("D2",), rank=0)
     q2 = vd("a", hits=("D1",), rank=1)
-    assert [v.candidate.text for v in dedup_queries([q1, q2])] == ["bb", "a"]
+    assert [v.candidate["text"] for v in dedup_queries([q1, q2])] == ["bb", "a"]
 
 
 def test_dedup_matches_oracle_randomized():
@@ -165,9 +169,9 @@ def test_dedup_matches_oracle_randomized():
         expected = oracle_dedup(
             [
                 {
-                    "text": v.candidate.text,
-                    "origin": "backup" if v.candidate.origin != "model" else "model",
-                    "rank": v.candidate.generation_rank,
+                    "text": v.candidate["text"],
+                    "origin": "backup" if v.candidate["origin"] != "model" else "model",
+                    "rank": v.candidate["rank"],
                     "valid": v.valid,
                     "hit_d1": v.hit_d1,
                     "hit_d2": v.hit_d2,
@@ -175,7 +179,7 @@ def test_dedup_matches_oracle_randomized():
                 for v in verdicts
             ]
         )
-        assert [(v.candidate.text, v.candidate.generation_rank) for v in got] == [
+        assert [(v.candidate["text"], v.candidate["rank"]) for v in got] == [
             (e["text"], e["rank"]) for e in expected
         ]
         # no two survivors share a pair document
@@ -197,7 +201,7 @@ def two_hop_fixture(answer="Boston Celtics", last_hop_text="the Boston Celtics l
     store = make_store({"D1": "Pacers season text", "D2": last_hop_text, "F": "noise"})
     pair = make_pair(store)
     draft = QuestionDraft(pair=pair, task="mqa", text="Which team?", prepared_answer=answer)
-    decision = HopDecision("two", frozenset({"both"}), answer)
+    decision = {"hops": "two", "answerable_in": ["both"], "final_answer": answer}
     return store, pair, draft, decision
 
 
@@ -271,7 +275,7 @@ def test_finalize_fever_skips_containment():
     store = make_store({"D1": "claim source", "D2": "nothing relevant"})
     pair = make_pair(store)
     draft = QuestionDraft(pair=pair, task="fever", text="Claim.", prepared_answer="SUPPORTS")
-    decision = HopDecision("two", frozenset({"both"}), "SUPPORTS")
+    decision = {"hops": "two", "answerable_in": ["both"], "final_answer": "SUPPORTS"}
     verdicts = [vd("a", hits=("D1",), rank=0), vd("b", hits=("D2",), rank=1)]
     instance = finalize_with_reason(draft, decision, verdicts, store)
     assert isinstance(instance, DataInstance) and instance.task == "fever"
@@ -281,7 +285,7 @@ def test_finalize_one_hop_targets_answerable_document():
     store = make_store({"D1": "has the Boston Celtics", "D2": "other text"})
     pair = make_pair(store)
     draft = QuestionDraft(pair=pair, task="mqa", text="Q?", prepared_answer="Boston Celtics")
-    decision = HopDecision("one", frozenset({"both", "first"}), "Boston Celtics")
+    decision = {"hops": "one", "answerable_in": ["both", "first"], "final_answer": "Boston Celtics"}
     # first survivor hits the wrong document; the d1 hitter must be chosen
     verdicts = [
         vd("wrong target", hits=("D2",), rank=0, retrieved=("D2",)),
