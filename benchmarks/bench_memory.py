@@ -1,18 +1,31 @@
 #!/usr/bin/env python3
-"""Benchmark corpus loading and index building: peak memory and time.
+"""Benchmark corpus loading, index building and evaluation: peak memory and time.
 
 For each `--sizes` value it writes the benchmark's seeded corpus
 (`perfbench/inputs.py`, `make_corpus`) to a temporary file, then starts a
 fresh Python process that builds the pipeline config with the benchmark's
 hash embeddings (dim 256), times `pipeline.build_store` plus
 `pipeline.build_index` on that file, and reports the process's peak RSS
-(`ru_maxrss`) before and after them. The corpus is written by this process,
-so its records never count toward the measured peak. `hopsynth` is imported
-from PYTHONPATH, so the same script measures any checkout's code:
+(`ru_maxrss`) before and after them.
 
-    PYTHONPATH=src python3 benchmarks/bench_memory.py --sizes 2000 8000 16000
+For each `--eval-sizes` value it also writes `--questions` scripted two-hop
+questions over that corpus (`inputs.make_eval_set`, with the gold script
+the mock backend replays) and times one `pipeline.run_eval` call under the
+eval-8k workload's config (`workloads.make_config`) in a fresh process,
+reporting its wall time, F1 and peak RSS. That row covers the whole
+evaluation: corpus load, index, and every episode's completions and
+retrievals.
 
-The child runs with one BLAS thread, as the benchmark's workers do. The
+Inputs are written by a process of their own, which exits before the
+measured one starts. On Linux a child's `ru_maxrss` starts at its parent's RSS when
+it is started, so records held by this process would count toward the
+measured peaks. `hopsynth` is imported from PYTHONPATH, so the same script
+measures any checkout's code:
+
+    PYTHONPATH=src python3 benchmarks/bench_memory.py --sizes 2000 8000 16000 \
+        --eval-sizes 8000 16000
+
+The children run with one BLAS thread, as the benchmark's workers do. The
 last line printed is one JSON object with every figure.
 """
 
@@ -26,9 +39,28 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# Runs in the child: argv is (corpus path, perfbench directory).
+# Writes the inputs in a child: argv is (work directory, perfbench directory,
+# docs, questions); with 0 questions it writes the corpus alone.
+WRITER = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[2])
+from inputs import make_corpus, make_eval_set, write_jsonl
+
+workdir, docs, questions = Path(sys.argv[1]), int(sys.argv[3]), int(sys.argv[4])
+records = make_corpus(docs, seed=7)
+write_jsonl(workdir / "corpus.jsonl", records)
+if questions:
+    items, script = make_eval_set(records, questions, seed=7)
+    write_jsonl(workdir / "questions.jsonl", items)
+    (workdir / "script.json").write_text(json.dumps(script), encoding="utf-8")
+"""
+
+# Runs in the child: argv is (work directory, perfbench directory). The work
+# directory holds corpus.jsonl.
 CHILD = """
 import json, resource, sys, time
+from pathlib import Path
 sys.path.insert(0, sys.argv[2])
 import hopsynth
 from hopsynth.config import PipelineConfig, build_embedder
@@ -43,7 +75,7 @@ config.embeddings.dim = EMBED_DIM
 provider = build_embedder(config)
 before = peak_mb()
 started = time.perf_counter()
-store = build_store(sys.argv[1], config)
+store = build_store(Path(sys.argv[1]) / "corpus.jsonl", config)
 loaded = time.perf_counter()
 index = build_index(store, provider)
 done = time.perf_counter()
@@ -52,38 +84,82 @@ print(json.dumps({"docs": len(index), "store_s": round(loaded - started, 3),
                   "peak_mb": round(peak_mb(), 1), "hopsynth": hopsynth.__file__}))
 """
 
+# Runs in the child: argv is (work directory, perfbench directory). The work
+# directory holds corpus.jsonl, questions.jsonl and script.json.
+EVAL_CHILD = """
+import json, resource, sys, time
+from pathlib import Path
+sys.path.insert(0, sys.argv[2])
+import hopsynth
+from hopsynth.pipeline import run_eval
+from workloads import WORKLOADS, make_config
 
-def measure(make_corpus, n_docs: int, workdir: Path) -> dict:
-    corpus = workdir / f"corpus-{n_docs}.jsonl"
-    with corpus.open("w", encoding="utf-8") as handle:
-        for record in make_corpus(n_docs, seed=7):
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+workdir = Path(sys.argv[1])
+config = make_config(WORKLOADS["eval-8k"], 7, workdir)
+before = peak_mb()
+started = time.perf_counter()
+report = run_eval(workdir / "questions.jsonl", workdir / "corpus.jsonl", config)
+done = time.perf_counter()
+print(json.dumps({"questions": len(report["items"]), "eval_s": round(done - started, 3),
+                  "f1": round(report["f1"], 3), "setup_peak_mb": round(before, 1),
+                  "peak_mb": round(peak_mb(), 1), "hopsynth": hopsynth.__file__}))
+"""
+
+
+def _run_child(program: str, workdir: Path, *args) -> dict | None:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", CHILD, str(corpus), str(PERFBENCH)],
+    out = subprocess.run([sys.executable, "-c", program, str(workdir), str(PERFBENCH),
+                          *map(str, args)],
                          env=env, check=True, capture_output=True, text=True).stdout
-    corpus.unlink()
-    return json.loads(out.splitlines()[-1])
+    return json.loads(out.splitlines()[-1]) if out else None
+
+
+def measure(n_docs: int, workdir: Path) -> dict:
+    _run_child(WRITER, workdir, n_docs, 0)
+    return _run_child(CHILD, workdir)
+
+
+def measure_eval(n_docs: int, questions: int, workdir: Path) -> dict:
+    _run_child(WRITER, workdir, n_docs, questions)
+    return {"docs": n_docs, **_run_child(EVAL_CHILD, workdir)}
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[2_000, 8_000, 16_000])
+    parser.add_argument("--sizes", type=int, nargs="*", default=[2_000, 8_000, 16_000])
+    parser.add_argument("--eval-sizes", type=int, nargs="*", default=[8_000, 16_000],
+                        help="corpus sizes of the run_eval rows")
+    parser.add_argument("--questions", type=int, default=3_000,
+                        help="evaluation questions per run_eval row (eval-8k's count)")
     args = parser.parse_args()
-    sys.path.insert(0, str(PERFBENCH))
-    from inputs import make_corpus
 
-    results = []
-    print(f"{'docs':>8} {'store s':>8} {'index s':>8} {'set-up MB':>10} {'peak MB':>8}")
+    results, evals = [], []
     with tempfile.TemporaryDirectory() as tmp:
+        if args.sizes:
+            print(f"{'docs':>8} {'store s':>8} {'index s':>8} {'set-up MB':>10} {'peak MB':>8}")
         for n in args.sizes:
-            row = measure(make_corpus, n, Path(tmp))
+            row = measure(n, Path(tmp))
             results.append(row)
             print(f"{row['docs']:>8} {row['store_s']:>8.3f} {row['index_s']:>8.3f} "
                   f"{row['setup_peak_mb']:>10.1f} {row['peak_mb']:>8.1f}")
-    print(json.dumps({"hopsynth": results[0]["hopsynth"] if results else None,
+        if args.eval_sizes:
+            print(f"{'docs':>8} {'questions':>9} {'run_eval s':>10} {'F1':>7} "
+                  f"{'set-up MB':>10} {'peak MB':>8}")
+        for n in args.eval_sizes:
+            row = measure_eval(n, args.questions, Path(tmp))
+            evals.append(row)
+            print(f"{row['docs']:>8} {row['questions']:>9} {row['eval_s']:>10.3f} "
+                  f"{row['f1']:>7.2f} {row['setup_peak_mb']:>10.1f} {row['peak_mb']:>8.1f}")
+    rows = results + evals
+    print(json.dumps({"hopsynth": rows[0]["hopsynth"] if rows else None,
                       "sizes": [{k: v for k, v in row.items() if k != "hopsynth"}
-                                for row in results]}))
+                                for row in results],
+                      "eval": [{k: v for k, v in row.items() if k != "hopsynth"}
+                               for row in evals]}))
 
 
 if __name__ == "__main__":

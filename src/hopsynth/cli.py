@@ -98,14 +98,22 @@ def _configure(args) -> PipelineConfig:
 
 
 def _stage_rows(args, stage, store) -> list[dict]:
-    """The rows of --in, each checked for the fields `stage` reads and for
-    a d1 and d2 that name documents of the store."""
+    """The rows of --in, each checked for the fields `stage` reads, for the
+    values `pipeline.FIELD_TYPES` allows in them, and for a d1 and d2 that
+    name documents of the store."""
+    fields = pipeline.INPUT_FIELDS[stage]
+    checks = [(name, *pipeline.FIELD_TYPES[name]) for name in fields
+              if name in pipeline.FIELD_TYPES]
     rows = []
-    for line_no, row in read_numbered_rows(args.in_path, fields=pipeline.INPUT_FIELDS[stage]):
+    for line_no, row in read_numbered_rows(args.in_path, fields=fields):
         for name in ("d1", "d2"):
             if not isinstance(row[name], str) or row[name] not in store.documents:
                 raise ValueError(f"{args.in_path}:{line_no}: {name} {row[name]!r} is not a "
                                  f"document of the store {args.store_path}")
+        for name, valid, expected in checks:
+            if not valid(row[name]):
+                raise ValueError(f"{args.in_path}:{line_no}: {name} {row[name]!r} is not "
+                                 f"{expected}")
         rows.append(row)
     return rows
 

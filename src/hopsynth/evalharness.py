@@ -11,6 +11,13 @@ line, an empty completion or "Answer: Query: ..." halt with `hop_limit`.
 Before the limit, any unusable line halts with `empty_completion`.
 Scoring is EM/F1 for QA, accuracy for fact verification, with majority-vote
 self-consistency over sampled answers.
+
+An episode's first turn reads nothing but its question, so `open_episodes`
+runs that turn for a block of episodes at once: each "Question:" context is
+completed once under its own params, and the distinct opening queries are
+embedded and searched EMBED_BLOCK at a time. `run_episode` continues an
+episode from its opening; called without one, it opens the episode itself
+the same way.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .genbackend import (
 )
 from .metrics import normalize_answer, score_pair
 from .promptkit import render_episode
-from .retrieval import FlatIndex, embed, search
+from .retrieval import FlatIndex, embed, per_distinct_text, search
 from .synthesis import FEVER_LABELS, normalize_label
 
 HALT_ANSWERED = "answered"
@@ -35,11 +42,22 @@ HALT_HOP_LIMIT = "hop_limit"
 HALT_EMPTY = "empty_completion"
 
 
+Turn = tuple[str, tuple[str, ...]]  # (emitted query, retrieved ids)
+
+
 @dataclass(frozen=True)
 class Transcript:
-    turns: tuple[tuple[str, tuple[str, ...]], ...]  # (emitted query, retrieved ids)
+    turns: tuple[Turn, ...]
     final_answer: Optional[str]
     halted_reason: str
+
+
+@dataclass(frozen=True)
+class Opening:
+    """An episode's first turn: the completed line, and the turn it adds when
+    that line is a query (None when the episode ends on it)."""
+    line: str
+    turn: Optional[Turn]
 
 
 @dataclass
@@ -57,6 +75,41 @@ class EvalConfig:
             raise ValueError(f"mode {self.mode!r} is not one of greedy, self_consistency")
 
 
+def _complete_line(backend: Backend, prompt: str, params: DecodeParams) -> str:
+    try:
+        return complete(backend, prompt, params).strip()
+    except EmptyCompletion:
+        return ""
+
+
+def _query_of(line: str) -> str:
+    return line[len("Query:"):].strip() if line.startswith("Query:") else ""
+
+
+def open_episodes(
+    episodes: Sequence[tuple[str, DecodeParams]],
+    backend: Backend,
+    index: FlatIndex,
+    provider,
+    config: EvalConfig,
+) -> list[Opening]:
+    """The first turn of each (question, params) episode, in order.
+
+    Each "Question:" context is completed once, in order, under its own
+    params. The distinct opening queries are then embedded and searched
+    EMBED_BLOCK at a time: one provider call and one block search each,
+    whose ids equal a per-query search's.
+    """
+    lines = [_complete_line(backend, render_episode(question, (), str), params)
+             for question, params in episodes]
+    queries = [_query_of(line) for line in lines]
+    retrieved = per_distinct_text(
+        lambda block: search(index, embed(provider, block), config.k), filter(None, queries)
+    )
+    return [Opening(line, (query, retrieved[query]) if query else None)
+            for line, query in zip(lines, queries)]
+
+
 def run_episode(
     question: str,
     backend: Backend,
@@ -65,36 +118,38 @@ def run_episode(
     config: EvalConfig,
     params: DecodeParams,
     doc_text_lookup=None,
+    opening: Optional[Opening] = None,
 ) -> Transcript:
-    """One retrieval episode for a question.
+    """One retrieval episode for a question, continued from its `opening`.
 
-    Each turn is one completion under `params`, an eval stage's decode
+    Without an opening, the episode opens itself through `open_episodes`.
+    Each later turn is one completion under `params`, an eval stage's decode
     params, whose stop sequence (a newline) ends the turn at its line.
     `doc_text_lookup` maps a doc id to the text inserted into the context;
     it defaults to the id itself (tests) and is normally store lookup.
     Backend errors such as BackendUnavailable propagate: an outage is not a
     wrong answer.
     """
+    if opening is None:
+        opening = open_episodes([(question, params)], backend, index, provider, config)[0]
     texts = doc_text_lookup or (lambda doc_id: doc_id)
-    turns: list[tuple[str, tuple[str, ...]]] = []
-    while True:
+    turns: list[Turn] = []
+    line, turn = opening.line, opening.turn
+    at_limit = False  # max_hops >= 1, so the opening turn is never at the limit
+    while turn is not None:
+        turns.append(turn)
         at_limit = len(turns) == config.max_hops
         prompt = render_episode(question, turns, texts, cue="Answer:" if at_limit else None)
-        try:
-            line = complete(backend, prompt, params).strip()
-        except EmptyCompletion:
-            line = ""
-        query = line[len("Query:"):].strip() if line.startswith("Query:") else ""
+        line = _complete_line(backend, prompt, params)
+        query, turn = _query_of(line), None
         if query and not at_limit:
-            turns.append((query, search(index, embed(provider, [query]), config.k)[0]))
-            continue
-        if line.startswith("Answer:"):
-            answer = line[len("Answer:"):].strip()
-        else:
-            answer = line if at_limit else ""
-        if at_limit and answer.startswith("Query:"):
-            answer = ""
-        break
+            turn = (query, search(index, embed(provider, [query]), config.k)[0])
+    if line.startswith("Answer:"):
+        answer = line[len("Answer:"):].strip()
+    else:
+        answer = line if at_limit else ""
+    if at_limit and answer.startswith("Query:"):
+        answer = ""
     halted = HALT_ANSWERED if answer else HALT_HOP_LIMIT if at_limit else HALT_EMPTY
     return Transcript(tuple(turns), answer or None, halted)
 

@@ -8,23 +8,26 @@ Each stage builds its clients, runs any block pre-pass, then hands a
 per-item step to `_run_steps`: one loop counts every stage's attempts (the
 items it took; for `stage_pair`, the pairs sampled for the task), outputs
 and drops, so attempts = emitted + drops per stage. `run_eval` scores one
-greedy episode, or majority-votes sampled ones, per evaluation item.
+greedy episode, or majority-votes sampled ones, per evaluation item; it
+opens the episodes in blocks and continues each one by itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 
-from . import synthesis
+from . import retrieval, synthesis
 from .config import PipelineConfig, build_backend, build_embedder, build_recognizer
 from .corpus import CorpusStore, ingest_corpus, serialize_store
 from .emitter import dataset_stats, split_dev, write_jsonl
-from .evalharness import run_episode, score_fever, score_qa, self_consistency
+from .evalharness import open_episodes, run_episode, score_fever, score_qa, self_consistency
 from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_params
 from .jsonl import read_numbered_rows
 from .pairing import (
     HYPER,
+    TOPIC,
     DocumentPair,
     answer_candidates,
     derive_rng,
@@ -34,7 +37,14 @@ from .pairing import (
 )
 from .promptkit import load_examples
 from .retrieval import build_flat_index, embed, per_distinct_text
-from .synthesis import FEVER_LABELS, TASK_FEVER, TASK_MQA, QuestionDraft
+from .synthesis import (
+    FEVER_LABELS,
+    ORIGIN_BACKUP,
+    ORIGIN_MODEL,
+    TASK_FEVER,
+    TASK_MQA,
+    QuestionDraft,
+)
 from .verification import (
     DROP_ANSWER_CONTAINMENT,
     DROP_ONE_HOP_COVERAGE,
@@ -273,6 +283,39 @@ INPUT_FIELDS = {
 }
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_contexts(value) -> bool:
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and value == sorted(set(value)) and set(value) <= {"both", "first", "second"})
+
+
+def _is_candidates(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(c, dict) and isinstance(c.get("text"), str)
+        and c.get("origin") in (ORIGIN_MODEL, ORIGIN_BACKUP) and type(c.get("rank")) is int
+        for c in value
+    )
+
+
+# What a row field of INPUT_FIELDS must hold, as the rules that read it take
+# it: field -> (check, what the field is when the check fails). d1 and d2
+# name store documents, which the stage command checks against its store.
+FIELD_TYPES = {
+    "relation": (lambda value: value in (HYPER, TOPIC), f"{HYPER!r} or {TOPIC!r}"),
+    "answer": (_is_str, "a string"),
+    "question": (_is_str, "a string"),
+    "final_answer": (_is_str, "a string"),
+    "hops": (lambda value: value in ("one", "two"), "'one' or 'two'"),
+    "answerable_in": (_is_contexts,
+                      "a sorted list of distinct values from 'both', 'first', 'second'"),
+    "candidates": (_is_candidates, f"a list of {{'text': str, 'origin': {ORIGIN_MODEL!r} or "
+                                   f"{ORIGIN_BACKUP!r}, 'rank': int}}"),
+}
+
+
 def write_splits(
     instances: list[DataInstance], out_dir: str | Path, config: PipelineConfig
 ) -> tuple[list[DataInstance], list[DataInstance]]:
@@ -351,6 +394,11 @@ def run_eval(
     `config.eval.mode` picks greedy decoding, one episode per item, or
     self-consistency, several sampled episodes; either way the prediction
     is the majority vote over the item's answers.
+
+    The episodes (items by seeds, in that order) run in blocks of
+    EMBED_BLOCK: `open_episodes` completes and retrieves the block's first
+    turns together, then `run_episode` continues each episode in order. The
+    backend gets the same requests as one episode at a time would send.
     """
     backend = backend or build_backend(config)
     provider = provider or build_embedder(config)
@@ -369,22 +417,30 @@ def run_eval(
     lookup = lambda doc_id: store.documents[doc_id].text  # noqa: E731
     sampled = config.eval.mode == "self_consistency"
     params = default_decode_params(EVAL_SELF_CONSISTENCY if sampled else EVAL_GREEDY)
-    records = []
-    for item in items:
-        if sampled:
-            samples = range(config.eval.self_consistency_samples)
-            seeds = [derive_seed(config.seed, "eval", item["id"], s) for s in samples]
-        else:
-            seeds = [derive_seed(config.seed, "eval", item["id"])]
-        answers = [
-            run_episode(
-                item["question"], backend, index, provider, config.eval,
-                params.with_seed(seed), doc_text_lookup=lookup,
-            ).final_answer or ""
-            for seed in seeds
-        ]
-        records.append({"id": item["id"], "prediction": self_consistency(answers),
-                        "gold": item[gold_field]})
+    samples = config.eval.self_consistency_samples if sampled else 1
+
+    def episodes():
+        for item in items:
+            if sampled:
+                seeds = [derive_seed(config.seed, "eval", item["id"], s) for s in range(samples)]
+            else:
+                seeds = [derive_seed(config.seed, "eval", item["id"])]
+            for seed in seeds:
+                yield item["question"], params.with_seed(seed)
+
+    stream, answers = episodes(), []
+    while block := list(islice(stream, retrieval.EMBED_BLOCK)):
+        openings = open_episodes(block, backend, index, provider, config.eval)
+        for (question, episode_params), opening in zip(block, openings, strict=True):
+            answers.append(run_episode(
+                question, backend, index, provider, config.eval, episode_params,
+                doc_text_lookup=lookup, opening=opening,
+            ).final_answer or "")
+    records = [
+        {"id": item["id"], "prediction": self_consistency(answers[n * samples:(n + 1) * samples]),
+         "gold": item[gold_field]}
+        for n, item in enumerate(items)
+    ]
     predictions = [r["prediction"] for r in records]
     golds = [r["gold"] for r in records]
     if config.task == TASK_FEVER:

@@ -60,6 +60,14 @@ class EmbeddingProvider(Protocol):
 EMBED_BLOCK = 64
 
 
+# The most bytes of a block's scores that `search` copies and partitions at
+# once. The scores stay one (rows, n) buffer, so the GEMM keeps whole blocks
+# (smaller GEMMs were much slower on wide indexes); only the partition's copy
+# is bounded, which keeps a second full-size buffer out of peak RSS. An index
+# of at most 2,048 docs still partitions a 64-row block at once.
+_PARTITION_BYTES = 512 * 1024
+
+
 # float32's unit roundoff, and its smallest normal number: an absolute
 # d * _TINY per dot product covers products that underflow
 _UNIT_ROUNDOFF = 2.0 ** -24
@@ -84,13 +92,22 @@ class FlatIndex:
         return len(self.doc_ids)
 
     def _block_scratch(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two float32 (rows, n) buffers, for a block's GEMM scores and their
-        partition. They are kept with the index and grown to the largest
-        block, so a block search allocates no temporaries of that size,
-        which the allocator would unmap and fault in again on every block."""
-        if not self._scratch or len(self._scratch[0]) < rows:
-            self._scratch[:] = [np.empty((rows, len(self)), dtype=np.float32) for _ in range(2)]
-        return self._scratch[0][:rows], self._scratch[1][:rows]
+        """A float32 (rows, n) buffer for a block's GEMM scores, and a float32
+        buffer of at most _PARTITION_BYTES (one row if a row is larger, and
+        no more rows than the block) that `search` partitions the scores in,
+        a sub-block at a time. Both are kept with the index and grown to the
+        largest block so far, so a block search allocates no temporaries of
+        that size, which the allocator would unmap and fault in again on
+        every block."""
+        n = len(self)
+        part_rows = min(rows, max(1, _PARTITION_BYTES // (4 * n)))
+        if not self._scratch:
+            self._scratch[:] = [np.empty((0, n), dtype=np.float32)] * 2
+        if len(self._scratch[0]) < rows:
+            self._scratch[0] = np.empty((rows, n), dtype=np.float32)
+        if len(self._scratch[1]) < part_rows:
+            self._scratch[1] = np.empty((part_rows, n), dtype=np.float32)
+        return self._scratch[0][:rows], self._scratch[1][:part_rows]
 
     @cached_property
     def row_norm_bound(self) -> float:
@@ -334,10 +351,16 @@ def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:
     kept, ranked = min(k, n), min(k + 1, n)
     scores, work = index._block_scratch(len(block))
     np.matmul(block, index.matrix.T, out=scores)
-    np.copyto(work, scores)
-    work.partition(n - ranked, axis=1)
-    # each query's k+1 best GEMM scores, ascending
-    top = np.sort(work[:, n - ranked:], axis=1)
+    # each query's k+1 best GEMM scores, ascending, partitioned in `work` a
+    # sub-block at a time
+    top = np.empty((len(block), ranked), dtype=np.float32)
+    for start in range(0, len(block), len(work)):
+        sub = scores[start:start + len(work)]
+        part = work[:len(sub)]
+        np.copyto(part, sub)
+        part.partition(n - ranked, axis=1)
+        top[start:start + len(sub)] = part[:, n - ranked:]
+    top.sort(axis=1)
     gaps = np.diff(top.astype(np.float64), axis=1)
     scale = np.sqrt(np.einsum("ij,ij->i", block, block, dtype=np.float64)) * index.row_norm_bound
     # 1 + 2**-20 covers the float64 rounding of the norms, the margin and the gaps

@@ -307,6 +307,83 @@ def test_stage_row_with_an_unknown_id_names_field_id_and_store(tmp_path, capsys,
     assert f"error: {pairs}:2: {name} ['x'] is not a document" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def demo_candidates(tmp_path_factory):
+    """The demo store and its gen-queries rows, under demo/config.txt."""
+    out = tmp_path_factory.mktemp("democandidates")
+    store, rows = out / "store.jsonl", out / "pairs.jsonl"
+    base = ["--config", str(DEMO / "config.txt")]
+    assert main(base + ["ingest", "--in", str(DEMO / "corpus.jsonl"), "--out", str(store)]) == 0
+    assert main(base + ["pair", "--store", str(store), "--out", str(rows)]) == 0
+    for command in ("gen-questions", "filter-answers", "gen-queries"):
+        done = out / f"{command}.jsonl"
+        assert main(base + [command, "--store", str(store), "--in", str(rows),
+                            "--out", str(done)]) == 0
+        rows = done
+    return store, [json.loads(line) for line in rows.read_text().splitlines()]
+
+
+def _verify_rows(tmp_path, store, rows) -> tuple[int, Path]:
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    code = main(["--config", str(DEMO / "config.txt"), "verify", "--store", str(store),
+                 "--in", str(path), "--out", str(tmp_path / "out.jsonl")])
+    return code, path
+
+
+def test_verify_refuses_answerable_in_that_is_not_a_list(tmp_path, capsys, demo_candidates):
+    # a string is not the list of contexts; verifying such rows read "first"
+    # by its characters and emitted most of them as answerable in d1
+    store, rows = demo_candidates
+    capsys.readouterr()
+    code, path = _verify_rows(tmp_path, store, [
+        {**row, "hops": "one", "answerable_in": "first"} for row in rows
+    ])
+    assert code == 2
+    assert (f"error: {path}:1: answerable_in 'first' is not a sorted list of distinct values "
+            f"from 'both', 'first', 'second'") in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def _candidate(field, value):
+    def patch(row):
+        return {**row, "candidates": [{**row["candidates"][0], field: value},
+                                      *row["candidates"][1:]]}
+    return patch
+
+
+@pytest.mark.parametrize("patch, field", [
+    (_candidate("text", 5), "candidates"),
+    (_candidate("origin", "other"), "candidates"),
+    (_candidate("rank", "0"), "candidates"),
+    (_candidate("rank", True), "candidates"),
+    (lambda row: {**row, "candidates": [row["candidates"][0]["text"]]}, "candidates"),
+    (lambda row: {**row, "candidates": "a query"}, "candidates"),
+    (lambda row: {**row, "hops": "three"}, "hops"),
+    (lambda row: {**row, "answerable_in": ["first", "both"]}, "answerable_in"),
+    (lambda row: {**row, "answerable_in": ["both", "both"]}, "answerable_in"),
+    (lambda row: {**row, "answerable_in": ["both", "third"]}, "answerable_in"),
+    (lambda row: {**row, "answerable_in": [["both"]]}, "answerable_in"),
+    (lambda row: {**row, "relation": "sibling"}, "relation"),
+    (lambda row: {**row, "question": ["Q?"]}, "question"),
+    (lambda row: {**row, "answer": 5}, "answer"),
+    (lambda row: {**row, "final_answer": None}, "final_answer"),
+], ids=["text-int", "origin-other", "rank-str", "rank-bool", "candidate-str", "candidates-str",
+        "hops-three", "contexts-unsorted", "contexts-repeated", "contexts-unknown",
+        "contexts-nested", "relation-sibling", "question-list", "answer-int",
+        "final-answer-null"])
+def test_verify_row_field_of_the_wrong_type_names_file_and_line(
+    tmp_path, capsys, demo_candidates, patch, field
+):
+    # a candidate text of 5 used to die in word_tokens with a bare TypeError
+    store, rows = demo_candidates
+    capsys.readouterr()
+    code, path = _verify_rows(tmp_path, store, [rows[0], patch(rows[1]), rows[2]])
+    assert code == 2
+    assert f"error: {path}:2: {field} " in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_stage_rerun_reproduces_output(tmp_path, corpus_path):
     base = ["--seed", "9", "--backend", "mock", "--embeddings", "mock", "--workers", "2"]
     store = tmp_path / "store.jsonl"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from hopsynth import evalharness, retrieval
 from hopsynth.evalharness import (
     EvalConfig,
+    Opening,
     Transcript,
+    open_episodes,
     run_episode,
     score_fever,
     score_qa,
@@ -11,7 +14,9 @@ from hopsynth.evalharness import (
 )
 from hopsynth.genbackend import DecodeParams, MockBackend, default_decode_params
 from hopsynth.mockllm import GoldScriptRule
-from hopsynth.retrieval import HashEmbedder, build_flat_index, embed
+from hopsynth.retrieval import HashEmbedder, build_flat_index, embed, search
+
+from synthcorpus import make_corpus
 
 
 def toy_index(doc_texts):
@@ -124,6 +129,69 @@ def test_run_episode_multiline_document_stays_one_line():
     assert prompts[1] == "Question: Who?\nQuery: first\nDocument: line one Query: inside a document\n"
     assert [query for query, _ in transcript.turns] == ["first", "second"]
     assert (transcript.final_answer, transcript.halted_reason) == ("A", "answered")
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_open_episodes_matches_one_query_at_a_time(monkeypatch, block):
+    # each opening is its question's first completion under its own params,
+    # and its ids are that query's own search; the distinct queries are
+    # embedded and searched `block` at a time, in first-seen order
+    records = make_corpus(n_docs=50, seed=4, n_topics=5)
+    index, provider = toy_index({r["id"]: r["text"] for r in records})
+    titles = [r["title"] for r in records[:9]]
+
+    def rule(prompt, seed):
+        assert prompt.startswith("Question: ") and prompt.endswith("?\n")
+        if seed % 7 == 0:
+            return "Answer: early"
+        return "" if seed % 7 == 1 else f"Query: {titles[seed % len(titles)]}\n"
+
+    params = default_decode_params("eval_greedy")
+    episodes = [(f"Q{n}?", params.with_seed(seed)) for n, seed in enumerate(range(3, 40))]
+    config = EvalConfig(k=4)
+    embedded, searched = [], []
+    monkeypatch.setattr(retrieval, "EMBED_BLOCK", block)
+    monkeypatch.setattr(evalharness, "embed", lambda p, texts: (
+        embedded.append(list(texts)) or embed(p, texts)))
+    monkeypatch.setattr(evalharness, "search", lambda i, q, k: (
+        searched.append(len(q)) or search(i, q, k)))
+    openings = open_episodes(episodes, MockBackend(rule=rule), index, provider, config)
+
+    expected = []
+    for _, episode_params in episodes:
+        line = rule("Question: Q?\n", episode_params.seed).strip()
+        query = line[len("Query: "):] if line.startswith("Query: ") else ""
+        expected.append(Opening(line, (query, search(
+            index, embed(provider, [query]), config.k)[0]) if query else None))
+    assert openings == expected
+    distinct = list(dict.fromkeys(o.turn[0] for o in openings if o.turn))
+    assert embedded == [distinct[i:i + block] for i in range(0, len(distinct), block)]
+    assert searched == [len(texts) for texts in embedded]
+    assert {o.line for o in openings if o.turn is None} == {"Answer: early", ""}
+
+
+def test_run_episode_continues_from_its_opening():
+    # the opening stands for the first turn: no completion is asked for it
+    index, provider = toy_index({"d1": "alpha doc", "d2": "beta doc"})
+    prompts = []
+
+    def recording(prompt, seed):
+        prompts.append(prompt)
+        return scripted_rule("beta", ["alpha doc"])(prompt, seed)
+
+    opening = Opening("Query: alpha doc", ("alpha doc", ("d1",)))
+    transcript = run_episode(
+        "Which doc?", MockBackend(rule=recording), index, provider,
+        EvalConfig(max_hops=2, k=1), default_decode_params("eval_greedy"), opening=opening,
+    )
+    assert prompts == ["Question: Which doc?\nQuery: alpha doc\nDocument: d1\n"]
+    assert transcript == Transcript((("alpha doc", ("d1",)),), "beta", "answered")
+    ended = run_episode(
+        "Which doc?", MockBackend(rule=recording), index, provider, EvalConfig(),
+        default_decode_params("eval_greedy"), opening=Opening("Answer: gamma", None),
+    )
+    assert ended == Transcript((), "gamma", "answered")
+    assert len(prompts) == 1
 
 
 def test_score_qa():

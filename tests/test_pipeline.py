@@ -1,16 +1,27 @@
 import json
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hopsynth import httpjson, pipeline, retrieval
-from hopsynth.config import PipelineConfig, TopicsConfig
+from hopsynth.config import PipelineConfig, TopicsConfig, build_embedder
+from hopsynth.evalharness import run_episode, score_fever, score_qa, self_consistency
+from hopsynth.genbackend import (
+    EVAL_GREEDY,
+    EVAL_SELF_CONSISTENCY,
+    MockBackend,
+    default_decode_params,
+)
+from hopsynth.pairing import derive_seed
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pipeline import (
     build_index,
     build_store,
     counters_conserved,
     run_all,
+    run_eval,
     stage_filter_answers,
     stage_pair,
     stage_queries,
@@ -18,6 +29,7 @@ from hopsynth.pipeline import (
     stage_verify,
 )
 from hopsynth.retrieval import EMBED_BLOCK, EmbeddingError, HashEmbedder, HttpEmbedder
+from hopsynth.synthesis import FEVER_LABELS
 from hopsynth.verification import VerifyConfig, validate_instance, verify_query
 
 from oracles import OracleHashEmbedder
@@ -400,6 +412,100 @@ def test_run_eval_self_consistency_mode(tmp_path, corpus_path):
     backend = MockBackend(rule=GoldScriptRule(script))
     report = run_eval(eval_path, eval_corpus, config, backend=backend)
     assert report["em"] == 100.0
+
+
+class SeededTurnRule:
+    """Each turn's line drawn from (prompt, seed): mostly a query naming one
+    of a few titles, so opening queries repeat within a block, else an
+    answer, an empty line or a bare line. Sampled episodes of one question
+    therefore differ."""
+
+    def __init__(self, titles, answers):
+        self.titles, self.answers = titles, answers
+
+    def __call__(self, prompt, seed):
+        rng = random.Random(f"{seed}|{prompt}")
+        roll = rng.random()
+        if roll < 0.55:
+            return f"Query: {rng.choice(self.titles)}\n"
+        if roll < 0.9:
+            return f"Answer: {rng.choice(self.answers)}\n"
+        return "" if roll < 0.95 else "a bare line"
+
+
+class RecordingBackend:
+    def __init__(self, rule):
+        self.inner, self.requests = MockBackend(rule=rule), Counter()
+
+    def raw_complete(self, text, params):
+        self.requests[text, params.seed] += 1
+        return self.inner.raw_complete(text, params)
+
+
+def _episode_at_a_time_eval(items, corpus, config, backend):
+    """run_eval as it ran before episodes opened in blocks: each episode
+    runs by itself through run_episode without an opening."""
+    store = build_store(corpus, config)
+    provider = build_embedder(config)
+    index = build_index(store, provider)
+    sampled = config.eval.mode == "self_consistency"
+    params = default_decode_params(EVAL_SELF_CONSISTENCY if sampled else EVAL_GREEDY)
+    gold_field = "label" if config.task == "fever" else "answer"
+    records, varied = [], False
+    for item in items:
+        if sampled:
+            seeds = [derive_seed(config.seed, "eval", item["id"], s)
+                     for s in range(config.eval.self_consistency_samples)]
+        else:
+            seeds = [derive_seed(config.seed, "eval", item["id"])]
+        answers = [
+            run_episode(item["question"], backend, index, provider, config.eval,
+                        params.with_seed(seed),
+                        doc_text_lookup=lambda doc_id: store.documents[doc_id].text,
+                        ).final_answer or ""
+            for seed in seeds
+        ]
+        varied |= len(set(answers)) > 1
+        records.append({"id": item["id"], "prediction": self_consistency(answers),
+                        "gold": item[gold_field]})
+    predictions, golds = [r["prediction"] for r in records], [r["gold"] for r in records]
+    if config.task == "fever":
+        report = {"accuracy": score_fever(predictions, golds)}
+    else:
+        em, f1 = score_qa(predictions, golds)
+        report = {"em": em, "f1": f1}
+    report["items"] = records
+    return report, varied
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("mode", ["greedy", "self_consistency"])
+@pytest.mark.parametrize("task", ["mqa", "fever"])
+def test_run_eval_opening_pass_equals_episodes_one_at_a_time(
+    tmp_path, monkeypatch, task, mode, block
+):
+    records = make_corpus(n_docs=40, seed=6, n_topics=4)
+    corpus = write_corpus(tmp_path / "corpus.jsonl", records)
+    gold_field = "label" if task == "fever" else "answer"
+    golds = FEVER_LABELS if task == "fever" else [r["title"] for r in records[:6]]
+    items = [{"id": f"q{i}", "question": f"What links {records[i]['title']}?",
+              gold_field: golds[i % len(golds)]} for i in range(23)]
+    eval_path = tmp_path / "eval.jsonl"
+    eval_path.write_text("".join(json.dumps(item) + "\n" for item in items))
+    rule = SeededTurnRule([r["title"] for r in records[:5]], golds)
+    config = make_config(task=task)
+    config.eval.mode, config.eval.self_consistency_samples, config.eval.k = mode, 3, 3
+    monkeypatch.setattr(retrieval, "EMBED_BLOCK", block)
+
+    backend = RecordingBackend(rule)
+    report = run_eval(eval_path, corpus, config, backend=backend)
+    reference_backend = RecordingBackend(rule)
+    expected, varied = _episode_at_a_time_eval(items, corpus, config, reference_backend)
+    assert json.dumps(report) == json.dumps(expected)
+    # each (prompt, seed) is completed once, and the requests are the reference's
+    assert max(backend.requests.values()) == 1
+    assert backend.requests == reference_backend.requests
+    assert varied == (mode == "self_consistency")
 
 
 def test_run_eval_backend_outage_raises(tmp_path):

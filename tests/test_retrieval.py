@@ -174,7 +174,7 @@ def test_block_search_equals_per_query_matvec(monkeypatch):
     assert certified > 0 and fell_back > 0, (certified, fell_back)
 
 
-def test_block_search_reuses_the_index_scratch_across_block_sizes():
+def test_block_search_reuses_the_index_scratch_across_block_sizes(monkeypatch):
     # one index, blocks that grow and shrink: each block's ids stay the
     # mat-vec's, and a smaller block reuses the buffers of the largest so far
     rng = np.random.default_rng(21)
@@ -190,6 +190,34 @@ def test_block_search_reuses_the_index_scratch_across_block_sizes():
             assert all(new is old for new, old in zip(index._scratch, buffers, strict=True))
         largest, buffers = max(largest, rows), list(index._scratch)
         assert [b.shape for b in buffers] == [(largest, 150)] * 2
+
+    # the partition buffer holds at most _PARTITION_BYTES: up to 2,048 docs
+    # that is a 64-row block, and a wider index partitions in sub-blocks
+    for n, part_rows in ((2048, 64), (2049, 63), (8000, 16)):
+        wide = build_flat_index([f"d{i:05d}" for i in range(n)],
+                                np.zeros((n, 1), dtype=np.float32))
+        assert [len(b) for b in wide._block_scratch(64)] == [64, part_rows], n
+    # a bound of three and a half rows: the scores of a block are partitioned
+    # three rows at a time, and the ids stay each query's own mat-vec's
+    bound = 7 * 150 * 4 // 2
+    monkeypatch.setattr(retrieval, "_PARTITION_BYTES", bound)
+    narrow = build_flat_index(index.doc_ids, index.matrix)
+    fallbacks = []
+    monkeypatch.setattr(
+        retrieval, "select_topk", lambda scores, k: fallbacks.append(k) or select_topk(scores, k)
+    )
+    largest = 0
+    for rows in (2, 64, 7, 3, 65, 4):
+        block = [_random_query(rng, ("gaussian", "row")[i % 2], matrix) for i in range(rows)]
+        expected = [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ q, 5))
+                    for q in block]
+        fallbacks.clear()
+        assert search(narrow, block, 5) == expected, rows
+        assert len(fallbacks) < rows  # some queries keep the GEMM order
+        largest = max(largest, rows)
+        scores, work = narrow._scratch
+        assert scores.shape == (largest, 150)
+        assert work.nbytes <= bound and work.shape == (min(largest, 3), 150)
 
 
 def test_kernels_agree_including_ties():
