@@ -150,7 +150,9 @@ def run_command(args) -> int:
 
     if command == "eval":
         report = pipeline.run_eval(args.in_path, args.corpus_path, config)
-        Path(args.out_path).write_text(json.dumps(report, indent=2) + "\n")
+        out = Path(args.out_path)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(report, indent=2) + "\n")
         headline = {key: value for key, value in report.items() if key != "items"}
         print(json.dumps(headline))
         return 0

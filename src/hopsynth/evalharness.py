@@ -12,12 +12,12 @@ Before the limit, any unusable line halts with `empty_completion`.
 Scoring is EM/F1 for QA, accuracy for fact verification, with majority-vote
 self-consistency over sampled answers.
 
-An episode's first turn reads nothing but its question, so `open_episodes`
-runs that turn for a block of episodes at once: each "Question:" context is
-completed once under its own params, and the distinct opening queries are
-embedded and searched EMBED_BLOCK at a time. `run_episode` continues an
-episode from its opening; called without one, it opens the episode itself
-the same way.
+Episodes play in rounds, a block at a time (`play_episodes`): each round
+completes every live episode's next turn, in block order, then embeds and
+searches the round's distinct new queries EMBED_BLOCK at a time. The
+backend gets all first turns of a block, then all second turns, and so on;
+each (prompt, seed) once. `run_episode` reads a played episode into a
+`Transcript`; called without one, it plays its single episode the same way.
 """
 
 from __future__ import annotations
@@ -53,11 +53,12 @@ class Transcript:
 
 
 @dataclass(frozen=True)
-class Opening:
-    """An episode's first turn: the completed line, and the turn it adds when
-    that line is a query (None when the episode ends on it)."""
+class Played:
+    """An episode played to its end: its turns, its last completed line, and
+    whether that line was completed after the hop limit's "Answer:" cue."""
+    turns: tuple[Turn, ...]
     line: str
-    turn: Optional[Turn]
+    at_limit: bool
 
 
 @dataclass
@@ -86,28 +87,50 @@ def _query_of(line: str) -> str:
     return line[len("Query:"):].strip() if line.startswith("Query:") else ""
 
 
-def open_episodes(
+def play_episodes(
     episodes: Sequence[tuple[str, DecodeParams]],
     backend: Backend,
     index: FlatIndex,
     provider,
     config: EvalConfig,
-) -> list[Opening]:
-    """The first turn of each (question, params) episode, in order.
+    doc_text_lookup=None,
+) -> list[Played]:
+    """Play each (question, params) episode to its end, in rounds.
 
-    Each "Question:" context is completed once, in order, under its own
-    params. The distinct opening queries are then embedded and searched
+    A round renders and completes each live episode's next turn, in order,
+    under the episode's own params, whose stop sequence (a newline) ends the
+    turn at its line; the turn after `max_hops` queries gets the "Answer:"
+    cue. The round's distinct new queries are then embedded and searched
     EMBED_BLOCK at a time: one provider call and one block search each,
-    whose ids equal a per-query search's.
+    whose ids equal a per-query search's. An episode stays live while its
+    line is a query before the hop limit. `doc_text_lookup` maps a doc id to
+    the text inserted into the context; it defaults to the id itself (tests)
+    and is normally store lookup. Backend and embedding errors such as
+    BackendUnavailable propagate: an outage is not a wrong answer.
     """
-    lines = [_complete_line(backend, render_episode(question, (), str), params)
-             for question, params in episodes]
-    queries = [_query_of(line) for line in lines]
-    retrieved = per_distinct_text(
-        lambda block: search(index, embed(provider, block), config.k), filter(None, queries)
-    )
-    return [Opening(line, (query, retrieved[query]) if query else None)
-            for line, query in zip(lines, queries)]
+    texts = doc_text_lookup or (lambda doc_id: doc_id)
+    turns: list[list[Turn]] = [[] for _ in episodes]
+    lines = [""] * len(episodes)
+    live = range(len(episodes))
+    while live:
+        queries = {}
+        for n in live:
+            question, params = episodes[n]
+            at_limit = len(turns[n]) == config.max_hops
+            prompt = render_episode(question, turns[n], texts, cue="Answer:" if at_limit else None)
+            lines[n] = _complete_line(backend, prompt, params)
+            query = _query_of(lines[n])
+            if query and not at_limit:
+                queries[n] = query
+        retrieved = per_distinct_text(
+            lambda block: search(index, embed(provider, block), config.k), queries.values()
+        )
+        for n, query in queries.items():
+            turns[n].append((query, retrieved[query]))
+        live = list(queries)
+    # max_hops >= 1, so an episode ends at the limit exactly when it made max_hops queries
+    return [Played(tuple(episode_turns), line, len(episode_turns) == config.max_hops)
+            for episode_turns, line in zip(turns, lines)]
 
 
 def run_episode(
@@ -118,32 +141,20 @@ def run_episode(
     config: EvalConfig,
     params: DecodeParams,
     doc_text_lookup=None,
-    opening: Optional[Opening] = None,
+    played: Optional[Played] = None,
 ) -> Transcript:
-    """One retrieval episode for a question, continued from its `opening`.
+    """The transcript of one retrieval episode for a question: its answer and
+    why it halted, read from `played`.
 
-    Without an opening, the episode opens itself through `open_episodes`.
-    Each later turn is one completion under `params`, an eval stage's decode
-    params, whose stop sequence (a newline) ends the turn at its line.
-    `doc_text_lookup` maps a doc id to the text inserted into the context;
-    it defaults to the id itself (tests) and is normally store lookup.
-    Backend errors such as BackendUnavailable propagate: an outage is not a
-    wrong answer.
+    Without a played episode, the episode is played by itself through
+    `play_episodes` (see there for the turns, `params` and
+    `doc_text_lookup`); with one, the backend is asked nothing.
     """
-    if opening is None:
-        opening = open_episodes([(question, params)], backend, index, provider, config)[0]
-    texts = doc_text_lookup or (lambda doc_id: doc_id)
-    turns: list[Turn] = []
-    line, turn = opening.line, opening.turn
-    at_limit = False  # max_hops >= 1, so the opening turn is never at the limit
-    while turn is not None:
-        turns.append(turn)
-        at_limit = len(turns) == config.max_hops
-        prompt = render_episode(question, turns, texts, cue="Answer:" if at_limit else None)
-        line = _complete_line(backend, prompt, params)
-        query, turn = _query_of(line), None
-        if query and not at_limit:
-            turn = (query, search(index, embed(provider, [query]), config.k)[0])
+    if played is None:
+        played = play_episodes(
+            [(question, params)], backend, index, provider, config, doc_text_lookup
+        )[0]
+    line, at_limit = played.line, played.at_limit
     if line.startswith("Answer:"):
         answer = line[len("Answer:"):].strip()
     else:
@@ -151,7 +162,7 @@ def run_episode(
     if at_limit and answer.startswith("Query:"):
         answer = ""
     halted = HALT_ANSWERED if answer else HALT_HOP_LIMIT if at_limit else HALT_EMPTY
-    return Transcript(tuple(turns), answer or None, halted)
+    return Transcript(played.turns, answer or None, halted)
 
 
 def _check_scorable(predictions: Sequence[str], golds: Sequence[str]) -> None:

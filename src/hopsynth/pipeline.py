@@ -9,7 +9,7 @@ per-item step to `_run_steps`: one loop counts every stage's attempts (the
 items it took; for `stage_pair`, the pairs sampled for the task), outputs
 and drops, so attempts = emitted + drops per stage. `run_eval` scores one
 greedy episode, or majority-votes sampled ones, per evaluation item; it
-opens the episodes in blocks and continues each one by itself.
+plays the episodes in blocks, turn by turn.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import retrieval, synthesis
 from .config import PipelineConfig, build_backend, build_embedder, build_recognizer
 from .corpus import CorpusStore, ingest_corpus, serialize_store
 from .emitter import dataset_stats, split_dev, write_jsonl
-from .evalharness import open_episodes, run_episode, score_fever, score_qa, self_consistency
+from .evalharness import play_episodes, run_episode, score_fever, score_qa, self_consistency
 from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_params
 from .jsonl import read_numbered_rows
 from .pairing import (
@@ -396,9 +396,10 @@ def run_eval(
     is the majority vote over the item's answers.
 
     The episodes (items by seeds, in that order) run in blocks of
-    EMBED_BLOCK: `open_episodes` completes and retrieves the block's first
-    turns together, then `run_episode` continues each episode in order. The
-    backend gets the same requests as one episode at a time would send.
+    EMBED_BLOCK: `play_episodes` plays a block turn by turn, each turn's
+    queries searched together, then `run_episode` reads each played episode
+    into its transcript, once per episode in order. The backend gets the
+    same requests as one episode at a time would send, in another order.
     """
     backend = backend or build_backend(config)
     provider = provider or build_embedder(config)
@@ -430,11 +431,11 @@ def run_eval(
 
     stream, answers = episodes(), []
     while block := list(islice(stream, retrieval.EMBED_BLOCK)):
-        openings = open_episodes(block, backend, index, provider, config.eval)
-        for (question, episode_params), opening in zip(block, openings, strict=True):
+        played = play_episodes(block, backend, index, provider, config.eval, lookup)
+        for (question, episode_params), episode in zip(block, played, strict=True):
             answers.append(run_episode(
                 question, backend, index, provider, config.eval, episode_params,
-                doc_text_lookup=lookup, opening=opening,
+                doc_text_lookup=lookup, played=episode,
             ).final_answer or "")
     records = [
         {"id": item["id"], "prediction": self_consistency(answers[n * samples:(n + 1) * samples]),

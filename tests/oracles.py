@@ -13,6 +13,8 @@ possible, and stays independent of the implementation path it validates:
   which marks runs with word offsets and sheds a sentence-initial word.
 * Hash embeddings: the embedder's earlier implementation, one token vector
   added at a time.
+* Evaluation episodes: the episode loop as it ran one episode at a time,
+  one completion per turn and one mat-vec top-k per query.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ import string
 from collections import Counter
 
 import numpy as np
+
+from hopsynth._kernels import select_topk
+from hopsynth.genbackend import EmptyCompletion, complete
+from hopsynth.promptkit import render_episode
 
 # ---------------------------------------------------------------------------
 # SQuAD v1 reference evaluator (evaluate-v1.1.py logic)
@@ -340,3 +346,43 @@ class OracleHashEmbedder:
                 vec = vec / norm
             out.append(vec.astype(np.float32))
         return out
+
+
+# ---------------------------------------------------------------------------
+# Evaluation episodes: one episode at a time, one mat-vec per query
+# ---------------------------------------------------------------------------
+
+
+def oracle_episode(question, backend, params, index, provider, k, max_hops, doc_text):
+    """One retrieval episode played by itself, turn after turn.
+
+    Each turn renders the context, completes it once under `params` (an
+    empty completion reads as ""), and a "Query:" line before the hop limit
+    retrieves `select_topk(index.matrix @ q, k)` for its own embedding q.
+    After `max_hops` queries the context ends in the "Answer:" cue. Returns
+    the turns, the last line, whether it was completed at the limit, the
+    answer (None without one) and the halt reason.
+    """
+    turns = []
+    while True:
+        at_limit = len(turns) == max_hops
+        prompt = render_episode(question, turns, doc_text, cue="Answer:" if at_limit else None)
+        try:
+            line = complete(backend, prompt, params).strip()
+        except EmptyCompletion:
+            line = ""
+        query = line[len("Query:"):].strip() if line.startswith("Query:") else ""
+        if query and not at_limit:
+            q = np.asarray(provider([query])[0], dtype=np.float32)
+            rows = select_topk(index.matrix @ q, k)
+            turns.append((query, tuple(index.doc_ids[row] for row in rows)))
+            continue
+        if line.startswith("Answer:"):
+            answer = line[len("Answer:"):].strip()
+        else:
+            answer = line if at_limit else ""
+        if at_limit and answer.startswith("Query:"):
+            answer = ""
+        break
+    halted = "answered" if answer else "hop_limit" if at_limit else "empty_completion"
+    return tuple(turns), line, at_limit, answer or None, halted

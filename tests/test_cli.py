@@ -614,7 +614,9 @@ def test_eval_gold_is_checked_as_the_file_is_read(tmp_path, corpus_path, capsys,
     assert not out.exists()
 
 
-def test_eval_cli_with_scripted_backend(tmp_path, corpus_path):
+def _scripted_eval_argv(tmp_path):
+    """Arguments of an `eval` run over 10 docs whose 5 questions a gold
+    script answers, up to --out."""
     records = make_corpus(n_docs=10, seed=1, n_topics=2)
     eval_corpus = tmp_path / "eval_corpus.jsonl"
     write_corpus(eval_corpus, records)
@@ -636,12 +638,20 @@ def test_eval_cli_with_scripted_backend(tmp_path, corpus_path):
         "eval.max_hops = 2\n"
         "workers = 1\n"
     )
+    return ["--config", str(config_file), "--seed", "1", "eval",
+            "--in", str(eval_set), "--corpus", str(eval_corpus)]
+
+
+def test_eval_cli_with_scripted_backend(tmp_path, corpus_path):
     report_path = tmp_path / "report.json"
-    assert main([
-        "--config", str(config_file), "--seed", "1", "eval",
-        "--in", str(eval_set), "--corpus", str(eval_corpus), "--out", str(report_path),
-    ]) == 0
+    assert main(_scripted_eval_argv(tmp_path) + ["--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert report["em"] == 100.0
     assert report["f1"] == 100.0
     assert len(report["items"]) == 5
+
+
+def test_eval_cli_creates_the_out_parent(tmp_path):
+    report_path = tmp_path / "missing" / "dir" / "report.json"
+    assert main(_scripted_eval_argv(tmp_path) + ["--out", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["em"] == 100.0

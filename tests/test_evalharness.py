@@ -4,9 +4,9 @@ import pytest
 from hopsynth import evalharness, retrieval
 from hopsynth.evalharness import (
     EvalConfig,
-    Opening,
+    Played,
     Transcript,
-    open_episodes,
+    play_episodes,
     run_episode,
     score_fever,
     score_qa,
@@ -16,6 +16,7 @@ from hopsynth.genbackend import DecodeParams, MockBackend, default_decode_params
 from hopsynth.mockllm import GoldScriptRule
 from hopsynth.retrieval import HashEmbedder, build_flat_index, embed, search
 
+from oracles import oracle_episode
 from synthcorpus import make_corpus
 
 
@@ -131,67 +132,72 @@ def test_run_episode_multiline_document_stays_one_line():
     assert (transcript.final_answer, transcript.halted_reason) == ("A", "answered")
 
 
+@pytest.mark.parametrize("max_hops", [1, 2, 3])
 @pytest.mark.parametrize("block", [1, 5, 64])
-def test_open_episodes_matches_one_query_at_a_time(monkeypatch, block):
-    # each opening is its question's first completion under its own params,
-    # and its ids are that query's own search; the distinct queries are
-    # embedded and searched `block` at a time, in first-seen order
+def test_play_episodes_matches_one_query_at_a_time(monkeypatch, block, max_hops):
+    # each episode plays as it would by itself, each query's ids being its
+    # own mat-vec; each round's distinct queries are embedded and searched
+    # `block` at a time, in first-seen order
     records = make_corpus(n_docs=50, seed=4, n_topics=5)
-    index, provider = toy_index({r["id"]: r["text"] for r in records})
+    docs = {r["id"]: r["text"] for r in records}
+    index, provider = toy_index(docs)
     titles = [r["title"] for r in records[:9]]
 
     def rule(prompt, seed):
-        assert prompt.startswith("Question: ") and prompt.endswith("?\n")
-        if seed % 7 == 0:
+        turn = prompt.count("\nQuery: ")
+        roll = (seed + 3 * turn) % 7
+        if roll == 0:
             return "Answer: early"
-        return "" if seed % 7 == 1 else f"Query: {titles[seed % len(titles)]}\n"
+        return "" if roll == 1 else f"Query: {titles[(seed + turn) % len(titles)]}\n"
 
     params = default_decode_params("eval_greedy")
     episodes = [(f"Q{n}?", params.with_seed(seed)) for n, seed in enumerate(range(3, 40))]
-    config = EvalConfig(k=4)
+    config = EvalConfig(k=4, max_hops=max_hops)
     embedded, searched = [], []
     monkeypatch.setattr(retrieval, "EMBED_BLOCK", block)
     monkeypatch.setattr(evalharness, "embed", lambda p, texts: (
         embedded.append(list(texts)) or embed(p, texts)))
     monkeypatch.setattr(evalharness, "search", lambda i, q, k: (
         searched.append(len(q)) or search(i, q, k)))
-    openings = open_episodes(episodes, MockBackend(rule=rule), index, provider, config)
+    played = play_episodes(episodes, MockBackend(rule=rule), index, provider, config, docs.get)
 
-    expected = []
-    for _, episode_params in episodes:
-        line = rule("Question: Q?\n", episode_params.seed).strip()
-        query = line[len("Query: "):] if line.startswith("Query: ") else ""
-        expected.append(Opening(line, (query, search(
-            index, embed(provider, [query]), config.k)[0]) if query else None))
-    assert openings == expected
-    distinct = list(dict.fromkeys(o.turn[0] for o in openings if o.turn))
-    assert embedded == [distinct[i:i + block] for i in range(0, len(distinct), block)]
+    backend = MockBackend(rule=rule)
+    expected = [oracle_episode(question, backend, episode_params, index, provider, config.k,
+                               max_hops, docs.get)
+                for question, episode_params in episodes]
+    assert played == [Played(turns, line, at_limit) for turns, line, at_limit, _, _ in expected]
+    for turns, _, _, _, _ in expected:
+        for query, ids in turns:
+            assert ids == search(index, embed(provider, [query]), config.k)[0]
+    rounds = [list(dict.fromkeys(p.turns[r][0] for p in played if len(p.turns) > r))
+              for r in range(max_hops)]
+    assert embedded == [queries[i:i + block] for queries in rounds
+                        for i in range(0, len(queries), block)]
     assert searched == [len(texts) for texts in embedded]
-    assert {o.line for o in openings if o.turn is None} == {"Answer: early", ""}
+    assert {len(p.turns) for p in played} == set(range(max_hops + 1))
+    assert {p.line for p in played if not p.turns} == {"Answer: early", ""}
 
 
-def test_run_episode_continues_from_its_opening():
-    # the opening stands for the first turn: no completion is asked for it
-    index, provider = toy_index({"d1": "alpha doc", "d2": "beta doc"})
-    prompts = []
+EPISODE = (("alpha doc", ("d1",)),)
 
-    def recording(prompt, seed):
-        prompts.append(prompt)
-        return scripted_rule("beta", ["alpha doc"])(prompt, seed)
 
-    opening = Opening("Query: alpha doc", ("alpha doc", ("d1",)))
-    transcript = run_episode(
-        "Which doc?", MockBackend(rule=recording), index, provider,
-        EvalConfig(max_hops=2, k=1), default_decode_params("eval_greedy"), opening=opening,
-    )
-    assert prompts == ["Question: Which doc?\nQuery: alpha doc\nDocument: d1\n"]
-    assert transcript == Transcript((("alpha doc", ("d1",)),), "beta", "answered")
-    ended = run_episode(
-        "Which doc?", MockBackend(rule=recording), index, provider, EvalConfig(),
-        default_decode_params("eval_greedy"), opening=Opening("Answer: gamma", None),
-    )
-    assert ended == Transcript((), "gamma", "answered")
-    assert len(prompts) == 1
+@pytest.mark.parametrize("played, transcript", [
+    (Played(EPISODE, "Answer: beta", False), Transcript(EPISODE, "beta", "answered")),
+    (Played((), "Answer: gamma", False), Transcript((), "gamma", "answered")),
+    (Played((), "a bare line", False), Transcript((), None, "empty_completion")),
+    (Played(EPISODE, "bare answer", True), Transcript(EPISODE, "bare answer", "answered")),
+    (Played(EPISODE, "Query: q2", True), Transcript(EPISODE, None, "hop_limit")),
+])
+def test_run_episode_reads_a_played_episode_without_the_backend(played, transcript):
+    # a played episode stands for every turn: the backend, the index and the
+    # embedder are asked nothing
+    def refuse(*args):
+        raise AssertionError("asked for a completion")
+
+    assert run_episode(
+        "Which doc?", MockBackend(rule=refuse), None, None, EvalConfig(max_hops=1, k=1),
+        default_decode_params("eval_greedy"), played=played,
+    ) == transcript
 
 
 def test_score_qa():

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from hopsynth import httpjson, pipeline, retrieval
+from hopsynth.cli import main
 from hopsynth.config import PipelineConfig, TopicsConfig, build_embedder
-from hopsynth.evalharness import run_episode, score_fever, score_qa, self_consistency
+from hopsynth.evalharness import score_fever, score_qa, self_consistency
 from hopsynth.genbackend import (
     EVAL_GREEDY,
     EVAL_SELF_CONSISTENCY,
+    BackendUnavailable,
     MockBackend,
     default_decode_params,
 )
+from hopsynth.mockllm import GoldScriptRule
 from hopsynth.pairing import derive_seed
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pipeline import (
@@ -32,7 +35,7 @@ from hopsynth.retrieval import EMBED_BLOCK, EmbeddingError, HashEmbedder, HttpEm
 from hopsynth.synthesis import FEVER_LABELS
 from hopsynth.verification import VerifyConfig, validate_instance, verify_query
 
-from oracles import OracleHashEmbedder
+from oracles import OracleHashEmbedder, oracle_episode
 from synthcorpus import make_corpus, write_corpus
 
 
@@ -416,7 +419,7 @@ def test_run_eval_self_consistency_mode(tmp_path, corpus_path):
 
 class SeededTurnRule:
     """Each turn's line drawn from (prompt, seed): mostly a query naming one
-    of a few titles, so opening queries repeat within a block, else an
+    of a few titles, so queries repeat within a round, else an
     answer, an empty line or a bare line. Sampled episodes of one question
     therefore differ."""
 
@@ -442,29 +445,30 @@ class RecordingBackend:
         return self.inner.raw_complete(text, params)
 
 
-def _episode_at_a_time_eval(items, corpus, config, backend):
-    """run_eval as it ran before episodes opened in blocks: each episode
-    runs by itself through run_episode without an opening."""
+def _per_turn_oracle_eval(items, corpus, config, backend):
+    """run_eval with each episode played by itself through `oracle_episode`:
+    one completion per turn, one mat-vec top-k per query."""
     store = build_store(corpus, config)
     provider = build_embedder(config)
     index = build_index(store, provider)
     sampled = config.eval.mode == "self_consistency"
     params = default_decode_params(EVAL_SELF_CONSISTENCY if sampled else EVAL_GREEDY)
     gold_field = "label" if config.task == "fever" else "answer"
-    records, varied = [], False
+    records, varied, hops = [], False, Counter()
     for item in items:
         if sampled:
             seeds = [derive_seed(config.seed, "eval", item["id"], s)
                      for s in range(config.eval.self_consistency_samples)]
         else:
             seeds = [derive_seed(config.seed, "eval", item["id"])]
-        answers = [
-            run_episode(item["question"], backend, index, provider, config.eval,
-                        params.with_seed(seed),
-                        doc_text_lookup=lambda doc_id: store.documents[doc_id].text,
-                        ).final_answer or ""
-            for seed in seeds
-        ]
+        answers = []
+        for seed in seeds:
+            turns, _, _, answer, _ = oracle_episode(
+                item["question"], backend, params.with_seed(seed), index, provider,
+                config.eval.k, config.eval.max_hops, lambda doc_id: store.documents[doc_id].text,
+            )
+            answers.append(answer or "")
+            hops[len(turns)] += 1
         varied |= len(set(answers)) > 1
         records.append({"id": item["id"], "prediction": self_consistency(answers),
                         "gold": item[gold_field]})
@@ -475,15 +479,14 @@ def _episode_at_a_time_eval(items, corpus, config, backend):
         em, f1 = score_qa(predictions, golds)
         report = {"em": em, "f1": f1}
     report["items"] = records
-    return report, varied
+    return report, varied, hops
 
 
+@pytest.mark.parametrize("max_hops", [1, 2, 3])
 @pytest.mark.parametrize("block", [1, 7, 64])
 @pytest.mark.parametrize("mode", ["greedy", "self_consistency"])
 @pytest.mark.parametrize("task", ["mqa", "fever"])
-def test_run_eval_opening_pass_equals_episodes_one_at_a_time(
-    tmp_path, monkeypatch, task, mode, block
-):
+def test_run_eval_equals_the_per_turn_oracle(tmp_path, monkeypatch, task, mode, block, max_hops):
     records = make_corpus(n_docs=40, seed=6, n_topics=4)
     corpus = write_corpus(tmp_path / "corpus.jsonl", records)
     gold_field = "label" if task == "fever" else "answer"
@@ -495,17 +498,20 @@ def test_run_eval_opening_pass_equals_episodes_one_at_a_time(
     rule = SeededTurnRule([r["title"] for r in records[:5]], golds)
     config = make_config(task=task)
     config.eval.mode, config.eval.self_consistency_samples, config.eval.k = mode, 3, 3
+    config.eval.max_hops = max_hops
     monkeypatch.setattr(retrieval, "EMBED_BLOCK", block)
 
     backend = RecordingBackend(rule)
     report = run_eval(eval_path, corpus, config, backend=backend)
     reference_backend = RecordingBackend(rule)
-    expected, varied = _episode_at_a_time_eval(items, corpus, config, reference_backend)
+    expected, varied, hops = _per_turn_oracle_eval(items, corpus, config, reference_backend)
     assert json.dumps(report) == json.dumps(expected)
     # each (prompt, seed) is completed once, and the requests are the reference's
     assert max(backend.requests.values()) == 1
     assert backend.requests == reference_backend.requests
     assert varied == (mode == "self_consistency")
+    # episodes end at every hop count, the hop limit's included
+    assert set(hops) == set(range(max_hops + 1))
 
 
 def test_run_eval_backend_outage_raises(tmp_path):
@@ -537,6 +543,74 @@ def test_run_eval_backend_outage_raises(tmp_path):
     with pytest.raises(BackendUnavailable):
         run_eval(eval_path, eval_corpus, make_config(), backend=backend)
     assert backend.calls == 2
+
+
+class RefusingEmbedder:
+    """The mock embedder, raising EmbeddingError on a call that holds one of
+    the `refused` texts."""
+
+    def __init__(self, inner, refused):
+        self.inner, self.refused, self.calls = inner, refused, 0
+
+    def __call__(self, texts):
+        self.calls += 1
+        if self.refused & set(texts):
+            raise EmbeddingError("bad payload")
+        return self.inner(texts)
+
+
+class DownOnSecondTurn:
+    """A scripted backend whose endpoint goes down on the first second-turn
+    completion; it keeps the prompts it was asked for."""
+
+    def __init__(self, rule):
+        self.inner, self.prompts = MockBackend(rule=rule), []
+
+    def raw_complete(self, text, params):
+        self.prompts.append(text)
+        if "\nQuery: " in text:
+            raise BackendUnavailable("endpoint down")
+        return self.inner.raw_complete(text, params)
+
+
+@pytest.mark.parametrize("failure", ["embedding", "backend"])
+def test_run_eval_later_round_failure_stops_the_run(tmp_path, monkeypatch, failure):
+    # an infrastructure failure after the openings fails the run; it is never
+    # scored as a wrong answer, and the CLI writes no report
+    records = make_corpus(n_docs=20, seed=8, n_topics=2)
+    corpus = write_corpus(tmp_path / "corpus.jsonl", records)
+    script = {f"What links {r['title']}?": {"queries": [r["title"], f"{r['title']} again"],
+                                            "answer": r["title"]} for r in records[:12]}
+    eval_path = tmp_path / "eval.jsonl"
+    eval_path.write_text("".join(json.dumps({"id": f"q{i}", "question": q, "answer": "x"}) + "\n"
+                                 for i, q in enumerate(script)))
+    config = make_config()
+    rule = GoldScriptRule(script)
+    second_queries = {entry["queries"][1] for entry in script.values()}
+
+    def clients():
+        if failure == "embedding":
+            return MockBackend(rule=rule), RefusingEmbedder(build_embedder(config), second_queries)
+        return DownOnSecondTurn(rule), build_embedder(config)
+
+    error = EmbeddingError if failure == "embedding" else BackendUnavailable
+    backend, provider = clients()
+    with pytest.raises(error):
+        run_eval(eval_path, corpus, config, backend=backend, provider=provider)
+    if failure == "embedding":
+        assert provider.calls == 3  # the index, the openings, then the second queries
+    else:
+        # every episode's first turn was completed before any second turn
+        assert len(backend.prompts) == len(script) + 1
+        assert [p.count("\nQuery: ") for p in backend.prompts] == [0] * len(script) + [1]
+
+    backend, provider = clients()
+    monkeypatch.setattr(pipeline, "build_backend", lambda _: backend)
+    monkeypatch.setattr(pipeline, "build_embedder", lambda _: provider)
+    out = tmp_path / "out" / "report.json"
+    assert main(["--seed", "11", "eval", "--in", str(eval_path), "--corpus", str(corpus),
+                 "--out", str(out)]) == 2
+    assert not out.parent.exists()
 
 
 def test_run_all_fever(tmp_path, corpus_path):
