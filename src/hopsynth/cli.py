@@ -98,24 +98,27 @@ def _configure(args) -> PipelineConfig:
 
 
 def _stage_rows(args, stage, store) -> list[dict]:
-    """The rows of --in, each checked for the fields `stage` reads, for the
-    values `pipeline.FIELD_TYPES` allows in them, and for a d1 and d2 that
-    name documents of the store."""
-    fields = pipeline.INPUT_FIELDS[stage]
-    checks = [(name, *pipeline.FIELD_TYPES[name]) for name in fields
-              if name in pipeline.FIELD_TYPES]
+    """The rows of --in, read with the checks of the fields `stage` reads
+    (`pipeline.INPUT_FIELDS`) and of a d1 and d2 that name documents of the
+    store. A verify row that is single-hop but names no document that
+    answers alone is refused as well, before the stage runs."""
+    in_store = (lambda value: isinstance(value, str) and value in store.documents,
+                f"a document of the store {args.store_path}")
+    fields = {"d1": in_store, "d2": in_store, **pipeline.INPUT_FIELDS[stage]}
     rows = []
     for line_no, row in read_numbered_rows(args.in_path, fields=fields):
-        for name in ("d1", "d2"):
-            if not isinstance(row[name], str) or row[name] not in store.documents:
-                raise ValueError(f"{args.in_path}:{line_no}: {name} {row[name]!r} is not a "
-                                 f"document of the store {args.store_path}")
-        for name, valid, expected in checks:
-            if not valid(row[name]):
-                raise ValueError(f"{args.in_path}:{line_no}: {name} {row[name]!r} is not "
-                                 f"{expected}")
+        if stage is pipeline.stage_verify and row["hops"] == "one" and (
+                set(row["answerable_in"]) <= {"both"}):
+            raise ValueError(f"{args.in_path}:{line_no}: hops 'one' but answerable_in "
+                             f"{row['answerable_in']!r} names no document that answers alone")
         rows.append(row)
     return rows
+
+
+def _write_json(value, path) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(value, indent=2) + "\n")
 
 
 def run_command(args) -> int:
@@ -134,7 +137,7 @@ def run_command(args) -> int:
         rows, counters = stage(store, *inputs, config)
         (write_jsonl if command == "verify" else write_rows)(rows, args.out_path)
         if command == "verify" and args.report:
-            Path(args.report).write_text(json.dumps(counters, indent=2) + "\n")
+            _write_json(counters, args.report)
         print(json.dumps({"counters": counters}), file=sys.stderr)
         return 0
 
@@ -150,16 +153,14 @@ def run_command(args) -> int:
 
     if command == "eval":
         report = pipeline.run_eval(args.in_path, args.corpus_path, config)
-        out = Path(args.out_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2) + "\n")
+        _write_json(report, args.out_path)
         headline = {key: value for key, value in report.items() if key != "items"}
         print(json.dumps(headline))
         return 0
 
     if command == "run-all":
         report = pipeline.run_all(args.in_path, args.out_path, config)
-        Path(args.out_path, "report.json").write_text(json.dumps(report, indent=2) + "\n")
+        _write_json(report, Path(args.out_path, "report.json"))
         print(json.dumps({k: report[k] for k in ("task", "counters", "conserved")}))
         return 0
 

@@ -114,23 +114,21 @@ def truncate_text(text: str, max_tokens: int) -> str:
     return text[: spans[max_tokens - 1][1]]
 
 
+_NON_EMPTY = (lambda value: isinstance(value, str) and value != "", "a non-empty string")
+_RECORD_FIELDS = {"id": _NON_EMPTY, "title": _NON_EMPTY, "text": _NON_EMPTY}
+
+
 def _check_record(record: dict, where: str) -> None:
-    for key in ("id", "title", "text"):
-        if not isinstance(record.get(key), str) or not record[key]:
-            raise CorpusFormatError(f"{where}: missing or empty field {key!r}")
     anchors = record.get("anchors", [])
-    if not isinstance(anchors, list):
-        raise CorpusFormatError(f"{where}: anchors must be an array")
-    for anchor in anchors:
-        if (
-            not isinstance(anchor, dict)
-            or not isinstance(anchor.get("span"), str)
-            or not isinstance(anchor.get("target"), str)
-        ):
-            raise CorpusFormatError(f"{where}: anchor needs string span and target")
+    for anchor in anchors if isinstance(anchors, list) else (None,):  # not a list: one bad anchor
+        if not (isinstance(anchor, dict) and isinstance(anchor.get("span"), str)
+                and isinstance(anchor.get("target"), str)):
+            raise CorpusFormatError(
+                f"{where}: anchors {anchors!r} is not a list of {{'span': str, 'target': str}}"
+            )
     topic = record.get("topic")
     if topic is not None and not isinstance(topic, str):
-        raise CorpusFormatError(f"{where}: topic must be a string")
+        raise CorpusFormatError(f"{where}: topic {topic!r} is not a string")
 
 
 def ingest_corpus(
@@ -151,7 +149,7 @@ def ingest_corpus(
     labeler = (topics or TopicsConfig()).labeler
     path = Path(path)
     try:
-        rows = read_numbered_rows(path, CorpusFormatError)
+        rows = read_numbered_rows(path, CorpusFormatError, _RECORD_FIELDS)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
 

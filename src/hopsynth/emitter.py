@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .jsonl import read_rows, write_rows
+from .jsonl import STRING, is_strings, read_numbered_rows, write_rows
 from .metrics import word_count
-from .synthesis import TASK_FEVER
+from .pairing import RELATION
+from .synthesis import TASK_FEVER, TASK_MQA
 from .verification import DataInstance
 
 
@@ -49,21 +50,23 @@ def instance_to_record(instance: DataInstance) -> dict:
     }
 
 
-def record_to_instance(record: dict) -> DataInstance:
-    """Rebuild an instance; a record whose n_hops is not its number of hops
-    is rejected (ValueError)."""
-    hops = tuple((h["query"], tuple(h["retrieved"])) for h in record["hops"])
-    if record["n_hops"] != len(hops):
-        raise ValueError(f"{record['id']}: n_hops {record['n_hops']} but {len(hops)} hops")
-    return DataInstance(
-        id=record["id"],
-        task=record["task"],
-        relation=record["relation"],
-        question_or_claim=record["question"],
-        hops=hops,
-        answer=record["answer"],
-        source_pair=(record["source_pair"][0], record["source_pair"][1]),
+def _is_hops(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(hop, dict) and isinstance(hop.get("query"), str)
+        and is_strings(hop.get("retrieved")) for hop in value
     )
+
+
+_RECORD_FIELDS = {  # what read_jsonl checks, in the output format's field order
+    "id": STRING,
+    "task": (lambda value: value in (TASK_MQA, TASK_FEVER), f"{TASK_MQA!r} or {TASK_FEVER!r}"),
+    "relation": RELATION,
+    "question": STRING,
+    "answer": STRING,
+    "hops": (_is_hops, "a list of {'query': str, 'retrieved': [str]}"),
+    "source_pair": (lambda value: is_strings(value) and len(value) == 2, "a list of two strings"),
+    "n_hops": (lambda value: type(value) is int, "an integer"),
+}
 
 
 def write_jsonl(instances: Sequence[DataInstance], path: str | Path) -> int:
@@ -72,7 +75,23 @@ def write_jsonl(instances: Sequence[DataInstance], path: str | Path) -> int:
 
 
 def read_jsonl(path: str | Path) -> list[DataInstance]:
-    return [record_to_instance(record) for record in read_rows(path)]
+    """A dataset file's instances; a record that fails a `_RECORD_FIELDS` check,
+    or whose n_hops is not its number of hops, raises ValueError naming `<path>:<line>`."""
+    instances = []
+    for line, record in read_numbered_rows(path, fields=_RECORD_FIELDS):
+        if record["n_hops"] != len(record["hops"]):
+            raise ValueError(f"{path}:{line}: n_hops {record['n_hops']} but "
+                             f"{len(record['hops'])} hops")
+        instances.append(DataInstance(
+            id=record["id"],
+            task=record["task"],
+            relation=record["relation"],
+            question_or_claim=record["question"],
+            hops=tuple((h["query"], tuple(h["retrieved"])) for h in record["hops"]),
+            answer=record["answer"],
+            source_pair=(record["source_pair"][0], record["source_pair"][1]),
+        ))
+    return instances
 
 
 def split_dev(

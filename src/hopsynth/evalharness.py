@@ -17,7 +17,7 @@ completes every live episode's next turn, in block order, then embeds and
 searches the round's distinct new queries EMBED_BLOCK at a time. The
 backend gets all first turns of a block, then all second turns, and so on;
 each (prompt, seed) once. `run_episode` reads a played episode into a
-`Transcript`; called without one, it plays its single episode the same way.
+`Transcript`.
 """
 
 from __future__ import annotations
@@ -133,27 +133,13 @@ def play_episodes(
             for episode_turns, line in zip(turns, lines)]
 
 
-def run_episode(
-    question: str,
-    backend: Backend,
-    index: FlatIndex,
-    provider,
-    config: EvalConfig,
-    params: DecodeParams,
-    doc_text_lookup=None,
-    played: Optional[Played] = None,
-) -> Transcript:
-    """The transcript of one retrieval episode for a question: its answer and
-    why it halted, read from `played`.
+def run_episode(question: str, played: Played) -> Transcript:
+    """The transcript of a question's retrieval episode, played by
+    `play_episodes`: its turns, its answer and why it halted.
 
-    Without a played episode, the episode is played by itself through
-    `play_episodes` (see there for the turns, `params` and
-    `doc_text_lookup`); with one, the backend is asked nothing.
+    The backend is asked nothing. `question` names the episode: perfbench's
+    tracer keys each `run_episode` span on the first argument.
     """
-    if played is None:
-        played = play_episodes(
-            [(question, params)], backend, index, provider, config, doc_text_lookup
-        )[0]
     line, at_limit = played.line, played.at_limit
     if line.startswith("Answer:"):
         answer = line[len("Answer:"):].strip()

@@ -1,40 +1,52 @@
 """JSONL files: one JSON object per line.
 
 The one reader and writer of every JSONL file hopsynth reads or writes:
-corpora and stores, stage rows, datasets, few-shot examples and embedding
-tables. It imports nothing from the package, so every module can use it.
+corpora and stores, stage rows, datasets, evaluation items, few-shot
+examples and embedding tables. It imports nothing from the package, so
+every module can use it.
 
 Lines split on `\n` only, and a `\r` before it is dropped with it. The writer
 keeps non-ASCII characters as they are, U+2028, U+2029 and U+0085 included,
 which `str.splitlines` would also split on. The reader reads the open file
 line by line, decodes each line as UTF-8 and yields each object as it is
 parsed, so reading holds one line at a time and the caller decides which
-objects it keeps.
+objects it keeps. It is also the one checker of a row's required fields.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping, Optional
+
+# A field's check: (valid, expected), read as "<field> <value!r> is not <expected>".
+Check = tuple[Callable[[object], bool], str]
+STRING: Check = (lambda value: isinstance(value, str), "a string")
+
+
+def is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
 def read_numbered_rows(
-    path, error: type[Exception] = ValueError, fields: tuple[str, ...] = ()
+    path, error: type[Exception] = ValueError, fields: Mapping[str, Optional[Check]] = {}
 ) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line, in file order.
 
     `path` is a file path or an `importlib.resources` file. The file is
     opened at the call, so an unreadable path raises OSError here, and read
-    lazily as the result is iterated. A line that is not UTF-8, not valid
-    JSON, not a JSON object, or an object without one of `fields` raises
-    `error` naming `<path>:<line>`.
+    lazily as the result is iterated. `fields` maps each field a row must
+    hold to None, or to the `Check` its value must pass. A line that is not
+    UTF-8, not valid JSON or not a JSON object raises `error` naming
+    `<path>:<line>`, and so does a row without a field (`missing field 'x'`)
+    or with a value its check refuses (`x <value!r> is not <expected>`).
     """
     source = Path(path) if isinstance(path, str) else path
-    return _numbered_rows(source.open("rb"), path, error, fields)
+    checks = [(name, *(check or (None, None))) for name, check in fields.items()]
+    return _numbered_rows(source.open("rb"), path, error, checks)
 
 
-def _numbered_rows(handle, path, error, fields) -> Iterator[tuple[int, dict]]:
+def _numbered_rows(handle, path, error, checks) -> Iterator[tuple[int, dict]]:
     with handle:
         for line_no, raw in enumerate(handle, 1):
             try:
@@ -51,19 +63,22 @@ def _numbered_rows(handle, path, error, fields) -> Iterator[tuple[int, dict]]:
                 raise error(f"{path}:{line_no}: {message}") from exc
             if not isinstance(row, dict):
                 raise error(f"{path}:{line_no}: not a JSON object")
-            for name in fields:
+            for name, valid, expected in checks:
                 if name not in row:
                     raise error(f"{path}:{line_no}: missing field {name!r}")
+                if valid is not None and not valid(row[name]):
+                    raise error(f"{path}:{line_no}: {name} {row[name]!r} is not {expected}")
             yield line_no, row
 
 
-def read_rows(path, fields: tuple[str, ...] = ()) -> list[dict]:
+def read_rows(path, fields: Mapping[str, Optional[Check]] = {}) -> list[dict]:
     """The objects of a JSONL file, blank lines skipped; see `read_numbered_rows`."""
     return [row for _, row in read_numbered_rows(path, fields=fields)]
 
 
 def write_rows(rows: Iterable[dict], path) -> None:
-    """Write one JSON object per line, non-ASCII kept as is."""
+    """Write one JSON object per line, non-ASCII kept as is; a missing directory is made."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with Path(path).open("w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(json.dumps(row, ensure_ascii=False) + "\n")

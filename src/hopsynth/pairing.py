@@ -21,6 +21,8 @@ from .corpus import CorpusStore, Document, hyperlink_neighbors
 
 HYPER = "hyper"
 TOPIC = "topic"
+# the `jsonl` check of a row's relation field
+RELATION = (lambda value: value in (HYPER, TOPIC), f"{HYPER!r} or {TOPIC!r}")
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ from .corpus import CorpusStore, ingest_corpus, serialize_store
 from .emitter import dataset_stats, split_dev, write_jsonl
 from .evalharness import play_episodes, run_episode, score_fever, score_qa, self_consistency
 from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_params
-from .jsonl import read_numbered_rows
+from .jsonl import STRING, is_strings, read_rows
 from .pairing import (
     HYPER,
-    TOPIC,
+    RELATION,
     DocumentPair,
     answer_candidates,
     derive_rng,
@@ -90,9 +90,6 @@ def _run_steps(items: list, step) -> tuple[list, dict[str, int]]:
 
 def build_store(path: str | Path, config: PipelineConfig) -> CorpusStore:
     return ingest_corpus(path, config.corpus, config.topics)
-
-
-_PAIR_FIELDS = ("d1", "d2", "relation")  # what _pair_from_row reads
 
 
 def _pair_from_row(store: CorpusStore, row: dict) -> DocumentPair:
@@ -172,9 +169,6 @@ def stage_questions(
         return {**row, "question": draft.text}
 
     return _run_steps(list(zip(pair_rows, drafts, strict=True)), step)
-
-
-_DRAFT_FIELDS = (*_PAIR_FIELDS, "question", "answer")  # what _draft_from_row reads
 
 
 def _draft_from_row(store: CorpusStore, row: dict, task: str) -> QuestionDraft:
@@ -273,23 +267,9 @@ def stage_verify(
     return _run_steps(candidate_rows, step)
 
 
-# The fields each stage reads of its input rows; a stage command checks its
-# --in file against them, so a row missing one is named by file and line.
-INPUT_FIELDS = {
-    stage_questions: (*_PAIR_FIELDS, "answer"),
-    stage_filter_answers: _DRAFT_FIELDS,
-    stage_queries: (*_PAIR_FIELDS, "question", "final_answer"),
-    stage_verify: (*_DRAFT_FIELDS, "hops", "answerable_in", "final_answer", "candidates"),
-}
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
 def _is_contexts(value) -> bool:
-    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
-            and value == sorted(set(value)) and set(value) <= {"both", "first", "second"})
+    return (is_strings(value) and value == sorted(set(value))
+            and set(value) <= {"both", "first", "second"})
 
 
 def _is_candidates(value) -> bool:
@@ -300,19 +280,25 @@ def _is_candidates(value) -> bool:
     )
 
 
-# What a row field of INPUT_FIELDS must hold, as the rules that read it take
-# it: field -> (check, what the field is when the check fails). d1 and d2
-# name store documents, which the stage command checks against its store.
-FIELD_TYPES = {
-    "relation": (lambda value: value in (HYPER, TOPIC), f"{HYPER!r} or {TOPIC!r}"),
-    "answer": (_is_str, "a string"),
-    "question": (_is_str, "a string"),
-    "final_answer": (_is_str, "a string"),
-    "hops": (lambda value: value in ("one", "two"), "'one' or 'two'"),
-    "answerable_in": (_is_contexts,
-                      "a sorted list of distinct values from 'both', 'first', 'second'"),
-    "candidates": (_is_candidates, f"a list of {{'text': str, 'origin': {ORIGIN_MODEL!r} or "
-                                   f"{ORIGIN_BACKUP!r}, 'rank': int}}"),
+_PAIR = {"relation": RELATION}  # what _pair_from_row reads besides d1 and d2
+_DRAFT = {**_PAIR, "question": STRING, "answer": STRING}  # what _draft_from_row reads
+
+# The fields each stage reads of its input rows besides d1 and d2, each with
+# the check it must pass as the rules that read it take it. A stage command
+# reads --in with them and with d1 and d2 checked against its store.
+INPUT_FIELDS = {
+    stage_questions: {**_PAIR, "answer": STRING},
+    stage_filter_answers: _DRAFT,
+    stage_queries: {**_PAIR, "question": STRING, "final_answer": STRING},
+    stage_verify: {
+        **_DRAFT,
+        "hops": (lambda value: value in ("one", "two"), "'one' or 'two'"),
+        "answerable_in": (_is_contexts,
+                          "a sorted list of distinct values from 'both', 'first', 'second'"),
+        "final_answer": STRING,
+        "candidates": (_is_candidates, f"a list of {{'text': str, 'origin': {ORIGIN_MODEL!r} "
+                                       f"or {ORIGIN_BACKUP!r}, 'rank': int}}"),
+    },
 }
 
 
@@ -321,7 +307,6 @@ def write_splits(
 ) -> tuple[list[DataInstance], list[DataInstance]]:
     """Split off a seeded dev set and write train.jsonl and dev.jsonl to out_dir."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dev_size = min(config.dev_size, len(instances))
     train, dev = split_dev(instances, dev_size=dev_size, seed=derive_seed(config.seed, "dev"))
     write_jsonl(train, out_dir / "train.jsonl")
@@ -378,6 +363,16 @@ def run_all(
     return report
 
 
+# task -> (the gold field of an evaluation item, its check)
+_GOLD_FIELDS = {
+    TASK_MQA: ("answer", STRING),
+    TASK_FEVER: ("label", (
+        lambda value: isinstance(value, str) and synthesis.normalize_label(value) in FEVER_LABELS,
+        f"one of {', '.join(map(repr, FEVER_LABELS))}",
+    )),
+}
+
+
 def run_eval(
     eval_path: str | Path,
     corpus_path: str | Path,
@@ -388,9 +383,9 @@ def run_eval(
     """Score an evaluation set with retrieval episodes.
 
     Items carry {"id", "question", "answer"} (QA) or {"id", "question",
-    "label"} (fact verification); an item without them, a question or gold
-    field that is not a string, or a label outside FEVER_LABELS, raises
-    ValueError naming `<path>:<line>` before any episode runs.
+    "label"} (fact verification); an item without them, a question or answer
+    that is not a string, or a label not in FEVER_LABELS once normalized,
+    raises ValueError naming `<path>:<line>` before any episode runs.
     `config.eval.mode` picks greedy decoding, one episode per item, or
     self-consistency, several sampled episodes; either way the prediction
     is the majority vote over the item's answers.
@@ -405,16 +400,8 @@ def run_eval(
     provider = provider or build_embedder(config)
     store = build_store(corpus_path, config)
     index = build_index(store, provider)
-    gold_field = "label" if config.task == TASK_FEVER else "answer"
-    items = []
-    for line, item in read_numbered_rows(eval_path, fields=("id", "question", gold_field)):
-        for name in ("question", gold_field):
-            if not isinstance(item[name], str):
-                raise ValueError(f"{eval_path}:{line}: {name} {item[name]!r} is not a string")
-        label = item[gold_field]
-        if config.task == TASK_FEVER and synthesis.normalize_label(label) not in FEVER_LABELS:
-            raise ValueError(f"{eval_path}:{line}: label {label!r} is outside {FEVER_LABELS}")
-        items.append(item)
+    gold_field, gold_check = _GOLD_FIELDS[config.task]
+    items = read_rows(eval_path, fields={"id": None, "question": STRING, gold_field: gold_check})
     lookup = lambda doc_id: store.documents[doc_id].text  # noqa: E731
     sampled = config.eval.mode == "self_consistency"
     params = default_decode_params(EVAL_SELF_CONSISTENCY if sampled else EVAL_GREEDY)
@@ -432,11 +419,8 @@ def run_eval(
     stream, answers = episodes(), []
     while block := list(islice(stream, retrieval.EMBED_BLOCK)):
         played = play_episodes(block, backend, index, provider, config.eval, lookup)
-        for (question, episode_params), episode in zip(block, played, strict=True):
-            answers.append(run_episode(
-                question, backend, index, provider, config.eval, episode_params,
-                doc_text_lookup=lookup, played=episode,
-            ).final_answer or "")
+        for (question, _), episode in zip(block, played, strict=True):
+            answers.append(run_episode(question, episode).final_answer or "")
     records = [
         {"id": item["id"], "prediction": self_consistency(answers[n * samples:(n + 1) * samples]),
          "gold": item[gold_field]}

@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .jsonl import read_numbered_rows
+from .jsonl import STRING, is_strings, read_numbered_rows
 
 TASK_MQA = "mqa"
 TASK_FEVER = "fever"
@@ -95,22 +95,17 @@ def _check_task(task: str, setting: str, stage: Optional[str] = None) -> None:
         raise PromptError("fact verification only uses the hyper setting")
 
 
-_EXAMPLE_FIELDS = ("documents", "question", "answer")
-
-
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+_EXAMPLE_FIELDS = {
+    "documents": (lambda value: is_strings(value) and len(value) == 2, "a list of two strings"),
+    "question": STRING,
+    "answer": STRING,
+}
 
 
 def _example_from_row(row: dict, where: str) -> FewShotExample:
     documents, queries = row["documents"], row.get("queries", [])
-    if not (_is_strings(documents) and len(documents) == 2):
-        raise ValueError(f"{where}: field 'documents' is not two strings")
-    for name in ("question", "answer"):
-        if not isinstance(row[name], str):
-            raise ValueError(f"{where}: field {name!r} is not a string")
-    if not _is_strings(queries):
-        raise ValueError(f"{where}: field 'queries' is not a list of strings")
+    if not is_strings(queries):
+        raise ValueError(f"{where}: queries {queries!r} is not a list of strings")
     try:
         return FewShotExample(
             documents=(documents[0], documents[1]),
@@ -125,10 +120,10 @@ def _example_from_row(row: dict, where: str) -> FewShotExample:
 def load_examples(path: str | Path) -> list[FewShotExample]:
     """Read a few-shot store: JSONL of documents/question/answer/queries.
 
-    A row missing a field, whose documents are not two strings, whose
-    question or answer is not a string, whose queries (optional) are not a
-    list of strings, or that `FewShotExample` refuses, raises ValueError
-    naming `<path>:<line>`.
+    The reader checks the required fields (`_EXAMPLE_FIELDS`: documents two
+    strings, question and answer strings). A row that fails one, whose
+    queries (optional) are not a list of strings, or that `FewShotExample`
+    refuses, raises ValueError naming `<path>:<line>`.
     """
     rows = read_numbered_rows(path, fields=_EXAMPLE_FIELDS)
     return [_example_from_row(row, f"{path}:{line}") for line, row in rows]

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._kernels import select_topk
 from .httpjson import JsonSession, post_with_retries
-from .jsonl import read_numbered_rows
+from .jsonl import STRING, read_numbered_rows
 from .metrics import word_tokens
 
 
@@ -173,20 +173,19 @@ class HashEmbedder:
 class FileEmbedder:
     """Precomputed embeddings keyed by exact text.
 
-    A row whose text is not a string, or whose vector is not a list of
-    numbers finite in float32 (the check `HttpEmbedder` makes), raises
+    A bad line, a text that is not a string, or a vector that is not a list
+    of numbers finite in float32 (the check `HttpEmbedder` makes) raises
     EmbeddingError naming `<path>:<line>` as the file loads.
     """
 
     def __init__(self, path: str | Path):
         self.table = {}
-        for line, row in read_numbered_rows(path, fields=("text", "vector")):
-            text, vec = row["text"], _float32_vector(row["vector"])
-            if not isinstance(text, str):
-                raise EmbeddingError(f"{path}:{line}: text {text!r} is not a string")
-            if vec is None:
-                raise EmbeddingError(f"{path}:{line}: vector is not a list of finite numbers")
-            self.table[text] = vec
+        for line, row in read_numbered_rows(path, EmbeddingError, {"text": STRING, "vector": None}):
+            if (vec := _float32_vector(row["vector"])) is None:
+                raise EmbeddingError(
+                    f"{path}:{line}: vector {row['vector']!r} is not a list of finite numbers"
+                )
+            self.table[row["text"]] = vec
 
     def __call__(self, texts: list[str]) -> list[np.ndarray]:
         out = []

@@ -221,13 +221,14 @@ def test_bad_jsonl_line_of_examples_or_corpus_names_file_and_line(tmp_path, caps
 
 @pytest.mark.parametrize("row,message", [
     ({"documents": ["a", "b"], "answer": "c"}, "missing field 'question'"),
-    ({"documents": ["a"], "question": "q", "answer": "b"}, "field 'documents' is not two strings"),
-    ({"documents": ["a", "b"], "question": 5, "answer": "c"}, "field 'question' is not a string"),
-    ({"documents": ["a", "b"], "question": "q", "answer": ["c"]}, "field 'answer' is not a string"),
+    ({"documents": ["a"], "question": "q", "answer": "b"},
+     "documents ['a'] is not a list of two strings"),
+    ({"documents": ["a", "b"], "question": 5, "answer": "c"}, "question 5 is not a string"),
+    ({"documents": ["a", "b"], "question": "q", "answer": ["c"]}, "answer ['c'] is not a string"),
     ({"documents": ["a", "b"], "question": "q", "answer": "c", "queries": "one"},
-     "field 'queries' is not a list of strings"),
+     "queries 'one' is not a list of strings"),
     ({"documents": ["a", "b"], "question": "q", "answer": "c", "queries": ["a", 1]},
-     "field 'queries' is not a list of strings"),
+     "queries ['a', 1] is not a list of strings"),
     ({"documents": ["a", "b"], "question": "q", "answer": "c", "queries": ["a", "b", "c"]},
      "an example carries at most two queries"),
 ])
@@ -251,9 +252,9 @@ def test_embedding_file_row_missing_a_field_names_file_and_line(tmp_path, capsys
 
 
 @pytest.mark.parametrize("row,message", [
-    ({"text": "y", "vector": ["x", 0.0]}, "vector is not a list of finite numbers"),
-    ({"text": "y", "vector": [float("nan"), 0.0]}, "vector is not a list of finite numbers"),
-    ({"text": "y", "vector": [True, False]}, "vector is not a list of finite numbers"),
+    ({"text": "y", "vector": ["x", 0.0]}, "vector ['x', 0.0] is not a list of finite numbers"),
+    ({"text": "y", "vector": [float("nan"), 0.0]}, "vector [nan, 0.0] is not a list of finite numbers"),
+    ({"text": "y", "vector": [True, False]}, "vector [True, False] is not a list of finite numbers"),
     ({"text": 5, "vector": [1.0, 0.0]}, "text 5 is not a string"),
 ], ids=["string_entry", "nan_entry", "booleans", "text_not_a_string"])
 def test_embedding_file_bad_row_names_file_and_line(tmp_path, capsys, row, message):
@@ -382,6 +383,70 @@ def test_verify_row_field_of_the_wrong_type_names_file_and_line(
     assert code == 2
     assert f"error: {path}:2: {field} " in capsys.readouterr().err
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_verify_refuses_a_single_hop_row_that_no_document_answers(
+    tmp_path, capsys, demo_candidates
+):
+    # such a row passes every field check; it used to stop the stage partway
+    # with "single-hop decision without an answerable document" and no line
+    store, rows = demo_candidates
+    capsys.readouterr()
+    code, path = _verify_rows(tmp_path, store, [
+        rows[0], {**rows[1], "hops": "one", "answerable_in": ["both"]}, rows[2],
+    ])
+    assert code == 2
+    assert (f"error: {path}:2: hops 'one' but answerable_in ['both'] names no document "
+            f"that answers alone") in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_stage_commands_create_the_out_parent(tmp_path, capsys, demo_candidates):
+    # each used to run its stage, then exit 2 with "No such file or directory"
+    store, rows = demo_candidates
+    missing = tmp_path / "missing"
+    base = ["--config", str(DEMO / "config.txt")]
+    assert main(base + ["ingest", "--in", str(DEMO / "corpus.jsonl"),
+                        "--out", str(missing / "a" / "store.jsonl")]) == 0
+    assert main(base + ["pair", "--store", str(store),
+                        "--out", str(missing / "b" / "pairs.jsonl")]) == 0
+    rows_path = tmp_path / "rows.jsonl"
+    rows_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert main(base + ["verify", "--store", str(store), "--in", str(rows_path),
+                        "--out", str(missing / "c" / "out.jsonl"),
+                        "--report", str(missing / "d" / "report.json")]) == 0
+    assert (missing / "a" / "store.jsonl").read_bytes() == store.read_bytes()
+    assert (missing / "b" / "pairs.jsonl").stat().st_size > 0
+    assert (missing / "c" / "out.jsonl").stat().st_size > 0
+    assert json.loads((missing / "d" / "report.json").read_text())["attempts"] == len(rows)
+
+
+_DATASET_RECORD = {
+    "id": "i0", "task": "mqa", "relation": "hyper", "question": "Q?", "answer": "A",
+    "hops": [{"query": "q", "retrieved": ["d1"]}], "source_pair": ["d1", "d2"], "n_hops": 1,
+}
+
+
+@pytest.mark.parametrize("command", ["stats", "emit"])
+@pytest.mark.parametrize("patch, message", [
+    (lambda r: {k: v for k, v in r.items() if k != "hops"}, "missing field 'hops'"),
+    (lambda r: {**r, "hops": "x"}, "hops 'x' is not a list of {'query': str, 'retrieved': [str]}"),
+    (lambda r: {**r, "hops": [{"query": "q", "retrieved": "d1"}]},
+     "hops [{'query': 'q', 'retrieved': 'd1'}] is not a list of"),
+    (lambda r: {**r, "source_pair": ["d1"]}, "source_pair ['d1'] is not a list of two strings"),
+    (lambda r: {**r, "task": "qa"}, "task 'qa' is not 'mqa' or 'fever'"),
+    (lambda r: {**r, "n_hops": "1"}, "n_hops '1' is not an integer"),
+    (lambda r: {**r, "n_hops": 2}, "n_hops 2 but 1 hops"),
+], ids=["no-hops", "hops-str", "retrieved-str", "pair-short", "task-qa", "n-hops-str",
+        "n-hops-mismatch"])
+def test_dataset_record_errors_name_file_and_line(tmp_path, capsys, command, patch, message):
+    # a record without hops used to print "error: 'hops'" and a traceback
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(_DATASET_RECORD) + "\n" + json.dumps(patch(_DATASET_RECORD)) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--in", str(path)] + (["--out", str(out)] if command == "emit" else [])) == 2
+    assert f"error: {path}:2: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stage_rerun_reproduces_output(tmp_path, corpus_path):
@@ -593,10 +658,12 @@ def test_dev_size_flag_is_validated(tmp_path, corpus_path, capsys, command):
     ("mqa", {"id": "q1", "question": "Who?"}, "missing field 'answer'"),
     ("mqa", {"id": "q1", "question": "Who?", "label": "SUPPORTS"}, "missing field 'answer'"),
     ("fever", {"id": "q1", "question": "Claim.", "answer": "SUPPORTS"}, "missing field 'label'"),
-    ("fever", {"id": "q1", "question": "Claim.", "label": "MAYBE"}, "label 'MAYBE' is outside"),
+    ("fever", {"id": "q1", "question": "Claim.", "label": "MAYBE"},
+     "label 'MAYBE' is not one of 'SUPPORTS', 'REFUTES', 'NOT ENOUGH INFO'"),
     ("mqa", {"id": "q1", "question": "Who?", "answer": 5}, "answer 5 is not a string"),
     ("mqa", {"id": "q1", "question": 7, "answer": "x"}, "question 7 is not a string"),
-    ("fever", {"id": "q1", "question": "Claim.", "label": 1}, "label 1 is not a string"),
+    ("fever", {"id": "q1", "question": "Claim.", "label": 1},
+     "label 1 is not one of 'SUPPORTS', 'REFUTES', 'NOT ENOUGH INFO'"),
     ("fever", {"id": "q1", "question": ["Claim."], "label": "SUPPORTS"},
      "question ['Claim.'] is not a string"),
 ], ids=["mqa_no_gold", "mqa_label_only", "fever_answer_only", "fever_unknown_label",

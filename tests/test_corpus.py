@@ -115,6 +115,45 @@ def test_malformed_record_reports_line(tmp_path):
         ingest_corpus(path)
 
 
+_ANCHORS_EXPECTED = "is not a list of {'span': str, 'target': str}"
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"anchors": "A"}, f"anchors 'A' {_ANCHORS_EXPECTED}"),
+    ({"anchors": {"span": "A", "target": "A"}},
+     f"anchors {{'span': 'A', 'target': 'A'}} {_ANCHORS_EXPECTED}"),
+    ({"anchors": ["A"]}, f"anchors ['A'] {_ANCHORS_EXPECTED}"),
+    ({"anchors": [{"span": "A"}]}, f"anchors [{{'span': 'A'}}] {_ANCHORS_EXPECTED}"),
+    ({"anchors": [{"span": "A", "target": 1}]},
+     f"anchors [{{'span': 'A', 'target': 1}}] {_ANCHORS_EXPECTED}"),
+    ({"anchors": [{"span": None, "target": "A"}]},
+     f"anchors [{{'span': None, 'target': 'A'}}] {_ANCHORS_EXPECTED}"),
+    ({"topic": 3}, "topic 3 is not a string"),
+    ({"topic": ["film"]}, "topic ['film'] is not a string"),
+    ({"id": ""}, "id '' is not a non-empty string"),
+    ({"title": ""}, "title '' is not a non-empty string"),
+    ({"text": ""}, "text '' is not a non-empty string"),
+    ({"id": 2}, "id 2 is not a non-empty string"),
+    ({"text": None}, "text None is not a non-empty string"),
+], ids=["anchors-str", "anchors-object", "anchor-str", "anchor-no-target", "anchor-int-target",
+        "anchor-null-span", "topic-int", "topic-list", "id-empty", "title-empty", "text-empty",
+        "id-int", "text-null"])
+def test_bad_record_names_file_line_field_and_value(tmp_path, patch, message):
+    path = write_corpus(tmp_path, [doc(1, "A", "one"), {**doc(2, "B", "two A"), **patch}])
+    with pytest.raises(CorpusFormatError) as raised:
+        ingest_corpus(path)
+    assert str(raised.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize("name", ["id", "title", "text"])
+def test_record_missing_a_field_names_file_line_and_field(tmp_path, name):
+    record = {key: value for key, value in doc(2, "B", "two").items() if key != name}
+    path = write_corpus(tmp_path, [doc(1, "A", "one"), record])
+    with pytest.raises(CorpusFormatError) as raised:
+        ingest_corpus(path)
+    assert str(raised.value) == f"{path}:2: missing field {name!r}"
+
+
 def test_unreadable_file():
     with pytest.raises(CorpusFormatError, match="cannot read"):
         ingest_corpus("/nonexistent/corpus.jsonl")

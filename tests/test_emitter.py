@@ -9,7 +9,6 @@ from hopsynth.emitter import (
     format_stats_report,
     instance_to_record,
     read_jsonl,
-    record_to_instance,
     split_dev,
     write_jsonl,
 )
@@ -38,7 +37,7 @@ def test_read_rejects_a_mislabeled_record(tmp_path):
     record["n_hops"] = 1
     path = tmp_path / "data.jsonl"
     path.write_text(json.dumps(record) + "\n")
-    with pytest.raises(ValueError, match="n_hops 1 but 2 hops"):
+    with pytest.raises(ValueError, match=r"data\.jsonl:1: n_hops 1 but 2 hops"):
         read_jsonl(path)
 
 
@@ -64,7 +63,9 @@ def test_record_field_names_and_order(tmp_path):
     ]
     assert list(record["hops"][0]) == ["query", "retrieved"]
     assert record["n_hops"] == 2
-    assert record_to_instance(record) == make_instance(0)
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    assert read_jsonl(path) == [make_instance(0)]
 
 
 def test_split_dev_sizes_and_disjoint():

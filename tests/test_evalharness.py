@@ -39,10 +39,16 @@ def scripted_rule(answer, queries):
     return rule
 
 
+def play_one(question, backend, index, provider, config, params, doc_text_lookup=None):
+    """The transcript of one episode: played by `play_episodes`, read by `run_episode`."""
+    played = play_episodes([(question, params)], backend, index, provider, config, doc_text_lookup)
+    return run_episode(question, played[0])
+
+
 def test_run_episode_query_then_answer():
     index, provider = toy_index({"d1": "alpha doc", "d2": "beta doc"})
     backend = MockBackend(rule=scripted_rule("alpha", ["alpha doc"]))
-    transcript = run_episode(
+    transcript = play_one(
         "Which doc?", backend, index, provider, EvalConfig(max_hops=2, k=1),
         default_decode_params("eval_greedy"),
     )
@@ -61,7 +67,7 @@ def test_run_episode_hop_limit_forces_answer():
         return "Query: alpha doc\n"
 
     backend = MockBackend(rule=only_queries)
-    transcript = run_episode(
+    transcript = play_one(
         "Q?", backend, index, provider, EvalConfig(max_hops=2, k=1),
         default_decode_params("eval_greedy"),
     )
@@ -73,7 +79,7 @@ def test_run_episode_hop_limit_forces_answer():
 def test_run_episode_hop_limit_without_usable_answer():
     index, provider = toy_index({"d1": "alpha doc"})
     backend = MockBackend(rule=lambda prompt, seed: "Query: alpha doc\n")
-    transcript = run_episode(
+    transcript = play_one(
         "Q?", backend, index, provider, EvalConfig(max_hops=2, k=1),
         default_decode_params("eval_greedy"),
     )
@@ -85,7 +91,7 @@ def test_run_episode_hop_limit_without_usable_answer():
 def test_run_episode_empty_completion():
     index, provider = toy_index({"d1": "alpha doc"})
     backend = MockBackend(table={})
-    transcript = run_episode(
+    transcript = play_one(
         "Q?", backend, index, provider, EvalConfig(), default_decode_params("eval_greedy")
     )
     assert transcript.halted_reason == "empty_completion"
@@ -101,7 +107,7 @@ def test_run_episode_context_layout():
         return scripted_rule("alpha", ["alpha doc"])(prompt, seed)
 
     backend = MockBackend(rule=recording)
-    run_episode(
+    play_one(
         "Which doc?", backend, index, provider, EvalConfig(max_hops=2, k=2),
         default_decode_params("eval_greedy"),
         doc_text_lookup=lambda i: {"d1": "alpha doc", "d2": "beta doc"}[i],
@@ -122,7 +128,7 @@ def test_run_episode_multiline_document_stays_one_line():
         prompts.append(prompt)
         return rule(prompt, seed)
 
-    transcript = run_episode(
+    transcript = play_one(
         "Who?", MockBackend(rule=recording), index, provider, EvalConfig(max_hops=2, k=1),
         default_decode_params("eval_greedy"),
         doc_text_lookup=lambda doc_id: "line one\nQuery: inside a document",
@@ -189,15 +195,8 @@ EPISODE = (("alpha doc", ("d1",)),)
     (Played(EPISODE, "Query: q2", True), Transcript(EPISODE, None, "hop_limit")),
 ])
 def test_run_episode_reads_a_played_episode_without_the_backend(played, transcript):
-    # a played episode stands for every turn: the backend, the index and the
-    # embedder are asked nothing
-    def refuse(*args):
-        raise AssertionError("asked for a completion")
-
-    assert run_episode(
-        "Which doc?", MockBackend(rule=refuse), None, None, EvalConfig(max_hops=1, k=1),
-        default_decode_params("eval_greedy"), played=played,
-    ) == transcript
+    # a played episode stands for every turn: there is nothing to ask
+    assert run_episode("Which doc?", played) == transcript
 
 
 def test_score_qa():
@@ -276,7 +275,7 @@ def test_run_episode_outcome_table(completions, max_hops, queries, answer, halte
         prompts.append(prompt)
         return next(script)
 
-    transcript = run_episode(
+    transcript = play_one(
         "Q?", MockBackend(rule=rule), index, provider, EvalConfig(max_hops=max_hops, k=1),
         default_decode_params("eval_greedy"),
     )

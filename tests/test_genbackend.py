@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from hopsynth.corpus import Document
-from hopsynth.evalharness import EvalConfig, run_episode
+from hopsynth.evalharness import EvalConfig, play_episodes, run_episode
 from hopsynth.genbackend import (
     BackendUnavailable,
     DecodeParams,
@@ -214,9 +214,8 @@ def test_episode_requests_send_the_line_stop():
     backend = HttpBackend("http://127.0.0.1:9", session=session)
     provider = HashEmbedder(dim=16)
     index = build_flat_index(["d1"], embed(provider, ["Paris"]))
-    transcript = run_episode(
-        "Where?", backend, index, provider, EvalConfig(),
-        default_decode_params("eval_greedy"),
-    )
+    params = default_decode_params("eval_greedy")
+    played = play_episodes([("Where?", params)], backend, index, provider, EvalConfig())
+    transcript = run_episode("Where?", played[0])
     assert transcript.final_answer == "Paris"
     assert [body["stop"] for body in session.bodies] == [["\n"]]

@@ -1,6 +1,6 @@
 """Every name a hopsynth module imports is referenced in that module, and
-every hopsynth name a benchmark script or the perfbench harness imports
-exists."""
+every hopsynth name a benchmark script or the perfbench harness imports, or
+reads from an imported hopsynth module, exists."""
 
 import ast
 import importlib
@@ -54,14 +54,17 @@ def hopsynth_imports(source: str) -> list[tuple[str, str]]:
     return found
 
 
-def _resolves(module: str, name: str) -> bool:
-    if hasattr(importlib.import_module(module), name):
-        return True
-    try:  # a submodule, as in `from hopsynth import retrieval`
+def _submodule(module: str, name: str) -> str | None:
+    try:
         importlib.import_module(f"{module}.{name}")
     except ModuleNotFoundError:
-        return False
-    return True
+        return None
+    return f"{module}.{name}"
+
+
+def _resolves(module: str, name: str) -> bool:
+    # a submodule counts, as in `from hopsynth import retrieval`
+    return hasattr(importlib.import_module(module), name) or _submodule(module, name) is not None
 
 
 @pytest.mark.parametrize("path", sorted(BENCHMARKS.glob("*.py")), ids=lambda path: path.name)
@@ -93,3 +96,119 @@ def test_benchmark_guard_reads_child_programs_and_flags_missing_names():
     missing = [(m, n) for m, n in hopsynth_imports(program) if not _resolves(m, n)]
     assert missing == [("hopsynth.pipeline", "no_such_name")]
     assert not _resolves("hopsynth", "no_such_module")
+
+
+BENCH_SCRIPTS = sorted([*BENCHMARKS.glob("*.py"), *PERFBENCH.glob("*.py")])
+# where a name's binding can change; a `for` loop rebinds its target in its body
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef, ast.For)
+
+
+def _scope_nodes(scope):
+    """The nodes of one scope, and the nested scopes, not what is inside them."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _loop_binding(node, modules) -> dict:
+    """`for module in (synthesis, evalharness):` binds `module` to both modules."""
+    if (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+            and isinstance(node.iter, ast.Tuple) and node.iter.elts
+            and all(isinstance(e, ast.Name) and e.id in modules for e in node.iter.elts)):
+        return {node.target.id: tuple(m for e in node.iter.elts for m in modules[e.id])}
+    return {}
+
+
+def hopsynth_attribute_reads(source: str) -> list[tuple[str, str]]:
+    """(module, attribute) of each `name.attr` in the source whose name an
+    import in its scope, or an enclosing one, binds to a hopsynth module (or a
+    `for` loop over a tuple of them); and of each call `f(name, "attr", ...)`
+    on one, such as the tracer's `patch(pipeline, "build_index", ...)`. An
+    attribute named by a computed string is not seen. String constants that
+    parse as Python, such as a child process's program, are read too."""
+    found = []
+
+    def visit(scope, modules):
+        modules = dict(modules)
+        nodes = list(_scope_nodes(scope))
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hopsynth"):
+                for alias in node.names:
+                    module = _submodule(node.module, alias.name)
+                    if module:
+                        modules[alias.asname or alias.name] = (module,)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("hopsynth.") and alias.asname:
+                        modules[alias.asname] = (alias.name,)
+        for node in nodes:
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                found.extend((module, node.attr) for module in modules[node.value.id])
+            elif (isinstance(node, ast.Call) and len(node.args) >= 2
+                  and isinstance(node.args[0], ast.Name) and node.args[0].id in modules
+                  and isinstance(node.args[1], ast.Constant)
+                  and isinstance(node.args[1].value, str)):
+                found.extend((module, node.args[1].value) for module in modules[node.args[0].id])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    found.extend(hopsynth_attribute_reads(node.value))
+                except SyntaxError:  # prose, not a program
+                    pass
+            elif isinstance(node, _SCOPES):
+                visit(node, {**modules, **_loop_binding(node, modules)})
+
+    visit(ast.parse(source), {})
+    return found
+
+
+@pytest.mark.parametrize("path", BENCH_SCRIPTS, ids=lambda path: path.parent.name + "/" + path.name)
+def test_bench_attribute_reads_resolve(path):
+    reads = hopsynth_attribute_reads(path.read_text(encoding="utf-8"))
+    missing = [f"{m}.{a}" for m, a in reads if not hasattr(importlib.import_module(m), a)]
+    assert missing == []
+
+
+def test_attribute_guard_sees_the_harness_reads():
+    found = {read for path in BENCH_SCRIPTS
+             for read in hopsynth_attribute_reads(path.read_text(encoding="utf-8"))}
+    assert {
+        ("hopsynth._kernels", "numba_enabled"),
+        ("hopsynth.pipeline", "build_store"),
+        ("hopsynth.pipeline", "counters_conserved"),
+        ("hopsynth.evalharness", "HALT_EMPTY"),
+        ("hopsynth.pipeline", "run_episode"),  # patched by name
+        ("hopsynth.evalharness", "complete"),  # patched in a loop over modules
+        ("hopsynth.verification", "search"),
+    } <= found
+
+
+def test_attribute_guard_flags_a_missing_attribute_by_scope():
+    program = (
+        "from hopsynth import pipeline\n"
+        "import hopsynth.retrieval as r\n"
+        "def run():\n"
+        "    from hopsynth import _kernels\n"
+        "    tracer.patch(pipeline, 'no_such_stage')\n"
+        "    return _kernels.no_such_kernel(), r.no_such_search, pipeline.build_store\n"
+        "    for module in (pipeline, r):\n"
+        "        tracer.patch(module, 'embed')\n"
+        "def other(_kernels):\n"
+        "    return _kernels.items()  # a local name, not the module\n"
+        "CHILD = 'from hopsynth import pipeline\\npipeline.no_such_child'\n"
+    )
+    reads = hopsynth_attribute_reads(program)
+    assert sorted(reads) == [
+        ("hopsynth._kernels", "no_such_kernel"),
+        ("hopsynth.pipeline", "build_store"),
+        ("hopsynth.pipeline", "embed"),
+        ("hopsynth.pipeline", "no_such_child"),
+        ("hopsynth.pipeline", "no_such_stage"),
+        ("hopsynth.retrieval", "embed"),
+        ("hopsynth.retrieval", "no_such_search"),
+    ]
+    missing = [(m, a) for m, a in reads if not hasattr(importlib.import_module(m), a)]
+    assert missing == [(m, a) for m, a in reads if a.startswith("no_such")]

@@ -432,8 +432,24 @@ def test_file_backend_refuses_a_bad_vector_at_load(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text(json.dumps({"text": "x", "vector": [1.0]}) + "\n\n"
                     + json.dumps({"text": "y", "vector": [1e39]}) + "\n")
-    with pytest.raises(EmbeddingError, match=re.escape(f"{path}:3: vector is not a list")):
+    with pytest.raises(EmbeddingError, match=re.escape(f"{path}:3: vector [1e+39] is not a list")):
         FileEmbedder(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{bad", "invalid JSON (Expecting property name enclosed in double quotes at column 2)"),
+    ('["y", [1.0]]', "not a JSON object"),
+    ('{"text": "y"}', "missing field 'vector'"),
+    ('{"vector": [1.0]}', "missing field 'text'"),
+    ('{"text": ["y"], "vector": [1.0]}', "text ['y'] is not a string"),
+], ids=["invalid-json", "not-an-object", "no-vector", "no-text", "text-list"])
+def test_file_backend_every_bad_line_raises_embedding_error(tmp_path, line, message):
+    # an invalid JSON line used to raise a bare ValueError
+    path = tmp_path / "emb.jsonl"
+    path.write_text(json.dumps({"text": "x", "vector": [1.0]}) + "\n" + line + "\n")
+    with pytest.raises(EmbeddingError) as raised:
+        FileEmbedder(path)
+    assert str(raised.value) == f"{path}:2: {message}"
 
 
 def test_file_backend_missing_key(tmp_path):
