@@ -5,7 +5,9 @@ verify, emit) read and write JSONL so a run can stop and resume anywhere;
 run-all chains them. stats prints the dataset summary, eval runs the
 retrieval-episode harness. Exit codes: 0 success; 1 usage error (an unknown
 command or flag, or a missing argument); 2 a bad config key or value, from a
-file line or a flag, or a runtime failure. All randomness hangs off --seed.
+file line or a flag, a bad input file line (`jsonl.InputError`, reported as
+one `error:` line), or a runtime failure (logged with its traceback). All
+randomness hangs off --seed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import pipeline
 from .config import ConfigError, PipelineConfig, parse_config_file, set_config_key
 from .corpus import serialize_store
 from .emitter import dataset_stats, format_stats_report, read_jsonl, write_jsonl
-from .jsonl import read_numbered_rows, write_rows
+from .jsonl import InputError, read_numbered_rows, write_rows
 
 # Config flags: flag -> (the config keys it sets, help, the commands that take
 # it; none means every command, with the flag before it). set_config_key
@@ -109,7 +111,7 @@ def _stage_rows(args, stage, store) -> list[dict]:
     for line_no, row in read_numbered_rows(args.in_path, fields=fields):
         if stage is pipeline.stage_verify and row["hops"] == "one" and (
                 set(row["answerable_in"]) <= {"both"}):
-            raise ValueError(f"{args.in_path}:{line_no}: hops 'one' but answerable_in "
+            raise InputError(f"{args.in_path}:{line_no}: hops 'one' but answerable_in "
                              f"{row['answerable_in']!r} names no document that answers alone")
         rows.append(row)
     return rows
@@ -183,7 +185,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError, InputError) as exc:  # no traceback for bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures exit 2 per contract

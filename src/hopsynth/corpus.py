@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .jsonl import read_numbered_rows, write_rows
+from .jsonl import InputError, read_numbered_rows, write_rows
 from .metrics import normalize_answer, token_spans
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(InputError):
     """Raised for unreadable, malformed, or duplicate corpus records."""
 
 

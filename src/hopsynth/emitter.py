@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .jsonl import STRING, is_strings, read_numbered_rows, write_rows
+from .jsonl import STRING, InputError, is_strings, read_numbered_rows, write_rows
 from .metrics import word_count
 from .pairing import RELATION
 from .synthesis import TASK_FEVER, TASK_MQA
@@ -76,11 +76,11 @@ def write_jsonl(instances: Sequence[DataInstance], path: str | Path) -> int:
 
 def read_jsonl(path: str | Path) -> list[DataInstance]:
     """A dataset file's instances; a record that fails a `_RECORD_FIELDS` check,
-    or whose n_hops is not its number of hops, raises ValueError naming `<path>:<line>`."""
+    or whose n_hops is not its number of hops, raises InputError naming `<path>:<line>`."""
     instances = []
     for line, record in read_numbered_rows(path, fields=_RECORD_FIELDS):
         if record["n_hops"] != len(record["hops"]):
-            raise ValueError(f"{path}:{line}: n_hops {record['n_hops']} but "
+            raise InputError(f"{path}:{line}: n_hops {record['n_hops']} but "
                              f"{len(record['hops'])} hops")
         instances.append(DataInstance(
             id=record["id"],

@@ -24,6 +24,11 @@ def _is_capitalized(word: str) -> bool:
 
 
 def _has_digit(word: str) -> bool:
+    """True when a character of `word` is a digit. No code point is both
+    `isalpha()` and `isdigit()`, so an all-letter word (most words) is
+    answered by one C call without the walk over its characters."""
+    if word.isalpha():
+        return False
     return any(ch.isdigit() for ch in word)
 
 

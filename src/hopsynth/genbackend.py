@@ -58,10 +58,13 @@ class DecodeParams:
 
     def with_seed(self, seed: Optional[int]) -> DecodeParams:
         """These params under `seed`: `dataclasses.replace(self, seed=seed)`
-        without its walk over the fields, as one request's params are made
-        per completion."""
-        return DecodeParams(self.max_tokens, self.temperature, self.top_p, self.top_k,
-                            self.stop, seed)
+        without its walk over the fields or a second `__post_init__`, as one
+        request's params are made per completion. The other fields are this
+        instance's, which its own `__post_init__` already checked, and a seed
+        takes no check."""
+        params = object.__new__(DecodeParams)
+        vars(params).update(vars(self), seed=seed)
+        return params
 
 
 # Built once: the params are frozen, so every request shares its stage's.

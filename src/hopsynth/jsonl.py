@@ -24,12 +24,16 @@ Check = tuple[Callable[[object], bool], str]
 STRING: Check = (lambda value: isinstance(value, str), "a string")
 
 
+class InputError(ValueError):
+    """A line of an input file is bad; the message names `<path>:<line>`."""
+
+
 def is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
 def read_numbered_rows(
-    path, error: type[Exception] = ValueError, fields: Mapping[str, Optional[Check]] = {}
+    path, error: type[Exception] = InputError, fields: Mapping[str, Optional[Check]] = {}
 ) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line, in file order.
 

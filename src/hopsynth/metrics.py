@@ -57,21 +57,28 @@ def normalize_answer(text: str) -> str:
 
 
 def token_f1(pred: str, gold: str) -> float:
-    """Multiset-overlap F1 over normalized whitespace tokens.
+    """Multiset-overlap F1 over normalized whitespace tokens: `f1_tokens`
+    of both sides' `normalize_answer(...).split()`.
 
     Both sides empty after normalization scores 1.0; exactly one empty
     scores 0.0.
     """
-    pred_tokens = normalize_answer(pred).split()
-    gold_tokens = normalize_answer(gold).split()
-    if not pred_tokens and not gold_tokens:
+    return f1_tokens(normalize_answer(pred).split(), normalize_answer(gold).split())
+
+
+def f1_tokens(pred_tokens: list[str], gold_tokens: list[str]) -> float:
+    """Multiset-overlap F1 of two token lists, for callers that normalize
+    a text once and score it against several others.
+
+    Equal lists (both empty included) score 1.0 and lists without a shared
+    token (one empty included) 0.0, each without counting; the rest count
+    the overlap as `Counter(pred) & Counter(gold)`.
+    """
+    if pred_tokens == gold_tokens:
         return 1.0
-    if not pred_tokens or not gold_tokens:
+    if set(pred_tokens).isdisjoint(gold_tokens):
         return 0.0
-    common = Counter(pred_tokens) & Counter(gold_tokens)
-    num_same = sum(common.values())
-    if num_same == 0:
-        return 0.0
+    num_same = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
     precision = num_same / len(pred_tokens)
     recall = num_same / len(gold_tokens)
     return 2 * precision * recall / (precision + recall)

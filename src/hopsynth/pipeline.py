@@ -385,7 +385,7 @@ def run_eval(
     Items carry {"id", "question", "answer"} (QA) or {"id", "question",
     "label"} (fact verification); an item without them, a question or answer
     that is not a string, or a label not in FEVER_LABELS once normalized,
-    raises ValueError naming `<path>:<line>` before any episode runs.
+    raises InputError naming `<path>:<line>` before any episode runs.
     `config.eval.mode` picks greedy decoding, one episode per item, or
     self-consistency, several sampled episodes; either way the prediction
     is the majority vote over the item's answers.

@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .jsonl import STRING, is_strings, read_numbered_rows
+from .jsonl import STRING, InputError, is_strings, read_numbered_rows
 
 TASK_MQA = "mqa"
 TASK_FEVER = "fever"
@@ -56,6 +56,20 @@ _LABELED_LAYOUTS = {
     (task, stage): tuple((name, labels[name]) for name in fields)
     for task, labels in _LABELS.items()
     for stage, fields in _LAYOUTS.items()
+}
+# (task, setting) -> its built-in example file; the pairs `_check_task` accepts
+_BUILTIN_FILES = {
+    (TASK_MQA, "hyper"): "mqa_hyper",
+    (TASK_MQA, "topic"): "mqa_topic",
+    (TASK_FEVER, "hyper"): "fever",
+}
+# (task, stage, setting) -> (the (field, label) pairs given before the cue,
+# the cue line, the built-in example file): one lookup checks a prompt's keys
+_TARGETS = {
+    (task, stage, setting): (layout[:-1], f"{layout[-1][1]}:", builtin)
+    for (task, setting), builtin in _BUILTIN_FILES.items()
+    for (layout_task, stage), layout in _LABELED_LAYOUTS.items()
+    if layout_task == task
 }
 
 
@@ -105,7 +119,7 @@ _EXAMPLE_FIELDS = {
 def _example_from_row(row: dict, where: str) -> FewShotExample:
     documents, queries = row["documents"], row.get("queries", [])
     if not is_strings(queries):
-        raise ValueError(f"{where}: queries {queries!r} is not a list of strings")
+        raise InputError(f"{where}: queries {queries!r} is not a list of strings")
     try:
         return FewShotExample(
             documents=(documents[0], documents[1]),
@@ -114,7 +128,7 @@ def _example_from_row(row: dict, where: str) -> FewShotExample:
             queries=tuple(queries),
         )
     except ValueError as exc:  # more than two queries, or a field of more than one line
-        raise ValueError(f"{where}: {exc}") from None
+        raise InputError(f"{where}: {exc}") from None
 
 
 def load_examples(path: str | Path) -> list[FewShotExample]:
@@ -123,7 +137,7 @@ def load_examples(path: str | Path) -> list[FewShotExample]:
     The reader checks the required fields (`_EXAMPLE_FIELDS`: documents two
     strings, question and answer strings). A row that fails one, whose
     queries (optional) are not a list of strings, or that `FewShotExample`
-    refuses, raises ValueError naming `<path>:<line>`.
+    refuses, raises InputError naming `<path>:<line>`.
     """
     rows = read_numbered_rows(path, fields=_EXAMPLE_FIELDS)
     return [_example_from_row(row, f"{path}:{line}") for line, row in rows]
@@ -137,22 +151,20 @@ def _load_builtin(name: str) -> tuple[FewShotExample, ...]:
 
 def builtin_examples(task: str, setting: str) -> tuple[FewShotExample, ...]:
     """The built-in annotated examples for a task and setting (one shared tuple)."""
-    _check_task(task, setting)
-    return _load_builtin("fever" if task == TASK_FEVER else f"mqa_{setting}")
+    name = _BUILTIN_FILES.get((task, setting))
+    if name is None:
+        _check_task(task, setting)  # raises the PromptError naming the bad value
+    return _load_builtin(name)
 
 
 def _clean_document(text: str) -> str:
     # corpus texts may carry newlines; prompt blocks are line-oriented
-    return " ".join(text.split("\n"))
+    return text.replace("\n", " ")
 
 
-def _write_block(documents: Sequence[str], layout, values: dict) -> str:
-    """One block: a Document line per document, then per (field, label) of
-    `layout` one `label: value` line per value in `values[field]`."""
-    lines = [f"Document: {_clean_document(doc)}" for doc in documents]
-    for name, label in layout:
-        lines.extend(f"{label}: {value}" for value in values[name])
-    return "\n".join(lines)
+def _write_block(documents: Sequence[str], lines: list[str]) -> str:
+    """One block: a Document line per document, then `lines`."""
+    return "\n".join([*(f"Document: {_clean_document(doc)}" for doc in documents), *lines])
 
 
 def render_prompt(
@@ -169,36 +181,50 @@ def render_prompt(
     `documents` are the target document texts (two normally; the answering
     stage also accepts a single document for per-document probes). Every
     field before the stage's cue must be given; the prompt ends at the cue.
+    A bad task, stage or setting, then a missing or multi-line field, then an
+    empty `documents` raises PromptError, in that order.
+
+    One `_TARGETS` lookup checks the keys. The example blocks are rendered
+    once per (task, stage) and example set: the built-in set is known by
+    identity, as `builtin_examples` hands out one shared tuple, and any
+    other set by its contents.
     """
-    _check_task(task, setting, stage)
-    *given, (_, cue) = _LABELED_LAYOUTS[(task, stage)]
-    values = {}
+    try:
+        given, cue, builtin = _TARGETS[task, stage, setting]
+    except KeyError:
+        _check_task(task, setting, stage)  # raises the PromptError naming the bad value
+        raise
+    lines = []
     for name, label in given:
         value = question if name == "question" else answer
         if value is None or "\n" in value:
             raise PromptError(f"{task} {stage} needs a single-line {label} field")
-        values[name] = (value,)
+        lines.append(f"{label}: {value}")
     if not documents:
         raise PromptError("target needs at least one document")
-
-    target = _write_block(documents, given, values)
-    text = _example_prefix(task, stage, tuple(examples)) + target + f"\n{cue}:"
-    return PromptText(text)
+    lines.append(cue)
+    key = builtin if examples is _load_builtin(builtin) else tuple(examples)
+    return PromptText(_example_prefix(task, stage, key) + _write_block(documents, lines))
 
 
 @functools.lru_cache(maxsize=64)
-def _example_prefix(task: str, stage: str, examples: tuple[FewShotExample, ...]) -> str:
+def _example_prefix(task: str, stage: str, examples: str | tuple[FewShotExample, ...]) -> str:
     # the example blocks, each followed by the blank line before the next block;
-    # every prompt of a (task, stage) and example set shares them
+    # every prompt of a (task, stage) and example set shares them. A str names
+    # a built-in set, so its key hashes one string, not every example.
+    if isinstance(examples, str):
+        examples = _load_builtin(examples)
     layout = _LABELED_LAYOUTS[(task, stage)]
-    return "".join(
-        _write_block(example.documents, layout, {
+    blocks = []
+    for example in examples:
+        values = {
             "question": (example.question_or_claim,),
             "answer": (example.answer,),
             "queries": example.queries,
-        }) + "\n\n"
-        for example in examples
-    )
+        }
+        lines = [f"{label}: {value}" for name, label in layout for value in values[name]]
+        blocks.append(_write_block(example.documents, lines) + "\n\n")
+    return "".join(blocks)
 
 
 # line label -> parse_block key; documents and queries repeat, the rest are scalars

@@ -38,12 +38,16 @@ import numpy as np
 
 from ._kernels import select_topk
 from .httpjson import JsonSession, post_with_retries
-from .jsonl import STRING, read_numbered_rows
+from .jsonl import STRING, InputError, read_numbered_rows
 from .metrics import word_tokens
 
 
 class EmbeddingError(RuntimeError):
     """Embedding lookup or endpoint failure."""
+
+
+class EmbeddingFileError(EmbeddingError, InputError):
+    """A line of an embedding file is bad."""
 
 
 class EmbeddingShapeError(EmbeddingError, ValueError):
@@ -175,14 +179,15 @@ class FileEmbedder:
 
     A bad line, a text that is not a string, or a vector that is not a list
     of numbers finite in float32 (the check `HttpEmbedder` makes) raises
-    EmbeddingError naming `<path>:<line>` as the file loads.
+    EmbeddingFileError naming `<path>:<line>` as the file loads.
     """
 
     def __init__(self, path: str | Path):
         self.table = {}
-        for line, row in read_numbered_rows(path, EmbeddingError, {"text": STRING, "vector": None}):
+        fields = {"text": STRING, "vector": None}
+        for line, row in read_numbered_rows(path, EmbeddingFileError, fields):
             if (vec := _float32_vector(row["vector"])) is None:
-                raise EmbeddingError(
+                raise EmbeddingFileError(
                     f"{path}:{line}: vector {row['vector']!r} is not a list of finite numbers"
                 )
             self.table[row["text"]] = vec

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from . import promptkit
 from .corpus import Document
 from .genbackend import Backend, EmptyCompletion, complete, default_decode_params
-from .metrics import token_f1
+from .metrics import f1_tokens, normalize_answer, token_f1
 from .pairing import HYPER, TOPIC, DocumentPair
 from .promptkit import (
     ANSWERING,
@@ -145,6 +145,10 @@ def decide_answerable(pred: str, prepared: str, config: FilterConfig, task: str 
     return token_f1(pred, prepared) > config.f1_threshold
 
 
+def _answer_tokens(text: str) -> list[str]:
+    return normalize_answer(text).split()
+
+
 def classify_hops(
     draft: QuestionDraft,
     pred_both: str,
@@ -164,11 +168,24 @@ def classify_hops(
     becomes the answer, even when it differs from the prepared answer.
     Otherwise the draft survives only if the two-document prediction matches
     the prepared answer, as two-hop. Everything else drops.
+
+    "Agrees" is `decide_answerable(pred_both, other, config, draft.task)`.
+    Each text is normalized once per draft (its `normalize_label`, or its
+    `normalize_answer` tokens scored by `metrics.f1_tokens`), and the
+    prepared answer only when no single-document prediction agrees.
     """
     if not pred_both.strip():
         return None
-    agrees_first = decide_answerable(pred_both, pred_first, config, draft.task)
-    agrees_second = decide_answerable(pred_both, pred_second, config, draft.task)
+    if draft.task == TASK_FEVER:
+        # pred_both is not blank, so decide_answerable reduces to label equality
+        normalize, agrees = normalize_label, str.__eq__
+    else:
+        threshold = config.f1_threshold
+        normalize = _answer_tokens
+        agrees = lambda pred, gold: f1_tokens(pred, gold) > threshold  # noqa: E731
+    both = normalize(pred_both)
+    agrees_first = agrees(both, normalize(pred_first))
+    agrees_second = agrees(both, normalize(pred_second))
     if agrees_first or agrees_second:
         answerable_in = ["both"]  # kept sorted
         if agrees_first:
@@ -177,7 +194,7 @@ def classify_hops(
             answerable_in.append("second")
         hops = "two" if draft.pair.relation == TOPIC else "one"
         return {"hops": hops, "answerable_in": answerable_in, "final_answer": pred_both}
-    if decide_answerable(pred_both, draft.prepared_answer, config, draft.task):
+    if agrees(both, normalize(draft.prepared_answer)):
         return {"hops": "two", "answerable_in": ["both"], "final_answer": draft.prepared_answer}
     return None
 

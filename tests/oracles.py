@@ -15,6 +15,11 @@ possible, and stays independent of the implementation path it validates:
   added at a time.
 * Evaluation episodes: the episode loop as it ran one episode at a time,
   one completion per turn and one mat-vec top-k per query.
+* Synthesis prompts: `render_prompt` as it checked every call's task, stage
+  and setting in turn and keyed its example cache by the examples' contents.
+* Hop classification: `classify_hops` as it scored each agreement with
+  `decide_answerable`, normalizing both texts and counting tokens with
+  `Counter` every time.
 """
 
 from __future__ import annotations
@@ -386,3 +391,113 @@ def oracle_episode(question, backend, params, index, provider, k, max_hops, doc_
         break
     halted = "answered" if answer else "hop_limit" if at_limit else "empty_completion"
     return tuple(turns), line, at_limit, answer or None, halted
+
+
+# ---------------------------------------------------------------------------
+# Synthesis prompts: the checks in order, then the blocks written line by line
+# ---------------------------------------------------------------------------
+
+_ORACLE_LAYOUTS = {
+    "question_gen": ("answer", "question"),
+    "answering": ("question", "answer"),
+    "query_gen": ("question", "answer", "queries"),
+}
+_ORACLE_LABELS = {
+    "mqa": {"question": "Question", "answer": "Answer", "queries": "Query"},
+    "fever": {"question": "Claim", "answer": "Answer", "queries": "Query"},
+}
+
+
+def oracle_check_task(task, setting, stage):
+    from hopsynth.promptkit import PromptError
+
+    if task not in _ORACLE_LABELS:
+        raise PromptError(f"unknown task: {task}")
+    if stage not in _ORACLE_LAYOUTS:
+        raise PromptError(f"unknown stage: {stage}")
+    if setting not in ("hyper", "topic"):
+        raise PromptError(f"unknown setting: {setting}")
+    if task == "fever" and setting == "topic":
+        raise PromptError("fact verification only uses the hyper setting")
+
+
+def _oracle_block(documents, layout, values):
+    lines = [f"Document: {' '.join(doc.split(chr(10)))}" for doc in documents]
+    for name, label in layout:
+        lines.extend(f"{label}: {value}" for value in values[name])
+    return "\n".join(lines)
+
+
+def oracle_render_prompt(task, stage, setting, examples, documents, answer=None, question=None):
+    """The prompt text; a bad input raises the PromptError the renderer raised."""
+    from hopsynth.promptkit import PromptError
+
+    oracle_check_task(task, setting, stage)
+    labels = _ORACLE_LABELS[task]
+    *given, cue = [(name, labels[name]) for name in _ORACLE_LAYOUTS[stage]]
+    values = {}
+    for name, label in given:
+        value = question if name == "question" else answer
+        if value is None or "\n" in value:
+            raise PromptError(f"{task} {stage} needs a single-line {label} field")
+        values[name] = (value,)
+    if not documents:
+        raise PromptError("target needs at least one document")
+    prefix = "".join(
+        _oracle_block(example.documents, given + [cue], {
+            "question": (example.question_or_claim,),
+            "answer": (example.answer,),
+            "queries": example.queries,
+        }) + "\n\n"
+        for example in examples
+    )
+    return prefix + _oracle_block(documents, given, values) + f"\n{cue[1]}:"
+
+
+# ---------------------------------------------------------------------------
+# Hop classification: every agreement normalized and counted from the texts
+# ---------------------------------------------------------------------------
+
+
+def oracle_f1_tokens(pred_tokens, gold_tokens):
+    """Multiset-overlap F1 of two token lists, counted with Counter."""
+    if not pred_tokens and not gold_tokens:
+        return 1.0
+    if not pred_tokens or not gold_tokens:
+        return 0.0
+    common = Counter(pred_tokens) & Counter(gold_tokens)
+    num_same = sum(common.values())
+    if num_same == 0:
+        return 0.0
+    precision = num_same / len(pred_tokens)
+    recall = num_same / len(gold_tokens)
+    return 2 * precision * recall / (precision + recall)
+
+
+def _oracle_agrees(pred, prepared, threshold, task):
+    from hopsynth.metrics import normalize_answer
+    from hopsynth.synthesis import normalize_label
+
+    if task == "fever":
+        return bool(pred.strip()) and normalize_label(pred) == normalize_label(prepared)
+    f1 = oracle_f1_tokens(normalize_answer(pred).split(), normalize_answer(prepared).split())
+    return f1 > threshold
+
+
+def oracle_classify_hops(task, relation, prepared, pred_both, pred_first, pred_second, threshold):
+    """The decision row, or None, for a draft of `task` on a `relation` pair."""
+    if not pred_both.strip():
+        return None
+    agrees_first = _oracle_agrees(pred_both, pred_first, threshold, task)
+    agrees_second = _oracle_agrees(pred_both, pred_second, threshold, task)
+    if agrees_first or agrees_second:
+        answerable_in = ["both"]
+        if agrees_first:
+            answerable_in.append("first")
+        if agrees_second:
+            answerable_in.append("second")
+        hops = "two" if relation == "topic" else "one"
+        return {"hops": hops, "answerable_in": answerable_in, "final_answer": pred_both}
+    if _oracle_agrees(pred_both, prepared, threshold, task):
+        return {"hops": "two", "answerable_in": ["both"], "final_answer": prepared}
+    return None

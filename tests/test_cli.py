@@ -722,3 +722,55 @@ def test_eval_cli_creates_the_out_parent(tmp_path):
     report_path = tmp_path / "missing" / "dir" / "report.json"
     assert main(_scripted_eval_argv(tmp_path) + ["--out", str(report_path)]) == 0
     assert json.loads(report_path.read_text())["em"] == 100.0
+
+
+def _bad_input_argv(tmp_path, corpus_path, case):
+    """Arguments of a command whose input file has a bad line, and the error it names."""
+    bad = tmp_path / "bad.jsonl"
+    if case == "stats":
+        bad.write_text(json.dumps({"id": "x"}) + "\n")
+        return ["stats", "--in", str(bad)], f"{bad}:1: missing field 'task'"
+    if case == "ingest":
+        bad.write_text(json.dumps({"id": "a", "title": "A"}) + "\n")
+        return (["ingest", "--in", str(bad), "--out", str(tmp_path / "store.jsonl")],
+                f"{bad}:1: missing field 'text'")
+    if case == "eval_gold":
+        bad.write_text(json.dumps({"id": "q", "question": "Who?", "answer": 5}) + "\n")
+        return (["eval", "--in", str(bad), "--corpus", str(corpus_path),
+                 "--out", str(tmp_path / "report.json")], f"{bad}:1: answer 5 is not a string")
+    bad.write_text(json.dumps({"text": "x", "vector": ["y"]}) + "\n")
+    config_file = tmp_path / "config.txt"
+    config_file.write_text(f"embeddings.kind = file\nembeddings.file = {bad}\n")
+    return (["--config", str(config_file), "run-all", "--in", str(DEMO / "corpus.jsonl"),
+             "--out", str(tmp_path / "out")],
+            f"{bad}:1: vector ['y'] is not a list of finite numbers")
+
+
+@pytest.mark.parametrize("case", ["stats", "ingest", "eval_gold", "embedding_vector"])
+def test_bad_input_line_exits_2_without_a_traceback(tmp_path, corpus_path, capsys, caplog, case):
+    argv, message = _bad_input_argv(tmp_path, corpus_path, case)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert [record for record in caplog.records if record.exc_info] == []
+
+
+def test_bad_input_line_prints_no_traceback_from_the_module(tmp_path, corpus_path):
+    argv, message = _bad_input_argv(tmp_path, corpus_path, "stats")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-m", "hopsynth.cli", *argv],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert out.stderr == f"error: {message}\n"
+
+
+def test_program_fault_still_logs_its_traceback(tmp_path, corpus_path, capsys, caplog,
+                                                monkeypatch):
+    def run_all(*args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(pipeline, "run_all", run_all)
+    assert main(["run-all", "--in", str(corpus_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.endswith("error: 'boom'\n")
+    logged = [record for record in caplog.records if record.exc_info]
+    assert [record.exc_info[0] for record in logged] == [KeyError]

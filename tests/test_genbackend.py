@@ -45,7 +45,7 @@ def test_default_params_per_stage():
 
 
 def test_with_seed_equals_replace():
-    # with_seed names every field itself; a field it forgot would differ here
+    # with_seed copies the fields without __init__; a field it lost would differ here
     stages = ("question_gen", "answering", "query_gen", "eval_greedy", "eval_self_consistency")
     for stage in stages:
         params = default_decode_params(stage)

@@ -5,6 +5,7 @@ import pytest
 
 from hopsynth.metrics import (
     exact_match,
+    f1_tokens,
     normalize_answer,
     score_pair,
     token_f1,
@@ -13,7 +14,7 @@ from hopsynth.metrics import (
     word_count,
 )
 
-from oracles import squad_exact_match, squad_f1
+from oracles import oracle_f1_tokens, squad_exact_match, squad_f1
 
 
 def test_tokenize_rules():
@@ -151,3 +152,14 @@ def test_normalize_answer_equals_per_character_definition():
         ]
         text = "".join(pieces) if rng.random() < 0.5 else " ".join(pieces)
         assert normalize_answer(text) == _normalize_per_character(text), repr(text)
+
+
+def test_f1_tokens_equals_the_counter_definition():
+    rng = random.Random(4242)
+    vocabulary = ("a", "b", "c", "d", "e")
+    for _ in range(5000):
+        pred = rng.choices(vocabulary, k=rng.randrange(0, 7))
+        gold = rng.choices(vocabulary, k=rng.randrange(0, 7))
+        if rng.random() < 0.2:
+            gold = rng.sample(pred, len(pred))  # the same multiset, in another order
+        assert f1_tokens(pred, gold) == oracle_f1_tokens(pred, gold), (pred, gold)

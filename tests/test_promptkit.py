@@ -19,6 +19,8 @@ from hopsynth.promptkit import (
     render_prompt,
 )
 
+from oracles import oracle_render_prompt
+
 
 def test_builtin_topic_question_gen():
     examples = builtin_examples(TASK_MQA, "topic")
@@ -312,3 +314,50 @@ def test_render_prompt_equals_block_join(tmp_path):
                     assert prompt.text == _block_join(
                         task, stage, examples, documents, "An answer", "A question?"
                     ), (task, stage, setting, len(examples))
+
+
+def _rendered(render, *args, **fields):
+    """The prompt text, or the type and message of the PromptError raised."""
+    try:
+        prompt = render(*args, **fields)
+    except PromptError as exc:
+        return type(exc), str(exc)
+    return getattr(prompt, "text", prompt)
+
+
+# the accepted values, each with near misses, and a value of another kind
+_TASKS = (TASK_MQA, TASK_FEVER, "MQA", "qa", "")
+_STAGES = (QUESTION_GEN, ANSWERING, QUERY_GEN, "query-gen", "eval_greedy")
+_SETTINGS = ("hyper", "topic", "Hyper", "both")
+# (answer, question): both given, one missing, one of several lines
+_FIELDS = (("An answer", "A question?"), (None, "A question?"), ("An answer", None),
+           ("An answer", "A\nquestion?"), ("two\nlines", "A question?"))
+
+
+def test_render_prompt_matches_its_earlier_implementation(tmp_path):
+    override = tmp_path / "own.jsonl"
+    override.write_text(
+        '{"documents": ["a\\nb", "c"], "question": "Q?", "answer": "A", "queries": ["q1", "q2"]}\n'
+        '{"documents": ["d", ""], "question": "R?", "answer": "", "queries": []}\n'
+    )
+    loaded = load_examples(override)
+    multi_line = ["First doc\nwith a newline.\n", "Second doc."]
+    rendered = 0
+    for task in _TASKS:
+        for stage in _STAGES:
+            for setting in _SETTINGS:
+                try:
+                    builtin = builtin_examples(task, setting)
+                except PromptError:
+                    builtin = builtin_examples(TASK_MQA, "hyper")
+                for examples in (builtin, list(builtin), loaded, tuple(loaded), []):
+                    for documents in (multi_line, multi_line[1:], []):
+                        for answer, question in _FIELDS:
+                            args = (task, stage, setting, examples, documents)
+                            fields = {"answer": answer, "question": question}
+                            expected = _rendered(oracle_render_prompt, *args, **fields)
+                            assert _rendered(render_prompt, *args, **fields) == expected, args
+                            rendered += isinstance(expected, str)
+    # every valid key renders: (task, setting) pairs x example sets x target
+    # document lists x the field pairs question_gen, answering and query_gen take
+    assert rendered == 3 * 5 * 2 * (3 + 3 + 1)

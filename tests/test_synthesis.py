@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -29,7 +30,7 @@ from hopsynth.synthesis import (
     generate_question,
 )
 
-from oracles import oracle_heuristic_entities
+from oracles import oracle_classify_hops, oracle_heuristic_entities
 
 
 def example_pair(setting, index):
@@ -317,3 +318,35 @@ def test_examples_file_document_newline_stays_in_its_line(tmp_path):
         "Document: line one Answer: bogus\nDocument: two\nAnswer: A\nQuestion: Q?\n\n"
     )
     assert "\nAnswer: bogus" not in prompts[0]
+
+
+# predictions that are equal, disjoint, partly overlapping, only articles or
+# punctuation, empty or blank, equal as multisets in another order, and labels
+_PREDICTIONS = (
+    "Boston Celtics", "the Boston Celtics!", "Celtics Boston", "Celtics", "Boston Celtics Boston",
+    "New York Knicks", "", "  ", "the", "a, an; the...", "supports", " NOT  enough info ",
+    "not enough info",
+)
+
+
+@pytest.mark.parametrize("task", [TASK_MQA, TASK_FEVER])
+def test_classify_hops_matches_its_earlier_implementation(task):
+    for relation in ("hyper", "topic"):
+        pair, _ = example_pair(relation, 0)
+        for prepared in ("Boston Celtics", "SUPPORTS", ""):
+            draft = QuestionDraft(pair=pair, task=task, text="Q?", prepared_answer=prepared)
+            for threshold in (0.0, 0.5, 0.7, 0.99):
+                config = FilterConfig(f1_threshold=threshold)
+                for both in _PREDICTIONS:
+                    for first in _PREDICTIONS:
+                        for second in _PREDICTIONS[::3]:
+                            assert classify_hops(draft, both, first, second, config) == (
+                                oracle_classify_hops(task, relation, prepared, both, first,
+                                                     second, threshold)
+                            ), (relation, prepared, threshold, both, first, second)
+
+
+def test_no_code_point_is_both_a_letter_and_a_digit():
+    # entities._has_digit answers False for an isalpha() word without looking further
+    assert [c for c in range(sys.maxunicode + 1)
+            if chr(c).isalpha() and chr(c).isdigit()] == []
