@@ -139,7 +139,9 @@ def answer_question(
 
 
 def decide_answerable(pred: str, prepared: str, config: FilterConfig, task: str = TASK_MQA) -> bool:
-    """MQA: token F1 strictly above the threshold. Fever: exact label match."""
+    """MQA: token F1 strictly above the threshold. Fever: exact label match.
+
+    The agreement rule `classify_hops` applies, for one pair of texts."""
     if task == TASK_FEVER:
         return bool(pred.strip()) and normalize_label(pred) == normalize_label(prepared)
     return token_f1(pred, prepared) > config.f1_threshold
