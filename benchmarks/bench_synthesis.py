@@ -14,10 +14,11 @@ every `classify_hops` call. It then times, as the best of `--repeats`:
   `oracle_render_prompt` over the same arguments;
 - `classify_hops` over every recorded draft and its three predictions, and
   `oracle_classify_hops`;
-- `HeuristicRecognizer` over the corpus texts and the drafts' questions, and
-  `oracle_heuristic_entities`.
+- `HeuristicRecognizer.entities` over the corpus texts and the drafts'
+  questions, and `oracle_heuristic_entities`.
 
-The script asserts that each layer's outputs equal its reference's.
+The script asserts, call by call, that each layer's output equals its
+reference's, then times each side with every output dropped at once.
 `hopsynth` is imported from PYTHONPATH, so the same script times any
 checkout's layers against this checkout's references:
 
@@ -42,14 +43,17 @@ from hopsynth.pipeline import build_store, stage_filter_answers, stage_pair, sta
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def best_of(repeats, fn):
-    """(best seconds, result of the last call)."""
+def best_of(repeats, fn, calls):
+    """Best seconds of `fn(args, kwargs)` over every recorded call. Each
+    output is dropped at once, so the loop pays for the calls, not for
+    holding every prompt."""
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        result = fn()
+        for args, kwargs in calls:
+            fn(args, kwargs)
         best = min(best, time.perf_counter() - started)
-    return best, result
+    return best
 
 
 def recorded_calls(module, name, log):
@@ -102,36 +106,38 @@ def main():
             texts = [store.documents[doc_id].text for doc_id in sorted(store.documents)]
             texts += questions
             recognizer = HeuristicRecognizer()
+            # layer -> (recorded (args, kwargs) calls, the layer's output, its reference's)
             layers = {
                 "render": (
-                    len(renders),
-                    lambda: [promptkit.render_prompt(*a, **k).text for a, k in renders],
-                    lambda: [oracle_render_prompt(*a, **k) for a, k in renders],
+                    renders,
+                    lambda a, k: promptkit.render_prompt(*a, **k).text,
+                    lambda a, k: oracle_render_prompt(*a, **k),
                 ),
                 "classify": (
-                    len(classifies),
-                    lambda: [synthesis.classify_hops(*a) for a, _ in classifies],
-                    lambda: [oracle_classify_hops(draft.task, draft.pair.relation,
-                                                  draft.prepared_answer, both, first, second,
-                                                  config.f1_threshold)
-                             for (draft, both, first, second, config), _ in classifies],
+                    classifies,
+                    lambda a, k: synthesis.classify_hops(*a, **k),
+                    lambda a, k: oracle_classify_hops(a[0].task, a[0].pair.relation,
+                                                      a[0].prepared_answer, *a[1:4],
+                                                      a[4].f1_threshold),
                 ),
                 "entities": (
-                    len(texts),
-                    lambda: recognizer(texts),
-                    lambda: [oracle_heuristic_entities(text) for text in texts],
+                    [((text,), {}) for text in texts],
+                    lambda a, k: recognizer.entities(*a),
+                    lambda a, k: oracle_heuristic_entities(*a),
                 ),
             }
             for layer, (calls, run, reference) in layers.items():
-                seconds, got = best_of(args.repeats, run)
-                ref_seconds, expected = best_of(args.repeats, reference)
-                if got != expected:
-                    raise SystemExit(f"{layer} differs from its reference at {n} docs")
-                results.append({"docs": n, "layer": layer, "calls": calls,
+                for a, k in calls:
+                    if run(a, k) != reference(a, k):
+                        raise SystemExit(f"{layer} differs from its reference at {n} docs: {a}")
+                seconds = best_of(args.repeats, run, calls)
+                ref_seconds = best_of(args.repeats, reference, calls)
+                per_call = seconds / len(calls) * 1e6
+                results.append({"docs": n, "layer": layer, "calls": len(calls),
                                 "s": round(seconds, 4), "ref_s": round(ref_seconds, 4),
-                                "us_per_call": round(seconds / calls * 1e6, 3)})
-                print(f"{n:>6} {layer:>9} {calls:>7} {seconds:>8.3f} {ref_seconds:>8.3f} "
-                      f"{seconds / calls * 1e6:>8.2f}", flush=True)
+                                "us_per_call": round(per_call, 3)})
+                print(f"{n:>6} {layer:>9} {len(calls):>7} {seconds:>8.3f} {ref_seconds:>8.3f} "
+                      f"{per_call:>8.2f}", flush=True)
     print(json.dumps({"hopsynth": hopsynth.__file__, "seed": 7, "repeats": args.repeats,
                       "results": results}))
 
