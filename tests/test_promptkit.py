@@ -325,7 +325,7 @@ def _rendered(render, *args, **fields):
     return getattr(prompt, "text", prompt)
 
 
-# the accepted values, each with near misses, and a value of another kind
+# the accepted values, then near misses and unknown values
 _TASKS = (TASK_MQA, TASK_FEVER, "MQA", "qa", "")
 _STAGES = (QUESTION_GEN, ANSWERING, QUERY_GEN, "query-gen", "eval_greedy")
 _SETTINGS = ("hyper", "topic", "Hyper", "both")
