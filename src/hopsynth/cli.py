@@ -38,16 +38,6 @@ _CONFIG_FLAGS = {
     "--dev-size": (("dev_size",), "dev split size (>= 0)", ("emit", "run-all")),
 }
 
-# Stage commands: command -> (pipeline stage, help). Each reads --store and
-# writes --out; all but pair read the rows of the stage before from --in.
-_STAGES = {
-    "pair": (pipeline.stage_pair, "sample document pairs with prepared answers"),
-    "gen-questions": (pipeline.stage_questions, "generate questions/claims and entity-filter them"),
-    "filter-answers": (pipeline.stage_filter_answers, "answerability and hop classification"),
-    "gen-queries": (pipeline.stage_queries, "generate query candidates"),
-    "verify": (pipeline.stage_verify, "verify queries and assemble instances"),
-}
-
 _PATH_HELP = {"--store": "ingested store JSONL", "--corpus": "evaluation corpus JSONL"}
 
 
@@ -74,8 +64,9 @@ def build_parser() -> _Parser:
             )
 
     add_command("ingest", "parse a corpus file into a store", "--in", "--out")
-    for name, (_, help_text) in _STAGES.items():
-        add_command(name, help_text, "--store", *(() if name == "pair" else ("--in",)), "--out")
+    # a stage command reads --store and writes --out; one that reads rows takes --in
+    for command, _, help_text, fields in pipeline.STAGES:
+        add_command(command, help_text, "--store", *(() if fields is None else ("--in",)), "--out")
     commands["verify"].add_argument("--report", help="write drop counters to this JSON file")
     add_command("emit", "split train/dev", "--in", "--out")
     add_command("stats", "print dataset statistics", "--in")
@@ -99,17 +90,17 @@ def _configure(args) -> PipelineConfig:
     return config
 
 
-def _stage_rows(args, stage, store) -> list[dict]:
-    """The rows of --in, read with the checks of the fields `stage` reads
-    (`pipeline.INPUT_FIELDS`) and of a d1 and d2 that name documents of the
-    store. A verify row that is single-hop but names no document that
-    answers alone is refused as well, before the stage runs."""
+def _stage_rows(args, name, fields, store) -> list[dict]:
+    """The rows of --in, read with the checks of the `fields` stage `name`
+    reads (its `pipeline.STAGES` entry) and of a d1 and d2 that name
+    documents of the store. A verify row that is single-hop but names no
+    document that answers alone is refused as well, before the stage runs."""
     in_store = (lambda value: isinstance(value, str) and value in store.documents,
                 f"a document of the store {args.store_path}")
-    fields = {"d1": in_store, "d2": in_store, **pipeline.INPUT_FIELDS[stage]}
+    fields = {"d1": in_store, "d2": in_store, **fields}
     rows = []
     for line_no, row in read_numbered_rows(args.in_path, fields=fields):
-        if stage is pipeline.stage_verify and row["hops"] == "one" and (
+        if name == "verify" and row["hops"] == "one" and (
                 set(row["answerable_in"]) <= {"both"}):
             raise InputError(f"{args.in_path}:{line_no}: hops 'one' but answerable_in "
                              f"{row['answerable_in']!r} names no document that answers alone")
@@ -132,13 +123,14 @@ def run_command(args) -> int:
         print(f"ingested {count} documents -> {args.out_path}")
         return 0
 
-    if command in _STAGES:
+    stages = {stage_command: rest for stage_command, *rest in pipeline.STAGES}
+    if command in stages:
+        name, _, fields = stages[command]
         store = pipeline.build_store(args.store_path, config)
-        stage = _STAGES[command][0]
-        inputs = () if command == "pair" else (_stage_rows(args, stage, store),)
-        rows, counters = stage(store, *inputs, config)
-        (write_jsonl if command == "verify" else write_rows)(rows, args.out_path)
-        if command == "verify" and args.report:
+        inputs = () if fields is None else (_stage_rows(args, name, fields, store),)
+        rows, counters = getattr(pipeline, f"stage_{name}")(store, *inputs, config)
+        (write_jsonl if name == "verify" else write_rows)(rows, args.out_path)
+        if name == "verify" and args.report:
             _write_json(counters, args.report)
         print(json.dumps({"counters": counters}), file=sys.stderr)
         return 0

@@ -24,7 +24,7 @@ from .corpus import CorpusStore, ingest_corpus, serialize_store
 from .emitter import dataset_stats, split_dev, write_jsonl
 from .evalharness import play_episodes, run_episode, score_fever, score_qa, self_consistency
 from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_params
-from .jsonl import STRING, is_strings, read_rows
+from .jsonl import STRING, InputError, is_strings, read_rows
 from .pairing import (
     HYPER,
     RELATION,
@@ -283,14 +283,18 @@ def _is_candidates(value) -> bool:
 _PAIR = {"relation": RELATION}  # what _pair_from_row reads besides d1 and d2
 _DRAFT = {**_PAIR, "question": STRING, "answer": STRING}  # what _draft_from_row reads
 
-# The fields each stage reads of its input rows besides d1 and d2, each with
-# the check it must pass as the rules that read it take it. A stage command
-# reads --in with them and with d1 and d2 checked against its store.
-INPUT_FIELDS = {
-    stage_questions: {**_PAIR, "answer": STRING},
-    stage_filter_answers: _DRAFT,
-    stage_queries: {**_PAIR, "question": STRING, "final_answer": STRING},
-    stage_verify: {
+# The synthesis chain, in order: (command, stage name, help, the fields the
+# stage reads of its input rows besides d1 and d2, each with the check it must
+# pass as the rules that read it take it; None for pair, which reads no rows).
+# It holds names: a caller runs `stage_<name>` as it finds it at the call.
+STAGES = (
+    ("pair", "pair", "sample document pairs with prepared answers", None),
+    ("gen-questions", "questions", "generate questions/claims and entity-filter them",
+     {**_PAIR, "answer": STRING}),
+    ("filter-answers", "filter_answers", "answerability and hop classification", _DRAFT),
+    ("gen-queries", "queries", "generate query candidates",
+     {**_PAIR, "question": STRING, "final_answer": STRING}),
+    ("verify", "verify", "verify queries and assemble instances", {
         **_DRAFT,
         "hops": (lambda value: value in ("one", "two"), "'one' or 'two'"),
         "answerable_in": (_is_contexts,
@@ -298,8 +302,8 @@ INPUT_FIELDS = {
         "final_answer": STRING,
         "candidates": (_is_candidates, f"a list of {{'text': str, 'origin': {ORIGIN_MODEL!r} "
                                        f"or {ORIGIN_BACKUP!r}, 'rank': int}}"),
-    },
-}
+    }),
+)
 
 
 def write_splits(
@@ -385,7 +389,8 @@ def run_eval(
     Items carry {"id", "question", "answer"} (QA) or {"id", "question",
     "label"} (fact verification); an item without them, a question or answer
     that is not a string, or a label not in FEVER_LABELS once normalized,
-    raises InputError naming `<path>:<line>` before any episode runs.
+    raises InputError naming `<path>:<line>`, and a file without items
+    raises InputError naming `<path>`, before the corpus is read.
     `config.eval.mode` picks greedy decoding, one episode per item, or
     self-consistency, several sampled episodes; either way the prediction
     is the majority vote over the item's answers.
@@ -396,12 +401,14 @@ def run_eval(
     into its transcript, once per episode in order. The backend gets the
     same requests as one episode at a time would send, in another order.
     """
+    gold_field, gold_check = _GOLD_FIELDS[config.task]
+    items = read_rows(eval_path, fields={"id": None, "question": STRING, gold_field: gold_check})
+    if not items:
+        raise InputError(f"{eval_path}: no evaluation items")
     backend = backend or build_backend(config)
     provider = provider or build_embedder(config)
     store = build_store(corpus_path, config)
     index = build_index(store, provider)
-    gold_field, gold_check = _GOLD_FIELDS[config.task]
-    items = read_rows(eval_path, fields={"id": None, "question": STRING, gold_field: gold_check})
     lookup = lambda doc_id: store.documents[doc_id].text  # noqa: E731
     sampled = config.eval.mode == "self_consistency"
     params = default_decode_params(EVAL_SELF_CONSISTENCY if sampled else EVAL_GREEDY)

@@ -179,10 +179,13 @@ class FileEmbedder:
 
     A bad line, a text that is not a string, or a vector that is not a list
     of numbers finite in float32 (the check `HttpEmbedder` makes) raises
-    EmbeddingFileError naming `<path>:<line>` as the file loads.
+    EmbeddingFileError naming `<path>:<line>` as the file loads; a text
+    the file lacks raises EmbeddingFileError naming `<path>` when it is
+    asked for.
     """
 
     def __init__(self, path: str | Path):
+        self.path = path
         self.table = {}
         fields = {"text": STRING, "vector": None}
         for line, row in read_numbered_rows(path, EmbeddingFileError, fields):
@@ -197,7 +200,9 @@ class FileEmbedder:
         for text in texts:
             vec = self.table.get(text)
             if vec is None:
-                raise EmbeddingError(f"no precomputed embedding for text: {text[:60]!r}")
+                raise EmbeddingFileError(
+                    f"{self.path}: no precomputed embedding for text: {text[:60]!r}"
+                )
             out.append(vec)
         return out
 

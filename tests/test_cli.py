@@ -58,9 +58,9 @@ def test_runtime_failure_exit_2(tmp_path, capsys):
     assert main(["stats", "--in", str(tmp_path / "missing.jsonl")]) == 2
 
 
-def test_run_all_exits_2_on_a_query_missing_from_the_embedding_file(
-    tmp_path, corpus_path, capsys
-):
+def _corpus_only_embeddings(tmp_path, corpus_path):
+    """A config file whose embedding file holds the corpus texts alone, that
+    file, and the first query text run-all asks it for."""
     config = PipelineConfig()
     store = pipeline.build_store(corpus_path, config)
     texts = [doc.text for doc in store.documents.values()]
@@ -71,18 +71,40 @@ def test_run_all_exits_2_on_a_query_missing_from_the_embedding_file(
     ))
     config_file = tmp_path / "config.txt"
     config_file.write_text(f"embeddings.kind = file\nembeddings.file = {vectors}\n")
-    out = tmp_path / "out"
-    assert main([
-        "--config", str(config_file), "run-all", "--in", str(corpus_path), "--out", str(out),
-    ]) == 2
     rows, _ = pipeline.stage_pair(store, config)
     for stage in (pipeline.stage_questions, pipeline.stage_filter_answers,
                   pipeline.stage_queries):
         rows, _ = stage(store, rows, config)
-    first_query = rows[0]["candidates"][0]["text"]
+    return config_file, vectors, rows[0]["candidates"][0]["text"]
+
+
+def test_run_all_exits_2_on_a_query_missing_from_the_embedding_file(
+    tmp_path, corpus_path, capsys
+):
+    config_file, _, first_query = _corpus_only_embeddings(tmp_path, corpus_path)
+    out = tmp_path / "out"
+    assert main([
+        "--config", str(config_file), "run-all", "--in", str(corpus_path), "--out", str(out),
+    ]) == 2
     err = capsys.readouterr().err
     assert f"no precomputed embedding for text: {first_query[:60]!r}" in err
     assert not out.exists()  # nothing is written before every stage has run
+
+
+def test_stage_command_runs_the_stage_found_at_the_call(tmp_path, corpus_path, capsys,
+                                                         monkeypatch):
+    calls = []
+    stage_pair = pipeline.stage_pair
+
+    def spy(*args):
+        calls.append(args)
+        return stage_pair(*args)
+
+    monkeypatch.setattr(pipeline, "stage_pair", spy)
+    store = tmp_path / "store.jsonl"
+    assert main(["ingest", "--in", str(corpus_path), "--out", str(store)]) == 0
+    assert main(["pair", "--store", str(store), "--out", str(tmp_path / "pairs.jsonl")]) == 0
+    assert len(calls) == 1
 
 
 def test_stage_chain(tmp_path, corpus_path, capsys):
@@ -724,6 +746,24 @@ def test_eval_cli_creates_the_out_parent(tmp_path):
     assert json.loads(report_path.read_text())["em"] == 100.0
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", ": no evaluation items"),
+    ("\n\n", ": no evaluation items"),
+    (json.dumps({"id": "q", "answer": "x"}) + "\n", ":1: missing field 'question'"),
+], ids=["empty", "blank-lines", "missing-question"])
+def test_eval_checks_its_items_before_the_corpus(tmp_path, corpus_path, capsys, caplog,
+                                                 monkeypatch, text, message):
+    indexed = []
+    monkeypatch.setattr(pipeline, "build_index", lambda *args: indexed.append(args))
+    items = tmp_path / "items.jsonl"
+    items.write_text(text)
+    assert main(["eval", "--in", str(items), "--corpus", str(corpus_path),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err == f"error: {items}{message}\n"
+    assert [record for record in caplog.records if record.exc_info] == []
+    assert indexed == []
+
+
 def _bad_input_argv(tmp_path, corpus_path, case):
     """Arguments of a command whose input file has a bad line, and the error it names."""
     bad = tmp_path / "bad.jsonl"
@@ -738,6 +778,11 @@ def _bad_input_argv(tmp_path, corpus_path, case):
         bad.write_text(json.dumps({"id": "q", "question": "Who?", "answer": 5}) + "\n")
         return (["eval", "--in", str(bad), "--corpus", str(corpus_path),
                  "--out", str(tmp_path / "report.json")], f"{bad}:1: answer 5 is not a string")
+    if case == "embedding_text":
+        config_file, vectors, first_query = _corpus_only_embeddings(tmp_path, corpus_path)
+        return (["--config", str(config_file), "run-all", "--in", str(corpus_path),
+                 "--out", str(tmp_path / "out")],
+                f"{vectors}: no precomputed embedding for text: {first_query[:60]!r}")
     bad.write_text(json.dumps({"text": "x", "vector": ["y"]}) + "\n")
     config_file = tmp_path / "config.txt"
     config_file.write_text(f"embeddings.kind = file\nembeddings.file = {bad}\n")
@@ -746,7 +791,8 @@ def _bad_input_argv(tmp_path, corpus_path, case):
             f"{bad}:1: vector ['y'] is not a list of finite numbers")
 
 
-@pytest.mark.parametrize("case", ["stats", "ingest", "eval_gold", "embedding_vector"])
+@pytest.mark.parametrize("case", ["stats", "ingest", "eval_gold", "embedding_vector",
+                                  "embedding_text"])
 def test_bad_input_line_exits_2_without_a_traceback(tmp_path, corpus_path, capsys, caplog, case):
     argv, message = _bad_input_argv(tmp_path, corpus_path, case)
     assert main(argv) == 2

@@ -212,3 +212,16 @@ def test_attribute_guard_flags_a_missing_attribute_by_scope():
     ]
     missing = [(m, a) for m, a in reads if not hasattr(importlib.import_module(m), a)]
     assert missing == [(m, a) for m, a in reads if a.startswith("no_such")]
+
+
+def test_stage_table_names_resolve_in_the_tracer_order():
+    # the CLI and the tracer build `stage_<name>` at run time, where the guards above cannot see
+    from hopsynth import pipeline
+
+    tracing = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    traced = [ast.literal_eval(node.value) for node in tracing.body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["STAGES"]]
+    names = [name for _, name, _, _ in pipeline.STAGES]
+    assert traced == [tuple(names)]
+    assert [name for name in names if not callable(getattr(pipeline, f"stage_{name}", None))] == []
