@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from hopsynth import retrieval
-from hopsynth._kernels import select_topk
+from hopsynth.retrieval import select_topk
 from hopsynth.retrieval import EMBED_BLOCK, build_flat_index, search
 
 

@@ -116,19 +116,13 @@ def truncate_text(text: str, max_tokens: int) -> str:
 
 _NON_EMPTY = (lambda value: isinstance(value, str) and value != "", "a non-empty string")
 _RECORD_FIELDS = {"id": _NON_EMPTY, "title": _NON_EMPTY, "text": _NON_EMPTY}
-
-
-def _check_record(record: dict, where: str) -> None:
-    anchors = record.get("anchors", [])
-    for anchor in anchors if isinstance(anchors, list) else (None,):  # not a list: one bad anchor
-        if not (isinstance(anchor, dict) and isinstance(anchor.get("span"), str)
-                and isinstance(anchor.get("target"), str)):
-            raise CorpusFormatError(
-                f"{where}: anchors {anchors!r} is not a list of {{'span': str, 'target': str}}"
-            )
-    topic = record.get("topic")
-    if topic is not None and not isinstance(topic, str):
-        raise CorpusFormatError(f"{where}: topic {topic!r} is not a string")
+_RECORD_OPTIONAL = {
+    "anchors": (lambda value: isinstance(value, list) and all(
+        isinstance(anchor, dict) and isinstance(anchor.get("span"), str)
+        and isinstance(anchor.get("target"), str) for anchor in value),
+        "a list of {'span': str, 'target': str}"),
+    "topic": (lambda value: value is None or isinstance(value, str), "a string"),
+}
 
 
 def ingest_corpus(
@@ -143,13 +137,14 @@ def ingest_corpus(
     topic then fall back to `_keyword_topic`; `keyword` always labels,
     keeping record topics; `none` leaves every topic and cluster empty.
     Anchors whose span no longer occurs in the truncated text are discarded
-    so every stored anchor is quotable from the stored document.
+    so every stored anchor is quotable from the stored document. A file
+    with no record (blank lines at most) raises CorpusFormatError.
     """
     config = config or CorpusConfig()
     labeler = (topics or TopicsConfig()).labeler
     path = Path(path)
     try:
-        rows = read_numbered_rows(path, CorpusFormatError, _RECORD_FIELDS)
+        rows = read_numbered_rows(path, CorpusFormatError, _RECORD_FIELDS, _RECORD_OPTIONAL)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
 
@@ -159,7 +154,6 @@ def ingest_corpus(
     id_lines: dict[str, int] = {}
     title_to_id: dict[str, str] = {}
     for line_no, record in rows:
-        _check_record(record, f"{path}:{line_no}")
         doc_id, title = record["id"], record["title"]
         if doc_id in id_lines:
             raise CorpusFormatError(
@@ -179,6 +173,8 @@ def ingest_corpus(
             if anchor["span"] in text  # else outside the truncation window
         )
         records.append((doc_id, title, text, anchors, record.get("topic")))
+    if not records:
+        raise CorpusFormatError(f"{path}: no documents")
 
     label_docs = labeler == "keyword" or (
         labeler == "file" and any(topic for *_, topic in records)

@@ -10,7 +10,8 @@ keeps non-ASCII characters as they are, U+2028, U+2029 and U+0085 included,
 which `str.splitlines` would also split on. The reader reads the open file
 line by line, decodes each line as UTF-8 and yields each object as it is
 parsed, so reading holds one line at a time and the caller decides which
-objects it keeps. It is also the one checker of a row's required fields.
+objects it keeps. It is also the one checker of a row's fields, required
+and optional.
 """
 
 from __future__ import annotations
@@ -33,20 +34,24 @@ def is_strings(value) -> bool:
 
 
 def read_numbered_rows(
-    path, error: type[Exception] = InputError, fields: Mapping[str, Optional[Check]] = {}
+    path, error: type[Exception] = InputError, fields: Mapping[str, Optional[Check]] = {},
+    optional: Mapping[str, Check] = {},
 ) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line, in file order.
 
     `path` is a file path or an `importlib.resources` file. The file is
     opened at the call, so an unreadable path raises OSError here, and read
     lazily as the result is iterated. `fields` maps each field a row must
-    hold to None, or to the `Check` its value must pass. A line that is not
-    UTF-8, not valid JSON or not a JSON object raises `error` naming
-    `<path>:<line>`, and so does a row without a field (`missing field 'x'`)
-    or with a value its check refuses (`x <value!r> is not <expected>`).
+    hold to None, or to the `Check` its value must pass; `optional` maps a
+    field a row may hold to the `Check` its value must pass when present,
+    checked after the required ones. A line that is not UTF-8, not valid
+    JSON or not a JSON object raises `error` naming `<path>:<line>`, and so
+    does a row without a required field (`missing field 'x'`) or with a
+    value a check refuses (`x <value!r> is not <expected>`).
     """
     source = Path(path) if isinstance(path, str) else path
-    checks = [(name, *(check or (None, None))) for name, check in fields.items()]
+    checks = [(name, True, *(check or (None, None))) for name, check in fields.items()]
+    checks += [(name, False, *check) for name, check in optional.items()]
     return _numbered_rows(source.open("rb"), path, error, checks)
 
 
@@ -67,10 +72,11 @@ def _numbered_rows(handle, path, error, checks) -> Iterator[tuple[int, dict]]:
                 raise error(f"{path}:{line_no}: {message}") from exc
             if not isinstance(row, dict):
                 raise error(f"{path}:{line_no}: not a JSON object")
-            for name, valid, expected in checks:
+            for name, required, valid, expected in checks:
                 if name not in row:
-                    raise error(f"{path}:{line_no}: missing field {name!r}")
-                if valid is not None and not valid(row[name]):
+                    if required:
+                        raise error(f"{path}:{line_no}: missing field {name!r}")
+                elif valid is not None and not valid(row[name]):
                     raise error(f"{path}:{line_no}: {name} {row[name]!r} is not {expected}")
             yield line_no, row
 

@@ -20,9 +20,10 @@ from typing import Optional
 
 from .pairing import derive_rng
 from .promptkit import parse_block
+from .synthesis import FEVER_LABELS
 
 _ANSWER_TAG = re.compile(r" regarding (.+)\?$")
-_LABEL_TAG = re.compile(r"\[(SUPPORTS|REFUTES|NOT ENOUGH INFO)\]")
+_LABEL_TAG = re.compile(r"\[(" + "|".join(FEVER_LABELS) + r")\]")
 
 
 def _lead_words(text: str, count: int = 4) -> str:
@@ -117,12 +118,12 @@ class SyntheticPipelineRule:
         label = match.group(1)
         if len(target["documents"]) >= 2:
             if rng.random() < self.p_wrong_answer:
-                wrong = [l for l in ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO") if l != label]
+                wrong = [l for l in FEVER_LABELS if l != label]
                 return " " + rng.choice(wrong)
             return " " + label
         if rng.random() < self.p_single_hop:
             return " " + label
-        return " " + rng.choice(["SUPPORTS", "REFUTES", "NOT ENOUGH INFO"])
+        return " " + rng.choice(FEVER_LABELS)
 
     def _queries(self, target, rng) -> str:
         if rng.random() < self.p_bad_queries:

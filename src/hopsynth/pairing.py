@@ -112,8 +112,6 @@ def sample_pairs(
     hyper pool is shuffled whole, as its draws come first; the topic pool
     then draws only the partners it gives up.
     """
-    if doc_id not in store.documents:
-        raise KeyError(f"unknown document id: {doc_id}")
     rng = derive_rng(seed, "pairs", doc_id)
     hyper_pool = hyperlink_neighbors(store, doc_id)
     rng.shuffle(hyper_pool)

@@ -114,18 +114,17 @@ _EXAMPLE_FIELDS = {
     "question": STRING,
     "answer": STRING,
 }
+_EXAMPLE_OPTIONAL = {"queries": (is_strings, "a list of strings")}
 
 
 def _example_from_row(row: dict, where: str) -> FewShotExample:
-    documents, queries = row["documents"], row.get("queries", [])
-    if not is_strings(queries):
-        raise InputError(f"{where}: queries {queries!r} is not a list of strings")
+    documents = row["documents"]
     try:
         return FewShotExample(
             documents=(documents[0], documents[1]),
             question_or_claim=row["question"],
             answer=row["answer"],
-            queries=tuple(queries),
+            queries=tuple(row.get("queries", ())),
         )
     except ValueError as exc:  # more than two queries, or a field of more than one line
         raise InputError(f"{where}: {exc}") from None
@@ -134,13 +133,17 @@ def _example_from_row(row: dict, where: str) -> FewShotExample:
 def load_examples(path: str | Path) -> list[FewShotExample]:
     """Read a few-shot store: JSONL of documents/question/answer/queries.
 
-    The reader checks the required fields (`_EXAMPLE_FIELDS`: documents two
-    strings, question and answer strings). A row that fails one, whose
-    queries (optional) are not a list of strings, or that `FewShotExample`
-    refuses, raises InputError naming `<path>:<line>`.
+    The reader checks the fields (`_EXAMPLE_FIELDS`: documents two strings,
+    question and answer strings; `_EXAMPLE_OPTIONAL`: queries a list of
+    strings). A row that fails one, or that `FewShotExample` refuses, raises
+    InputError naming `<path>:<line>`; so does a store with no rows, naming
+    `<path>`, as a few-shot prompt needs examples.
     """
-    rows = read_numbered_rows(path, fields=_EXAMPLE_FIELDS)
-    return [_example_from_row(row, f"{path}:{line}") for line, row in rows]
+    rows = read_numbered_rows(path, fields=_EXAMPLE_FIELDS, optional=_EXAMPLE_OPTIONAL)
+    examples = [_example_from_row(row, f"{path}:{line}") for line, row in rows]
+    if not examples:
+        raise InputError(f"{path}: no few-shot examples")
+    return examples
 
 
 @functools.lru_cache(maxsize=None)

@@ -36,7 +36,6 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from ._kernels import select_topk
 from .httpjson import JsonSession, post_with_retries
 from .jsonl import STRING, InputError, read_numbered_rows
 from .metrics import word_tokens
@@ -324,6 +323,21 @@ def build_flat_index(doc_ids: Sequence[str], vectors) -> FlatIndex:
         raise ValueError("embeddings must be finite")
     matrix.setflags(write=False)
     return FlatIndex(doc_ids=ids, matrix=matrix, dim=matrix.shape[1])
+
+
+def select_topk(scores: np.ndarray, k: int) -> np.ndarray:
+    """Row indices of the k best scores (desc score, asc index on ties).
+
+    The order of a stable `argsort(-scores)[:k]`, without sorting every row:
+    `np.partition` finds the k-th best score, and only the rows at or above
+    it are sorted. Scores must be finite (`search` rejects non-finite
+    queries).
+    """
+    n = scores.shape[0]
+    m = min(k, n)
+    kth = np.partition(scores, n - m)[n - m]
+    rows = np.flatnonzero(scores >= kth)
+    return rows[np.lexsort((rows, -scores[rows]))][:m]
 
 
 def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:

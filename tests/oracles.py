@@ -32,7 +32,7 @@ from collections import Counter
 
 import numpy as np
 
-from hopsynth._kernels import select_topk
+from hopsynth.retrieval import select_topk
 from hopsynth.genbackend import EmptyCompletion, complete
 from hopsynth.promptkit import render_episode
 

@@ -783,6 +783,21 @@ def _bad_input_argv(tmp_path, corpus_path, case):
         return (["--config", str(config_file), "run-all", "--in", str(corpus_path),
                  "--out", str(tmp_path / "out")],
                 f"{vectors}: no precomputed embedding for text: {first_query[:60]!r}")
+    if case == "run_all_empty_corpus":
+        bad.write_text("\n\n")
+        return (["--config", str(DEMO / "config.txt"), "run-all", "--in", str(bad),
+                 "--out", str(tmp_path / "out")], f"{bad}: no documents")
+    if case == "eval_empty_corpus":
+        bad.write_text("")
+        items = tmp_path / "items.jsonl"
+        items.write_text(json.dumps({"id": "q", "question": "Who?", "answer": "x"}) + "\n")
+        return (["eval", "--in", str(items), "--corpus", str(bad),
+                 "--out", str(tmp_path / "report.json")], f"{bad}: no documents")
+    if case == "empty_examples":
+        bad.write_text("")
+        return (["--config", str(DEMO / "config.txt"), "--examples", str(bad), "run-all",
+                 "--in", str(DEMO / "corpus.jsonl"), "--out", str(tmp_path / "out")],
+                f"{bad}: no few-shot examples")
     bad.write_text(json.dumps({"text": "x", "vector": ["y"]}) + "\n")
     config_file = tmp_path / "config.txt"
     config_file.write_text(f"embeddings.kind = file\nembeddings.file = {bad}\n")
@@ -792,7 +807,8 @@ def _bad_input_argv(tmp_path, corpus_path, case):
 
 
 @pytest.mark.parametrize("case", ["stats", "ingest", "eval_gold", "embedding_vector",
-                                  "embedding_text"])
+                                  "embedding_text", "run_all_empty_corpus",
+                                  "eval_empty_corpus", "empty_examples"])
 def test_bad_input_line_exits_2_without_a_traceback(tmp_path, corpus_path, capsys, caplog, case):
     argv, message = _bad_input_argv(tmp_path, corpus_path, case)
     assert main(argv) == 2

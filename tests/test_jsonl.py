@@ -33,3 +33,23 @@ def test_invalid_utf8_names_the_line(tmp_path):
     assert next(rows) == (1, {"a": 1})
     with pytest.raises(ValueError, match=r"rows\.jsonl:2: not UTF-8 \(invalid start byte at byte 8\)"):
         next(rows)
+
+
+
+def test_optional_field_is_checked_only_when_present(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": "x"}\n{"a": "y", "b": ["z"]}\n{"a": "w", "b": 5}\n')
+    rows = read_numbered_rows(path, fields={"a": None},
+                              optional={"b": (lambda value: isinstance(value, list), "a list")})
+    assert next(rows) == (1, {"a": "x"})
+    assert next(rows) == (2, {"a": "y", "b": ["z"]})
+    with pytest.raises(ValueError, match=r"rows\.jsonl:3: b 5 is not a list"):
+        next(rows)
+
+
+def test_required_fields_are_checked_before_optional_ones(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"b": 5}\n')
+    rows = read_numbered_rows(path, fields={"a": None}, optional={"b": (lambda value: False, "x")})
+    with pytest.raises(ValueError, match=r"rows\.jsonl:1: missing field 'a'"):
+        next(rows)

@@ -174,6 +174,26 @@ def test_run_all_identical_across_embed_blocks(tmp_path, corpus_path, monkeypatc
     assert outputs[1] == outputs[7] == outputs[64]
 
 
+@pytest.mark.parametrize("task", ["mqa", "fever"])
+def test_run_all_ignores_corpus_line_order(tmp_path, task):
+    # a metamorphic relation: the same documents in another line order give
+    # the same bytes, counters and stats
+    records = make_corpus(n_docs=150, seed=5, n_topics=6)
+    shuffled = list(records)
+    random.Random(17).shuffle(shuffled)
+    assert shuffled != records
+    config = make_config(task=task, dev_size=5)
+    outputs = []
+    for name, lines in (("sorted", records), ("shuffled", shuffled)):
+        corpus = write_corpus(tmp_path / f"{name}.jsonl", lines)
+        report = run_all(corpus, tmp_path / name, config)
+        del report["outputs"]
+        outputs.append([report] + [(tmp_path / name / file).read_bytes()
+                                   for file in ("train.jsonl", "dev.jsonl", "store.jsonl")])
+    assert outputs[0][0]["counters"]["emitted"] > 5
+    assert outputs[0] == outputs[1]
+
+
 def _topic_corpus(tmp_path, with_topics: bool):
     records = make_corpus(n_docs=40, seed=4, n_topics=4)
     for i, record in enumerate(records):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hopsynth import retrieval
-from hopsynth._kernels import select_topk
+from hopsynth.retrieval import select_topk
 from hopsynth.retrieval import (
     EMBED_BLOCK,
     EmbeddingError,
