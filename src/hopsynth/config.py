@@ -30,6 +30,7 @@ from .evalharness import EvalConfig
 from .genbackend import HttpBackend, MockBackend
 from .mockllm import GoldScriptRule, SyntheticPipelineRule
 from .pairing import PairingConfig
+from .promptkit import load_examples
 from .retrieval import FileEmbedder, HashEmbedder, HttpEmbedder
 from .synthesis import TASK_FEVER, TASK_MQA, FilterConfig
 from .verification import VerifyConfig
@@ -169,6 +170,10 @@ def build_backend(config: PipelineConfig):
     elif table is None:
         rule = SyntheticPipelineRule()
     return MockBackend(table=table, rule=rule)
+
+
+def build_examples(config: PipelineConfig):
+    return load_examples(config.examples) if config.examples else None
 
 
 def build_embedder(config: PipelineConfig):

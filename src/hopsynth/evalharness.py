@@ -2,12 +2,12 @@
 
 An episode renders the running context with `promptkit.render_episode`
 ("Question:", then each "Query:" with its retrieved "Document:" lines) and
-completes one line per turn, read in one place: a "Query:" line retrieves
-and the episode goes on, an "Answer:" line ends it. Prefixes are matched
-with or without a space after the colon, whitespace stripped. Once
-`max_hops` queries have been made, the hop limit changes only the cue: the
-context ends with "Answer:", so a bare line is the answer, while a "Query:"
-line, an empty completion or "Answer: Query: ..." halt with `hop_limit`.
+completes one line per turn, read by `promptkit.read_model_line` as
+synthesis reads its query lines: a "Query:" line retrieves and the episode
+goes on, an "Answer:" line ends it. Once `max_hops` queries have been made,
+the hop limit changes only the cue: the context ends with HOP_LIMIT_CUE, so
+a bare line is the answer, while a "Query:" line, an empty completion or
+"Answer: Query: ..." halt with `hop_limit`.
 Before the limit, any unusable line halts with `empty_completion`.
 Scoring is EM/F1 for QA, accuracy for fact verification, with majority-vote
 self-consistency over sampled answers.
@@ -33,7 +33,7 @@ from .genbackend import (
     complete,
 )
 from .metrics import normalize_answer, score_pair
-from .promptkit import render_episode
+from .promptkit import HOP_LIMIT_CUE, read_model_line, render_episode
 from .retrieval import FlatIndex, embed, per_distinct_text, search
 from .synthesis import FEVER_LABELS, normalize_label
 
@@ -76,17 +76,6 @@ class EvalConfig:
             raise ValueError(f"mode {self.mode!r} is not one of greedy, self_consistency")
 
 
-def _complete_line(backend: Backend, prompt: str, params: DecodeParams) -> str:
-    try:
-        return complete(backend, prompt, params).strip()
-    except EmptyCompletion:
-        return ""
-
-
-def _query_of(line: str) -> str:
-    return line[len("Query:"):].strip() if line.startswith("Query:") else ""
-
-
 def play_episodes(
     episodes: Sequence[tuple[str, DecodeParams]],
     backend: Backend,
@@ -99,8 +88,8 @@ def play_episodes(
 
     A round renders and completes each live episode's next turn, in order,
     under the episode's own params, whose stop sequence (a newline) ends the
-    turn at its line; the turn after `max_hops` queries gets the "Answer:"
-    cue. The round's distinct new queries are then embedded and searched
+    turn at its line; the turn after `max_hops` queries ends in HOP_LIMIT_CUE.
+    The round's distinct new queries are then embedded and searched
     EMBED_BLOCK at a time: one provider call and one block search each,
     whose ids equal a per-query search's. An episode stays live while its
     line is a query before the hop limit. `doc_text_lookup` maps a doc id to
@@ -117,9 +106,12 @@ def play_episodes(
         for n in live:
             question, params = episodes[n]
             at_limit = len(turns[n]) == config.max_hops
-            prompt = render_episode(question, turns[n], texts, cue="Answer:" if at_limit else None)
-            lines[n] = _complete_line(backend, prompt, params)
-            query = _query_of(lines[n])
+            prompt = render_episode(question, turns[n], texts, HOP_LIMIT_CUE if at_limit else None)
+            try:
+                lines[n] = complete(backend, prompt, params).strip()
+            except EmptyCompletion:
+                lines[n] = ""
+            query = read_model_line(lines[n], "queries")
             if query and not at_limit:
                 queries[n] = query
         retrieved = per_distinct_text(
@@ -141,11 +133,10 @@ def run_episode(question: str, played: Played) -> Transcript:
     tracer keys each `run_episode` span on the first argument.
     """
     line, at_limit = played.line, played.at_limit
-    if line.startswith("Answer:"):
-        answer = line[len("Answer:"):].strip()
-    else:
+    answer = read_model_line(line, "answer")
+    if answer is None:
         answer = line if at_limit else ""
-    if at_limit and answer.startswith("Query:"):
+    if at_limit and read_model_line(answer, "queries") is not None:
         answer = ""
     halted = HALT_ANSWERED if answer else HALT_HOP_LIMIT if at_limit else HALT_EMPTY
     return Transcript(played.turns, answer or None, halted)

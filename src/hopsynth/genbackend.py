@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .httpjson import JsonSession, post_with_retries
-from .promptkit import ANSWERING, QUERY_GEN, QUESTION_GEN, STOP_SEQUENCES
+from .promptkit import ANSWERING, EPISODE_STOP, QUERY_GEN, QUESTION_GEN, STOP_SEQUENCES
 
 EVAL_GREEDY = "eval_greedy"
 EVAL_SELF_CONSISTENCY = "eval_self_consistency"
@@ -72,8 +72,9 @@ _STAGE_PARAMS = {
     QUESTION_GEN: DecodeParams(max_tokens=64, top_p=0.9, stop=STOP_SEQUENCES),
     ANSWERING: DecodeParams(max_tokens=16, top_p=0.9, stop=STOP_SEQUENCES),
     QUERY_GEN: DecodeParams(max_tokens=64, top_p=0.9, stop=STOP_SEQUENCES),
-    EVAL_GREEDY: DecodeParams(max_tokens=64, temperature=0.0, stop=("\n",)),
-    EVAL_SELF_CONSISTENCY: DecodeParams(max_tokens=64, temperature=0.7, top_k=40, stop=("\n",)),
+    EVAL_GREEDY: DecodeParams(max_tokens=64, temperature=0.0, stop=EPISODE_STOP),
+    EVAL_SELF_CONSISTENCY: DecodeParams(
+        max_tokens=64, temperature=0.7, top_k=40, stop=EPISODE_STOP),
 }
 
 

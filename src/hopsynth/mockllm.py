@@ -1,8 +1,8 @@
 """Deterministic rule-program backends for offline runs and tests.
 
 Both rules read prompts only through `promptkit.parse_block`.
-SyntheticPipelineRule parses a synthesis prompt's target block (the text
-after its last blank line) and plays a cooperative-but-imperfect model:
+SyntheticPipelineRule parses a synthesis prompt's target block (its last
+block) and plays a cooperative-but-imperfect model:
 questions embed their target answer so the answering rule can recover it,
 queries quote each document's leading tokens so hash embeddings retrieve
 them, and seeded coin flips inject the failure modes (empty output,
@@ -66,7 +66,7 @@ class SyntheticPipelineRule:
 
     def __call__(self, prompt: str, seed: Optional[int]) -> str:
         rng = derive_rng(seed, prompt)
-        target = parse_block(prompt.rpartition("\n\n")[2])
+        target = parse_block(prompt)
         cue = target["cue"]
         if cue == "Question:":
             return self._question(target, rng)

@@ -19,7 +19,7 @@ from itertools import islice
 from pathlib import Path
 
 from . import retrieval, synthesis
-from .config import PipelineConfig, build_backend, build_embedder, build_recognizer
+from .config import PipelineConfig, build_backend, build_embedder, build_examples, build_recognizer
 from .corpus import CorpusStore, ingest_corpus, serialize_store
 from .emitter import dataset_stats, split_dev, write_jsonl
 from .evalharness import play_episodes, run_episode, score_fever, score_qa, self_consistency
@@ -35,7 +35,6 @@ from .pairing import (
     pick_answer,
     sample_pairs,
 )
-from .promptkit import load_examples
 from .retrieval import build_flat_index, embed, per_distinct_text
 from .synthesis import (
     FEVER_LABELS,
@@ -96,10 +95,6 @@ def _pair_from_row(store: CorpusStore, row: dict) -> DocumentPair:
     return DocumentPair(store.documents[row["d1"]], store.documents[row["d2"]], row["relation"])
 
 
-def _examples_override(config: PipelineConfig):
-    return load_examples(config.examples) if config.examples else None
-
-
 def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> tuple[list[dict], dict]:
     """Sample pairs per anchor document and attach a prepared answer.
 
@@ -142,6 +137,7 @@ def stage_questions(
     config: PipelineConfig,
     backend=None,
     recognizer=None,
+    examples=None,
 ) -> tuple[list[dict], dict]:
     """Generate questions/claims and apply the entity filter.
 
@@ -150,7 +146,7 @@ def stage_questions(
     """
     backend = backend or build_backend(config)
     recognizer = recognizer or build_recognizer(config)
-    examples = _examples_override(config)
+    examples = examples or build_examples(config)
     drafts = [
         synthesis.generate_question(
             _pair_from_row(store, row), row["answer"], backend, task=config.task,
@@ -183,10 +179,11 @@ def stage_filter_answers(
     draft_rows: list[dict],
     config: PipelineConfig,
     backend=None,
+    examples=None,
 ) -> tuple[list[dict], dict]:
     """Answerability and hop classification via both/first/second probes."""
     backend = backend or build_backend(config)
-    examples = _examples_override(config)
+    examples = examples or build_examples(config)
 
     def step(row: dict):
         draft = _draft_from_row(store, row, config.task)
@@ -213,10 +210,11 @@ def stage_queries(
     decision_rows: list[dict],
     config: PipelineConfig,
     backend=None,
+    examples=None,
 ) -> tuple[list[dict], dict]:
     """Generate query candidates (model + backup) for every kept draft."""
     backend = backend or build_backend(config)
-    examples = _examples_override(config)
+    examples = examples or build_examples(config)
 
     def step(row: dict):
         return {**row, "candidates": synthesis.generate_queries(
@@ -336,14 +334,15 @@ def run_all(
     backend = backend or build_backend(config)
     provider = provider or build_embedder(config)
     recognizer = recognizer or build_recognizer(config)
+    examples = build_examples(config)
 
     store = build_store(corpus_path, config)
     # each stage takes the rows the one before it wrote; rebinding `rows`
     # frees a stage's input once the next stage has returned
     rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
-    rows, question_counts = stage_questions(store, rows, config, backend, recognizer)
-    rows, answer_counts = stage_filter_answers(store, rows, config, backend)
-    rows, query_counts = stage_queries(store, rows, config, backend)
+    rows, question_counts = stage_questions(store, rows, config, backend, recognizer, examples)
+    rows, answer_counts = stage_filter_answers(store, rows, config, backend, examples)
+    rows, query_counts = stage_queries(store, rows, config, backend, examples)
     instances, verify_counts = stage_verify(store, rows, config, provider)
     del rows
     stages = (pair_counts, question_counts, answer_counts, query_counts, verify_counts)

@@ -18,7 +18,8 @@ multi-hop setting and eight for fact verification, shared by every stage.
 
 An evaluation episode is one block: the Question line, then each turn's
 Query line and its retrieved Document lines. In both layouts a document is
-one line: its newlines become spaces. `parse_block` reads any block.
+one line: its newlines become spaces. `parse_block` reads any block, and
+`read_model_line` every line a model writes, in synthesis and evaluation.
 """
 
 from __future__ import annotations
@@ -38,7 +39,10 @@ QUESTION_GEN = "question_gen"
 ANSWERING = "answering"
 QUERY_GEN = "query_gen"
 
-STOP_SEQUENCES = ("\n\n", "\nDocument:")
+_BLOCK_BREAK = "\n\n"  # the blank line between a synthesis prompt's blocks
+STOP_SEQUENCES = (_BLOCK_BREAK, "\nDocument:")
+EPISODE_STOP = ("\n",)  # an evaluation turn is one line
+HOP_LIMIT_CUE = "Answer:"  # ends the context of the turn after the hop limit
 
 # ordered fields after the documents per stage; the last one is the cue
 _LAYOUTS = {
@@ -51,12 +55,6 @@ _LABELS = {
     TASK_MQA: {"question": "Question", "answer": "Answer", "queries": "Query"},
     TASK_FEVER: {"question": "Claim", "answer": "Answer", "queries": "Query"},
 }
-# (task, stage) -> the layout as (field, label) pairs, cue last
-_LABELED_LAYOUTS = {
-    (task, stage): tuple((name, labels[name]) for name in fields)
-    for task, labels in _LABELS.items()
-    for stage, fields in _LAYOUTS.items()
-}
 # (task, setting) -> its built-in example file; the pairs `_check_task` accepts
 _BUILTIN_FILES = {
     (TASK_MQA, "hyper"): "mqa_hyper",
@@ -66,11 +64,13 @@ _BUILTIN_FILES = {
 # (task, stage, setting) -> (the (field, label) pairs given before the cue,
 # the cue line, the built-in example file): one lookup checks a prompt's keys
 _TARGETS = {
-    (task, stage, setting): (layout[:-1], f"{layout[-1][1]}:", builtin)
+    (task, stage, setting): (tuple((name, _LABELS[task][name]) for name in fields[:-1]),
+                             f"{_LABELS[task][fields[-1]]}:", builtin)
     for (task, setting), builtin in _BUILTIN_FILES.items()
-    for (layout_task, stage), layout in _LABELED_LAYOUTS.items()
-    if layout_task == task
+    for stage, fields in _LAYOUTS.items()
 }
+# field -> the label that starts a model's line for it, in every task
+_MODEL_LABELS = {"answer": "Answer:", "queries": "Query:"}
 
 
 class PromptError(ValueError):
@@ -217,7 +217,7 @@ def _example_prefix(task: str, stage: str, examples: str | tuple[FewShotExample,
     # a built-in set, so its key hashes one string, not every example.
     if isinstance(examples, str):
         examples = _load_builtin(examples)
-    layout = _LABELED_LAYOUTS[(task, stage)]
+    labels = _LABELS[task]
     blocks = []
     for example in examples:
         values = {
@@ -225,8 +225,8 @@ def _example_prefix(task: str, stage: str, examples: str | tuple[FewShotExample,
             "answer": (example.answer,),
             "queries": example.queries,
         }
-        lines = [f"{label}: {value}" for name, label in layout for value in values[name]]
-        blocks.append(_write_block(example.documents, lines) + "\n\n")
+        lines = [f"{labels[name]}: {value}" for name in _LAYOUTS[stage] for value in values[name]]
+        blocks.append(_write_block(example.documents, lines) + _BLOCK_BREAK)
     return "".join(blocks)
 
 
@@ -237,8 +237,8 @@ _BLOCK_FIELDS = {
 }
 
 
-def parse_block(block: str) -> dict:
-    """The fields of one rendered block (a few-shot block or an episode).
+def parse_block(text: str) -> dict:
+    """The fields of the last block of `text` (a prompt's target block, or an episode).
 
     Returns `documents` and `queries` as lists in line order; `question`,
     `claim` and `answer` when present, a repeated label keeping its last
@@ -246,7 +246,7 @@ def parse_block(block: str) -> dict:
     exact "Label: " line prefix.
     """
     fields: dict = {"documents": [], "queries": []}
-    lines = block.split("\n")
+    lines = text.rpartition(_BLOCK_BREAK)[2].split("\n")
     for line in lines:
         label, sep, value = line.partition(": ")
         key = _BLOCK_FIELDS.get(label) if sep else None
@@ -258,6 +258,15 @@ def parse_block(block: str) -> dict:
     return fields
 
 
+def read_model_line(line: str, field: str) -> Optional[str]:
+    """The value, stripped, of a model's line for `field` ("answer" or "queries"):
+    the line, stripped, starts with `Answer:` or `Query:`, the space after the
+    colon optional. None for any other line; "" for a label alone."""
+    label = _MODEL_LABELS[field]
+    line = line.strip()
+    return line[len(label):].strip() if line.startswith(label) else None
+
+
 def render_episode(question: str, turns, doc_text, cue: Optional[str] = None) -> str:
     """An episode's context after `turns`, (query, retrieved ids) pairs;
     `doc_text` maps an id to its Document line's text. Without a cue the
@@ -267,7 +276,4 @@ def render_episode(question: str, turns, doc_text, cue: Optional[str] = None) ->
         lines.append(f"Query: {query}")
         for doc_id in retrieved:
             lines.append(f"Document: {_clean_document(doc_text(doc_id))}")
-    if cue is not None:
-        lines.append(cue)
-        return "\n".join(lines)
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, cue or ""])

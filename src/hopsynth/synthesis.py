@@ -223,10 +223,7 @@ def generate_queries(
     )
     candidates: list[dict] = []
     for line in completion.split("\n"):
-        stripped = line.strip()
-        if not stripped.startswith("Query:"):
-            continue
-        text = stripped[len("Query:"):].strip()
+        text = promptkit.read_model_line(line, "queries")
         if text:
             candidates.append({"text": text, "origin": ORIGIN_MODEL, "rank": len(candidates)})
         if len(candidates) >= MAX_MODEL_QUERIES:
