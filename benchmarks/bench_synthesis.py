@@ -12,6 +12,9 @@ every `classify_hops` call. It then times, as the best of `--repeats`:
 
 - `render_prompt` over every recorded probe prompt, and `tests/oracles.py`'s
   `oracle_render_prompt` over the same arguments;
+- the same calls again (`render_loaded`), each with its examples written to
+  a JSONL store and read back with `promptkit.load_examples`, as a run with
+  `--examples` renders: the store is a list, not a built-in tuple;
 - `classify_hops` over every recorded draft and its three predictions, and
   `oracle_classify_hops`;
 - `HeuristicRecognizer.entities` over the corpus texts and the drafts'
@@ -89,6 +92,24 @@ def filter_stage_calls(make_corpus, n_docs, workdir):
     return store, [row["question"] for row in drafts], renders, classifies
 
 
+def loaded_store_calls(calls, workdir):
+    """`calls` with each example set replaced by the same examples read back
+    from a JSONL store through `promptkit.load_examples`."""
+    stores = {}
+    for args, _ in calls:
+        examples = args[3]
+        if id(examples) not in stores:
+            path = workdir / f"examples-{len(stores)}.jsonl"
+            with path.open("w", encoding="utf-8") as handle:
+                for e in examples:
+                    handle.write(json.dumps({
+                        "documents": list(e.documents), "question": e.question_or_claim,
+                        "answer": e.answer, "queries": list(e.queries),
+                    }) + "\n")
+            stores[id(examples)] = promptkit.load_examples(path)
+    return [((*args[:3], stores[id(args[3])], *args[4:]), kwargs) for args, kwargs in calls]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[2_000])
@@ -99,20 +120,20 @@ def main():
     from oracles import oracle_classify_hops, oracle_heuristic_entities, oracle_render_prompt
 
     results = []
-    print(f"{'docs':>6} {'layer':>9} {'calls':>7} {'s':>8} {'ref s':>8} {'us/call':>8}")
+    print(f"{'docs':>6} {'layer':>13} {'calls':>7} {'s':>8} {'ref s':>8} {'us/call':>8}")
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.sizes:
             store, questions, renders, classifies = filter_stage_calls(make_corpus, n, Path(tmp))
             texts = [store.documents[doc_id].text for doc_id in sorted(store.documents)]
             texts += questions
             recognizer = HeuristicRecognizer()
+            render = lambda a, k: promptkit.render_prompt(*a, **k).text  # noqa: E731
+            render_reference = lambda a, k: oracle_render_prompt(*a, **k)  # noqa: E731
             # layer -> (recorded (args, kwargs) calls, the layer's output, its reference's)
             layers = {
-                "render": (
-                    renders,
-                    lambda a, k: promptkit.render_prompt(*a, **k).text,
-                    lambda a, k: oracle_render_prompt(*a, **k),
-                ),
+                "render": (renders, render, render_reference),
+                "render_loaded": (loaded_store_calls(renders, Path(tmp)), render,
+                                  render_reference),
                 "classify": (
                     classifies,
                     lambda a, k: synthesis.classify_hops(*a, **k),
@@ -136,7 +157,7 @@ def main():
                 results.append({"docs": n, "layer": layer, "calls": len(calls),
                                 "s": round(seconds, 4), "ref_s": round(ref_seconds, 4),
                                 "us_per_call": round(per_call, 3)})
-                print(f"{n:>6} {layer:>9} {len(calls):>7} {seconds:>8.3f} {ref_seconds:>8.3f} "
+                print(f"{n:>6} {layer:>13} {len(calls):>7} {seconds:>8.3f} {ref_seconds:>8.3f} "
                       f"{per_call:>8.2f}", flush=True)
     print(json.dumps({"hopsynth": hopsynth.__file__, "seed": 7, "repeats": args.repeats,
                       "results": results}))

@@ -19,7 +19,6 @@ same keys and override file values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -28,6 +27,7 @@ from .corpus import CorpusConfig, TopicsConfig
 from .entities import HeuristicRecognizer, HttpRecognizer
 from .evalharness import EvalConfig
 from .genbackend import HttpBackend, MockBackend
+from .jsonl import InputError, read_json, read_text
 from .mockllm import GoldScriptRule, SyntheticPipelineRule
 from .pairing import PairingConfig
 from .promptkit import load_examples
@@ -123,7 +123,7 @@ def _coerce(current, raw: str):
 
 def parse_config_file(path: str | Path, config: Optional[PipelineConfig] = None) -> PipelineConfig:
     config = config or PipelineConfig()
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(read_text(path, ConfigError).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -163,7 +163,9 @@ def build_backend(config: PipelineConfig):
     # mock: the script rule, else the synthetic rule unless a table is given
     table = None
     if spec.mock_table:
-        table = json.loads(Path(spec.mock_table).read_text(encoding="utf-8"))
+        table = read_json(spec.mock_table)
+        if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
+            raise InputError(f"{spec.mock_table}: not a JSON object of prompt hash -> completion")
     rule = None
     if spec.mock_script:
         rule = GoldScriptRule.from_file(spec.mock_script)

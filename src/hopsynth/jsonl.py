@@ -2,8 +2,9 @@
 
 The one reader and writer of every JSONL file hopsynth reads or writes:
 corpora and stores, stage rows, datasets, evaluation items, few-shot
-examples and embedding tables. It imports nothing from the package, so
-every module can use it.
+examples and embedding tables; `read_json` reads the whole-file JSON inputs
+(the mock backend's table and script). It imports nothing from the package,
+so every module can use it.
 
 Lines split on `\n` only, and a `\r` before it is dropped with it. The writer
 keeps non-ASCII characters as they are, U+2028, U+2029 and U+0085 included,
@@ -31,6 +32,28 @@ class InputError(ValueError):
 
 def is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8 ({exc.reason} at byte {exc.start + 1})"
+
+
+def read_text(path, error: type[Exception] = InputError) -> str:
+    """A whole UTF-8 file's text; a file that is not UTF-8 raises `error` naming `<path>`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {_not_utf8(exc)}") from exc
+
+
+def read_json(path):
+    """A whole JSON file's value; a file that is not UTF-8 or not JSON raises
+    InputError naming `<path>`."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        message = f"invalid JSON ({exc.msg} at line {exc.lineno} column {exc.colno})"
+        raise InputError(f"{path}: {message}") from exc
 
 
 def read_numbered_rows(
@@ -61,8 +84,7 @@ def _numbered_rows(handle, path, error, checks) -> Iterator[tuple[int, dict]]:
             try:
                 line = raw.decode("utf-8").rstrip("\r\n")
             except UnicodeDecodeError as exc:
-                message = f"not UTF-8 ({exc.reason} at byte {exc.start + 1})"
-                raise error(f"{path}:{line_no}: {message}") from exc
+                raise error(f"{path}:{line_no}: {_not_utf8(exc)}") from exc
             if not line.strip():
                 continue
             try:

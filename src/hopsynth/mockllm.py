@@ -13,17 +13,18 @@ Both are pure functions of (prompt text, seed).
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 from typing import Optional
 
+from .jsonl import InputError, is_strings, read_json
 from .pairing import derive_rng
 from .promptkit import parse_block
 from .synthesis import FEVER_LABELS
 
 _ANSWER_TAG = re.compile(r" regarding (.+)\?$")
 _LABEL_TAG = re.compile(r"\[(" + "|".join(FEVER_LABELS) + r")\]")
+_SCRIPT_ENTRY = '{"queries": [str, ...], "answer": str}'
 
 
 def _lead_words(text: str, count: int = 4) -> str:
@@ -136,10 +137,10 @@ class SyntheticPipelineRule:
 class GoldScriptRule:
     """Replay scripted evaluation episodes.
 
-    The script maps a question to {"queries": [s, ...], "answer": s}. The
-    episode's question is its (last) Question line; the rule emits the
-    scripted query after the Query lines already in the episode, then the
-    answer. Loadable from a JSON file for CLI runs.
+    The script maps a question to {"queries": [s, ...], "answer": s}
+    (queries optional). The episode's question is its (last) Question line;
+    the rule emits the scripted query after the Query lines already in the
+    episode, then the answer. Loadable from a JSON file for CLI runs.
     """
 
     def __init__(self, script: dict[str, dict]):
@@ -147,7 +148,16 @@ class GoldScriptRule:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GoldScriptRule":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        """A script read from a JSON file; a file that is not one, or an entry
+        of another shape, raises InputError naming `<path>` (and the question)."""
+        script = read_json(path)
+        if not isinstance(script, dict):
+            raise InputError(f"{path}: not a JSON object of question -> {_SCRIPT_ENTRY}")
+        for question, entry in script.items():
+            if not (isinstance(entry, dict) and isinstance(entry.get("answer"), str)
+                    and is_strings(entry.get("queries", []))):
+                raise InputError(f"{path}: question {question!r}: {entry!r} is not {_SCRIPT_ENTRY}")
+        return cls(script)
 
     def __call__(self, prompt: str, seed: Optional[int]) -> str:
         episode = parse_block(prompt)

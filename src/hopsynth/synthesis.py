@@ -9,7 +9,8 @@ the predicted answer promoted to ground truth.
 
 Every model call goes through `_ask`: the promptkit prompt for the call's
 (task, stage), `mqa` or `fever` and question_gen, answering or query_gen,
-under that stage's decode params.
+under that stage's decode params. A query completion's lines are read with
+`promptkit.read_model_line`, as evaluation reads its episode turns.
 """
 
 from __future__ import annotations

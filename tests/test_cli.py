@@ -817,6 +817,41 @@ def test_bad_input_line_exits_2_without_a_traceback(tmp_path, corpus_path, capsy
     assert [record for record in caplog.records if record.exc_info] == []
 
 
+_SCRIPT_ENTRY = '{"queries": [str, ...], "answer": str}'
+
+
+@pytest.mark.parametrize("command", ["run-all", "eval"])
+@pytest.mark.parametrize("key, content, message", [
+    ("backend.mock_table", b"{bad",
+     "<path>: invalid JSON (Expecting property name enclosed in double quotes at line 1 column 2)"),
+    ("backend.mock_table", b'{"a": 1}', "<path>: not a JSON object of prompt hash -> completion"),
+    ("backend.mock_script", b'["Who?"]', f"<path>: not a JSON object of question -> {_SCRIPT_ENTRY}"),
+    ("backend.mock_script", b'{"Who?": {"queries": ["a"]}}',
+     f"<path>: question 'Who?': {{'queries': ['a']}} is not {_SCRIPT_ENTRY}"),
+    (None, b"seed = 7\n# caf\xe9\n", "<path>: not UTF-8 (invalid continuation byte at byte 15)"),
+], ids=["table-json", "table-shape", "script-list", "script-no-answer", "config-not-utf8"])
+def test_bad_file_a_config_names_exits_2_before_the_corpus_is_read(
+        tmp_path, capsys, caplog, monkeypatch, command, key, content, message):
+    read = []
+    monkeypatch.setattr(pipeline, "build_store", lambda *args: read.append(args))
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    config_file = bad
+    if key is not None:
+        config_file = tmp_path / "config.txt"
+        config_file.write_text(f"{key} = {bad}\n")
+    items = tmp_path / "items.jsonl"
+    items.write_text(json.dumps({"id": "q", "question": "Who?", "answer": "x"}) + "\n")
+    out = tmp_path / "out"
+    inputs = {"run-all": ["--in", str(DEMO / "corpus.jsonl")],
+              "eval": ["--in", str(items), "--corpus", str(DEMO / "corpus.jsonl")]}[command]
+    assert main(["--config", str(config_file), command, *inputs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.replace('<path>', str(bad))}\n"
+    assert [record for record in caplog.records if record.exc_info] == []
+    assert read == []
+    assert not out.exists()
+
+
 def test_bad_input_line_prints_no_traceback_from_the_module(tmp_path, corpus_path):
     argv, message = _bad_input_argv(tmp_path, corpus_path, "stats")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hopsynth import httpjson, pipeline, retrieval
+from hopsynth import httpjson, pipeline, promptkit, retrieval
 from hopsynth.cli import main
 from hopsynth.config import PipelineConfig, TopicsConfig, build_embedder
 from hopsynth.evalharness import score_fever, score_qa, self_consistency
@@ -17,6 +17,7 @@ from hopsynth.genbackend import (
     default_decode_params,
 )
 from hopsynth.mockllm import GoldScriptRule
+from hopsynth.jsonl import InputError
 from hopsynth.pairing import derive_seed
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.pipeline import (
@@ -31,6 +32,7 @@ from hopsynth.pipeline import (
     stage_questions,
     stage_verify,
 )
+from hopsynth.promptkit import builtin_examples
 from hopsynth.retrieval import EMBED_BLOCK, EmbeddingError, HashEmbedder, HttpEmbedder
 from hopsynth.synthesis import FEVER_LABELS
 from hopsynth.verification import VerifyConfig, validate_instance, verify_query
@@ -388,6 +390,41 @@ def test_examples_override_changes_prompts(tmp_path, corpus_path):
     stage_questions(store, pair_rows[:2], config, backend=Spy())
     assert seen_prompts
     assert all("Custom question?" in p for p in seen_prompts)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", ": no few-shot examples"),
+    ("{bad\n", ":1: invalid JSON"),
+], ids=["empty", "malformed"])
+def test_run_all_refuses_a_bad_examples_store_before_the_corpus(tmp_path, corpus_path,
+                                                              monkeypatch, text, message):
+    called = []
+    monkeypatch.setattr(pipeline, "build_store", lambda *args: called.append("build_store"))
+    monkeypatch.setattr(pipeline, "stage_pair", lambda *args, **kw: called.append("stage_pair"))
+    examples = tmp_path / "examples.jsonl"
+    examples.write_text(text)
+    with pytest.raises(InputError) as raised:
+        run_all(corpus_path, tmp_path / "out", make_config(examples=str(examples)))
+    assert str(raised.value).startswith(f"{examples}{message}")
+    assert called == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_all_loads_the_examples_store_once(tmp_path, corpus_path, monkeypatch):
+    examples = tmp_path / "examples.jsonl"
+    examples.write_text("".join(
+        json.dumps({"documents": list(e.documents), "question": e.question_or_claim,
+                    "answer": e.answer, "queries": list(e.queries)}) + "\n"
+        for e in builtin_examples("mqa", "hyper")
+    ))
+    opened = []
+    read = promptkit.read_numbered_rows
+    monkeypatch.setattr(promptkit, "read_numbered_rows",
+                        lambda path, *args, **kw: opened.append(path) or read(path, *args, **kw))
+    run_all(corpus_path, tmp_path / "out", make_config(examples=str(examples)))
+    # every prompt stage rendered over the store, which was read once; the
+    # other reads are of built-in sets, which render_prompt compares against
+    assert [path for path in opened if path == str(examples)] == [str(examples)]
 
 
 def test_run_eval_fever_accuracy(tmp_path, corpus_path):
