@@ -19,7 +19,14 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import ConfigError, PipelineConfig, parse_config_file, set_config_key
+from .config import (
+    ConfigError,
+    PipelineConfig,
+    build_backend,
+    build_examples,
+    parse_config_file,
+    set_config_key,
+)
 from .corpus import serialize_store
 from .emitter import dataset_stats, format_stats_report, read_jsonl, write_jsonl
 from .jsonl import InputError, read_numbered_rows, write_rows
@@ -39,6 +46,9 @@ _CONFIG_FLAGS = {
 }
 
 _PATH_HELP = {"--store": "ingested store JSONL", "--corpus": "evaluation corpus JSONL"}
+
+# the stages that render few-shot prompts: they take a backend and --examples
+_PROMPT_STAGES = ("questions", "filter_answers", "queries")
 
 
 class _UsageError(Exception):
@@ -126,9 +136,12 @@ def run_command(args) -> int:
     stages = {stage_command: rest for stage_command, *rest in pipeline.STAGES}
     if command in stages:
         name, _, fields = stages[command]
+        # the files the config names are read and checked before the inputs
+        clients = ({"backend": build_backend(config), "examples": build_examples(config)}
+                   if name in _PROMPT_STAGES else {})
         store = pipeline.build_store(args.store_path, config)
         inputs = () if fields is None else (_stage_rows(args, name, fields, store),)
-        rows, counters = getattr(pipeline, f"stage_{name}")(store, *inputs, config)
+        rows, counters = getattr(pipeline, f"stage_{name}")(store, *inputs, config, **clients)
         (write_jsonl if name == "verify" else write_rows)(rows, args.out_path)
         if name == "verify" and args.report:
             _write_json(counters, args.report)

@@ -16,12 +16,14 @@ except for a cache of normalized document texts filled on first use.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from .jsonl import InputError, read_numbered_rows, write_rows
-from .metrics import normalize_answer, token_spans
+from .metrics import normalize_answer
 
 
 class CorpusFormatError(InputError):
@@ -104,14 +106,29 @@ def truncate_text(text: str, max_tokens: int) -> str:
     """Prefix of `text` with at most max_tokens pipeline tokens.
 
     Cuts at the end of the last kept token, preserving the original
-    characters between tokens.
+    characters between tokens. One anchored match takes up to max_tokens
+    tokens and a search for a further non-space character ends the scan, so
+    a long text is read only up to the start of its token max_tokens + 1.
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    spans = token_spans(text)
-    if len(spans) <= max_tokens:
+    if max_tokens >= len(text):  # every token is at least one character
         return text
-    return text[: spans[max_tokens - 1][1]]
+    end = _leading_tokens(max_tokens).match(text).end()
+    return text if _NON_SPACE.search(text, end) is None else text[:end]
+
+
+@functools.lru_cache(maxsize=16)
+def _leading_tokens(max_tokens: int) -> re.Pattern:
+    # up to max_tokens of `metrics.tokenize`'s tokens (`\w+|[^\w\s]`), each
+    # after its whitespace. The match always succeeds with the greedy path, so
+    # it never backtracks into a word to split it into shorter tokens. Every
+    # non-space character belongs to a token, so one after the match starts
+    # the next token.
+    return re.compile(r"(?:\s*(?:\w+|[^\w\s])){0,%d}" % max_tokens)
+
+
+_NON_SPACE = re.compile(r"\S")
 
 
 _NON_EMPTY = (lambda value: isinstance(value, str) and value != "", "a non-empty string")

@@ -62,11 +62,11 @@ _BUILTIN_FILES = {
     (TASK_FEVER, "hyper"): "fever",
 }
 # (task, stage, setting) -> (the (field, label) pairs given before the cue,
-# the cue line, the built-in example file): one lookup checks a prompt's keys
+# the cue line): one lookup checks a prompt's keys
 _TARGETS = {
     (task, stage, setting): (tuple((name, _LABELS[task][name]) for name in fields[:-1]),
-                             f"{_LABELS[task][fields[-1]]}:", builtin)
-    for (task, setting), builtin in _BUILTIN_FILES.items()
+                             f"{_LABELS[task][fields[-1]]}:")
+    for task, setting in _BUILTIN_FILES
     for stage, fields in _LAYOUTS.items()
 }
 # field -> the label that starts a model's line for it, in every task
@@ -130,8 +130,9 @@ def _example_from_row(row: dict, where: str) -> FewShotExample:
         raise InputError(f"{where}: {exc}") from None
 
 
-def load_examples(path: str | Path) -> list[FewShotExample]:
-    """Read a few-shot store: JSONL of documents/question/answer/queries.
+def load_examples(path: str | Path) -> tuple[FewShotExample, ...]:
+    """Read a few-shot store, JSONL of documents/question/answer/queries, as
+    a tuple: an immutable store, whose rendered examples prompts share.
 
     The reader checks the fields (`_EXAMPLE_FIELDS`: documents two strings,
     question and answer strings; `_EXAMPLE_OPTIONAL`: queries a list of
@@ -140,7 +141,7 @@ def load_examples(path: str | Path) -> list[FewShotExample]:
     `<path>`, as a few-shot prompt needs examples.
     """
     rows = read_numbered_rows(path, fields=_EXAMPLE_FIELDS, optional=_EXAMPLE_OPTIONAL)
-    examples = [_example_from_row(row, f"{path}:{line}") for line, row in rows]
+    examples = tuple(_example_from_row(row, f"{path}:{line}") for line, row in rows)
     if not examples:
         raise InputError(f"{path}: no few-shot examples")
     return examples
@@ -149,7 +150,7 @@ def load_examples(path: str | Path) -> list[FewShotExample]:
 @functools.lru_cache(maxsize=None)
 def _load_builtin(name: str) -> tuple[FewShotExample, ...]:
     # one parse per data file and process; every prompt asks for its examples
-    return tuple(load_examples(resources.files("hopsynth.data").joinpath(f"{name}.jsonl")))
+    return load_examples(resources.files("hopsynth.data").joinpath(f"{name}.jsonl"))
 
 
 def builtin_examples(task: str, setting: str) -> tuple[FewShotExample, ...]:
@@ -188,12 +189,10 @@ def render_prompt(
     empty `documents` raises PromptError, in that order.
 
     One `_TARGETS` lookup checks the keys. The example blocks are rendered
-    once per (task, stage) and example set: the built-in set is known by
-    identity, as `builtin_examples` hands out one shared tuple, and any
-    other set by its contents.
+    once per (task, stage) and example set (`_example_prefix`).
     """
     try:
-        given, cue, builtin = _TARGETS[task, stage, setting]
+        given, cue = _TARGETS[task, stage, setting]
     except KeyError:
         _check_task(task, setting, stage)  # raises the PromptError naming the bad value
         raise
@@ -206,17 +205,33 @@ def render_prompt(
     if not documents:
         raise PromptError("target needs at least one document")
     lines.append(cue)
-    key = builtin if examples is _load_builtin(builtin) else tuple(examples)
-    return PromptText(_example_prefix(task, stage, key) + _write_block(documents, lines))
+    return PromptText(_example_prefix(task, stage, examples) + _write_block(documents, lines))
 
 
-@functools.lru_cache(maxsize=64)
-def _example_prefix(task: str, stage: str, examples: str | tuple[FewShotExample, ...]) -> str:
-    # the example blocks, each followed by the blank line before the next block;
-    # every prompt of a (task, stage) and example set shares them. A str names
-    # a built-in set, so its key hashes one string, not every example.
-    if isinstance(examples, str):
-        examples = _load_builtin(examples)
+# (task, stage, store key) -> (the store, its example blocks); cleared when full
+_PREFIXES: dict[tuple, tuple[Sequence[FewShotExample], str]] = {}
+_PREFIXES_MAX = 64
+
+
+def _example_prefix(task: str, stage: str, examples: Sequence[FewShotExample]) -> str:
+    """The example blocks, each followed by the blank line before the next
+    block; every prompt of a (task, stage) and example set shares them.
+
+    A tuple store (`builtin_examples`, `load_examples`) cannot change, so it
+    is keyed by identity, and its entry holds the tuple, so that its id is
+    not reused while cached. Any other sequence may change between calls and
+    is keyed by its contents.
+    """
+    key = (task, stage, id(examples) if isinstance(examples, tuple) else tuple(examples))
+    entry = _PREFIXES.get(key)
+    if entry is None:
+        if len(_PREFIXES) >= _PREFIXES_MAX:
+            _PREFIXES.clear()
+        entry = _PREFIXES[key] = (examples, _render_examples(task, stage, examples))
+    return entry[1]
+
+
+def _render_examples(task: str, stage: str, examples: Sequence[FewShotExample]) -> str:
     labels = _LABELS[task]
     blocks = []
     for example in examples:

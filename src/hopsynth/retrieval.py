@@ -136,11 +136,14 @@ class HashEmbedder:
 
     The token vectors live in one float32 table, a row per distinct token
     seen so far (4 * dim bytes each). A call appends a row for each token it
-    has not seen, resizing the table in place, and a text's vector is
-    `table[rows].sum(axis=0)`, which adds the rows one after another as a
-    loop of `vec += row` would. A text's vector therefore never depends on
-    which texts came before it. Calls are single-threaded: one instance must
-    not be called from two threads at once.
+    has not seen, resizing the table in place, and sums its block's texts
+    together: with the texts ordered longest first, the texts that have a
+    token at a position are a prefix of the block, and one gather and one
+    add per position add that token's rows to them. Each text thus adds its
+    rows one after another from zeros, as a loop of `vec += row` would, so
+    its vector never depends on which texts came before it or share its
+    block. Calls are single-threaded: one instance must not be called from
+    two threads at once.
     """
 
     def __init__(self, dim: int = 256):
@@ -153,24 +156,40 @@ class HashEmbedder:
         # in place: a large table is remapped rather than copied, and no
         # view of it outlives a call
         self._table.resize((stop, self.dim), refcheck=False)
+        draw = np.empty(self.dim)  # one token's float64 draw, cast into its row
         for row, token in enumerate(tokens, start):
             seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
-            vec = np.random.default_rng(seed).standard_normal(self.dim).astype(np.float32)
-            self._table[row] = vec / np.linalg.norm(vec)
+            np.random.default_rng(seed).standard_normal(out=draw)
+            self._table[row] = draw
             self._rows[token] = row
+        new = self._table[start:stop]
+        new /= _norms(new)[:, None]
 
     def __call__(self, texts: list[str]) -> list[np.ndarray]:
-        token_lists = [sorted({t.lower() for t in word_tokens(text)}) for text in texts]
+        token_lists = [sorted(set(map(str.lower, word_tokens(text)))) for text in texts]
         rows = self._rows
         unseen = set().union(*token_lists).difference(rows)
         if unseen:
             self._add_tokens(sorted(unseen))
-        out = []
-        for tokens in token_lists:
-            vec = self._table[[rows[t] for t in tokens]].sum(axis=0)  # zeros for no tokens
-            norm = np.linalg.norm(vec)
-            out.append(vec / norm if norm > 0 else vec)
-        return out
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(texts))
+        order = np.argsort(-lengths, kind="stable")  # longest first
+        # (position, text in `order`) -> the row of that text's token there
+        present = np.arange(lengths.max(initial=0))[:, None] < lengths[order]
+        index = np.zeros(present.shape, dtype=np.intp)
+        index.T[present.T] = [rows[t] for i in order.tolist() for t in token_lists[i]]
+        sums = np.zeros((len(texts), self.dim), dtype=np.float32)  # zeros for no tokens
+        for position, count in enumerate(present.sum(axis=1).tolist()):
+            sums[:count] += self._table[index[position, :count]]
+        norms = _norms(sums)[:, None]
+        vecs = np.empty_like(sums)
+        vecs[order] = np.divide(sums, norms, out=sums, where=norms > 0)
+        return list(vecs)
+
+
+def _norms(matrix: np.ndarray) -> np.ndarray:
+    """Each row's float32 L2 norm, bit for bit `np.linalg.norm(row)`:
+    `sqrt(row.dot(row))`, one BLAS dot per row."""
+    return np.sqrt(np.array([row.dot(row) for row in matrix], dtype=np.float32))
 
 
 class FileEmbedder:

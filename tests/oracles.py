@@ -13,6 +13,8 @@ possible, and stays independent of the implementation path it validates:
   which marks runs with word offsets and sheds a sentence-initial word.
 * Hash embeddings: the embedder's earlier implementation, one token vector
   added at a time.
+* Document truncation: `truncate_text`'s earlier implementation, which
+  takes the span of every token of the text.
 * Evaluation episodes: the episode loop as it ran one episode at a time,
   one completion per turn and one mat-vec top-k per query.
 * Synthesis prompts: `render_prompt` as it checked every call's task, stage
@@ -351,6 +353,20 @@ class OracleHashEmbedder:
                 vec = vec / norm
             out.append(vec.astype(np.float32))
         return out
+
+
+# ---------------------------------------------------------------------------
+# Document truncation: the span of every token, then a cut after the last kept
+# ---------------------------------------------------------------------------
+
+
+def oracle_truncate_text(text, max_tokens):
+    """The prefix of `text` that ends with its max_tokens-th token, or all of
+    `text` when it has no more tokens than that."""
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    if len(spans) <= max_tokens:
+        return text
+    return text[: spans[max_tokens - 1][1]]
 
 
 # ---------------------------------------------------------------------------

@@ -60,3 +60,23 @@ def write_corpus(path, records):
         for record in records:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
     return path
+
+
+# Characters where `str.lower`, `\w` and `isalnum` part ways: underscores,
+# capital dotted I (lowercases to two code points), a combining dot above (a
+# mark, not `\w`), superscript two and a roman numeral (numeric, not
+# decimal), a titlecase digraph, final sigma, a ligature, CJK, and
+# punctuation and whitespace between words.
+_ALPHABET = "aBz7_İ\u0307²Ⅻǅςσﬁé中文"
+_SEPARATORS = [" ", " ", " ", "\t\n", "-", ",", ". ", "'", "_", "__", "\u0307", "…"]
+
+
+def unicode_texts(seed, count):
+    """`count` seeded texts of words over _ALPHABET and _SEPARATORS."""
+    rng = random.Random(seed)
+    texts = ["", "_ __ , .", "\u0307"]  # no token that holds an alphanumeric
+    while len(texts) < count:
+        words = ["".join(rng.choices(_ALPHABET, k=rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 60))]
+        texts.append("".join(word + rng.choice(_SEPARATORS) for word in words))
+    return texts

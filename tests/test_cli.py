@@ -107,6 +107,30 @@ def test_stage_command_runs_the_stage_found_at_the_call(tmp_path, corpus_path, c
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["gen-questions", "filter-answers", "gen-queries"])
+def test_prompt_stage_refuses_a_bad_examples_store_before_its_inputs(
+        tmp_path, capsys, caplog, monkeypatch, command):
+    store, pairs = tmp_path / "store.jsonl", tmp_path / "pairs.jsonl"
+    assert main(["--config", str(DEMO / "config.txt"), "ingest",
+                 "--in", str(DEMO / "corpus.jsonl"), "--out", str(store)]) == 0
+    assert main(["--config", str(DEMO / "config.txt"), "pair",
+                 "--store", str(store), "--out", str(pairs)]) == 0
+    capsys.readouterr()
+    read = []
+    build_store = pipeline.build_store
+    monkeypatch.setattr(pipeline, "build_store",
+                        lambda *args: read.append(args) or build_store(*args))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out.jsonl"
+    assert main(["--config", str(DEMO / "config.txt"), "--examples", str(empty), command,
+                 "--store", str(store), "--in", str(pairs), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: no few-shot examples\n"
+    assert [record for record in caplog.records if record.exc_info] == []
+    assert read == []
+    assert not out.exists()
+
+
 def test_stage_chain(tmp_path, corpus_path, capsys):
     base = [
         "--seed", "3", "--task", "mqa", "--backend", "mock", "--embeddings", "mock",

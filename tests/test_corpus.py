@@ -14,8 +14,8 @@ from hopsynth.corpus import (
 )
 from hopsynth.metrics import tokenize
 
-from oracles import oracle_hyperlink_neighbors
-from synthcorpus import make_corpus
+from oracles import oracle_hyperlink_neighbors, oracle_truncate_text
+from synthcorpus import make_corpus, unicode_texts
 
 
 def write_corpus(tmp_path, records, name="corpus.jsonl"):
@@ -51,6 +51,26 @@ def test_truncate_counts_punctuation_tokens():
     # "1,800" is three tokens under the pipeline tokenizer
     assert truncate_text("1,800 ft", 3) == "1,800"
     assert truncate_text("1,800 ft", 4) == "1,800 ft"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_truncate_text_matches_the_span_oracle(seed):
+    texts = unicode_texts(seed, 80) + [" ", "\t\n \u3000", "\u0307 "]
+    for text in texts:
+        for max_tokens in range(1, len(tokenize(text)) + 2):
+            expected = oracle_truncate_text(text, max_tokens)
+            assert truncate_text(text, max_tokens) == expected, (text, max_tokens)
+            # exactly max_tokens tokens, then whitespace or one more token
+            for tail in (" ", "\t\n", ".", " ,", "\u0307", "…\n"):
+                assert (truncate_text(expected + tail, max_tokens)
+                        == oracle_truncate_text(expected + tail, max_tokens)), (expected, tail)
+
+
+def test_truncate_text_takes_any_budget():
+    assert truncate_text("", 1) == "" and truncate_text("  ", 3) == "  "
+    assert truncate_text("a b, c", 2 ** 40) == "a b, c"
+    with pytest.raises(ValueError):
+        truncate_text("a", 0)
 
 
 def test_truncate_stored_texts_obey_budget(tmp_path):

@@ -422,9 +422,25 @@ def test_run_all_loads_the_examples_store_once(tmp_path, corpus_path, monkeypatc
     monkeypatch.setattr(promptkit, "read_numbered_rows",
                         lambda path, *args, **kw: opened.append(path) or read(path, *args, **kw))
     run_all(corpus_path, tmp_path / "out", make_config(examples=str(examples)))
-    # every prompt stage rendered over the store, which was read once; the
-    # other reads are of built-in sets, which render_prompt compares against
+    # every prompt stage rendered over the store, which was read once
     assert [path for path in opened if path == str(examples)] == [str(examples)]
+
+
+def test_run_all_with_examples_parses_no_builtin_set(tmp_path, corpus_path, monkeypatch):
+    examples = tmp_path / "examples.jsonl"
+    examples.write_text("".join(
+        json.dumps({"documents": list(e.documents), "question": e.question_or_claim,
+                    "answer": e.answer, "queries": list(e.queries)}) + "\n"
+        for e in builtin_examples("mqa", "hyper")
+    ))
+    promptkit._load_builtin.cache_clear()
+    opened = []
+    read = promptkit.read_numbered_rows
+    monkeypatch.setattr(promptkit, "read_numbered_rows",
+                        lambda path, *args, **kw: opened.append(path) or read(path, *args, **kw))
+    report = run_all(corpus_path, tmp_path / "out", make_config(examples=str(examples)))
+    assert report["counters"]["emitted"] > 0
+    assert opened == [str(examples)]  # no hopsynth/data/*.jsonl
 
 
 def test_run_eval_fever_accuracy(tmp_path, corpus_path):

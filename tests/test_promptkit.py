@@ -267,7 +267,7 @@ def test_load_examples_override(tmp_path):
         '{"documents": ["a", "b"], "question": "Q?", "answer": "A", "queries": ["q1"]}\n'
     )
     loaded = load_examples(path)
-    assert loaded == [FewShotExample(("a", "b"), "Q?", "A", ("q1",))]
+    assert loaded == (FewShotExample(("a", "b"), "Q?", "A", ("q1",)),)
 
 
 # the three stage layouts (fields after the documents, cue last), spelled out
@@ -314,6 +314,26 @@ def test_render_prompt_equals_block_join(tmp_path):
                     assert prompt.text == _block_join(
                         task, stage, examples, documents, "An answer", "A question?"
                     ), (task, stage, setting, len(examples))
+
+
+def test_render_prompt_renders_a_changed_example_list_afresh():
+    examples = list(builtin_examples(TASK_MQA, "hyper"))
+    args = (TASK_MQA, ANSWERING, "hyper")
+    for change in (lambda: None, examples.pop, lambda: examples.__setitem__(0, examples[-1])):
+        change()
+        prompt = render_prompt(*args, examples, ["A doc."], question="Who?")
+        assert prompt.text == _block_join(*args[:2], examples, ["A doc."], None, "Who?")
+
+
+def test_render_prompt_keys_a_tuple_store_by_identity(tmp_path, monkeypatch):
+    path = tmp_path / "own.jsonl"
+    path.write_text('{"documents": ["a", "b"], "question": "Q?", "answer": "A"}\n' * 3)
+    loaded = load_examples(path)
+    hashed = []
+    monkeypatch.setattr(FewShotExample, "__hash__", lambda self: hashed.append(self) or 0)
+    texts = {render_prompt(TASK_MQA, QUERY_GEN, "hyper", loaded, ["d"], answer="A",
+                           question="Q?").text for _ in range(3)}
+    assert len(texts) == 1 and hashed == []
 
 
 def _rendered(render, *args, **fields):

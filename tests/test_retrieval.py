@@ -1,5 +1,4 @@
 import json
-import random
 import re
 import sys
 import threading
@@ -25,6 +24,7 @@ from hopsynth.retrieval import (
 from hopsynth.metrics import tokenize, word_tokens
 
 from oracles import OracleHashEmbedder, brute_force_search
+from synthcorpus import unicode_texts
 
 
 def small_index():
@@ -263,28 +263,9 @@ def test_hash_embedder_deterministic_and_token_driven():
     assert sim_diff < 0.5
 
 
-# Characters where `str.lower`, `\w` and `isalnum` part ways: underscores,
-# capital dotted I (lowercases to two code points), a combining dot above (a
-# mark, not `\w`), superscript two and a roman numeral (numeric, not
-# decimal), a titlecase digraph, final sigma, a ligature, CJK, and
-# punctuation and whitespace between words.
-_ALPHABET = "aBz7_İ\u0307²Ⅻǅςσﬁé中文"
-_SEPARATORS = [" ", " ", " ", "\t\n", "-", ",", ". ", "'", "_", "__", "\u0307", "…"]
-
-
-def _unicode_texts(seed, count):
-    rng = random.Random(seed)
-    texts = ["", "_ __ , .", "\u0307"]  # no token that holds an alphanumeric
-    while len(texts) < count:
-        words = ["".join(rng.choices(_ALPHABET, k=rng.randint(1, 3)))
-                 for _ in range(rng.randint(1, 60))]
-        texts.append("".join(word + rng.choice(_SEPARATORS) for word in words))
-    return texts
-
-
 @pytest.mark.parametrize("dim", [8, 64, 256])
 def test_hash_embedder_matches_the_reference_byte_for_byte(dim):
-    texts = _unicode_texts(dim, 2_000)
+    texts = unicode_texts(dim, 2_000)
     got = HashEmbedder(dim)(texts)
     expected = OracleHashEmbedder(dim)(texts)
     assert all(v.dtype == np.float32 and v.shape == (dim,) for v in got)
@@ -293,19 +274,31 @@ def test_hash_embedder_matches_the_reference_byte_for_byte(dim):
     assert embed(HashEmbedder(dim), texts).tobytes() == np.vstack(expected).tobytes()
 
 
+def test_hash_embedder_block_of_mixed_shapes_matches_the_reference():
+    wide = " ".join(f"w{i}" for i in range(200))  # 200 distinct tokens
+    block = ["", wide, "one", "_ __", "", "Two two TWO", "x", "__ , …", wide.upper()]
+    later = ["one new", "", "w7 W199 fresh tokens", "_"]  # new tokens on a warm table
+    provider, reference = HashEmbedder(32), OracleHashEmbedder(32)
+    for texts in (block, later):
+        got = provider(texts)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in reference(texts)]
+    assert not any(v.any() for v in provider(["", "_ __", "__ , …"]))
+    assert HashEmbedder(32)([]) == []
+
+
 def test_hash_embedder_vectors_do_not_depend_on_call_history():
-    texts = _unicode_texts(5, 300)
+    texts = unicode_texts(5, 300)
     fresh = [HashEmbedder(64)([text])[0].tobytes() for text in texts]
     assert [v.tobytes() for v in HashEmbedder(64)(texts)] == fresh
     assert [v.tobytes() for v in HashEmbedder(64)(texts[::-1])][::-1] == fresh
     primed = HashEmbedder(64)
-    primed(_unicode_texts(6, 300))
+    primed(unicode_texts(6, 300))
     assert [v.tobytes() for v in primed(texts)] == fresh
     assert [primed([text])[0].tobytes() for text in texts[::-1]][::-1] == fresh
 
 
 def test_word_tokens_are_the_tokens_holding_an_alphanumeric():
-    for text in _unicode_texts(4, 500):
+    for text in unicode_texts(4, 500):
         assert word_tokens(text) == [t for t in tokenize(text) if any(c.isalnum() for c in t)]
 
 
