@@ -44,11 +44,6 @@ def word_tokens(text: str) -> list[str]:
     return [word for word in _WORD_RE.findall(text) if word.strip("_")]
 
 
-def token_spans(text: str) -> list[tuple[int, int]]:
-    """Character (start, end) spans of tokenize(text), in order."""
-    return [m.span() for m in _TOKEN_RE.finditer(text)]
-
-
 def normalize_answer(text: str) -> str:
     """Lowercase, drop punctuation chars, drop articles, single-space join."""
     no_punct = text.lower().translate(_DROP_PUNCT)
@@ -89,8 +84,9 @@ def exact_match(pred: str, gold: str) -> bool:
 
 
 def score_pair(pred: str, gold: str) -> ScorePair:
-    em = exact_match(pred, gold)
-    return ScorePair(em=em, f1=1.0 if em else token_f1(pred, gold))
+    """`exact_match` and `token_f1` of one pair, normalizing each side once."""
+    pred, gold = normalize_answer(pred), normalize_answer(gold)
+    return ScorePair(em=pred == gold, f1=f1_tokens(pred.split(), gold.split()))
 
 
 def word_count(text: str) -> int:

@@ -7,14 +7,24 @@ float32 mat-vec per query, `select_topk(matrix @ q, k)`.
 
 A block of queries is scored with one GEMM, whose rows can differ from that
 mat-vec in the last bits. Higham's bound (*Accuracy and Stability of
-Numerical Algorithms*, 3.1) puts either computed dot product within
-`gamma_d * |m| * |q|` of the exact one, for any summation order, with or
-without FMA, where `gamma_d = d*u / (1 - d*u)` and `u = 2**-24`. So the GEMM
-and mat-vec scores of one row differ by at most twice that. When every gap
-between a query's k+1 best GEMM scores exceeds twice that difference, the
-mat-vec ranks the same k rows first, in the same order, with no ties, and
-the GEMM order is kept. Any other query (ties, near ties, non-finite
-scores) is scored again with its own mat-vec.
+Numerical Algorithms*, 3.1) puts either computed dot product of a row m and
+a query q within `gamma_d * sum_i |m_i| |q_i|` of the exact one, for any
+summation order, with or without FMA, where `gamma_d = d*u / (1 - d*u)` and
+`u = 2**-24`; that sum is at most `|m| * |q|`. So the GEMM and mat-vec
+scores of one row differ by at most twice that. When every gap between a
+query's k+1 best GEMM scores exceeds the differences its two sides can
+have, the mat-vec ranks the same k rows first, in the same order, with no
+ties, and the GEMM order is kept. Any other query (ties, near ties,
+non-finite scores) is scored again with its own mat-vec.
+
+A block's k+1 best GEMM scores are found without sorting or partitioning
+its full rows. Column j of the scores is in class `j mod C`, with
+`C = min(n, max(_CLASSES, k + 1))`; one pass takes each class's maximum,
+and only the columns of the k+1 classes with the largest maxima are
+ranked. Every score above the (k+1)-th largest class maximum t lies in a
+chosen class, and the chosen classes hold at least k+1 scores >= t, so the
+k+1 best values are exact; only which column holds a score tied with t can
+differ, and such a tie leaves a gap of 0, which no query is certified with.
 
 `embed` calls a provider on EMBED_BLOCK texts at a time and copies each
 block into one float32 matrix, so embedding a corpus holds the matrix and
@@ -63,12 +73,11 @@ class EmbeddingProvider(Protocol):
 EMBED_BLOCK = 64
 
 
-# The most bytes of a block's scores that `search` copies and partitions at
-# once. The scores stay one (rows, n) buffer, so the GEMM keeps whole blocks
-# (smaller GEMMs were much slower on wide indexes); only the partition's copy
-# is bounded, which keeps a second full-size buffer out of peak RSS. An index
-# of at most 2,048 docs still partitions a 64-row block at once.
-_PARTITION_BYTES = 512 * 1024
+# The fewest column classes `search` ranks a block's scores by (see the
+# module docstring). The class maxima cost one pass over the scores, and the
+# k+1 chosen classes of an n-column row hold about (k+1) * n / C candidates
+# to rank: a few hundred at k = 7 on 2,000 to 16,000 docs.
+_CLASSES = 128
 
 
 # float32's unit roundoff, and its smallest normal number: an absolute
@@ -94,23 +103,19 @@ class FlatIndex:
     def __len__(self) -> int:
         return len(self.doc_ids)
 
-    def _block_scratch(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """A float32 (rows, n) buffer for a block's GEMM scores, and a float32
-        buffer of at most _PARTITION_BYTES (one row if a row is larger, and
-        no more rows than the block) that `search` partitions the scores in,
-        a sub-block at a time. Both are kept with the index and grown to the
-        largest block so far, so a block search allocates no temporaries of
-        that size, which the allocator would unmap and fault in again on
-        every block."""
-        n = len(self)
-        part_rows = min(rows, max(1, _PARTITION_BYTES // (4 * n)))
-        if not self._scratch:
-            self._scratch[:] = [np.empty((0, n), dtype=np.float32)] * 2
-        if len(self._scratch[0]) < rows:
-            self._scratch[0] = np.empty((rows, n), dtype=np.float32)
-        if len(self._scratch[1]) < part_rows:
-            self._scratch[1] = np.empty((part_rows, n), dtype=np.float32)
-        return self._scratch[0][:rows], self._scratch[1][:part_rows]
+    def _block_scratch(self, rows: int) -> np.ndarray:
+        """A float32 (rows, n) buffer for a block's GEMM scores, kept with the
+        index and grown to the largest block so far, so a block search
+        allocates no temporary of that size, which the allocator would unmap
+        and fault in again on every block."""
+        if not self._scratch or len(self._scratch[0]) < rows:
+            self._scratch[:] = [np.empty((rows, len(self)), dtype=np.float32)]
+        return self._scratch[0][:rows]
+
+    @cached_property
+    def id_array(self) -> np.ndarray:
+        """`doc_ids` as an object array, so a block's ids are one fancy index."""
+        return np.array(self.doc_ids, dtype=object)
 
     @cached_property
     def row_norm_bound(self) -> float:
@@ -134,6 +139,15 @@ class HashEmbedder:
     Token overlap with a document then drives the dot product, which is what
     makes this mock useful for retrieval fixtures.
 
+    A token's vector is `np.random.default_rng(seed).standard_normal(dim)`
+    for its seed, normalized. A call derives the generator states of all its
+    new tokens together (`_seed_words`, `_pcg64_state`) and draws each from
+    one reused `PCG64` and `Generator`, which skips seeding a generator per
+    token; each call first checks the derivation against NumPy's own
+    `PCG64(seed).state` for a fixed seed, and raises RuntimeError if they
+    differ, so a NumPy that seeds differently fails rather than embeds
+    differently.
+
     The token vectors live in one float32 table, a row per distinct token
     seen so far (4 * dim bytes each). A call appends a row for each token it
     has not seen, resizing the table in place, and sums its block's texts
@@ -153,15 +167,22 @@ class HashEmbedder:
 
     def _add_tokens(self, tokens: list[str]) -> None:
         start, stop = len(self._rows), len(self._rows) + len(tokens)
+        # each token's seed, then the fixed seed the derivation is checked on
+        digests = b"".join(hashlib.sha256(t.encode("utf-8")).digest()[:8] for t in tokens)
+        words = _seed_words(np.frombuffer(digests + _CHECK_SEED.to_bytes(8, "big"), dtype=">u8"))
+        if _pcg64_state(words[-1].tolist()) != np.random.PCG64(_CHECK_SEED).state:
+            raise RuntimeError("NumPy's PCG64 seeding differs from the one HashEmbedder derives")
         # in place: a large table is remapped rather than copied, and no
         # view of it outlives a call
         self._table.resize((stop, self.dim), refcheck=False)
+        bits = np.random.PCG64()
+        normal = np.random.Generator(bits)
         draw = np.empty(self.dim)  # one token's float64 draw, cast into its row
-        for row, token in enumerate(tokens, start):
-            seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
-            np.random.default_rng(seed).standard_normal(out=draw)
+        for row, token_words in enumerate(words[:-1], start):
+            bits.state = _pcg64_state(token_words.tolist())
+            normal.standard_normal(out=draw)
             self._table[row] = draw
-            self._rows[token] = row
+        self._rows.update(zip(tokens, range(start, stop)))
         new = self._table[start:stop]
         new /= _norms(new)[:, None]
 
@@ -184,6 +205,66 @@ class HashEmbedder:
         vecs = np.empty_like(sums)
         vecs[order] = np.divide(sums, norms, out=sums, where=norms > 0)
         return list(vecs)
+
+
+# NumPy's SeedSequence constants (NEP 19) and PCG64's multiplier (O'Neill,
+# "PCG", 2014), which `_seed_words` and `_pcg64_state` reproduce, and the seed
+# `HashEmbedder` checks that reproduction on
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_CHECK_SEED = 0x0123456789ABCDEF
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """`SeedSequence(seed).generate_state(4, np.uint64)` for each 64-bit
+    seed, as one (len(seeds), 4) uint64 array.
+
+    A seed is its two 32-bit words, low first, in a pool of four (a seed
+    below 2**32 is one word, and the missing one mixes as a 0 word does).
+    The hashing constants advance the same way for every seed, so each step
+    is one uint32 array operation over all seeds, which wraps as the C code
+    does.
+    """
+    seeds = seeds.astype(np.uint64)
+    zeros = np.zeros(len(seeds), dtype=np.uint32)
+    entropy = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zeros, zeros]
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(value) for value in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (np.uint32(_SS_MIX_L) * pool[dst]
+                         - np.uint32(_SS_MIX_R) * hashmix(pool[src]))
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    state = np.empty((len(seeds), 8), dtype="<u4")
+    hash_const = _SS_INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _SS_MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.view("<u8")
+
+
+def _pcg64_state(words: list[int]) -> dict:
+    """The `PCG64.state` that PCG's setseq seeding gives from a seed
+    sequence's four 64-bit words: a 128-bit initial state and stream."""
+    state_hi, state_lo, stream_hi, stream_lo = words
+    inc = ((stream_hi << 65) | (stream_lo << 1) | 1) & _MASK128
+    state = ((((state_hi << 64) | state_lo) + inc) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 def _norms(matrix: np.ndarray) -> np.ndarray:
@@ -365,16 +446,22 @@ def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:
     `queries` holds one vector per row, as `embed` returns them. Each
     query's ids and their order are exactly `select_topk(index.matrix @ q,
     k)`: descending score, ties by ascending doc id. A one-row block runs
-    that mat-vec. A larger block is scored with one GEMM, and a query keeps
-    the GEMM order only when every gap between its k+1 best GEMM scores
-    exceeds `4 * gamma_d * |q| * max|m|`, inflated for the float64 rounding
-    of that margin and for underflow, which certifies the mat-vec's top k
-    and order (see the module docstring). A query with a smaller gap, a
-    tie, a non-finite score or a norm product near float32 overflow is
-    scored by its own mat-vec. Raises ValueError for a block of the wrong
-    dimension or with a non-finite entry.
+    that mat-vec. A larger block is scored with one GEMM, and each query's
+    k+1 best GEMM scores are found by column class (see the module
+    docstring). A query keeps the GEMM order when every gap between those
+    scores exceeds `4 * gamma_d * |q| * max|m|`, inflated for the float64
+    rounding of that margin and for underflow, which certifies the
+    mat-vec's top k and order. A query that misses that global margin is
+    tried again with Higham's bound per pair: a gap between two of its top k
+    rows must exceed `2 * gamma_d * sum_i |q_i| |m_i|` of each (float64
+    sums over its own k rows alone), and the gap below its k-th row that of
+    the k-th row plus the global `2 * gamma_d * |q| * max|m|`, which covers
+    every row below. A query that misses both, or has a tie, a non-finite
+    score or a norm product near float32 overflow, is scored by its own
+    mat-vec. Raises ValueError for a block of the wrong dimension or with a
+    non-finite entry.
 
-    A larger block is scored into the index's scratch buffers
+    A larger block is scored into the index's scratch buffer
     (`FlatIndex._block_scratch`), so one index must not be searched from two
     threads at once.
     """
@@ -385,37 +472,65 @@ def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:
         raise ValueError(f"query block shape {block.shape} does not match index dim {index.dim}")
     if not np.isfinite(block).all():
         raise ValueError("query vectors must be finite")
-    ids = index.doc_ids
     if len(block) == 1:
-        return [tuple(ids[i] for i in select_topk(index.matrix @ block[0], k))]
+        return [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ block[0], k))]
 
-    n = len(index)
+    n, dim = len(index), index.dim
     kept, ranked = min(k, n), min(k + 1, n)
-    scores, work = index._block_scratch(len(block))
+    scores = index._block_scratch(len(block))
     np.matmul(block, index.matrix.T, out=scores)
-    # each query's k+1 best GEMM scores, ascending, partitioned in `work` a
-    # sub-block at a time
-    top = np.empty((len(block), ranked), dtype=np.float32)
-    for start in range(0, len(block), len(work)):
-        sub = scores[start:start + len(work)]
-        part = work[:len(sub)]
-        np.copyto(part, sub)
-        part.partition(n - ranked, axis=1)
-        top[start:start + len(sub)] = part[:, n - ranked:]
-    top.sort(axis=1)
-    gaps = np.diff(top.astype(np.float64), axis=1)
+    cols, top = _best_columns(scores, ranked)
+    gaps = -np.diff(top.astype(np.float64), axis=1)
     scale = np.sqrt(np.einsum("ij,ij->i", block, block, dtype=np.float64)) * index.row_norm_bound
-    # 1 + 2**-20 covers the float64 rounding of the norms, the margin and the gaps
-    margin = 4.0 * (_gamma(index.dim) * scale + index.dim * _TINY) * (1.0 + 2.0 ** -20)
+    # each row's GEMM and mat-vec scores differ by at most 2 * (gamma_d *
+    # sum_i |q_i| |m_i| + d * tiny), and that sum is at most `scale`; 1 +
+    # 2**-20 covers the float64 rounding of the sums, the margins and the gaps
+    slack = 1.0 + 2.0 ** -20
+    spread = 2.0 * (_gamma(dim) * scale + dim * _TINY)
     # below 2**126 no partial sum of either product can overflow, so the bound holds
-    certified = ((gaps > margin[:, None]).all(axis=1) & np.isfinite(top).all(axis=1)
-                 & (scale < 2.0 ** 126))
-    out = []
-    for q, row_scores, kth, ok in zip(block, scores, top[:, ranked - kept], certified):
-        if ok:
-            rows = np.flatnonzero(row_scores >= kth)
-            rows = rows[np.argsort(row_scores[rows])[::-1]]
-        else:
-            rows = select_topk(index.matrix @ q, k)
-        out.append(tuple(ids[i] for i in rows))
-    return out
+    sound = np.isfinite(top).all(axis=1) & (scale < 2.0 ** 126)
+    certified = sound & (gaps > 2.0 * slack * spread[:, None]).all(axis=1)
+    retry = np.flatnonzero(sound & ~certified)
+    if len(retry):
+        sums = np.einsum("rkd,rd->rk", np.abs(index.matrix[cols[retry, :kept]]),
+                         np.abs(block[retry]), dtype=np.float64)
+        pair = 2.0 * (_gamma(dim) * sums + dim * _TINY)
+        bound = pair[:, :-1] + pair[:, 1:]
+        if ranked > kept:  # below the k-th row, any row of the index
+            bound = np.hstack([bound, pair[:, -1:] + spread[retry, None]])
+        certified[retry] = (gaps[retry] > slack * bound).all(axis=1)
+    rows = cols[:, :kept]
+    for r in np.flatnonzero(~certified).tolist():
+        rows[r] = select_topk(index.matrix @ block[r], k)
+    return list(map(tuple, index.id_array[rows].tolist()))
+
+
+def _best_columns(scores: np.ndarray, ranked: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's `ranked` best scores, descending, and their columns, ties
+    to the lower column.
+
+    The candidates are the columns of the `ranked` classes with the largest
+    maxima (see the module docstring), so the scores are exact; at a tie
+    with the last of them, which tied column is returned last may differ.
+    """
+    rows, n = scores.shape
+    classes = min(n, max(_CLASSES, ranked))
+    full = n - n % classes
+    maxima = scores[:, :full].reshape(rows, -1, classes).max(axis=1)
+    np.maximum(maxima[:, :n - full], scores[:, full:], out=maxima[:, :n - full])
+    chosen = np.argpartition(maxima, classes - ranked, axis=1)[:, classes - ranked:]
+    # the chosen classes' columns, as flat indexes into the scores: one slab
+    # of `classes` columns after another, the last one short when n is not
+    # a multiple (its missing columns are clipped and then masked)
+    starts = (np.arange(rows) * n)[:, None]
+    flat = (starts[:, :, None] + np.arange(0, n, classes)[:, None]
+            + chosen[:, None, :]).reshape(rows, -1)
+    candidates = scores.reshape(-1).take(flat, mode="clip")
+    if full < n:
+        candidates.reshape(rows, -1, ranked)[:, -1][chosen >= n - full] = -np.inf
+    width = candidates.shape[1]
+    best = np.argpartition(candidates, width - ranked, axis=1)[:, width - ranked:]
+    top = np.take_along_axis(candidates, best, axis=1)
+    cols = np.take_along_axis(flat, best, axis=1) - starts
+    order = np.lexsort((cols, -top), axis=1)
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(top, order, axis=1)

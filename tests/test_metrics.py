@@ -4,17 +4,18 @@ import string
 import pytest
 
 from hopsynth.metrics import (
+    ScorePair,
     exact_match,
     f1_tokens,
     normalize_answer,
     score_pair,
     token_f1,
     tokenize,
-    token_spans,
     word_count,
 )
 
 from oracles import oracle_f1_tokens, squad_exact_match, squad_f1
+from synthcorpus import unicode_texts
 
 
 def test_tokenize_rules():
@@ -25,12 +26,6 @@ def test_tokenize_rules():
 
 def test_tokenize_unicode_words_stay_whole():
     assert tokenize("Saimaa-ilmiö") == ["Saimaa", "-", "ilmiö"]
-
-
-def test_token_spans_align_with_tokens():
-    text = 'The 1997-98 season (52nd) was "great".'
-    spans = token_spans(text)
-    assert [text[a:b] for a, b in spans] == tokenize(text)
 
 
 def test_normalize_answer():
@@ -99,6 +94,24 @@ def test_em_implies_f1_one():
     for pred, gold in cases:
         sp = score_pair(pred, gold)
         assert sp.em and sp.f1 == 1.0
+
+
+def test_score_pair_equals_exact_match_and_token_f1():
+    # score_pair normalizes each side once; on Unicode texts, their recased,
+    # article-wrapped and shuffled variants it scores as the two functions do
+    texts = unicode_texts(12, 400)
+    rng = random.Random(12)
+    pairs = list(zip(texts, texts[1:]))
+    for text in texts:
+        words = text.split()
+        rng.shuffle(words)
+        pairs += [(text, text), (text, text.upper()), (f"The {text}.", text.lower()),
+                  (" ".join(words), text), (text, " ".join(words[: len(words) // 2]))]
+    scores = [score_pair(pred, gold) for pred, gold in pairs]
+    assert scores == [ScorePair(em=exact_match(pred, gold), f1=token_f1(pred, gold))
+                      for pred, gold in pairs]
+    assert sum(score.em for score in scores) > 400
+    assert len({score.f1 for score in scores}) > 100
 
 
 def test_agrees_with_reference_evaluator():

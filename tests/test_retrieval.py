@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -176,31 +177,29 @@ def test_block_search_equals_per_query_matvec(monkeypatch):
 
 def test_block_search_reuses_the_index_scratch_across_block_sizes(monkeypatch):
     # one index, blocks that grow and shrink: each block's ids stay the
-    # mat-vec's, and a smaller block reuses the buffers of the largest so far
+    # mat-vec's, and a smaller block reuses the buffer of the largest so far
     rng = np.random.default_rng(21)
     matrix = _random_matrix(rng, "quantized", 150, 16)
     index = build_flat_index([f"d{i:03d}" for i in range(150)], list(matrix))
-    largest, buffers = 0, []
+    largest, buffer = 0, None
     for rows in (3, 64, 2, 40, 65, 5):
         block = [_random_query(rng, ("gaussian", "row")[i % 2], matrix) for i in range(rows)]
         expected = [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ q, 5))
                     for q in block]
         assert search(index, block, 5) == expected, rows
         if rows <= largest:
-            assert all(new is old for new, old in zip(index._scratch, buffers, strict=True))
-        largest, buffers = max(largest, rows), list(index._scratch)
-        assert [b.shape for b in buffers] == [(largest, 150)] * 2
+            assert index._scratch[0] is buffer
+        largest, (buffer,) = max(largest, rows), index._scratch
+        assert buffer.shape == (largest, 150)
 
-    # the partition buffer holds at most _PARTITION_BYTES: up to 2,048 docs
-    # that is a 64-row block, and a wider index partitions in sub-blocks
-    for n, part_rows in ((2048, 64), (2049, 63), (8000, 16)):
+    # the block's scores are the one buffer, at any index width
+    for n in (2048, 2049, 8000):
         wide = build_flat_index([f"d{i:05d}" for i in range(n)],
                                 np.zeros((n, 1), dtype=np.float32))
-        assert [len(b) for b in wide._block_scratch(64)] == [64, part_rows], n
-    # a bound of three and a half rows: the scores of a block are partitioned
-    # three rows at a time, and the ids stay each query's own mat-vec's
-    bound = 7 * 150 * 4 // 2
-    monkeypatch.setattr(retrieval, "_PARTITION_BYTES", bound)
+        assert wide._block_scratch(64).shape == (64, n)
+        assert [b.shape for b in wide._scratch] == [(64, n)], n
+    # a fresh index over the same rows: the ids stay each query's own
+    # mat-vec's, some queries keep the GEMM order, and one buffer grows
     narrow = build_flat_index(index.doc_ids, index.matrix)
     fallbacks = []
     monkeypatch.setattr(
@@ -215,9 +214,65 @@ def test_block_search_reuses_the_index_scratch_across_block_sizes(monkeypatch):
         assert search(narrow, block, 5) == expected, rows
         assert len(fallbacks) < rows  # some queries keep the GEMM order
         largest = max(largest, rows)
-        scores, work = narrow._scratch
+        (scores,) = narrow._scratch
         assert scores.shape == (largest, 150)
-        assert work.nbytes <= bound and work.shape == (min(largest, 3), 150)
+
+
+def _class_sizes(k):
+    """Index sizes just below, at and above multiples of `search`'s column
+    class count for k, from 1 up to about 3,000."""
+    classes = max(retrieval._CLASSES, k + 1)
+    sizes = {1, 2, 3, k, k + 1, k + 2, 2_999, 3_001}
+    for multiple in (1, 2, 3, 16, 23):
+        sizes |= {multiple * classes - 1, multiple * classes, multiple * classes + 1}
+    return sorted(n for n in sizes if 1 <= n <= 3_001)
+
+
+@pytest.mark.parametrize("k", [1, 7, 150])
+def test_block_search_equals_the_matvec_around_class_multiples(monkeypatch, k):
+    """Block search equals `select_topk(matrix @ q, k)` per query at index
+    sizes around multiples of the column class count, with k >= n at the
+    smallest, on quantized and duplicated matrices whose exact ties fall on
+    class maxima, in 2- and 64-row blocks."""
+    fallbacks = []
+    monkeypatch.setattr(
+        retrieval, "select_topk", lambda scores, k: fallbacks.append(k) or select_topk(scores, k)
+    )
+    rng = np.random.default_rng(22 + k)
+    queries = fell_back = 0
+    for trial, n in enumerate(_class_sizes(k)):
+        d = int(rng.integers(2, 12))
+        matrix = _random_matrix(rng, ("quantized", "duplicated", "gaussian")[trial % 3], n, d)
+        index = build_flat_index([f"d{i:04d}" for i in range(n)], matrix)
+        for rows in (2, 64):
+            kinds = ("gaussian", "quantized", "row")
+            block = [_random_query(rng, kinds[i % 3], matrix) for i in range(rows)]
+            fallbacks.clear()
+            got = search(index, block, k)
+            expected = [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ q, k))
+                        for q in block]
+            assert got == expected, (n, d, k, rows)
+            queries, fell_back = queries + rows, fell_back + len(fallbacks)
+    assert 0 < fell_back < queries  # both the GEMM order and the mat-vec ran
+
+
+def test_best_columns_rank_by_score_then_column():
+    # tie-heavy rows: the values are exactly the best scores of the whole
+    # row, and above the last value the columns are a stable argsort's
+    rng = np.random.default_rng(24)
+    for trial in range(60):
+        rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 1_200))
+        ranked = min(n, int(rng.integers(1, 140)))
+        scores = rng.integers(-4, 5, size=(rows, n)).astype(np.float32)
+        if trial % 2:
+            scores += rng.standard_normal((rows, n)).astype(np.float32)
+        cols, top = retrieval._best_columns(scores, ranked)
+        stable = np.argsort(-scores, axis=1, kind="stable")[:, :ranked]
+        assert np.array_equal(top, np.take_along_axis(scores, stable, axis=1)), trial
+        assert np.array_equal(np.take_along_axis(scores, cols, axis=1), top), trial
+        above = top > top[:, -1:]
+        assert np.array_equal(cols[above], stable[above]), trial
+        assert all(len(set(row)) == ranked for row in cols.tolist())
 
 
 def test_kernels_agree_including_ties():
@@ -295,6 +350,50 @@ def test_hash_embedder_vectors_do_not_depend_on_call_history():
     primed(unicode_texts(6, 300))
     assert [v.tobytes() for v in primed(texts)] == fresh
     assert [primed([text])[0].tobytes() for text in texts[::-1]][::-1] == fresh
+
+
+def _sha_seed(token):
+    return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
+
+
+def test_derived_states_equal_numpy_pcg64_states():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    drawn = np.random.default_rng(23).integers(0, 2**64, size=10_000, dtype=np.uint64)
+    seeds = np.concatenate([np.array(edges, dtype=np.uint64), drawn])
+    words = retrieval._seed_words(seeds)
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, seed_words in zip(seeds.tolist(), words.tolist()):
+        assert retrieval._pcg64_state(seed_words) == np.random.PCG64(seed).state, seed
+
+
+@pytest.mark.parametrize("dim", [1, 8, 256])
+def test_token_vectors_are_default_rng_draws(dim):
+    tokens = sorted({t.lower() for text in unicode_texts(dim, 200) for t in word_tokens(text)})
+    provider = HashEmbedder(dim)
+    provider._add_tokens(tokens)
+    bits = np.random.PCG64()
+    words = retrieval._seed_words(np.array([_sha_seed(t) for t in tokens], dtype=np.uint64))
+    for token, token_words in zip(tokens, words):
+        draw = np.random.default_rng(_sha_seed(token)).standard_normal(dim)
+        bits.state = retrieval._pcg64_state(token_words.tolist())
+        assert np.random.Generator(bits).standard_normal(dim).tobytes() == draw.tobytes()
+        vector = draw.astype(np.float32)
+        vector /= np.linalg.norm(vector)
+        assert provider._table[provider._rows[token]].tobytes() == vector.tobytes(), token
+
+
+@pytest.mark.parametrize("constant, wrong", [
+    ("_SS_MIX_L", 0xCA01F9DC), ("_SS_MULT_B", 0x58F38DEF), ("_PCG_MULT", 3),
+])
+def test_hash_embedder_refuses_a_seeding_that_differs_from_numpy(monkeypatch, constant, wrong):
+    provider = HashEmbedder(8)
+    monkeypatch.setattr(retrieval, constant, wrong)
+    with pytest.raises(RuntimeError, match="PCG64 seeding"):
+        provider(["alpha beta"])
+    assert not provider._rows and provider._table.shape == (0, 8)
+    monkeypatch.undo()
+    assert [v.tobytes() for v in provider(["alpha beta"])] == [
+        v.tobytes() for v in OracleHashEmbedder(8)(["alpha beta"])]
 
 
 def test_word_tokens_are_the_tokens_holding_an_alphanumeric():
