@@ -9,26 +9,36 @@ them, and seeded coin flips inject the failure modes (empty output,
 entity-free questions, wrong answers) that exercise the filter paths.
 GoldScriptRule replays scripted queries/answers for evaluation episodes.
 Both are pure functions of (prompt text, seed).
+
+A SyntheticPipelineRule call draws from `pairing.derive_rng(seed, prompt)`,
+by definition. Every prompt of a (task, stage, setting) starts with the same
+few-shot head, the text before its target block, so the rule keeps each
+head's UTF-8 bytes and hashes `f"{seed}:"`, those bytes and the encoded
+block: the same sha256 input, encoded once per head instead of per call.
+The cache only saves work; the output stays that of (prompt text, seed).
 """
 
 from __future__ import annotations
 
+import _random
+import hashlib
+import random
 import re
 from pathlib import Path
 from typing import Optional
 
 from .jsonl import InputError, is_strings, read_json
-from .pairing import derive_rng
-from .promptkit import parse_block
+from .promptkit import last_block_start, parse_block
 from .synthesis import FEVER_LABELS
 
 _ANSWER_TAG = re.compile(r" regarding (.+)\?$")
 _LABEL_TAG = re.compile(r"\[(" + "|".join(FEVER_LABELS) + r")\]")
 _SCRIPT_ENTRY = '{"queries": [str, ...], "answer": str}'
+_HEADS_MAX = 64  # cached prompt heads per rule; the cache is cleared when full
 
 
 def _lead_words(text: str, count: int = 4) -> str:
-    return " ".join(text.split()[:count])
+    return " ".join(text.split(None, count)[:count])
 
 
 def _named_span(text: str) -> str:
@@ -49,7 +59,12 @@ def _named_span(text: str) -> str:
 
 
 class SyntheticPipelineRule:
-    """Drives the whole synthesis pipeline without a real model."""
+    """Drives the whole synthesis pipeline without a real model.
+
+    A call reseeds the instance's one generator, so calls are
+    single-threaded: one instance must not be called from two threads at
+    once.
+    """
 
     def __init__(
         self,
@@ -64,10 +79,30 @@ class SyntheticPipelineRule:
         self.p_wrong_answer = p_wrong_answer
         self.p_single_hop = p_single_hop
         self.p_bad_queries = p_bad_queries
+        # head length -> (the text before a prompt's target block, its UTF-8 bytes)
+        self._heads: dict[int, tuple[str, bytes]] = {}
+        self._rng = random.Random()
 
     def __call__(self, prompt: str, seed: Optional[int]) -> str:
-        rng = derive_rng(seed, prompt)
-        target = parse_block(prompt)
+        start = last_block_start(prompt)
+        head = self._heads.get(start)
+        # two heads can have the same length, so a hit must match the prompt
+        if head is None or not prompt.startswith(head[0]):
+            if len(self._heads) >= _HEADS_MAX:
+                self._heads.clear()
+            text = prompt[:start]
+            head = self._heads[start] = (text, text.encode("utf-8"))
+        block = prompt[start:]
+        # derive_rng(seed, prompt): the UTF-8 of f"{seed}:{prompt}" is that of
+        # its parts, which split at character boundaries
+        digest = hashlib.sha256(f"{seed}:".encode("utf-8"))
+        digest.update(head[1])
+        digest.update(block.encode("utf-8"))
+        rng = self._rng
+        # the state of random.Random(n): Random.seed hands an int to this C
+        # seeding and resets gauss_next, which the rule never draws
+        _random.Random.seed(rng, int.from_bytes(digest.digest()[:8], "big"))
+        target = parse_block(block)
         cue = target["cue"]
         if cue == "Question:":
             return self._question(target, rng)

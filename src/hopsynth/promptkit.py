@@ -252,6 +252,13 @@ _BLOCK_FIELDS = {
 }
 
 
+def last_block_start(text: str) -> int:
+    """Where the last block of `text` starts: just after its last blank line,
+    or 0 when it has none."""
+    end = text.rfind(_BLOCK_BREAK)
+    return 0 if end < 0 else end + len(_BLOCK_BREAK)
+
+
 def parse_block(text: str) -> dict:
     """The fields of the last block of `text` (a prompt's target block, or an episode).
 
@@ -261,7 +268,7 @@ def parse_block(text: str) -> dict:
     exact "Label: " line prefix.
     """
     fields: dict = {"documents": [], "queries": []}
-    lines = text.rpartition(_BLOCK_BREAK)[2].split("\n")
+    lines = text[last_block_start(text):].split("\n")
     for line in lines:
         label, sep, value = line.partition(": ")
         key = _BLOCK_FIELDS.get(label) if sep else None

@@ -458,8 +458,8 @@ def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:
     the k-th row plus the global `2 * gamma_d * |q| * max|m|`, which covers
     every row below. A query that misses both, or has a tie, a non-finite
     score or a norm product near float32 overflow, is scored by its own
-    mat-vec. Raises ValueError for a block of the wrong dimension or with a
-    non-finite entry.
+    mat-vec. An empty block gives `[]`. Raises ValueError for a block of the
+    wrong dimension or with a non-finite entry.
 
     A larger block is scored into the index's scratch buffer
     (`FlatIndex._block_scratch`), so one index must not be searched from two
@@ -472,6 +472,8 @@ def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:
         raise ValueError(f"query block shape {block.shape} does not match index dim {index.dim}")
     if not np.isfinite(block).all():
         raise ValueError("query vectors must be finite")
+    if len(block) == 0:
+        return []
     if len(block) == 1:
         return [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ block[0], k))]
 

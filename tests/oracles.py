@@ -22,10 +22,14 @@ possible, and stays independent of the implementation path it validates:
 * Hop classification: `classify_hops` as it scored each agreement with
   `decide_answerable`, normalizing both texts and counting tokens with
   `Counter` every time.
+* Mock completions: `SyntheticPipelineRule` as it derived each call's
+  generator with `derive_rng(seed, prompt)` over the whole prompt and parsed
+  the whole prompt for its target block.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import re
@@ -36,7 +40,9 @@ import numpy as np
 
 from hopsynth.retrieval import select_topk
 from hopsynth.genbackend import EmptyCompletion, complete
-from hopsynth.promptkit import render_episode
+from hopsynth.mockllm import SyntheticPipelineRule
+from hopsynth.pairing import derive_rng
+from hopsynth.promptkit import parse_block, render_episode
 
 # ---------------------------------------------------------------------------
 # SQuAD v1 reference evaluator (evaluate-v1.1.py logic)
@@ -517,3 +523,33 @@ def oracle_classify_hops(task, relation, prepared, pred_both, pred_first, pred_s
     if _oracle_agrees(pred_both, prepared, threshold, task):
         return {"hops": "two", "answerable_in": ["both"], "final_answer": prepared}
     return None
+
+
+class _OracleRule(SyntheticPipelineRule):
+    def __call__(self, prompt, seed):
+        rng = derive_rng(seed, prompt)
+        target = parse_block(prompt)
+        cue = target["cue"]
+        if cue == "Question:":
+            return self._question(target, rng)
+        if cue == "Claim:":
+            return self._claim(target, rng)
+        if cue == "Answer:" and "claim" in target:
+            return self._verify(target, rng)
+        if cue == "Answer:":
+            return self._answer(target, rng)
+        if cue == "Query:":
+            return self._queries(target, rng)
+        return ""
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_rule(**p):
+    return _OracleRule(**p)
+
+
+def oracle_synthetic_rule(prompt, seed, **p):
+    """`SyntheticPipelineRule(**p)(prompt, seed)` by its definition: one
+    generator from `derive_rng(seed, prompt)`, and the target block parsed
+    from the whole prompt; the completion for each cue is the rule's own."""
+    return _oracle_rule(**p)(prompt, seed)

@@ -1,12 +1,16 @@
 import json
 import random
 
+import pytest
+
+from hopsynth import mockllm
 from hopsynth.config import PipelineConfig
 from hopsynth.genbackend import MockBackend
 from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule
 from hopsynth.pipeline import run_all
 from hopsynth.promptkit import parse_block
 
+from oracles import oracle_synthetic_rule
 from synthcorpus import make_corpus, write_corpus
 
 
@@ -92,23 +96,89 @@ def _target(prompt):
     return prompt.rpartition("\n\n")[2]
 
 
-def test_last_block_equals_split_on_rendered_prompts(tmp_path):
-    prompts = []
+@pytest.fixture(scope="module")
+def run_all_calls(tmp_path_factory):
+    """Every (prompt, seed) that `run_all` sends the rule, mqa then fever."""
+    tmp_path = tmp_path_factory.mktemp("run_all_calls")
+    calls = []
     rule = SyntheticPipelineRule()
 
     def recording(prompt, seed):
-        prompts.append(prompt)
+        calls.append((prompt, seed))
         return rule(prompt, seed)
 
     corpus = write_corpus(tmp_path / "corpus.jsonl", make_corpus(n_docs=60, seed=3, n_topics=6))
     for task in ("mqa", "fever"):
         config = PipelineConfig(task=task, seed=11, dev_size=3)
         run_all(corpus, tmp_path / task, config, backend=MockBackend(rule=recording))
+    return calls
+
+
+def test_last_block_equals_split_on_rendered_prompts(run_all_calls):
+    prompts = [prompt for prompt, _ in run_all_calls]
     targets = [parse_block(_target(p)) for p in prompts]
     assert {t["cue"] for t in targets} == {"Question:", "Claim:", "Answer:", "Query:"}
     for prompt, target in zip(prompts, targets):
         assert _target(prompt) == prompt.split("\n\n")[-1]
         assert target["documents"] and not target["queries"]
+
+
+# even odds on every coin flip, so that a wrong generator shows in the outputs
+COIN_FLIPS = dict(p_empty=0.5, p_plain_question=0.5, p_wrong_answer=0.5, p_single_hop=0.5,
+                  p_bad_queries=0.5)
+
+
+def _assert_rule_matches_oracle(calls, **p):
+    """A warm rule over `calls` in order, and a fresh rule per call, equal the oracle."""
+    warm = SyntheticPipelineRule(**p)
+    for prompt, seed in calls:
+        expected = oracle_synthetic_rule(prompt, seed, **p)
+        assert warm(prompt, seed) == expected, (prompt, seed)
+        assert SyntheticPipelineRule(**p)(prompt, seed) == expected, (prompt, seed)
+
+
+def _stage_of(prompt):
+    target = parse_block(prompt)
+    if target["cue"] == "Answer:":
+        return "answering"
+    return "query_gen" if target["cue"] == "Query:" else "question_gen"
+
+
+def test_rule_equals_its_definition_on_every_run_all_prompt(run_all_calls):
+    # both settings of mqa (the hyper and topic example sets) and fever, all three stages
+    heads = {prompt.rpartition("\n\n")[0] for prompt, _ in run_all_calls}
+    assert len(heads) == 3 * 3
+    assert {_stage_of(prompt) for prompt, _ in run_all_calls} == {
+        "question_gen", "answering", "query_gen"}
+    assert not any(prompt.isascii() for prompt, _ in run_all_calls)
+    _assert_rule_matches_oracle(run_all_calls)
+    _assert_rule_matches_oracle(run_all_calls[::-1], **COIN_FLIPS)
+
+
+def test_rule_equals_its_definition_on_edge_prompts():
+    block = QGEN_PROMPT.rpartition("\n\n")[2]
+    head = QGEN_PROMPT[:-len(block)]
+    # the same length, other text: a hit on the length alone would hash the wrong head
+    twin = head.replace("ex one", "ex öne")
+    assert len(twin) == len(head) and twin != head
+    wide = block.replace("Kalvor", "Zürich – 𝔘nter").replace("Eastvale", "Ås–😀")
+    prompts = [
+        block,  # no blank line
+        head + block, twin + block, head + block,
+        head + wide, twin + wide, wide,
+        "", "\n\n", "Query:",
+    ]
+    seeds = [None, -3, 2 ** 70, *range(16)]
+    _assert_rule_matches_oracle([(prompt, seed) for seed in seeds for prompt in prompts],
+                                **COIN_FLIPS)
+
+
+def test_rule_equals_its_definition_past_the_head_cache_bound():
+    heads = [f"Document: {'x' * n}\nAnswer: a\nQuestion: q?\n\n"
+             for n in range(2 * mockllm._HEADS_MAX + 1)]
+    block = QGEN_PROMPT.rpartition("\n\n")[2]
+    calls = [(head + block, seed) for seed in range(2) for head in heads]
+    _assert_rule_matches_oracle(calls, **COIN_FLIPS)
 
 
 def _split_target_block(prompt):
@@ -125,14 +195,33 @@ def _split_target_block(prompt):
     return fields
 
 
-def test_target_block_parse_unchanged_on_any_newline_runs():
-    # runs of three or more newlines split differently from the right, but
-    # the extra leading newline that split keeps parses to nothing
+def _newline_run_prompts(count):
+    # prompts of runs of one, two and three newlines between labelled lines
     rng = random.Random(4)
     pieces = ["\n", "\n\n", "\n\n\n", "Document: d", "Question: q?", "Claim: c",
               "Answer: a", "Answer:", "Query:", "x"]
-    for _ in range(5000):
-        prompt = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+    for _ in range(count):
+        yield "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+
+
+def test_target_block_parse_unchanged_on_any_newline_runs():
+    # runs of three or more newlines split differently from the right, but
+    # the extra leading newline that split keeps parses to nothing
+    for prompt in _newline_run_prompts(5000):
         target = parse_block(_target(prompt))
         assert target.pop("queries") == []
         assert target == _split_target_block(prompt), repr(prompt)
+
+
+def test_rule_equals_its_definition_on_any_newline_runs():
+    calls = [(prompt, n % 7) for n, prompt in enumerate(_newline_run_prompts(2000))]
+    _assert_rule_matches_oracle(calls, **COIN_FLIPS)
+
+
+def test_lead_words_are_the_first_words_of_a_full_split():
+    rng = random.Random(5)
+    pieces = ["a", "Bc", "é", " ", "  ", "\n", "\t", " ", " "]
+    for _ in range(2000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+        for count in (1, 2, 4):
+            assert mockllm._lead_words(text, count) == " ".join(text.split()[:count]), repr(text)

@@ -76,9 +76,15 @@ def test_search_dim_mismatch():
         [np.zeros(3, dtype=np.float32)],
         np.zeros((64, 3), dtype=np.float32),
         np.zeros(2, dtype=np.float32),  # one vector, not a block of them
+        np.zeros((0, 3), dtype=np.float32),  # no vectors, of the wrong dimension
     ):
         with pytest.raises(ValueError, match="dim"):
             search(small_index(), block, k=1)
+
+
+def test_search_empty_block():
+    assert search(small_index(), np.zeros((0, 2), dtype=np.float32), k=3) == []
+    assert search(small_index(), np.zeros((0, 2)), k=1) == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
