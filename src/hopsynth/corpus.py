@@ -132,7 +132,10 @@ _NON_SPACE = re.compile(r"\S")
 
 
 _NON_EMPTY = (lambda value: isinstance(value, str) and value != "", "a non-empty string")
-_RECORD_FIELDS = {"id": _NON_EMPTY, "title": _NON_EMPTY, "text": _NON_EMPTY}
+# a text of whitespace alone has no tokens, so its index row would be zeros
+_NON_BLANK = (lambda value: isinstance(value, str) and _NON_SPACE.search(value) is not None,
+              "a non-blank string")
+_RECORD_FIELDS = {"id": _NON_EMPTY, "title": _NON_EMPTY, "text": _NON_BLANK}
 _RECORD_OPTIONAL = {
     "anchors": (lambda value: isinstance(value, list) and all(
         isinstance(anchor, dict) and isinstance(anchor.get("span"), str)

@@ -5,26 +5,55 @@ exact: every row is scored, and the top k come in descending score order
 with ties broken by ascending document id. The ids are always those of one
 float32 mat-vec per query, `select_topk(matrix @ q, k)`.
 
-A block of queries is scored with one GEMM, whose rows can differ from that
-mat-vec in the last bits. Higham's bound (*Accuracy and Stability of
-Numerical Algorithms*, 3.1) puts either computed dot product of a row m and
-a query q within `gamma_d * sum_i |m_i| |q_i|` of the exact one, for any
-summation order, with or without FMA, where `gamma_d = d*u / (1 - d*u)` and
-`u = 2**-24`; that sum is at most `|m| * |q|`. So the GEMM and mat-vec
-scores of one row differ by at most twice that. When every gap between a
-query's k+1 best GEMM scores exceeds the differences its two sides can
-have, the mat-vec ranks the same k rows first, in the same order, with no
-ties, and the GEMM order is kept. Any other query (ties, near ties,
-non-finite scores) is scored again with its own mat-vec.
+A block of queries is scored with one GEMM, `M @ Q.T` into an (n, rows)
+buffer, whose scores can differ from that mat-vec in the last bits.
+Higham's bound (*Accuracy and Stability of Numerical Algorithms*, 3.1)
+puts a float32 dot product of a row m and a query q within
+`b_m = gamma_d * sum_i |m_i| |q_i| + d * tiny` of the exact one, for any
+summation order, with or without FMA, where `gamma_d = d*u / (1 - d*u)`,
+`u = 2**-24` and `d * tiny` covers products that underflow; the sum is at
+most `|m| * |q|`, so `b_m <= spread / 2` with `spread = 2 * (gamma_d *
+|q| * max|m| + d * tiny)`. The bound holds for the mat-vec and for the
+GEMM alike, whatever order and blocking the BLAS uses, so it does not
+depend on the GEMM's orientation. A query is certified in two steps:
 
-A block's k+1 best GEMM scores are found without sorting or partitioning
-its full rows. Column j of the scores is in class `j mod C`, with
-`C = min(n, max(_CLASSES, k + 1))`; one pass takes each class's maximum,
-and only the columns of the k+1 classes with the largest maxima are
-ranked. Every score above the (k+1)-th largest class maximum t lies in a
-chosen class, and the chosen classes hold at least k+1 scores >= t, so the
-k+1 best values are exact; only which column holds a score tied with t can
-differ, and such a tie leaves a gap of 0, which no query is certified with.
+* Global margin. Every gap between its k+1 best GEMM scores exceeds
+  `2 * spread`: each side of a gap moves by at most `spread` from GEMM to
+  mat-vec, so the mat-vec ranks the same k rows first, in the same order,
+  with no ties, and the GEMM order is kept. Most queries pass this; it
+  needs nothing but the GEMM scores.
+* Exact candidates. Otherwise its K = k + _SPARE best GEMM rows are scored
+  exactly: the products of float32 values are exact in float64 (48 of 53
+  significand bits, far from float64's range limits), and their float64
+  sum lies within `d * 2**-53 * sum_i |m_i| |q_i|` of the exact dot
+  product, below `2**-29 * b_m`; the bounds, gaps and the `|q| * max|m|`
+  bound are float64 sums and products a few `2**-53` off. Inflating every
+  bound by `1 + 2**-20` covers all of it, so a float64 score is treated as
+  exact. Ordered by exact score, descending, ties to the lower row, the
+  candidates certify the mat-vec's top k when
+  (i) each gap between consecutive exact scores among the first k exceeds
+  `b_a + b_b`, so their mat-vec scores keep that strict order;
+  (ii) the k-th exact score minus `b_k` exceeds every other candidate's
+  exact score plus its `b`; and
+  (iii) it also exceeds the K-th best GEMM score plus `spread`. A row
+  outside the candidates has a GEMM score no higher than the K-th, and its
+  mat-vec score lies within `2 * b_m <= spread` of its GEMM score (each is
+  within `b_m` of the exact one), so (iii) puts every such row below the
+  k-th in the mat-vec. (iii) compares with GEMM scores only through the
+  bound, so it holds under any GEMM orientation.
+
+Any other query (exact ties, near ties, a norm product near float32
+overflow) is scored again with its own mat-vec, `select_topk(M @ q, k)`.
+
+A block's K best GEMM scores per query are found without sorting or
+partitioning its scores (`_best_columns`). Row j of the (n, rows) buffer
+is in class `j mod C`, with `C = min(n, max(_CLASSES, K))`; one max over
+the leading axis of the buffer's full slabs of C rows gives each class's
+maximum per query, and a query's floor is its K-th largest class maximum.
+At least K of its scores reach the floor, so each of its K best does, and
+only the rows of classes whose maximum reaches the floor are compared with
+it. The scores that reach it, about K per query, are sorted, so the K best
+and their rows, ties to the lower row, are exactly a stable argsort's.
 
 `embed` calls a provider on EMBED_BLOCK texts at a time and copies each
 block into one float32 matrix, so embedding a corpus holds the matrix and
@@ -73,11 +102,16 @@ class EmbeddingProvider(Protocol):
 EMBED_BLOCK = 64
 
 
-# The fewest column classes `search` ranks a block's scores by (see the
-# module docstring). The class maxima cost one pass over the scores, and the
-# k+1 chosen classes of an n-column row hold about (k+1) * n / C candidates
-# to rank: a few hundred at k = 7 on 2,000 to 16,000 docs.
+# The fewest column classes `search` selects a block's scores by (see the
+# module docstring). The class maxima cost one pass over the scores, and a
+# query's K chosen classes hold about K * n / C rows to compare with its
+# floor: a few hundred at k = 7 on 2,000 to 16,000 docs.
 _CLASSES = 128
+
+# Candidates beyond the k-th that the exact rule scores, K = k + _SPARE. On
+# 67,907 verify queries at 16,000 docs and k = 7, K = k + 1 left 3.61% to
+# their own mat-vec, k + 5 2.82% and k + 17 no fewer.
+_SPARE = 5
 
 
 # float32's unit roundoff, and its smallest normal number: an absolute
@@ -104,13 +138,16 @@ class FlatIndex:
         return len(self.doc_ids)
 
     def _block_scratch(self, rows: int) -> np.ndarray:
-        """A float32 (rows, n) buffer for a block's GEMM scores, kept with the
-        index and grown to the largest block so far, so a block search
-        allocates no temporary of that size, which the allocator would unmap
-        and fault in again on every block."""
-        if not self._scratch or len(self._scratch[0]) < rows:
-            self._scratch[:] = [np.empty((rows, len(self)), dtype=np.float32)]
-        return self._scratch[0][:rows]
+        """A float32 (n, rows) view for a block's GEMM scores.
+
+        The view's memory is one flat buffer kept with the index and grown
+        to the largest n * rows so far, so a smaller block reuses it and a
+        block search allocates no temporary of that size, which the
+        allocator would unmap and fault in again on every block."""
+        size = len(self) * rows
+        if not self._scratch or self._scratch[0].size < size:
+            self._scratch[:] = [np.empty(size, dtype=np.float32)]
+        return self._scratch[0][:size].reshape(len(self), rows)
 
     @cached_property
     def id_array(self) -> np.ndarray:
@@ -446,20 +483,16 @@ def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:
     `queries` holds one vector per row, as `embed` returns them. Each
     query's ids and their order are exactly `select_topk(index.matrix @ q,
     k)`: descending score, ties by ascending doc id. A one-row block runs
-    that mat-vec. A larger block is scored with one GEMM, and each query's
-    k+1 best GEMM scores are found by column class (see the module
-    docstring). A query keeps the GEMM order when every gap between those
-    scores exceeds `4 * gamma_d * |q| * max|m|`, inflated for the float64
-    rounding of that margin and for underflow, which certifies the
-    mat-vec's top k and order. A query that misses that global margin is
-    tried again with Higham's bound per pair: a gap between two of its top k
-    rows must exceed `2 * gamma_d * sum_i |q_i| |m_i|` of each (float64
-    sums over its own k rows alone), and the gap below its k-th row that of
-    the k-th row plus the global `2 * gamma_d * |q| * max|m|`, which covers
-    every row below. A query that misses both, or has a tie, a non-finite
-    score or a norm product near float32 overflow, is scored by its own
-    mat-vec. An empty block gives `[]`. Raises ValueError for a block of the
-    wrong dimension or with a non-finite entry.
+    that mat-vec. A larger block is scored with one GEMM, `index.matrix @
+    block.T`, and each query's K = k + _SPARE best GEMM scores are found by
+    column class; the query's order is then certified in two steps (see the
+    module docstring). First the global margin: every gap between its k+1
+    best GEMM scores exceeds `4 * gamma_d * |q| * max|m|`, and the GEMM
+    order is kept. Otherwise its K candidates are scored exactly in float64
+    and the exact-candidate rule is tried. A query that passes neither, or
+    has a norm product near float32 overflow, is scored by its own mat-vec.
+    An empty block gives `[]`. Raises ValueError for a block of the wrong
+    dimension or with a non-finite entry.
 
     A larger block is scored into the index's scratch buffer
     (`FlatIndex._block_scratch`), so one index must not be searched from two
@@ -478,61 +511,75 @@ def search(index: FlatIndex, queries, k: int) -> list[tuple[str, ...]]:
         return [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ block[0], k))]
 
     n, dim = len(index), index.dim
-    kept, ranked = min(k, n), min(k + 1, n)
+    kept, ranked = min(k, n), min(k + _SPARE, n)
     scores = index._block_scratch(len(block))
-    np.matmul(block, index.matrix.T, out=scores)
+    np.matmul(index.matrix, block.T, out=scores)
     cols, top = _best_columns(scores, ranked)
-    gaps = -np.diff(top.astype(np.float64), axis=1)
     scale = np.sqrt(np.einsum("ij,ij->i", block, block, dtype=np.float64)) * index.row_norm_bound
-    # each row's GEMM and mat-vec scores differ by at most 2 * (gamma_d *
-    # sum_i |q_i| |m_i| + d * tiny), and that sum is at most `scale`; 1 +
-    # 2**-20 covers the float64 rounding of the sums, the margins and the gaps
+    # a row's float32 score, GEMM or mat-vec, lies within gamma_d * sum_i
+    # |q_i| |m_i| + d * tiny of its exact score, and that sum is at most
+    # `scale`; 1 + 2**-20 covers the float64 rounding of the sums, the
+    # bounds, the gaps and the exact scores themselves
     slack = 1.0 + 2.0 ** -20
     spread = 2.0 * (_gamma(dim) * scale + dim * _TINY)
     # below 2**126 no partial sum of either product can overflow, so the bound holds
     sound = np.isfinite(top).all(axis=1) & (scale < 2.0 ** 126)
+    gaps = -np.diff(top[:, :min(k + 1, n)].astype(np.float64), axis=1)
     certified = sound & (gaps > 2.0 * slack * spread[:, None]).all(axis=1)
+    rows = cols[:, :kept]
     retry = np.flatnonzero(sound & ~certified)
     if len(retry):
-        sums = np.einsum("rkd,rd->rk", np.abs(index.matrix[cols[retry, :kept]]),
-                         np.abs(block[retry]), dtype=np.float64)
-        pair = 2.0 * (_gamma(dim) * sums + dim * _TINY)
-        bound = pair[:, :-1] + pair[:, 1:]
-        if ranked > kept:  # below the k-th row, any row of the index
-            bound = np.hstack([bound, pair[:, -1:] + spread[retry, None]])
-        certified[retry] = (gaps[retry] > slack * bound).all(axis=1)
-    rows = cols[:, :kept]
+        candidates = cols[retry]
+        vectors, query = index.matrix[candidates], block[retry]
+        exact = np.einsum("rkd,rd->rk", vectors, query, dtype=np.float64)
+        bound = slack * (_gamma(dim) * np.einsum("rkd,rd->rk", np.abs(vectors), np.abs(query),
+                                                 dtype=np.float64) + dim * _TINY)
+        order = np.lexsort((candidates, -exact), axis=1)
+        candidates, exact, bound = (np.take_along_axis(a, order, axis=1)
+                                    for a in (candidates, exact, bound))
+        last, last_bound = exact[:, kept - 1:kept], bound[:, kept - 1:kept]
+        # (i) the first k in order, (ii) the k-th above every other candidate
+        passed = ((exact[:, :kept - 1] - exact[:, 1:kept] > bound[:, :kept - 1] + bound[:, 1:kept])
+                  .all(axis=1)
+                  & (last - exact[:, kept:] > last_bound + bound[:, kept:]).all(axis=1))
+        if ranked < n:  # (iii) the k-th above every row outside the candidates
+            passed &= last[:, 0] - top[retry, -1] > last_bound[:, 0] + slack * spread[retry]
+        certified[retry] = passed
+        rows[retry[passed]] = candidates[passed, :kept]
     for r in np.flatnonzero(~certified).tolist():
         rows[r] = select_topk(index.matrix @ block[r], k)
     return list(map(tuple, index.id_array[rows].tolist()))
 
 
 def _best_columns(scores: np.ndarray, ranked: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's `ranked` best scores, descending, and their columns, ties
-    to the lower column.
+    """For each column of an (n, rows) score block, its `ranked` best scores,
+    descending, and their rows, ties to the lower row: a stable
+    `argsort(-scores[:, r])[:ranked]` for each query r, as (rows, ranked)
+    arrays.
 
-    The candidates are the columns of the `ranked` classes with the largest
-    maxima (see the module docstring), so the scores are exact; at a tie
-    with the last of them, which tied column is returned last may differ.
+    Row j is in class `j mod C`. A max over the leading axis of the first
+    `n // C` slabs of C rows gives each (class, query) maximum, and a query's
+    floor is its `ranked`-th largest class maximum: at least `ranked` of its
+    scores reach the floor, so every one of its `ranked` best does. Only the
+    classes whose maximum reaches a query's floor can hold such a score, so
+    only their rows, and the rows past the last full slab, are compared
+    with the floor, and the scores that reach it are sorted.
     """
-    rows, n = scores.shape
+    n, rows = scores.shape
     classes = min(n, max(_CLASSES, ranked))
     full = n - n % classes
-    maxima = scores[:, :full].reshape(rows, -1, classes).max(axis=1)
-    np.maximum(maxima[:, :n - full], scores[:, full:], out=maxima[:, :n - full])
-    chosen = np.argpartition(maxima, classes - ranked, axis=1)[:, classes - ranked:]
-    # the chosen classes' columns, as flat indexes into the scores: one slab
-    # of `classes` columns after another, the last one short when n is not
-    # a multiple (its missing columns are clipped and then masked)
-    starts = (np.arange(rows) * n)[:, None]
-    flat = (starts[:, :, None] + np.arange(0, n, classes)[:, None]
-            + chosen[:, None, :]).reshape(rows, -1)
-    candidates = scores.reshape(-1).take(flat, mode="clip")
-    if full < n:
-        candidates.reshape(rows, -1, ranked)[:, -1][chosen >= n - full] = -np.inf
-    width = candidates.shape[1]
-    best = np.argpartition(candidates, width - ranked, axis=1)[:, width - ranked:]
-    top = np.take_along_axis(candidates, best, axis=1)
-    cols = np.take_along_axis(flat, best, axis=1) - starts
-    order = np.lexsort((cols, -top), axis=1)
-    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(top, order, axis=1)
+    slabs = scores[:full].reshape(-1, classes * rows)  # [s, c * rows + r]: row s * C + c
+    maxima = slabs.max(axis=0)
+    floor = np.partition(maxima.reshape(classes, rows), classes - ranked, axis=0)[classes - ranked]
+    cells = np.flatnonzero(maxima >= np.tile(floor, classes))  # (class, query) pairs
+    in_cells = slabs[:, cells]
+    slab, cell = np.divmod(np.flatnonzero(in_cells >= floor[cells % rows]), len(cells))
+    tail, tail_query = np.divmod(np.flatnonzero(scores[full:] >= floor), rows)
+    found = np.concatenate([slab * classes + cells[cell] // rows, full + tail])
+    query = np.concatenate([cells[cell] % rows, tail_query])
+    value = np.concatenate([in_cells[slab, cell], scores[full + tail, tail_query]])
+    # by query, then descending score, then row; each query's first `ranked`
+    order = np.lexsort((found, -value, query))
+    counts = np.bincount(query, minlength=rows)
+    keep = order[((np.cumsum(counts) - counts)[:, None] + np.arange(ranked)).reshape(-1)]
+    return found[keep].reshape(rows, ranked), value[keep].reshape(rows, ranked)

@@ -807,6 +807,10 @@ def _bad_input_argv(tmp_path, corpus_path, case):
         return (["--config", str(config_file), "run-all", "--in", str(corpus_path),
                  "--out", str(tmp_path / "out")],
                 f"{vectors}: no precomputed embedding for text: {first_query[:60]!r}")
+    if case == "run_all_blank_text":
+        bad.write_text(json.dumps({"id": "a", "title": "A", "text": "   "}) + "\n")
+        return (["--config", str(DEMO / "config.txt"), "run-all", "--in", str(bad),
+                 "--out", str(tmp_path / "out")], f"{bad}:1: text '   ' is not a non-blank string")
     if case == "run_all_empty_corpus":
         bad.write_text("\n\n")
         return (["--config", str(DEMO / "config.txt"), "run-all", "--in", str(bad),
@@ -831,7 +835,7 @@ def _bad_input_argv(tmp_path, corpus_path, case):
 
 
 @pytest.mark.parametrize("case", ["stats", "ingest", "eval_gold", "embedding_vector",
-                                  "embedding_text", "run_all_empty_corpus",
+                                  "embedding_text", "run_all_blank_text", "run_all_empty_corpus",
                                   "eval_empty_corpus", "empty_examples"])
 def test_bad_input_line_exits_2_without_a_traceback(tmp_path, corpus_path, capsys, caplog, case):
     argv, message = _bad_input_argv(tmp_path, corpus_path, case)

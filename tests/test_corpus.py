@@ -152,12 +152,13 @@ _ANCHORS_EXPECTED = "is not a list of {'span': str, 'target': str}"
     ({"topic": ["film"]}, "topic ['film'] is not a string"),
     ({"id": ""}, "id '' is not a non-empty string"),
     ({"title": ""}, "title '' is not a non-empty string"),
-    ({"text": ""}, "text '' is not a non-empty string"),
+    ({"text": ""}, "text '' is not a non-blank string"),
+    ({"text": " \t\n "}, "text ' \\t\\n ' is not a non-blank string"),
     ({"id": 2}, "id 2 is not a non-empty string"),
-    ({"text": None}, "text None is not a non-empty string"),
+    ({"text": None}, "text None is not a non-blank string"),
 ], ids=["anchors-str", "anchors-object", "anchor-str", "anchor-no-target", "anchor-int-target",
         "anchor-null-span", "topic-int", "topic-list", "id-empty", "title-empty", "text-empty",
-        "id-int", "text-null"])
+        "text-blank", "id-int", "text-null"])
 def test_bad_record_names_file_line_field_and_value(tmp_path, patch, message):
     path = write_corpus(tmp_path, [doc(1, "A", "one"), {**doc(2, "B", "two A"), **patch}])
     with pytest.raises(CorpusFormatError) as raised:

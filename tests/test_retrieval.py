@@ -196,14 +196,15 @@ def test_block_search_reuses_the_index_scratch_across_block_sizes(monkeypatch):
         if rows <= largest:
             assert index._scratch[0] is buffer
         largest, (buffer,) = max(largest, rows), index._scratch
-        assert buffer.shape == (largest, 150)
+        assert buffer.shape == (150 * largest,)
 
-    # the block's scores are the one buffer, at any index width
+    # the block's scores are an (n, rows) view of the one buffer, at any index width
     for n in (2048, 2049, 8000):
         wide = build_flat_index([f"d{i:05d}" for i in range(n)],
                                 np.zeros((n, 1), dtype=np.float32))
-        assert wide._block_scratch(64).shape == (64, n)
-        assert [b.shape for b in wide._scratch] == [(64, n)], n
+        assert wide._block_scratch(64).shape == (n, 64)
+        assert wide._block_scratch(3).base is wide._scratch[0]
+        assert [b.shape for b in wide._scratch] == [(n * 64,)], n
     # a fresh index over the same rows: the ids stay each query's own
     # mat-vec's, some queries keep the GEMM order, and one buffer grows
     narrow = build_flat_index(index.doc_ids, index.matrix)
@@ -221,7 +222,7 @@ def test_block_search_reuses_the_index_scratch_across_block_sizes(monkeypatch):
         assert len(fallbacks) < rows  # some queries keep the GEMM order
         largest = max(largest, rows)
         (scores,) = narrow._scratch
-        assert scores.shape == (largest, 150)
+        assert scores.shape == (150 * largest,)
 
 
 def _class_sizes(k):
@@ -262,9 +263,50 @@ def test_block_search_equals_the_matvec_around_class_multiples(monkeypatch, k):
     assert 0 < fell_back < queries  # both the GEMM order and the mat-vec ran
 
 
+def _near_tie_block(rng, n, d):
+    """An index of n gaussian rows and n nudged near copies, 64 "row"
+    queries, and one long row orthogonal to every query: it scores 0, but it
+    widens `|q| * max|m|`, so the global margin rarely holds and the exact
+    candidates decide."""
+    matrix = np.vstack([_random_matrix(rng, "gaussian", n, d), _random_matrix(rng, "nudged", n, d)])
+    block = np.array([_random_query(rng, "row", matrix) for _ in range(64)])
+    long_row = np.zeros((1, d + 1), dtype=np.float32)
+    long_row[0, d] = 1e5
+    matrix = np.vstack([np.hstack([matrix, np.zeros((2 * n, 1), dtype=np.float32)]), long_row])
+    return matrix, np.hstack([block, np.zeros((64, 1), dtype=np.float32)])
+
+
+def test_exact_candidates_certify_near_ties_beyond_the_kth(monkeypatch):
+    """On near-tie blocks the ids stay each query's own mat-vec's with K = k+1
+    and K = k+5 candidates, and K = k+5 sends fewer queries to the mat-vec.
+    More candidates only add conditions to rules (i) and (ii), so the
+    queries it certifies in addition are the ones rule (iii), the bound on
+    every row outside the candidates, decides."""
+    fallbacks = []
+    monkeypatch.setattr(
+        retrieval, "select_topk", lambda scores, k: fallbacks.append(k) or select_topk(scores, k)
+    )
+    fell_back = {}
+    for spare in (1, 5):
+        monkeypatch.setattr(retrieval, "_SPARE", spare)
+        rng = np.random.default_rng(26)
+        fallbacks.clear()
+        queries = 0
+        for n, d, k in ((150, 8, 1), (150, 16, 3), (500, 16, 3), (500, 16, 7)):
+            matrix, block = _near_tie_block(rng, n, d)
+            index = build_flat_index([f"d{i:04d}" for i in range(len(matrix))], matrix)
+            expected = [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ q, k))
+                        for q in block]
+            queries += len(block)
+            assert search(index, block, k) == expected, (spare, n, d, k)
+        fell_back[spare] = len(fallbacks)
+    assert 0 < fell_back[5] < fell_back[1] < queries, fell_back
+
+
 def test_best_columns_rank_by_score_then_column():
-    # tie-heavy rows: the values are exactly the best scores of the whole
-    # row, and above the last value the columns are a stable argsort's
+    # tie-heavy rows, given to the selection in its (n, rows) layout: the
+    # values are exactly the best scores of the whole row, and the columns
+    # are a stable argsort's, ties included
     rng = np.random.default_rng(24)
     for trial in range(60):
         rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 1_200))
@@ -272,12 +314,13 @@ def test_best_columns_rank_by_score_then_column():
         scores = rng.integers(-4, 5, size=(rows, n)).astype(np.float32)
         if trial % 2:
             scores += rng.standard_normal((rows, n)).astype(np.float32)
-        cols, top = retrieval._best_columns(scores, ranked)
+        cols, top = retrieval._best_columns(np.ascontiguousarray(scores.T), ranked)
         stable = np.argsort(-scores, axis=1, kind="stable")[:, :ranked]
         assert np.array_equal(top, np.take_along_axis(scores, stable, axis=1)), trial
         assert np.array_equal(np.take_along_axis(scores, cols, axis=1), top), trial
         above = top > top[:, -1:]
         assert np.array_equal(cols[above], stable[above]), trial
+        assert np.array_equal(cols, stable), trial
         assert all(len(set(row)) == ranked for row in cols.tolist())
 
 
