@@ -22,6 +22,13 @@ SMALL_RUNS = {
 }
 
 
+# the figures a script's JSON line holds for each size it ran
+SIZE_FIELDS = {
+    "bench_search": {"matvec_s", "block_s", "ratio", "ratio_q1", "ratio_q3", "gemm_s",
+                     "select_s", "certify_s", "fallback_s", "fallback_frac"},
+}
+
+
 def test_every_benchmark_script_has_a_small_run():
     assert sorted(SMALL_RUNS) == sorted(p.stem for p in (ROOT / "benchmarks").glob("bench_*.py"))
 
@@ -33,4 +40,8 @@ def test_benchmark_checks_its_layer_and_prints_one_json_line(name):
                           *SMALL_RUNS[name]],
                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert isinstance(json.loads(out.stdout.splitlines()[-1]), dict)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert isinstance(result, dict)
+    for row in result["sizes"] if name in SIZE_FIELDS else ():
+        assert SIZE_FIELDS[name] <= row.keys()
+        assert row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]

@@ -1,13 +1,15 @@
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hopsynth import httpjson, pipeline, promptkit, retrieval
 from hopsynth.cli import main
-from hopsynth.config import PipelineConfig, TopicsConfig, build_embedder
+from hopsynth.config import (PipelineConfig, TopicsConfig, build_backend, build_embedder,
+                             build_recognizer, parse_config_file)
 from hopsynth.evalharness import score_fever, score_qa, self_consistency
 from hopsynth.genbackend import (
     EVAL_GREEDY,
@@ -697,3 +699,71 @@ def test_run_all_fever(tmp_path, corpus_path):
     assert all(r["relation"] == "hyper" for r in rows)
     assert all(r["answer"] in ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO") for r in rows)
     assert report["stats"]["avg_answer_words"] is None
+
+
+DEMO = Path(__file__).resolve().parents[1] / "demo"
+
+
+def _chain_from_questions(store, pair_rows, config, index):
+    """Each pair row's outcome, keyed by (d1, d2, relation): its instance or
+    the drop reason a stage counted for it, and the stages' summed counters,
+    from `stage_questions` to `stage_verify` over `pair_rows` with fresh
+    clients and the shared index."""
+    outcomes = {}
+    run_steps = pipeline._run_steps
+
+    def recording(items, step):
+        def recorded(item):
+            result = step(item)
+            if isinstance(result, str):
+                row = item[0] if isinstance(item, tuple) else item  # questions: (row, draft)
+                outcomes[row["d1"], row["d2"], row["relation"]] = result
+            return result
+        return run_steps(items, recorded)
+
+    backend, recognizer = build_backend(config), build_recognizer(config)
+    provider = build_embedder(config)
+    pipeline._run_steps = recording
+    try:
+        rows, questions = stage_questions(store, pair_rows, config, backend, recognizer)
+        rows, answers = stage_filter_answers(store, rows, config, backend)
+        rows, queries = stage_queries(store, rows, config, backend)
+        instances, verify = stage_verify(store, rows, config, provider, index)
+    finally:
+        pipeline._run_steps = run_steps
+    for instance in instances:
+        outcomes[(*instance.source_pair, instance.relation)] = instance
+    return outcomes, Counter(questions) + Counter(answers) + Counter(queries) + Counter(verify)
+
+
+@pytest.mark.parametrize("task", ["mqa", "fever"])
+@pytest.mark.parametrize("source", ["demo", "synthcorpus"])
+def test_pair_rows_alone_give_the_full_runs_outcomes(tmp_path, source, task):
+    """A pair row's instance or drop reason does not depend on the other
+    rows. Alone, a row's candidates are searched in blocks of two or three
+    texts; in the full run, in blocks of up to 64. Every row, run alone with
+    fresh clients and the shared index, gives the full run's outcome, and
+    the single-row counters sum to the full run's."""
+    if source == "demo":
+        path, config = DEMO / "corpus.jsonl", parse_config_file(DEMO / "config.txt")
+    else:
+        path, config = tmp_path / "corpus.jsonl", make_config()
+        write_corpus(path, make_corpus(n_docs=300, seed=5, n_topics=12))
+    config.task = task
+    store = build_store(path, config)
+    index = build_index(store, build_embedder(config))
+    pair_rows, _ = stage_pair(store, config)
+    if task == "mqa":
+        assert {row["relation"] for row in pair_rows} == {"hyper", "topic"}
+    full, full_counts = _chain_from_questions(store, pair_rows, config, index)
+    assert len(full) == len(pair_rows)
+    assert any(isinstance(o, str) for o in full.values())
+    assert any(not isinstance(o, str) for o in full.values())
+
+    alone_counts = Counter()
+    for row in pair_rows:
+        alone, counts = _chain_from_questions(store, [row], config, index)
+        key = row["d1"], row["d2"], row["relation"]
+        assert alone == {key: full[key]}, key
+        alone_counts += counts
+    assert alone_counts == full_counts
