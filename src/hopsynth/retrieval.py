@@ -52,8 +52,9 @@ the leading axis of the buffer's full slabs of C rows gives each class's
 maximum per query, and a query's floor is its K-th largest class maximum.
 At least K of its scores reach the floor, so each of its K best does, and
 only the rows of classes whose maximum reaches the floor, and the rows
-after the last full slab, are compared with it. The scores that reach it, about K per query, are sorted, so the K best
-and their rows, ties to the lower row, are exactly a stable argsort's.
+after the last full slab, are compared with it. The scores that reach it,
+about K per query, are sorted, so the K best and their rows, ties to the
+lower row, are exactly a stable argsort's.
 
 `embed` calls a provider on EMBED_BLOCK texts at a time and copies each
 block into one float32 matrix, so embedding a corpus holds the matrix and
