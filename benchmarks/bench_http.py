@@ -1,34 +1,39 @@
 #!/usr/bin/env python3
-"""Benchmark the HTTP client: time `JsonSession.post` against the loopback stub.
+"""Benchmark the HTTP client: `JsonSession.post` against a stdlib client, on the loopback stub.
 
 Starts `perfbench/stub.py` as a subprocess pinned, like this process, to
 one CPU (the highest this process may use), so client and stub take turns
-on it as they do in the benchmark's HTTP workload. Then it times `--requests`
-completion POSTs, each a 6 KB JSON body, over one keep-alive `JsonSession`,
-best of `--repeats`, and reads how long the stub spent computing replies.
-`hopsynth` is imported from PYTHONPATH, so the same script times any
-checkout's client:
+on it as they do in the benchmark's HTTP workload. Two keep-alive clients
+post the same completion request, a 6 KB JSON body: `JsonSession` and the
+reference, one `http.client.HTTPConnection` that encodes the body with
+`json.dumps` and decodes each reply with `json.loads`. The script asserts
+that both decode the same reply, then times `--requests` POSTs by each
+with `layerbench.alternate`, `--repeats` passes of each side, and reads how
+long the stub spent computing replies over all passes. `hopsynth` is
+imported from PYTHONPATH, so the same script times any checkout's client:
 
     PYTHONPATH=src python3 benchmarks/bench_http.py --requests 2000 --repeats 5
 
-The last line printed is one JSON object with every figure; `client_us` is
-the wall time per request less the stub's compute time.
+The last line printed is one JSON object with every figure; `client_us`
+(`ref_client_us`) is the median wall time per request of `JsonSession`
+(the reference) less the stub's mean compute time per request.
 """
 
 import argparse
+import http.client
 import json
 import os
 import subprocess
 import sys
-import time
-import urllib.request
 from pathlib import Path
 
 import hopsynth
 from hopsynth.httpjson import JsonSession
+from layerbench import HEADER, ROOT, alternate, cells
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PERFBENCH = ROOT / "perfbench"
 BODY_BYTES = 6_000
+PATH = "/v1/completions"
 
 
 def completion_body() -> dict:
@@ -41,11 +46,11 @@ def completion_body() -> dict:
     return body
 
 
-def stub_call(url: str, method: str, path: str) -> dict:
-    data = b"" if method == "POST" else None
-    opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
-    with opener.open(urllib.request.Request(url + path, data, method=method), timeout=10) as reply:
-        return json.loads(reply.read())
+def request(connection: http.client.HTTPConnection, method: str, path: str, body=None):
+    """The decoded reply to one request over a stdlib keep-alive connection."""
+    data = None if body is None else json.dumps(body).encode("utf-8")
+    connection.request(method, path, data, {"Content-Type": "application/json"})
+    return json.loads(connection.getresponse().read())
 
 
 def main():
@@ -64,34 +69,38 @@ def main():
         line = stub.stdout.readline()
         if not line.startswith("port "):
             raise RuntimeError("stub did not start")
-        url = f"http://127.0.0.1:{int(line.split()[1])}"
+        port = int(line.split()[1])
         body = completion_body()
         size = len(json.dumps(body).encode())
-        best = None
-        for _ in range(args.repeats):
-            stub_call(url, "POST", "/reset")
-            session = JsonSession(url, timeout=10)
-            started = time.perf_counter()
-            for _ in range(args.requests):
-                session.post("/v1/completions", body)
-            wall = time.perf_counter() - started
+        session = JsonSession(f"http://127.0.0.1:{port}", timeout=10)
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            if session.post(PATH, body) != request(connection, "POST", PATH, body):
+                raise SystemExit("JsonSession and http.client decode different replies")
+            request(connection, "POST", "/reset")
+            timing = alternate(lambda: [session.post(PATH, body) for _ in range(args.requests)],
+                               lambda: [request(connection, "POST", PATH, body)
+                                        for _ in range(args.requests)], args.repeats)
+            stats = request(connection, "GET", "/stats")
+        finally:
             session.close()
-            busy = stub_call(url, "GET", "/stats")["busy_s"]
-            if best is None or wall < best[0]:
-                best = (wall, busy)
+            connection.close()
     finally:
         stub.terminate()
         stub.wait(timeout=10)
         stub.stdout.close()
 
-    wall, busy = best
-    per = 1e6 / args.requests
-    print(f"{args.requests} POSTs of {size} bytes, best of {args.repeats}: "
-          f"{wall * per:.0f} us per request, stub {busy * per:.0f} us")
+    stub_us = stats["busy_s"] / stats["requests"] * 1e6
+    request_us, ref_request_us = (timing[side] / args.requests * 1e6 for side in ("s", "ref_s"))
+    print(f"{args.requests} POSTs of {size} bytes, {args.repeats} passes of each client; "
+          f"stub {stub_us:.0f} us per request")
+    print(HEADER)
+    print(cells(timing))
     print(json.dumps({
         "hopsynth": str(src), "requests": args.requests, "repeats": args.repeats,
-        "body_bytes": size, "wall_s": round(wall, 4), "stub_busy_s": round(busy, 4),
-        "request_us": round(wall * per, 1), "client_us": round((wall - busy) * per, 1),
+        "body_bytes": size, **timing, "stub_us": round(stub_us, 1),
+        "request_us": round(request_us, 1), "client_us": round(request_us - stub_us, 1),
+        "ref_client_us": round(ref_request_us - stub_us, 1),
     }))
 
 

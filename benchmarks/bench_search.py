@@ -11,14 +11,14 @@ rounded (tie-heavy) scores. Rows are unit gaussian vectors; each query is
 the normalized sum of two random rows plus noise, so it has near-matching
 rows as real queries do.
 
-The reference, block search and a pass of block search's parts are timed
-in alternating passes, `--repeats` of each. `ratio` is the median, over
-the repeats, of a block pass over the reference pass next to it, with its
-quartiles, so a drift of the host's speed between passes moves it less
-than either side's time. A block's time is split into the GEMM (into the
-index's scratch buffer), the selection (`_best_columns`), the fallbacks
-(one reference mat-vec per query that fell back) and the rest, which is
-certification: the margins, the exact candidate scores and the ids. Run:
+Block search and the reference are timed by `layerbench.alternate`,
+`--repeats` passes of each. In the same passes a block's time is split
+into the GEMM (into the index's scratch buffer), the selection
+(`_best_columns`), the fallbacks (one reference mat-vec per query that
+fell back) and the rest, which is certification: the margins, the exact
+candidate scores and the ids. The GEMM and the selection are read from
+timing wrappers on `FlatIndex._block_scratch` and `_best_columns`, whose
+own cost (about half a microsecond per block) counts as certification. Run:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_search.py --sizes 2000 8000
 
@@ -35,16 +35,11 @@ import numpy as np
 from hopsynth import retrieval
 from hopsynth.retrieval import select_topk
 from hopsynth.retrieval import EMBED_BLOCK, build_flat_index, search
+from layerbench import HEADER, alternate, cells
 
 
 def argsort_topk(scores, k):
     return np.argsort(-scores, kind="stable")[:k]
-
-
-def seconds(fn):
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
 
 
 def unit(rows):
@@ -63,8 +58,8 @@ def main():
     rng = np.random.default_rng(0)
     k = args.k
     results = []
-    print(f"{'n':>7} {'queries':>7} {'mat-vec s':>9} {'block s':>8} {'ratio':>6} {'q1-q3':>11} "
-          f"{'gemm':>6} {'select':>6} {'certify':>7} {'fallback':>8} {'fell back':>9}")
+    print(f"{'n':>7} {'queries':>7} {HEADER} {'gemm':>6} {'select':>6} {'certify':>7} "
+          f"{'fallback':>8} {'fell back':>9}")
     for n in args.sizes:
         index = build_flat_index([f"d{i:07d}" for i in range(n)],
                                  list(unit(rng.standard_normal((n, args.dim)))))
@@ -72,7 +67,6 @@ def main():
         noise = rng.standard_normal((args.queries, args.dim)) / np.sqrt(args.dim)
         queries = unit(index.matrix[picks[:, 0]] + index.matrix[picks[:, 1]] + noise)
         blocks = [queries[s:s + EMBED_BLOCK] for s in range(0, len(queries), EMBED_BLOCK)]
-        ranked = min(k + retrieval._SPARE, n)
 
         def per_query():
             return [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ q, k))
@@ -80,18 +74,6 @@ def main():
 
         def per_block():
             return [ids for block in blocks for ids in search(index, block, k)]
-
-        def gemm_and_selection():
-            """(GEMM s, selection s) of every block, as `search` runs them."""
-            gemm = selection = 0.0
-            for block in blocks:
-                started = time.perf_counter()
-                scores = index._block_scratch(len(block))
-                np.matmul(index.matrix, block.T, out=scores)
-                scored = time.perf_counter()
-                retrieval._best_columns(scores, ranked)
-                gemm, selection = gemm + scored - started, selection + time.perf_counter() - scored
-            return gemm, selection
 
         fallbacks = []
         retrieval.select_topk = lambda scores, k: fallbacks.append(k) or select_topk(scores, k)
@@ -107,24 +89,37 @@ def main():
             if not np.array_equal(select_topk(tied, k), argsort_topk(tied, k)):
                 raise SystemExit(f"select_topk disagrees with argsort at n={n}, round={decimals}")
 
-        passes = [(seconds(per_query), seconds(per_block), gemm_and_selection())
-                  for _ in range(args.repeats)]
-        t_matvec = float(np.median([p[0] for p in passes]))
-        t_block = float(np.median([p[1] for p in passes]))
-        ratio_q1, ratio, ratio_q3 = np.percentile([p[1] / p[0] for p in passes], [25, 50, 75])
-        t_gemm = float(np.median([p[2][0] for p in passes]))
-        t_select = float(np.median([p[2][1] for p in passes]))
-        t_fallback = len(fallbacks) * t_matvec / args.queries
-        t_certify = t_block - t_gemm - t_select - t_fallback
-        row = {"n": n, "queries": args.queries, "matvec_s": round(t_matvec, 4),
-               "block_s": round(t_block, 4), "ratio": round(float(ratio), 4),
-               "ratio_q1": round(float(ratio_q1), 4), "ratio_q3": round(float(ratio_q3), 4),
-               "gemm_s": round(t_gemm, 4), "select_s": round(t_select, 4),
-               "certify_s": round(t_certify, 4), "fallback_s": round(t_fallback, 4),
+        # per GEMM block of every block pass: (GEMM start, selection start, selection end)
+        marks = []
+        block_scratch, best_columns = retrieval.FlatIndex._block_scratch, retrieval._best_columns
+
+        def scratch(self, rows):
+            view = block_scratch(self, rows)
+            marks.append(time.perf_counter())
+            return view
+
+        def selection(scores, ranked):
+            marks.append(time.perf_counter())
+            best = best_columns(scores, ranked)
+            marks.append(time.perf_counter())
+            return best
+
+        retrieval.FlatIndex._block_scratch, retrieval._best_columns = scratch, selection
+        try:
+            timing = alternate(per_block, per_query, args.repeats)
+        finally:
+            retrieval.FlatIndex._block_scratch, retrieval._best_columns = (block_scratch,
+                                                                           best_columns)
+        spans = np.diff(np.reshape(marks, (args.repeats, -1, 3)), axis=2).sum(axis=1)
+        t_gemm, t_select = np.median(spans, axis=0)
+        t_fallback = len(fallbacks) * timing["ref_s"] / args.queries
+        t_certify = timing["s"] - t_gemm - t_select - t_fallback
+        row = {"n": n, "queries": args.queries, **timing, "gemm_s": round(t_gemm, 6),
+               "select_s": round(t_select, 6), "certify_s": round(t_certify, 6),
+               "fallback_s": round(t_fallback, 6),
                "fallback_frac": round(len(fallbacks) / args.queries, 4)}
         results.append(row)
-        print(f"{n:>7} {args.queries:>7} {t_matvec:>9.3f} {t_block:>8.3f} {ratio:>6.3f} "
-              f"{ratio_q1:>5.3f}-{ratio_q3:<5.3f} {t_gemm:>6.3f} {t_select:>6.3f} "
+        print(f"{n:>7} {args.queries:>7} {cells(timing)} {t_gemm:>6.3f} {t_select:>6.3f} "
               f"{t_certify:>7.3f} {t_fallback:>8.3f} {row['fallback_frac']:>9.2%}")
     print(json.dumps({"dim": args.dim, "k": k, "block": EMBED_BLOCK, "repeats": args.repeats,
                       "sizes": results}))

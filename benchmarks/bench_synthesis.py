@@ -3,9 +3,8 @@
 classification, entity recognition and the mock backend's rule, each
 against its reference.
 
-For each `--sizes` value it writes the benchmark's seeded corpus
-(`perfbench/inputs.py`, `make_corpus`, seed 7) to a temporary file, loads it
-with `pipeline.build_store` and runs `stage_pair`, `stage_questions` and
+For each `--sizes` value it loads the benchmark's seeded corpus
+(`layerbench.seeded_store`) and runs `stage_pair`, `stage_questions` and
 `stage_filter_answers` (mqa, mock backend, heuristic recognizer). While the
 filter stage runs it records the arguments of every `render_prompt` call
 (the answerability probes: both documents, first only, second only), of
@@ -16,7 +15,8 @@ every `classify_hops` call and of every call of the mock backend's
   `oracle_render_prompt` over the same arguments;
 - the same calls again (`render_loaded`), each with its examples written to
   a JSONL store and read back with `promptkit.load_examples`, as a run with
-  `--examples` renders: the store is a list, not a built-in tuple;
+  `--examples` renders: the store is a tuple read from a file, not the
+  built-in one;
 - `classify_hops` over every recorded draft and its three predictions, and
   `oracle_classify_hops`;
 - `HeuristicRecognizer.entities` over the corpus texts and the drafts'
@@ -26,12 +26,9 @@ every `classify_hops` call and of every call of the mock backend's
   prompt.
 
 The script asserts, call by call, that each layer's output equals its
-reference's, then times each side with every output dropped at once. The
-layer and its reference are timed in alternating passes, `--repeats` of
-each; `s` and `ref s` are the best pass of each side, and `ratio` is the
-median over the passes of a layer pass over the reference pass next to it,
-so a drift of the host's speed between passes moves it less than the two
-best-of times.
+reference's, then times each side over every recorded call, with each
+output dropped at once, by `layerbench.alternate`, `--repeats` passes of
+each.
 `hopsynth` is imported from PYTHONPATH, so the same script times any
 checkout's layers against this checkout's references:
 
@@ -42,9 +39,7 @@ The last line printed is one JSON object with every figure.
 
 import argparse
 import json
-import sys
 import tempfile
-import time
 from pathlib import Path
 
 import hopsynth
@@ -53,27 +48,19 @@ from hopsynth.config import PipelineConfig
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.genbackend import MockBackend
 from hopsynth.mockllm import SyntheticPipelineRule
-from hopsynth.pipeline import build_store, stage_filter_answers, stage_pair, stage_questions
+from hopsynth.pipeline import stage_filter_answers, stage_pair, stage_questions
+from layerbench import HEADER, alternate, cells, seeded_store
+# perfbench/inputs.py and tests/oracles.py, which importing layerbench put on sys.path
+from inputs import write_jsonl
+from oracles import (oracle_classify_hops, oracle_heuristic_entities, oracle_render_prompt,
+                     oracle_synthetic_rule)
 
-ROOT = Path(__file__).resolve().parent.parent
 
-
-def one_pass(fn, calls):
-    """Seconds of `fn(args, kwargs)` over every recorded call. Each output is
-    dropped at once, so the loop pays for the calls, not for holding every
-    prompt."""
-    started = time.perf_counter()
+def each_call(fn, calls):
+    """`fn(args, kwargs)` over every recorded call. Each output is dropped at
+    once, so a timed pass pays for the calls, not for holding every prompt."""
     for args, kwargs in calls:
         fn(args, kwargs)
-    return time.perf_counter() - started
-
-
-def alternating(repeats, run, reference, calls):
-    """(best `run` pass, best `reference` pass, median ratio of the two in a
-    repeat) over `repeats` alternating passes of each."""
-    passes = [(one_pass(run, calls), one_pass(reference, calls)) for _ in range(repeats)]
-    ratios = sorted(ran / ref for ran, ref in passes)
-    return min(p[0] for p in passes), min(p[1] for p in passes), ratios[len(ratios) // 2]
 
 
 def recorded_calls(module, name, log):
@@ -88,16 +75,11 @@ def recorded_calls(module, name, log):
     return original
 
 
-def filter_stage_calls(make_corpus, n_docs, workdir):
+def filter_stage_calls(n_docs):
     """(store, drafts' question texts, render_prompt calls, classify_hops
     calls, mock rule calls)."""
-    path = workdir / f"corpus-{n_docs}.jsonl"
-    with path.open("w", encoding="utf-8") as handle:
-        for record in make_corpus(n_docs, seed=7):
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
     config = PipelineConfig(seed=7)
-    store = build_store(path, config)
-    path.unlink()
+    store = seeded_store(n_docs, config)
     pairs, _ = stage_pair(store, config)
     drafts, _ = stage_questions(store, pairs, config)
     renders, classifies, rules = [], [], []
@@ -123,13 +105,9 @@ def loaded_store_calls(calls, workdir):
     for args, _ in calls:
         examples = args[3]
         if id(examples) not in stores:
-            path = workdir / f"examples-{len(stores)}.jsonl"
-            with path.open("w", encoding="utf-8") as handle:
-                for e in examples:
-                    handle.write(json.dumps({
-                        "documents": list(e.documents), "question": e.question_or_claim,
-                        "answer": e.answer, "queries": list(e.queries),
-                    }) + "\n")
+            rows = [{"documents": list(e.documents), "question": e.question_or_claim,
+                     "answer": e.answer, "queries": list(e.queries)} for e in examples]
+            path = write_jsonl(workdir / f"examples-{len(stores)}.jsonl", rows)
             stores[id(examples)] = promptkit.load_examples(path)
     return [((*args[:3], stores[id(args[3])], *args[4:]), kwargs) for args, kwargs in calls]
 
@@ -139,18 +117,12 @@ def main():
     parser.add_argument("--sizes", type=int, nargs="+", default=[2_000])
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
-    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
-    from inputs import make_corpus
-    from oracles import (oracle_classify_hops, oracle_heuristic_entities, oracle_render_prompt,
-                         oracle_synthetic_rule)
 
     results = []
-    print(f"{'docs':>6} {'layer':>13} {'calls':>7} {'s':>8} {'ref s':>8} {'ratio':>6} "
-          f"{'us/call':>8}")
+    print(f"{'docs':>6} {'layer':>13} {'calls':>7} {HEADER} {'us/call':>8}")
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.sizes:
-            store, questions, renders, classifies, rules = filter_stage_calls(make_corpus, n,
-                                                                              Path(tmp))
+            store, questions, renders, classifies, rules = filter_stage_calls(n)
             texts = [store.documents[doc_id].text for doc_id in sorted(store.documents)]
             texts += questions
             recognizer = HeuristicRecognizer()
@@ -180,13 +152,13 @@ def main():
                 for a, k in calls:
                     if run(a, k) != reference(a, k):
                         raise SystemExit(f"{layer} differs from its reference at {n} docs: {a}")
-                seconds, ref_seconds, ratio = alternating(args.repeats, run, reference, calls)
-                per_call = seconds / len(calls) * 1e6
-                results.append({"docs": n, "layer": layer, "calls": len(calls),
-                                "s": round(seconds, 4), "ref_s": round(ref_seconds, 4),
-                                "ratio": round(ratio, 4), "us_per_call": round(per_call, 3)})
-                print(f"{n:>6} {layer:>13} {len(calls):>7} {seconds:>8.3f} {ref_seconds:>8.3f} "
-                      f"{ratio:>6.3f} {per_call:>8.2f}", flush=True)
+                timing = alternate(lambda: each_call(run, calls),
+                                   lambda: each_call(reference, calls), args.repeats)
+                per_call = timing["s"] / len(calls) * 1e6
+                results.append({"docs": n, "layer": layer, "calls": len(calls), **timing,
+                                "us_per_call": round(per_call, 3)})
+                print(f"{n:>6} {layer:>13} {len(calls):>7} {cells(timing)} {per_call:>8.2f}",
+                      flush=True)
     print(json.dumps({"hopsynth": hopsynth.__file__, "seed": 7, "repeats": args.repeats,
                       "results": results}))
 

@@ -579,8 +579,10 @@ def _best_columns(scores: np.ndarray, ranked: int) -> tuple[np.ndarray, np.ndarr
     found = np.concatenate([slab * classes + cells[cell] // rows, full + tail])
     query = np.concatenate([cells[cell] % rows, tail_query])
     value = np.concatenate([in_cells[slab, cell], scores[full + tail, tail_query]])
-    # by query, then descending score, then row; each query's first `ranked`
-    order = np.lexsort((found, -value, query))
+    # by query, then descending score; each query's first `ranked`. A query's
+    # hits come out in ascending row (slab-major, then class; the tail last)
+    # and the sort is stable, so a tie goes to the lower row
+    order = np.lexsort((-value, query))
     counts = np.bincount(query, minlength=rows)
     keep = order[((np.cumsum(counts) - counts)[:, None] + np.arange(ranked)).reshape(-1)]
     return found[keep].reshape(rows, ranked), value[keep].reshape(rows, ranked)

@@ -1,6 +1,8 @@
-"""Each layer benchmark runs at a small size: it exits 0, so its own check
-that the layer equals its reference held, and its last stdout line is one
-JSON object."""
+"""Each layer benchmark runs at a small size: it exits 0, so its own checks
+held, and its last stdout line is one JSON object. Every script but
+`bench_memory.py` checks its layer against a reference and times the two
+with `benchmarks/layerbench.py`'s `alternate`, whose statistic is tested
+here with a fake clock."""
 
 import json
 import os
@@ -11,6 +13,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+import layerbench  # noqa: E402
 
 SMALL_RUNS = {
     "bench_search": ["--sizes", "300", "--queries", "130", "--repeats", "1"],
@@ -21,11 +26,17 @@ SMALL_RUNS = {
     "bench_memory": ["--sizes", "200", "--eval-sizes", "200", "--questions", "50"],
 }
 
-
-# the figures a script's JSON line holds for each size it ran
+# `alternate`'s figures, which every timed row holds
+TIMED = {"s", "ref_s", "ratio", "ratio_q1", "ratio_q3"}
+# per script: the key of its timed rows in its JSON line (None: the line is the
+# one row), and the figures each row holds besides TIMED
 SIZE_FIELDS = {
-    "bench_search": {"matvec_s", "block_s", "ratio", "ratio_q1", "ratio_q3", "gemm_s",
-                     "select_s", "certify_s", "fallback_s", "fallback_frac"},
+    "bench_search": ("sizes", {"gemm_s", "select_s", "certify_s", "fallback_s",
+                               "fallback_frac"}),
+    "bench_embed": ("sizes", {"docs", "distinct_tokens", "cache"}),
+    "bench_pairing": ("results", {"labeler", "docs", "largest_cluster", "pairs", "layer"}),
+    "bench_synthesis": ("results", {"docs", "layer", "calls", "us_per_call"}),
+    "bench_http": (None, {"stub_us", "request_us", "client_us", "ref_client_us"}),
 }
 
 
@@ -42,6 +53,34 @@ def test_benchmark_checks_its_layer_and_prints_one_json_line(name):
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1])
     assert isinstance(result, dict)
-    for row in result["sizes"] if name in SIZE_FIELDS else ():
-        assert SIZE_FIELDS[name] <= row.keys()
-        assert row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]
+    if name in SIZE_FIELDS:
+        key, fields = SIZE_FIELDS[name]
+        rows = result[key] if key else [result]
+        assert rows
+        for row in rows:
+            assert TIMED | fields <= row.keys()
+            assert row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]
+
+
+def test_alternate_swaps_the_first_side_and_takes_medians(monkeypatch):
+    # each call records its side and advances a fake clock: the layer's pass p
+    # takes p + 1 ticks, the reference's always 2
+    clock, calls = [0.0], []
+
+    def side(name, ticks):
+        def run():
+            calls.append(name)
+            clock[0] += ticks(sum(c == name for c in calls))
+        return run
+
+    monkeypatch.setattr(layerbench, "perf_counter", lambda: clock[0])
+    timing = layerbench.alternate(side("layer", float), side("ref", lambda _: 2.0), 5)
+    assert calls == ["layer", "ref", "ref", "layer", "layer", "ref", "ref", "layer",
+                     "layer", "ref"]
+    # layer 1..5 ticks against 2: ratios 0.5, 1, 1.5, 2, 2.5
+    assert timing == {"s": 3.0, "ref_s": 2.0, "ratio": 1.5, "ratio_q1": 1.0, "ratio_q3": 2.0}
+
+    calls.clear()
+    timing = layerbench.alternate(side("layer", float), side("ref", lambda _: 2.0), 1)
+    assert calls == ["layer", "ref"]
+    assert timing["ratio_q1"] <= timing["ratio"] <= timing["ratio_q3"]
