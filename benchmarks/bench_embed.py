@@ -15,16 +15,14 @@ script times any checkout's embedder against this checkout's reference:
 
     PYTHONPATH=src python3 benchmarks/bench_embed.py --sizes 2000 8000 --dim 256
 
-The last line printed is one JSON object with every figure.
+It ends with `layerbench.report`'s table and JSON line.
 """
 
 import argparse
-import json
 
-import hopsynth
 from hopsynth.config import PipelineConfig
 from hopsynth.retrieval import HashEmbedder, embed
-from layerbench import HEADER, alternate, cells, seeded_store
+from layerbench import alternate, report, seeded_store
 # tests/oracles.py, which importing layerbench put on sys.path
 from oracles import OracleHashEmbedder
 
@@ -36,8 +34,7 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    results = []
-    print(f"{'docs':>8} {'tokens':>8} {'cache':>5} {HEADER}")
+    rows = []
     for n in args.sizes:
         store = seeded_store(n, PipelineConfig(seed=7))
         texts = [store.documents[doc_id].text for doc_id in sorted(store.documents)]
@@ -51,10 +48,9 @@ def main():
             ("warm", alternate(lambda: embed(provider, texts), lambda: embed(reference, texts),
                                args.repeats)),
         ]:
-            results.append({"docs": n, "distinct_tokens": tokens, "cache": name, **timing})
-            print(f"{n:>8} {tokens:>8} {name:>5} {cells(timing)}", flush=True)
-    print(json.dumps({"hopsynth": hopsynth.__file__, "dim": args.dim, "repeats": args.repeats,
-                      "sizes": results}))
+            rows.append({"docs": n, "layer": "embed", "cache": name, "distinct_tokens": tokens,
+                         **timing})
+    report(args, rows)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ imported from PYTHONPATH, so the same script times any checkout's client:
 
     PYTHONPATH=src python3 benchmarks/bench_http.py --requests 2000 --repeats 5
 
-The last line printed is one JSON object with every figure; `client_us`
+It ends with `layerbench.report`'s table and JSON line. `client_us`
 (`ref_client_us`) is the median wall time per request of `JsonSession`
-(the reference) less the stub's mean compute time per request.
+(the reference) less the stub's mean compute time per request, `stub_us`.
 """
 
 import argparse
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import hopsynth
 from hopsynth.httpjson import JsonSession
-from layerbench import HEADER, ROOT, alternate, cells
+from layerbench import ROOT, alternate, report
 
 PERFBENCH = ROOT / "perfbench"
 BODY_BYTES = 6_000
@@ -92,16 +92,10 @@ def main():
 
     stub_us = stats["busy_s"] / stats["requests"] * 1e6
     request_us, ref_request_us = (timing[side] / args.requests * 1e6 for side in ("s", "ref_s"))
-    print(f"{args.requests} POSTs of {size} bytes, {args.repeats} passes of each client; "
-          f"stub {stub_us:.0f} us per request")
-    print(HEADER)
-    print(cells(timing))
-    print(json.dumps({
-        "hopsynth": str(src), "requests": args.requests, "repeats": args.repeats,
-        "body_bytes": size, **timing, "stub_us": round(stub_us, 1),
-        "request_us": round(request_us, 1), "client_us": round(request_us - stub_us, 1),
-        "ref_client_us": round(ref_request_us - stub_us, 1),
-    }))
+    report(args, [{"layer": "post", "body_bytes": size, **timing, "stub_us": round(stub_us, 1),
+                   "request_us": round(request_us, 1),
+                   "client_us": round(request_us - stub_us, 1),
+                   "ref_client_us": round(ref_request_us - stub_us, 1)}])
 
 
 if __name__ == "__main__":

@@ -17,16 +17,18 @@ evaluation: corpus load, index, and every episode's completions and
 retrievals.
 
 Inputs are written by a process of their own, which exits before the
-measured one starts. On Linux a child's `ru_maxrss` starts at its parent's RSS when
-it is started, so records held by this process would count toward the
-measured peaks. `hopsynth` is imported from PYTHONPATH, so the same script
+measured one starts. On Linux a child's `ru_maxrss` starts at its parent's
+RSS when it is started, so records held by this process would count toward
+the measured peaks, as would `layerbench`, which loads numpy and the
+pipeline: it is imported once the last child has run. `hopsynth` is
+imported from PYTHONPATH, here and in each child, so the same script
 measures any checkout's code:
 
     PYTHONPATH=src python3 benchmarks/bench_memory.py --sizes 2000 8000 16000 \
         --eval-sizes 8000 16000
 
-The children run with one BLAS thread, as the benchmark's workers do. The
-last line printed is one JSON object with every figure.
+The children run with one BLAS thread, as the benchmark's workers do. It
+ends with `layerbench.report`'s table and JSON line.
 """
 
 import argparse
@@ -36,6 +38,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import hopsynth
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -118,16 +122,6 @@ def _run_child(program: str, workdir: Path, *args) -> dict | None:
     return json.loads(out.splitlines()[-1]) if out else None
 
 
-def measure(n_docs: int, workdir: Path) -> dict:
-    _run_child(WRITER, workdir, n_docs, 0)
-    return _run_child(CHILD, workdir)
-
-
-def measure_eval(n_docs: int, questions: int, workdir: Path) -> dict:
-    _run_child(WRITER, workdir, n_docs, questions)
-    return {"docs": n_docs, **_run_child(EVAL_CHILD, workdir)}
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--sizes", type=int, nargs="*", default=[2_000, 8_000, 16_000])
@@ -137,29 +131,18 @@ def main():
                         help="evaluation questions per run_eval row (eval-8k's count)")
     args = parser.parse_args()
 
-    results, evals = [], []
+    rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        if args.sizes:
-            print(f"{'docs':>8} {'store s':>8} {'index s':>8} {'set-up MB':>10} {'peak MB':>8}")
         for n in args.sizes:
-            row = measure(n, Path(tmp))
-            results.append(row)
-            print(f"{row['docs']:>8} {row['store_s']:>8.3f} {row['index_s']:>8.3f} "
-                  f"{row['setup_peak_mb']:>10.1f} {row['peak_mb']:>8.1f}")
-        if args.eval_sizes:
-            print(f"{'docs':>8} {'questions':>9} {'run_eval s':>10} {'F1':>7} "
-                  f"{'set-up MB':>10} {'peak MB':>8}")
+            _run_child(WRITER, Path(tmp), n, 0)
+            rows.append({"layer": "build", **_run_child(CHILD, Path(tmp))})
         for n in args.eval_sizes:
-            row = measure_eval(n, args.questions, Path(tmp))
-            evals.append(row)
-            print(f"{row['docs']:>8} {row['questions']:>9} {row['eval_s']:>10.3f} "
-                  f"{row['f1']:>7.2f} {row['setup_peak_mb']:>10.1f} {row['peak_mb']:>8.1f}")
-    rows = results + evals
-    print(json.dumps({"hopsynth": rows[0]["hopsynth"] if rows else None,
-                      "sizes": [{k: v for k, v in row.items() if k != "hopsynth"}
-                                for row in results],
-                      "eval": [{k: v for k, v in row.items() if k != "hopsynth"}
-                               for row in evals]}))
+            _run_child(WRITER, Path(tmp), n, args.questions)
+            rows.append({"layer": "run_eval", "docs": n, **_run_child(EVAL_CHILD, Path(tmp))})
+    from layerbench import report  # once the last child has run: see above
+    if {row.pop("hopsynth") for row in rows} - {hopsynth.__file__}:
+        raise SystemExit("a child imported another hopsynth than this process")
+    report(args, rows)
 
 
 if __name__ == "__main__":

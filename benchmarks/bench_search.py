@@ -22,12 +22,11 @@ own cost (about half a microsecond per block) counts as certification. Run:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_search.py --sizes 2000 8000
 
-One BLAS thread matches the benchmark's workers. The last line printed is
-one JSON object with every figure.
+One BLAS thread matches the benchmark's workers. `hopsynth` is imported
+from PYTHONPATH. It ends with `layerbench.report`'s table and JSON line.
 """
 
 import argparse
-import json
 import time
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from hopsynth import retrieval
 from hopsynth.retrieval import select_topk
 from hopsynth.retrieval import EMBED_BLOCK, build_flat_index, search
-from layerbench import HEADER, alternate, cells
+from layerbench import alternate, report
 
 
 def argsort_topk(scores, k):
@@ -57,9 +56,7 @@ def main():
 
     rng = np.random.default_rng(0)
     k = args.k
-    results = []
-    print(f"{'n':>7} {'queries':>7} {HEADER} {'gemm':>6} {'select':>6} {'certify':>7} "
-          f"{'fallback':>8} {'fell back':>9}")
+    rows = []
     for n in args.sizes:
         index = build_flat_index([f"d{i:07d}" for i in range(n)],
                                  list(unit(rng.standard_normal((n, args.dim)))))
@@ -82,12 +79,12 @@ def main():
         finally:
             retrieval.select_topk = select_topk
         if found != per_query():
-            raise SystemExit(f"block search disagrees with the per-query mat-vec at n={n}")
+            raise SystemExit(f"block search disagrees with the per-query mat-vec at {n} docs")
         scores = index.matrix @ queries[0]
         for decimals in (None, 1, 0):
             tied = scores if decimals is None else np.round(scores, decimals)
             if not np.array_equal(select_topk(tied, k), argsort_topk(tied, k)):
-                raise SystemExit(f"select_topk disagrees with argsort at n={n}, round={decimals}")
+                raise SystemExit(f"select_topk disagrees with argsort: {n} docs, round={decimals}")
 
         # per GEMM block of every block pass: (GEMM start, selection start, selection end)
         marks = []
@@ -114,15 +111,11 @@ def main():
         t_gemm, t_select = np.median(spans, axis=0)
         t_fallback = len(fallbacks) * timing["ref_s"] / args.queries
         t_certify = timing["s"] - t_gemm - t_select - t_fallback
-        row = {"n": n, "queries": args.queries, **timing, "gemm_s": round(t_gemm, 6),
-               "select_s": round(t_select, 6), "certify_s": round(t_certify, 6),
-               "fallback_s": round(t_fallback, 6),
-               "fallback_frac": round(len(fallbacks) / args.queries, 4)}
-        results.append(row)
-        print(f"{n:>7} {args.queries:>7} {cells(timing)} {t_gemm:>6.3f} {t_select:>6.3f} "
-              f"{t_certify:>7.3f} {t_fallback:>8.3f} {row['fallback_frac']:>9.2%}")
-    print(json.dumps({"dim": args.dim, "k": k, "block": EMBED_BLOCK, "repeats": args.repeats,
-                      "sizes": results}))
+        rows.append({"docs": n, "layer": "search", "queries": args.queries, "block": EMBED_BLOCK,
+                     **timing, "gemm_s": round(t_gemm, 6), "select_s": round(t_select, 6),
+                     "certify_s": round(t_certify, 6), "fallback_s": round(t_fallback, 6),
+                     "fallback_frac": round(len(fallbacks) / args.queries, 4)})
+    report(args, rows)
 
 
 if __name__ == "__main__":

@@ -34,22 +34,20 @@ checkout's layers against this checkout's references:
 
     PYTHONPATH=src python3 benchmarks/bench_synthesis.py --sizes 2000
 
-The last line printed is one JSON object with every figure.
+It ends with `layerbench.report`'s table and JSON line.
 """
 
 import argparse
-import json
 import tempfile
 from pathlib import Path
 
-import hopsynth
 from hopsynth import promptkit, synthesis
 from hopsynth.config import PipelineConfig
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.genbackend import MockBackend
 from hopsynth.mockllm import SyntheticPipelineRule
 from hopsynth.pipeline import stage_filter_answers, stage_pair, stage_questions
-from layerbench import HEADER, alternate, cells, seeded_store
+from layerbench import alternate, report, seeded_store
 # perfbench/inputs.py and tests/oracles.py, which importing layerbench put on sys.path
 from inputs import write_jsonl
 from oracles import (oracle_classify_hops, oracle_heuristic_entities, oracle_render_prompt,
@@ -118,8 +116,7 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    results = []
-    print(f"{'docs':>6} {'layer':>13} {'calls':>7} {HEADER} {'us/call':>8}")
+    rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.sizes:
             store, questions, renders, classifies, rules = filter_stage_calls(n)
@@ -154,13 +151,9 @@ def main():
                         raise SystemExit(f"{layer} differs from its reference at {n} docs: {a}")
                 timing = alternate(lambda: each_call(run, calls),
                                    lambda: each_call(reference, calls), args.repeats)
-                per_call = timing["s"] / len(calls) * 1e6
-                results.append({"docs": n, "layer": layer, "calls": len(calls), **timing,
-                                "us_per_call": round(per_call, 3)})
-                print(f"{n:>6} {layer:>13} {len(calls):>7} {cells(timing)} {per_call:>8.2f}",
-                      flush=True)
-    print(json.dumps({"hopsynth": hopsynth.__file__, "seed": 7, "repeats": args.repeats,
-                      "results": results}))
+                rows.append({"docs": n, "layer": layer, "calls": len(calls), **timing,
+                             "us_per_call": round(timing["s"] / len(calls) * 1e6, 3)})
+    report(args, rows)
 
 
 if __name__ == "__main__":

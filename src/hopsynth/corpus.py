@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .jsonl import InputError, read_numbered_rows, write_rows
-from .metrics import normalize_answer
+from .metrics import TOKEN_PATTERN, normalize_answer
 
 
 class CorpusFormatError(InputError):
@@ -120,12 +120,12 @@ def truncate_text(text: str, max_tokens: int) -> str:
 
 @functools.lru_cache(maxsize=16)
 def _leading_tokens(max_tokens: int) -> re.Pattern:
-    # up to max_tokens of `metrics.tokenize`'s tokens (`\w+|[^\w\s]`), each
-    # after its whitespace. The match always succeeds with the greedy path, so
-    # it never backtracks into a word to split it into shorter tokens. Every
-    # non-space character belongs to a token, so one after the match starts
-    # the next token.
-    return re.compile(r"(?:\s*(?:\w+|[^\w\s])){0,%d}" % max_tokens)
+    # up to max_tokens of `metrics.tokenize`'s tokens, each after its
+    # whitespace. The match always succeeds with the greedy path, so it never
+    # backtracks into a word to split it into shorter tokens. Every non-space
+    # character belongs to a token, so one after the match starts the next
+    # token.
+    return re.compile(r"(?:\s*(?:%s)){0,%d}" % (TOKEN_PATTERN, max_tokens))
 
 
 _NON_SPACE = re.compile(r"\S")

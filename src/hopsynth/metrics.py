@@ -12,7 +12,9 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+# one pipeline token: a maximal alphanumeric run or one other non-space character
+TOKEN_PATTERN = r"\w+|[^\w\s]"
+_TOKEN_RE = re.compile(TOKEN_PATTERN, re.UNICODE)
 _WORD_RE = re.compile(r"\w+")
 _ARTICLES = {"a", "an", "the"}
 _DROP_PUNCT = str.maketrans("", "", string.punctuation)

@@ -1,8 +1,8 @@
 """Each layer benchmark runs at a small size: it exits 0, so its own checks
-held, and its last stdout line is one JSON object. Every script but
-`bench_memory.py` checks its layer against a reference and times the two
-with `benchmarks/layerbench.py`'s `alternate`, whose statistic is tested
-here with a fake clock."""
+held, and its last stdout line is `benchmarks/layerbench.py`'s `report`
+line, the same layout for every script. Every script but `bench_memory.py`
+checks its layer against a reference and times the two with `alternate`,
+whose statistic is tested here with a fake clock."""
 
 import json
 import os
@@ -28,16 +28,6 @@ SMALL_RUNS = {
 
 # `alternate`'s figures, which every timed row holds
 TIMED = {"s", "ref_s", "ratio", "ratio_q1", "ratio_q3"}
-# per script: the key of its timed rows in its JSON line (None: the line is the
-# one row), and the figures each row holds besides TIMED
-SIZE_FIELDS = {
-    "bench_search": ("sizes", {"gemm_s", "select_s", "certify_s", "fallback_s",
-                               "fallback_frac"}),
-    "bench_embed": ("sizes", {"docs", "distinct_tokens", "cache"}),
-    "bench_pairing": ("results", {"labeler", "docs", "largest_cluster", "pairs", "layer"}),
-    "bench_synthesis": ("results", {"docs", "layer", "calls", "us_per_call"}),
-    "bench_http": (None, {"stub_us", "request_us", "client_us", "ref_client_us"}),
-}
 
 
 def test_every_benchmark_script_has_a_small_run():
@@ -52,13 +42,15 @@ def test_benchmark_checks_its_layer_and_prints_one_json_line(name):
                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1])
-    assert isinstance(result, dict)
-    if name in SIZE_FIELDS:
-        key, fields = SIZE_FIELDS[name]
-        rows = result[key] if key else [result]
-        assert rows
-        for row in rows:
-            assert TIMED | fields <= row.keys()
+    assert result.keys() == {"script", "hopsynth", "args", "rows"}
+    assert result["script"] == name
+    assert result["hopsynth"] == str(ROOT / "src" / "hopsynth" / "__init__.py")
+    assert result["rows"]
+    for row in result["rows"]:
+        assert "layer" in row and "n" not in row  # a size column is `docs`
+        # every row but bench_memory's is timed; its rows hold seconds and peak MB
+        assert TIMED <= row.keys() or "peak_mb" in row
+        if TIMED <= row.keys():
             assert row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]
 
 

@@ -1,5 +1,7 @@
 """The shared JSON-over-HTTP transport and retry policy of the three clients."""
 
+import http.client
+import io
 import json
 import os
 import shutil
@@ -16,7 +18,8 @@ import pytest
 
 from hopsynth.entities import HttpRecognizer, RecognizerError
 from hopsynth.genbackend import BackendUnavailable, DecodeParams, HttpBackend
-from hopsynth.httpjson import HttpProtocolError, HttpStatusError, JsonSession
+from hopsynth.httpjson import (TRANSPORT_ERRORS, HttpProtocolError, HttpStatusError,
+                               JsonSession)
 from hopsynth.retrieval import EmbeddingError, HttpEmbedder
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -413,6 +416,69 @@ def test_malformed_reply_is_retried_then_raises_the_client_error(wires, sleeps, 
     assert [r.split(b"\r\n")[0] for r in fake.requests()] == [
         b"POST /v1/completions HTTP/1.1"
     ] * 3
+
+
+class _Replay:
+    """A socket whose reply is `data`: all that `http.client.HTTPResponse` reads."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def makefile(self, mode):
+        return io.BytesIO(self.data)
+
+
+def _stdlib_reply(data):
+    """The JSON that stdlib `http.client` decodes from `data`, the reply to a POST."""
+    response = http.client.HTTPResponse(_Replay(data), method="POST")
+    response.begin()
+    return json.loads(response.read())
+
+
+# a reply in each framing JsonSession reads; each decodes to {"x": 1}
+_FRAMINGS = {
+    "content-length": _ok({"x": 1}),
+    "chunked": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"4;name=value\r\n{\"x\"\r\n4\r\n: 1}\r\n0\r\nX-Checksum: abc\r\n\r\n"),
+    "eof after connection close": b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{\"x\": 1}",
+    "http/1.0": b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{\"x\": 1}",
+    "100 continue first": b"HTTP/1.1 100 Continue\r\n\r\n" + _ok({"x": 1}),
+}
+_MALFORMED = {
+    "short body": b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n{\"x\": 1}",
+    "bad chunk size": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                       b"zz\r\n{}\r\n0\r\n\r\n"),
+    "garbage status": _BAD_REPLIES["garbage status"],
+    "101 headers": _BAD_REPLIES["101 headers"],
+}
+# the replies JsonSession decodes to {"x": 1} and http.client refuses
+_DIFFERENCES = {
+    # JsonSession skips every interim 1xx reply, http.client only 100 Continue
+    "103 early hints first": b"HTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n" + _ok({"x": 1}),
+    # http.client counts the blank line that ends the headers toward its 100
+    "100 headers": _ok({"x": 1}, *[b"X-A: %d" % i for i in range(98)]),
+}
+
+
+def _outcome(read, errors):
+    try:
+        return read()
+    except errors:
+        return "raises"
+
+
+@pytest.mark.parametrize("name", [*_FRAMINGS, *_MALFORMED, *_DIFFERENCES])
+def test_reply_reads_as_http_client_reads_it(wires, name):
+    data = {**_FRAMINGS, **_MALFORMED, **_DIFFERENCES}[name]
+    wires((data, "eof"))
+    session = JsonSession("http://example.test", timeout=5)
+    ours = _outcome(lambda: session.post("/echo", {}), TRANSPORT_ERRORS)
+    session.close()
+    theirs = _outcome(lambda: _stdlib_reply(data), (http.client.HTTPException, ValueError))
+    if name in _DIFFERENCES:
+        assert (ours, theirs) == ({"x": 1}, "raises")
+    else:
+        assert ours == theirs == ({"x": 1} if name in _FRAMINGS else "raises")
 
 
 def test_a_reply_with_100_headers_is_read(wires):

@@ -1,6 +1,7 @@
-"""Every name a hopsynth module imports is referenced in that module, and
-every hopsynth name a benchmark script or the perfbench harness imports, or
-reads from an imported hopsynth module, exists."""
+"""Every name a hopsynth module imports is referenced in that module; every
+hopsynth name a benchmark script or the perfbench harness imports, or reads
+from an imported hopsynth module, exists; and every module-level function
+and class of hopsynth is named by the program, not only by tests."""
 
 import ast
 import importlib
@@ -225,3 +226,52 @@ def test_stage_table_names_resolve_in_the_tracer_order():
     names = [name for _, name, _, _ in pipeline.STAGES]
     assert traced == [tuple(names)]
     assert [name for name in names if not callable(getattr(pipeline, f"stage_{name}", None))] == []
+
+
+# the references tests compare the pipeline against; the program itself names none of them
+TEST_REFERENCES = ["metrics.exact_match", "metrics.tokenize", "synthesis.decide_answerable"]
+
+
+def names_used(tree) -> set[str]:
+    """Every name the code under `tree` reads, imports or spells as a string;
+    a string that parses as Python, such as a child process's program, is
+    read as code too."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+            try:
+                found |= names_used(ast.parse(node.value))
+            except (SyntaxError, ValueError):  # prose, not a program
+                pass
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_hopsynth_definition_is_named_by_the_program():
+    # each module-level function and class of src/hopsynth is named by another
+    # top-level statement of src/, perfbench/ or benchmarks/; a helper that
+    # only tests use belongs in the tests
+    statements = [(path, node, names_used(node))
+                  for path in sorted([*(ROOT / "src").rglob("*.py"), *BENCH_SCRIPTS])
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    unused = [f"{path.stem}.{node.name}" for path, node, _ in statements
+              if path.parent == SRC
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not any(node.name in names for _, other, names in statements
+                          if other is not node)]
+    assert sorted(unused) == TEST_REFERENCES
+
+
+def test_definition_guard_reads_names_strings_and_child_programs():
+    program = ('tracer.patch(pipeline, "stage_pair")\n'
+               'CHILD = "from hopsynth.pipeline import build_index\\nrun_eval()"\n')
+    assert {"tracer", "patch", "pipeline", "stage_pair", "CHILD", "build_index",
+            "run_eval"} <= names_used(ast.parse(program))
