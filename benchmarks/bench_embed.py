@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the hash embedder: `embed(HashEmbedder(dim), corpus)` against the reference.
+"""Benchmark the hash embedder: `embed(HashEmbedder(DIM), corpus)` against the reference.
 
 For each `--sizes` value it loads the benchmark's seeded corpus
 (`layerbench.seeded_store`) and embeds its documents in doc-id order, as
@@ -9,11 +9,12 @@ For each `--sizes` value it loads the benchmark's seeded corpus
 asserts that both give the same bytes. The "cold" row embeds with a fresh
 provider in every pass, which pays for every token vector of the corpus, as
 a run does once; the "warm" row embeds the corpus again with a provider
-that has seen it. Each row is timed by `layerbench.alternate`, `--repeats`
+that has seen it. Vectors are `DIM` = 256 wide, the default
+`embeddings.dim`. Each row is timed by `layerbench.alternate`, `--repeats`
 passes of each side. `hopsynth` is imported from PYTHONPATH, so the same
 script times any checkout's embedder against this checkout's reference:
 
-    PYTHONPATH=src python3 benchmarks/bench_embed.py --sizes 2000 8000 --dim 256
+    PYTHONPATH=src python3 benchmarks/bench_embed.py --sizes 2000 8000
 
 It ends with `layerbench.report`'s table and JSON line.
 """
@@ -26,11 +27,12 @@ from layerbench import alternate, report, seeded_store
 # tests/oracles.py, which importing layerbench put on sys.path
 from oracles import OracleHashEmbedder
 
+DIM = 256
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[2_000, 8_000])
-    parser.add_argument("--dim", type=int, default=256)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
@@ -38,13 +40,13 @@ def main():
     for n in args.sizes:
         store = seeded_store(n, PipelineConfig(seed=7))
         texts = [store.documents[doc_id].text for doc_id in sorted(store.documents)]
-        provider, reference = HashEmbedder(args.dim), OracleHashEmbedder(args.dim)
+        provider, reference = HashEmbedder(DIM), OracleHashEmbedder(DIM)
         if embed(provider, texts).tobytes() != embed(reference, texts).tobytes():
             raise SystemExit(f"HashEmbedder differs from the reference at {n} docs")
         tokens = len(reference._token_cache)
         for name, timing in [
-            ("cold", alternate(lambda: embed(HashEmbedder(args.dim), texts),
-                               lambda: embed(OracleHashEmbedder(args.dim), texts), args.repeats)),
+            ("cold", alternate(lambda: embed(HashEmbedder(DIM), texts),
+                               lambda: embed(OracleHashEmbedder(DIM), texts), args.repeats)),
             ("warm", alternate(lambda: embed(provider, texts), lambda: embed(reference, texts),
                                args.repeats)),
         ]:

@@ -2,7 +2,7 @@
 """Benchmark pair sampling: `sample_pairs` against the reference, and `stage_pair`.
 
 For each `--sizes` value it loads the benchmark's seeded corpus
-(`layerbench.seeded_store`) under each topic labeler of `--labelers`. Under
+(`layerbench.seeded_store`) under each topic labeler of `LABELERS`. Under
 `file` the records keep their round-robin topics, so a cluster holds a
 tenth of the corpus. Under `keyword` the records' topics are dropped first,
 as in a corpus that carries none; the seeded texts hold no keyword, so
@@ -39,16 +39,16 @@ from oracles import oracle_sample_pairs
 
 PASSES = 3  # passes of each side
 SAMPLE = 200  # anchors per corpus on which sample_pairs meets the reference
+LABELERS = ("file", "keyword")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[2_000, 8_000, 16_000])
-    parser.add_argument("--labelers", nargs="+", default=["file", "keyword"])
     args = parser.parse_args()
 
     rows = []
-    for labeler in args.labelers:
+    for labeler in LABELERS:
         for n in args.sizes:
             config = PipelineConfig(seed=7)
             config.topics.labeler = labeler

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark flat-index search: block search against one mat-vec per query.
 
-For each index size it finds every query's top k two ways: one mat-vec
+For each index size it finds every query's top `K` = 7 two ways: one mat-vec
 plus `select_topk` per query (the reference), and `retrieval.search` over
 blocks of `retrieval.EMBED_BLOCK` queries (one GEMM per block, with a
 mat-vec only for the queries whose order the GEMM cannot certify). It
@@ -36,6 +36,9 @@ from hopsynth.retrieval import select_topk
 from hopsynth.retrieval import EMBED_BLOCK, build_flat_index, search
 from layerbench import alternate, report
 
+DIM = 256  # vector width, the default embeddings.dim
+K = 7  # ids per query, the default verify.k and eval.k
+
 
 def argsort_topk(scores, k):
     return np.argsort(-scores, kind="stable")[:k]
@@ -48,29 +51,26 @@ def unit(rows):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[2_000, 8_000])
-    parser.add_argument("--dim", type=int, default=256)
-    parser.add_argument("--k", type=int, default=7)
     parser.add_argument("--queries", type=int, default=4_096)
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
-    k = args.k
     rows = []
     for n in args.sizes:
         index = build_flat_index([f"d{i:07d}" for i in range(n)],
-                                 list(unit(rng.standard_normal((n, args.dim)))))
+                                 list(unit(rng.standard_normal((n, DIM)))))
         picks = rng.integers(0, n, size=(args.queries, 2))
-        noise = rng.standard_normal((args.queries, args.dim)) / np.sqrt(args.dim)
+        noise = rng.standard_normal((args.queries, DIM)) / np.sqrt(DIM)
         queries = unit(index.matrix[picks[:, 0]] + index.matrix[picks[:, 1]] + noise)
         blocks = [queries[s:s + EMBED_BLOCK] for s in range(0, len(queries), EMBED_BLOCK)]
 
         def per_query():
-            return [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ q, k))
+            return [tuple(index.doc_ids[i] for i in select_topk(index.matrix @ q, K))
                     for q in queries]
 
         def per_block():
-            return [ids for block in blocks for ids in search(index, block, k)]
+            return [ids for block in blocks for ids in search(index, block, K)]
 
         fallbacks = []
         retrieval.select_topk = lambda scores, k: fallbacks.append(k) or select_topk(scores, k)
@@ -83,7 +83,7 @@ def main():
         scores = index.matrix @ queries[0]
         for decimals in (None, 1, 0):
             tied = scores if decimals is None else np.round(scores, decimals)
-            if not np.array_equal(select_topk(tied, k), argsort_topk(tied, k)):
+            if not np.array_equal(select_topk(tied, K), argsort_topk(tied, K)):
                 raise SystemExit(f"select_topk disagrees with argsort: {n} docs, round={decimals}")
 
         # per GEMM block of every block pass: (GEMM start, selection start, selection end)

@@ -23,13 +23,16 @@ from .config import (
     ConfigError,
     PipelineConfig,
     build_backend,
+    build_embedder,
     build_examples,
+    build_recognizer,
     parse_config_file,
     set_config_key,
 )
 from .corpus import serialize_store
 from .emitter import dataset_stats, format_stats_report, read_jsonl, write_jsonl
 from .jsonl import InputError, read_numbered_rows, write_rows
+from .promptkit import TASK_MQA
 
 # Config flags: flag -> (the config keys it sets, help, the commands that take
 # it; none means every command, with the flag before it). set_config_key
@@ -47,8 +50,17 @@ _CONFIG_FLAGS = {
 
 _PATH_HELP = {"--store": "ingested store JSONL", "--corpus": "evaluation corpus JSONL"}
 
-# the stages that render few-shot prompts: they take a backend and --examples
-_PROMPT_STAGES = ("questions", "filter_answers", "queries")
+# stage name -> the clients the stage takes, each keyword with what builds it;
+# fever's pair stage draws labels, not entities, so it builds no recognizer
+_STAGE_CLIENTS = {
+    "pair": {"recognizer": lambda config: build_recognizer(config) if config.task == TASK_MQA
+             else None},
+    "questions": {"backend": build_backend, "recognizer": build_recognizer,
+                  "examples": build_examples},
+    "filter_answers": {"backend": build_backend, "examples": build_examples},
+    "queries": {"backend": build_backend, "examples": build_examples},
+    "verify": {"provider": build_embedder},
+}
 
 
 class _UsageError(Exception):
@@ -136,9 +148,9 @@ def run_command(args) -> int:
     stages = {stage_command: rest for stage_command, *rest in pipeline.STAGES}
     if command in stages:
         name, _, fields = stages[command]
-        # the files the config names are read and checked before the inputs
-        clients = ({"backend": build_backend(config), "examples": build_examples(config)}
-                   if name in _PROMPT_STAGES else {})
+        # as in run-all, the clients (and the files the config names) are
+        # built and checked before the inputs are read
+        clients = {key: build(config) for key, build in _STAGE_CLIENTS[name].items()}
         store = pipeline.build_store(args.store_path, config)
         inputs = () if fields is None else (_stage_rows(args, name, fields, store),)
         rows, counters = getattr(pipeline, f"stage_{name}")(store, *inputs, config, **clients)

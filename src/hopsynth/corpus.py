@@ -120,7 +120,7 @@ def truncate_text(text: str, max_tokens: int) -> str:
 
 @functools.lru_cache(maxsize=16)
 def _leading_tokens(max_tokens: int) -> re.Pattern:
-    # up to max_tokens of `metrics.tokenize`'s tokens, each after its
+    # up to max_tokens tokens of `metrics.TOKEN_PATTERN`, each after its
     # whitespace. The match always succeeds with the greedy path, so it never
     # backtracks into a word to split it into shorter tokens. Every non-space
     # character belongs to a token, so one after the match starts the next

@@ -82,7 +82,7 @@ def play_episodes(
     index: FlatIndex,
     provider,
     config: EvalConfig,
-    doc_text_lookup=None,
+    doc_text_lookup,
 ) -> list[Played]:
     """Play each (question, params) episode to its end, in rounds.
 
@@ -93,11 +93,10 @@ def play_episodes(
     EMBED_BLOCK at a time: one provider call and one block search each,
     whose ids equal a per-query search's. An episode stays live while its
     line is a query before the hop limit. `doc_text_lookup` maps a doc id to
-    the text inserted into the context; it defaults to the id itself (tests)
-    and is normally store lookup. Backend and embedding errors such as
-    BackendUnavailable propagate: an outage is not a wrong answer.
+    the text inserted into the context, such as the store's lookup. Backend
+    and embedding errors such as BackendUnavailable propagate: an outage is
+    not a wrong answer.
     """
-    texts = doc_text_lookup or (lambda doc_id: doc_id)
     turns: list[list[Turn]] = [[] for _ in episodes]
     lines = [""] * len(episodes)
     live = range(len(episodes))
@@ -106,7 +105,8 @@ def play_episodes(
         for n in live:
             question, params = episodes[n]
             at_limit = len(turns[n]) == config.max_hops
-            prompt = render_episode(question, turns[n], texts, HOP_LIMIT_CUE if at_limit else None)
+            prompt = render_episode(question, turns[n], doc_text_lookup,
+                                    HOP_LIMIT_CUE if at_limit else None)
             try:
                 lines[n] = complete(backend, prompt, params).strip()
             except EmptyCompletion:

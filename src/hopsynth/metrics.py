@@ -1,8 +1,9 @@
-"""Answer normalization, token-level F1, exact match, and the pipeline tokenizer.
+"""Answer normalization and scoring, and the pipeline's token pattern.
 
 Normalization and scoring follow the SQuAD v1 convention: lowercase, strip
 punctuation, drop articles, collapse whitespace, then compare whitespace
-tokens as multisets.
+tokens as multisets. `score_pair` scores one prediction; `f1_tokens` scores
+token lists that a caller normalized once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 # one pipeline token: a maximal alphanumeric run or one other non-space character
 TOKEN_PATTERN = r"\w+|[^\w\s]"
-_TOKEN_RE = re.compile(TOKEN_PATTERN, re.UNICODE)
 _WORD_RE = re.compile(r"\w+")
 _ARTICLES = {"a", "an", "the"}
 _DROP_PUNCT = str.maketrans("", "", string.punctuation)
@@ -28,17 +28,8 @@ class ScorePair:
     f1: float
 
 
-def tokenize(text: str) -> list[str]:
-    """Split into word and punctuation tokens.
-
-    Maximal alphanumeric runs are single tokens; every other non-space
-    character is its own token, so "1,800" becomes ["1", ",", "800"].
-    """
-    return _TOKEN_RE.findall(text)
-
-
 def word_tokens(text: str) -> list[str]:
-    r"""The word tokens of tokenize(text) that hold an alphanumeric character.
+    r"""The tokens of `TOKEN_PATTERN` in `text` that hold an alphanumeric character.
 
     These are exactly the maximal `\w` runs that are not all underscores,
     because `\w` matches a character exactly when it `isalnum()` or is `_`.
@@ -51,16 +42,6 @@ def normalize_answer(text: str) -> str:
     no_punct = text.lower().translate(_DROP_PUNCT)
     kept = [tok for tok in no_punct.split() if tok not in _ARTICLES]
     return " ".join(kept)
-
-
-def token_f1(pred: str, gold: str) -> float:
-    """Multiset-overlap F1 over normalized whitespace tokens: `f1_tokens`
-    of both sides' `normalize_answer(...).split()`.
-
-    Both sides empty after normalization scores 1.0; exactly one empty
-    scores 0.0.
-    """
-    return f1_tokens(normalize_answer(pred).split(), normalize_answer(gold).split())
 
 
 def f1_tokens(pred_tokens: list[str], gold_tokens: list[str]) -> float:
@@ -81,12 +62,10 @@ def f1_tokens(pred_tokens: list[str], gold_tokens: list[str]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def exact_match(pred: str, gold: str) -> bool:
-    return normalize_answer(pred) == normalize_answer(gold)
-
-
 def score_pair(pred: str, gold: str) -> ScorePair:
-    """`exact_match` and `token_f1` of one pair, normalizing each side once."""
+    """Exact match and token F1 of one prediction against its gold answer,
+    each side normalized once: both empty after normalization score 1.0,
+    exactly one empty 0.0."""
     pred, gold = normalize_answer(pred), normalize_answer(gold)
     return ScorePair(em=pred == gold, f1=f1_tokens(pred.split(), gold.split()))
 

@@ -195,7 +195,7 @@ class GoldScriptRule:
         return cls(script)
 
     def __call__(self, prompt: str, seed: Optional[int]) -> str:
-        episode = parse_block(prompt)
+        episode = parse_block(prompt[last_block_start(prompt):])
         entry = self.script.get(episode.get("question", ""))
         if entry is None:
             return ""

@@ -259,8 +259,9 @@ def last_block_start(text: str) -> int:
     return 0 if end < 0 else end + len(_BLOCK_BREAK)
 
 
-def parse_block(text: str) -> dict:
-    """The fields of the last block of `text` (a prompt's target block, or an episode).
+def parse_block(block: str) -> dict:
+    """The fields of one block (a prompt's target block, or an episode), as
+    given: a caller cuts a prompt's last block with `last_block_start`.
 
     Returns `documents` and `queries` as lists in line order; `question`,
     `claim` and `answer` when present, a repeated label keeping its last
@@ -268,7 +269,7 @@ def parse_block(text: str) -> dict:
     exact "Label: " line prefix.
     """
     fields: dict = {"documents": [], "queries": []}
-    lines = text[last_block_start(text):].split("\n")
+    lines = block.split("\n")
     for line in lines:
         label, sep, value = line.partition(": ")
         key = _BLOCK_FIELDS.get(label) if sep else None

@@ -434,10 +434,11 @@ def build_flat_index(doc_ids: Sequence[str], vectors) -> FlatIndex:
     """Assemble an immutable flat index; rows are sorted by document id.
 
     `vectors` is the float32 matrix `embed` returns, taken as it is and made
-    read-only, or a list of equal-length vectors. Rows are reordered (one
-    copy) only when `doc_ids` are not already sorted. Sorting makes the
-    search tie-break (ascending doc id) fall out of positional order, so
-    top-k selection never compares id strings.
+    read-only, or anything `np.asarray` makes a matrix of, such as a list of
+    equal-length vectors (a ragged list raises its ValueError). Rows are
+    reordered (one copy) only when `doc_ids` are not already sorted. Sorting
+    makes the search tie-break (ascending doc id) fall out of positional
+    order, so top-k selection never compares id strings.
     """
     if len(doc_ids) != len(vectors):
         raise ValueError(f"{len(doc_ids)} ids but {len(vectors)} vectors")
@@ -445,10 +446,6 @@ def build_flat_index(doc_ids: Sequence[str], vectors) -> FlatIndex:
         raise ValueError("cannot build an empty index")
     if len(set(doc_ids)) != len(doc_ids):
         raise ValueError("duplicate doc ids in index")
-    if not isinstance(vectors, np.ndarray):
-        dims = {int(np.asarray(v).shape[0]) for v in vectors}
-        if len(dims) != 1:
-            raise ValueError(f"mixed embedding dims: {sorted(dims)}")
     matrix = np.asarray(vectors, dtype=np.float32)
     if matrix.ndim != 2:
         raise ValueError(f"embeddings must form a matrix, got shape {matrix.shape}")

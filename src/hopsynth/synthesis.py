@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from . import promptkit
 from .corpus import Document
 from .genbackend import Backend, EmptyCompletion, complete, default_decode_params
-from .metrics import f1_tokens, normalize_answer, token_f1
+from .metrics import f1_tokens, normalize_answer
 from .pairing import HYPER, TOPIC, DocumentPair
 from .promptkit import (
     ANSWERING,
@@ -139,15 +139,6 @@ def answer_question(
     ).strip()
 
 
-def decide_answerable(pred: str, prepared: str, config: FilterConfig, task: str = TASK_MQA) -> bool:
-    """MQA: token F1 strictly above the threshold. Fever: exact label match.
-
-    The agreement rule `classify_hops` applies, for one pair of texts."""
-    if task == TASK_FEVER:
-        return bool(pred.strip()) and normalize_label(pred) == normalize_label(prepared)
-    return token_f1(pred, prepared) > config.f1_threshold
-
-
 def _answer_tokens(text: str) -> list[str]:
     return normalize_answer(text).split()
 
@@ -172,15 +163,16 @@ def classify_hops(
     Otherwise the draft survives only if the two-document prediction matches
     the prepared answer, as two-hop. Everything else drops.
 
-    "Agrees" is `decide_answerable(pred_both, other, config, draft.task)`.
-    Each text is normalized once per draft (its `normalize_label`, or its
-    `normalize_answer` tokens scored by `metrics.f1_tokens`), and the
-    prepared answer only when no single-document prediction agrees.
+    A blank two-document prediction drops the draft. Otherwise it agrees
+    with another text when, for fever, the two `normalize_label` labels are
+    equal, and for MQA, `metrics.f1_tokens` of the two `normalize_answer`
+    token lists is strictly above `config.f1_threshold`. Each text is
+    normalized once per draft, and the prepared answer only when no
+    single-document prediction agrees.
     """
     if not pred_both.strip():
         return None
     if draft.task == TASK_FEVER:
-        # pred_both is not blank, so decide_answerable reduces to label equality
         normalize, agrees = normalize_label, str.__eq__
     else:
         threshold = config.f1_threshold

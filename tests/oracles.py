@@ -3,7 +3,8 @@
 Each oracle is written from the rules directly, in the most literal way
 possible, and stays independent of the implementation path it validates:
 
-* SQuAD v1 scoring: a line-for-line port of the public evaluate-v1.1 logic.
+* SQuAD v1 scoring: a line-for-line port of the public evaluate-v1.1 logic,
+  the reference for `metrics.score_pair`.
 * Flat-index search: full sort of every dot product.
 * Query dedup / instance assembly: explicit enumeration over candidates.
 * Hyperlink neighbors: a scan of every document's outbound links.
@@ -19,12 +20,12 @@ possible, and stays independent of the implementation path it validates:
   one completion per turn and one mat-vec top-k per query.
 * Synthesis prompts: `render_prompt` as it checked every call's task, stage
   and setting in turn and keyed its example cache by the examples' contents.
-* Hop classification: `classify_hops` as it scored each agreement with
-  `decide_answerable`, normalizing both texts and counting tokens with
+* Hop classification: `classify_hops` as it scored each agreement by itself
+  (`_oracle_agrees`), normalizing both texts and counting tokens with
   `Counter` every time.
 * Mock completions: `SyntheticPipelineRule` as it derived each call's
-  generator with `derive_rng(seed, prompt)` over the whole prompt and parsed
-  the whole prompt for its target block.
+  generator with `derive_rng(seed, prompt)` over the whole prompt, its
+  target block cut from the whole prompt at the last blank line.
 """
 
 from __future__ import annotations
@@ -326,7 +327,8 @@ def oracle_heuristic_entities(text):
 # Hash embeddings: a dict of token vectors, added to a zero vector one by one
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\w+|[^\w\s]")  # the rule of metrics.tokenize
+# the pipeline's token rule: a maximal word run, or one other non-space character
+_TOKEN = re.compile(r"\w+|[^\w\s]")
 
 
 class OracleHashEmbedder:
@@ -528,7 +530,7 @@ def oracle_classify_hops(task, relation, prepared, pred_both, pred_first, pred_s
 class _OracleRule(SyntheticPipelineRule):
     def __call__(self, prompt, seed):
         rng = derive_rng(seed, prompt)
-        target = parse_block(prompt)
+        target = parse_block(prompt.rpartition("\n\n")[2])
         cue = target["cue"]
         if cue == "Question:":
             return self._question(target, rng)
@@ -550,6 +552,7 @@ def _oracle_rule(**p):
 
 def oracle_synthetic_rule(prompt, seed, **p):
     """`SyntheticPipelineRule(**p)(prompt, seed)` by its definition: one
-    generator from `derive_rng(seed, prompt)`, and the target block parsed
-    from the whole prompt; the completion for each cue is the rule's own."""
+    generator from `derive_rng(seed, prompt)`, and the target block cut from
+    the whole prompt after its last blank line; the completion for each cue
+    is the rule's own."""
     return _oracle_rule(**p)(prompt, seed)

@@ -19,7 +19,7 @@ from hopsynth.config import PipelineConfig
 from hopsynth.corpus import CorpusStore, Document
 from hopsynth.emitter import dataset_stats, read_jsonl
 from hopsynth.evalharness import self_consistency
-from hopsynth.metrics import exact_match, normalize_answer, token_f1
+from hopsynth.metrics import normalize_answer, score_pair
 from hopsynth.pairing import DocumentPair, derive_rng
 from hopsynth.pipeline import build_index, run_all, run_eval
 from hopsynth.retrieval import HashEmbedder, build_flat_index, search
@@ -75,11 +75,13 @@ def test_criterion_1_metrics_oracle():
             cases.append((a, b))
     assert len(cases) == 50
     for pred, gold in cases:
-        assert abs(token_f1(pred, gold) - squad_f1(pred, gold)) < 1e-9
-        assert exact_match(pred, gold) == squad_exact_match(pred, gold)
-    assert token_f1("Celtics", "Boston Celtics") == pytest.approx(2 / 3, abs=1e-12)
-    assert token_f1("the Turner Pictures company", "Turner Pictures") == pytest.approx(0.8, abs=1e-12)
-    report(1, "token_f1/exact_match agree with the reference evaluator on 50 cases", started, 1.0)
+        score = score_pair(pred, gold)
+        assert abs(score.f1 - squad_f1(pred, gold)) < 1e-9
+        assert score.em == squad_exact_match(pred, gold)
+    assert score_pair("Celtics", "Boston Celtics").f1 == pytest.approx(2 / 3, abs=1e-12)
+    assert score_pair("the Turner Pictures company", "Turner Pictures").f1 == pytest.approx(
+        0.8, abs=1e-12)
+    report(1, "score_pair agrees with the reference evaluator on 50 cases", started, 1.0)
 
 
 # -- 2. flat-index exactness --------------------------------------------------

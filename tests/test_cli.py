@@ -96,9 +96,9 @@ def test_stage_command_runs_the_stage_found_at_the_call(tmp_path, corpus_path, c
     calls = []
     stage_pair = pipeline.stage_pair
 
-    def spy(*args):
+    def spy(*args, **clients):
         calls.append(args)
-        return stage_pair(*args)
+        return stage_pair(*args, **clients)
 
     monkeypatch.setattr(pipeline, "stage_pair", spy)
     store = tmp_path / "store.jsonl"
@@ -128,6 +128,27 @@ def test_prompt_stage_refuses_a_bad_examples_store_before_its_inputs(
     assert capsys.readouterr().err == f"error: {empty}: no few-shot examples\n"
     assert [record for record in caplog.records if record.exc_info] == []
     assert read == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, lines, message", [
+    ("verify", "embeddings.kind = file\nembeddings.file = <bad>",
+     "<bad>:1: vector ['y'] is not a list of finite numbers"),
+    ("pair", "recognizer.kind = http", "recognizer.kind=http requires recognizer.endpoint"),
+    ("gen-questions", "recognizer.kind = http", "recognizer.kind=http requires recognizer.endpoint"),
+], ids=["verify-embeddings-file", "pair-recognizer", "gen-questions-recognizer"])
+def test_stage_builds_its_clients_before_it_reads_the_store(tmp_path, capsys, caplog, command,
+                                                            lines, message):
+    bad = tmp_path / "vectors.jsonl"
+    bad.write_text(json.dumps({"text": "a", "vector": ["y"]}) + "\n")
+    config_file = tmp_path / "config.txt"
+    config_file.write_text(lines.replace("<bad>", str(bad)) + "\n")
+    inputs = [] if command == "pair" else ["--in", str(tmp_path / "rows.jsonl")]
+    out = tmp_path / "out.jsonl"
+    assert main(["--config", str(config_file), command, "--store", str(tmp_path / "missing.jsonl"),
+                 *inputs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.replace('<bad>', str(bad))}\n"
+    assert [record for record in caplog.records if record.exc_info] == []
     assert not out.exists()
 
 
@@ -658,6 +679,29 @@ def test_config_bad_value_exits_2(tmp_path, corpus_path, capsys, line):
         "--config", str(config_file), "run-all", "--in", str(corpus_path), "--out", str(out),
     ]) == 2
     assert f"{config_file}:2: bad value for {line.split()[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("verify.k 3", "<config>:2: expected key = value"),
+    ("backend.kind = http", "backend.kind=http requires backend.endpoint"),
+    ("embeddings.kind = file", "embeddings.kind=file requires embeddings.file"),
+    ("embeddings.kind = http", "embeddings.kind=http requires embeddings.endpoint"),
+    ("recognizer.kind = http", "recognizer.kind=http requires recognizer.endpoint"),
+], ids=["no-equals", "backend-endpoint", "embeddings-file", "embeddings-endpoint",
+        "recognizer-endpoint"])
+def test_config_error_exits_2_with_one_error_line(tmp_path, capsys, caplog, monkeypatch, line,
+                                                  message):
+    read = []
+    monkeypatch.setattr(pipeline, "build_store", lambda *args: read.append(args))
+    config_file = tmp_path / "config.txt"
+    config_file.write_text("seed = 3\n" + line + "\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(config_file), "run-all", "--in", str(DEMO / "corpus.jsonl"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.replace('<config>', str(config_file))}\n"
+    assert [record for record in caplog.records if record.exc_info] == []
+    assert read == []
     assert not out.exists()
 
 

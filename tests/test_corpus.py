@@ -12,9 +12,8 @@ from hopsynth.corpus import (
     serialize_store,
     truncate_text,
 )
-from hopsynth.metrics import tokenize
 
-from oracles import oracle_hyperlink_neighbors, oracle_truncate_text
+from oracles import _TOKEN, oracle_hyperlink_neighbors, oracle_truncate_text
 from synthcorpus import make_corpus, unicode_texts
 
 
@@ -43,21 +42,35 @@ def test_truncate_text():
     assert truncate_text("a b c", 2) == "a b"
     assert truncate_text("a b", 5) == "a b"
     para = " ".join(f"w{i}" for i in range(100))
-    assert len(tokenize(para)) == 100
+    assert len(_TOKEN.findall(para)) == 100
     assert truncate_text(para, 100) == para
 
 
+def _token_prefixes(text):
+    # the prefix that ends with each token, by the reference token rule
+    return [text[: match.end()] for match in _TOKEN.finditer(text)]
+
+
 def test_truncate_counts_punctuation_tokens():
-    # "1,800" is three tokens under the pipeline tokenizer
-    assert truncate_text("1,800 ft", 3) == "1,800"
-    assert truncate_text("1,800 ft", 4) == "1,800 ft"
+    # a word run is one token and every other non-space character is its own:
+    # "1,800" is three tokens
+    assert [truncate_text("a-b c", n) for n in range(1, 5)] == ["a", "a-", "a-b", "a-b c"]
+    assert [truncate_text("1,800 ft", n) for n in range(1, 5)] == ["1", "1,", "1,800", "1,800 ft"]
+    for text in ("a-b c", "1,800 ft"):
+        assert [truncate_text(text, n) for n in range(1, 5)] == _token_prefixes(text)
+
+
+def test_truncate_keeps_unicode_words_whole():
+    expected = ["Saimaa", "Saimaa-", "Saimaa-ilmiö", "Saimaa-ilmiö x"]
+    assert [truncate_text("Saimaa-ilmiö x", n) for n in range(1, 5)] == expected
+    assert _token_prefixes("Saimaa-ilmiö x") == expected
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_truncate_text_matches_the_span_oracle(seed):
     texts = unicode_texts(seed, 80) + [" ", "\t\n \u3000", "\u0307 "]
     for text in texts:
-        for max_tokens in range(1, len(tokenize(text)) + 2):
+        for max_tokens in range(1, len(_TOKEN.findall(text)) + 2):
             expected = oracle_truncate_text(text, max_tokens)
             assert truncate_text(text, max_tokens) == expected, (text, max_tokens)
             # exactly max_tokens tokens, then whitespace or one more token
@@ -77,7 +90,7 @@ def test_truncate_stored_texts_obey_budget(tmp_path):
     long_text = " ".join(f"tok{i}" for i in range(300))
     path = write_corpus(tmp_path, [doc(1, "A", long_text)])
     store = ingest_corpus(path, CorpusConfig(max_doc_tokens=40))
-    assert len(tokenize(store.documents["d1"].text)) <= 40
+    assert len(_TOKEN.findall(store.documents["d1"].text)) <= 40
 
 
 def test_link_resolution(tmp_path):

@@ -39,7 +39,7 @@ def scripted_rule(answer, queries):
     return rule
 
 
-def play_one(question, backend, index, provider, config, params, doc_text_lookup=None):
+def play_one(question, backend, index, provider, config, params, doc_text_lookup=str):
     """The transcript of one episode: played by `play_episodes`, read by `run_episode`."""
     played = play_episodes([(question, params)], backend, index, provider, config, doc_text_lookup)
     return run_episode(question, played[0])

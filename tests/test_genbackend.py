@@ -215,7 +215,7 @@ def test_episode_requests_send_the_line_stop():
     provider = HashEmbedder(dim=16)
     index = build_flat_index(["d1"], embed(provider, ["Paris"]))
     params = default_decode_params("eval_greedy")
-    played = play_episodes([("Where?", params)], backend, index, provider, EvalConfig())
+    played = play_episodes([("Where?", params)], backend, index, provider, EvalConfig(), str)
     transcript = run_episode("Where?", played[0])
     assert transcript.final_answer == "Paris"
     assert [body["stop"] for body in session.bodies] == [["\n"]]

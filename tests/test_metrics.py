@@ -3,29 +3,10 @@ import string
 
 import pytest
 
-from hopsynth.metrics import (
-    ScorePair,
-    exact_match,
-    f1_tokens,
-    normalize_answer,
-    score_pair,
-    token_f1,
-    tokenize,
-    word_count,
-)
+from hopsynth.metrics import ScorePair, f1_tokens, normalize_answer, score_pair, word_count
 
 from oracles import oracle_f1_tokens, squad_exact_match, squad_f1
 from synthcorpus import unicode_texts
-
-
-def test_tokenize_rules():
-    assert tokenize("a-b c") == ["a", "-", "b", "c"]
-    assert tokenize("") == []
-    assert tokenize("1,800 ft") == ["1", ",", "800", "ft"]
-
-
-def test_tokenize_unicode_words_stay_whole():
-    assert tokenize("Saimaa-ilmiö") == ["Saimaa", "-", "ilmiö"]
 
 
 def test_normalize_answer():
@@ -51,38 +32,39 @@ def test_normalize_idempotent():
         assert normalize_answer(once) == once
 
 
-def test_token_f1_values():
-    assert token_f1("Turner Pictures", "Turner Pictures") == 1.0
-    assert token_f1("yes", "no") == 0.0
+def test_score_pair_f1_values():
+    assert score_pair("Turner Pictures", "Turner Pictures").f1 == 1.0
+    assert score_pair("yes", "no").f1 == 0.0
     # precision 2/3, recall 1 -> 0.8 (hand overlap count)
-    assert token_f1("the Turner Pictures company", "Turner Pictures") == pytest.approx(0.8)
+    assert score_pair("the Turner Pictures company", "Turner Pictures").f1 == pytest.approx(0.8)
     # precision 1, recall 1/2 -> 2/3
-    assert token_f1("Celtics", "Boston Celtics") == pytest.approx(2 / 3)
+    assert score_pair("Celtics", "Boston Celtics").f1 == pytest.approx(2 / 3)
 
 
-def test_token_f1_empty_conventions():
-    assert token_f1("", "") == 1.0
-    assert token_f1("the", "an") == 1.0  # both normalize to empty
-    assert token_f1("", "x") == 0.0
-    assert token_f1("x", "") == 0.0
+def test_score_pair_empty_conventions():
+    assert score_pair("", "") == ScorePair(em=True, f1=1.0)
+    assert score_pair("the", "an") == ScorePair(em=True, f1=1.0)  # both normalize to empty
+    assert score_pair("", "x") == ScorePair(em=False, f1=0.0)
+    assert score_pair("x", "") == ScorePair(em=False, f1=0.0)
 
 
-def test_token_f1_symmetric_and_bounded():
+def test_score_pair_symmetric_and_bounded():
     rng = random.Random(3)
     words = ["alpha", "beta", "gamma", "delta", "the", "1,800", "ft"]
     for _ in range(200):
         a = " ".join(rng.choices(words, k=rng.randint(1, 6)))
         b = " ".join(rng.choices(words, k=rng.randint(1, 6)))
-        f = token_f1(a, b)
-        assert f == pytest.approx(token_f1(b, a))
-        assert 0.0 <= f <= 1.0
-        assert token_f1(a, a) == 1.0
+        score = score_pair(a, b)
+        assert score.f1 == pytest.approx(score_pair(b, a).f1)
+        assert score.em == score_pair(b, a).em
+        assert 0.0 <= score.f1 <= 1.0
+        assert score_pair(a, a) == ScorePair(em=True, f1=1.0)
 
 
-def test_exact_match():
-    assert exact_match("The Saimaa Gesture", "Saimaa Gesture")
-    assert not exact_match("yes", "no")
-    assert exact_match("Boston  Celtics", "boston celtics.")
+def test_score_pair_exact_match():
+    assert score_pair("The Saimaa Gesture", "Saimaa Gesture").em
+    assert not score_pair("yes", "no").em
+    assert score_pair("Boston  Celtics", "boston celtics.").em
 
 
 def test_em_implies_f1_one():
@@ -96,9 +78,9 @@ def test_em_implies_f1_one():
         assert sp.em and sp.f1 == 1.0
 
 
-def test_score_pair_equals_exact_match_and_token_f1():
-    # score_pair normalizes each side once; on Unicode texts, their recased,
-    # article-wrapped and shuffled variants it scores as the two functions do
+def test_score_pair_equals_its_definition_on_unicode_texts():
+    # on Unicode texts, their recased, article-wrapped and shuffled variants:
+    # em compares the normalized texts, f1 counts their tokens' overlap
     texts = unicode_texts(12, 400)
     rng = random.Random(12)
     pairs = list(zip(texts, texts[1:]))
@@ -108,8 +90,9 @@ def test_score_pair_equals_exact_match_and_token_f1():
         pairs += [(text, text), (text, text.upper()), (f"The {text}.", text.lower()),
                   (" ".join(words), text), (text, " ".join(words[: len(words) // 2]))]
     scores = [score_pair(pred, gold) for pred, gold in pairs]
-    assert scores == [ScorePair(em=exact_match(pred, gold), f1=token_f1(pred, gold))
-                      for pred, gold in pairs]
+    normalized = [(normalize_answer(pred), normalize_answer(gold)) for pred, gold in pairs]
+    assert scores == [ScorePair(em=pred == gold, f1=oracle_f1_tokens(pred.split(), gold.split()))
+                      for pred, gold in normalized]
     assert sum(score.em for score in scores) > 400
     assert len({score.f1 for score in scores}) > 100
 
@@ -138,8 +121,9 @@ def test_agrees_with_reference_evaluator():
         if normalize_answer(a) and normalize_answer(b):
             cases.append((a, b))
     for pred, gold in cases:
-        assert abs(token_f1(pred, gold) - squad_f1(pred, gold)) < 1e-9
-        assert exact_match(pred, gold) == squad_exact_match(pred, gold)
+        score = score_pair(pred, gold)
+        assert abs(score.f1 - squad_f1(pred, gold)) < 1e-9
+        assert score.em == squad_exact_match(pred, gold)
 
 
 def test_word_count():

@@ -138,7 +138,7 @@ def _assert_rule_matches_oracle(calls, **p):
 
 
 def _stage_of(prompt):
-    target = parse_block(prompt)
+    target = parse_block(_target(prompt))
     if target["cue"] == "Answer:":
         return "answering"
     return "query_gen" if target["cue"] == "Query:" else "question_gen"

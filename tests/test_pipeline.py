@@ -137,6 +137,22 @@ def test_stage_pair_recognizes_each_text_once(corpus_path, monkeypatch):
     assert (rows, counters) == stage_pair(store, config, recognizer=HeuristicRecognizer())
 
 
+def test_stage_pair_drops_a_hyper_pair_without_answer_candidates(tmp_path):
+    # an empty anchor span makes the link but no candidate, and neither
+    # lowercase text has an entity
+    path = write_corpus(tmp_path / "corpus.jsonl", [
+        {"id": "a", "title": "Alpha", "text": "links to the other page",
+         "anchors": [{"span": "", "target": "Beta"}]},
+        {"id": "b", "title": "Beta", "text": "plain words only"},
+    ])
+    config = make_config()
+    rows, counters = stage_pair(build_store(path, config), config)
+    assert rows == []
+    assert {reason: count for reason, count in counters.items() if count} == {
+        "attempts": 2, "no_answer_candidates": 2}
+    assert counters_conserved(counters)
+
+
 def test_stage_questions_recognizes_distinct_drafts_in_blocks(corpus_path, monkeypatch):
     config = make_config()
     store = build_store(corpus_path, config)

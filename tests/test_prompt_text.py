@@ -44,7 +44,7 @@ def test_synthesis_and_evaluation_read_the_same_query(line):
     index = build_flat_index(["a"], embed(provider, ["a text"]))
     params = default_decode_params("eval_greedy").with_seed(1)
     played, = play_episodes([("Which?", params)], backend, index, provider,
-                            EvalConfig(max_hops=1, k=1))
+                            EvalConfig(max_hops=1, k=1), str)
     assert synthesized == [turn[0] for turn in played.turns] == ([query] if query else [])
 
 

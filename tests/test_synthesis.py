@@ -24,7 +24,6 @@ from hopsynth.synthesis import (
     QuestionDraft,
     answer_question,
     classify_hops,
-    decide_answerable,
     entity_count_filter,
     generate_queries,
     generate_question,
@@ -167,34 +166,46 @@ def test_answer_question_single_doc_and_empty():
         answer_question("q", [], backend)
 
 
-def test_decide_answerable():
+def _agreement(task, pred, other, config):
+    """classify_hops' decision when `pred` is the two-document prediction and
+    `other` both the prepared answer and the first document's prediction."""
+    pair, _ = example_pair("hyper", 0)
+    draft = QuestionDraft(pair=pair, task=task, text="Q?", prepared_answer=other)
+    return classify_hops(draft, pred, other, "junk two", config)
+
+
+def test_classify_hops_agrees_above_the_threshold():
     config = FilterConfig()
-    assert decide_answerable("Boston Celtics", "Boston Celtics", config)
-    assert not decide_answerable("Celtics", "Boston Celtics", config)  # F1 = 2/3
-    # ten tokens each side, seven shared: F1 lands exactly on 0.70
+    assert _agreement(TASK_MQA, "Boston Celtics", "Boston Celtics", config) == {
+        "hops": "one", "answerable_in": ["both", "first"], "final_answer": "Boston Celtics"}
+    assert _agreement(TASK_MQA, "Celtics", "Boston Celtics", config) is None  # F1 = 2/3
+    # ten tokens each side, seven shared: F1 lands exactly on 0.70, which is
+    # not strictly above the threshold
     pred = "c1 c2 c3 c4 c5 c6 c7 x8 x9 x10"
     gold = "c1 c2 c3 c4 c5 c6 c7 y8 y9 y10"
-    assert not decide_answerable(pred, gold, config)
+    assert _agreement(TASK_MQA, pred, gold, config) is None
+    assert _agreement(TASK_MQA, pred, gold, FilterConfig(f1_threshold=0.69))["hops"] == "one"
 
 
-def test_decide_answerable_fever_labels():
+def test_classify_hops_fever_labels():
     config = FilterConfig()
-    assert decide_answerable("SUPPORTS", "supports", config, task="fever")
-    assert not decide_answerable("SUPPORTS", "REFUTES", config, task="fever")
-    assert not decide_answerable("", "SUPPORTS", config, task="fever")
+    assert _agreement(TASK_FEVER, "SUPPORTS", "supports", config) == {
+        "hops": "one", "answerable_in": ["both", "first"], "final_answer": "SUPPORTS"}
+    assert _agreement(TASK_FEVER, " NOT  enough info", "not enough info", config)["hops"] == "one"
+    assert _agreement(TASK_FEVER, "SUPPORTS", "REFUTES", config) is None
+    assert _agreement(TASK_FEVER, "", "SUPPORTS", config) is None
+    assert _agreement(TASK_FEVER, "", "", config) is None
 
 
-def test_decide_answerable_monotone_in_threshold():
-    import random
-
+def test_classify_hops_monotone_in_threshold():
     rng = random.Random(5)
     words = ["alpha", "beta", "gamma", "delta"]
     for _ in range(100):
         pred = " ".join(rng.choices(words, k=rng.randint(1, 5)))
         gold = " ".join(rng.choices(words, k=rng.randint(1, 5)))
-        low = decide_answerable(pred, gold, FilterConfig(f1_threshold=0.3))
-        high = decide_answerable(pred, gold, FilterConfig(f1_threshold=0.9))
-        assert low or not high  # raising the threshold never flips False -> True
+        low = _agreement(TASK_MQA, pred, gold, FilterConfig(f1_threshold=0.3))
+        high = _agreement(TASK_MQA, pred, gold, FilterConfig(f1_threshold=0.9))
+        assert low is not None or high is None  # raising the threshold never keeps more
 
 
 def hop_case(setting, answerable, first, second):

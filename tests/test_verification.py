@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -363,3 +364,32 @@ def test_validate_instance_catches_corruption():
         answer="absent answer", source_pair=("D1", "D2"),
     )
     assert any("answer" in p for p in validate_instance(bad_answer, store, index, provider, config))
+
+
+def test_validate_instance_names_each_violation():
+    vectors = {doc_id: row for doc_id, row in zip(("D1", "D2", "D3"), np.eye(3, dtype=np.float32))}
+    index = build_flat_index(list(vectors), list(vectors.values()))
+    queries = {"q one": vectors["D1"], "q two": vectors["D2"], "q three": vectors["D3"]}
+    store = make_store({"D1": "first doc", "D2": "second doc", "D3": "third doc"})
+    good = DataInstance(
+        id="i1", task="mqa", relation="hyper", question_or_claim="Q?",
+        hops=(("q one", ("D1",)), ("q two", ("D2",))),
+        answer="second doc", source_pair=("D1", "D2"),
+    )
+
+    def problems(**changes):
+        instance = dataclasses.replace(good, **changes)
+        return validate_instance(instance, store, index, lambda texts: [queries[t] for t in texts],
+                                 VerifyConfig(k=1))
+
+    assert problems() == []
+    assert problems(hops=(("q one", ("D1",)), ("q one", ("D1",)), ("q two", ("D2",)))) == [
+        "i1: 3 hops"]
+    assert problems(source_pair=("D1", "D9")) == ["i1: source pair not in corpus"]
+    assert problems(hops=(("q one", ("D1", "D3")), ("q two", ("D2",)))) == [
+        "i1: hop 0 retrieved 2 > k", "i1: hop 0 retrieval not reproducible"]
+    assert problems(relation="topic", hops=(("q one", ("D1",)), ("q three", ("D3",)))) == [
+        "i1: hop 1 query hits neither pair document",
+        "i1: two hops do not cover both pair documents"]
+    assert problems(relation="topic", hops=(("q three", ("D3",)),)) == [
+        "i1: hop 0 query hits neither pair document", "i1: no pair document covered"]
