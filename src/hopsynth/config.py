@@ -27,7 +27,7 @@ from .corpus import CorpusConfig, TopicsConfig
 from .entities import HeuristicRecognizer, HttpRecognizer
 from .evalharness import EvalConfig
 from .genbackend import HttpBackend, MockBackend
-from .jsonl import InputError, read_json, read_text
+from .jsonl import read_text
 from .mockllm import GoldScriptRule, SyntheticPipelineRule
 from .pairing import PairingConfig
 from .promptkit import load_examples
@@ -49,7 +49,6 @@ def _check_choice(name: str, value, choices: tuple) -> None:
 class BackendSpec:
     kind: str = "mock"  # mock | http
     endpoint: Optional[str] = None
-    mock_table: Optional[str] = None  # JSON file: prompt hash -> completion
     mock_script: Optional[str] = None  # JSON file for GoldScriptRule
 
     def __post_init__(self):
@@ -160,18 +159,9 @@ def build_backend(config: PipelineConfig):
         if not spec.endpoint:
             raise ConfigError("backend.kind=http requires backend.endpoint")
         return HttpBackend(spec.endpoint)
-    # mock: the script rule, else the synthetic rule unless a table is given
-    table = None
-    if spec.mock_table:
-        table = read_json(spec.mock_table)
-        if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
-            raise InputError(f"{spec.mock_table}: not a JSON object of prompt hash -> completion")
-    rule = None
     if spec.mock_script:
-        rule = GoldScriptRule.from_file(spec.mock_script)
-    elif table is None:
-        rule = SyntheticPipelineRule()
-    return MockBackend(table=table, rule=rule)
+        return MockBackend(rule=GoldScriptRule.from_file(spec.mock_script))
+    return MockBackend(rule=SyntheticPipelineRule())
 
 
 def build_examples(config: PipelineConfig):

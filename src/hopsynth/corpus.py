@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .jsonl import InputError, read_numbered_rows, write_rows
+from .jsonl import NON_EMPTY, InputError, read_numbered_rows, write_rows
 from .metrics import TOKEN_PATTERN, normalize_answer
 
 
@@ -42,13 +42,10 @@ class Document:
 @dataclass
 class CorpusConfig:
     max_doc_tokens: int = 100
-    dangling_link_policy: str = "drop"  # or "keep_unresolved"
 
     def __post_init__(self):
         if self.max_doc_tokens < 1:
             raise ValueError("max_doc_tokens must be >= 1")
-        if self.dangling_link_policy not in ("drop", "keep_unresolved"):
-            raise ValueError(f"unknown dangling_link_policy: {self.dangling_link_policy}")
 
 
 TOPIC_SOURCES = ("file", "keyword", "none")
@@ -70,9 +67,6 @@ class CorpusStore:
     topic_clusters: dict[str, tuple[str, ...]]  # sorted members
     _normalized: dict[str, str] = field(default_factory=dict, init=False, repr=False,
                                         compare=False)
-
-    def __len__(self) -> int:
-        return len(self.documents)
 
     def normalized_text(self, doc_id: str) -> str:
         """`normalize_answer` of a document's text, computed once per store."""
@@ -131,11 +125,10 @@ def _leading_tokens(max_tokens: int) -> re.Pattern:
 _NON_SPACE = re.compile(r"\S")
 
 
-_NON_EMPTY = (lambda value: isinstance(value, str) and value != "", "a non-empty string")
 # a text of whitespace alone has no tokens, so its index row would be zeros
 _NON_BLANK = (lambda value: isinstance(value, str) and _NON_SPACE.search(value) is not None,
               "a non-blank string")
-_RECORD_FIELDS = {"id": _NON_EMPTY, "title": _NON_EMPTY, "text": _NON_BLANK}
+_RECORD_FIELDS = {"id": NON_EMPTY, "title": NON_EMPTY, "text": _NON_BLANK}
 _RECORD_OPTIONAL = {
     "anchors": (lambda value: isinstance(value, list) and all(
         isinstance(anchor, dict) and isinstance(anchor.get("span"), str)
@@ -157,8 +150,10 @@ def ingest_corpus(
     topic then fall back to `_keyword_topic`; `keyword` always labels,
     keeping record topics; `none` leaves every topic and cluster empty.
     Anchors whose span no longer occurs in the truncated text are discarded
-    so every stored anchor is quotable from the stored document. A file
-    with no record (blank lines at most) raises CorpusFormatError.
+    so every stored anchor is quotable from the stored document, and so are
+    anchors whose target title names no document, so every stored anchor
+    is a link. A file with no record (blank lines at most) raises
+    CorpusFormatError.
     """
     config = config or CorpusConfig()
     labeler = (topics or TopicsConfig()).labeler
@@ -207,9 +202,7 @@ def ingest_corpus(
         anchors: list[tuple[str, str]] = []
         for span, target in window_anchors:
             target_id = title_to_id.get(target)
-            if target_id is None:
-                if config.dangling_link_policy == "keep_unresolved":
-                    anchors.append((span, target))
+            if target_id is None:  # names no document: never a link
                 continue
             anchors.append((span, target))
             if target_id != doc_id:

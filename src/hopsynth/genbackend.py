@@ -5,13 +5,12 @@ Wire protocol: POST {endpoint}/v1/completions with
      "top_k": n|null, "stop": [s], "seed": n|null}
 returning {"text": s}. A request is the prompt text plus `DecodeParams`;
 `stop` carries the stage's stop sequences, and `complete` trims the
-returned text at them too. The mock backend answers from a prompt-hash
-table and/or a rule program and is a pure function of (prompt text, seed).
+returned text at them too. The mock backend answers with a rule program
+and is a pure function of (prompt text, seed).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -98,37 +97,22 @@ def trim_at_stop(text: str, stops: Sequence[str]) -> str:
     return text[:cut]
 
 
-def prompt_key(prompt_text: str) -> str:
-    """Stable key for mock tables: hex sha256 of the prompt text."""
-    return hashlib.sha256(prompt_text.encode("utf-8")).hexdigest()
-
-
 # A rule program computes a completion from (prompt_text, seed).
 RuleProgram = Callable[[str, Optional[int]], str]
 
 
 class MockBackend:
-    """Deterministic backend: table lookup first, then the rule program.
+    """Deterministic backend: the completion is the rule program's answer.
 
-    With neither a table entry nor a rule, the completion is empty (callers
-    see EmptyCompletion), which is the natural way to script "the model has
-    nothing useful to say here".
+    A rule that answers "" scripts "the model has nothing useful to say
+    here" (callers see EmptyCompletion).
     """
 
-    def __init__(self, table: Optional[dict[str, str]] = None, rule: Optional[RuleProgram] = None):
-        if table is None and rule is None:
-            raise ValueError("mock backend needs a completion table or a rule program")
-        self.table = dict(table or {})
+    def __init__(self, rule: RuleProgram):
         self.rule = rule
 
     def raw_complete(self, prompt_text: str, params: DecodeParams) -> str:
-        if self.table:
-            hit = self.table.get(prompt_key(prompt_text))
-            if hit is not None:
-                return hit
-        if self.rule is not None:
-            return self.rule(prompt_text, params.seed)
-        return ""
+        return self.rule(prompt_text, params.seed)
 
 
 class HttpBackend:

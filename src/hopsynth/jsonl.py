@@ -2,8 +2,8 @@
 
 The one reader and writer of every JSONL file hopsynth reads or writes:
 corpora and stores, stage rows, datasets, evaluation items, few-shot
-examples and embedding tables; `read_json` reads the whole-file JSON inputs
-(the mock backend's table and script). It imports nothing from the package,
+examples and embedding tables; `read_json` reads the one whole-file JSON
+input, the mock backend's script. It imports nothing from the package,
 so every module can use it.
 
 Lines split on `\n` only, and a `\r` before it is dropped with it. The writer
@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 # A field's check: (valid, expected), read as "<field> <value!r> is not <expected>".
 Check = tuple[Callable[[object], bool], str]
 STRING: Check = (lambda value: isinstance(value, str), "a string")
+NON_EMPTY: Check = (lambda value: isinstance(value, str) and value != "", "a non-empty string")
 
 
 class InputError(ValueError):
@@ -101,11 +102,6 @@ def _numbered_rows(handle, path, error, checks) -> Iterator[tuple[int, dict]]:
                 elif valid is not None and not valid(row[name]):
                     raise error(f"{path}:{line_no}: {name} {row[name]!r} is not {expected}")
             yield line_no, row
-
-
-def read_rows(path, fields: Mapping[str, Optional[Check]] = {}) -> list[dict]:
-    """The objects of a JSONL file, blank lines skipped; see `read_numbered_rows`."""
-    return [row for _, row in read_numbered_rows(path, fields=fields)]
 
 
 def write_rows(rows: Iterable[dict], path) -> None:

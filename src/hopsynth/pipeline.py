@@ -24,7 +24,7 @@ from .corpus import CorpusStore, ingest_corpus, serialize_store
 from .emitter import dataset_stats, split_dev, write_jsonl
 from .evalharness import play_episodes, run_episode, score_fever, score_qa, self_consistency
 from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_params
-from .jsonl import STRING, InputError, is_strings, read_rows
+from .jsonl import NON_EMPTY, STRING, InputError, is_strings, read_numbered_rows
 from .pairing import (
     HYPER,
     RELATION,
@@ -291,7 +291,7 @@ STAGES = (
      {**_PAIR, "answer": STRING}),
     ("filter-answers", "filter_answers", "answerability and hop classification", _DRAFT),
     ("gen-queries", "queries", "generate query candidates",
-     {**_PAIR, "question": STRING, "final_answer": STRING}),
+     {**_PAIR, "question": NON_EMPTY, "final_answer": STRING}),
     ("verify", "verify", "verify queries and assemble instances", {
         **_DRAFT,
         "hops": (lambda value: value in ("one", "two"), "'one' or 'two'"),
@@ -401,7 +401,8 @@ def run_eval(
     same requests as one episode at a time would send, in another order.
     """
     gold_field, gold_check = _GOLD_FIELDS[config.task]
-    items = read_rows(eval_path, fields={"id": None, "question": STRING, gold_field: gold_check})
+    fields = {"id": None, "question": STRING, gold_field: gold_check}
+    items = [row for _, row in read_numbered_rows(eval_path, fields=fields)]
     if not items:
         raise InputError(f"{eval_path}: no evaluation items")
     backend = backend or build_backend(config)

@@ -248,7 +248,7 @@ def validate_instance(
     if not covered:
         problems.append(f"{instance.id}: no pair document covered")
 
-    if instance.relation == HYPER and instance.task == TASK_MQA:
+    if instance.hops and instance.relation == HYPER and instance.task == TASK_MQA:
         if not _containment_ok(instance.answer, instance.hops[-1][1], store):
             problems.append(f"{instance.id}: answer missing from last-hop documents")
     return problems

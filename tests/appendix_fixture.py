@@ -7,13 +7,12 @@ answer string is planted as the only anchor span (making the prepared
 answer deterministic); topic answers come from the fixed title/yes/no set,
 so reproducing them needs a seed where the sampler picks the right one.
 
-The mock completion table is rendered from this corpus with the real prompt
-layouts, keyed by prompt hash: question generation and both-documents
+The mock completions are rendered from this corpus with the real prompt
+layouts, keyed by prompt text: question generation and both-documents
 answering for every pair, a first-document answering entry only for the
 single-hop example, and the example queries for query generation.
 """
 
-from hopsynth.genbackend import prompt_key
 from hopsynth.pairing import derive_rng
 from hopsynth.promptkit import (
     ANSWERING,
@@ -177,12 +176,12 @@ def entity_map():
     return entities
 
 
-def mock_table(store):
-    """Prompt-hash -> completion covering every canonical-direction prompt."""
-    table = {}
+def mock_completions(store):
+    """Prompt text -> completion covering every canonical-direction prompt."""
+    completions = {}
 
     def put(prompt, completion):
-        table[prompt_key(prompt.text)] = completion
+        completions[prompt.text] = completion
 
     for kind, rows in (("hyper", HYPER_DOCS), ("topic", TOPIC_DOCS)):
         for row in rows:
@@ -213,7 +212,7 @@ def mock_table(store):
                               question=example.question_or_claim, answer=example.answer),
                 " " + "\n".join(f"Query: {q}" for q in example.queries),
             )
-    return table
+    return completions
 
 
 def find_topic_answer_seed(limit=20000):

@@ -19,6 +19,7 @@ from hopsynth.config import PipelineConfig
 from hopsynth.corpus import CorpusStore, Document
 from hopsynth.emitter import dataset_stats, read_jsonl
 from hopsynth.evalharness import self_consistency
+from hopsynth.genbackend import MockBackend
 from hopsynth.metrics import normalize_answer, score_pair
 from hopsynth.pairing import DocumentPair, derive_rng
 from hopsynth.pipeline import build_index, run_all, run_eval
@@ -227,7 +228,7 @@ class _EntityHandler(BaseHTTPRequestHandler):
         pass
 
 
-def test_criterion_4_appendix_end_to_end(tmp_path):
+def test_criterion_4_appendix_end_to_end(tmp_path, monkeypatch):
     started = time.perf_counter()
     corpus_path = tmp_path / "toy_corpus.jsonl"
     with corpus_path.open("w", encoding="utf-8") as handle:
@@ -240,19 +241,20 @@ def test_criterion_4_appendix_end_to_end(tmp_path):
     server = HTTPServer(("127.0.0.1", 0), _EntityHandler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
 
-    # the completion table needs the ingested (truncated) texts
+    # the completions need the ingested (truncated) texts; every other
+    # prompt gets "", an empty completion
     config = PipelineConfig()
-    from hopsynth.pipeline import build_store
+    from hopsynth import pipeline
 
-    store = build_store(corpus_path, config)
-    table_path = tmp_path / "mock_table.json"
-    table_path.write_text(json.dumps(appendix_fixture.mock_table(store)))
+    store = pipeline.build_store(corpus_path, config)
+    completions = appendix_fixture.mock_completions(store)
+    monkeypatch.setattr(pipeline, "build_backend", lambda config: MockBackend(
+        rule=lambda text, seed: completions.get(text, "")))
 
     seed = appendix_fixture.find_topic_answer_seed()
     config_path = tmp_path / "config.txt"
     config_path.write_text(
         "backend.kind = mock\n"
-        f"backend.mock_table = {table_path}\n"
         "embeddings.kind = mock\n"
         "recognizer.kind = http\n"
         f"recognizer.endpoint = http://127.0.0.1:{server.server_port}\n"

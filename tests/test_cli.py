@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass
@@ -9,7 +10,7 @@ import pytest
 
 from hopsynth import pipeline
 from hopsynth.cli import main
-from hopsynth.config import ConfigError, PipelineConfig, set_config_key
+from hopsynth.config import ConfigError, PipelineConfig, _config_keys, set_config_key
 from hopsynth.retrieval import HashEmbedder
 
 from synthcorpus import make_corpus, write_corpus
@@ -136,7 +137,11 @@ def test_prompt_stage_refuses_a_bad_examples_store_before_its_inputs(
      "<bad>:1: vector ['y'] is not a list of finite numbers"),
     ("pair", "recognizer.kind = http", "recognizer.kind=http requires recognizer.endpoint"),
     ("gen-questions", "recognizer.kind = http", "recognizer.kind=http requires recognizer.endpoint"),
-], ids=["verify-embeddings-file", "pair-recognizer", "gen-questions-recognizer"])
+    # fever's question stage runs the entity filter too, so it needs the recognizer
+    ("gen-questions", "task = fever\nrecognizer.kind = http",
+     "recognizer.kind=http requires recognizer.endpoint"),
+], ids=["verify-embeddings-file", "pair-recognizer", "gen-questions-recognizer",
+        "fever-gen-questions-recognizer"])
 def test_stage_builds_its_clients_before_it_reads_the_store(tmp_path, capsys, caplog, command,
                                                             lines, message):
     bad = tmp_path / "vectors.jsonl"
@@ -413,6 +418,23 @@ def test_verify_refuses_answerable_in_that_is_not_a_list(tmp_path, capsys, demo_
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_gen_queries_refuses_an_empty_question_as_a_bad_line(tmp_path, capsys, caplog,
+                                                              demo_candidates):
+    # query generation needs a question; an empty one is a bad input line,
+    # not a runtime failure of the stage
+    store, rows = demo_candidates
+    capsys.readouterr()
+    path = tmp_path / "decisions.jsonl"
+    path.write_text(json.dumps({**rows[0], "question": ""}) + "\n")
+    out = tmp_path / "q.jsonl"
+    assert main(["--config", str(DEMO / "config.txt"), "gen-queries", "--store", str(store),
+                 "--in", str(path), "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {path}:1: question '' is not a non-empty string"]
+    assert [record for record in caplog.records if record.exc_info] == []
+    assert not out.exists()
+
+
 def _candidate(field, value):
     def patch(row):
         return {**row, "candidates": [{**row["candidates"][0], field: value},
@@ -604,11 +626,11 @@ def test_stage_commands_counters_add_up_to_run_all(tmp_path, capsys):
 # every key: a scalar field of the config, or section.name for a scalar field of a section
 CONFIG_KEYS = {
     "task", "seed", "workers", "dev_size", "examples",
-    "corpus.max_doc_tokens", "corpus.dangling_link_policy", "topics.labeler",
+    "corpus.max_doc_tokens", "topics.labeler",
     "pairing.pairs_per_document",
     "filter.f1_threshold", "filter.min_entities_hyper", "filter.min_entities_topic",
     "verify.k", "eval.max_hops", "eval.k", "eval.self_consistency_samples", "eval.mode",
-    "backend.kind", "backend.endpoint", "backend.mock_table", "backend.mock_script",
+    "backend.kind", "backend.endpoint", "backend.mock_script",
     "embeddings.kind", "embeddings.endpoint", "embeddings.file", "embeddings.dim",
     "recognizer.kind", "recognizer.endpoint",
 }
@@ -623,7 +645,7 @@ def _is_known_key(key: str) -> bool:
 
 
 def test_config_keys_are_exactly_the_pinned_set():
-    assert len(CONFIG_KEYS) == 27
+    assert len(CONFIG_KEYS) == 25
     config = PipelineConfig()
     candidates = set(CONFIG_KEYS) | {
         "topics_labeler", "examples_path", "topics", "corpus", "corpus.max_doc_tokens.x",
@@ -639,11 +661,21 @@ def test_config_keys_are_exactly_the_pinned_set():
             set_config_key(PipelineConfig(), key, "1")
 
 
+def test_readme_names_every_config_key_and_their_count():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    keys = _config_keys(PipelineConfig())
+    assert [key for key in keys if f"`{key}`" not in readme] == []
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"there are (\d+)\.", " ".join(section.split())) == [str(len(keys))]
+
+
 def test_config_unknown_key(tmp_path, corpus_path, capsys):
-    # eval.corpus, pairing.rng_seed and backend.mock_rule were keys once;
-    # nothing read the first two, nothing set the last
+    # eval.corpus, pairing.rng_seed, backend.mock_rule, backend.mock_table and
+    # corpus.dangling_link_policy were keys once; nothing read the first two,
+    # nothing set the last three
     for line in ("no.such.key = 1", "eval.corpus = x.jsonl", "pairing.rng_seed = 3",
-                 "backend.mock_rule = none"):
+                 "backend.mock_rule = none", "backend.mock_table = table.json",
+                 "corpus.dangling_link_policy = drop"):
         config_file = tmp_path / "bad.txt"
         config_file.write_text(line + "\n")
         assert main([
@@ -654,7 +686,7 @@ def test_config_unknown_key(tmp_path, corpus_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "verify.k = 0",
-    "corpus.dangling_link_policy = keep_unresolvd",
+    "corpus.max_doc_tokens = 0",
     "corpus.max_doc_tokens = many",
     "task = mqaa",
     "eval.mode = greedyy",
@@ -894,14 +926,13 @@ _SCRIPT_ENTRY = '{"queries": [str, ...], "answer": str}'
 
 @pytest.mark.parametrize("command", ["run-all", "eval"])
 @pytest.mark.parametrize("key, content, message", [
-    ("backend.mock_table", b"{bad",
+    ("backend.mock_script", b"{bad",
      "<path>: invalid JSON (Expecting property name enclosed in double quotes at line 1 column 2)"),
-    ("backend.mock_table", b'{"a": 1}', "<path>: not a JSON object of prompt hash -> completion"),
     ("backend.mock_script", b'["Who?"]', f"<path>: not a JSON object of question -> {_SCRIPT_ENTRY}"),
     ("backend.mock_script", b'{"Who?": {"queries": ["a"]}}',
      f"<path>: question 'Who?': {{'queries': ['a']}} is not {_SCRIPT_ENTRY}"),
     (None, b"seed = 7\n# caf\xe9\n", "<path>: not UTF-8 (invalid continuation byte at byte 15)"),
-], ids=["table-json", "table-shape", "script-list", "script-no-answer", "config-not-utf8"])
+], ids=["script-json", "script-list", "script-no-answer", "config-not-utf8"])
 def test_bad_file_a_config_names_exits_2_before_the_corpus_is_read(
         tmp_path, capsys, caplog, monkeypatch, command, key, content, message):
     read = []

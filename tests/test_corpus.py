@@ -110,18 +110,8 @@ def test_dangling_anchor_dropped(tmp_path):
         tmp_path,
         [doc(1, "Alpha", "Alpha links to Ghost.", anchors=[("Ghost", "Ghost")])],
     )
-    store = ingest_corpus(path, CorpusConfig(dangling_link_policy="drop"))
+    store = ingest_corpus(path)
     assert store.documents["d1"].anchors == ()
-    assert store.hyperlinks["d1"] == ()
-
-
-def test_dangling_anchor_kept_without_edge(tmp_path):
-    path = write_corpus(
-        tmp_path,
-        [doc(1, "Alpha", "Alpha links to Ghost.", anchors=[("Ghost", "Ghost")])],
-    )
-    store = ingest_corpus(path, CorpusConfig(dangling_link_policy="keep_unresolved"))
-    assert store.documents["d1"].anchors == (("Ghost", "Ghost"),)
     assert store.hyperlinks["d1"] == ()
 
 
@@ -212,8 +202,7 @@ def test_neighbors_symmetric(tmp_path):
             assert x in hyperlink_neighbors(store, y)
 
 
-@pytest.mark.parametrize("policy", ["drop", "keep_unresolved"])
-def test_hyperlinks_match_graph_scan_oracle(tmp_path, policy):
+def test_hyperlinks_match_graph_scan_oracle(tmp_path):
     records = make_corpus(n_docs=200, seed=13)
     for i, record in enumerate(records):
         if i % 7 == 0:  # self link: the text starts with the document's own title
@@ -221,10 +210,10 @@ def test_hyperlinks_match_graph_scan_oracle(tmp_path, policy):
         if i % 5 == 0:  # dangling link: the target names no document
             record["text"] += " See Ghost Page."
             record["anchors"].append({"span": "Ghost Page", "target": f"Ghost Page {i}"})
-    store = ingest_corpus(write_corpus(tmp_path, records), CorpusConfig(dangling_link_policy=policy))
+    store = ingest_corpus(write_corpus(tmp_path, records))
     anchors = [(d.title, target) for d in store.documents.values() for _, target in d.anchors]
     assert any(title == target for title, target in anchors)
-    assert any(t.startswith("Ghost Page") for _, t in anchors) == (policy == "keep_unresolved")
+    assert not any(t.startswith("Ghost Page") for _, t in anchors)
     assert list(store.hyperlinks) == list(store.documents)
     for doc_id in store.documents:
         expected = oracle_hyperlink_neighbors(store, doc_id)

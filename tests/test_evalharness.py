@@ -90,7 +90,7 @@ def test_run_episode_hop_limit_without_usable_answer():
 
 def test_run_episode_empty_completion():
     index, provider = toy_index({"d1": "alpha doc"})
-    backend = MockBackend(table={})
+    backend = MockBackend(rule=lambda prompt, seed: "")
     transcript = play_one(
         "Q?", backend, index, provider, EvalConfig(), default_decode_params("eval_greedy")
     )

@@ -16,7 +16,6 @@ from hopsynth.genbackend import (
     MockBackend,
     complete,
     default_decode_params,
-    prompt_key,
     trim_at_stop,
 )
 from hopsynth.pairing import DocumentPair
@@ -69,7 +68,7 @@ def test_params_single_sampling_family():
 
 
 def test_mock_stop_trimming():
-    backend = MockBackend(table={prompt_key("P"): " Paris\n\nmore"})
+    backend = MockBackend(rule=lambda text, seed: {"P": " Paris\n\nmore"}[text])
     params = default_decode_params("answering")
     assert complete(backend, "P", params) == " Paris"
     assert complete(backend, "P", replace(params, stop=())) == " Paris\n\nmore"
@@ -84,7 +83,7 @@ def test_trim_idempotent_and_earliest():
 
 
 def test_mock_deterministic():
-    backend = MockBackend(table={prompt_key("What?"): " yes"})
+    backend = MockBackend(rule=lambda text, seed: {"What?": " yes"}[text])
     params = replace(default_decode_params("answering"), seed=3)
     outputs = {complete(backend, "What?", params) for _ in range(100)}
     assert outputs == {" yes"}
@@ -97,7 +96,7 @@ def test_mock_rule_program_sees_seed():
 
 
 def test_mock_miss_is_empty_completion():
-    backend = MockBackend(table={})
+    backend = MockBackend(rule=lambda text, seed: {"seen": " yes"}.get(text, ""))
     with pytest.raises(EmptyCompletion):
         complete(backend, "unseen", default_decode_params("answering"))
 

@@ -6,7 +6,7 @@ import pytest
 from hopsynth.config import PipelineConfig
 from hopsynth.corpus import CorpusStore, Document
 from hopsynth.entities import HeuristicRecognizer, RecognizerError
-from hopsynth.genbackend import MockBackend, prompt_key
+from hopsynth.genbackend import MockBackend
 from hopsynth.pairing import DocumentPair
 from hopsynth.pipeline import stage_questions
 from hopsynth.promptkit import (
@@ -40,20 +40,19 @@ def example_pair(setting, index):
     return DocumentPair(d1, d2, setting), ex
 
 
-def table_for(task, stage, setting, pair, completion, answer=None, question=None):
+def backend_for(task, stage, setting, pair, completion, answer=None, question=None):
+    """A backend that completes this stage's prompt and answers "" to any other."""
     prompt = render_prompt(
         task, stage, setting, builtin_examples(task, setting),
         [pair.d1.text, pair.d2.text], answer=answer, question=question,
     )
-    return {prompt_key(prompt.text): completion}
+    return MockBackend(rule=lambda text, seed: {prompt.text: completion}.get(text, ""))
 
 
 def test_generate_question_reproduces_appendix():
     pair, ex = example_pair("topic", 1)  # the Saimaa Gesture example
-    backend = MockBackend(
-        table=table_for(
-            TASK_MQA, QUESTION_GEN, "topic", pair, " " + ex.question_or_claim, answer=ex.answer
-        )
+    backend = backend_for(
+        TASK_MQA, QUESTION_GEN, "topic", pair, " " + ex.question_or_claim, answer=ex.answer
     )
     draft = generate_question(pair, ex.answer, backend)
     assert draft is not None
@@ -65,7 +64,7 @@ def test_generate_question_reproduces_appendix():
 
 def test_generate_question_empty_completion_drops():
     pair, ex = example_pair("topic", 0)
-    backend = MockBackend(table={})
+    backend = MockBackend(rule=lambda text, seed: "")
     assert generate_question(pair, ex.answer, backend) is None
 
 
@@ -81,7 +80,7 @@ def test_generate_question_repairs_question_mark():
 
 def test_fever_requires_hyper_pair():
     pair, ex = example_pair("topic", 0)
-    backend = MockBackend(table={})
+    backend = MockBackend(rule=lambda text, seed: "")
     with pytest.raises(ValueError):
         generate_question(pair, "SUPPORTS", backend, task="fever")
 
@@ -145,11 +144,9 @@ def test_entity_filter_recognizer_failure_propagates():
 
 def test_answer_question_pagemaster_fixture():
     pair, ex = example_pair("hyper", 3)
-    backend = MockBackend(
-        table=table_for(
-            TASK_MQA, ANSWERING, "hyper", pair, " Turner Pictures\n\nDocument: noise",
-            question=ex.question_or_claim,
-        )
+    backend = backend_for(
+        TASK_MQA, ANSWERING, "hyper", pair, " Turner Pictures\n\nDocument: noise",
+        question=ex.question_or_claim,
     )
     got = answer_question(ex.question_or_claim, [pair.d1, pair.d2], backend, setting="hyper")
     assert got == "Turner Pictures"
@@ -160,7 +157,7 @@ def test_answer_question_single_doc_and_empty():
     backend = MockBackend(rule=lambda text, seed: " some guess")
     got = answer_question(ex.question_or_claim, [pair.d1], backend, setting="hyper")
     assert got == "some guess"
-    backend = MockBackend(table={})
+    backend = MockBackend(rule=lambda text, seed: "")
     assert answer_question(ex.question_or_claim, [pair.d1], backend, setting="hyper") == ""
     with pytest.raises(ValueError):
         answer_question("q", [], backend)
@@ -252,11 +249,9 @@ def test_classify_hops_agreement_overrides_answer():
 def test_generate_queries_parsing():
     pair, ex = example_pair("topic", 1)
     completion = " Query: Adam Clayton Powell \nQuery: The Saimaa Gesture"
-    backend = MockBackend(
-        table=table_for(
-            TASK_MQA, QUERY_GEN, "topic", pair, completion,
-            answer=ex.answer, question=ex.question_or_claim,
-        )
+    backend = backend_for(
+        TASK_MQA, QUERY_GEN, "topic", pair, completion,
+        answer=ex.answer, question=ex.question_or_claim,
     )
     got = generate_queries(pair, ex.question_or_claim, ex.answer, backend)
     assert [c["text"] for c in got] == [
@@ -307,9 +302,7 @@ def test_rule_values_pin_the_stage_row_key_order():
 def test_fever_verify_label_flow():
     pair, _ = example_pair("hyper", 0)
     claim = "A claim about the Colorado orogeny."
-    backend = MockBackend(
-        table=table_for(TASK_FEVER, ANSWERING, "hyper", pair, " SUPPORTS", question=claim)
-    )
+    backend = backend_for(TASK_FEVER, ANSWERING, "hyper", pair, " SUPPORTS", question=claim)
     got = answer_question(claim, [pair.d1, pair.d2], backend, task="fever")
     assert got == "SUPPORTS"
 

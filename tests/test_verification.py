@@ -393,3 +393,4 @@ def test_validate_instance_names_each_violation():
         "i1: two hops do not cover both pair documents"]
     assert problems(relation="topic", hops=(("q three", ("D3",)),)) == [
         "i1: hop 0 query hits neither pair document", "i1: no pair document covered"]
+    assert problems(hops=()) == ["i1: 0 hops", "i1: no pair document covered"]
