@@ -931,8 +931,11 @@ _SCRIPT_ENTRY = '{"queries": [str, ...], "answer": str}'
     ("backend.mock_script", b'["Who?"]', f"<path>: not a JSON object of question -> {_SCRIPT_ENTRY}"),
     ("backend.mock_script", b'{"Who?": {"queries": ["a"]}}',
      f"<path>: question 'Who?': {{'queries': ['a']}} is not {_SCRIPT_ENTRY}"),
+    ("backend.mock_script", b'{"Who?": {"queries": [1], "answer": "x"}}',
+     f"<path>: question 'Who?': {{'queries': [1], 'answer': 'x'}} is not {_SCRIPT_ENTRY}"),
     (None, b"seed = 7\n# caf\xe9\n", "<path>: not UTF-8 (invalid continuation byte at byte 15)"),
-], ids=["script-json", "script-list", "script-no-answer", "config-not-utf8"])
+], ids=["script-json", "script-list", "script-no-answer", "script-query-not-string",
+         "config-not-utf8"])
 def test_bad_file_a_config_names_exits_2_before_the_corpus_is_read(
         tmp_path, capsys, caplog, monkeypatch, command, key, content, message):
     read = []
