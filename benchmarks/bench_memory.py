@@ -113,7 +113,7 @@ print(json.dumps({"questions": len(report["items"]), "eval_s": round(done - star
 """
 
 
-def _run_child(program: str, workdir: Path, *args) -> dict | None:
+def run_child(program: str, workdir: Path, *args) -> dict | None:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", program, str(workdir), str(PERFBENCH),
@@ -134,11 +134,11 @@ def main():
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.sizes:
-            _run_child(WRITER, Path(tmp), n, 0)
-            rows.append({"layer": "build", **_run_child(CHILD, Path(tmp))})
+            run_child(WRITER, Path(tmp), n, 0)
+            rows.append({"layer": "build", **run_child(CHILD, Path(tmp))})
         for n in args.eval_sizes:
-            _run_child(WRITER, Path(tmp), n, args.questions)
-            rows.append({"layer": "run_eval", "docs": n, **_run_child(EVAL_CHILD, Path(tmp))})
+            run_child(WRITER, Path(tmp), n, args.questions)
+            rows.append({"layer": "run_eval", "docs": n, **run_child(EVAL_CHILD, Path(tmp))})
     from layerbench import report  # once the last child has run: see above
     if {row.pop("hopsynth") for row in rows} - {hopsynth.__file__}:
         raise SystemExit("a child imported another hopsynth than this process")

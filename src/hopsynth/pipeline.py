@@ -245,21 +245,41 @@ def stage_verify(
 ) -> tuple[list[DataInstance], dict]:
     """Verify candidates against the corpus index and assemble instances.
 
-    Each distinct candidate text across all rows is embedded and searched
-    once; every candidate then gets its verdict from those retrieved ids.
-    Candidate rows go to `verify_query`, and the row itself to
-    `assemble_instance` as its decision, as they are.
+    Retrieval runs in two passes, each embedding and searching a distinct
+    text once. The first takes the model candidates of every row. The
+    backup rule reads a row's backups only when none of its model
+    candidates retrieved d1 or d2, so the second takes the backups of such
+    rows alone, less the texts the first pass retrieved. Each model
+    candidate row, and each backup row the rule reads, goes to
+    `verify_query`, and the row itself to `assemble_instance` as its
+    decision, as they are.
     """
     provider = provider or build_embedder(config)
     index = index if index is not None else build_index(store, provider)
+    k = config.verify.k
+
+    def of(row: dict, origin: str) -> list[dict]:
+        return [c for c in row["candidates"] if c["origin"] == origin]
+
     retrieved = retrieve_queries(
-        [c["text"] for row in candidate_rows for c in row["candidates"]],
-        index, provider, config.verify.k,
-    )
+        [c["text"] for row in candidate_rows for c in of(row, ORIGIN_MODEL)], index, provider, k)
+
+    def model_hit(row: dict) -> bool:
+        return any(doc in retrieved[c["text"]] for c in of(row, ORIGIN_MODEL)
+                   for doc in (row["d1"], row["d2"]))
+
+    retrieved.update(retrieve_queries([
+        c["text"] for row in candidate_rows if not model_hit(row)
+        for c in of(row, ORIGIN_BACKUP) if c["text"] not in retrieved
+    ], index, provider, k))
 
     def step(row: dict):
         draft = _draft_from_row(store, row, config.task)
-        verdicts = [verify_query(c, draft.pair, retrieved[c["text"]]) for c in row["candidates"]]
+        verdicts = [verify_query(c, draft.pair, retrieved[c["text"]])
+                    for c in of(row, ORIGIN_MODEL)]
+        if not any(v.valid for v in verdicts):
+            verdicts += [verify_query(c, draft.pair, retrieved[c["text"]])
+                         for c in of(row, ORIGIN_BACKUP)]
         return assemble_instance(draft, row, verdicts, store)
 
     return _run_steps(candidate_rows, step)
@@ -279,7 +299,7 @@ def _is_candidates(value) -> bool:
 
 
 _PAIR = {"relation": RELATION}  # what _pair_from_row reads besides d1 and d2
-_DRAFT = {**_PAIR, "question": STRING, "answer": STRING}  # what _draft_from_row reads
+_DRAFT = {**_PAIR, "question": NON_EMPTY, "answer": STRING}  # what _draft_from_row reads
 
 # The synthesis chain, in order: (command, stage name, help, the fields the
 # stage reads of its input rows besides d1 and d2, each with the check it must

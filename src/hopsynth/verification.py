@@ -6,10 +6,13 @@ shortest survives. Hop 1 is the first survivor in generation order, hop 2
 the first later survivor covering the other document. The original-question
 backup is consulted only when every model candidate is invalid.
 
-Distinct query texts are embedded and searched once each, one `embed` and
-one `search` call per block of `retrieval.EMBED_BLOCK` texts. `search`
+`retrieve_queries` embeds and searches each distinct text once, one `embed`
+and one `search` call per block of `retrieval.EMBED_BLOCK` texts. `search`
 scores the block with one GEMM and returns exactly the per-query mat-vec
-top-k (see `retrieval`).
+top-k (see `retrieval`). `pipeline.stage_verify` calls it twice: on the
+model candidates of every row, then on the backups that the backup rule
+reads, those of the rows whose model candidates all missed, less the texts
+the first pass retrieved. A backup no rule reads is never searched.
 
 Retrieval failures are not verdicts: an `EmbeddingError` from the provider
 or a `ValueError` from `search` (wrong dimension, non-finite vector) leaves

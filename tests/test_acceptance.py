@@ -239,7 +239,7 @@ def test_criterion_4_appendix_end_to_end(tmp_path, monkeypatch):
     # scripted entity recognizer over the wire protocol
     _EntityHandler.entity_map = appendix_fixture.entity_map()
     server = HTTPServer(("127.0.0.1", 0), _EntityHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True).start()
 
     # the completions need the ingested (truncated) texts; every other
     # prompt gets "", an empty completion

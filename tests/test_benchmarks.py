@@ -1,8 +1,8 @@
 """Each layer benchmark runs at a small size: it exits 0, so its own checks
 held, and its last stdout line is `benchmarks/layerbench.py`'s `report`
 line, the same layout for every script. Every script but `bench_memory.py`
-checks its layer against a reference and times the two with `alternate`,
-whose statistic is tested here with a fake clock."""
+and `bench_scale.py` checks its layer against a reference and times the two
+with `alternate`, whose statistic is tested here with a fake clock."""
 
 import json
 import os
@@ -24,6 +24,7 @@ SMALL_RUNS = {
     "bench_synthesis": ["--sizes", "150", "--repeats", "1"],
     "bench_http": ["--requests", "50", "--repeats", "1"],
     "bench_memory": ["--sizes", "200", "--eval-sizes", "200", "--questions", "50"],
+    "bench_scale": ["--sizes", "200"],
 }
 
 # `alternate`'s figures, which every timed row holds
@@ -48,7 +49,8 @@ def test_benchmark_checks_its_layer_and_prints_one_json_line(name):
     assert result["rows"]
     for row in result["rows"]:
         assert "layer" in row and "n" not in row  # a size column is `docs`
-        # every row but bench_memory's is timed; its rows hold seconds and peak MB
+        # every row but bench_memory's and bench_scale's is timed; theirs hold
+        # seconds and peak MB
         assert TIMED <= row.keys() or "peak_mb" in row
         if TIMED <= row.keys():
             assert row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]

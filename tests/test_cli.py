@@ -418,19 +418,20 @@ def test_verify_refuses_answerable_in_that_is_not_a_list(tmp_path, capsys, demo_
     assert not (tmp_path / "out.jsonl").exists()
 
 
-def test_gen_queries_refuses_an_empty_question_as_a_bad_line(tmp_path, capsys, caplog,
-                                                              demo_candidates):
-    # query generation needs a question; an empty one is a bad input line,
-    # not a runtime failure of the stage
+@pytest.mark.parametrize("command", ["filter-answers", "gen-queries", "verify"])
+def test_stages_refuse_an_empty_question_as_a_bad_line(tmp_path, capsys, caplog,
+                                                      demo_candidates, command):
+    # every stage that reads a question refuses an empty one as a bad input
+    # line, not as a runtime failure of the stage or of a later one
     store, rows = demo_candidates
     capsys.readouterr()
-    path = tmp_path / "decisions.jsonl"
-    path.write_text(json.dumps({**rows[0], "question": ""}) + "\n")
-    out = tmp_path / "q.jsonl"
-    assert main(["--config", str(DEMO / "config.txt"), "gen-queries", "--store", str(store),
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(rows[0]) + "\n" + json.dumps({**rows[0], "question": ""}) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["--config", str(DEMO / "config.txt"), command, "--store", str(store),
                  "--in", str(path), "--out", str(out)]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-    assert errors == [f"error: {path}:1: question '' is not a non-empty string"]
+    assert errors == [f"error: {path}:2: question '' is not a non-empty string"]
     assert [record for record in caplog.records if record.exc_info] == []
     assert not out.exists()
 

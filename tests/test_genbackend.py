@@ -129,7 +129,7 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
     _Handler.requests_seen = []
     _Handler.fail_times = 0

@@ -36,10 +36,10 @@ from hopsynth.pipeline import (
 )
 from hopsynth.promptkit import builtin_examples
 from hopsynth.retrieval import EMBED_BLOCK, EmbeddingError, HashEmbedder, HttpEmbedder
-from hopsynth.synthesis import FEVER_LABELS
-from hopsynth.verification import VerifyConfig, validate_instance, verify_query
+from hopsynth.synthesis import FEVER_LABELS, ORIGIN_BACKUP, ORIGIN_MODEL
+from hopsynth.verification import VerifyConfig, assemble_instance, validate_instance, verify_query
 
-from oracles import OracleHashEmbedder, oracle_episode
+from oracles import OracleHashEmbedder, brute_force_search, oracle_episode
 from synthcorpus import make_corpus, write_corpus
 
 
@@ -264,23 +264,68 @@ class CountingEmbedder:
         return self.inner(texts)
 
 
-@pytest.fixture(scope="module")
-def verify_inputs(corpus_path):
-    """(config, store, candidate rows, index) for stage_verify on the shared corpus."""
-    config = make_config()
+def candidate_inputs(corpus_path, config):
+    """(store, candidate rows, index) for stage_verify on the shared corpus."""
     store = build_store(corpus_path, config)
     pair_rows, _ = stage_pair(store, config)
     draft_rows, _ = stage_questions(store, pair_rows, config)
     decision_rows, _ = stage_filter_answers(store, draft_rows, config)
     candidate_rows, _ = stage_queries(store, decision_rows, config)
-    return config, store, candidate_rows, build_index(store, HashEmbedder(dim=256))
+    return store, candidate_rows, build_index(store, HashEmbedder(dim=256))
 
 
-def test_stage_verify_embeds_each_distinct_text_once(verify_inputs, monkeypatch):
-    config, store, candidate_rows, index = verify_inputs
-    texts = [c["text"] for row in candidate_rows for c in row["candidates"]]
-    distinct = list(dict.fromkeys(texts))
-    assert EMBED_BLOCK + 1 < len(distinct) < len(texts)
+@pytest.fixture(scope="module")
+def verify_inputs(corpus_path):
+    """(config, store, candidate rows, index) for stage_verify on the shared corpus."""
+    config = make_config()
+    return config, *candidate_inputs(corpus_path, config)
+
+
+def brute_force_retrieved(index, texts, k):
+    """Top-k doc ids of each distinct text by `brute_force_search` over the index's matrix."""
+    embedder = HashEmbedder(dim=256)
+    return {text: tuple(doc for doc, _ in brute_force_search(
+                list(index.doc_ids), index.matrix, embedder([text])[0], k))
+            for text in dict.fromkeys(texts)}
+
+
+def of_origin(row, origin):
+    return [c for c in row["candidates"] if c["origin"] == origin]
+
+
+def model_hit(row, retrieved):
+    return any(row["d1"] in retrieved[c["text"]] or row["d2"] in retrieved[c["text"]]
+               for c in of_origin(row, ORIGIN_MODEL))
+
+
+def with_borrowed_backup(candidate_rows, retrieved):
+    """The rows plus a copy of the first row that no model candidate hits,
+    whose backup is another row's model text: one that hits the pair, if any does."""
+    missed = next(row for row in candidate_rows if not model_hit(row, retrieved))
+    model_texts = [c["text"] for row in candidate_rows for c in of_origin(row, ORIGIN_MODEL)]
+    borrowed = next((t for t in model_texts if {missed["d1"], missed["d2"]} & set(retrieved[t])),
+                    model_texts[0])
+    model = of_origin(missed, ORIGIN_MODEL)
+    backup = {"text": borrowed, "origin": ORIGIN_BACKUP, "rank": len(model)}
+    return [*candidate_rows, {**missed, "candidates": [*model, backup]}]
+
+
+def test_stage_verify_searches_a_backup_only_when_no_model_candidate_hits(corpus_path,
+                                                                         monkeypatch):
+    # k = 1 and six pairs per document leave more than EMBED_BLOCK rows that
+    # no model candidate hits, so the second pass takes two blocks
+    config = make_config(verify=VerifyConfig(k=1))
+    config.pairing.pairs_per_document = 6
+    store, candidate_rows, index = candidate_inputs(corpus_path, config)
+    retrieved = brute_force_retrieved(
+        index, [c["text"] for row in candidate_rows for c in row["candidates"]], 1)
+    rows = with_borrowed_backup(candidate_rows, retrieved)
+    model = list(dict.fromkeys(c["text"] for row in rows for c in of_origin(row, ORIGIN_MODEL)))
+    missed = [row for row in rows if not model_hit(row, retrieved)]
+    backups = list(dict.fromkeys(c["text"] for row in missed
+                                 for c in of_origin(row, ORIGIN_BACKUP) if c["text"] not in model))
+    assert 0 < len(missed) < len(rows)
+    assert EMBED_BLOCK < len(backups) < len(missed)  # the borrowed backup is skipped
 
     verdicts = []
 
@@ -291,24 +336,55 @@ def test_stage_verify_embeds_each_distinct_text_once(verify_inputs, monkeypatch)
 
     monkeypatch.setattr(pipeline, "verify_query", recording_verify)
     healthy = CountingEmbedder()
-    stage_verify(store, candidate_rows, config, provider=healthy, index=index)
-    embedded = [t for call in healthy.calls for t in call]
-    assert sorted(embedded) == sorted(distinct)
-    assert len(healthy.calls) <= -(-len(distinct) // EMBED_BLOCK)
-    assert [v.candidate["text"] for v in verdicts] == texts
-    # each candidate row reaches verify_query as it is, not a copy
-    rows_in = [c for row in candidate_rows for c in row["candidates"]]
-    assert all(v.candidate is c for v, c in zip(verdicts, rows_in, strict=True))
+    stage_verify(store, rows, config, provider=healthy, index=index)
+    # every distinct model text once, then once each distinct backup that the
+    # rule reads and the first pass did not retrieve
+    assert [t for call in healthy.calls for t in call] == model + backups
+    model_calls = -(-len(model) // EMBED_BLOCK)
+    assert len(healthy.calls) <= model_calls + -(-len(backups) // EMBED_BLOCK)
+    # each candidate row reaches verify_query as it is, not a copy: the model
+    # candidates of every row, the backups of the rows no model candidate hits
+    expected = [c for row in rows for c in of_origin(row, ORIGIN_MODEL)
+                + (of_origin(row, ORIGIN_BACKUP) if row in missed else [])]
+    assert len(verdicts) == len(expected)
+    assert all(v.candidate is c for v, c in zip(verdicts, expected))
     verdicts.clear()
 
-    # an embedding failure stops the stage: no verdicts, and the failing
-    # block is not retried text by text
-    bad = distinct[EMBED_BLOCK + 1]
-    failing = CountingEmbedder(fail_on=bad)
-    with pytest.raises(EmbeddingError):
-        stage_verify(store, candidate_rows, config, provider=failing, index=index)
-    assert failing.calls == healthy.calls[:2]
-    assert verdicts == []
+    # an embedding failure in either pass stops the stage: no verdicts, and the
+    # failing block is not retried text by text
+    for bad, calls_made in ((model[-1], model_calls), (backups[EMBED_BLOCK], model_calls + 2)):
+        failing = CountingEmbedder(fail_on=bad)
+        with pytest.raises(EmbeddingError):
+            stage_verify(store, rows, config, provider=failing, index=index)
+        assert failing.calls == healthy.calls[:calls_made]
+        assert verdicts == []
+
+
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("task", ["mqa", "fever"])
+def test_stage_verify_equals_verifying_every_candidate(corpus_path, task, k):
+    config = make_config(task=task, verify=VerifyConfig(k=k))
+    store, candidate_rows, index = candidate_inputs(corpus_path, config)
+    retrieved = brute_force_retrieved(
+        index, [c["text"] for row in candidate_rows for c in row["candidates"]], k)
+    rows = with_borrowed_backup(candidate_rows, retrieved)
+
+    expected, drops = [], Counter()
+    for row in rows:
+        draft = pipeline._draft_from_row(store, row, task)
+        result = assemble_instance(draft, row, [
+            verify_query(c, draft.pair, retrieved[c["text"]]) for c in row["candidates"]
+        ], store)
+        if isinstance(result, str):
+            drops[result] += 1
+        else:
+            expected.append(result)
+
+    instances, counts = stage_verify(store, rows, config, provider=HashEmbedder(dim=256),
+                                     index=index)
+    assert instances == expected
+    assert counts == {"attempts": len(rows), "emitted": len(expected),
+                      **{reason: drops[reason] for reason in pipeline.DROP_REASONS}}
 
 
 class OutageSession:

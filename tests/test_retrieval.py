@@ -618,7 +618,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
 
 def test_http_embedder_wire_format():
     server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True).start()
     try:
         provider = HttpEmbedder(f"http://127.0.0.1:{server.server_port}")
         got = embed(provider, ["abc", "de"])
