@@ -310,8 +310,7 @@ def with_borrowed_backup(candidate_rows, retrieved):
     return [*candidate_rows, {**missed, "candidates": [*model, backup]}]
 
 
-def test_stage_verify_searches_a_backup_only_when_no_model_candidate_hits(corpus_path,
-                                                                         monkeypatch):
+def test_stage_verify_embeds_each_distinct_text_once(corpus_path, monkeypatch):
     # k = 1 and six pairs per document leave more than EMBED_BLOCK rows that
     # no model candidate hits, so the second pass takes two blocks
     config = make_config(verify=VerifyConfig(k=1))
