@@ -50,6 +50,7 @@ from .verification import (
     DROP_TWO_HOP_COVERAGE,
     DataInstance,
     assemble_instance,
+    consult_backup_rule,
     retrieve_queries,
     verify_query,
 )
@@ -247,40 +248,28 @@ def stage_verify(
 
     Retrieval runs in two passes, each embedding and searching a distinct
     text once. The first takes the model candidates of every row. The
-    backup rule reads a row's backups only when none of its model
-    candidates retrieved d1 or d2, so the second takes the backups of such
-    rows alone, less the texts the first pass retrieved. Each model
-    candidate row, and each backup row the rule reads, goes to
-    `verify_query`, and the row itself to `assemble_instance` as its
-    decision, as they are.
+    second takes the candidates `consult_backup_rule` returns that the first
+    pass did not retrieve: the backups of the rows whose model candidates
+    all missed d1 and d2. Each candidate row that rule returns goes to
+    `verify_query` as it is, and the row itself to `assemble_instance` as
+    its decision.
     """
     provider = provider or build_embedder(config)
     index = index if index is not None else build_index(store, provider)
     k = config.verify.k
-
-    def of(row: dict, origin: str) -> list[dict]:
-        return [c for c in row["candidates"] if c["origin"] == origin]
-
-    retrieved = retrieve_queries(
-        [c["text"] for row in candidate_rows for c in of(row, ORIGIN_MODEL)], index, provider, k)
-
-    def model_hit(row: dict) -> bool:
-        return any(doc in retrieved[c["text"]] for c in of(row, ORIGIN_MODEL)
-                   for doc in (row["d1"], row["d2"]))
-
+    retrieved = retrieve_queries([c["text"] for row in candidate_rows for c in row["candidates"]
+                                  if c["origin"] == ORIGIN_MODEL], index, provider, k)
     retrieved.update(retrieve_queries([
-        c["text"] for row in candidate_rows if not model_hit(row)
-        for c in of(row, ORIGIN_BACKUP) if c["text"] not in retrieved
+        c["text"] for row in candidate_rows for c in consult_backup_rule(row, retrieved)
+        if c["text"] not in retrieved
     ], index, provider, k))
 
     def step(row: dict):
         draft = _draft_from_row(store, row, config.task)
-        verdicts = [verify_query(c, draft.pair, retrieved[c["text"]])
-                    for c in of(row, ORIGIN_MODEL)]
-        if not any(v.valid for v in verdicts):
-            verdicts += [verify_query(c, draft.pair, retrieved[c["text"]])
-                         for c in of(row, ORIGIN_BACKUP)]
-        return assemble_instance(draft, row, verdicts, store)
+        return assemble_instance(draft, row, [
+            verify_query(c, draft.pair, retrieved[c["text"]])
+            for c in consult_backup_rule(row, retrieved)
+        ], store)
 
     return _run_steps(candidate_rows, step)
 

@@ -1,18 +1,20 @@
 """Query verification against the corpus index and final instance assembly.
 
 A candidate query is valid when either pair document lands in its top-k.
-Valid queries that retrieve the same pair document are duplicates; only the
-shortest survives. Hop 1 is the first survivor in generation order, hop 2
-the first later survivor covering the other document. The original-question
-backup is consulted only when every model candidate is invalid.
+The original-question backup is read only when every model candidate of the
+row is invalid; `consult_backup_rule` is the one statement of that rule, and
+verification reads no candidate it does not return. Valid queries that
+retrieve the same pair document are duplicates; only the shortest survives.
+Hop 1 is the first survivor in generation order, hop 2 the first later
+survivor covering the other document.
 
 `retrieve_queries` embeds and searches each distinct text once, one `embed`
 and one `search` call per block of `retrieval.EMBED_BLOCK` texts. `search`
 scores the block with one GEMM and returns exactly the per-query mat-vec
 top-k (see `retrieval`). `pipeline.stage_verify` calls it twice: on the
-model candidates of every row, then on the backups that the backup rule
-reads, those of the rows whose model candidates all missed, less the texts
-the first pass retrieved. A backup no rule reads is never searched.
+model candidates of every row, then on the candidates `consult_backup_rule`
+returns that the first pass did not retrieve, which are backups. A backup no
+rule reads is never searched.
 
 Retrieval failures are not verdicts: an `EmbeddingError` from the provider
 or a `ValueError` from `search` (wrong dimension, non-finite vector) leaves
@@ -40,10 +42,13 @@ DROP_ANSWER_CONTAINMENT = "answer_containment"
 @dataclass(frozen=True)
 class QueryVerdict:
     candidate: dict  # a `generate_queries` row: {"text", "origin", "rank"}
-    valid: bool
     hit_d1: bool
     hit_d2: bool
     retrieved_ids: tuple[str, ...]
+
+    @property
+    def valid(self) -> bool:
+        return self.hit_d1 or self.hit_d2
 
 
 @dataclass
@@ -88,8 +93,7 @@ def verify_query(
     """Flag pair-document hits among the ids `retrieve_queries` recorded for the candidate."""
     hit_d1 = pair.d1.id in retrieved
     hit_d2 = pair.d2.id in retrieved
-    return QueryVerdict(candidate, valid=hit_d1 or hit_d2, hit_d1=hit_d1, hit_d2=hit_d2,
-                        retrieved_ids=retrieved)
+    return QueryVerdict(candidate, hit_d1=hit_d1, hit_d2=hit_d2, retrieved_ids=retrieved)
 
 
 def _dedup_key(verdict: QueryVerdict) -> tuple[int, int, int]:
@@ -119,13 +123,17 @@ def dedup_queries(verdicts: Sequence[QueryVerdict]) -> list[QueryVerdict]:
     return [v for i, v in enumerate(valid) if i in keep]
 
 
-def consult_backup_rule(verdicts: Sequence[QueryVerdict]) -> list[QueryVerdict]:
-    """Model verdicts when any is valid; otherwise the backup verdict alone."""
-    model = [v for v in verdicts if v.candidate["origin"] == ORIGIN_MODEL]
-    backup = [v for v in verdicts if v.candidate["origin"] == ORIGIN_BACKUP]
-    if any(v.valid for v in model):
+def consult_backup_rule(row: Mapping, retrieved: Mapping[str, Sequence[str]]) -> list[dict]:
+    """The candidates of `row` that verification reads: its model candidates
+    when any of them retrieved `row["d1"]` or `row["d2"]`, else its backups.
+
+    `retrieved` maps a text to its top-k ids; it needs only the model texts.
+    """
+    model = [c for c in row["candidates"] if c["origin"] == ORIGIN_MODEL]
+    pair = (row["d1"], row["d2"])
+    if any(doc in retrieved[c["text"]] for c in model for doc in pair):
         return model
-    return backup
+    return [c for c in row["candidates"] if c["origin"] == ORIGIN_BACKUP]
 
 
 def _instance_id(task: str, relation: str, pair: DocumentPair, question: str) -> str:
@@ -140,20 +148,21 @@ def _containment_ok(answer: str, retrieved_ids: Sequence[str], store: CorpusStor
     return normalize_answer(answer) in haystack
 
 
-def finalize_with_reason(
+def assemble_instance(
     draft: QuestionDraft,
     decision: Mapping,
     verdicts: Sequence[QueryVerdict],
     store: CorpusStore,
 ) -> DataInstance | str:
-    """Pick the hops that cover the question and build the instance.
+    """Dedup the verdicts, pick the hops that cover the question and build the instance.
 
-    `decision` is any mapping with the `classify_hops` fields: a decision
-    or a stage row. Returns the instance, or its drop reason (a `DROP_*`
-    constant) for pipeline accounting. `verdicts` must already be
-    deduplicated survivors in generation order.
+    `verdicts` are those of the candidates `consult_backup_rule` returns, in
+    generation order. `decision` is any mapping with the `classify_hops`
+    fields: a decision or a stage row. Returns the instance, or its drop
+    reason (a `DROP_*` constant) for pipeline accounting.
     """
     pair = draft.pair
+    verdicts = dedup_queries(verdicts)
     if decision["hops"] == "two":
         if not verdicts:
             return DROP_TWO_HOP_COVERAGE
@@ -200,18 +209,6 @@ def finalize_with_reason(
         answer=decision["final_answer"],
         source_pair=(pair.d1.id, pair.d2.id),
     )
-
-
-def assemble_instance(
-    draft: QuestionDraft,
-    decision: Mapping,
-    all_verdicts: Sequence[QueryVerdict],
-    store: CorpusStore,
-) -> DataInstance | str:
-    """Backup rule, dedup, and finalize in one step: the instance or its drop reason."""
-    considered = consult_backup_rule(all_verdicts)
-    survivors = dedup_queries(considered)
-    return finalize_with_reason(draft, decision, survivors, store)
 
 
 def validate_instance(

@@ -26,11 +26,12 @@ from hopsynth.pipeline import build_index, run_all, run_eval
 from hopsynth.retrieval import HashEmbedder, build_flat_index, search
 from hopsynth.synthesis import FilterConfig, QuestionDraft, classify_hops
 from hopsynth.verification import (
-    QueryVerdict,
     VerifyConfig,
     assemble_instance,
+    consult_backup_rule,
     dedup_queries,
     validate_instance,
+    verify_query,
 )
 
 import appendix_fixture
@@ -130,13 +131,13 @@ def _random_verification_instance(rng):
         hits = tuple(d for d in ("D1", "D2") if rng.random() < 0.42)
         retrieved = list(hits) + rng.sample(list(filler_texts), rng.randint(0, 2))
         candidates.append({
-            "text": "q" * rng.randint(1, 12), "origin": "model", "rank": rank,
+            "text": f"{rank}" + "q" * rng.randint(1, 12), "origin": "model", "rank": rank,
             "valid": bool(hits), "hit_d1": "D1" in hits, "hit_d2": "D2" in hits,
             "retrieved": retrieved,
         })
     backup_hits = tuple(d for d in ("D1", "D2") if rng.random() < 0.35)
     candidates.append({
-        "text": "b" * rng.randint(4, 14), "origin": "original_question_backup",
+        "text": f"{n_model}" + "b" * rng.randint(4, 14), "origin": "original_question_backup",
         "rank": n_model, "valid": bool(backup_hits),
         "hit_d1": "D1" in backup_hits, "hit_d2": "D2" in backup_hits,
         "retrieved": list(backup_hits),
@@ -147,14 +148,12 @@ def _random_verification_instance(rng):
         answerable |= set(rng.sample(["first", "second"], rng.randint(1, 2)))
     draft = QuestionDraft(pair=pair, task="mqa", text="Which?", prepared_answer=answer)
     decision = {"hops": hops, "answerable_in": sorted(answerable), "final_answer": answer}
-    verdicts = [
-        QueryVerdict(
-            {"text": c["text"], "origin": c["origin"], "rank": c["rank"]},
-            c["valid"], c["hit_d1"], c["hit_d2"], tuple(c["retrieved"]),
-        )
-        for c in candidates
-    ]
-    return store, draft, decision, candidates, verdicts
+    # a row as stage_verify reads it, and each text's top-k: every text is
+    # distinct, as one text has one top-k
+    row = {"d1": "D1", "d2": "D2", "candidates": [
+        {"text": c["text"], "origin": c["origin"], "rank": c["rank"]} for c in candidates]}
+    retrieved = {c["text"]: tuple(c["retrieved"]) for c in candidates}
+    return store, draft, decision, candidates, row, retrieved
 
 
 def test_criterion_3_verification_rule_oracle():
@@ -162,10 +161,12 @@ def test_criterion_3_verification_rule_oracle():
     rng = random.Random(31337)
     triggered = {"shortest_dedup": 0, "two_hop_coverage": 0, "answer_containment": 0}
     for trial in range(1000):
-        store, draft, decision, candidates, verdicts = _random_verification_instance(rng)
+        store, draft, decision, candidates, row, retrieved = _random_verification_instance(rng)
+        pair = draft.pair
 
         # dedup agreement on the model+backup pool as a whole
-        got_dedup = dedup_queries(verdicts)
+        got_dedup = dedup_queries([verify_query(c, pair, retrieved[c["text"]])
+                                   for c in row["candidates"]])
         oracle_pool = [
             {"text": c["text"], "origin": "backup" if c["origin"] != "model" else "model",
              "rank": c["rank"], "valid": c["valid"],
@@ -179,8 +180,11 @@ def test_criterion_3_verification_rule_oracle():
         if sum(1 for c in candidates if c["valid"]) > len(expected_dedup) > 0:
             triggered["shortest_dedup"] += 1
 
-        # end-to-end assembly agreement
-        result = assemble_instance(draft, decision, verdicts, store)
+        # end-to-end agreement: the candidates the backup rule returns,
+        # verified, then assembled, against the oracle over every candidate
+        result = assemble_instance(draft, decision, [
+            verify_query(c, pair, retrieved[c["text"]]) for c in consult_backup_rule(row, retrieved)
+        ], store)
         reason = result if isinstance(result, str) else None
         oracle_candidates = [
             {**c, "origin": "backup" if c["origin"] != "model" else "model",

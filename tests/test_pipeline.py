@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +39,10 @@ from hopsynth.pipeline import (
 from hopsynth.promptkit import builtin_examples
 from hopsynth.retrieval import EMBED_BLOCK, EmbeddingError, HashEmbedder, HttpEmbedder
 from hopsynth.synthesis import FEVER_LABELS, ORIGIN_BACKUP, ORIGIN_MODEL
-from hopsynth.verification import VerifyConfig, assemble_instance, validate_instance, verify_query
+from hopsynth.metrics import normalize_answer
+from hopsynth.verification import VerifyConfig, validate_instance, verify_query
 
-from oracles import OracleHashEmbedder, brute_force_search, oracle_episode
+from oracles import OracleHashEmbedder, brute_force_search, oracle_assemble, oracle_episode
 from synthcorpus import make_corpus, write_corpus
 
 
@@ -341,10 +344,11 @@ def test_stage_verify_embeds_each_distinct_text_once(corpus_path, monkeypatch):
     assert [t for call in healthy.calls for t in call] == model + backups
     model_calls = -(-len(model) // EMBED_BLOCK)
     assert len(healthy.calls) <= model_calls + -(-len(backups) // EMBED_BLOCK)
-    # each candidate row reaches verify_query as it is, not a copy: the model
-    # candidates of every row, the backups of the rows no model candidate hits
-    expected = [c for row in rows for c in of_origin(row, ORIGIN_MODEL)
-                + (of_origin(row, ORIGIN_BACKUP) if row in missed else [])]
+    # each candidate row the backup rule reads reaches verify_query as it is,
+    # not a copy: the model candidates of a row that one of them hits, else
+    # the row's backups
+    expected = [c for row in rows for c in of_origin(
+        row, ORIGIN_BACKUP if row in missed else ORIGIN_MODEL)]
     assert len(verdicts) == len(expected)
     assert all(v.candidate is c for v, c in zip(verdicts, expected))
     verdicts.clear()
@@ -368,20 +372,34 @@ def test_stage_verify_equals_verifying_every_candidate(corpus_path, task, k):
         index, [c["text"] for row in candidate_rows for c in row["candidates"]], k)
     rows = with_borrowed_backup(candidate_rows, retrieved)
 
+    # the reference shares no code with verification: every candidate's
+    # brute-force top-k, then the rule oracle, which applies the backup rule
     expected, drops = [], Counter()
     for row in rows:
-        draft = pipeline._draft_from_row(store, row, task)
-        result = assemble_instance(draft, row, [
-            verify_query(c, draft.pair, retrieved[c["text"]]) for c in row["candidates"]
-        ], store)
-        if isinstance(result, str):
-            drops[result] += 1
-        else:
-            expected.append(result)
+        candidates = [
+            {**c, "origin": "model" if c["origin"] == ORIGIN_MODEL else "backup",
+             "valid": bool({row["d1"], row["d2"]} & set(ids)),
+             "hit_d1": row["d1"] in ids, "hit_d2": row["d2"] in ids,
+             "retrieved_texts": [store.documents[i].text for i in ids]}
+            for c in row["candidates"] for ids in [retrieved[c["text"]]]
+        ]
+        hops, reason = oracle_assemble(candidates, row["hops"], row["answerable_in"],
+                                       row["final_answer"], row["relation"], task,
+                                       normalize_answer)
+        if reason is not None:
+            drops[reason] += 1
+            continue
+        digest = hashlib.sha256(row["question"].encode("utf-8")).hexdigest()[:8]
+        expected.append({
+            "id": f"{task}-{row['relation']}-{row['d1']}-{row['d2']}-{digest}",
+            "task": task, "relation": row["relation"], "question_or_claim": row["question"],
+            "hops": tuple((c["text"], retrieved[c["text"]]) for c in hops),
+            "answer": row["final_answer"], "source_pair": (row["d1"], row["d2"]),
+        })
 
     instances, counts = stage_verify(store, rows, config, provider=HashEmbedder(dim=256),
                                      index=index)
-    assert instances == expected
+    assert [asdict(instance) for instance in instances] == expected
     assert counts == {"attempts": len(rows), "emitted": len(expected),
                       **{reason: drops[reason] for reason in pipeline.DROP_REASONS}}
 

@@ -16,7 +16,6 @@ from hopsynth.verification import (
     assemble_instance,
     consult_backup_rule,
     dedup_queries,
-    finalize_with_reason,
     retrieve_queries,
     validate_instance,
     verify_query,
@@ -47,7 +46,6 @@ def vd(text, hits=(), origin="model", rank=0, retrieved=None, k_fill=0):
     retrieved += [f"filler{i}" for i in range(k_fill)]
     return QueryVerdict(
         candidate=cand(text, origin, rank),
-        valid=bool(hits),
         hit_d1="D1" in hits,
         hit_d2="D2" in hits,
         retrieved_ids=tuple(retrieved),
@@ -191,11 +189,15 @@ def test_dedup_matches_oracle_randomized():
 
 
 def test_consult_backup_rule():
-    model_valid = vd("m", hits=("D1",), rank=0)
-    model_invalid = vd("x", rank=1)
-    backup = vd("q?", hits=("D2",), origin="original_question_backup", rank=2)
-    assert consult_backup_rule([model_valid, model_invalid, backup]) == [model_valid, model_invalid]
-    assert consult_backup_rule([model_invalid, backup]) == [backup]
+    model_hit, model_miss = cand("m", rank=0), cand("x", rank=1)
+    backup = cand("q?", origin="original_question_backup", rank=2)
+    row = {"d1": "D1", "d2": "D2", "candidates": [model_hit, model_miss, backup]}
+    retrieved = {"m": ("F", "D2"), "x": ("F",)}  # the backup's text is not needed
+    assert consult_backup_rule(row, retrieved) == [model_hit, model_miss]
+    retrieved["m"] = ("F", "D3")
+    assert consult_backup_rule(row, retrieved) == [backup]
+    # a row without model candidates reads its backups
+    assert consult_backup_rule({**row, "candidates": [backup]}, {}) == [backup]
 
 
 def two_hop_fixture(answer="Boston Celtics", last_hop_text="the Boston Celtics legend"):
@@ -212,7 +214,7 @@ def test_finalize_two_hop_instance():
         vd("query one", hits=("D1",), rank=0, retrieved=("D1", "F")),
         vd("query two", hits=("D2",), rank=1, retrieved=("D2", "F")),
     ]
-    instance = finalize_with_reason(draft, decision, verdicts, store)
+    instance = assemble_instance(draft, decision, verdicts, store)
     assert isinstance(instance, DataInstance)
     assert instance.hops == (("query one", ("D1", "F")), ("query two", ("D2", "F")))
     assert instance.answer == "Boston Celtics"
@@ -222,7 +224,7 @@ def test_finalize_two_hop_instance():
 def test_finalize_two_hop_coverage_failure():
     store, pair, draft, decision = two_hop_fixture()
     verdicts = [vd("query one", hits=("D1",), rank=0)]
-    assert finalize_with_reason(draft, decision, verdicts, store) == "two_hop_coverage"
+    assert assemble_instance(draft, decision, verdicts, store) == "two_hop_coverage"
 
 
 def test_finalize_containment_failure():
@@ -231,7 +233,7 @@ def test_finalize_containment_failure():
         vd("query one", hits=("D1",), rank=0, retrieved=("D1",)),
         vd("query two", hits=("D2",), rank=1, retrieved=("D2",)),
     ]
-    assert finalize_with_reason(draft, decision, verdicts, store) == "answer_containment"
+    assert assemble_instance(draft, decision, verdicts, store) == "answer_containment"
 
 
 def test_finalize_containment_uses_normalization():
@@ -242,7 +244,7 @@ def test_finalize_containment_uses_normalization():
         vd("q1", hits=("D1",), rank=0, retrieved=("D1",)),
         vd("q2", hits=("D2",), rank=1, retrieved=("D2",)),
     ]
-    instance = finalize_with_reason(draft, decision, verdicts, store)
+    instance = assemble_instance(draft, decision, verdicts, store)
     assert isinstance(instance, DataInstance)
     assert normalize_answer(instance.answer) in normalize_answer(store.documents["D2"].text)
 
@@ -265,11 +267,11 @@ def test_containment_normalizes_each_document_once_per_store(monkeypatch):
         vd("q2", hits=("D2",), rank=1, retrieved=("D2", "D1", "missing")),
     ]
     for _ in range(3):
-        assert isinstance(finalize_with_reason(draft, decision, verdicts, store), DataInstance)
+        assert isinstance(assemble_instance(draft, decision, verdicts, store), DataInstance)
     assert sorted(normalized) == sorted(store.documents[i].text for i in ("D1", "D2"))
     # another store with the same ids keeps its own texts
     other, _, _, _ = two_hop_fixture(answer="The Boston Celtics", last_hop_text="elsewhere")
-    assert finalize_with_reason(draft, decision, verdicts, other) == "answer_containment"
+    assert assemble_instance(draft, decision, verdicts, other) == "answer_containment"
 
 
 def test_finalize_fever_skips_containment():
@@ -278,7 +280,7 @@ def test_finalize_fever_skips_containment():
     draft = QuestionDraft(pair=pair, task="fever", text="Claim.", prepared_answer="SUPPORTS")
     decision = {"hops": "two", "answerable_in": ["both"], "final_answer": "SUPPORTS"}
     verdicts = [vd("a", hits=("D1",), rank=0), vd("b", hits=("D2",), rank=1)]
-    instance = finalize_with_reason(draft, decision, verdicts, store)
+    instance = assemble_instance(draft, decision, verdicts, store)
     assert isinstance(instance, DataInstance) and instance.task == "fever"
 
 
@@ -292,38 +294,41 @@ def test_finalize_one_hop_targets_answerable_document():
         vd("wrong target", hits=("D2",), rank=0, retrieved=("D2",)),
         vd("right target", hits=("D1",), rank=1, retrieved=("D1",)),
     ]
-    instance = finalize_with_reason(draft, decision, verdicts, store)
+    instance = assemble_instance(draft, decision, verdicts, store)
     assert isinstance(instance, DataInstance)
     assert instance.hops == (("right target", ("D1",)),)
     # and with no d1 hitter at all, the draft drops
-    reason = finalize_with_reason(draft, decision, [vd("wrong", hits=("D2",), rank=0)], store)
+    reason = assemble_instance(draft, decision, [vd("wrong", hits=("D2",), rank=0)], store)
     assert reason == "one_hop_coverage"
 
 
 def test_finalize_two_hop_single_query_covering_both():
     store, pair, draft, decision = two_hop_fixture()
     verdicts = [vd("covers both docs", hits=("D1", "D2"), rank=0, retrieved=("D1", "D2"))]
-    instance = finalize_with_reason(draft, decision, verdicts, store)
+    instance = assemble_instance(draft, decision, verdicts, store)
     assert isinstance(instance, DataInstance)
     assert len(instance.hops) == 1
 
 
 def test_assemble_backup_only_when_all_models_invalid():
     store, pair, draft, decision = two_hop_fixture()
-    backup = vd(
-        "Which team?", hits=("D1", "D2"), origin="original_question_backup",
-        rank=2, retrieved=("D1", "D2"),
-    )
-    # a valid model candidate exists: backup must not appear in hops
-    model = vd("model q", hits=("D1", "D2"), rank=0, retrieved=("D1", "D2"))
-    instance = assemble_instance(draft, decision, [model, backup], store)
+    model = cand("a longer model query", rank=0)
+    backup = cand("Which team?", "original_question_backup", rank=1)
+    row = {"d1": "D1", "d2": "D2", "candidates": [model, backup]}
+
+    def assemble(retrieved):
+        verdicts = [verify_query(c, pair, retrieved[c["text"]])
+                    for c in consult_backup_rule(row, retrieved)]
+        return assemble_instance(draft, decision, verdicts, store)
+
+    # a valid model candidate exists: the backup is not read, though it is shorter
+    instance = assemble({"a longer model query": ("D1", "D2"), "Which team?": ("D1", "D2")})
     assert isinstance(instance, DataInstance)
-    assert all(q != "Which team?" for q, _ in instance.hops)
-    # all models invalid: backup carries hop one
-    dead_model = vd("model q", rank=0)
-    instance = assemble_instance(draft, decision, [dead_model, backup], store)
+    assert [q for q, _ in instance.hops] == ["a longer model query"]
+    # all models invalid: the backup carries hop one
+    instance = assemble({"a longer model query": ("F",), "Which team?": ("D1", "D2")})
     assert isinstance(instance, DataInstance)
-    assert instance.hops[0][0] == "Which team?"
+    assert instance.hops == (("Which team?", ("D1", "D2")),)
 
 
 def test_validate_instance_catches_corruption():
