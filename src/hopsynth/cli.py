@@ -32,7 +32,8 @@ from .config import (
 from .corpus import serialize_store
 from .emitter import dataset_stats, format_stats_report, read_jsonl, write_jsonl
 from .jsonl import InputError, read_numbered_rows, write_rows
-from .promptkit import TASK_MQA
+from .pairing import HYPER
+from .promptkit import TASK_FEVER, TASK_MQA
 
 # Config flags: flag -> (the config keys it sets, help, the commands that take
 # it; none means every command, with the flag before it). set_config_key
@@ -112,19 +113,28 @@ def _configure(args) -> PipelineConfig:
     return config
 
 
-def _stage_rows(args, name, fields, store) -> list[dict]:
+def _stage_rows(args, name, fields, store, task) -> list[dict]:
     """The rows of --in, read with the checks of the `fields` stage `name`
     reads (its `pipeline.STAGES` entry) and of a d1 and d2 that name
-    documents of the store. A verify row that is single-hop but names no
-    document that answers alone is refused as well, before the stage runs."""
+    documents of the store; under fever, whose pairs are hyper only, a
+    relation must be hyper. A row is refused as well, before the stage
+    runs, when its question, answer or final_answer spans lines, as every
+    prompt takes them on one line, or when it is a verify row that is
+    single-hop but names no document that answers alone."""
     in_store = (lambda value: isinstance(value, str) and value in store.documents,
                 f"a document of the store {args.store_path}")
     fields = {"d1": in_store, "d2": in_store, **fields}
+    if task == TASK_FEVER:
+        fields["relation"] = (lambda value: value == HYPER, f"{HYPER!r}, the one fever relation")
     rows = []
     for line_no, row in read_numbered_rows(args.in_path, fields=fields):
+        where = f"{args.in_path}:{line_no}"
+        for field in ("question", "answer", "final_answer"):
+            if field in fields and "\n" in row[field]:
+                raise InputError(f"{where}: {field} {row[field]!r} spans more than one line")
         if name == "verify" and row["hops"] == "one" and (
                 set(row["answerable_in"]) <= {"both"}):
-            raise InputError(f"{args.in_path}:{line_no}: hops 'one' but answerable_in "
+            raise InputError(f"{where}: hops 'one' but answerable_in "
                              f"{row['answerable_in']!r} names no document that answers alone")
         rows.append(row)
     return rows
@@ -152,7 +162,7 @@ def run_command(args) -> int:
         # built and checked before the inputs are read
         clients = {key: build(config) for key, build in _STAGE_CLIENTS[name].items()}
         store = pipeline.build_store(args.store_path, config)
-        inputs = () if fields is None else (_stage_rows(args, name, fields, store),)
+        inputs = () if fields is None else (_stage_rows(args, name, fields, store, config.task),)
         rows, counters = getattr(pipeline, f"stage_{name}")(store, *inputs, config, **clients)
         (write_jsonl if name == "verify" else write_rows)(rows, args.out_path)
         if name == "verify" and args.report:

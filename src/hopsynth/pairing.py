@@ -18,6 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .corpus import CorpusStore, Document, hyperlink_neighbors
+from .promptkit import one_line
 
 HYPER = "hyper"
 TOPIC = "topic"
@@ -140,22 +141,24 @@ def answer_candidates(pair: DocumentPair, entities: list[str]) -> list[tuple[str
     entity, anchor_text, title, yes, no.
 
     Hyper: recognized entities plus anchor surface spans of both documents,
-    deduplicated in that order, empty when there are none. Topic: both
-    titles, "yes", "no".
+    deduplicated in that order on their raw text, empty when there are none.
+    Topic: both titles, "yes", "no". Each text is `promptkit.one_line`, as
+    prompts take an answer.
     """
     if pair.relation == TOPIC:
-        return [(pair.d1.title, "title"), (pair.d2.title, "title"), ("yes", "yes"), ("no", "no")]
+        titles = [(one_line(doc.title), "title") for doc in (pair.d1, pair.d2)]
+        return [*titles, ("yes", "yes"), ("no", "no")]
     candidates: list[tuple[str, str]] = []
     seen: set[str] = set()
     for entity in entities:
         if entity and entity not in seen:
             seen.add(entity)
-            candidates.append((entity, "entity"))
+            candidates.append((one_line(entity), "entity"))
     for doc in (pair.d1, pair.d2):
         for span, _ in doc.anchors:
             if span and span not in seen:
                 seen.add(span)
-                candidates.append((span, "anchor_text"))
+                candidates.append((one_line(span), "anchor_text"))
     return candidates
 
 

@@ -161,14 +161,15 @@ def builtin_examples(task: str, setting: str) -> tuple[FewShotExample, ...]:
     return _load_builtin(name)
 
 
-def _clean_document(text: str) -> str:
-    # corpus texts may carry newlines; prompt blocks are line-oriented
+def one_line(text: str) -> str:
+    """`text` with its newlines as spaces: prompt blocks are line-oriented,
+    and corpus texts and answer candidates may carry newlines."""
     return text.replace("\n", " ")
 
 
 def _write_block(documents: Sequence[str], lines: list[str]) -> str:
     """One block: a Document line per document, then `lines`."""
-    return "\n".join([*(f"Document: {_clean_document(doc)}" for doc in documents), *lines])
+    return "\n".join([*(f"Document: {one_line(doc)}" for doc in documents), *lines])
 
 
 def render_prompt(
@@ -298,5 +299,5 @@ def render_episode(question: str, turns, doc_text, cue: Optional[str] = None) ->
     for query, retrieved in turns:
         lines.append(f"Query: {query}")
         for doc_id in retrieved:
-            lines.append(f"Document: {_clean_document(doc_text(doc_id))}")
+            lines.append(f"Document: {one_line(doc_text(doc_id))}")
     return "\n".join([*lines, cue or ""])

@@ -9,8 +9,10 @@ the predicted answer promoted to ground truth.
 
 Every model call goes through `_ask`: the promptkit prompt for the call's
 (task, stage), `mqa` or `fever` and question_gen, answering or query_gen,
-under that stage's decode params. A query completion's lines are read with
-`promptkit.read_model_line`, as evaluation reads its episode turns.
+under that stage's decode params. A question, claim or answer is the first
+line of its completion, stripped, as every prompt takes it on one line and
+evaluation reads one line per turn; a query completion's lines are read
+with `promptkit.read_model_line`, as evaluation reads its episode turns.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def generate_question(
     text = _ask(
         backend, task, QUESTION_GEN, pair.relation, examples,
         [pair.d1.text, pair.d2.text], seed, answer=answer,
-    ).strip()
+    ).partition("\n")[0].strip()
     if not text:
         return None
     if task == TASK_MQA:
@@ -136,7 +138,7 @@ def answer_question(
     return _ask(
         backend, task, ANSWERING, setting, examples,
         [doc.text for doc in docs], seed, question=question,
-    ).strip()
+    ).partition("\n")[0].strip()
 
 
 def _answer_tokens(text: str) -> list[str]:

@@ -436,6 +436,50 @@ def test_stages_refuse_an_empty_question_as_a_bad_line(tmp_path, capsys, caplog,
     assert not out.exists()
 
 
+def _stage_on_two_rows(tmp_path, store, command, rows, *flags) -> tuple[int, Path, Path]:
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "out.jsonl"
+    code = main(["--config", str(DEMO / "config.txt"), *flags, command, "--store", str(store),
+                 "--in", str(path), "--out", str(out)])
+    return code, path, out
+
+
+@pytest.mark.parametrize("command, field", [
+    ("gen-questions", "answer"), ("filter-answers", "question"),
+    ("gen-queries", "final_answer"), ("verify", "question"),
+])
+def test_stages_refuse_a_field_that_spans_lines(tmp_path, capsys, caplog, demo_candidates,
+                                                command, field):
+    # every prompt takes a question or answer on one line: such a row used to
+    # stop a stage with a PromptError traceback naming no line, or pass verify
+    store, rows = demo_candidates
+    capsys.readouterr()
+    code, path, out = _stage_on_two_rows(tmp_path, store, command,
+                                         [rows[0], {**rows[0], field: "two\nlines"}])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {path}:2: {field} 'two\\nlines' spans more than one line"]
+    assert [record for record in caplog.records if record.exc_info] == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-questions", "filter-answers", "gen-queries", "verify"])
+def test_fever_stages_refuse_a_topic_row(tmp_path, capsys, caplog, demo_candidates, command):
+    # fever pairs are hyper only: a topic row used to stop a stage with a
+    # traceback, or pass verify as a fever instance of relation topic
+    store, rows = demo_candidates
+    capsys.readouterr()
+    hyper, topic = (next(row for row in rows if row["relation"] == r) for r in ("hyper", "topic"))
+    code, path, out = _stage_on_two_rows(tmp_path, store, command, [hyper, topic],
+                                         "--task", "fever")
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {path}:2: relation 'topic' is not 'hyper', the one fever relation"]
+    assert [record for record in caplog.records if record.exc_info] == []
+    assert not out.exists()
+
+
 def _candidate(field, value):
     def patch(row):
         return {**row, "candidates": [{**row["candidates"][0], field: value},

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -176,6 +177,18 @@ def test_hyper_candidates_dedup():
     pair = hyper_pair(anchors1=[("High Plains", "High Plains")])
     got = answer_candidates(pair, entities=["High Plains"])
     assert got == [("High Plains", "entity")]
+
+
+def test_candidates_are_one_line_and_dedup_on_the_raw_text():
+    # a newline in a candidate used to stop the run at the question prompt
+    pair = hyper_pair(anchors1=[("High\nPlains", "High Plains"), ("High Plains", "High Plains")])
+    got = answer_candidates(pair, entities=["Colorado\norogeny", "Colorado orogeny"])
+    assert got == [("Colorado orogeny", "entity"), ("Colorado orogeny", "entity"),
+                   ("High Plains", "anchor_text"), ("High Plains", "anchor_text")]
+    d1, d2 = topic_pair().d1, topic_pair().d2
+    pair = DocumentPair(d1, dataclasses.replace(d2, title="The Border\nSurrender"), "topic")
+    assert answer_candidates(pair, entities=[])[:2] == [
+        ("Unsane", "title"), ("The Border Surrender", "title")]
 
 
 def test_hyper_no_candidates():

@@ -20,7 +20,7 @@ from hopsynth.genbackend import (
     MockBackend,
     default_decode_params,
 )
-from hopsynth.mockllm import GoldScriptRule
+from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule
 from hopsynth.jsonl import InputError
 from hopsynth.pairing import derive_seed
 from hopsynth.entities import HeuristicRecognizer
@@ -180,6 +180,26 @@ def test_run_all_deterministic(tmp_path, corpus_path):
     ).read_bytes()
     assert report1["counters"] == report2["counters"]
     assert report1["counters"]["emitted"] > 0
+
+
+@pytest.mark.parametrize("task", ["mqa", "fever"])
+def test_run_all_reads_the_first_line_of_each_question_and_answer(tmp_path, corpus_path, task):
+    # a second line after a question, claim or answer used to stop the run
+    # at the next prompt that took it; now the run writes what it wrote
+    # without that line
+    rule = SyntheticPipelineRule()
+
+    def two_lines(prompt, seed):
+        completion = rule(prompt, seed)
+        if completion and prompt.endswith(("Question:", "Claim:", "Answer:")):
+            return completion + "\nextra line"
+        return completion
+
+    config = make_config(task=task)
+    run_all(corpus_path, tmp_path / "plain", config, backend=MockBackend(SyntheticPipelineRule()))
+    run_all(corpus_path, tmp_path / "two", config, backend=MockBackend(two_lines))
+    written = [(tmp_path / run / "train.jsonl").read_bytes() for run in ("plain", "two")]
+    assert written[0] and written[1] == written[0]
 
 
 def test_run_all_identical_across_embed_blocks(tmp_path, corpus_path, monkeypatch):
@@ -555,7 +575,7 @@ def test_run_all_with_examples_parses_no_builtin_set(tmp_path, corpus_path, monk
 
 
 def test_run_eval_fever_accuracy(tmp_path, corpus_path):
-    from hopsynth.mockllm import GoldScriptRule
+    from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule
     from hopsynth.genbackend import MockBackend
     from hopsynth.pipeline import run_eval
 
@@ -581,7 +601,7 @@ def test_run_eval_fever_accuracy(tmp_path, corpus_path):
 
 
 def test_run_eval_self_consistency_mode(tmp_path, corpus_path):
-    from hopsynth.mockllm import GoldScriptRule
+    from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule
     from hopsynth.genbackend import MockBackend
     from hopsynth.pipeline import run_eval
 
@@ -701,7 +721,7 @@ def test_run_eval_equals_the_per_turn_oracle(tmp_path, monkeypatch, task, mode, 
 def test_run_eval_backend_outage_raises(tmp_path):
     # an outage fails the run; it is never scored as a wrong answer
     from hopsynth.genbackend import BackendUnavailable, MockBackend
-    from hopsynth.mockllm import GoldScriptRule
+    from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule
     from hopsynth.pipeline import run_eval
 
     records = make_corpus(n_docs=6, seed=8, n_topics=2)

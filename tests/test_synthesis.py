@@ -78,6 +78,18 @@ def test_generate_question_repairs_question_mark():
     assert draft.text == "Which range?"
 
 
+@pytest.mark.parametrize("task", [TASK_MQA, TASK_FEVER])
+def test_generate_question_keeps_the_first_line(task):
+    # a question or claim that spans two lines used to reach the next
+    # stage's prompt whole and stop the run there
+    pair, ex = example_pair("hyper", 0)
+    backend = MockBackend(rule=lambda text, seed: " Which range\n rises there?\nmore")
+    draft = generate_question(pair, ex.answer, backend, task=task)
+    assert draft.text == ("Which range?" if task == TASK_MQA else "Which range")
+    backend = MockBackend(rule=lambda text, seed: " \nWhich range rises?")
+    assert generate_question(pair, ex.answer, backend, task=task) is None
+
+
 def test_fever_requires_hyper_pair():
     pair, ex = example_pair("topic", 0)
     backend = MockBackend(rule=lambda text, seed: "")
@@ -161,6 +173,13 @@ def test_answer_question_single_doc_and_empty():
     assert answer_question(ex.question_or_claim, [pair.d1], backend, setting="hyper") == ""
     with pytest.raises(ValueError):
         answer_question("q", [], backend)
+
+
+def test_answer_question_keeps_the_first_line():
+    pair, ex = example_pair("hyper", 3)
+    backend = MockBackend(rule=lambda text, seed: " Turner Pictures \nextra line")
+    got = answer_question(ex.question_or_claim, [pair.d1], backend, setting="hyper")
+    assert got == "Turner Pictures"
 
 
 def _agreement(task, pred, other, config):
