@@ -575,7 +575,7 @@ def test_run_all_with_examples_parses_no_builtin_set(tmp_path, corpus_path, monk
 
 
 def test_run_eval_fever_accuracy(tmp_path, corpus_path):
-    from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule
+    from hopsynth.mockllm import GoldScriptRule
     from hopsynth.genbackend import MockBackend
     from hopsynth.pipeline import run_eval
 
@@ -601,7 +601,7 @@ def test_run_eval_fever_accuracy(tmp_path, corpus_path):
 
 
 def test_run_eval_self_consistency_mode(tmp_path, corpus_path):
-    from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule
+    from hopsynth.mockllm import GoldScriptRule
     from hopsynth.genbackend import MockBackend
     from hopsynth.pipeline import run_eval
 
@@ -721,7 +721,7 @@ def test_run_eval_equals_the_per_turn_oracle(tmp_path, monkeypatch, task, mode, 
 def test_run_eval_backend_outage_raises(tmp_path):
     # an outage fails the run; it is never scored as a wrong answer
     from hopsynth.genbackend import BackendUnavailable, MockBackend
-    from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule
+    from hopsynth.mockllm import GoldScriptRule
     from hopsynth.pipeline import run_eval
 
     records = make_corpus(n_docs=6, seed=8, n_topics=2)
