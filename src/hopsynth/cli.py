@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import pipeline
@@ -31,7 +32,7 @@ from .config import (
 )
 from .corpus import serialize_store
 from .emitter import dataset_stats, format_stats_report, read_jsonl, write_jsonl
-from .jsonl import InputError, read_numbered_rows, write_rows
+from .jsonl import InputError, read_numbered_rows, refuse_multiline, write_rows
 from .pairing import HYPER
 from .promptkit import TASK_FEVER, TASK_MQA
 
@@ -129,9 +130,8 @@ def _stage_rows(args, name, fields, store, task) -> list[dict]:
     rows = []
     for line_no, row in read_numbered_rows(args.in_path, fields=fields):
         where = f"{args.in_path}:{line_no}"
-        for field in ("question", "answer", "final_answer"):
-            if field in fields and "\n" in row[field]:
-                raise InputError(f"{where}: {field} {row[field]!r} spans more than one line")
+        refuse_multiline(row, [f for f in ("question", "answer", "final_answer") if f in fields],
+                         where)
         if name == "verify" and row["hops"] == "one" and (
                 set(row["answerable_in"]) <= {"both"}):
             raise InputError(f"{where}: hops 'one' but answerable_in "
@@ -159,11 +159,14 @@ def run_command(args) -> int:
     if command in stages:
         name, _, fields = stages[command]
         # as in run-all, the clients (and the files the config names) are
-        # built and checked before the inputs are read
-        clients = {key: build(config) for key, build in _STAGE_CLIENTS[name].items()}
-        store = pipeline.build_store(args.store_path, config)
-        inputs = () if fields is None else (_stage_rows(args, name, fields, store, config.task),)
-        rows, counters = getattr(pipeline, f"stage_{name}")(store, *inputs, config, **clients)
+        # built and checked before the inputs are read, and closed at the end
+        with ExitStack() as built:
+            clients = {key: pipeline.own(built, build(config))
+                       for key, build in _STAGE_CLIENTS[name].items()}
+            store = pipeline.build_store(args.store_path, config)
+            inputs = () if fields is None else (
+                _stage_rows(args, name, fields, store, config.task),)
+            rows, counters = getattr(pipeline, f"stage_{name}")(store, *inputs, config, **clients)
         (write_jsonl if name == "verify" else write_rows)(rows, args.out_path)
         if name == "verify" and args.report:
             _write_json(counters, args.report)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from itertools import groupby
 
-from .httpjson import JsonSession, post_with_retries
+from .httpjson import ENCODER, JsonSession, post_with_retries
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
@@ -69,9 +69,8 @@ class HttpRecognizer:
         self.session = session or JsonSession(endpoint, timeout)
 
     def __call__(self, texts: list[str]) -> list[list[str]]:
-        payload = post_with_retries(
-            self.session, "/v1/entities", {"texts": texts}, RecognizerError
-        )
+        data = ENCODER.encode({"texts": texts}).encode("ascii")
+        payload = post_with_retries(self.session, "/v1/entities", data, RecognizerError)
         groups = payload.get("entities") if isinstance(payload, dict) else None
         if not isinstance(groups, list) or len(groups) != len(texts) or not all(
             isinstance(group, list) and all(isinstance(e, str) for e in group)
@@ -79,3 +78,6 @@ class HttpRecognizer:
         ):
             raise RecognizerError(f"bad entity payload for {len(texts)} texts: {payload!r:.200}")
         return groups
+
+    def close(self) -> None:
+        self.session.close()

@@ -7,15 +7,32 @@ returning {"text": s}. A request is the prompt text plus `DecodeParams`;
 `stop` carries the stage's stop sequences, and `complete` trims the
 returned text at them too. The mock backend answers with a rule program
 and is a pure function of (prompt text, seed).
+
+A request body is the bytes of `json.dumps(body, allow_nan=False)`, in the
+key order above, built from three pieces. Every synthesis prompt of a
+stage starts with the same few-shot head, so `HttpBackend` keeps the
+escaped text of each head (`promptkit.PromptHeads`). It escapes only the
+target block per request, and encodes the params with `httpjson.ENCODER`.
+The bytes are identical because `json.dumps` escapes a string one code
+point at a time (`encode_basestring_ascii`): the escape of head + block is
+the escape of the head followed by that of the block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
-from .httpjson import JsonSession, post_with_retries
-from .promptkit import ANSWERING, EPISODE_STOP, QUERY_GEN, QUESTION_GEN, STOP_SEQUENCES
+from .httpjson import ENCODER, JsonSession, post_with_retries
+from .promptkit import (
+    ANSWERING,
+    EPISODE_STOP,
+    QUERY_GEN,
+    QUESTION_GEN,
+    STOP_SEQUENCES,
+    PromptHeads,
+)
 
 EVAL_GREEDY = "eval_greedy"
 EVAL_SELF_CONSISTENCY = "eval_self_consistency"
@@ -115,26 +132,38 @@ class MockBackend:
         return self.rule(prompt_text, params.seed)
 
 
+def _body_start(head: str) -> bytes:
+    """A completion body up to the escaped `head`: `{"prompt": "` and the
+    head's escape without its closing quote."""
+    return f'{{"prompt": {encode_basestring_ascii(head)[:-1]}'.encode("ascii")
+
+
 class HttpBackend:
     """Client for the completion wire protocol with bounded retries."""
 
     def __init__(self, endpoint: str, timeout: float = 120.0, session=None):
         self.session = session or JsonSession(endpoint, timeout)
+        self._heads = PromptHeads(_body_start)
 
     def raw_complete(self, prompt_text: str, params: DecodeParams) -> str:
-        body = {
-            "prompt": prompt_text,
+        start, block = self._heads.split(prompt_text)
+        rest = ENCODER.encode({
             "max_tokens": params.max_tokens,
             "temperature": params.temperature,
             "top_p": params.top_p,
             "top_k": params.top_k,
             "stop": list(params.stop),
             "seed": params.seed,
-        }
-        payload = post_with_retries(self.session, "/v1/completions", body, BackendUnavailable)
+        })
+        # the block's escape without its opening quote, then the params' members
+        data = start + f"{encode_basestring_ascii(block)[1:]}, {rest[1:]}".encode("ascii")
+        payload = post_with_retries(self.session, "/v1/completions", data, BackendUnavailable)
         if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
             raise MalformedResponse(f"bad completion payload: {payload!r}")
         return payload["text"]
+
+    def close(self) -> None:
+        self.session.close()
 
 
 Backend = MockBackend | HttpBackend

@@ -15,6 +15,13 @@ trailers, a `Content-Encoding` other than identity or another
 `Transfer-Encoding` raises `HttpProtocolError`. An endpoint holding
 whitespace, control or non-ASCII characters is refused when the session is
 made. `post_with_retries` is the one retry policy the clients share.
+
+A client encodes its own request body, and a session posts the bytes it is
+given. Every body is JSON as `json.dumps(value, allow_nan=False)` writes it:
+the clients encode with the one module-level `ENCODER`, which `json.dumps`
+with `allow_nan=False` would build again on every call. The completion
+client also keeps the escaped text of each few-shot head (`genbackend`).
+A client's `close` closes its session.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ MAX_HEADERS = 100  # header lines per reply (and trailer lines per chunked body)
 # What a failed request raises: socket and TLS errors, `HttpStatusError`,
 # `HttpProtocolError`, or a reply body that is not JSON (a ValueError).
 TRANSPORT_ERRORS = (OSError, ValueError)
+
+# The encoder of every request body: json.dumps's defaults, NaN and infinity refused.
+ENCODER = json.JSONEncoder(allow_nan=False)
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 _NO_BODY = (204, 304)
@@ -77,8 +87,9 @@ class JsonSession:
         self._sock: socket.socket | None = None
         self._reader = None
 
-    def post(self, path: str, body) -> object:
-        """POST `body` as JSON to `path` under the endpoint; return the decoded reply.
+    def post(self, path: str, data: bytes) -> object:
+        """POST `data`, a JSON body the caller encoded, to `path` under the
+        endpoint; return the decoded reply.
 
         The server handles the request once per call. When the server has
         closed a reused idle connection before any reply arrived, the request
@@ -86,7 +97,6 @@ class JsonSession:
         connection and propagates (one of `TRANSPORT_ERRORS`).
         """
         target = self._base + path
-        data = json.dumps(body, allow_nan=False).encode("utf-8")
         request = (
             f"POST {target} HTTP/1.1\r\n{self._fixed_headers}"
             f"Content-Length: {len(data)}\r\n\r\n"
@@ -222,8 +232,8 @@ def _chunk_size(line: bytes) -> int:
     return int(digits, 16)
 
 
-def post_with_retries(session, path: str, body, error: type[Exception]) -> object:
-    """`session.post(path, body)`, tried up to ATTEMPTS times.
+def post_with_retries(session, path: str, data: bytes, error: type[Exception]) -> object:
+    """`session.post(path, data)`, tried up to ATTEMPTS times.
 
     A transport failure is followed by a sleep of `BACKOFF_BASE * 2**attempt`
     and another attempt; after the last one, `error` is raised from it. A
@@ -236,7 +246,7 @@ def post_with_retries(session, path: str, body, error: type[Exception]) -> objec
     last: Exception | None = None
     for attempt in range(ATTEMPTS):
         try:
-            return session.post(path, body)
+            return session.post(path, data)
         except TRANSPORT_ERRORS as exc:
             if (isinstance(exc, HttpStatusError) and 300 <= exc.status < 500
                     and exc.status not in RETRIED_4XX):

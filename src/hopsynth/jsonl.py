@@ -104,6 +104,14 @@ def _numbered_rows(handle, path, error, checks) -> Iterator[tuple[int, dict]]:
             yield line_no, row
 
 
+def refuse_multiline(row: dict, names: Iterable[str], where: str) -> None:
+    """Raise InputError naming `where` when a field of `names` spans lines,
+    as each is one line of a prompt."""
+    for name in names:
+        if "\n" in row[name]:
+            raise InputError(f"{where}: {name} {row[name]!r} spans more than one line")
+
+
 def write_rows(rows: Iterable[dict], path) -> None:
     """Write one JSON object per line, non-ASCII kept as is; a missing directory is made."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)

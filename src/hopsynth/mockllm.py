@@ -13,8 +13,9 @@ Both are pure functions of (prompt text, seed).
 A SyntheticPipelineRule call draws from `pairing.derive_rng(seed, prompt)`,
 by definition. Every prompt of a (task, stage, setting) starts with the same
 few-shot head, the text before its target block, so the rule keeps each
-head's UTF-8 bytes and hashes `f"{seed}:"`, those bytes and the encoded
-block: the same sha256 input, encoded once per head instead of per call.
+head's UTF-8 bytes (`promptkit.PromptHeads`) and hashes `f"{seed}:"`, those
+bytes and the encoded block: the same sha256 input, encoded once per head
+instead of per call.
 The cache only saves work; the output stays that of (prompt text, seed).
 """
 
@@ -28,13 +29,12 @@ from pathlib import Path
 from typing import Optional
 
 from .jsonl import InputError, is_strings, read_json
-from .promptkit import last_block_start, parse_block
+from .promptkit import PromptHeads, last_block_start, parse_block
 from .synthesis import FEVER_LABELS
 
 _ANSWER_TAG = re.compile(r" regarding (.+)\?$")
 _LABEL_TAG = re.compile(r"\[(" + "|".join(FEVER_LABELS) + r")\]")
 _SCRIPT_ENTRY = '{"queries": [str, ...], "answer": str}'
-_HEADS_MAX = 64  # cached prompt heads per rule; the cache is cleared when full
 
 
 def _lead_words(text: str, count: int = 4) -> str:
@@ -79,24 +79,15 @@ class SyntheticPipelineRule:
         self.p_wrong_answer = p_wrong_answer
         self.p_single_hop = p_single_hop
         self.p_bad_queries = p_bad_queries
-        # head length -> (the text before a prompt's target block, its UTF-8 bytes)
-        self._heads: dict[int, tuple[str, bytes]] = {}
+        self._heads = PromptHeads(str.encode)  # each head's UTF-8 bytes
         self._rng = random.Random()
 
     def __call__(self, prompt: str, seed: Optional[int]) -> str:
-        start = last_block_start(prompt)
-        head = self._heads.get(start)
-        # two heads can have the same length, so a hit must match the prompt
-        if head is None or not prompt.startswith(head[0]):
-            if len(self._heads) >= _HEADS_MAX:
-                self._heads.clear()
-            text = prompt[:start]
-            head = self._heads[start] = (text, text.encode("utf-8"))
-        block = prompt[start:]
+        head, block = self._heads.split(prompt)
         # derive_rng(seed, prompt): the UTF-8 of f"{seed}:{prompt}" is that of
         # its parts, which split at character boundaries
         digest = hashlib.sha256(f"{seed}:".encode("utf-8"))
-        digest.update(head[1])
+        digest.update(head)
         digest.update(block.encode("utf-8"))
         rng = self._rng
         # the state of random.Random(n): Random.seed hands an int to this C

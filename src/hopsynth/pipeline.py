@@ -14,6 +14,7 @@ plays the episodes in blocks, turn by turn.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
@@ -24,7 +25,14 @@ from .corpus import CorpusStore, ingest_corpus, serialize_store
 from .emitter import dataset_stats, split_dev, write_jsonl
 from .evalharness import play_episodes, run_episode, score_fever, score_qa, self_consistency
 from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_params
-from .jsonl import NON_EMPTY, STRING, InputError, is_strings, read_numbered_rows
+from .jsonl import (
+    NON_EMPTY,
+    STRING,
+    InputError,
+    is_strings,
+    read_numbered_rows,
+    refuse_multiline,
+)
 from .pairing import (
     HYPER,
     RELATION,
@@ -86,6 +94,16 @@ def _run_steps(items: list, step) -> tuple[list, dict[str, int]]:
         else:
             outputs.append(result)
     return outputs, {"attempts": len(items), "emitted": len(outputs), **drops}
+
+
+def own(built: ExitStack, client):
+    """`client`, which the caller built, closed when `built` exits if it has
+    a `close` (the HTTP clients do). A client the caller was passed is its
+    owner's to close, so it never goes through here."""
+    close = getattr(client, "close", None)
+    if close is not None:
+        built.callback(close)
+    return client
 
 
 def build_store(path: str | Path, config: PipelineConfig) -> CorpusStore:
@@ -337,23 +355,26 @@ def run_all(
 
     Nothing is written until every stage has run, so a run that fails in a
     stage creates no out_dir. Returns the report dict (counters plus output paths and
-    stats).
+    stats). The clients it builds itself are closed once the stages have run,
+    or have raised.
     """
     out_dir = Path(out_dir)
-    backend = backend or build_backend(config)
-    provider = provider or build_embedder(config)
-    recognizer = recognizer or build_recognizer(config)
-    examples = build_examples(config)
+    with ExitStack() as built:
+        backend = backend or own(built, build_backend(config))
+        provider = provider or own(built, build_embedder(config))
+        recognizer = recognizer or own(built, build_recognizer(config))
+        examples = build_examples(config)
 
-    store = build_store(corpus_path, config)
-    # each stage takes the rows the one before it wrote; rebinding `rows`
-    # frees a stage's input once the next stage has returned
-    rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
-    rows, question_counts = stage_questions(store, rows, config, backend, recognizer, examples)
-    rows, answer_counts = stage_filter_answers(store, rows, config, backend, examples)
-    rows, query_counts = stage_queries(store, rows, config, backend, examples)
-    instances, verify_counts = stage_verify(store, rows, config, provider)
-    del rows
+        store = build_store(corpus_path, config)
+        # each stage takes the rows the one before it wrote; rebinding `rows`
+        # frees a stage's input once the next stage has returned
+        rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
+        rows, question_counts = stage_questions(store, rows, config, backend, recognizer,
+                                                examples)
+        rows, answer_counts = stage_filter_answers(store, rows, config, backend, examples)
+        rows, query_counts = stage_queries(store, rows, config, backend, examples)
+        instances, verify_counts = stage_verify(store, rows, config, provider)
+        del rows
     stages = (pair_counts, question_counts, answer_counts, query_counts, verify_counts)
     totals = {"attempts": pair_counts["attempts"], "emitted": verify_counts["emitted"]}
     totals.update({reason: sum(counts[reason] for counts in stages) for reason in DROP_REASONS})
@@ -396,9 +417,11 @@ def run_eval(
 
     Items carry {"id", "question", "answer"} (QA) or {"id", "question",
     "label"} (fact verification); an item without them, a question or answer
-    that is not a string, or a label not in FEVER_LABELS once normalized,
-    raises InputError naming `<path>:<line>`, and a file without items
-    raises InputError naming `<path>`, before the corpus is read.
+    that is not a string, a question that spans lines (the episode takes it
+    on one line), or a label not in FEVER_LABELS once normalized, raises
+    InputError naming `<path>:<line>`, and a file without items raises
+    InputError naming `<path>`, before the corpus is read. The clients it
+    builds itself are closed when it returns or raises.
     `config.eval.mode` picks greedy decoding, one episode per item, or
     self-consistency, several sampled episodes; either way the prediction
     is the majority vote over the item's answers.
@@ -411,14 +434,12 @@ def run_eval(
     """
     gold_field, gold_check = _GOLD_FIELDS[config.task]
     fields = {"id": None, "question": STRING, gold_field: gold_check}
-    items = [row for _, row in read_numbered_rows(eval_path, fields=fields)]
+    items = []
+    for line_no, row in read_numbered_rows(eval_path, fields=fields):
+        refuse_multiline(row, ("question",), f"{eval_path}:{line_no}")
+        items.append(row)
     if not items:
         raise InputError(f"{eval_path}: no evaluation items")
-    backend = backend or build_backend(config)
-    provider = provider or build_embedder(config)
-    store = build_store(corpus_path, config)
-    index = build_index(store, provider)
-    lookup = lambda doc_id: store.documents[doc_id].text  # noqa: E731
     sampled = config.eval.mode == "self_consistency"
     params = default_decode_params(EVAL_SELF_CONSISTENCY if sampled else EVAL_GREEDY)
     samples = config.eval.self_consistency_samples if sampled else 1
@@ -432,11 +453,17 @@ def run_eval(
             for seed in seeds:
                 yield item["question"], params.with_seed(seed)
 
-    stream, answers = episodes(), []
-    while block := list(islice(stream, retrieval.EMBED_BLOCK)):
-        played = play_episodes(block, backend, index, provider, config.eval, lookup)
-        for (question, _), episode in zip(block, played, strict=True):
-            answers.append(run_episode(question, episode).final_answer or "")
+    with ExitStack() as built:
+        backend = backend or own(built, build_backend(config))
+        provider = provider or own(built, build_embedder(config))
+        store = build_store(corpus_path, config)
+        index = build_index(store, provider)
+        lookup = lambda doc_id: store.documents[doc_id].text  # noqa: E731
+        stream, answers = episodes(), []
+        while block := list(islice(stream, retrieval.EMBED_BLOCK)):
+            played = play_episodes(block, backend, index, provider, config.eval, lookup)
+            for (question, _), episode in zip(block, played, strict=True):
+                answers.append(run_episode(question, episode).final_answer or "")
     records = [
         {"id": item["id"], "prediction": self_consistency(answers[n * samples:(n + 1) * samples]),
          "gold": item[gold_field]}

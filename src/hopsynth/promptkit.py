@@ -28,7 +28,7 @@ import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .jsonl import STRING, InputError, is_strings, read_numbered_rows
 
@@ -258,6 +258,35 @@ def last_block_start(text: str) -> int:
     or 0 when it has none."""
     end = text.rfind(_BLOCK_BREAK)
     return 0 if end < 0 else end + len(_BLOCK_BREAK)
+
+
+HEADS_MAX = 64  # heads a PromptHeads keeps; it is cleared when full
+
+
+class PromptHeads:
+    """`encode` of each prompt head, computed once per head.
+
+    Every synthesis prompt of a (task, stage, setting) and example set
+    starts with the same few-shot head, the text before its target block
+    (`last_block_start`). `split(prompt)` returns `encode(head)` and the
+    target block. The values are keyed by the head's length, and a hit must
+    match the prompt, since two heads can have the same length. At most
+    HEADS_MAX heads are kept.
+    """
+
+    def __init__(self, encode: Callable[[str], object]):
+        self._encode = encode
+        self._heads: dict[int, tuple[str, object]] = {}
+
+    def split(self, prompt: str) -> tuple[object, str]:
+        start = last_block_start(prompt)
+        head = self._heads.get(start)
+        if head is None or not prompt.startswith(head[0]):
+            if len(self._heads) >= HEADS_MAX:
+                self._heads.clear()
+            text = prompt[:start]
+            head = self._heads[start] = (text, self._encode(text))
+        return head[1], prompt[start:]
 
 
 def parse_block(block: str) -> dict:

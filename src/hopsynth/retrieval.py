@@ -76,7 +76,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .httpjson import JsonSession, post_with_retries
+from .httpjson import ENCODER, JsonSession, post_with_retries
 from .jsonl import STRING, InputError, read_numbered_rows
 from .metrics import word_tokens
 
@@ -351,9 +351,8 @@ class HttpEmbedder:
         self.session = session or JsonSession(endpoint, timeout)
 
     def __call__(self, texts: list[str]) -> list[np.ndarray]:
-        payload = post_with_retries(
-            self.session, "/v1/embeddings", {"texts": texts}, EmbeddingError
-        )
+        data = ENCODER.encode({"texts": texts}).encode("ascii")
+        payload = post_with_retries(self.session, "/v1/embeddings", data, EmbeddingError)
         vectors = payload.get("vectors") if isinstance(payload, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise EmbeddingError(f"bad embedding payload for {len(texts)} texts")
@@ -363,6 +362,9 @@ class HttpEmbedder:
                 f"bad embedding payload for {len(texts)} texts: an entry is not a finite number"
             )
         return out
+
+    def close(self) -> None:
+        self.session.close()
 
 
 def _float32_vector(entries) -> np.ndarray | None:

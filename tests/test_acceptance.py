@@ -275,6 +275,7 @@ def test_criterion_4_appendix_end_to_end(tmp_path, monkeypatch):
             assert code == 0
     finally:
         server.shutdown()
+        server.server_close()
 
     for name in ("train.jsonl", "dev.jsonl"):
         assert (tmp_path / "run1" / name).read_bytes() == (

@@ -1,10 +1,13 @@
 import json
 import threading
+from contextlib import closing
 from dataclasses import fields, replace
+from itertools import product
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from hopsynth import genbackend
 from hopsynth.corpus import Document
 from hopsynth.evalharness import EvalConfig, play_episodes, run_episode
 from hopsynth.genbackend import (
@@ -19,7 +22,15 @@ from hopsynth.genbackend import (
     trim_at_stop,
 )
 from hopsynth.pairing import DocumentPair
-from hopsynth.promptkit import STOP_SEQUENCES
+from hopsynth.promptkit import (
+    ANSWERING,
+    HEADS_MAX,
+    QUERY_GEN,
+    QUESTION_GEN,
+    STOP_SEQUENCES,
+    builtin_examples,
+    render_prompt,
+)
 from hopsynth.retrieval import HashEmbedder, build_flat_index, embed
 from hopsynth.synthesis import answer_question, generate_queries, generate_question
 
@@ -136,12 +147,13 @@ def http_server():
     _Handler.payload = {"text": " yes"}
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_passthrough_and_wire_format(http_server):
-    backend = HttpBackend(http_server)
     params = DecodeParams(max_tokens=16, top_p=0.9, stop=("\n\n",), seed=5)
-    out = complete(backend, "Q", params)
+    with closing(HttpBackend(http_server)) as backend:
+        out = complete(backend, "Q", params)
     assert out == " yes"
     path, body = _Handler.requests_seen[-1]
     assert path == "/v1/completions"
@@ -158,8 +170,8 @@ def test_http_passthrough_and_wire_format(http_server):
 
 def test_http_retries_then_succeeds(http_server, sleeps):
     _Handler.fail_times = 2
-    backend = HttpBackend(http_server)
-    out = complete(backend, "Q", DecodeParams(max_tokens=8))
+    with closing(HttpBackend(http_server)) as backend:
+        out = complete(backend, "Q", DecodeParams(max_tokens=8))
     assert out == " yes"
     assert len(_Handler.requests_seen) == 3
     assert sleeps == [0.2, 0.4]
@@ -167,8 +179,7 @@ def test_http_retries_then_succeeds(http_server, sleeps):
 
 def test_http_gives_up_after_retries(http_server, sleeps):
     _Handler.fail_times = 10
-    backend = HttpBackend(http_server)
-    with pytest.raises(BackendUnavailable):
+    with closing(HttpBackend(http_server)) as backend, pytest.raises(BackendUnavailable):
         complete(backend, "Q", DecodeParams(max_tokens=8))
     assert _Handler.fail_times == 7  # exactly 3 attempts consumed
     assert sleeps == [0.2, 0.4]
@@ -176,21 +187,20 @@ def test_http_gives_up_after_retries(http_server, sleeps):
 
 def test_http_malformed_response(http_server, sleeps):
     _Handler.payload = {"wrong": 1}
-    backend = HttpBackend(http_server)
-    with pytest.raises(MalformedResponse):
+    with closing(HttpBackend(http_server)) as backend, pytest.raises(MalformedResponse):
         complete(backend, "Q", DecodeParams(max_tokens=8))
     assert len(_Handler.requests_seen) == 1  # not retried
     assert sleeps == []
 
 
 class RecordingSession:
-    """A JSON session stand-in that records each request body."""
+    """A JSON session stand-in that records each request body, decoded."""
 
     def __init__(self, text):
         self.text, self.bodies = text, []
 
-    def post(self, path, body):
-        self.bodies.append(body)
+    def post(self, path, data):
+        self.bodies.append(json.loads(data))
         return {"text": self.text}
 
 
@@ -219,3 +229,103 @@ def test_episode_requests_send_the_line_stop():
     transcript = run_episode("Where?", played[0])
     assert transcript.final_answer == "Paris"
     assert [body["stop"] for body in session.bodies] == [["\n"]]
+
+
+class BodySession:
+    """A JSON session stand-in that keeps the bytes of each posted body."""
+
+    def __init__(self):
+        self.bodies = []
+
+    def post(self, path, data):
+        self.bodies.append(data)
+        return {"text": " yes"}
+
+
+def _dumps_body(prompt, params) -> bytes:
+    """The body as `json.dumps` encodes the wire protocol's request dict."""
+    body = {"prompt": prompt, "max_tokens": params.max_tokens, "temperature": params.temperature,
+            "top_p": params.top_p, "top_k": params.top_k, "stop": list(params.stop),
+            "seed": params.seed}
+    return json.dumps(body, allow_nan=False).encode()
+
+
+def _stage_heads():
+    """The few-shot head of each synthesis stage, fever and mqa."""
+    heads = []
+    for task, stage in product(("fever", "mqa"), (QUESTION_GEN, ANSWERING, QUERY_GEN)):
+        prompt = render_prompt(task, stage, "hyper", builtin_examples(task, "hyper"), ["a", "b"],
+                               answer="x", question="y?").text
+        heads.append(prompt[:prompt.rindex("\n\n") + 2])
+    return heads
+
+
+_BLOCKS = [
+    "Document: Paris is a city.\nAnswer: SUPPORTS\nClaim:",
+    "Document: Zürich – 𝔘nter den Linden\nDocument: Ås–😀 \U0010ffff\nQuestion:",
+    'Document: "quoted" back\\slash \\u0041 tab\t nul\x00 \x1f \x7f   \ud800 \udfff\nQuery:',
+    "",
+]
+_PARAMS = [
+    default_decode_params("question_gen").with_seed(None),
+    default_decode_params("answering").with_seed(-3),
+    default_decode_params("eval_greedy").with_seed(2 ** 70),
+    default_decode_params("eval_self_consistency").with_seed(0),
+    DecodeParams(max_tokens=5, temperature=1e-300, top_p=0.25, stop=("é\n", '"', "😀")),
+]
+
+
+def _count_escapes(monkeypatch):
+    """Count the calls of `genbackend`'s string escape: one per request for its
+    target block, plus one per head that enters the cache."""
+    calls = []
+    escape = genbackend.encode_basestring_ascii
+    monkeypatch.setattr(genbackend, "encode_basestring_ascii",
+                        lambda text: calls.append(text) or escape(text))
+    return calls
+
+
+def test_completion_bodies_are_the_json_dumps_bytes():
+    heads = _stage_heads()
+    # fever's question_gen and answering heads have the same length and other
+    # text, so a hit on the length alone would send the wrong head
+    assert len(heads[0]) == len(heads[1]) and heads[0] != heads[1]
+    wide = heads[1].replace("Document: ", "Document: Zürich – 𝔘nter ", 1)
+    prompts = [head + block for head in [*heads, heads[0], wide] for block in _BLOCKS]
+    prompts += ["Document: no blank line\nClaim:", "Question: q?\n", "\n\n", "x\n\n\n\ny"]
+    session = BodySession()
+    backend = HttpBackend("http://127.0.0.1:9", session=session)
+    calls = [(prompt, params) for params in _PARAMS for prompt in prompts]
+    for prompt, params in calls:
+        assert backend.raw_complete(prompt, params) == " yes"
+    assert session.bodies == [_dumps_body(prompt, params) for prompt, params in calls]
+
+
+def test_each_head_is_escaped_once_per_cache_entry(monkeypatch):
+    escapes = _count_escapes(monkeypatch)
+    question_gen, answering, query_gen = _stage_heads()[:3]  # fever's
+    backend = HttpBackend("http://127.0.0.1:9", session=BodySession())
+
+    def head_escapes(heads):
+        before = len(escapes)
+        for head in heads:
+            for block in _BLOCKS:
+                backend.raw_complete(head + block, _PARAMS[0])
+        return len(escapes) - before - len(heads) * len(_BLOCKS)
+
+    assert head_escapes([question_gen, query_gen] * 3) == 2
+    # answering has question_gen's length, so each switch replaces the entry
+    assert head_escapes([answering, question_gen, answering]) == 3
+
+
+def test_completion_bodies_past_the_head_cache_bound(monkeypatch):
+    escapes = _count_escapes(monkeypatch)
+    heads = [f"Document: {'x' * n}\nAnswer: a\nQuestion: q?\n\n" for n in range(2 * HEADS_MAX + 1)]
+    session = BodySession()
+    backend = HttpBackend("http://127.0.0.1:9", session=session)
+    calls = [(head + block, params) for head in heads for block in _BLOCKS[:2]
+             for params in _PARAMS[:2]]
+    for prompt, params in calls:
+        backend.raw_complete(prompt, params)
+    assert session.bodies == [_dumps_body(prompt, params) for prompt, params in calls]
+    assert len(escapes) - len(calls) == len(heads)  # each head escaped once, then hit

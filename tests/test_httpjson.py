@@ -1,5 +1,6 @@
 """The shared JSON-over-HTTP transport and retry policy of the three clients."""
 
+import gc
 import http.client
 import io
 import json
@@ -10,19 +11,31 @@ import ssl
 import subprocess
 import sys
 import threading
+import warnings
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from hopsynth.entities import HttpRecognizer, RecognizerError
-from hopsynth.genbackend import BackendUnavailable, DecodeParams, HttpBackend
+from hopsynth.cli import main
+from hopsynth.config import PipelineConfig, parse_config_file
+from hopsynth.entities import HeuristicRecognizer, HttpRecognizer, RecognizerError
+from hopsynth.genbackend import BackendUnavailable, DecodeParams, HttpBackend, MockBackend
 from hopsynth.httpjson import (TRANSPORT_ERRORS, HttpProtocolError, HttpStatusError,
                                JsonSession)
-from hopsynth.retrieval import EmbeddingError, HttpEmbedder
+from hopsynth.mockllm import SyntheticPipelineRule
+from hopsynth.pipeline import run_all
+from hopsynth.retrieval import EmbeddingError, HashEmbedder, HttpEmbedder
+
+from synthcorpus import make_corpus, write_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _body(value) -> bytes:
+    """`value` as the JSON bytes a client posts."""
+    return json.dumps(value, allow_nan=False).encode()
 
 
 def _reply(path, body):
@@ -69,6 +82,9 @@ class _Server(ThreadingHTTPServer):
 
     def process_request(self, request, client_address):
         self.connections += 1
+        # the handler writes a reply's head and body apart; without this, Nagle
+        # holds the body until the client's delayed ACK of the head
+        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         super().process_request(request, client_address)
 
 
@@ -94,7 +110,7 @@ def test_one_connection_per_session_when_kept_alive(protocol, connections):
     with serving(protocol) as (server, url):
         session = JsonSession(url + "/api/", timeout=5)
         try:
-            got = [session.post("/echo", {"n": n}) for n in range(5)]
+            got = [session.post("/echo", _body({"n": n})) for n in range(5)]
         finally:
             session.close()
     assert got == [{"echo": {"n": n}} for n in range(5)]
@@ -120,8 +136,8 @@ def test_status_error_closes_the_connection():
         session = JsonSession(url, timeout=5)
         try:
             with pytest.raises(HttpStatusError, match="500"):
-                session.post("/echo", {})
-            assert session.post("/echo", {}) == {"echo": {}}
+                session.post("/echo", _body({}))
+            assert session.post("/echo", _body({})) == {"echo": {}}
         finally:
             session.close()
     assert server.connections == 2
@@ -361,8 +377,8 @@ def test_chunked_reply_with_extensions_and_trailers_keeps_the_connection(wires):
     )
     fake = wires(chunked + _ok({"n": 2}))
     session = JsonSession("http://example.test:8080/api", timeout=5)
-    assert session.post("/echo", {"n": 1}) == {"chunked": True}
-    assert session.post("/echo", {"n": 2}) == {"n": 2}
+    assert session.post("/echo", _body({"n": 1})) == {"chunked": True}
+    assert session.post("/echo", _body({"n": 2})) == {"n": 2}
     session.close()
     assert fake.addresses == [("example.test", 8080)]
 
@@ -371,7 +387,7 @@ def test_interim_1xx_replies_are_skipped(wires):
     fake = wires(b"HTTP/1.1 103 Early Hints\r\nLink: </style.css>\r\n\r\n" + _ok({"x": 1})
                  + _ok({"x": 2}))
     session = JsonSession("http://example.test", timeout=5)
-    assert [session.post("/echo", {}) for _ in range(2)] == [{"x": 1}, {"x": 2}]
+    assert [session.post("/echo", _body({})) for _ in range(2)] == [{"x": 1}, {"x": 2}]
     session.close()
     assert len(fake.addresses) == 1
 
@@ -390,7 +406,7 @@ def test_no_content_reply_has_no_body(wires, sleeps):
 def test_closing_replies_open_a_new_connection_for_the_next_call(wires, reply):
     fake = wires(reply, reply)
     session = JsonSession("http://example.test/", timeout=5)
-    assert [session.post("/echo", {}) for _ in range(2)] == [{"x": 1}, {"x": 1}]
+    assert [session.post("/echo", _body({})) for _ in range(2)] == [{"x": 1}, {"x": 1}]
     session.close()
     assert fake.addresses == [("example.test", 80)] * 2
 
@@ -487,7 +503,7 @@ def test_reply_reads_as_http_client_reads_it(wires, name):
         expected = [{"x": 1} if name in _FRAMINGS else "raises"] * 2
     wires((data, "eof"))
     session = JsonSession("http://example.test", timeout=5)
-    ours = _outcome(lambda: session.post("/echo", {}), TRANSPORT_ERRORS)
+    ours = _outcome(lambda: session.post("/echo", _body({})), TRANSPORT_ERRORS)
     session.close()
     theirs = _outcome(lambda: _stdlib_reply(data), (http.client.HTTPException, ValueError))
     assert [ours, theirs] == expected
@@ -496,7 +512,7 @@ def test_reply_reads_as_http_client_reads_it(wires, name):
 def test_a_reply_with_100_headers_is_read(wires):
     wires(_ok({"x": 1}, *[b"X-A: %d" % i for i in range(98)]))  # with the two of _ok
     session = JsonSession("http://example.test", timeout=5)
-    assert session.post("/echo", {}) == {"x": 1}
+    assert session.post("/echo", _body({})) == {"x": 1}
     session.close()
 
 
@@ -517,7 +533,7 @@ def test_endpoint_with_whitespace_or_control_characters_is_refused(endpoint):
 def test_request_head_and_host_header(wires, endpoint, address, target, host):
     fake = wires(_ok({"x": 1}))
     session = JsonSession(endpoint, timeout=5)
-    session.post("/echo", {"a": 1})
+    session.post("/echo", _body({"a": 1}))
     session.close()
     head, _, body = fake.requests()[0].partition(b"\r\n\r\n")
     assert fake.addresses == [address]
@@ -554,9 +570,61 @@ def test_each_request_is_one_write(monkeypatch):
         session = JsonSession(url, timeout=5)
         try:
             for n in range(4):
-                assert session.post("/echo", {"n": n, "pad": "x" * 5000}) == {
+                assert session.post("/echo", _body({"n": n, "pad": "x" * 5000})) == {
                     "echo": {"n": n, "pad": "x" * 5000}
                 }
         finally:
             session.close()
     assert [c.writes for c in counted] == [4]
+
+
+def _mock_services(dim):
+    """Replies from the in-process clients of a mock run, one per route."""
+    backend = MockBackend(SyntheticPipelineRule())
+    embedder, recognizer = HashEmbedder(dim), HeuristicRecognizer()
+    lock = threading.Lock()  # the rule draws from one generator
+
+    def reply(path, body):
+        with lock:
+            if path.endswith("/v1/completions"):
+                params = DecodeParams(
+                    max_tokens=body["max_tokens"], temperature=body["temperature"],
+                    top_p=body["top_p"], top_k=body["top_k"], stop=tuple(body["stop"]),
+                    seed=body["seed"])
+                return {"text": backend.raw_complete(body["prompt"], params)}
+            if path.endswith("/v1/embeddings"):
+                return {"vectors": [vector.tolist() for vector in embedder(body["texts"])]}
+            return {"entities": recognizer(body["texts"])}
+
+    return reply
+
+
+def test_runs_close_the_http_clients_they_build(tmp_path):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", make_corpus(n_docs=30, seed=5, n_topics=3))
+    items = tmp_path / "items.jsonl"
+    items.write_text(json.dumps({"id": "q0", "question": "Who?", "answer": "x"}) + "\n")
+    with serving(reply=_mock_services(PipelineConfig().embeddings.dim)) as (server, url):
+        config_file = tmp_path / "config.txt"
+        config_file.write_text("".join(f"{kind}.kind = http\n{kind}.endpoint = {url}\n"
+                                       for kind in ("backend", "embeddings", "recognizer")))
+        base = ["--config", str(config_file), "--seed", "3"]
+        store, rows = tmp_path / "store.jsonl", None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run_all(corpus, tmp_path / "http",
+                    parse_config_file(config_file, PipelineConfig(seed=3, dev_size=2)))
+            assert main(base + ["ingest", "--in", str(corpus), "--out", str(store)]) == 0
+            for command in ("pair", "gen-questions", "filter-answers", "gen-queries", "verify"):
+                out = tmp_path / f"{command}.jsonl"
+                inputs = [] if rows is None else ["--in", str(rows)]
+                assert main(base + [command, "--store", str(store), *inputs,
+                                    "--out", str(out)]) == 0
+                rows = out
+            assert main(base + ["eval", "--in", str(items), "--corpus", str(corpus),
+                                "--out", str(tmp_path / "report.json")]) == 0
+            gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    # the clients sent what the in-process components take
+    run_all(corpus, tmp_path / "mock", PipelineConfig(seed=3, dev_size=2))
+    for name in ("train.jsonl", "dev.jsonl", "store.jsonl"):
+        assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes()

@@ -8,7 +8,7 @@ from hopsynth.config import PipelineConfig
 from hopsynth.genbackend import MockBackend
 from hopsynth.mockllm import GoldScriptRule, SyntheticPipelineRule
 from hopsynth.pipeline import run_all
-from hopsynth.promptkit import parse_block
+from hopsynth.promptkit import HEADS_MAX, parse_block
 
 from oracles import oracle_synthetic_rule
 from synthcorpus import make_corpus, write_corpus
@@ -175,7 +175,7 @@ def test_rule_equals_its_definition_on_edge_prompts():
 
 def test_rule_equals_its_definition_past_the_head_cache_bound():
     heads = [f"Document: {'x' * n}\nAnswer: a\nQuestion: q?\n\n"
-             for n in range(2 * mockllm._HEADS_MAX + 1)]
+             for n in range(2 * HEADS_MAX + 1)]
     block = QGEN_PROMPT.rpartition("\n\n")[2]
     calls = [(head + block, seed) for seed in range(2) for head in heads]
     _assert_rule_matches_oracle(calls, **COIN_FLIPS)

@@ -454,7 +454,8 @@ class EmbeddingSession:
         self.inner = HashEmbedder(dim=256)
         self.requests: list[list[str]] = []
 
-    def post(self, path, body):
+    def post(self, path, data):
+        body = json.loads(data)
         self.requests.append(body["texts"])
         return {"vectors": [v.tolist() for v in self.inner(body["texts"])]}
 

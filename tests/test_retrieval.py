@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import threading
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -620,12 +621,13 @@ def test_http_embedder_wire_format():
     server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
     threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True).start()
     try:
-        provider = HttpEmbedder(f"http://127.0.0.1:{server.server_port}")
-        got = embed(provider, ["abc", "de"])
+        with closing(HttpEmbedder(f"http://127.0.0.1:{server.server_port}")) as provider:
+            got = embed(provider, ["abc", "de"])
         assert got[0].tolist() == [3.0, 1.0]
         assert got[1].tolist() == [2.0, 1.0]
     finally:
         server.shutdown()
+        server.server_close()
 
 
 class ReplySession:
