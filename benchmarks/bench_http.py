@@ -2,12 +2,12 @@
 """Benchmark the completion client: `HttpBackend.raw_complete` against a stdlib client, on the loopback stub.
 
 Records the completion requests of a fever synthesis run: the question,
-answering and query stages of synth-fever-http's config (perfbench's
-`workloads.make_config`, seed 7) on the benchmark's seeded corpus of
-`--docs` documents (`layerbench.seeded_store`), with the mock backend. Each
-request is a prompt that promptkit rendered, one of the three stage heads
-with its own target block, and its `DecodeParams`. `--requests` of them,
-spread evenly over the recording, make one pass.
+answering and query stages under synth-fever-http's config (perfbench's
+`workloads`, seed 7) on the benchmark's seeded corpus of the workload's
+size (`layerbench.seeded_store`), with the mock backend. Each request is a
+prompt that promptkit rendered, one of the three stage heads with its own
+target block, and its `DecodeParams`. `--requests` of them, spread evenly
+over the recording, make one pass.
 
 Starts `perfbench/stub.py` as a subprocess pinned, like this process, to
 one CPU (the highest this process may use), so client and stub take turns
@@ -47,6 +47,7 @@ from workloads import WORKLOADS, make_config
 
 PERFBENCH = ROOT / "perfbench"
 PATH = "/v1/completions"
+FEVER = WORKLOADS["synth-fever-http"]
 
 
 class RecordingBackend(MockBackend):
@@ -61,11 +62,11 @@ class RecordingBackend(MockBackend):
         return super().raw_complete(prompt_text, params)
 
 
-def fever_requests(n_docs: int) -> list:
+def fever_requests() -> list:
     """The completion requests of synth-fever-http's three synthesis stages, in order."""
     with tempfile.TemporaryDirectory() as tmp:
-        config = make_config(WORKLOADS["synth-fever-http"], 7, Path(tmp))
-    store = seeded_store(n_docs, config)
+        config = make_config(FEVER, 7, Path(tmp))
+    store = seeded_store(FEVER.docs, config)
     backend = RecordingBackend()
     rows, _ = stage_pair(store, config)
     rows, _ = stage_questions(store, rows, config, backend)
@@ -91,13 +92,11 @@ def stub_request(connection: http.client.HTTPConnection, method: str, path: str)
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--docs", type=int, default=300,
-                        help="documents of the corpus whose fever run is recorded")
     parser.add_argument("--requests", type=int, default=2_000, help="completions per pass")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    recorded = fever_requests(args.docs)
+    recorded = fever_requests()
     calls = [recorded[n * len(recorded) // args.requests] for n in range(args.requests)]
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # the stub inherits it
     src = Path(hopsynth.__file__).resolve().parent.parent
@@ -134,7 +133,7 @@ def main():
     prompt_chars = sum(len(prompt_text) for prompt_text, _ in calls) / len(calls)
     stub_us = stats["busy_s"] / stats["requests"] * 1e6
     request_us, ref_request_us = (timing[side] / args.requests * 1e6 for side in ("s", "ref_s"))
-    report(args, [{"layer": "raw_complete", "docs": args.docs, "recorded": len(recorded),
+    report(args, [{"layer": "raw_complete", "docs": FEVER.docs, "recorded": len(recorded),
                    "prompt_chars": round(prompt_chars), **timing,
                    "stub_us": round(stub_us, 1), "request_us": round(request_us, 1),
                    "client_us": round(request_us - stub_us, 1),
