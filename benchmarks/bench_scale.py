@@ -7,10 +7,15 @@ Python process that runs one `pipeline.run_all` mqa under synth-mqa-2k's
 config with seed 7 (`workloads.make_config`: one worker, hash embeddings of
 dim 256, 100 dev instances). The child times each `pipeline.stage_*` by
 wrapping the names the `pipeline.STAGES` table holds, and
-`pipeline.build_index`, which `stage_verify` calls, so `verify_s` includes
-`index_s`. It counts the texts `verification.embed` gets, the texts verify
-embeds and searches (the index is embedded through `pipeline.embed` and is
-not counted), and reads its peak RSS (`ru_maxrss`) once the call returns.
+`pipeline.build_index`. `run_all` runs the four per-row stages once per
+block of `pipeline.PAIR_BLOCK` pair rows, so a stage's time is the sum over
+its calls, and `blocks` counts the calls of `stage_verify`. `run_all`
+builds the index before the first block's `stage_verify`, so `verify_s`
+does not include `index_s` (on a checkout whose `stage_verify` builds the
+index itself, it does). The child counts the
+texts `verification.embed` gets, the texts verify embeds and searches (the
+index is embedded through `pipeline.embed` and is not counted), and reads
+its peak RSS (`ru_maxrss`) once the call returns.
 A row also holds the first 16 hex digits of the sha256 of `train.jsonl`, of
 `dev.jsonl` and of the returned report without its `outputs` paths, so two
 checkouts can be shown to write the same data.
@@ -45,6 +50,7 @@ from hopsynth import pipeline, verification
 from workloads import WORKLOADS, make_config
 
 seconds = {}
+calls = {}
 texts = [0]
 
 def timed(name, stage):
@@ -53,7 +59,8 @@ def timed(name, stage):
         try:
             return stage(*args, **kwargs)
         finally:
-            seconds[name] = time.perf_counter() - started
+            seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - started
+            calls[name] = calls.get(name, 0) + 1
     return run
 
 for _, name, _, _ in pipeline.STAGES:
@@ -77,7 +84,7 @@ wall = time.perf_counter() - started
 del report["outputs"]
 print(json.dumps({
     "wall_s": round(wall, 3), **{name: round(s, 3) for name, s in seconds.items()},
-    "verify_texts": texts[0], "emitted": report["counters"]["emitted"],
+    "blocks": calls["verify_s"], "verify_texts": texts[0], "emitted": report["counters"]["emitted"],
     "peak_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "train_sha": digest((workdir / "out" / "train.jsonl").read_bytes()),
     "dev_sha": digest((workdir / "out" / "dev.jsonl").read_bytes()),

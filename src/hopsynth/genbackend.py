@@ -20,6 +20,7 @@ the escape of the head followed by that of the block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
@@ -64,8 +65,8 @@ class DecodeParams:
             raise ValueError("max_tokens must be positive")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0.0 <= self.temperature < math.inf:  # False for NaN too
+            raise ValueError("temperature must be finite and non-negative")
         # one sampling family at a time: nucleus, top-k, or greedy
         if self.top_k is not None and self.top_p < 1.0:
             raise ValueError("top_k and nucleus top_p are mutually exclusive")

@@ -4,12 +4,16 @@ verified instances, with per-reason drop accounting.
 Every stage consumes and produces JSONL-friendly dicts so the CLI can stop
 and resume between stages. All randomness derives from (seed, stable item
 keys), so reruns with the same inputs reproduce outputs byte for byte.
-Each stage builds its clients, runs any block pre-pass, then hands a
-per-item step to `_run_steps`: one loop counts every stage's attempts (the
-items it took; for `stage_pair`, the pairs sampled for the task), outputs
-and drops, so attempts = emitted + drops per stage. `run_eval` scores one
-greedy episode, or majority-votes sampled ones, per evaluation item; it
-plays the episodes in blocks, turn by turn.
+Each stage builds the clients it was not given (and closes them before it
+returns), runs any block pre-pass, then hands a per-item step to
+`_run_steps`: one loop counts every stage's attempts (the items it took;
+for `stage_pair`, the pairs sampled for the task), outputs and drops, so
+attempts = emitted + drops per stage. `run_all` runs `stage_pair` once over
+the whole corpus and the four per-row stages on blocks of PAIR_BLOCK pair
+rows, so the rows of only one block are held at a time; pair rows do not
+depend on each other, so the blocks write what one block would. `run_eval`
+scores one greedy episode, or majority-votes sampled ones, per evaluation
+item; it plays the episodes in blocks, turn by turn.
 """
 
 from __future__ import annotations
@@ -74,6 +78,12 @@ DROP_REASONS = (
 )
 
 
+# Pair rows per block of the per-row stages in `run_all`. A block's drafts,
+# decisions and candidates are dropped before the next block starts, so the
+# rows in memory stop growing with the corpus.
+PAIR_BLOCK = 1024
+
+
 def counters_conserved(counters: dict[str, int]) -> bool:
     drops = sum(counters.get(reason, 0) for reason in DROP_REASONS)
     return counters["attempts"] == counters["emitted"] + drops
@@ -123,16 +133,18 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
     recognizer in blocks before any answer is picked.
     """
     mqa = config.task == TASK_MQA
-    recognizer = recognizer or (build_recognizer(config) if mqa else None)  # fever needs none
     pairs = [
         pair
         for anchor_id in sorted(store.documents)
         for pair in sample_pairs(store, anchor_id, config.pairing, config.seed)
         if mqa or pair.relation == HYPER
     ]
-    entities = per_distinct_text(recognizer, [
-        doc.text for pair in pairs if pair.relation == HYPER for doc in (pair.d1, pair.d2)
-    ]) if mqa else {}
+    entities = {}
+    if mqa:  # fever needs no recognizer
+        with ExitStack() as built:
+            entities = per_distinct_text(recognizer or own(built, build_recognizer(config)), [
+                doc.text for pair in pairs if pair.relation == HYPER for doc in (pair.d1, pair.d2)
+            ])
 
     def step(pair: DocumentPair):
         rng = derive_rng(config.seed, "answer", pair.d1.id, pair.d2.id)
@@ -163,17 +175,18 @@ def stage_questions(
     All drafts are generated first; their distinct texts then go to the
     recognizer in blocks, and the filter runs in row order.
     """
-    backend = backend or build_backend(config)
-    recognizer = recognizer or build_recognizer(config)
     examples = examples or build_examples(config)
-    drafts = [
-        synthesis.generate_question(
-            _pair_from_row(store, row), row["answer"], backend, task=config.task,
-            examples=examples, seed=derive_seed(config.seed, "qgen", row["d1"], row["d2"]),
-        )
-        for row in pair_rows
-    ]
-    entities = per_distinct_text(recognizer, [draft.text for draft in drafts if draft])
+    with ExitStack() as built:
+        backend = backend or own(built, build_backend(config))
+        recognizer = recognizer or own(built, build_recognizer(config))
+        drafts = [
+            synthesis.generate_question(
+                _pair_from_row(store, row), row["answer"], backend, task=config.task,
+                examples=examples, seed=derive_seed(config.seed, "qgen", row["d1"], row["d2"]),
+            )
+            for row in pair_rows
+        ]
+        entities = per_distinct_text(recognizer, [draft.text for draft in drafts if draft])
 
     def step(item: tuple[dict, QuestionDraft | None]):
         row, draft = item
@@ -201,7 +214,6 @@ def stage_filter_answers(
     examples=None,
 ) -> tuple[list[dict], dict]:
     """Answerability and hop classification via both/first/second probes."""
-    backend = backend or build_backend(config)
     examples = examples or build_examples(config)
 
     def step(row: dict):
@@ -221,7 +233,9 @@ def stage_filter_answers(
         )
         return "not_answerable" if decision is None else {**row, **decision}
 
-    return _run_steps(draft_rows, step)
+    with ExitStack() as built:
+        backend = backend or own(built, build_backend(config))
+        return _run_steps(draft_rows, step)
 
 
 def stage_queries(
@@ -232,7 +246,6 @@ def stage_queries(
     examples=None,
 ) -> tuple[list[dict], dict]:
     """Generate query candidates (model + backup) for every kept draft."""
-    backend = backend or build_backend(config)
     examples = examples or build_examples(config)
 
     def step(row: dict):
@@ -242,7 +255,9 @@ def stage_queries(
             seed=derive_seed(config.seed, "querygen", row["d1"], row["d2"]),
         )}
 
-    return _run_steps(decision_rows, step)
+    with ExitStack() as built:
+        backend = backend or own(built, build_backend(config))
+        return _run_steps(decision_rows, step)
 
 
 def build_index(store: CorpusStore, provider):
@@ -261,6 +276,7 @@ def stage_verify(
     config: PipelineConfig,
     provider=None,
     index=None,
+    retrieved=None,
 ) -> tuple[list[DataInstance], dict]:
     """Verify candidates against the corpus index and assemble instances.
 
@@ -270,17 +286,24 @@ def stage_verify(
     pass did not retrieve: the backups of the rows whose model candidates
     all missed d1 and d2. Each candidate row that rule returns goes to
     `verify_query` as it is, and the row itself to `assemble_instance` as
-    its decision.
+    its decision. `retrieved`, a map from text to top-k ids that the caller
+    shares between calls on the same index and k, is updated in place, and
+    both passes skip the texts already in it, so a run in blocks retrieves
+    each distinct text once.
     """
-    provider = provider or build_embedder(config)
-    index = index if index is not None else build_index(store, provider)
+    retrieved = {} if retrieved is None else retrieved
     k = config.verify.k
-    retrieved = retrieve_queries([c["text"] for row in candidate_rows for c in row["candidates"]
-                                  if c["origin"] == ORIGIN_MODEL], index, provider, k)
-    retrieved.update(retrieve_queries([
-        c["text"] for row in candidate_rows for c in consult_backup_rule(row, retrieved)
-        if c["text"] not in retrieved
-    ], index, provider, k))
+    with ExitStack() as built:
+        provider = provider or own(built, build_embedder(config))
+        index = index if index is not None else build_index(store, provider)
+        retrieved.update(retrieve_queries([
+            c["text"] for row in candidate_rows for c in row["candidates"]
+            if c["origin"] == ORIGIN_MODEL and c["text"] not in retrieved
+        ], index, provider, k))
+        retrieved.update(retrieve_queries([
+            c["text"] for row in candidate_rows for c in consult_backup_rule(row, retrieved)
+            if c["text"] not in retrieved
+        ], index, provider, k))
 
     def step(row: dict):
         draft = _draft_from_row(store, row, config.task)
@@ -353,6 +376,18 @@ def run_all(
 ) -> dict:
     """End-to-end synthesis. Writes train, dev and store files to out_dir.
 
+    `stage_pair` runs once over the whole corpus: its rows are the smallest,
+    and its recognizer pre-pass takes each distinct document text once. The
+    four per-row stages then run on consecutive blocks of PAIR_BLOCK pair
+    rows, and a block's rows are dropped before the next block starts; the
+    instances, the output, are kept whole. The corpus index is built once,
+    just before the first block is verified (one empty block runs if there
+    are no pair rows), and one map from text to top-k ids is shared by the
+    blocks, so each distinct text is retrieved once per run. Pair rows do
+    not depend on each other and every seed is keyed on the pair, so the
+    output and the counters, summed over the blocks, do not depend on
+    PAIR_BLOCK; a run of one block sends the requests it always did.
+
     Nothing is written until every stage has run, so a run that fails in a
     stage creates no out_dir. Returns the report dict (counters plus output paths and
     stats). The clients it builds itself are closed once the stages have run,
@@ -366,17 +401,24 @@ def run_all(
         examples = build_examples(config)
 
         store = build_store(corpus_path, config)
-        # each stage takes the rows the one before it wrote; rebinding `rows`
-        # frees a stage's input once the next stage has returned
-        rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
-        rows, question_counts = stage_questions(store, rows, config, backend, recognizer,
-                                                examples)
-        rows, answer_counts = stage_filter_answers(store, rows, config, backend, examples)
-        rows, query_counts = stage_queries(store, rows, config, backend, examples)
-        instances, verify_counts = stage_verify(store, rows, config, provider)
-        del rows
-    stages = (pair_counts, question_counts, answer_counts, query_counts, verify_counts)
-    totals = {"attempts": pair_counts["attempts"], "emitted": verify_counts["emitted"]}
+        pair_rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
+        stages, instances, index, retrieved = [pair_counts], [], None, {}
+        for start in range(0, max(len(pair_rows), 1), PAIR_BLOCK):
+            # each stage takes the rows the one before it wrote; rebinding
+            # `rows` frees a stage's input once the next stage has returned
+            rows, question_counts = stage_questions(
+                store, pair_rows[start:start + PAIR_BLOCK], config, backend, recognizer, examples)
+            rows, answer_counts = stage_filter_answers(store, rows, config, backend, examples)
+            rows, query_counts = stage_queries(store, rows, config, backend, examples)
+            if index is None:
+                index = build_index(store, provider)
+            block, verify_counts = stage_verify(store, rows, config, provider, index=index,
+                                                retrieved=retrieved)
+            del rows
+            instances += block
+            stages += (question_counts, answer_counts, query_counts, verify_counts)
+        del pair_rows, index, retrieved
+    totals = {"attempts": pair_counts["attempts"], "emitted": len(instances)}
     totals.update({reason: sum(counts[reason] for counts in stages) for reason in DROP_REASONS})
 
     train, dev = write_splits(instances, out_dir, config)

@@ -78,6 +78,13 @@ def test_params_single_sampling_family():
     DecodeParams(max_tokens=8, temperature=0.0)  # greedy
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf"), -0.5])
+def test_params_refuse_a_temperature_no_body_can_carry(temperature):
+    # a NaN or infinite temperature cannot be encoded as JSON, and NaN < 0 is False
+    with pytest.raises(ValueError, match="temperature must be finite and non-negative"):
+        DecodeParams(max_tokens=8, temperature=temperature)
+
+
 def test_mock_stop_trimming():
     backend = MockBackend(rule=lambda text, seed: {"P": " Paris\n\nmore"}[text])
     params = default_decode_params("answering")

@@ -25,6 +25,7 @@ from hopsynth.genbackend import BackendUnavailable, DecodeParams, HttpBackend, M
 from hopsynth.httpjson import (TRANSPORT_ERRORS, HttpProtocolError, HttpStatusError,
                                JsonSession)
 from hopsynth.mockllm import SyntheticPipelineRule
+from hopsynth import pipeline
 from hopsynth.pipeline import run_all
 from hopsynth.retrieval import EmbeddingError, HashEmbedder, HttpEmbedder
 
@@ -628,3 +629,36 @@ def test_runs_close_the_http_clients_they_build(tmp_path):
     run_all(corpus, tmp_path / "mock", PipelineConfig(seed=3, dev_size=2))
     for name in ("train.jsonl", "dev.jsonl", "store.jsonl"):
         assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes()
+
+
+def test_stages_close_the_http_clients_they_build(tmp_path):
+    # each stage called without a client builds it from the config and
+    # closes it before it returns; one that is passed in stays open
+    corpus = write_corpus(tmp_path / "corpus.jsonl", make_corpus(n_docs=30, seed=5, n_topics=3))
+    with serving(reply=_mock_services(PipelineConfig().embeddings.dim)) as (server, url):
+        config = PipelineConfig(seed=3)
+        for client in (config.backend, config.embeddings, config.recognizer):
+            client.kind, client.endpoint = "http", url
+        store = pipeline.build_store(corpus, config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            rows, _ = pipeline.stage_pair(store, config)
+            gc.collect()
+            assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+            for stage in ("questions", "filter_answers", "queries", "verify"):
+                rows, _ = getattr(pipeline, f"stage_{stage}")(store, rows, config)
+            gc.collect()
+        assert rows
+
+        class Recognizer(HttpRecognizer):
+            closes = 0
+
+            def close(self):
+                self.closes += 1
+                super().close()
+
+        recognizer = Recognizer(url)
+        pipeline.stage_pair(store, config, recognizer=recognizer)
+        assert recognizer.closes == 0
+        recognizer.close()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

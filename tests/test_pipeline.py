@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopsynth import httpjson, pipeline, promptkit, retrieval
+from hopsynth import httpjson, pipeline, promptkit, retrieval, verification
 from hopsynth.cli import main
 from hopsynth.config import (PipelineConfig, TopicsConfig, build_backend, build_embedder,
                              build_recognizer, parse_config_file)
@@ -237,6 +238,71 @@ def test_run_all_ignores_corpus_line_order(tmp_path, task):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("task", ["mqa", "fever"])
+def test_run_all_identical_across_pair_blocks(tmp_path, monkeypatch, task):
+    # pair rows do not depend on each other, so the per-row stages run on
+    # blocks of any size write what one block writes, for any line order
+    records = make_corpus(n_docs=300, seed=5, n_topics=12)
+    shuffled = list(records)
+    random.Random(23).shuffle(shuffled)
+    config = make_config(task=task, dev_size=5)
+    blocks = (1, 7, pipeline.PAIR_BLOCK)
+    outputs, calls, searched = {}, Counter(), Counter()
+    stage, index, embed = pipeline.stage_verify, pipeline.build_index, verification.embed
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls[name, pipeline.PAIR_BLOCK] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def counting_embed(provider, texts):
+        searched[pipeline.PAIR_BLOCK] += len(texts)
+        return embed(provider, texts)
+
+    monkeypatch.setattr(pipeline, "stage_verify", counting("verify", stage))
+    monkeypatch.setattr(pipeline, "build_index", counting("index", index))
+    monkeypatch.setattr(verification, "embed", counting_embed)
+    for name, lines in (("sorted", records), ("shuffled", shuffled)):
+        corpus = write_corpus(tmp_path / f"{name}.jsonl", lines)
+        for block in blocks:
+            monkeypatch.setattr(pipeline, "PAIR_BLOCK", block)
+            out = tmp_path / f"{name}{block}"
+            report = run_all(corpus, out, config)
+            del report["outputs"]
+            outputs[name, block] = [report] + [
+                (out / file).read_bytes() for file in ("train.jsonl", "dev.jsonl", "store.jsonl")]
+    first = outputs["sorted", 1]
+    assert first[0]["counters"]["emitted"] > 5
+    assert all(output == first for output in outputs.values())
+    pair_rows = first[0]["counters"]["attempts"] - first[0]["counters"]["no_answer_candidates"]
+    # two runs per block size, each verifying its blocks against one index
+    assert calls == {("verify", 1): 2 * pair_rows, ("verify", 7): 2 * -(-pair_rows // 7),
+                     ("verify", blocks[2]): 2, **{("index", block): 2 for block in blocks}}
+    # and one map from text to ids: each text is searched once
+    assert searched[1] == searched[7] == searched[blocks[2]] > 0
+
+
+def test_run_all_in_blocks_holds_fewer_rows(tmp_path, monkeypatch):
+    # the rows of one block at a time, not of every pair row: a lower peak
+    corpus = write_corpus(tmp_path / "corpus.jsonl", make_corpus(n_docs=600, seed=9, n_topics=12))
+    config = make_config(dev_size=5)
+    config.embeddings.dim = 32  # a small token table and index: the rows weigh more
+    # the module-level caches a first run fills are filled before either is traced
+    small = write_corpus(tmp_path / "small.jsonl", make_corpus(n_docs=30, seed=9, n_topics=3))
+    run_all(small, tmp_path / "small", config)
+    peaks = {}
+    for block in (64, 10**9):  # the second is one block
+        monkeypatch.setattr(pipeline, "PAIR_BLOCK", block)
+        tracemalloc.start()
+        try:
+            run_all(corpus, tmp_path / f"block{block}", config)
+            peaks[block] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] < 0.85 * peaks[10**9], peaks  # 0.75 when written
+
+
 def _topic_corpus(tmp_path, with_topics: bool):
     records = make_corpus(n_docs=40, seed=4, n_topics=4)
     for i, record in enumerate(records):
@@ -381,6 +447,46 @@ def test_stage_verify_embeds_each_distinct_text_once(corpus_path, monkeypatch):
             stage_verify(store, rows, config, provider=failing, index=index)
         assert failing.calls == healthy.calls[:calls_made]
         assert verdicts == []
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_stage_verify_in_blocks_retrieves_each_distinct_text_once(verify_inputs, monkeypatch,
+                                                                   block):
+    # blocks that share one map from text to ids embed each distinct text
+    # once in all, and verify_query gets what one block gives it
+    config, store, candidate_rows, index = verify_inputs
+    verified = []
+
+    def recording_verify(candidate, pair, retrieved):
+        verified.append((candidate, pair.d1.id, pair.d2.id, retrieved))
+        return verify_query(candidate, pair, retrieved)
+
+    monkeypatch.setattr(pipeline, "verify_query", recording_verify)
+    whole = CountingEmbedder()
+    expected = stage_verify(store, candidate_rows, config, provider=whole, index=index)
+    whole_verified = list(verified)
+    verified.clear()
+
+    def in_blocks(provider, retrieved):
+        instances, counts = [], Counter()
+        for start in range(0, len(candidate_rows), block):
+            part, part_counts = stage_verify(store, candidate_rows[start:start + block], config,
+                                             provider, index, retrieved)
+            instances += part
+            counts.update(part_counts)
+        return instances, dict(counts)
+
+    shared, retrieved = CountingEmbedder(), {}
+    assert in_blocks(shared, retrieved) == expected
+    texts = [t for call in shared.calls for t in call]
+    assert len(texts) == len(set(texts)) == len(retrieved)
+    assert sorted(texts) == sorted(t for call in whole.calls for t in call)
+    assert verified == whole_verified
+    # a map per block would embed some texts again
+    fresh = CountingEmbedder()
+    for start in range(0, len(candidate_rows), block):
+        stage_verify(store, candidate_rows[start:start + block], config, fresh, index)
+    assert sum(map(len, fresh.calls)) > len(texts)
 
 
 @pytest.mark.parametrize("k", [1, 7])
