@@ -643,8 +643,6 @@ def test_stages_close_the_http_clients_they_build(tmp_path):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             rows, _ = pipeline.stage_pair(store, config)
-            gc.collect()
-            assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
             for stage in ("questions", "filter_answers", "queries", "verify"):
                 rows, _ = getattr(pipeline, f"stage_{stage}")(store, rows, config)
             gc.collect()
