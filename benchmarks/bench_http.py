@@ -38,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 import hopsynth
+from hopsynth.config import build_recognizer
 from hopsynth.genbackend import HttpBackend, MockBackend
 from hopsynth.mockllm import SyntheticPipelineRule
 from hopsynth.pipeline import stage_filter_answers, stage_pair, stage_queries, stage_questions
@@ -69,7 +70,7 @@ def fever_requests() -> list:
     store = seeded_store(FEVER.docs, config)
     backend = RecordingBackend()
     rows, _ = stage_pair(store, config)
-    rows, _ = stage_questions(store, rows, config, backend)
+    rows, _ = stage_questions(store, rows, config, backend, build_recognizer(config))
     rows, _ = stage_filter_answers(store, rows, config, backend)
     stage_queries(store, rows, config, backend)
     return backend.requests

@@ -42,7 +42,7 @@ import tempfile
 from pathlib import Path
 
 from hopsynth import promptkit, synthesis
-from hopsynth.config import PipelineConfig
+from hopsynth.config import PipelineConfig, build_backend, build_recognizer
 from hopsynth.entities import HeuristicRecognizer
 from hopsynth.genbackend import MockBackend
 from hopsynth.mockllm import SyntheticPipelineRule
@@ -79,7 +79,8 @@ def filter_stage_calls(n_docs):
     config = PipelineConfig(seed=7)
     store = seeded_store(n_docs, config)
     pairs, _ = stage_pair(store, config)
-    drafts, _ = stage_questions(store, pairs, config)
+    drafts, _ = stage_questions(store, pairs, config, build_backend(config),
+                                build_recognizer(config))
     renders, classifies, rules = [], [], []
     rule = SyntheticPipelineRule()
 

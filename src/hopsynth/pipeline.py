@@ -4,11 +4,10 @@ verified instances, with per-reason drop accounting.
 Every stage consumes and produces JSONL-friendly dicts so the CLI can stop
 and resume between stages. All randomness derives from (seed, stable item
 keys), so reruns with the same inputs reproduce outputs byte for byte.
-Each stage builds the clients it was not given (and closes them before it
-returns), runs any block pre-pass, then hands a per-item step to
-`_run_steps`: one loop counts every stage's attempts (the items it took;
-for `stage_pair`, the pairs sampled for the task), outputs and drops, so
-attempts = emitted + drops per stage. `run_all` runs `stage_pair` once over
+Each stage runs with the clients it is given, runs any block pre-pass,
+then hands a per-item step to `_run_steps`: one loop counts every stage's
+attempts (the items it took; for `stage_pair`, the pairs sampled for the
+task), outputs and drops, so attempts = emitted + drops per stage. `run_all` runs `stage_pair` once over
 the whole corpus and the four per-row stages on blocks of PAIR_BLOCK pair
 rows, so the rows of only one block are held at a time; pair rows do not
 depend on each other, so the blocks write what one block would. `run_eval`
@@ -130,7 +129,8 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
     For fact verification only hyper pairs are used and the answer is a
     uniformly sampled label; for QA the answer comes from the candidate set,
     and the distinct texts of the hyper pairs' documents go to the
-    recognizer in blocks before any answer is picked.
+    recognizer in blocks before any answer is picked. Without a recognizer
+    it builds and closes one, as perfbench calls `stage_pair(store, config)`.
     """
     mqa = config.task == TASK_MQA
     pairs = [
@@ -166,8 +166,8 @@ def stage_questions(
     store: CorpusStore,
     pair_rows: list[dict],
     config: PipelineConfig,
-    backend=None,
-    recognizer=None,
+    backend,
+    recognizer,
     examples=None,
 ) -> tuple[list[dict], dict]:
     """Generate questions/claims and apply the entity filter.
@@ -175,18 +175,14 @@ def stage_questions(
     All drafts are generated first; their distinct texts then go to the
     recognizer in blocks, and the filter runs in row order.
     """
-    examples = examples or build_examples(config)
-    with ExitStack() as built:
-        backend = backend or own(built, build_backend(config))
-        recognizer = recognizer or own(built, build_recognizer(config))
-        drafts = [
-            synthesis.generate_question(
-                _pair_from_row(store, row), row["answer"], backend, task=config.task,
-                examples=examples, seed=derive_seed(config.seed, "qgen", row["d1"], row["d2"]),
-            )
-            for row in pair_rows
-        ]
-        entities = per_distinct_text(recognizer, [draft.text for draft in drafts if draft])
+    drafts = [
+        synthesis.generate_question(
+            _pair_from_row(store, row), row["answer"], backend, task=config.task,
+            examples=examples, seed=derive_seed(config.seed, "qgen", row["d1"], row["d2"]),
+        )
+        for row in pair_rows
+    ]
+    entities = per_distinct_text(recognizer, [draft.text for draft in drafts if draft])
 
     def step(item: tuple[dict, QuestionDraft | None]):
         row, draft = item
@@ -210,11 +206,10 @@ def stage_filter_answers(
     store: CorpusStore,
     draft_rows: list[dict],
     config: PipelineConfig,
-    backend=None,
+    backend,
     examples=None,
 ) -> tuple[list[dict], dict]:
     """Answerability and hop classification via both/first/second probes."""
-    examples = examples or build_examples(config)
 
     def step(row: dict):
         draft = _draft_from_row(store, row, config.task)
@@ -233,20 +228,17 @@ def stage_filter_answers(
         )
         return "not_answerable" if decision is None else {**row, **decision}
 
-    with ExitStack() as built:
-        backend = backend or own(built, build_backend(config))
-        return _run_steps(draft_rows, step)
+    return _run_steps(draft_rows, step)
 
 
 def stage_queries(
     store: CorpusStore,
     decision_rows: list[dict],
     config: PipelineConfig,
-    backend=None,
+    backend,
     examples=None,
 ) -> tuple[list[dict], dict]:
     """Generate query candidates (model + backup) for every kept draft."""
-    examples = examples or build_examples(config)
 
     def step(row: dict):
         return {**row, "candidates": synthesis.generate_queries(
@@ -255,9 +247,7 @@ def stage_queries(
             seed=derive_seed(config.seed, "querygen", row["d1"], row["d2"]),
         )}
 
-    with ExitStack() as built:
-        backend = backend or own(built, build_backend(config))
-        return _run_steps(decision_rows, step)
+    return _run_steps(decision_rows, step)
 
 
 def build_index(store: CorpusStore, provider):
@@ -274,7 +264,7 @@ def stage_verify(
     store: CorpusStore,
     candidate_rows: list[dict],
     config: PipelineConfig,
-    provider=None,
+    provider,
     index=None,
     retrieved=None,
 ) -> tuple[list[DataInstance], dict]:
@@ -286,24 +276,22 @@ def stage_verify(
     pass did not retrieve: the backups of the rows whose model candidates
     all missed d1 and d2. Each candidate row that rule returns goes to
     `verify_query` as it is, and the row itself to `assemble_instance` as
-    its decision. `retrieved`, a map from text to top-k ids that the caller
-    shares between calls on the same index and k, is updated in place, and
-    both passes skip the texts already in it, so a run in blocks retrieves
-    each distinct text once.
+    its decision. Without an `index` it builds the store's. `retrieved`, a
+    map from text to top-k ids that the caller shares between calls on the
+    same index and k, is updated in place, and both passes skip the texts
+    already in it, so a run in blocks retrieves each distinct text once.
     """
     retrieved = {} if retrieved is None else retrieved
     k = config.verify.k
-    with ExitStack() as built:
-        provider = provider or own(built, build_embedder(config))
-        index = index if index is not None else build_index(store, provider)
-        retrieved.update(retrieve_queries([
-            c["text"] for row in candidate_rows for c in row["candidates"]
-            if c["origin"] == ORIGIN_MODEL and c["text"] not in retrieved
-        ], index, provider, k))
-        retrieved.update(retrieve_queries([
-            c["text"] for row in candidate_rows for c in consult_backup_rule(row, retrieved)
-            if c["text"] not in retrieved
-        ], index, provider, k))
+    index = index if index is not None else build_index(store, provider)
+    retrieved.update(retrieve_queries([
+        c["text"] for row in candidate_rows for c in row["candidates"]
+        if c["origin"] == ORIGIN_MODEL and c["text"] not in retrieved
+    ], index, provider, k))
+    retrieved.update(retrieve_queries([
+        c["text"] for row in candidate_rows for c in consult_backup_rule(row, retrieved)
+        if c["text"] not in retrieved
+    ], index, provider, k))
 
     def step(row: dict):
         draft = _draft_from_row(store, row, config.task)
@@ -381,12 +369,11 @@ def run_all(
     four per-row stages then run on consecutive blocks of PAIR_BLOCK pair
     rows, and a block's rows are dropped before the next block starts; the
     instances, the output, are kept whole. The corpus index is built once,
-    just before the first block is verified (one empty block runs if there
-    are no pair rows), and one map from text to top-k ids is shared by the
-    blocks, so each distinct text is retrieved once per run. Pair rows do
-    not depend on each other and every seed is keyed on the pair, so the
-    output and the counters, summed over the blocks, do not depend on
-    PAIR_BLOCK; a run of one block sends the requests it always did.
+    before the first block (one empty block runs if there are no pair
+    rows), and one map from text to top-k ids is shared by the blocks, so
+    each distinct text is retrieved once per run. Pair rows do not depend
+    on each other and every seed is keyed on the pair, so the output and
+    the counters, summed over the blocks, do not depend on PAIR_BLOCK.
 
     Nothing is written until every stage has run, so a run that fails in a
     stage creates no out_dir. Returns the report dict (counters plus output paths and
@@ -402,7 +389,8 @@ def run_all(
 
         store = build_store(corpus_path, config)
         pair_rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
-        stages, instances, index, retrieved = [pair_counts], [], None, {}
+        index = build_index(store, provider)
+        stages, instances, retrieved = [pair_counts], [], {}
         for start in range(0, max(len(pair_rows), 1), PAIR_BLOCK):
             # each stage takes the rows the one before it wrote; rebinding
             # `rows` frees a stage's input once the next stage has returned
@@ -410,8 +398,6 @@ def run_all(
                 store, pair_rows[start:start + PAIR_BLOCK], config, backend, recognizer, examples)
             rows, answer_counts = stage_filter_answers(store, rows, config, backend, examples)
             rows, query_counts = stage_queries(store, rows, config, backend, examples)
-            if index is None:
-                index = build_index(store, provider)
             block, verify_counts = stage_verify(store, rows, config, provider, index=index,
                                                 retrieved=retrieved)
             del rows

@@ -10,7 +10,8 @@ import pytest
 
 from hopsynth import pipeline
 from hopsynth.cli import main
-from hopsynth.config import ConfigError, PipelineConfig, _config_keys, set_config_key
+from hopsynth.config import (ConfigError, PipelineConfig, _config_keys, build_backend,
+                             build_recognizer, set_config_key)
 from hopsynth.retrieval import HashEmbedder
 
 from synthcorpus import make_corpus, write_corpus
@@ -72,10 +73,11 @@ def _corpus_only_embeddings(tmp_path, corpus_path):
     ))
     config_file = tmp_path / "config.txt"
     config_file.write_text(f"embeddings.kind = file\nembeddings.file = {vectors}\n")
+    backend = build_backend(config)
     rows, _ = pipeline.stage_pair(store, config)
-    for stage in (pipeline.stage_questions, pipeline.stage_filter_answers,
-                  pipeline.stage_queries):
-        rows, _ = stage(store, rows, config)
+    rows, _ = pipeline.stage_questions(store, rows, config, backend, build_recognizer(config))
+    for stage in (pipeline.stage_filter_answers, pipeline.stage_queries):
+        rows, _ = stage(store, rows, config, backend)
     return config_file, vectors, rows[0]["candidates"][0]["text"]
 
 

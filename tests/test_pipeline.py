@@ -12,7 +12,7 @@ import pytest
 from hopsynth import httpjson, pipeline, promptkit, retrieval, verification
 from hopsynth.cli import main
 from hopsynth.config import (PipelineConfig, TopicsConfig, build_backend, build_embedder,
-                             build_recognizer, parse_config_file)
+                             build_examples, build_recognizer, parse_config_file)
 from hopsynth.evalharness import score_fever, score_qa, self_consistency
 from hopsynth.genbackend import (
     EVAL_GREEDY,
@@ -80,11 +80,13 @@ def test_stages_flow_and_conserve(corpus_path):
     }
     assert all(r["answer"] in titles | {"yes", "no"} for r in topic_rows)
 
-    draft_rows, counters = stage_questions(store, pair_rows, config)
+    backend = build_backend(config)
+    draft_rows, counters = stage_questions(store, pair_rows, config, backend,
+                                           build_recognizer(config))
     assert counters["attempts"] == len(pair_rows) and counters_conserved(counters)
     assert draft_rows and all(r["question"].endswith("?") for r in draft_rows)
 
-    decision_rows, counters = stage_filter_answers(store, draft_rows, config)
+    decision_rows, counters = stage_filter_answers(store, draft_rows, config, backend)
     assert counters["attempts"] == len(draft_rows) and counters_conserved(counters)
     assert decision_rows
     assert {r["hops"] for r in decision_rows} <= {"one", "two"}
@@ -95,7 +97,7 @@ def test_stages_flow_and_conserve(corpus_path):
         if row["relation"] == "topic":
             assert row["hops"] == "two"
 
-    candidate_rows, counters = stage_queries(store, decision_rows, config)
+    candidate_rows, counters = stage_queries(store, decision_rows, config, backend)
     assert counters["attempts"] == len(candidate_rows) == len(decision_rows)
     assert counters_conserved(counters)
     for row in candidate_rows:
@@ -162,13 +164,15 @@ def test_stage_questions_recognizes_distinct_drafts_in_blocks(corpus_path, monke
     store = build_store(corpus_path, config)
     pair_rows, _ = stage_pair(store, config)
     counting = CountingRecognizer()
-    rows, counters = stage_questions(store, pair_rows, config, recognizer=counting)
+    backend = build_backend(config)
+    rows, counters = stage_questions(store, pair_rows, config, backend, counting)
     texts = [t for call in counting.calls for t in call]
     assert len(texts) == len(set(texts)) > EMBED_BLOCK
     assert all(len(call) <= EMBED_BLOCK for call in counting.calls)
     assert counters["entity_filter"] > 0
     monkeypatch.setattr(retrieval, "EMBED_BLOCK", 1)
-    assert (rows, counters) == stage_questions(store, pair_rows, config)
+    assert (rows, counters) == stage_questions(store, pair_rows, config, backend,
+                                               build_recognizer(config))
 
 
 def test_run_all_deterministic(tmp_path, corpus_path):
@@ -356,10 +360,11 @@ class CountingEmbedder:
 def candidate_inputs(corpus_path, config):
     """(store, candidate rows, index) for stage_verify on the shared corpus."""
     store = build_store(corpus_path, config)
+    backend = build_backend(config)
     pair_rows, _ = stage_pair(store, config)
-    draft_rows, _ = stage_questions(store, pair_rows, config)
-    decision_rows, _ = stage_filter_answers(store, draft_rows, config)
-    candidate_rows, _ = stage_queries(store, decision_rows, config)
+    draft_rows, _ = stage_questions(store, pair_rows, config, backend, build_recognizer(config))
+    decision_rows, _ = stage_filter_answers(store, draft_rows, config, backend)
+    candidate_rows, _ = stage_queries(store, decision_rows, config, backend)
     return store, candidate_rows, build_index(store, HashEmbedder(dim=256))
 
 
@@ -625,7 +630,8 @@ def test_examples_override_changes_prompts(tmp_path, corpus_path):
             seen_prompts.append(text)
             return ""
 
-    stage_questions(store, pair_rows[:2], config, backend=Spy())
+    stage_questions(store, pair_rows[:2], config, Spy(), build_recognizer(config),
+                    build_examples(config))
     assert seen_prompts
     assert all("Custom question?" in p for p in seen_prompts)
 
