@@ -10,9 +10,9 @@ wrapping the names the `pipeline.STAGES` table holds, and
 `pipeline.build_index`. `run_all` runs the four per-row stages once per
 block of `pipeline.PAIR_BLOCK` pair rows, so a stage's time is the sum over
 its calls, and `blocks` counts the calls of `stage_verify`. `run_all`
-builds the index before the first block's `stage_verify`, so `verify_s`
-does not include `index_s` (on a checkout whose `stage_verify` builds the
-index itself, it does). The child counts the
+builds the index once, before the first block, so `verify_s` does not
+include `index_s` (on a checkout whose `stage_verify` builds the index
+itself, it does). The child counts the
 texts `verification.embed` gets, the texts verify embeds and searches (the
 index is embedded through `pipeline.embed` and is not counted), and reads
 its peak RSS (`ru_maxrss`) once the call returns.

@@ -27,6 +27,7 @@ from .corpus import CorpusConfig, TopicsConfig
 from .entities import HeuristicRecognizer, HttpRecognizer
 from .evalharness import EvalConfig
 from .genbackend import HttpBackend, MockBackend
+from .httpjson import check_endpoint
 from .jsonl import read_text
 from .mockllm import GoldScriptRule, SyntheticPipelineRule
 from .pairing import PairingConfig
@@ -53,6 +54,8 @@ class BackendSpec:
 
     def __post_init__(self):
         _check_choice("kind", self.kind, ("mock", "http"))
+        if self.endpoint is not None:
+            check_endpoint(self.endpoint)
 
 
 @dataclass
@@ -64,6 +67,8 @@ class EmbeddingsSpec:
 
     def __post_init__(self):
         _check_choice("kind", self.kind, ("mock", "file", "http"))
+        if self.endpoint is not None:
+            check_endpoint(self.endpoint)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
@@ -75,6 +80,8 @@ class RecognizerSpec:
 
     def __post_init__(self):
         _check_choice("kind", self.kind, ("heuristic", "http"))
+        if self.endpoint is not None:
+            check_endpoint(self.endpoint)
 
 
 @dataclass

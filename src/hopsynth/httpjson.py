@@ -12,9 +12,9 @@ chunked`, or by the server closing the connection; the connection is closed
 after `Connection: close` and after an HTTP/1.0 reply. A reply with a
 malformed status line, a line over 65,536 bytes, more than 100 headers or
 trailers, a `Content-Encoding` other than identity or another
-`Transfer-Encoding` raises `HttpProtocolError`. An endpoint holding
-whitespace, control or non-ASCII characters is refused when the session is
-made. `post_with_retries` is the one retry policy the clients share.
+`Transfer-Encoding` raises `HttpProtocolError`. `check_endpoint` refuses a
+bad endpoint when the session is made, and the config when the key is set.
+`post_with_retries` is the one retry policy the clients share.
 
 A client encodes its own request body, and a session posts the bytes it is
 given. Every body is JSON as `json.dumps(value, allow_nan=False)` writes it:
@@ -62,17 +62,29 @@ class HttpProtocolError(OSError):
     """The endpoint's reply is not HTTP/1.1 this client reads."""
 
 
+def check_endpoint(endpoint: str):
+    """`urlsplit(endpoint)` of an http:// or https:// URL with a host, a port
+    from 0 to 65535 if it names one, and no whitespace, control or non-ASCII
+    characters; any other endpoint raises ValueError naming it."""
+    parts = urlsplit(endpoint)
+    if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
+        raise ValueError(f"endpoint must be an http:// or https:// URL: {endpoint!r}")
+    if not (endpoint.isascii() and endpoint.isprintable()) or " " in endpoint:
+        raise ValueError(
+            f"endpoint holds whitespace, control or non-ASCII characters: {endpoint!r}"
+        )
+    try:
+        parts.port
+    except ValueError as exc:
+        raise ValueError(f"endpoint port is not valid ({exc}): {endpoint!r}") from None
+    return parts
+
+
 class JsonSession:
     """One keep-alive connection to one endpoint; each `post` is one request."""
 
     def __init__(self, endpoint: str, timeout: float):
-        parts = urlsplit(endpoint)
-        if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
-            raise ValueError(f"endpoint must be an http:// or https:// URL: {endpoint!r}")
-        if not (endpoint.isascii() and endpoint.isprintable()) or " " in endpoint:
-            raise ValueError(
-                f"endpoint holds whitespace, control or non-ASCII characters: {endpoint!r}"
-            )
+        parts = check_endpoint(endpoint)
         self._timeout = timeout
         self._address = (parts.hostname, parts.port or _DEFAULT_PORTS[parts.scheme])
         self._tls = ssl.create_default_context() if parts.scheme == "https" else None

@@ -59,6 +59,8 @@ class FilterConfig:
         # a token F1 never exceeds 1, so a threshold of 1 keeps nothing
         if not 0.0 <= self.f1_threshold < 1.0:
             raise ValueError("f1_threshold must be in [0, 1)")
+        if min(self.min_entities_hyper, self.min_entities_topic) < 0:
+            raise ValueError("min_entities_hyper and min_entities_topic must be >= 0")
 
 
 def normalize_label(text: str) -> str:

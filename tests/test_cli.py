@@ -747,6 +747,11 @@ def test_config_unknown_key(tmp_path, corpus_path, capsys):
     "filter.f1_threshold = 1.0",
     "filter.f1_threshold = -0.1",
     "pairing.pairs_per_document = -3",
+    "filter.min_entities_hyper = -3",
+    "filter.min_entities_topic = -1",
+    "backend.endpoint = ftp://host",
+    "embeddings.endpoint = http://host:99999",
+    "recognizer.endpoint = http://host/a b",
     "topics.labeler = keywrd",
     "dev_size = -1",
 ])

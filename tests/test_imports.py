@@ -276,3 +276,38 @@ def test_definition_guard_reads_names_strings_and_child_programs():
                'CHILD = "from hopsynth.pipeline import build_index\\nrun_eval()"\n')
     assert {"tracer", "patch", "pipeline", "stage_pair", "CHILD", "build_index",
             "run_eval"} <= names_used(ast.parse(program))
+
+
+# what builds or closes a client; a stage uses the clients the entry points
+# (`run_all`, `run_eval`, the stage commands) build and close, but
+# `stage_pair`, which the benchmark harness calls without a recognizer
+CLIENT_BUILDERS = {"build_backend", "build_embedder", "build_recognizer", "build_examples",
+                   "own", "ExitStack"}
+
+
+def client_builds(source: str) -> dict[str, list[str]]:
+    """The names in CLIENT_BUILDERS each module-level `def stage_*` but
+    `stage_pair` reads."""
+    found = {}
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.FunctionDef) and node.name.startswith("stage_")
+                and node.name != "stage_pair"):
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+            found[node.name] = sorted(names & CLIENT_BUILDERS)
+    return found
+
+
+def test_stages_but_stage_pair_build_no_clients():
+    found = client_builds((SRC / "pipeline.py").read_text(encoding="utf-8"))
+    assert set(found) == {"stage_questions", "stage_filter_answers", "stage_queries",
+                          "stage_verify"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_client_guard_flags_a_stage_that_builds():
+    source = ("def stage_x(config, backend=None):\n"
+              "    with ExitStack() as built:\n"
+              "        return backend or own(built, config_module.build_backend(config))\n"
+              "def stage_pair(config):\n"
+              "    return build_recognizer(config)\n")
+    assert client_builds(source) == {"stage_x": ["ExitStack", "build_backend", "own"]}
