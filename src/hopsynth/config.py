@@ -54,7 +54,7 @@ class BackendSpec:
 
     def __post_init__(self):
         _check_choice("kind", self.kind, ("mock", "http"))
-        if self.endpoint is not None:
+        if self.endpoint:  # empty, as `key =` sets it, is unset
             check_endpoint(self.endpoint)
 
 
@@ -67,7 +67,7 @@ class EmbeddingsSpec:
 
     def __post_init__(self):
         _check_choice("kind", self.kind, ("mock", "file", "http"))
-        if self.endpoint is not None:
+        if self.endpoint:
             check_endpoint(self.endpoint)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
@@ -80,7 +80,7 @@ class RecognizerSpec:
 
     def __post_init__(self):
         _check_choice("kind", self.kind, ("heuristic", "http"))
-        if self.endpoint is not None:
+        if self.endpoint:
             check_endpoint(self.endpoint)
 
 

@@ -7,12 +7,13 @@ keys), so reruns with the same inputs reproduce outputs byte for byte.
 Each stage runs with the clients it is given, runs any block pre-pass,
 then hands a per-item step to `_run_steps`: one loop counts every stage's
 attempts (the items it took; for `stage_pair`, the pairs sampled for the
-task), outputs and drops, so attempts = emitted + drops per stage. `run_all` runs `stage_pair` once over
-the whole corpus and the four per-row stages on blocks of PAIR_BLOCK pair
-rows, so the rows of only one block are held at a time; pair rows do not
-depend on each other, so the blocks write what one block would. `run_eval`
-scores one greedy episode, or majority-votes sampled ones, per evaluation
-item; it plays the episodes in blocks, turn by turn.
+task), outputs and drops, so attempts = emitted + drops per stage.
+`run_all` runs `stage_pair` once over the whole corpus and the four per-row
+stages on blocks of PAIR_BLOCK pair rows, so the rows of only one block are
+held at a time; pair rows do not depend on each other, so the blocks write
+what one block would. `run_eval` scores one greedy episode, or
+majority-votes sampled ones, per evaluation item; it plays the episodes in
+blocks, turn by turn.
 """
 
 from __future__ import annotations
