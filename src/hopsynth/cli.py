@@ -16,25 +16,15 @@ import argparse
 import json
 import logging
 import sys
-from contextlib import ExitStack
 from pathlib import Path
 
 from . import pipeline
-from .config import (
-    ConfigError,
-    PipelineConfig,
-    build_backend,
-    build_embedder,
-    build_examples,
-    build_recognizer,
-    parse_config_file,
-    set_config_key,
-)
+from .config import ConfigError, PipelineConfig, parse_config_file, set_config_key
 from .corpus import serialize_store
 from .emitter import dataset_stats, format_stats_report, read_jsonl, write_jsonl
 from .jsonl import InputError, read_numbered_rows, refuse_multiline, write_rows
 from .pairing import HYPER
-from .promptkit import TASK_FEVER, TASK_MQA
+from .promptkit import TASK_FEVER
 
 # Config flags: flag -> (the config keys it sets, help, the commands that take
 # it; none means every command, with the flag before it). set_config_key
@@ -52,16 +42,14 @@ _CONFIG_FLAGS = {
 
 _PATH_HELP = {"--store": "ingested store JSONL", "--corpus": "evaluation corpus JSONL"}
 
-# stage name -> the clients the stage takes, each keyword with what builds it;
+# stage name -> the clients the stage takes, as `pipeline.clients` names them;
 # fever's pair stage draws labels, not entities, so it builds no recognizer
 _STAGE_CLIENTS = {
-    "pair": {"recognizer": lambda config: build_recognizer(config) if config.task == TASK_MQA
-             else None},
-    "questions": {"backend": build_backend, "recognizer": build_recognizer,
-                  "examples": build_examples},
-    "filter_answers": {"backend": build_backend, "examples": build_examples},
-    "queries": {"backend": build_backend, "examples": build_examples},
-    "verify": {"provider": build_embedder},
+    "pair": ("recognizer",),
+    "questions": ("backend", "recognizer", "examples"),
+    "filter_answers": ("backend", "examples"),
+    "queries": ("backend", "examples"),
+    "verify": ("provider",),
 }
 
 
@@ -160,12 +148,13 @@ def run_command(args) -> int:
         name, _, fields = stages[command]
         # as in run-all, the clients (and the files the config names) are
         # built and checked before the inputs are read, and closed at the end
-        with ExitStack() as built:
-            clients = {key: pipeline.own(built, build(config))
-                       for key, build in _STAGE_CLIENTS[name].items()}
+        names = () if name == "pair" and config.task == TASK_FEVER else _STAGE_CLIENTS[name]
+        with pipeline.clients(config, names) as clients:
             store = pipeline.build_store(args.store_path, config)
             inputs = () if fields is None else (
                 _stage_rows(args, name, fields, store, config.task),)
+            if name == "verify":
+                clients["index"] = pipeline.build_index(store, clients["provider"])
             rows, counters = getattr(pipeline, f"stage_{name}")(store, *inputs, config, **clients)
         (write_jsonl if name == "verify" else write_rows)(rows, args.out_path)
         if name == "verify" and args.report:

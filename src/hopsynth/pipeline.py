@@ -8,6 +8,7 @@ Each stage runs with the clients it is given, runs any block pre-pass,
 then hands a per-item step to `_run_steps`: one loop counts every stage's
 attempts (the items it took; for `stage_pair`, the pairs sampled for the
 task), outputs and drops, so attempts = emitted + drops per stage.
+`clients` is the one place that builds a run's clients and closes them.
 `run_all` runs `stage_pair` once over the whole corpus and the four per-row
 stages on blocks of PAIR_BLOCK pair rows, so the rows of only one block are
 held at a time; pair rows do not depend on each other, so the blocks write
@@ -18,7 +19,7 @@ blocks, turn by turn.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
@@ -106,14 +107,25 @@ def _run_steps(items: list, step) -> tuple[list, dict[str, int]]:
     return outputs, {"attempts": len(items), "emitted": len(outputs), **drops}
 
 
-def own(built: ExitStack, client):
-    """`client`, which the caller built, closed when `built` exits if it has
-    a `close` (the HTTP clients do). A client the caller was passed is its
-    owner's to close, so it never goes through here."""
-    close = getattr(client, "close", None)
-    if close is not None:
-        built.callback(close)
-    return client
+@contextmanager
+def clients(config: PipelineConfig, names, **given):
+    """Yield {name: client} for each of `names` out of backend, provider,
+    recognizer and examples, in that order: the one place a run builds and
+    closes its clients. A client `given` as not None is used as it is and
+    never closed. Any other is built from `config`, in that order, and
+    closed on exit if it has a `close` (the HTTP clients do), also when a
+    later build or the body raises. The builders are looked up at the call.
+    """
+    builders = {"backend": build_backend, "provider": build_embedder,
+                "recognizer": build_recognizer, "examples": build_examples}
+    with ExitStack() as built:
+        used = {name: given.get(name) for name in builders if name in names}
+        for name, client in used.items():
+            if client is None:
+                used[name] = client = builders[name](config)
+                if hasattr(client, "close"):
+                    built.callback(client.close)
+        yield used
 
 
 def build_store(path: str | Path, config: PipelineConfig) -> CorpusStore:
@@ -131,7 +143,8 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
     uniformly sampled label; for QA the answer comes from the candidate set,
     and the distinct texts of the hyper pairs' documents go to the
     recognizer in blocks before any answer is picked. Without a recognizer
-    it builds and closes one, as perfbench calls `stage_pair(store, config)`.
+    it builds and closes one through `clients`, as perfbench calls
+    `stage_pair(store, config)`.
     """
     mqa = config.task == TASK_MQA
     pairs = [
@@ -142,8 +155,8 @@ def stage_pair(store: CorpusStore, config: PipelineConfig, recognizer=None) -> t
     ]
     entities = {}
     if mqa:  # fever needs no recognizer
-        with ExitStack() as built:
-            entities = per_distinct_text(recognizer or own(built, build_recognizer(config)), [
+        with clients(config, ("recognizer",), recognizer=recognizer) as used:
+            entities = per_distinct_text(used["recognizer"], [
                 doc.text for pair in pairs if pair.relation == HYPER for doc in (pair.d1, pair.d2)
             ])
 
@@ -266,7 +279,7 @@ def stage_verify(
     candidate_rows: list[dict],
     config: PipelineConfig,
     provider,
-    index=None,
+    index,
     retrieved=None,
 ) -> tuple[list[DataInstance], dict]:
     """Verify candidates against the corpus index and assemble instances.
@@ -277,14 +290,13 @@ def stage_verify(
     pass did not retrieve: the backups of the rows whose model candidates
     all missed d1 and d2. Each candidate row that rule returns goes to
     `verify_query` as it is, and the row itself to `assemble_instance` as
-    its decision. Without an `index` it builds the store's. `retrieved`, a
+    its decision. `index` is the store's (`build_index`). `retrieved`, a
     map from text to top-k ids that the caller shares between calls on the
     same index and k, is updated in place, and both passes skip the texts
     already in it, so a run in blocks retrieves each distinct text once.
     """
     retrieved = {} if retrieved is None else retrieved
     k = config.verify.k
-    index = index if index is not None else build_index(store, provider)
     retrieved.update(retrieve_queries([
         c["text"] for row in candidate_rows for c in row["candidates"]
         if c["origin"] == ORIGIN_MODEL and c["text"] not in retrieved
@@ -378,16 +390,13 @@ def run_all(
 
     Nothing is written until every stage has run, so a run that fails in a
     stage creates no out_dir. Returns the report dict (counters plus output paths and
-    stats). The clients it builds itself are closed once the stages have run,
-    or have raised.
+    stats). The clients it was not given are built by `clients` before the
+    corpus is read, and closed once the stages have run, or have raised.
     """
     out_dir = Path(out_dir)
-    with ExitStack() as built:
-        backend = backend or own(built, build_backend(config))
-        provider = provider or own(built, build_embedder(config))
-        recognizer = recognizer or own(built, build_recognizer(config))
-        examples = build_examples(config)
-
+    with clients(config, ("backend", "provider", "recognizer", "examples"), backend=backend,
+                 provider=provider, recognizer=recognizer) as used:
+        backend, provider, recognizer, examples = used.values()
         store = build_store(corpus_path, config)
         pair_rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
         index = build_index(store, provider)
@@ -450,7 +459,8 @@ def run_eval(
     on one line), or a label not in FEVER_LABELS once normalized, raises
     InputError naming `<path>:<line>`, and a file without items raises
     InputError naming `<path>`, before the corpus is read. The clients it
-    builds itself are closed when it returns or raises.
+    was not given are built by `clients` and closed when it returns or
+    raises.
     `config.eval.mode` picks greedy decoding, one episode per item, or
     self-consistency, several sampled episodes; either way the prediction
     is the majority vote over the item's answers.
@@ -482,9 +492,8 @@ def run_eval(
             for seed in seeds:
                 yield item["question"], params.with_seed(seed)
 
-    with ExitStack() as built:
-        backend = backend or own(built, build_backend(config))
-        provider = provider or own(built, build_embedder(config))
+    with clients(config, ("backend", "provider"), backend=backend, provider=provider) as used:
+        backend, provider = used.values()
         store = build_store(corpus_path, config)
         index = build_index(store, provider)
         lookup = lambda doc_id: store.documents[doc_id].text  # noqa: E731

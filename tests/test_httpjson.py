@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -19,14 +20,15 @@ from pathlib import Path
 import pytest
 
 from hopsynth.cli import main
-from hopsynth.config import PipelineConfig, parse_config_file
+from hopsynth import config as config_module
+from hopsynth.config import ConfigError, PipelineConfig, parse_config_file
 from hopsynth.entities import HeuristicRecognizer, HttpRecognizer, RecognizerError
 from hopsynth.genbackend import BackendUnavailable, DecodeParams, HttpBackend, MockBackend
 from hopsynth.httpjson import (TRANSPORT_ERRORS, HttpProtocolError, HttpStatusError,
                                JsonSession)
 from hopsynth.mockllm import SyntheticPipelineRule
 from hopsynth import pipeline
-from hopsynth.pipeline import run_all
+from hopsynth.pipeline import run_all, run_eval
 from hopsynth.retrieval import EmbeddingError, HashEmbedder, HttpEmbedder
 
 from synthcorpus import make_corpus, write_corpus
@@ -658,3 +660,93 @@ def test_stages_close_the_http_clients_they_build(tmp_path):
         assert recognizer.closes == 0
         recognizer.close()
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def _count_closes(monkeypatch) -> Counter:
+    """Make `pipeline`'s builders count the closes of each client they build."""
+    closes = Counter()
+    for name in ("build_backend", "build_embedder", "build_recognizer"):
+        def build(config, build=getattr(config_module, name), name=name):
+            client = build(config)
+            close = client.close
+            client.close = lambda: closes.update([name]) or close()
+            return client
+        monkeypatch.setattr(pipeline, name, build)
+    return closes
+
+
+NAMES = ("backend", "provider", "recognizer", "examples")
+
+
+def _use(used: dict) -> None:
+    """One request from each HTTP client, so each holds a connection."""
+    used["backend"].raw_complete("Say nothing.", DecodeParams(max_tokens=8, seed=1))
+    used["provider"](["a text"])
+    used["recognizer"](["a text"])
+
+
+def test_clients_closes_what_it_built_once(monkeypatch):
+    closes = _count_closes(monkeypatch)
+    once = Counter(build_backend=1, build_embedder=1, build_recognizer=1)
+    with serving(reply=_mock_services(PipelineConfig().embeddings.dim)) as (server, url):
+        config = PipelineConfig(seed=3)
+        for client in (config.backend, config.embeddings, config.recognizer):
+            client.kind, client.endpoint = "http", url
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pipeline.clients(config, NAMES) as used:
+                assert list(used) == list(NAMES) and used["examples"] is None
+                _use(used)
+                assert closes == {}
+            assert closes == once
+            # the body raises: every client built is closed, once
+            with pytest.raises(RuntimeError, match="body"):
+                with pipeline.clients(config, NAMES) as used:
+                    _use(used)
+                    raise RuntimeError("body")
+            assert closes == once + once
+            # a later build raises: the ones built before it are closed
+            closes.clear()
+            config.embeddings.endpoint = None
+            with pytest.raises(ConfigError, match="embeddings.kind=http requires"):
+                with pipeline.clients(config, NAMES):
+                    pytest.fail("the body ran")
+            assert closes == {"build_backend": 1}
+            # a client given is the caller's: used, never closed
+            given = HttpBackend(url)
+            given.close = lambda: pytest.fail("closed a client it was given")
+            with pipeline.clients(config, ("backend",), backend=given) as used:
+                assert used == {"backend": given}
+            gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class Owned:
+    """A client its caller owns; counts the closes it gets."""
+
+    def __init__(self, inner):
+        self.inner, self.closes = inner, 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def __call__(self, texts):
+        return self.inner(texts)
+
+    def close(self):
+        self.closes += 1
+
+
+def test_runs_never_close_the_clients_they_are_given(tmp_path):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", make_corpus(n_docs=30, seed=5, n_topics=3))
+    items = tmp_path / "items.jsonl"
+    items.write_text(json.dumps({"id": "q0", "question": "Who?", "answer": "x"}) + "\n")
+    config = PipelineConfig(seed=3, dev_size=2)
+    backend, provider, recognizer = (Owned(MockBackend(SyntheticPipelineRule())),
+                                     Owned(HashEmbedder(dim=config.embeddings.dim)),
+                                     Owned(HeuristicRecognizer()))
+    report = run_all(corpus, tmp_path / "out", config, backend=backend, provider=provider,
+                     recognizer=recognizer)
+    assert report["counters"]["emitted"] > 0
+    run_eval(items, corpus, config, backend=backend, provider=provider)
+    assert (backend.closes, provider.closes, recognizer.closes) == (0, 0, 0)

@@ -278,11 +278,11 @@ def test_definition_guard_reads_names_strings_and_child_programs():
             "run_eval"} <= names_used(ast.parse(program))
 
 
-# what builds or closes a client; a stage uses the clients the entry points
-# (`run_all`, `run_eval`, the stage commands) build and close, but
-# `stage_pair`, which the benchmark harness calls without a recognizer
+# what builds or closes a client; a stage uses the clients its caller built
+# through `pipeline.clients`, but `stage_pair`, which the benchmark harness
+# calls without a recognizer
 CLIENT_BUILDERS = {"build_backend", "build_embedder", "build_recognizer", "build_examples",
-                   "own", "ExitStack"}
+                   "clients", "own", "ExitStack"}
 
 
 def client_builds(source: str) -> dict[str, list[str]]:
@@ -311,3 +311,47 @@ def test_client_guard_flags_a_stage_that_builds():
               "def stage_pair(config):\n"
               "    return build_recognizer(config)\n")
     assert client_builds(source) == {"stage_x": ["ExitStack", "build_backend", "own"]}
+
+
+def test_client_guard_flags_a_stage_that_calls_clients():
+    source = ("def stage_x(config):\n"
+              "    with pipeline.clients(config, ('backend',)) as used:\n"
+              "        return used\n")
+    assert client_builds(source) == {"stage_x": ["clients"]}
+
+
+# what only `pipeline.clients` names in the modules that run the stages
+CLIENT_MAKERS = CLIENT_BUILDERS - {"clients", "own"}
+
+
+def builds_outside(source: str, builder: str | None) -> dict[str, list[str]]:
+    """The names in CLIENT_MAKERS each top-level statement but `def
+    <builder>` reads, keyed on the statement's name or line. An import reads
+    nothing; `test_module_has_no_unused_imports` fails one nothing reads."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == builder:
+            continue
+        names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+        if names & CLIENT_MAKERS:
+            found[getattr(node, "name", f"line {node.lineno}")] = sorted(names & CLIENT_MAKERS)
+    return found
+
+
+@pytest.mark.parametrize("module, builder", [("pipeline", "clients"), ("cli", None)])
+def test_only_pipeline_clients_builds_clients(module, builder):
+    assert builds_outside((SRC / f"{module}.py").read_text(encoding="utf-8"), builder) == {}
+
+
+def test_builder_guard_flags_a_build_outside_clients():
+    source = ("from contextlib import ExitStack\n"
+              "from .config import build_backend, build_embedder\n"
+              "def clients(config):\n"
+              "    with ExitStack() as built:\n"
+              "        yield build_backend(config)\n"
+              "def run(config):\n"
+              "    return config_module.build_embedder(config)\n"
+              "BUILDERS = {'backend': build_backend}\n")
+    flagged = {"run": ["build_embedder"], "line 8": ["build_backend"]}
+    assert builds_outside(source, "clients") == flagged
+    assert builds_outside(source, None) == {"clients": ["ExitStack", "build_backend"], **flagged}

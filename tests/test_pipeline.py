@@ -108,7 +108,8 @@ def test_stages_flow_and_conserve(corpus_path):
         assert ranks == sorted(ranks)
 
     provider = HashEmbedder(dim=256)
-    instances, counters = stage_verify(store, candidate_rows, config, provider=provider)
+    instances, counters = stage_verify(store, candidate_rows, config, provider=provider,
+                                       index=build_index(store, provider))
     assert instances, "pipeline should emit something on the synthetic corpus"
     assert counters["attempts"] == len(candidate_rows)
     assert counters["emitted"] == len(instances) and counters_conserved(counters)
@@ -285,6 +286,28 @@ def test_run_all_identical_across_pair_blocks(tmp_path, monkeypatch, task):
                      ("verify", blocks[2]): 2, **{("index", block): 2 for block in blocks}}
     # and one map from text to ids: each text is searched once
     assert searched[1] == searched[7] == searched[blocks[2]] > 0
+
+
+@pytest.mark.parametrize("task, completions, embedded", [("mqa", 5390, 647),
+                                                          ("fever", 2832, 634)])
+def test_run_all_completions_follow_from_the_counters(tmp_path, monkeypatch, task, completions,
+                                                      embedded):
+    # one completion per pair row's draft, three answer probes per kept
+    # draft and one query generation per decision, at any block size; the
+    # embedded texts are the documents and each distinct searched text once
+    corpus = write_corpus(tmp_path / "corpus.jsonl", make_corpus(n_docs=300, seed=3))
+    config = PipelineConfig(seed=5, task=task)
+    for block in (1, 7, pipeline.PAIR_BLOCK):
+        monkeypatch.setattr(pipeline, "PAIR_BLOCK", block)
+        backend, provider = RecordingBackend(SyntheticPipelineRule()), CountingEmbedder()
+        counters = run_all(corpus, tmp_path / str(block), config, backend=backend,
+                           provider=provider)["counters"]
+        questions = counters["attempts"] - counters["no_answer_candidates"]
+        filter_answers = questions - counters["empty_question"] - counters["entity_filter"]
+        queries = filter_answers - counters["not_answerable"]
+        assert sum(backend.requests.values()) == questions + 3 * filter_answers + queries
+        assert sum(backend.requests.values()) == completions, block
+        assert sum(map(len, provider.calls)) == embedded, block
 
 
 def test_run_all_in_blocks_holds_fewer_rows(tmp_path, monkeypatch):
