@@ -21,7 +21,13 @@ from pathlib import Path
 from . import pipeline
 from .config import ConfigError, PipelineConfig, parse_config_file, set_config_key
 from .corpus import serialize_store
-from .emitter import dataset_stats, format_stats_report, read_jsonl, write_jsonl
+from .emitter import (
+    dataset_stats,
+    format_stats_report,
+    instance_line,
+    instance_to_record,
+    read_jsonl,
+)
 from .jsonl import InputError, read_numbered_rows, refuse_multiline, write_rows
 from .pairing import HYPER
 from .promptkit import TASK_FEVER
@@ -156,15 +162,17 @@ def run_command(args) -> int:
             if name == "verify":
                 clients["index"] = pipeline.build_index(store, clients["provider"])
             rows, counters = getattr(pipeline, f"stage_{name}")(store, *inputs, config, **clients)
-        (write_jsonl if name == "verify" else write_rows)(rows, args.out_path)
+        write_rows(map(instance_to_record, rows) if name == "verify" else rows, args.out_path)
         if name == "verify" and args.report:
             _write_json(counters, args.report)
         print(json.dumps({"counters": counters}), file=sys.stderr)
         return 0
 
     if command == "emit":
-        train, dev = pipeline.write_splits(read_jsonl(args.in_path), args.out_path, config)
-        print(f"train={len(train)} dev={len(dev)} -> {Path(args.out_path)}")
+        instances = read_jsonl(args.in_path)
+        train, dev = pipeline.write_splits(map(instance_line, instances), len(instances),
+                                           args.out_path, config)
+        print(f"train={train} dev={dev} -> {Path(args.out_path)}")
         return 0
 
     if command == "stats":

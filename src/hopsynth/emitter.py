@@ -10,11 +10,12 @@ Output format (JSONL, one instance per line, stable field order):
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .jsonl import STRING, InputError, is_strings, read_numbered_rows, write_rows
+from .jsonl import STRING, InputError, is_strings, read_numbered_rows, row_line
 from .metrics import word_count
 from .pairing import RELATION
 from .synthesis import TASK_FEVER, TASK_MQA
@@ -69,9 +70,9 @@ _RECORD_FIELDS = {  # what read_jsonl checks, in the output format's field order
 }
 
 
-def write_jsonl(instances: Sequence[DataInstance], path: str | Path) -> int:
-    write_rows(map(instance_to_record, instances), path)
-    return len(instances)
+def instance_line(instance: DataInstance) -> str:
+    """The instance's line of a dataset file: its record as `row_line` writes it."""
+    return row_line(instance_to_record(instance))
 
 
 def read_jsonl(path: str | Path) -> list[DataInstance]:
@@ -94,53 +95,62 @@ def read_jsonl(path: str | Path) -> list[DataInstance]:
     return instances
 
 
-def split_dev(
-    instances: Sequence[DataInstance], dev_size: int = 5000, seed: int = 0
-) -> tuple[list[DataInstance], list[DataInstance]]:
-    """Uniform dev sample without replacement; both splits keep input order."""
-    if dev_size > len(instances):
-        raise ValueError(f"dev_size {dev_size} exceeds {len(instances)} instances")
-    rng = random.Random(seed)
-    dev_positions = set(rng.sample(range(len(instances)), dev_size))
-    train = [inst for i, inst in enumerate(instances) if i not in dev_positions]
-    dev = [inst for i, inst in enumerate(instances) if i in dev_positions]
-    return train, dev
+def dev_positions(count: int, dev_size: int, seed: int) -> set[int]:
+    """The dev split of `count` instances: a uniform sample, without
+    replacement, of min(dev_size, count) of the positions 0..count-1. The
+    other positions are train, and both splits keep input order."""
+    return set(random.Random(seed).sample(range(count), min(dev_size, count)))
+
+
+def stats_sums(instances: Iterable[DataInstance]) -> Counter:
+    """The counts and word sums `stats_report` reads. The sums of the parts
+    of a dataset add up to the sums of the whole, so a run sums them block
+    by block."""
+    sums = Counter()
+    for inst in instances:
+        sums["instances"] += 1
+        sums["single_query"] += len(inst.hops) == 1
+        sums["question_words"] += word_count(inst.question_or_claim)
+        sums["queries"] += len(inst.hops)
+        sums["query_words"] += sum(word_count(query) for query, _ in inst.hops)
+        if inst.task != TASK_FEVER:
+            sums["answers"] += 1
+            sums["answer_words"] += word_count(inst.answer)
+    return sums
+
+
+def stats_report(sums: Mapping[str, int], dev_size: int) -> StatsReport:
+    """Table-style summary of a dataset from its `stats_sums`, dev_size of its
+    instances in dev: sizes, single/two-query counts, word averages.
+
+    Averages cover train and dev together; the answer average is omitted
+    when every instance is a fact-verification one (labels, not answers).
+    """
+    total, singles = sums["instances"], sums["single_query"]
+    if total == 0:
+        return StatsReport(0, dev_size, 0, 0.0, 0, 0.0, None, None, None)
+
+    def mean(words, count):
+        return sums[words] / sums[count] if sums[count] else None
+
+    return StatsReport(
+        train_size=total - dev_size,
+        dev_size=dev_size,
+        count_single_query=singles,
+        percent_single_query=100.0 * singles / total,
+        count_two_query=total - singles,
+        percent_two_query=100.0 * (total - singles) / total,
+        avg_question_words=mean("question_words", "instances"),
+        avg_query_words=mean("query_words", "queries"),
+        avg_answer_words=mean("answer_words", "answers"),
+    )
 
 
 def dataset_stats(
     instances: Sequence[DataInstance], dev: Sequence[DataInstance] = ()
 ) -> StatsReport:
-    """Table-style summary: sizes, single/two-query counts, word averages.
-
-    Averages cover train and dev together; the answer average is omitted
-    when every instance is a fact-verification one (labels, not answers).
-    """
-    pooled = list(instances) + list(dev)
-    total = len(pooled)
-    singles = sum(1 for inst in pooled if len(inst.hops) == 1)
-    twos = total - singles
-    if total == 0:
-        return StatsReport(0, len(dev), 0, 0.0, 0, 0.0, None, None, None)
-
-    question_words = [word_count(inst.question_or_claim) for inst in pooled]
-    query_words = [word_count(query) for inst in pooled for query, _ in inst.hops]
-    answer_sources = [inst for inst in pooled if inst.task != TASK_FEVER]
-    answer_words = [word_count(inst.answer) for inst in answer_sources]
-
-    def mean(values):
-        return sum(values) / len(values) if values else None
-
-    return StatsReport(
-        train_size=len(instances),
-        dev_size=len(dev),
-        count_single_query=singles,
-        percent_single_query=100.0 * singles / total,
-        count_two_query=twos,
-        percent_two_query=100.0 * twos / total,
-        avg_question_words=mean(question_words),
-        avg_query_words=mean(query_words),
-        avg_answer_words=mean(answer_words),
-    )
+    """`stats_report` of train `instances` and `dev` together."""
+    return stats_report(stats_sums([*instances, *dev]), len(dev))
 
 
 def format_stats_report(report: StatsReport) -> str:

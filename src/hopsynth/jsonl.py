@@ -112,9 +112,18 @@ def refuse_multiline(row: dict, names: Iterable[str], where: str) -> None:
             raise InputError(f"{where}: {name} {row[name]!r} spans more than one line")
 
 
-def write_rows(rows: Iterable[dict], path) -> None:
-    """Write one JSON object per line, non-ASCII kept as is; a missing directory is made."""
+def row_line(row: dict) -> str:
+    """A row as one line of a JSONL file: non-ASCII kept as is, ended by `\n`."""
+    return json.dumps(row, ensure_ascii=False) + "\n"
+
+
+def write_jsonl(lines: Iterable[str], path) -> None:
+    """Write lines that `row_line` made, as they are, in UTF-8; a missing directory is made."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with Path(path).open("w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+        handle.writelines(lines)
+
+
+def write_rows(rows: Iterable[dict], path) -> None:
+    """Write one JSON object per line (`row_line`); a missing directory is made."""
+    write_jsonl(map(row_line, rows), path)

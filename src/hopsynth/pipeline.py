@@ -10,24 +10,29 @@ attempts (the items it took; for `stage_pair`, the pairs sampled for the
 task), outputs and drops, so attempts = emitted + drops per stage.
 `clients` is the one place that builds a run's clients and closes them.
 `run_all` runs `stage_pair` once over the whole corpus and the four per-row
-stages on blocks of PAIR_BLOCK pair rows, so the rows of only one block are
-held at a time; pair rows do not depend on each other, so the blocks write
-what one block would. `run_eval` scores one greedy episode, or
+stages on blocks of PAIR_BLOCK pair rows. Each block's instances go to a
+temporary spool file and each block's pair rows are freed, so besides the
+store, the index and the map from text to top-k ids a run holds one block;
+pair rows do not depend on each other, so the blocks write what one block
+would. `run_eval` scores one greedy episode, or
 majority-votes sampled ones, per evaluation item; it plays the episodes in
 blocks, turn by turn.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
+from tempfile import TemporaryFile
+from typing import Iterable
 
 from . import retrieval, synthesis
 from .config import PipelineConfig, build_backend, build_embedder, build_examples, build_recognizer
 from .corpus import CorpusStore, ingest_corpus, serialize_store
-from .emitter import dataset_stats, split_dev, write_jsonl
+from .emitter import dev_positions, instance_line, stats_report, stats_sums
 from .evalharness import play_episodes, run_episode, score_fever, score_qa, self_consistency
 from .genbackend import EVAL_GREEDY, EVAL_SELF_CONSISTENCY, default_decode_params
 from .jsonl import (
@@ -37,6 +42,7 @@ from .jsonl import (
     is_strings,
     read_numbered_rows,
     refuse_multiline,
+    write_jsonl,
 )
 from .pairing import (
     HYPER,
@@ -79,9 +85,9 @@ DROP_REASONS = (
 )
 
 
-# Pair rows per block of the per-row stages in `run_all`. A block's drafts,
-# decisions and candidates are dropped before the next block starts, so the
-# rows in memory stop growing with the corpus.
+# Pair rows per block of the per-row stages in `run_all`. A block's pair rows,
+# drafts, decisions, candidates and instances are dropped before the next
+# block starts, so the rows in memory stop growing with the corpus.
 PAIR_BLOCK = 1024
 
 
@@ -356,15 +362,29 @@ STAGES = (
 
 
 def write_splits(
-    instances: list[DataInstance], out_dir: str | Path, config: PipelineConfig
-) -> tuple[list[DataInstance], list[DataInstance]]:
-    """Split off a seeded dev set and write train.jsonl and dev.jsonl to out_dir."""
+    lines: Iterable[str], count: int, out_dir: str | Path, config: PipelineConfig
+) -> tuple[int, int]:
+    """Write `count` dataset lines (`instance_line`'s), in order, to
+    train.jsonl and dev.jsonl in out_dir; returns the two files' sizes.
+
+    A line goes to dev when its position is in the seeded `dev_positions`
+    sample of min(config.dev_size, count). The lines are read once, and
+    the dev lines are held until train is written.
+    """
     out_dir = Path(out_dir)
-    dev_size = min(config.dev_size, len(instances))
-    train, dev = split_dev(instances, dev_size=dev_size, seed=derive_seed(config.seed, "dev"))
-    write_jsonl(train, out_dir / "train.jsonl")
-    write_jsonl(dev, out_dir / "dev.jsonl")
-    return train, dev
+    dev = dev_positions(count, config.dev_size, derive_seed(config.seed, "dev"))
+    dev_lines = []
+
+    def train_lines():
+        for position, line in enumerate(lines):
+            if position in dev:
+                dev_lines.append(line)
+            else:
+                yield line
+
+    write_jsonl(train_lines(), out_dir / "train.jsonl")
+    write_jsonl(dev_lines, out_dir / "dev.jsonl")
+    return count - len(dev), len(dev)
 
 
 def run_all(
@@ -380,51 +400,66 @@ def run_all(
     `stage_pair` runs once over the whole corpus: its rows are the smallest,
     and its recognizer pre-pass takes each distinct document text once. The
     four per-row stages then run on consecutive blocks of PAIR_BLOCK pair
-    rows, and a block's rows are dropped before the next block starts; the
-    instances, the output, are kept whole. The corpus index is built once,
-    before the first block (one empty block runs if there are no pair
-    rows), and one map from text to top-k ids is shared by the blocks, so
-    each distinct text is retrieved once per run. Pair rows do not depend
-    on each other and every seed is keyed on the pair, so the output and
-    the counters, summed over the blocks, do not depend on PAIR_BLOCK.
+    rows. The corpus index is built once, before the first block (one empty
+    block runs if there are no pair rows), and one map from text to top-k
+    ids is shared by the blocks, so each distinct text is retrieved once per
+    run. After each block, its instance lines are appended to a spool, an
+    anonymous temporary file, and its `stats_sums` are added up; then its
+    instances and its pair rows are dropped. So a run holds the store, the
+    index, the map and one block. At the end `write_splits` streams the
+    spool once into train and dev. Pair rows do not depend on each other
+    and every seed is keyed on the pair, so the output and the counters,
+    summed over the blocks, do not depend on PAIR_BLOCK.
 
-    Nothing is written until every stage has run, so a run that fails in a
-    stage creates no out_dir. Returns the report dict (counters plus output paths and
-    stats). The clients it was not given are built by `clients` before the
-    corpus is read, and closed once the stages have run, or have raised.
+    Nothing is written to out_dir until every stage has run, so a run that
+    fails in a stage creates no out_dir; its spool goes when the run ends.
+    Returns the report dict (counters plus output paths and stats). The
+    clients it was not given are built by `clients` before the corpus is
+    read, and closed once the stages have run, or have raised.
     """
     out_dir = Path(out_dir)
-    with clients(config, ("backend", "provider", "recognizer", "examples"), backend=backend,
-                 provider=provider, recognizer=recognizer) as used:
-        backend, provider, recognizer, examples = used.values()
-        store = build_store(corpus_path, config)
-        pair_rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
-        index = build_index(store, provider)
-        stages, instances, retrieved = [pair_counts], [], {}
-        for start in range(0, max(len(pair_rows), 1), PAIR_BLOCK):
-            # each stage takes the rows the one before it wrote; rebinding
-            # `rows` frees a stage's input once the next stage has returned
-            rows, question_counts = stage_questions(
-                store, pair_rows[start:start + PAIR_BLOCK], config, backend, recognizer, examples)
-            rows, answer_counts = stage_filter_answers(store, rows, config, backend, examples)
-            rows, query_counts = stage_queries(store, rows, config, backend, examples)
-            block, verify_counts = stage_verify(store, rows, config, provider, index=index,
-                                                retrieved=retrieved)
-            del rows
-            instances += block
-            stages += (question_counts, answer_counts, query_counts, verify_counts)
-        del pair_rows, index, retrieved
-    totals = {"attempts": pair_counts["attempts"], "emitted": len(instances)}
-    totals.update({reason: sum(counts[reason] for counts in stages) for reason in DROP_REASONS})
+    # newline="\n": the spool splits lines on "\n" only, as jsonl's files do
+    with TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+        with clients(config, ("backend", "provider", "recognizer", "examples"),
+                     backend=backend, provider=provider, recognizer=recognizer) as used:
+            backend, provider, recognizer, examples = used.values()
+            store = build_store(corpus_path, config)
+            pair_rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
+            index = build_index(store, provider)
+            counted, sums, retrieved = Counter(pair_counts), Counter(), {}
+            pair_rows.reverse()  # each block is taken off the end, which frees its rows
+            while True:
+                rows = pair_rows[-PAIR_BLOCK:][::-1]
+                del pair_rows[-PAIR_BLOCK:]
+                # each stage takes the rows the one before it wrote; rebinding
+                # `rows` frees a stage's input once the next stage has returned
+                rows, question_counts = stage_questions(store, rows, config, backend,
+                                                        recognizer, examples)
+                rows, answer_counts = stage_filter_answers(store, rows, config, backend, examples)
+                rows, query_counts = stage_queries(store, rows, config, backend, examples)
+                block, verify_counts = stage_verify(store, rows, config, provider, index=index,
+                                                    retrieved=retrieved)
+                del rows
+                spool.writelines(map(instance_line, block))
+                sums.update(stats_sums(block))
+                del block
+                for counts in (question_counts, answer_counts, query_counts, verify_counts):
+                    counted.update(counts)
+                if not pair_rows:
+                    break
+            del index, retrieved
+        spool.seek(0)
+        _, dev_size = write_splits(spool, sums["instances"], out_dir, config)
+    totals = {"attempts": pair_counts["attempts"], "emitted": sums["instances"]}
+    totals.update({reason: counted[reason] for reason in DROP_REASONS})
 
-    train, dev = write_splits(instances, out_dir, config)
     serialize_store(store, out_dir / "store.jsonl")
     report = {
         "task": config.task,
         "seed": config.seed,
         "counters": totals,
         "conserved": counters_conserved(totals),
-        "stats": asdict(dataset_stats(train, dev)),
+        "stats": asdict(stats_report(sums, dev_size)),
         "outputs": {
             "train": str(out_dir / "train.jsonl"),
             "dev": str(out_dir / "dev.jsonl"),

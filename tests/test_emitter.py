@@ -3,15 +3,18 @@ from dataclasses import asdict
 
 import pytest
 
+from hopsynth.config import PipelineConfig
 from hopsynth.emitter import (
     StatsReport,
     dataset_stats,
+    dev_positions,
     format_stats_report,
+    instance_line,
     instance_to_record,
     read_jsonl,
-    split_dev,
-    write_jsonl,
 )
+from hopsynth.jsonl import write_jsonl
+from hopsynth.pipeline import write_splits
 from hopsynth.verification import DataInstance
 
 
@@ -26,7 +29,7 @@ def make_instance(i, n_hops=2, task="mqa", q="What links A and B?", answer="A B"
 def test_write_read_roundtrip(tmp_path):
     instances = [make_instance(i, n_hops=1 + i % 2) for i in range(3)]
     path = tmp_path / "data.jsonl"
-    assert write_jsonl(instances, path) == 3
+    write_jsonl(map(instance_line, instances), path)
     assert path.read_text().count("\n") == 3
     back = read_jsonl(path)
     assert back == instances
@@ -43,7 +46,7 @@ def test_read_rejects_a_mislabeled_record(tmp_path):
 
 def test_write_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
-    assert write_jsonl([], path) == 0
+    write_jsonl([], path)
     assert path.read_text() == ""
     assert read_jsonl(path) == []
 
@@ -51,8 +54,8 @@ def test_write_empty(tmp_path):
 def test_write_deterministic_bytes(tmp_path):
     instances = [make_instance(i) for i in range(5)]
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_jsonl(instances, p1)
-    write_jsonl(read_jsonl(p1), p2)
+    write_jsonl(map(instance_line, instances), p1)
+    write_jsonl(map(instance_line, read_jsonl(p1)), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -68,9 +71,17 @@ def test_record_field_names_and_order(tmp_path):
     assert read_jsonl(path) == [make_instance(0)]
 
 
-def test_split_dev_sizes_and_disjoint():
+def _split(tmp_path, instances, dev_size, seed):
+    config = PipelineConfig(seed=seed, dev_size=dev_size)
+    sizes = write_splits(map(instance_line, instances), len(instances), tmp_path, config)
+    train, dev = read_jsonl(tmp_path / "train.jsonl"), read_jsonl(tmp_path / "dev.jsonl")
+    assert sizes == (len(train), len(dev))
+    return train, dev
+
+
+def test_split_dev_sizes_and_disjoint(tmp_path):
     instances = [make_instance(i) for i in range(10)]
-    train, dev = split_dev(instances, dev_size=3, seed=5)
+    train, dev = _split(tmp_path, instances, dev_size=3, seed=5)
     assert (len(train), len(dev)) == (7, 3)
     assert {i.id for i in train} | {i.id for i in dev} == {i.id for i in instances}
     assert not {i.id for i in train} & {i.id for i in dev}
@@ -80,15 +91,14 @@ def test_split_dev_sizes_and_disjoint():
     assert [positions[i.id] for i in dev] == sorted(positions[i.id] for i in dev)
 
 
-def test_split_dev_zero_and_deterministic():
+def test_split_dev_zero_and_deterministic(tmp_path):
     instances = [make_instance(i) for i in range(6)]
-    train, dev = split_dev(instances, dev_size=0, seed=1)
+    train, dev = _split(tmp_path, instances, dev_size=0, seed=1)
     assert dev == [] and train == instances
-    first = split_dev(instances, dev_size=2, seed=9)
-    second = split_dev(instances, dev_size=2, seed=9)
-    assert first == second
-    with pytest.raises(ValueError):
-        split_dev(instances, dev_size=7, seed=0)
+    assert dev_positions(6, 2, seed=9) == dev_positions(6, 2, seed=9)
+    assert len(dev_positions(6, 2, seed=9)) == 2
+    # a dev size over the count takes every instance
+    assert dev_positions(6, 7, seed=0) == set(range(6))
 
 
 def test_stats_counts_and_percentages():

@@ -10,6 +10,7 @@ import socket
 import ssl
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from collections import Counter
@@ -749,4 +750,46 @@ def test_runs_never_close_the_clients_they_are_given(tmp_path):
                      recognizer=recognizer)
     assert report["counters"]["emitted"] > 0
     run_eval(items, corpus, config, backend=backend, provider=provider)
+    assert (backend.closes, provider.closes, recognizer.closes) == (0, 0, 0)
+
+
+def test_a_run_that_fails_in_a_block_leaves_no_out_and_no_spool(tmp_path, monkeypatch):
+    # the backend goes down in the second of three blocks: run_all raises,
+    # creates no out_dir, closes its spool, leaves no file in the temporary
+    # directory and closes none of the clients it was given
+    spool_dir, spools, verified = tmp_path / "tmp", [], []
+    spool_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    monkeypatch.setattr(pipeline, "PAIR_BLOCK", 7)
+
+    def recording_spool(*args, **kwargs):
+        spools.append(tempfile.TemporaryFile(*args, **kwargs))
+        return spools[-1]
+
+    def counting_verify(*args, stage=pipeline.stage_verify, **kwargs):
+        verified.append(stage(*args, **kwargs))
+        return verified[-1]
+
+    class DownAfterOneBlock(Owned):
+        def raw_complete(self, prompt, params):
+            if verified:
+                raise BackendUnavailable("down after the first block")
+            return self.inner.raw_complete(prompt, params)
+
+    monkeypatch.setattr(pipeline, "TemporaryFile", recording_spool)
+    monkeypatch.setattr(pipeline, "stage_verify", counting_verify)
+    corpus = write_corpus(tmp_path / "corpus.jsonl", make_corpus(n_docs=6, seed=5, n_topics=3))
+    config = PipelineConfig(seed=3, dev_size=2)
+    pair_rows, _ = pipeline.stage_pair(pipeline.build_store(corpus, config), config)
+    assert 14 < len(pair_rows) <= 21  # three blocks
+    backend, provider, recognizer = (DownAfterOneBlock(MockBackend(SyntheticPipelineRule())),
+                                     Owned(HashEmbedder(dim=config.embeddings.dim)),
+                                     Owned(HeuristicRecognizer()))
+    with pytest.raises(BackendUnavailable, match="down after the first block"):
+        run_all(corpus, tmp_path / "out", config, backend=backend, provider=provider,
+                recognizer=recognizer)
+    assert len(verified) == 1 and verified[0][1]["emitted"] > 0  # one block was spooled
+    assert not (tmp_path / "out").exists()
+    assert len(spools) == 1 and spools[0].closed
+    assert list(spool_dir.iterdir()) == []
     assert (backend.closes, provider.closes, recognizer.closes) == (0, 0, 0)

@@ -3,7 +3,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ from hopsynth import httpjson, pipeline, promptkit, retrieval, verification
 from hopsynth.cli import main
 from hopsynth.config import (PipelineConfig, TopicsConfig, build_backend, build_embedder,
                              build_examples, build_recognizer, parse_config_file)
+from hopsynth.emitter import dataset_stats, dev_positions, instance_line, read_jsonl
 from hopsynth.evalharness import score_fever, score_qa, self_consistency
 from hopsynth.genbackend import (
     EVAL_GREEDY,
@@ -328,6 +329,72 @@ def test_run_all_in_blocks_holds_fewer_rows(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[64] < 0.85 * peaks[10**9], peaks  # 0.75 when written
+
+
+def test_run_all_holds_one_block_as_its_output_grows(tmp_path, monkeypatch):
+    # each block's instances go to the spool and its pair rows are freed, so
+    # from the second block on the traced memory stays flat while the emitted
+    # count grows. What still grows is the store's normalized-text cache and
+    # the map from text to top-k ids: the peak here is 29 KB over the second
+    # block, as 239 instances are emitted. A run that keeps its instances, or
+    # its pair rows, reaches 77 or 91 KB.
+    corpus = write_corpus(tmp_path / "corpus.jsonl", make_corpus(n_docs=300, seed=9, n_topics=12))
+    config = make_config(dev_size=5)
+    config.embeddings.dim = 32  # a small token table and index: the rows weigh more
+    small = write_corpus(tmp_path / "small.jsonl", make_corpus(n_docs=30, seed=9, n_topics=3))
+    run_all(small, tmp_path / "small", config)  # fills the module-level caches first
+    after, stage = [], pipeline.stage_verify  # (traced bytes, emitted so far) per block
+
+    def traced_verify(*args, **kwargs):
+        instances, counts = stage(*args, **kwargs)
+        emitted = counts["emitted"] + (after[-1][1] if after else 0)
+        after.append((tracemalloc.get_traced_memory()[0], emitted))
+        return instances, counts
+
+    monkeypatch.setattr(pipeline, "PAIR_BLOCK", 64)
+    monkeypatch.setattr(pipeline, "stage_verify", traced_verify)
+    tracemalloc.start()
+    try:
+        run_all(corpus, tmp_path / "out", config)
+    finally:
+        tracemalloc.stop()
+    traced, emitted = zip(*after)
+    assert len(after) == 10 and all(a < b for a, b in zip(emitted, emitted[1:])), emitted
+    assert max(traced[1:]) - traced[1] < 48 * 1024, [t - traced[1] for t in traced]
+
+
+@pytest.mark.parametrize("task", ["mqa", "fever"])
+def test_run_all_stats_are_the_stats_of_its_files(tmp_path, monkeypatch, corpus_path, task):
+    # the report's stats, summed block by block, are what `hopsynth stats`
+    # computes from the train and dev files the run wrote
+    monkeypatch.setattr(pipeline, "PAIR_BLOCK", 7)
+    out = tmp_path / "out"
+    report = run_all(corpus_path, out, make_config(task=task, dev_size=5))
+    train, dev = read_jsonl(out / "train.jsonl"), read_jsonl(out / "dev.jsonl")
+    assert len(dev) == 5 and len(train) > 7
+    assert report["stats"] == asdict(dataset_stats(train, dev))
+
+
+def test_run_all_spools_instance_lines_byte_for_byte(tmp_path, monkeypatch, corpus_path):
+    # U+2028, U+2029 and U+0085 are not line breaks in the spool either, and
+    # every line reaches train or dev as the instance's own line
+    emitted, stage = [], pipeline.stage_verify
+
+    def marking_verify(*args, **kwargs):
+        instances, counts = stage(*args, **kwargs)
+        instances = [replace(inst, question_or_claim=f"{inst.question_or_claim}\u2028\u2029\x85é")
+                     for inst in instances]
+        emitted.extend(instances)
+        return instances, counts
+
+    monkeypatch.setattr(pipeline, "PAIR_BLOCK", 7)
+    monkeypatch.setattr(pipeline, "stage_verify", marking_verify)
+    config = make_config(dev_size=5)
+    run_all(corpus_path, tmp_path / "out", config)
+    dev = dev_positions(len(emitted), 5, derive_seed(config.seed, "dev"))
+    for name, in_dev in (("train.jsonl", False), ("dev.jsonl", True)):
+        lines = [instance_line(inst) for n, inst in enumerate(emitted) if (n in dev) == in_dev]
+        assert (tmp_path / "out" / name).read_bytes() == "".join(lines).encode("utf-8")
 
 
 def _topic_corpus(tmp_path, with_topics: bool):
