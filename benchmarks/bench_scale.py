@@ -63,7 +63,7 @@ def timed(name, stage):
             calls[name] = calls.get(name, 0) + 1
     return run
 
-for _, name, _, _ in pipeline.STAGES:
+for _, name, *_ in pipeline.STAGES:
     setattr(pipeline, f"stage_{name}", timed(f"{name}_s", getattr(pipeline, f"stage_{name}")))
 pipeline.build_index = timed("index_s", pipeline.build_index)
 

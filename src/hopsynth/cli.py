@@ -5,9 +5,10 @@ verify, emit) read and write JSONL so a run can stop and resume anywhere;
 run-all chains them. stats prints the dataset summary, eval runs the
 retrieval-episode harness. Exit codes: 0 success; 1 usage error (an unknown
 command or flag, or a missing argument); 2 a bad config key or value, from a
-file line or a flag, a bad input file line (`jsonl.InputError`, reported as
-one `error:` line), or a runtime failure (logged with its traceback). All
-randomness hangs off --seed.
+file line or a flag, a bad input file line (`jsonl.InputError`) or an input
+path that cannot be opened, each reported as one `error:` line, or a
+runtime failure (logged with its traceback). All randomness hangs off
+--seed.
 """
 
 from __future__ import annotations
@@ -48,16 +49,6 @@ _CONFIG_FLAGS = {
 
 _PATH_HELP = {"--store": "ingested store JSONL", "--corpus": "evaluation corpus JSONL"}
 
-# stage name -> the clients the stage takes, as `pipeline.clients` names them;
-# fever's pair stage draws labels, not entities, so it builds no recognizer
-_STAGE_CLIENTS = {
-    "pair": ("recognizer",),
-    "questions": ("backend", "recognizer", "examples"),
-    "filter_answers": ("backend", "examples"),
-    "queries": ("backend", "examples"),
-    "verify": ("provider",),
-}
-
 
 class _UsageError(Exception):
     pass
@@ -83,7 +74,7 @@ def build_parser() -> _Parser:
 
     add_command("ingest", "parse a corpus file into a store", "--in", "--out")
     # a stage command reads --store and writes --out; one that reads rows takes --in
-    for command, _, help_text, fields in pipeline.STAGES:
+    for command, _, help_text, fields, _ in pipeline.STAGES:
         add_command(command, help_text, "--store", *(() if fields is None else ("--in",)), "--out")
     commands["verify"].add_argument("--report", help="write drop counters to this JSON file")
     add_command("emit", "split train/dev", "--in", "--out")
@@ -151,15 +142,16 @@ def run_command(args) -> int:
 
     stages = {stage_command: rest for stage_command, *rest in pipeline.STAGES}
     if command in stages:
-        name, _, fields = stages[command]
+        name, _, fields, takes = stages[command]
         # as in run-all, the clients (and the files the config names) are
-        # built and checked before the inputs are read, and closed at the end
-        names = () if name == "pair" and config.task == TASK_FEVER else _STAGE_CLIENTS[name]
+        # built and checked before the inputs are read, and closed at the end;
+        # fever's pair stage draws labels, not entities, so it builds no recognizer
+        names = () if name == "pair" and config.task == TASK_FEVER else takes
         with pipeline.clients(config, names) as clients:
             store = pipeline.build_store(args.store_path, config)
             inputs = () if fields is None else (
                 _stage_rows(args, name, fields, store, config.task),)
-            if name == "verify":
+            if "index" in takes:
                 clients["index"] = pipeline.build_index(store, clients["provider"])
             rows, counters = getattr(pipeline, f"stage_{name}")(store, *inputs, config, **clients)
         write_rows(map(instance_to_record, rows) if name == "verify" else rows, args.out_path)
@@ -212,7 +204,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, FileNotFoundError, InputError) as exc:  # no traceback for bad input
+    except (ConfigError, InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:  # bad input, or a path it cannot open: no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures exit 2 per contract

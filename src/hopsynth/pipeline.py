@@ -9,6 +9,8 @@ then hands a per-item step to `_run_steps`: one loop counts every stage's
 attempts (the items it took; for `stage_pair`, the pairs sampled for the
 task), outputs and drops, so attempts = emitted + drops per stage.
 `clients` is the one place that builds a run's clients and closes them.
+`STAGES` is the one table of the chain: the stage commands and `run_all`
+run `stage_<name>` from it, as found at the call, with the names it lists.
 `run_all` runs `stage_pair` once over the whole corpus and the four per-row
 stages on blocks of PAIR_BLOCK pair rows. Each block's instances go to a
 temporary spool file and each block's pair rows are freed, so besides the
@@ -340,15 +342,18 @@ _DRAFT = {**_PAIR, "question": NON_EMPTY, "answer": STRING}  # what _draft_from_
 
 # The synthesis chain, in order: (command, stage name, help, the fields the
 # stage reads of its input rows besides d1 and d2, each with the check it must
-# pass as the rules that read it take it; None for pair, which reads no rows).
+# pass as the rules that read it take it (None for pair, which reads no rows),
+# the names the stage takes by keyword after (store, rows, config): clients as
+# `clients` names them, and verify's `index` and `retrieved`).
 # It holds names: a caller runs `stage_<name>` as it finds it at the call.
 STAGES = (
-    ("pair", "pair", "sample document pairs with prepared answers", None),
+    ("pair", "pair", "sample document pairs with prepared answers", None, ("recognizer",)),
     ("gen-questions", "questions", "generate questions/claims and entity-filter them",
-     {**_PAIR, "answer": STRING}),
-    ("filter-answers", "filter_answers", "answerability and hop classification", _DRAFT),
+     {**_PAIR, "answer": STRING}, ("backend", "recognizer", "examples")),
+    ("filter-answers", "filter_answers", "answerability and hop classification", _DRAFT,
+     ("backend", "examples")),
     ("gen-queries", "queries", "generate query candidates",
-     {**_PAIR, "question": NON_EMPTY, "final_answer": STRING}),
+     {**_PAIR, "question": NON_EMPTY, "final_answer": STRING}, ("backend", "examples")),
     ("verify", "verify", "verify queries and assemble instances", {
         **_DRAFT,
         "hops": (lambda value: value in ("one", "two"), "'one' or 'two'"),
@@ -357,7 +362,7 @@ STAGES = (
         "final_answer": STRING,
         "candidates": (_is_candidates, f"a list of {{'text': str, 'origin': {ORIGIN_MODEL!r} "
                                        f"or {ORIGIN_BACKUP!r}, 'rank': int}}"),
-    }),
+    }, ("provider", "index", "retrieved")),
 )
 
 
@@ -400,54 +405,51 @@ def run_all(
     `stage_pair` runs once over the whole corpus: its rows are the smallest,
     and its recognizer pre-pass takes each distinct document text once. The
     four per-row stages then run on consecutive blocks of PAIR_BLOCK pair
-    rows. The corpus index is built once, before the first block (one empty
-    block runs if there are no pair rows), and one map from text to top-k
-    ids is shared by the blocks, so each distinct text is retrieved once per
-    run. After each block, its instance lines are appended to a spool, an
-    anonymous temporary file, and its `stats_sums` are added up; then its
-    instances and its pair rows are dropped. So a run holds the store, the
-    index, the map and one block. At the end `write_splits` streams the
-    spool once into train and dev. Pair rows do not depend on each other
-    and every seed is keyed on the pair, so the output and the counters,
-    summed over the blocks, do not depend on PAIR_BLOCK.
+    rows, in the order of `STAGES[1:]`: each `stage_<name>` as found at the
+    call, given by keyword the names its entry takes, and its counts added
+    in the same loop. The corpus index is built once, before the first block
+    (one empty block runs if there are no pair rows), and one map from text
+    to top-k ids is shared by the blocks, so each distinct text is retrieved
+    once per run. After each block, its instance lines are appended to a
+    spool, an anonymous temporary file, and its `stats_sums` are added up;
+    then its instances and its pair rows are dropped. So a run holds the
+    store, the index, the map and one block. At the end `write_splits`
+    streams the spool once into train and dev. Pair rows do not depend on
+    each other and every seed is keyed on the pair, so the output and the
+    counters, summed over the blocks, do not depend on PAIR_BLOCK.
 
     Nothing is written to out_dir until every stage has run, so a run that
     fails in a stage creates no out_dir; its spool goes when the run ends.
     Returns the report dict (counters plus output paths and stats). The
-    clients it was not given are built by `clients` before the corpus is
-    read, and closed once the stages have run, or have raised.
+    clients the table names that it was not given are built by `clients`
+    before the corpus is read, and closed once the stages have run, or have
+    raised.
     """
     out_dir = Path(out_dir)
     # newline="\n": the spool splits lines on "\n" only, as jsonl's files do
     with TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
-        with clients(config, ("backend", "provider", "recognizer", "examples"),
+        with clients(config, {name for *_, takes in STAGES for name in takes},
                      backend=backend, provider=provider, recognizer=recognizer) as used:
-            backend, provider, recognizer, examples = used.values()
             store = build_store(corpus_path, config)
-            pair_rows, pair_counts = stage_pair(store, config, recognizer=recognizer)
-            index = build_index(store, provider)
-            counted, sums, retrieved = Counter(pair_counts), Counter(), {}
+            pair_rows, pair_counts = stage_pair(store, config, recognizer=used["recognizer"])
+            given = {**used, "index": build_index(store, used["provider"]), "retrieved": {}}
+            counted, sums = Counter(pair_counts), Counter()
             pair_rows.reverse()  # each block is taken off the end, which frees its rows
             while True:
                 rows = pair_rows[-PAIR_BLOCK:][::-1]
                 del pair_rows[-PAIR_BLOCK:]
                 # each stage takes the rows the one before it wrote; rebinding
                 # `rows` frees a stage's input once the next stage has returned
-                rows, question_counts = stage_questions(store, rows, config, backend,
-                                                        recognizer, examples)
-                rows, answer_counts = stage_filter_answers(store, rows, config, backend, examples)
-                rows, query_counts = stage_queries(store, rows, config, backend, examples)
-                block, verify_counts = stage_verify(store, rows, config, provider, index=index,
-                                                    retrieved=retrieved)
-                del rows
-                spool.writelines(map(instance_line, block))
-                sums.update(stats_sums(block))
-                del block
-                for counts in (question_counts, answer_counts, query_counts, verify_counts):
+                for _, name, _, _, takes in STAGES[1:]:
+                    rows, counts = globals()[f"stage_{name}"](
+                        store, rows, config, **{n: given[n] for n in takes})
                     counted.update(counts)
+                spool.writelines(map(instance_line, rows))
+                sums.update(stats_sums(rows))
+                del rows
                 if not pair_rows:
                     break
-            del index, retrieved
+            del given  # frees the index and the map before the splits are written
         spool.seek(0)
         _, dev_size = write_splits(spool, sums["instances"], out_dir, config)
     totals = {"attempts": pair_counts["attempts"], "emitted": sums["instances"]}

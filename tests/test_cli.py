@@ -60,6 +60,27 @@ def test_runtime_failure_exit_2(tmp_path, capsys):
     assert main(["stats", "--in", str(tmp_path / "missing.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["stats", "--in", "<dir>"],
+    ["emit", "--in", "<dir>", "--out", "<tmp>/out"],
+    ["--config", "<dir>", "stats", "--in", "<tmp>/missing.jsonl"],
+    ["stats", "--in", "<file>/instances.jsonl"],
+], ids=["stats-directory", "emit-directory", "config-directory", "stats-under-a-file"])
+def test_an_input_that_cannot_be_opened_exits_2_with_one_error_line(tmp_path, capsys, caplog,
+                                                                    argv):
+    # a directory, or a path under a file, is bad input like a missing file
+    directory, file = tmp_path / "dir", tmp_path / "file"
+    directory.mkdir()
+    file.write_text("")
+    argv = [arg.replace("<dir>", str(directory)).replace("<file>", str(file))
+            .replace("<tmp>", str(tmp_path)) for arg in argv]
+    assert main(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(tmp_path) in errors[0], errors
+    assert [record for record in caplog.records if record.exc_info] == []
+    assert not (tmp_path / "out").exists()
+
+
 def _corpus_only_embeddings(tmp_path, corpus_path):
     """A config file whose embedding file holds the corpus texts alone, that
     file, and the first query text run-all asks it for."""

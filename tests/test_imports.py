@@ -223,9 +223,28 @@ def test_stage_table_names_resolve_in_the_tracer_order():
     traced = [ast.literal_eval(node.value) for node in tracing.body
               if isinstance(node, ast.Assign)
               and [getattr(t, "id", None) for t in node.targets] == ["STAGES"]]
-    names = [name for _, name, _, _ in pipeline.STAGES]
+    names = [name for _, name, *_ in pipeline.STAGES]
     assert traced == [tuple(names)]
     assert [name for name in names if not callable(getattr(pipeline, f"stage_{name}", None))] == []
+
+
+def test_stage_table_takes_are_the_stage_keyword_parameters():
+    # each entry's last field is what `stage_<name>` takes after (store,
+    # rows, config), or (store, config) for pair; each name is a client
+    # `pipeline.clients` builds, or verify's index or map from text to ids
+    import inspect
+
+    from hopsynth import pipeline
+    from hopsynth.config import PipelineConfig
+
+    listed = {name for *_, takes in pipeline.STAGES for name in takes}
+    with pipeline.clients(PipelineConfig(), listed) as built:
+        assert listed <= set(built) | {"index", "retrieved"}
+    for _, name, _, fields, takes in pipeline.STAGES:
+        params = list(inspect.signature(getattr(pipeline, f"stage_{name}")).parameters)
+        head = 2 if fields is None else 3
+        assert [params[0], params[head - 1]] == ["store", "config"], name
+        assert tuple(params[head:]) == takes, name
 
 
 # the definitions of src/hopsynth that only tests name: none, since a reference
@@ -256,19 +275,43 @@ def names_used(tree) -> set[str]:
     return found
 
 
+def unnamed_definitions(sources: dict[Path, str], listed: set[str]) -> list[str]:
+    """`<module>.<name>` of each module-level function and class of a
+    src/hopsynth file in `sources` (path -> text) that no other top-level
+    statement of `sources` names and that `listed` does not hold."""
+    statements = [(path, node, names_used(node))
+                  for path, text in sources.items() for node in ast.parse(text).body]
+    return sorted(f"{path.stem}.{node.name}" for path, node, _ in statements
+                  if path.parent == SRC
+                  and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and f"{path.stem}.{node.name}" not in listed
+                  and not any(node.name in names for _, other, names in statements
+                              if other is not node))
+
+
 def test_every_hopsynth_definition_is_named_by_the_program():
     # each module-level function and class of src/hopsynth is named by another
-    # top-level statement of src/, perfbench/ or benchmarks/; a helper that
-    # only tests use belongs in the tests
-    statements = [(path, node, names_used(node))
-                  for path in sorted([*(ROOT / "src").rglob("*.py"), *BENCH_SCRIPTS])
-                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
-    unused = [f"{path.stem}.{node.name}" for path, node, _ in statements
-              if path.parent == SRC
-              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and not any(node.name in names for _, other, names in statements
-                          if other is not node)]
-    assert sorted(unused) == TEST_REFERENCES
+    # top-level statement of src/, perfbench/ or benchmarks/, or is the
+    # `stage_<name>` of a `pipeline.STAGES` entry, which the stage commands and
+    # `run_all` look up at the call; a helper that only tests use belongs in
+    # the tests
+    from hopsynth import pipeline
+
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in sorted([*(ROOT / "src").rglob("*.py"), *BENCH_SCRIPTS])}
+    listed = {f"pipeline.stage_{name}" for _, name, *_ in pipeline.STAGES}
+    assert unnamed_definitions(sources, listed) == TEST_REFERENCES
+
+
+def test_definition_guard_flags_a_def_neither_named_nor_listed():
+    sources = {SRC / "pipeline.py": ("def stage_x(): pass\ndef stage_y(): pass\n"
+                                     "def helper(): pass\n"),
+               BENCHMARKS / "bench_x.py": "pipeline.stage_y()\n"}
+    assert unnamed_definitions(sources, {"pipeline.stage_x"}) == ["pipeline.helper"]
+    assert unnamed_definitions(sources, set()) == ["pipeline.helper", "pipeline.stage_x"]
+    # a name listed for another module does not cover it
+    assert unnamed_definitions(sources, {"cli.stage_x"}) == ["pipeline.helper",
+                                                             "pipeline.stage_x"]
 
 
 def test_definition_guard_reads_names_strings_and_child_programs():

@@ -311,26 +311,6 @@ def test_run_all_completions_follow_from_the_counters(tmp_path, monkeypatch, tas
         assert sum(map(len, provider.calls)) == embedded, block
 
 
-def test_run_all_in_blocks_holds_fewer_rows(tmp_path, monkeypatch):
-    # the rows of one block at a time, not of every pair row: a lower peak
-    corpus = write_corpus(tmp_path / "corpus.jsonl", make_corpus(n_docs=600, seed=9, n_topics=12))
-    config = make_config(dev_size=5)
-    config.embeddings.dim = 32  # a small token table and index: the rows weigh more
-    # the module-level caches a first run fills are filled before either is traced
-    small = write_corpus(tmp_path / "small.jsonl", make_corpus(n_docs=30, seed=9, n_topics=3))
-    run_all(small, tmp_path / "small", config)
-    peaks = {}
-    for block in (64, 10**9):  # the second is one block
-        monkeypatch.setattr(pipeline, "PAIR_BLOCK", block)
-        tracemalloc.start()
-        try:
-            run_all(corpus, tmp_path / f"block{block}", config)
-            peaks[block] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[64] < 0.85 * peaks[10**9], peaks  # 0.75 when written
-
-
 def test_run_all_holds_one_block_as_its_output_grows(tmp_path, monkeypatch):
     # each block's instances go to the spool and its pair rows are freed, so
     # from the second block on the traced memory stays flat while the emitted
